@@ -15,11 +15,12 @@ Q0(1,0,-), b is a zero of Q1(0,1,-), and f kills the two diagonal points
 product of two affine quadric slices, which is how the chart is enumerated.
 
 On the torsor-ready point set (disjoint lines, boundary lines through the
-nodes, and the nodes themselves) the module provides the ruling operators:
-tau_z (the line of a ruling through a node), sigma_L (the line of a ruling
-meeting a disjoint line), phi_z / psi_z (the node projection to unordered
-ruling pairs and its inverse), and the involutions j_c that generate the
-group law on the next layer up.
+nodes, and the nodes themselves) :class:`FanoSurface` provides the ruling
+operators as methods: ``tau`` (the line of a ruling through a node),
+``sigma`` (the line of a ruling meeting a disjoint line), ``phi`` / ``psi``
+(the node projection to unordered ruling pairs and its inverse), and
+``involution`` / ``j_table``, the involutions j_c that generate the group law
+on the next layer up.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ import numpy as np
 
 from .forms import BinaryForm, HomogeneousForm, divide_by_linear
 from .gf import GF, field
-from .linalg import kernel_basis, mat_mul, rank, solve
+from .linalg import kernel_basis, mat_mul, mat_vec, rank, rref, solve
 from .pencil import (
     NotGeneral,
     PencilFiber,
     RulingClass,
+    extended_threefold,
     fiber_matrix,
     hyperelliptic_involution,
     rulings_of_fiber,
@@ -48,12 +50,15 @@ from .projective import (
     ProjectiveLine,
     ProjectivePoint,
     Residual,
+    binary_quadratic,
+    complete_to_basis,
     enumerate_lines,
     line_meets,
     linear_form_cutting_line_in_plane,
     normalize_point,
     projective_reps,
     residual_line,
+    root_directions,
     span,
 )
 from .threefold import NormalizedThreefold, SingularLocusZ, ZPoint, compute_Z
@@ -185,8 +190,6 @@ class FanoSurface:
     """
 
     def __init__(self, nf: NormalizedThreefold, k: int = 1, Z: SingularLocusZ | None = None):
-        from .pencil import extended_threefold
-
         self.base = nf
         self.k = k
         self.nf = extended_threefold(nf, k)
@@ -287,32 +290,7 @@ class FanoSurface:
         zeros = np.zeros((len(cube), 1), dtype=np.uint16)
         a_side = cube[f.evaluate_batch(np.hstack([ones, zeros, cube])) == 0]
         b_side = cube[f.evaluate_batch(np.hstack([zeros, ones, cube])) == 0]
-        if not len(a_side) or not len(b_side):
-            return []
-        neg = L.neg
-        minus_one = np.uint16(L.neg_(1))
-        rows: list[tuple] = []
-        nb = len(b_side)
-        chunk_size = max(1, 200_000 // max(nb, 1))
-        for start in range(0, len(a_side), chunk_size):
-            chunk = a_side[start : start + chunk_size]
-            na = len(chunk)
-            a_rep = np.repeat(chunk, nb, axis=0)
-            b_til = np.tile(b_side, (na, 1))
-            head = np.ones((na * nb, 2), dtype=np.uint16)
-            plus = f.evaluate_batch(np.hstack([head, L.add[a_rep, b_til]]))
-            head[:, 1] = minus_one
-            minus = f.evaluate_batch(np.hstack([head, L.add[a_rep, neg[b_til]]]))
-            for idx in np.flatnonzero((plus == 0) & (minus == 0)):
-                a = chunk[idx // nb]
-                b = b_side[idx % nb]
-                rows.append(
-                    (
-                        (1, 0, int(a[0]), int(a[1]), int(a[2])),
-                        (0, 1, int(b[0]), int(b[1]), int(b[2])),
-                    )
-                )
-        return rows
+        return _chart_rows(L, f, a_side, b_side)
 
     def _build_torsor_set(self) -> TorsorPointSet:
         node_pts = [TorsorPoint("node", node=amb) for _, amb in self.nodes]
@@ -437,8 +415,6 @@ class FanoSurface:
         emb = L.embedding_into(Mfield)
         z_big = tuple(int(emb[v]) for v in z3)
         S_big = np.array([[int(emb[v]) for v in row] for row in S.rows], dtype=np.int64)
-        from .linalg import mat_mul
-
         out = []
         for direction, mult in splits:
             rows_inner = np.array([z_big, direction], dtype=np.int64)
@@ -456,8 +432,6 @@ class FanoSurface:
         if M is self.L:
             classes = self.rulings[key]
         else:
-            from .pencil import extended_threefold
-
             nf_M = extended_threefold(self.base, M.k // self.base.K.k)
             classes = rulings_of_fiber(fiber_matrix(nf_M, key[0], key[1]))
         for c in classes:
@@ -497,8 +471,6 @@ class FanoSurface:
     def _threefold_over(self, M: GF) -> NormalizedThreefold:
         if M is self.L:
             return self.nf
-        from .pencil import extended_threefold
-
         return extended_threefold(self.base, M.k // self.base.K.k)
 
     def _cone_tangent_plane(self, z: ZPoint, c: RulingClass, nf_M) -> LinearSubspace:
@@ -506,13 +478,12 @@ class FanoSurface:
         M = c.K
         fib = fiber_matrix(nf_M, c.s, c.t)
         zf = (0,) + tuple(self._node_in(z, M)[2:])
-        row = np.array([_sym_apply(M, fib.matrix, zf)], dtype=np.int64)
+        row = np.array([mat_vec(M, fib.matrix, zf)], dtype=np.int64)
         if not row.any():
             raise NotGeneral("the node sits at the cone vertex; the node scheme is not reduced")
         ker = kernel_basis(M, row)
-        assert ker.shape[0] == 3
-        from .linalg import mat_mul
-
+        if ker.shape[0] != 3:
+            raise InternalInconsistency("a nonzero linear form on P^3 cuts a plane")
         amb = mat_mul(M, ker, fib.embedding.T)
         return LinearSubspace(M, amb)
 
@@ -646,14 +617,8 @@ def _grad_at(grads: list[HomogeneousForm], pt) -> tuple:
     return tuple(g.evaluate(pt) for g in grads)
 
 
-def _sym_apply(K: GF, m: np.ndarray, v) -> list[int]:
-    out = []
-    for i in range(m.shape[0]):
-        acc = 0
-        for j, vj in enumerate(v):
-            acc = K.add_(acc, K.mul_(int(m[i, j]), int(vj)))
-        out.append(acc)
-    return out
+# candidates completing a point of a plane to a basis
+_UNIT_VECTORS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _split_conic_at(K: GF, conic: HomogeneousForm, z3) -> tuple[GF, list[tuple[tuple, int]]]:
@@ -666,21 +631,8 @@ def _split_conic_at(K: GF, conic: HomogeneousForm, z3) -> tuple[GF, list[tuple[t
     grad = conic.gradient(z3)
     if any(grad):
         raise InternalInconsistency("the residual conic must be singular at the node")
-    basis = [list(z3)]
-    for j in range(3):
-        cand = [1 if i == j else 0 for i in range(3)]
-        trial = np.array(basis + [cand], dtype=np.int64)
-        if rank(K, trial) == len(basis) + 1:
-            basis.append(cand)
-        if len(basis) == 3:
-            break
-    assert len(basis) == 3
-    c1, c2 = basis[1], basis[2]
-    q11 = conic.evaluate(c1)
-    q22 = conic.evaluate(c2)
-    both = conic.evaluate([K.add_(a, b) for a, b in zip(c1, c2)])
-    q12 = K.sub_(K.sub_(both, q11), q22)
-    form = BinaryForm(K, 2, (q11, q12, q22))
+    c1, c2 = complete_to_basis(K, z3, _UNIT_VECTORS)
+    form = binary_quadratic(conic, c1, c2)
     if form.is_zero:
         raise InternalInconsistency("the residual conic cannot contain the whole plane")
     roots = form.roots()
@@ -691,42 +643,7 @@ def _split_conic_at(K: GF, conic: HomogeneousForm, z3) -> tuple[GF, list[tuple[t
         c1 = [int(emb[x]) for x in c1]
         c2 = [int(emb[x]) for x in c2]
         K = L2
-    out = []
-    for (b, g), mult in roots:
-        direction = tuple(K.add_(K.mul_(b, u), K.mul_(g, v)) for u, v in zip(c1, c2))
-        out.append((direction, mult))
-    return K, out
-
-
-# ---------------------------------------------------------------------------
-# module-level operator entry points
-# ---------------------------------------------------------------------------
-
-
-def enumerate_fano(nf: NormalizedThreefold, k: int = 1) -> list[ClassifiedLine]:
-    """All lines of P^4(F_{q^k}) on which the cubic vanishes identically,
-    classified by position against the plane, in a deterministic order."""
-    return FanoSurface(nf, k).lines
-
-
-def tau_z(surface: FanoSurface, z: ZPoint, c: RulingClass) -> ProjectiveLine:
-    return surface.tau(z, c)
-
-
-def sigma_L(surface: FanoSurface, line: ProjectiveLine, c: RulingClass) -> ProjectiveLine:
-    return surface.sigma(line, c)
-
-
-def phi_z(surface: FanoSurface, z: ZPoint, line: ProjectiveLine) -> list[tuple[RulingClass, int]]:
-    return surface.phi(z, line)
-
-
-def psi_z(surface: FanoSurface, z: ZPoint, c: RulingClass, d: RulingClass) -> Residual:
-    return surface.psi(z, c, d)
-
-
-def involution_j(surface: FanoSurface, c: RulingClass, x: TorsorPoint) -> TorsorPoint:
-    return surface.involution(c, x)
+    return K, root_directions(K, roots, c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -949,26 +866,15 @@ def _count_degenerate_conic_lines(nf: NormalizedThreefold, depth: int) -> int:
     a double line.  Fibers over parameter fields beyond the scan depth are
     not seen; the caller treats the result as a lower bound checked <= 6.
     """
-    from .pencil import extended_threefold
-
     nfd = extended_threefold(nf, depth)
     Ld = nfd.K
     q0, q1 = nfd.restricted_conics
-    half = Ld.inverse(2 % Ld.p)
     total = 0
     for s, t in projective_reps(Ld, 1):
         conic = q0.scaled(s).plus(q1.scaled(t))
         if conic.is_zero:
             raise NotGeneral("a member of the restricted conic pencil vanishes")
-        m = np.zeros((3, 3), dtype=np.int64)
-        for e, cf in conic.terms.items():
-            idx = [i for i, v in enumerate(e) for _ in range(v)]
-            i, j = idx
-            if i == j:
-                m[i, i] = cf
-            else:
-                m[i, j] = m[j, i] = Ld.mul_(cf, half)
-        r = rank(Ld, m)
+        r = rank(Ld, conic.symmetric_matrix())
         if r == 2:
             total += 2
         elif r == 1:
@@ -1031,7 +937,7 @@ def verify_intersection_numbers(
             line = rng.choice(disjoint)
             try:
                 count = _sigma_tau_count(surface, surface2, z, line)
-            except (PlaneContained, InternalInconsistency):
+            except PlaneContained:
                 resamples += 1
                 continue
             sigma_tau.append(count)
@@ -1087,8 +993,6 @@ def _transversal_counts(nf: NormalizedThreefold, line1: ProjectiveLine, line2: P
     as every transversal is defined over degree <= 4, which is the generic
     (resampled otherwise) situation.
     """
-    from .pencil import extended_threefold
-
     K = nf.K
     exact: dict[int, int] = {}
     meets_p: dict[int, int] = {}
@@ -1156,23 +1060,15 @@ def _node_pairs(Z: SingularLocusZ) -> list[tuple[tuple, tuple, int]]:
         for j in range(i + 1, len(geo)):
             da, ca = geo[i]
             db, cb = geo[j]
-            d = _lcm(da, db)
+            d = math.lcm(da, db)
             if K.k * d > 4:
                 continue
             pairs.append(((da, ca), (db, cb), d))
     return pairs
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
 def _common_fiber_count(nf: NormalizedThreefold, Z: SingularLocusZ, za, zb, d: int) -> int:
     """Fibers whose quadric contains the line joining two distinct nodes."""
-    from .pencil import extended_threefold
-
     nfd = extended_threefold(nf, d)
     Ld = nfd.K
     da, ca = za
@@ -1264,8 +1160,6 @@ def lines_on_cubic_surface_section(
 
 def _surface_lines_over(nf: NormalizedThreefold, line1: ProjectiveLine, line2: ProjectiveLine, d: int):
     """(count, canonical rows) of the F_{q^d}-rational lines on span(L1,L2) cap Y."""
-    from .pencil import extended_threefold
-
     nfd = extended_threefold(nf, d)
     Ld = nfd.K
     emb = nf.K.embedding_into(Ld)
@@ -1338,39 +1232,48 @@ def _disjoint_rows_in_hyperplane(nfd: NormalizedThreefold, lam) -> list[tuple]:
         raise InternalInconsistency("a hyperplane with P-disjoint lines cannot contain P")
     a_side = _affine_slice_points(L, f, (1, 0), lam)
     b_side = _affine_slice_points(L, f, (0, 1), lam)
+    return _chart_rows(L, f, a_side, b_side)
+
+
+def _chart_rows(L: GF, f: HomogeneousForm, a_side: np.ndarray, b_side: np.ndarray) -> list[tuple]:
+    """RREF row pairs ((1,0,a),(0,1,b)), a in a_side and b in b_side, of the lines on f = 0.
+
+    Both sides are affine tails of points on the cubic, so the line through
+    (1,0,a) and (0,1,b) lies on it iff the cubic also kills the diagonal
+    points (1,1,a+b) and (1,-1,a-b).  The pairs are tested in chunks of rows
+    of a_side, which keeps the row order of the full product a_side x b_side.
+    """
     if not len(a_side) or not len(b_side):
         return []
-    na, nb = len(a_side), len(b_side)
-    a_rep = np.repeat(a_side, nb, axis=0)
-    b_til = np.tile(b_side, (na, 1))
-    head = np.ones((na * nb, 2), dtype=np.uint16)
-    plus = f.evaluate_batch(np.hstack([head, L.add[a_rep, b_til]]))
-    head[:, 1] = np.uint16(L.neg_(1))
-    minus = f.evaluate_batch(np.hstack([head, L.add[a_rep, L.neg[b_til]]]))
-    rows = []
-    for idx in np.flatnonzero((plus == 0) & (minus == 0)):
-        a = a_rep[idx]
-        b = b_til[idx]
-        rows.append(
-            (
-                (1, 0, int(a[0]), int(a[1]), int(a[2])),
-                (0, 1, int(b[0]), int(b[1]), int(b[2])),
+    neg = L.neg
+    minus_one = np.uint16(L.neg_(1))
+    rows: list[tuple] = []
+    nb = len(b_side)
+    chunk_size = max(1, 200_000 // nb)
+    for start in range(0, len(a_side), chunk_size):
+        chunk = a_side[start : start + chunk_size]
+        na = len(chunk)
+        a_rep = np.repeat(chunk, nb, axis=0)
+        b_til = np.tile(b_side, (na, 1))
+        head = np.ones((na * nb, 2), dtype=np.uint16)
+        plus = f.evaluate_batch(np.hstack([head, L.add[a_rep, b_til]]))
+        head[:, 1] = minus_one
+        minus = f.evaluate_batch(np.hstack([head, L.add[a_rep, neg[b_til]]]))
+        for idx in np.flatnonzero((plus == 0) & (minus == 0)):
+            a = chunk[idx // nb]
+            b = b_side[idx % nb]
+            rows.append(
+                (
+                    (1, 0, int(a[0]), int(a[1]), int(a[2])),
+                    (0, 1, int(b[0]), int(b[1]), int(b[2])),
+                )
             )
-        )
     return rows
 
 
 def _conic_component_lines(K: GF, conic: HomogeneousForm) -> list[tuple]:
     """Row pairs of the K-rational component lines of a ternary conic."""
-    half = K.inverse(2 % K.p)
-    m = np.zeros((3, 3), dtype=np.int64)
-    for e, cf in conic.terms.items():
-        idx = [i for i, v in enumerate(e) for _ in range(v)]
-        i, j = idx
-        if i == j:
-            m[i, i] = cf
-        else:
-            m[i, j] = m[j, i] = K.mul_(cf, half)
+    m = conic.symmetric_matrix()
     r = rank(K, m)
     if r == 3:
         return []
@@ -1380,34 +1283,12 @@ def _conic_component_lines(K: GF, conic: HomogeneousForm) -> list[tuple]:
         return [tuple(tuple(int(x) for x in kr) for kr in ker)]
     # rank 2: two lines through the kernel point, when the binary form splits
     ker = kernel_basis(K, m)
-    assert ker.shape[0] == 1
+    if ker.shape[0] != 1:
+        raise InternalInconsistency("a rank-2 conic is singular at a single point")
     v = [int(x) for x in ker[0]]
+    c1, c2 = complete_to_basis(K, v, _UNIT_VECTORS)
     out = []
-    for direction, _mult in _split_conic_rank2(K, conic, v):
-        from .linalg import rref
-
+    for direction, _mult in root_directions(K, binary_quadratic(conic, c1, c2).roots(), c1, c2):
         rows, _ = rref(K, np.array([v, list(direction)], dtype=np.int64))
         out.append(tuple(tuple(int(x) for x in row) for row in rows))
-    return out
-
-
-def _split_conic_rank2(K: GF, conic: HomogeneousForm, v) -> list[tuple[tuple, int]]:
-    basis = [list(v)]
-    for j in range(3):
-        cand = [1 if i == j else 0 for i in range(3)]
-        trial = np.array(basis + [cand], dtype=np.int64)
-        if rank(K, trial) == len(basis) + 1:
-            basis.append(cand)
-        if len(basis) == 3:
-            break
-    c1, c2 = basis[1], basis[2]
-    q11 = conic.evaluate(c1)
-    q22 = conic.evaluate(c2)
-    both = conic.evaluate([K.add_(a, b) for a, b in zip(c1, c2)])
-    q12 = K.sub_(K.sub_(both, q11), q22)
-    form = BinaryForm(K, 2, (q11, q12, q22))
-    out = []
-    for (b, g), mult in form.roots():
-        direction = tuple(K.add_(K.mul_(b, u), K.mul_(g, w)) for u, w in zip(c1, c2))
-        out.append((direction, mult))
     return out

@@ -202,6 +202,21 @@ class HomogeneousForm:
         K = self.K
         return kernels.eval_form_batch(K.add, K.mul, K.powers(self.degree), exps, coeffs, points)
 
+    def symmetric_matrix(self) -> np.ndarray:
+        """The symmetric matrix M of a quadratic form, f(x) = x^T M x (char != 2)."""
+        if self.degree != 2:
+            raise ValueError("only a quadratic form has a symmetric matrix")
+        K = self.K
+        M = np.zeros((self.nvars, self.nvars), dtype=np.int64)
+        half = K.inverse(2 % K.p)
+        for e, c in self.terms.items():
+            i, j = [i for i, v in enumerate(e) for _ in range(v)]
+            if i == j:
+                M[i, i] = c
+            else:
+                M[i, j] = M[j, i] = K.mul_(c, half)
+        return M
+
     def gradient(self, point) -> list[int]:
         return [self.derivative(i).evaluate(point) for i in range(self.nvars)]
 
@@ -284,11 +299,6 @@ class HomogeneousForm:
             if K.mul_(other.terms[e], c) != v:
                 return None
         return c
-
-
-def evaluate_form(f: HomogeneousForm, point) -> int:
-    """Value of f at an affine tuple of element codes."""
-    return f.evaluate(point)
 
 
 def monomial_exponents(nvars: int, degree: int):

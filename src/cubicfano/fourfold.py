@@ -28,14 +28,15 @@ from functools import cached_property
 import numpy as np
 
 from .fano import FanoSurface, InvalidInput
-from .forms import BinaryForm, HomogeneousForm, det_form_matrix, random_form
+from .forms import BinaryForm, HomogeneousForm, det_form_matrix
 from .gf import GF, field
-from .linalg import kernel_basis, rank
+from .linalg import kernel_basis
 from .pencil import (
     HyperellipticModel,
     NotGeneral,
     ZetaData,
     discriminant,
+    symbolic_fiber_entries,
     zeta,
 )
 from .projective import (
@@ -50,10 +51,12 @@ from .projective import (
 )
 from .threefold import (
     NormalizedThreefold,
-    NotContained,
     certify_generality,
     compute_Z,
     normalize,
+    plane_basis,
+    random_cubic_through_plane,
+    split_off_plane,
 )
 
 
@@ -91,15 +94,12 @@ class NormalizedFourfold:
 
     @property
     def plane(self) -> LinearSubspace:
-        rows = np.zeros((3, 6), dtype=np.int64)
-        rows[0, 3] = rows[1, 4] = rows[2, 5] = 1
-        return LinearSubspace(self.K, rows)
+        return LinearSubspace(self.K, plane_basis(6))
 
     @cached_property
     def restricted_net(self) -> tuple[HomogeneousForm, HomogeneousForm, HomogeneousForm]:
         """(Q0|_P, Q1|_P, Q2|_P) as ternary quadrics in the plane coordinates."""
-        basis = np.zeros((3, 6), dtype=np.int64)
-        basis[0, 3] = basis[1, 4] = basis[2, 5] = 1
+        basis = plane_basis(6)
         return (self.Q0.restrict(basis), self.Q1.restrict(basis), self.Q2.restrict(basis))
 
     def embedded(self, L: GF) -> "NormalizedFourfold":
@@ -121,43 +121,13 @@ def normalize_fourfold(cubic: HomogeneousForm, plane: LinearSubspace) -> Normali
     monomial divisible by x0 (divided by x0), Q1 the remaining ones divisible
     by x1, and Q2 the rest (all divisible by x2).
     """
-    K = cubic.K
-    if cubic.nvars != 6 or cubic.degree != 3:
-        raise ValueError("expected a cubic form in six variables")
-    if plane.dim != 2 or plane.n != 5:
-        raise ValueError("expected a plane (projective dimension 2) in P^5")
-    if not cubic.restrict(plane.matrix).is_zero:
-        raise NotContained("the cubic does not vanish on the plane")
-    pivots = set(int(j) for j in plane.pivots())
-    complement = [j for j in range(6) if j not in pivots]
-    cols = [np.eye(6, dtype=np.int64)[:, j] for j in complement]
-    M = np.column_stack(cols + [plane.matrix[i] for i in range(3)])
-    f_new = cubic.substitute(M)
-    split: list[dict] = [{}, {}, {}]
-    for exps, c in f_new.terms.items():
-        i = next(i for i in range(3) if exps[i] >= 1)
-        key = tuple(e - 1 if j == i else e for j, e in enumerate(exps))
-        split[i][key] = c
-    quadrics = [HomogeneousForm(K, 6, 2, terms) for terms in split]
-    transform = tuple(tuple(int(x) for x in row) for row in M)
-    return NormalizedFourfold(K, f_new, *quadrics, transform)
+    f_new, quadrics, transform = split_off_plane(cubic, plane, 6)
+    return NormalizedFourfold(cubic.K, f_new, *quadrics, transform)
 
 
 def random_fourfold_through_plane(K: GF, rng) -> NormalizedFourfold:
     """A uniformly random cubic of the shape x0*Q0 + x1*Q1 + x2*Q2."""
-    merged: dict = {}
-    for i in range(3):
-        for e, c in random_form(K, 6, 2, rng).terms.items():
-            key = tuple(v + 1 if j == i else v for j, v in enumerate(e))
-            acc = K.add_(merged.get(key, 0), c)
-            if acc:
-                merged[key] = acc
-            else:
-                merged.pop(key, None)
-    cubic = HomogeneousForm(K, 6, 3, merged)
-    rows = np.zeros((3, 6), dtype=np.int64)
-    rows[0, 3] = rows[1, 4] = rows[2, 5] = 1
-    return normalize_fourfold(cubic, LinearSubspace(K, rows))
+    return normalize_fourfold(random_cubic_through_plane(K, 6, rng), LinearSubspace(K, plane_basis(6)))
 
 
 def random_general_fourfold(K: GF, rng, depth: int = 1, max_tries: int = 400) -> NormalizedFourfold:
@@ -173,76 +143,6 @@ def random_general_fourfold(K: GF, rng, depth: int = 1, max_tries: int = 400) ->
 # ---------------------------------------------------------------------------
 # the quadric family over the (s:t:u)-plane and its discriminant
 # ---------------------------------------------------------------------------
-
-
-def fourfold_fiber_quadric(nx: NormalizedFourfold, s: int, t: int, u: int) -> HomogeneousForm:
-    """R_{s,t,u} in the fiber coordinates (v, x3, x4, x5)."""
-    if (s, t, u) == (0, 0, 0):
-        raise ValueError("(0:0:0) is not a point of the projection plane")
-    K = nx.K
-    out: dict = {}
-    for outer, Q in ((s, nx.Q0), (t, nx.Q1), (u, nx.Q2)):
-        if outer == 0:
-            continue
-        for (e0, e1, e2, e3, e4, e5), c in Q.terms.items():
-            val = K.mul_(outer, c)
-            for base, e in ((s, e0), (t, e1), (u, e2)):
-                if e:
-                    val = K.mul_(val, K.pow_(base, e))
-            if not val:
-                continue
-            key = (e0 + e1 + e2, e3, e4, e5)
-            acc = K.add_(out.get(key, 0), val)
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return HomogeneousForm(K, 4, 2, out)
-
-
-def fourfold_fiber_matrix(nx: NormalizedFourfold, s: int, t: int, u: int) -> np.ndarray:
-    """Symmetric 4x4 matrix of R_{s,t,u} (char != 2)."""
-    K = nx.K
-    M = np.zeros((4, 4), dtype=np.int64)
-    half = K.inverse(2 % K.p)
-    for e, c in fourfold_fiber_quadric(nx, s, t, u).terms.items():
-        idx = [i for i, v in enumerate(e) for _ in range(v)]
-        i, j = idx
-        if i == j:
-            M[i, i] = c
-        else:
-            M[i, j] = M[j, i] = K.mul_(c, half)
-    return M
-
-
-def _symbolic_family_entries(nx: NormalizedFourfold) -> list[list[HomogeneousForm]]:
-    """4x4 matrix entries of the family as ternary forms in (s, t, u)."""
-    K = nx.K
-    half = K.inverse(2 % K.p)
-    entries = [[dict() for _ in range(4)] for _ in range(4)]
-    for which, Q in enumerate((nx.Q0, nx.Q1, nx.Q2)):
-        for (e0, e1, e2, e3, e4, e5), c in Q.terms.items():
-            outer = [e0, e1, e2]
-            outer[which] += 1
-            stu = tuple(outer)
-            fib = (e0 + e1 + e2, e3, e4, e5)
-            idx = [i for i, v in enumerate(fib) for _ in range(v)]
-            i, j = idx
-            val = c if i == j else K.mul_(c, half)
-            for a, b in ((i, j), (j, i)) if i != j else ((i, i),):
-                acc = K.add_(entries[a][b].get(stu, 0), val)
-                if acc:
-                    entries[a][b][stu] = acc
-                else:
-                    entries[a][b].pop(stu, None)
-    out = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            deg = 3 if i == 0 and j == 0 else (2 if 0 in (i, j) else 1)
-            row.append(HomogeneousForm(K, 3, deg, entries[i][j]))
-        out.append(row)
-    return out
 
 
 @dataclass(frozen=True)
@@ -279,10 +179,11 @@ class PlaneDiscriminant:
 
 def plane_discriminant(nx: NormalizedFourfold, scan_depth: int = 3) -> PlaneDiscriminant:
     """Exact symbolic determinant of the family matrix, with a smoothness scan."""
-    D = det_form_matrix(nx.K, 3, _symbolic_family_entries(nx))
+    D = det_form_matrix(nx.K, 3, symbolic_fiber_entries((nx.Q0, nx.Q1, nx.Q2)))
     if D.is_zero:
         raise NotGeneral("the plane discriminant vanishes identically")
-    assert D.degree == 6
+    if D.degree != 6:
+        raise InternalInconsistency(f"the plane discriminant has degree {D.degree}, expected 6")
     depth_used = 0
     ok = True
     witness = None
@@ -392,9 +293,7 @@ def slice_threefold(nx: NormalizedFourfold, lam) -> Slice:
     B[1, :3] = heads[1]
     B[2, 3] = B[3, 4] = B[4, 5] = 1
     f5 = nx.f.restrict(B)
-    rows = np.zeros((3, 5), dtype=np.int64)
-    rows[0, 2] = rows[1, 3] = rows[2, 4] = 1
-    nf = normalize(f5, LinearSubspace(K, rows))
+    nf = normalize(f5, LinearSubspace(K, plane_basis(5)))
     return Slice(lam, heads, nf)
 
 

@@ -375,20 +375,3 @@ def section_onto(p: int, big_k: int, small_k: int) -> dict[int, int]:
     """Partial inverse of the canonical embedding, as a dict big-code -> small-code."""
     emb = _embedding(p, small_k, big_k)
     return {int(v): i for i, v in enumerate(emb)}
-
-
-# ---------------------------------------------------------------------------
-# the operation names used by reports and the CLI
-# ---------------------------------------------------------------------------
-
-
-def field_inverse(K: GF, a: int) -> int:
-    return K.inverse(a)
-
-
-def quadratic_character(K: GF, a: int) -> int:
-    return K.chi_(a)
-
-
-def field_sqrt(K: GF, a: int) -> int | None:
-    return K.sqrt(a)

@@ -13,15 +13,25 @@ genus-2 double cover that parametrizes the rulings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .forms import BinaryForm, HomogeneousForm, det_form_matrix
 from .gf import GF, field
-from .linalg import det, kernel_basis, rank
-from .projective import ProjectiveLine, ProjectivePoint, projective_reps, span
+from .linalg import kernel_basis, mat_mul, mat_vec, rank, rref
+from .projective import (
+    InternalInconsistency,
+    ProjectiveLine,
+    ProjectivePoint,
+    all_points_array,
+    binary_quadratic,
+    complete_to_basis,
+    normalize_point,
+    projective_reps,
+    root_directions,
+)
 
 
 class NotGeneral(ValueError):
@@ -70,17 +80,7 @@ class PencilFiber:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Symmetric 4x4 matrix of the quadric (char != 2)."""
-        K = self.K
-        M = np.zeros((4, 4), dtype=np.int64)
-        half = K.inverse(2 % K.p)
-        for e, c in self.quadric.terms.items():
-            idx = [i for i, v in enumerate(e) for _ in range(v)]
-            i, j = idx
-            if i == j:
-                M[i, i] = c
-            else:
-                M[i, j] = M[j, i] = K.mul_(c, half)
-        return M
+        return self.quadric.symmetric_matrix()
 
     @cached_property
     def rank(self) -> int:
@@ -101,8 +101,6 @@ class PencilFiber:
         return ProjectivePoint(K, (K.mul_(self.s, u), K.mul_(self.t, u), x2, x3, x4))
 
     def ambient_line(self, rows) -> ProjectiveLine:
-        from .linalg import mat_mul
-
         return ProjectiveLine(self.K, mat_mul(self.K, np.array(rows, dtype=np.int64), self.embedding.T))
 
     def fiber_coords(self, pt: ProjectivePoint):
@@ -155,50 +153,50 @@ class DiscriminantSextic:
         return BinaryForm(L, 6, [int(emb[c]) for c in self.form.coeffs])
 
 
-def _symbolic_fiber_entries(nf) -> list[list[HomogeneousForm]]:
-    """4x4 matrix entries as binary forms in (s, t)."""
-    K = nf.K
+def symbolic_fiber_entries(quadrics) -> list[list[HomogeneousForm]]:
+    """Symmetric 4x4 matrix entries of the residual quadric family, as forms in its parameters.
+
+    ``quadrics`` are the n quadrics of f = x0*Q0 + ... + x_{n-1}*Q_{n-1}: (Q0, Q1)
+    of a threefold, whose parameters are (s, t), or (Q0, Q1, Q2) of a fourfold,
+    with parameters (s, t, u).  Substituting x_i = p_i*v for i < n in
+    p0*Q0 + ... + p_{n-1}*Q_{n-1} gives the member in the fiber coordinates
+    (v, x_n, x_{n+1}, x_{n+2}); entry (0, 0) is cubic, the rest of row and
+    column 0 quadratic, and the remaining entries linear in the parameters.
+    """
+    n = len(quadrics)
+    K = quadrics[0].K
     half = K.inverse(2 % K.p)
-    # R as a dict over exponents (e_s, e_t, e_u, e_2, e_3, e_4)
-    R: dict = {}
-    for which, Q in ((0, nf.Q0), (1, nf.Q1)):
-        for (e0, e1, e2, e3, e4), c in Q.terms.items():
-            e_s = e0 + (1 if which == 0 else 0)
-            e_t = e1 + (1 if which == 1 else 0)
-            key = (e_s, e_t, e0 + e1, e2, e3, e4)
-            acc = K.add_(R.get(key, 0), c)
-            if acc:
-                R[key] = acc
-            else:
-                R.pop(key, None)
     entries = [[dict() for _ in range(4)] for _ in range(4)]
-    for (e_s, e_t, *fib), c in R.items():
-        idx = [i for i, v in enumerate(fib) for _ in range(v)]
-        i, j = idx
-        val = c if i == j else K.mul_(c, half)
-        st = (e_s, e_t)
-        for a, b in ((i, j), (j, i)) if i != j else ((i, i),):
-            acc = K.add_(entries[a][b].get(st, 0), val)
-            if acc:
-                entries[a][b][st] = acc
-            else:
-                entries[a][b].pop(st, None)
+    for which, Q in enumerate(quadrics):
+        for e, c in Q.terms.items():
+            outer = list(e[:n])
+            outer[which] += 1
+            params = tuple(outer)
+            i, j = [i for i, v in enumerate((sum(e[:n]),) + e[n:]) for _ in range(v)]
+            val = c if i == j else K.mul_(c, half)
+            for a, b in ((i, j), (j, i)) if i != j else ((i, i),):
+                acc = K.add_(entries[a][b].get(params, 0), val)
+                if acc:
+                    entries[a][b][params] = acc
+                else:
+                    entries[a][b].pop(params, None)
     out = []
     for i in range(4):
         row = []
         for j in range(4):
             deg = 3 if i == 0 and j == 0 else (2 if 0 in (i, j) else 1)
-            row.append(HomogeneousForm(K, 2, deg, entries[i][j]))
+            row.append(HomogeneousForm(K, n, deg, entries[i][j]))
         out.append(row)
     return out
 
 
 def discriminant(nf) -> DiscriminantSextic:
     """Exact symbolic determinant of the fiber matrix, as a binary sextic."""
-    D = det_form_matrix(nf.K, 2, _symbolic_fiber_entries(nf))
+    D = det_form_matrix(nf.K, 2, symbolic_fiber_entries((nf.Q0, nf.Q1)))
     if D.is_zero:
         raise NotGeneral("discriminant vanishes identically")
-    assert D.degree == 6
+    if D.degree != 6:
+        raise InternalInconsistency(f"the discriminant has degree {D.degree}, expected 6")
     return DiscriminantSextic(BinaryForm.from_form(D))
 
 
@@ -239,8 +237,6 @@ class RulingClass:
 
 def quadric_point_scan(K: GF, quadric: HomogeneousForm) -> list[tuple[int, ...]]:
     """All projective points of a quadric in its own coordinates."""
-    from .projective import all_points_array
-
     pts = all_points_array(K, quadric.nvars - 1)
     vals = quadric.evaluate_batch(pts)
     return [tuple(int(x) for x in row) for row in pts[vals == 0]]
@@ -258,30 +254,21 @@ def lines_on_quadric(K: GF, quadric: HomogeneousForm, matrix: np.ndarray) -> lis
     lines: set = set()
     if r == 3:
         ker = kernel_basis(K, matrix)
-        assert ker.shape[0] == 1
+        if ker.shape[0] != 1:
+            raise InternalInconsistency("a rank-3 quadric in P^3 has a single vertex")
         vertex = tuple(int(x) for x in ker[0])
         for pt in quadric_point_scan(K, quadric):
-            if pt != _normalize(K, vertex):
-                from .linalg import rref
-
+            if pt != normalize_point(K, vertex):
                 rows, _ = rref(K, np.array([vertex, pt], dtype=np.int64))
                 lines.add(tuple(tuple(int(x) for x in row) for row in rows))
         return sorted(lines)
     # smooth: walk one plane section
     section = _section_points(K, quadric)
     for y in section:
-        for other in _tangent_directions(K, matrix, quadric, y):
-            from .linalg import rref
-
+        for other, _mult in _tangent_directions(K, matrix, quadric, y):
             rows, _ = rref(K, np.array([y, other], dtype=np.int64))
             lines.add(tuple(tuple(int(x) for x in row) for row in rows))
     return sorted(lines)
-
-
-def _normalize(K: GF, vec):
-    from .projective import normalize_point
-
-    return normalize_point(K, vec)
 
 
 def _section_points(K: GF, quadric: HomogeneousForm) -> list[tuple[int, ...]]:
@@ -290,45 +277,19 @@ def _section_points(K: GF, quadric: HomogeneousForm) -> list[tuple[int, ...]]:
     return [p for p in pts if quadric.evaluate(p) == 0]
 
 
-def _tangent_directions(K: GF, matrix: np.ndarray, quadric: HomogeneousForm, y) -> list[tuple[int, ...]]:
-    """Second points spanning the (up to two) lines of the quadric through y."""
-    row = np.array([_mat_vec_sym(K, matrix, y)], dtype=np.int64)
-    tangent = kernel_basis(K, row)
-    assert tangent.shape[0] == 3
+def _tangent_directions(K: GF, matrix: np.ndarray, quadric: HomogeneousForm, y) -> list[tuple[tuple[int, ...], int]]:
+    """Second points spanning the (up to two) lines of the quadric through y, with multiplicity."""
+    tangent = kernel_basis(K, np.array([mat_vec(K, matrix, y)], dtype=np.int64))
+    if tangent.shape[0] != 3:
+        raise InternalInconsistency("a smooth point of a quadric in P^3 has a tangent plane")
     # rebase so y is the first basis vector of the tangent hyperplane
-    basis = [list(y)]
-    for cand in tangent:
-        trial = np.array(basis + [list(cand)], dtype=np.int64)
-        if rank(K, trial) == len(basis) + 1:
-            basis.append([int(x) for x in cand])
-        if len(basis) == 3:
-            break
-    assert len(basis) == 3
-    c1, c2 = basis[1], basis[2]
-    # Q(a*y + b*c1 + g*c2) = binary quadratic in (b, g): cross terms with y vanish
-    q11 = quadric.evaluate(c1)
-    q22 = quadric.evaluate(c2)
-    both = quadric.evaluate([K.add_(a, b) for a, b in zip(c1, c2)])
-    q12 = K.sub_(K.sub_(both, q11), q22)  # 2*B(c1,c2)
-    conic = BinaryForm(K, 2, (q11, q12, q22))
+    c1, c2 = complete_to_basis(K, y, tangent)
+    # the cross terms with y vanish on the tangent hyperplane
+    conic = binary_quadratic(quadric, c1, c2)
     if conic.is_zero:
         # the whole tangent plane lies on the quadric: rank <= 2, excluded upstream
         raise NotGeneral("tangent plane contained in the quadric")
-    out = []
-    for (b, g), _mult in conic.roots():
-        direction = [K.add_(K.mul_(b, u), K.mul_(g, v)) for u, v in zip(c1, c2)]
-        out.append(tuple(direction))
-    return out
-
-
-def _mat_vec_sym(K: GF, M: np.ndarray, y) -> list[int]:
-    out = []
-    for i in range(M.shape[0]):
-        acc = 0
-        for j, yj in enumerate(y):
-            acc = K.add_(acc, K.mul_(int(M[i, j]), int(yj)))
-        out.append(acc)
-    return out
+    return root_directions(K, conic.roots(), c1, c2)
 
 
 def _lines_disjoint(K: GF, a, b) -> bool:
@@ -360,7 +321,8 @@ def rulings_of_fiber(fiber: PencilFiber) -> list[RulingClass]:
         for b in other:
             if _lines_disjoint(K, a, b):
                 raise AssertionError("lines in different rulings must meet")
-    assert len(same) == len(other) == K.q + 1, "split smooth fiber carries q+1 lines per ruling"
+    if not len(same) == len(other) == K.q + 1:
+        raise InternalInconsistency("split smooth fiber carries q+1 lines per ruling")
     packs = []
     for group in (same, other):
         ambient = tuple(sorted((fiber.ambient_line(rows) for rows in group), key=lambda L: L.rows))

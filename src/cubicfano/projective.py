@@ -12,9 +12,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .forms import HomogeneousForm, divide_by_linear
+from .forms import BinaryForm, HomogeneousForm, divide_by_linear
 from .gf import GF
-from .linalg import kernel_basis, rank, rref
+from .linalg import kernel_basis, mat_mul, rank, rref
 
 
 class PlaneContained(ValueError):
@@ -180,17 +180,11 @@ class LinearSubspace:
         return ProjectivePoint(K, out)
 
     def embed_line(self, inner: ProjectiveLine) -> ProjectiveLine:
-        return ProjectiveLine(self.K, _matmul_rows(self.K, inner.matrix, self.matrix))
+        return ProjectiveLine(self.K, mat_mul(self.K, inner.matrix, self.matrix))
 
     def points(self) -> Iterator[ProjectivePoint]:
         for coords in projective_reps(self.K, self.dim):
             yield self.embed_point(coords)
-
-
-def _matmul_rows(K: GF, A, B) -> np.ndarray:
-    from .linalg import mat_mul
-
-    return mat_mul(K, A, B)
 
 
 def span(K: GF, *objects) -> LinearSubspace:
@@ -272,11 +266,6 @@ def line_meets(L: ProjectiveLine, M: ProjectiveLine) -> bool:
     return rank(L.K, stacked) <= 3
 
 
-def restrict_form(f: HomogeneousForm, S: LinearSubspace) -> HomogeneousForm:
-    """The form pulled back to the RREF basis of S (ZeroForm when S lies on f)."""
-    return f.restrict(S.matrix)
-
-
 def linear_form_cutting_line_in_plane(plane: LinearSubspace, L: ProjectiveLine) -> tuple[int, ...]:
     """Coefficients (in plane coordinates) of the linear form vanishing on L."""
     K = plane.K
@@ -293,7 +282,7 @@ def line_in_plane_from_linear_form(plane: LinearSubspace, ell) -> ProjectiveLine
     ker = kernel_basis(K, np.array([ell], dtype=np.int64))
     if ker.shape[0] != 2:
         raise InternalInconsistency("a nonzero ternary linear form cuts a line")
-    ambient = _matmul_rows(K, ker, plane.matrix)
+    ambient = mat_mul(K, ker, plane.matrix)
     return ProjectiveLine(K, ambient)
 
 
@@ -314,7 +303,7 @@ def residual_line(cubic: HomogeneousForm, plane: LinearSubspace, L: ProjectiveLi
     K = cubic.K
     if plane.dim != 2:
         raise ValueError("residual lines live in plane sections")
-    section = restrict_form(cubic, plane)
+    section = cubic.restrict(plane.matrix)
     if section.is_zero:
         raise PlaneContained("plane lies entirely on the cubic")
     ell_L = linear_form_cutting_line_in_plane(plane, L)
@@ -334,6 +323,46 @@ def residual_line(cubic: HomogeneousForm, plane: LinearSubspace, L: ProjectiveLi
     n_norm = normalize_point(K, ell_N)
     multiplicity = sum(1 for ell in (ell_L, ell_M, ell_N) if normalize_point(K, ell) == n_norm)
     return Residual(line_N, multiplicity)
+
+
+# ---------------------------------------------------------------------------
+# the lines of a quadric through a point
+# ---------------------------------------------------------------------------
+#
+# A line of a quadric Q through a point y of Q lies in a 3-space containing y
+# on which Q is singular at y.  Complete y to a basis (y, c1, c2) of that
+# space: then Q(a*y + b*c1 + g*c2) is a binary quadratic in (b, g), and each
+# root (b, g) gives the second point b*c1 + g*c2 of a line through y.
+
+
+def complete_to_basis(K: GF, y, candidates) -> tuple[list[int], list[int]]:
+    """The first two candidates that extend y to a basis of a 3-space."""
+    basis = [list(y)]
+    for cand in candidates:
+        cand = [int(x) for x in cand]
+        if rank(K, np.array(basis + [cand], dtype=np.int64)) == len(basis) + 1:
+            basis.append(cand)
+            if len(basis) == 3:
+                return basis[1], basis[2]
+    raise InternalInconsistency("the candidates do not extend the point to a basis of a 3-space")
+
+
+def binary_quadratic(quadric: HomogeneousForm, c1, c2) -> BinaryForm:
+    """Q(b*c1 + g*c2) as a binary quadratic in (b, g), from three evaluations."""
+    K = quadric.K
+    q11 = quadric.evaluate(c1)
+    q22 = quadric.evaluate(c2)
+    both = quadric.evaluate([K.add_(a, b) for a, b in zip(c1, c2)])
+    q12 = K.sub_(K.sub_(both, q11), q22)  # 2*B(c1, c2)
+    return BinaryForm(K, 2, (q11, q12, q22))
+
+
+def root_directions(K: GF, roots, c1, c2) -> list[tuple[tuple[int, ...], int]]:
+    """Each root ((b, g), multiplicity) as the direction b*c1 + g*c2, with its multiplicity."""
+    return [
+        (tuple(K.add_(K.mul_(b, u), K.mul_(g, v)) for u, v in zip(c1, c2)), mult)
+        for (b, g), mult in roots
+    ]
 
 
 def pluecker_coordinates(line: ProjectiveLine) -> tuple[int, ...]:

@@ -65,15 +65,12 @@ class NormalizedThreefold:
 
     @property
     def plane(self) -> LinearSubspace:
-        rows = np.zeros((3, 5), dtype=np.int64)
-        rows[0, 2] = rows[1, 3] = rows[2, 4] = 1
-        return LinearSubspace(self.K, rows)
+        return LinearSubspace(self.K, plane_basis(5))
 
     @cached_property
     def restricted_conics(self) -> tuple[HomogeneousForm, HomogeneousForm]:
         """(Q0|_P, Q1|_P) as ternary quadrics in the plane coordinates."""
-        basis = np.zeros((3, 5), dtype=np.int64)
-        basis[0, 2] = basis[1, 3] = basis[2, 4] = 1
+        basis = plane_basis(5)
         return self.Q0.restrict(basis), self.Q1.restrict(basis)
 
     @cached_property
@@ -104,6 +101,46 @@ class NormalizedThreefold:
         )
 
 
+def plane_basis(nvars: int) -> np.ndarray:
+    """The last three unit vectors of nvars coordinates: the marked plane in normal form."""
+    rows = np.zeros((3, nvars), dtype=np.int64)
+    rows[0, nvars - 3] = rows[1, nvars - 2] = rows[2, nvars - 1] = 1
+    return rows
+
+
+def split_off_plane(cubic: HomogeneousForm, plane: LinearSubspace, nvars: int):
+    """Move ``plane`` to {x0 = ... = x_{n-1} = 0} and split off the quadrics.
+
+    For a cubic in nvars = n + 3 variables, returns (f, [Q0, ..., Q_{n-1}],
+    transform) with f = x0*Q0 + ... + x_{n-1}*Q_{n-1} the transformed cubic
+    and x_original = transform @ x_normalized.  The split is the
+    deterministic monomial partition: Q_i collects the monomials of f that
+    are divisible by x_i but by none of x0, ..., x_{i-1}, divided by x_i.
+    """
+    K = cubic.K
+    if cubic.nvars != nvars or cubic.degree != 3:
+        raise ValueError(f"expected a cubic form in {nvars} variables")
+    if plane.dim != 2 or plane.n != nvars - 1:
+        raise ValueError(f"expected a plane (projective dimension 2) in P^{nvars - 1}")
+    if not cubic.restrict(plane.matrix).is_zero:
+        raise NotContained("the cubic does not vanish on the plane")
+    pivots = set(int(j) for j in plane.pivots())
+    complement = [j for j in range(nvars) if j not in pivots]
+    cols = [np.eye(nvars, dtype=np.int64)[:, j] for j in complement]
+    M = np.column_stack(cols + [plane.matrix[i] for i in range(3)])
+    f_new = cubic.substitute(M)
+    n = nvars - 3
+    split: list[dict] = [{} for _ in range(n)]
+    for exps, c in f_new.terms.items():
+        i = next((i for i in range(n) if exps[i]), None)
+        if i is None:
+            raise InternalInconsistency("restriction to the plane should have killed this term")
+        split[i][exps[:i] + (exps[i] - 1,) + exps[i + 1 :]] = c
+    quadrics = [HomogeneousForm(K, nvars, 2, terms) for terms in split]
+    transform = tuple(tuple(int(x) for x in row) for row in M)
+    return f_new, quadrics, transform
+
+
 def normalize(cubic: HomogeneousForm, plane: LinearSubspace) -> NormalizedThreefold:
     """Move ``plane`` to {x0 = x1 = 0} and split off the quadrics Q0, Q1.
 
@@ -111,49 +148,28 @@ def normalize(cubic: HomogeneousForm, plane: LinearSubspace) -> NormalizedThreef
     monomial of the transformed cubic divisible by x0 (divided by x0), and Q1
     the remaining ones (all divisible by x1) divided by x1.
     """
-    K = cubic.K
-    if cubic.nvars != 5 or cubic.degree != 3:
-        raise ValueError("expected a cubic form in five variables")
-    if plane.dim != 2:
-        raise ValueError("expected a plane (projective dimension 2)")
-    restriction = cubic.restrict(plane.matrix)
-    if not restriction.is_zero:
-        raise NotContained("the cubic does not vanish on the plane")
-    pivots = set(int(j) for j in plane.pivots())
-    complement = [j for j in range(5) if j not in pivots]
-    cols = [np.eye(5, dtype=np.int64)[:, j] for j in complement]
-    M = np.column_stack(cols + [plane.matrix[i] for i in range(3)])
-    f_new = cubic.substitute(M)
-    q0_terms: dict = {}
-    q1_terms: dict = {}
-    for exps, c in f_new.terms.items():
-        if exps[0] >= 1:
-            q0_terms[(exps[0] - 1,) + exps[1:]] = c
-        else:
-            assert exps[1] >= 1, "restriction to the plane should have killed this term"
-            q1_terms[(exps[0], exps[1] - 1) + exps[2:]] = c
-    Q0 = HomogeneousForm(K, 5, 2, q0_terms)
-    Q1 = HomogeneousForm(K, 5, 2, q1_terms)
-    transform = tuple(tuple(int(x) for x in row) for row in M)
-    return NormalizedThreefold(K, f_new, Q0, Q1, transform)
+    f_new, (Q0, Q1), transform = split_off_plane(cubic, plane, 5)
+    return NormalizedThreefold(cubic.K, f_new, Q0, Q1, transform)
+
+
+def random_cubic_through_plane(K: GF, nvars: int, rng) -> HomogeneousForm:
+    """x0*Q0 + ... + x_{n-1}*Q_{n-1} in nvars = n + 3 variables, with Q0, ..., Q_{n-1}
+    uniformly random quadrics drawn from rng in that order."""
+    merged: dict = {}
+    for i in range(nvars - 3):
+        for e, c in random_form(K, nvars, 2, rng).terms.items():
+            key = e[:i] + (e[i] + 1,) + e[i + 1 :]
+            acc = K.add_(merged.get(key, 0), c)
+            if acc:
+                merged[key] = acc
+            else:
+                merged.pop(key, None)
+    return HomogeneousForm(K, nvars, 3, merged)
 
 
 def random_threefold_through_plane(K: GF, rng) -> NormalizedThreefold:
     """A uniformly random cubic of the shape x0*Q0 + x1*Q1 (may be degenerate)."""
-    shift0 = {(e[0] + 1,) + e[1:]: c for e, c in random_form(K, 5, 2, rng).terms.items()}
-    shift1 = {(e[0], e[1] + 1) + e[2:]: c for e, c in random_form(K, 5, 2, rng).terms.items()}
-    K_add = K.add_
-    merged = dict(shift0)
-    for e, c in shift1.items():
-        acc = K_add(merged.get(e, 0), c)
-        if acc:
-            merged[e] = acc
-        else:
-            merged.pop(e, None)
-    cubic = HomogeneousForm(K, 5, 3, merged)
-    rows = np.zeros((3, 5), dtype=np.int64)
-    rows[0, 2] = rows[1, 3] = rows[2, 4] = 1
-    return normalize(cubic, LinearSubspace(K, rows))
+    return normalize(random_cubic_through_plane(K, 5, rng), LinearSubspace(K, plane_basis(5)))
 
 
 def random_general_threefold(K: GF, rng, depth: int = 1, max_tries: int = 200) -> NormalizedThreefold:

@@ -15,7 +15,6 @@ from cubicfano.fano import (
     TorsorPoint,
     Undefined,
     decompose,
-    enumerate_fano,
     lines_on_cubic_surface_section,
     verify_intersection_numbers,
 )
@@ -23,6 +22,7 @@ from cubicfano.gf import field
 from cubicfano.linalg import inverse_matrix, mat_mul, rank
 from cubicfano.pencil import extended_threefold
 from cubicfano.projective import (
+    InternalInconsistency,
     LinearSubspace,
     PlaneContained,
     ProjectivePoint,
@@ -76,7 +76,7 @@ def brute_rows_and_tags(nf, k=1):
 def test_enumeration_matches_brute_force(make):
     nf = make()
     oracle, _ = brute_rows_and_tags(nf)
-    lines = enumerate_fano(nf, 1)
+    lines = FanoSurface(nf, 1).lines
     assert {cl.line.rows for cl in lines} == set(oracle)
     for cl in lines:
         assert cl.tag == oracle[cl.line.rows]
@@ -384,6 +384,18 @@ def test_intersection_numbers_match_expected_values():
     assert rep.sigma_tau == (2, 2, 2, 2)
     assert rep.sigma_sigma == ((5, 3),) * 4
     assert rep.tau_tau == (1, 1, 1, 1)
+
+
+def test_intersection_numbers_propagate_internal_inconsistency(monkeypatch):
+    # only PlaneContained is a resample; an internal error must surface
+    import cubicfano.fano as fano_mod
+
+    def broken(*args):
+        raise InternalInconsistency("planted")
+
+    monkeypatch.setattr(fano_mod, "_sigma_tau_count", broken)
+    with pytest.raises(InternalInconsistency, match="planted"):
+        verify_intersection_numbers(seeded_example(5, 44), random.Random(7), samples=4)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from cubicfano.forms import (
     HomogeneousForm,
     det_form_matrix,
     divide_by_linear,
-    evaluate_form,
     monomial_exponents,
     random_form,
 )
@@ -25,15 +24,15 @@ from reference_impl import evaluate_form_naive
 def test_evaluate_frozen_trivial():
     K = field(5)
     f = HomogeneousForm.monomial(K, 3, (1, 1, 1))
-    assert evaluate_form(f, (1, 1, 1)) == 1
-    assert evaluate_form(f, (0, 2, 3)) == 0
+    assert f.evaluate((1, 1, 1)) == 1
+    assert f.evaluate((0, 2, 3)) == 0
 
 
 def test_arity_error():
     K = field(5)
     f = HomogeneousForm.monomial(K, 3, (1, 1, 1))
     with pytest.raises(ArityError):
-        evaluate_form(f, (1, 1))
+        f.evaluate((1, 1))
 
 
 def test_plane_inside_split_cubic():
@@ -47,7 +46,7 @@ def test_plane_inside_split_cubic():
     f = x0.times(Q0).plus(x1.times(Q1))
     for _ in range(20):
         pt = (0, 0, rng.randrange(7), rng.randrange(7), rng.randrange(7))
-        assert evaluate_form(f, pt) == 0
+        assert f.evaluate(pt) == 0
 
 
 @pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (5, 1)])

@@ -1,0 +1,48 @@
+"""The packaging metadata names only files, modules and packages that exist,
+and declares every third-party module the package imports."""
+
+import ast
+import importlib
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())
+PACKAGE = ROOT / "src" / "cubicfano"
+
+
+def test_readme_exists():
+    assert (ROOT / PYPROJECT["project"]["readme"]).is_file()
+
+
+def test_script_targets_import():
+    for name, target in PYPROJECT["project"].get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_package_data_packages_exist():
+    package_data = PYPROJECT.get("tool", {}).get("setuptools", {}).get("package-data", {})
+    for package in package_data:
+        assert (ROOT / "src" / Path(*package.split("."))).is_dir(), package
+
+
+def top_level_imports(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_third_party_imports_are_declared():
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in PYPROJECT["project"]["dependencies"]}
+    imported = {name for path in PACKAGE.rglob("*.py") for name in top_level_imports(path)}
+    third_party = imported - set(sys.stdlib_module_names) - {"cubicfano"}
+    assert "numpy" in third_party  # the scan sees the imports at all
+    assert third_party <= declared

@@ -22,7 +22,6 @@ from cubicfano.projective import (
     line_through,
     pluecker_coordinates,
     residual_line,
-    restrict_form,
     schubert_cell_dimensions,
     span,
 )
@@ -162,14 +161,14 @@ def test_restrict_split_cubic_to_its_plane_is_zero():
     x1 = HomogeneousForm.linear(K, (0, 1, 0, 0, 0))
     f = x0.times(random_form(K, 5, 2, rng)).plus(x1.times(random_form(K, 5, 2, rng)))
     P = LinearSubspace(K, ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)))
-    assert restrict_form(f, P).is_zero
+    assert f.restrict(P.matrix).is_zero
 
 
 def test_restrict_monomial_to_coordinate_plane():
     K = field(5)
     f = HomogeneousForm.monomial(K, 5, (1, 1, 1, 0, 0))
     P = LinearSubspace(K, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)))
-    got = restrict_form(f, P)
+    got = f.restrict(P.matrix)
     assert got == HomogeneousForm.monomial(K, 3, (1, 1, 1))
 
 
@@ -179,7 +178,7 @@ def test_restrict_agrees_with_ambient_evaluation():
     f = random_form(K, 5, 3, rng)
     S = span(K, *random.Random(13).sample(all_points(K, 4), 3))
     assert S.dim == 2
-    restricted = restrict_form(f, S)
+    restricted = f.restrict(S.matrix)
     for coords in [(1, 0, 0), (0, 1, 0), (1, 2, 3), (4, 4, 1), (1, 1, 1), (2, 0, 3)]:
         ambient = S.embed_point(coords)
         # embed_point normalizes; compare via homogeneity-safe route
@@ -274,7 +273,7 @@ def test_residual_line_random_vanishing_oracle():
         recovered = (
             HomogeneousForm.linear(K, (1, 0, 0)).times(HomogeneousForm.linear(K, (0, 1, 0)))
         ).times(HomogeneousForm.linear(K, ln))
-        section = restrict_form(cubic, plane)
+        section = cubic.restrict(plane.matrix)
         assert recovered.proportionality(section) is not None
 
 
