@@ -172,7 +172,8 @@ def _meet_with_plane(K: GF, rows) -> tuple[str, tuple | None]:
 
 def _fiber_of_point(K: GF, pt) -> tuple[int, int]:
     """The pencil parameter (s:t) of the unique fiber hyperplane through pt."""
-    assert (pt[0], pt[1]) != (0, 0), "points of P lie in every fiber hyperplane"
+    if (pt[0], pt[1]) == (0, 0):
+        raise InternalInconsistency("points of P lie in every fiber hyperplane")
     return normalize_point(K, (pt[0], pt[1]))
 
 
@@ -196,7 +197,6 @@ class FanoSurface:
         self.L: GF = self.nf.K
         self.Z = Z if Z is not None else compute_Z(nf)
         self.plane = self.nf.plane
-        self._partials = [self.nf.f.derivative(i) for i in range(5)]
 
         self.fibers: dict[tuple[int, int], PencilFiber] = {}
         self.rulings: dict[tuple[int, int], list[RulingClass]] = {}

@@ -432,7 +432,8 @@ def class_number_over_extension(z: ZetaData, q: int, k: int) -> int:
         acc = 0
         for i in range(1, n + 1):
             acc += (-1) ** (i - 1) * ek[n - i] * pk[i]
-        assert acc % n == 0
+        if acc % n:
+            raise InternalInconsistency("Newton's identities give a non-integral coefficient")
         ek.append(acc // n)
     return ek[0] - ek[1] + ek[2] - ek[3] + ek[4]
 

@@ -55,7 +55,13 @@ class RationalityVerdict:
 
     A Rational verdict carries a witness (a node or a line), an Irrational
     verdict carries a certificate (a pencil member with a local obstruction),
-    and every verdict records the search bounds that produced it.
+    and every verdict records in ``bounds`` how far its searches went.  Over
+    Q the keys are ``height_bound`` and ``good_prime``, then, once the node
+    search found nothing, ``points_found`` and ``points_capped`` (True when
+    more than ``_POINT_CAP`` points were found and only the first were kept),
+    then, once the line search found nothing, ``pencil_members_scanned``.
+    Over F_q the keys are ``field`` and, past a rational node,
+    ``torsor_points``.
     """
 
     kind: str  # "Rational" | "Irrational" | "Unknown"
@@ -237,26 +243,14 @@ class RationalQuadricForm:
     def from_entries(cls, rows) -> "RationalQuadricForm":
         return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
 
-    @classmethod
-    def from_quadric_terms(cls, terms: dict) -> "RationalQuadricForm":
-        """Gram matrix of a quadratic form given as 4-variable exponent terms."""
-        M = [[Fraction(0)] * 4 for _ in range(4)]
-        for e, c in terms.items():
-            idx = [i for i, k in enumerate(e) for _ in range(k)]
-            if len(idx) != 2:
-                raise InvalidInput("the terms are not quadratic")
-            i, j = idx
-            c = Fraction(c)
-            if i == j:
-                M[i][i] += c
-            else:
-                M[i][j] += c / 2
-                M[j][i] += c / 2
-        return cls(tuple(tuple(row) for row in M))
-
     @cached_property
     def diagonalization(self) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
-        """(diagonal, C) with C^T * matrix * C diagonal; C is unimodular-free rational."""
+        """(diagonal, C) with C^T * matrix * C diagonal.
+
+        C is a product of swaps and elementary operations, so det C = +-1 and
+        the product of the diagonal is the determinant: the form is singular
+        exactly when the diagonal has a zero.
+        """
         A = [[Fraction(v) for v in row] for row in self.matrix]
         C = [[Fraction(1 if i == j else 0) for j in range(4)] for i in range(4)]
 
@@ -289,24 +283,6 @@ class RationalQuadricForm:
                 if A[i][j] != 0:
                     col_op(j, i, -A[i][j] / A[i][i])
         return tuple(A[i][i] for i in range(4)), tuple(tuple(row) for row in C)
-
-    @cached_property
-    def determinant(self) -> Fraction:
-        A = [[Fraction(v) for v in row] for row in self.matrix]
-        det = Fraction(1)
-        for i in range(4):
-            p = next((r for r in range(i, 4) if A[r][i] != 0), None)
-            if p is None:
-                return Fraction(0)
-            if p != i:
-                A[i], A[p] = A[p], A[i]
-                det = -det
-            det *= A[i][i]
-            for r in range(i + 1, 4):
-                f = A[r][i] / A[i][i]
-                for c in range(i, 4):
-                    A[r][c] -= f * A[i][c]
-        return det
 
     @cached_property
     def squarefree_diagonal(self) -> tuple[int, ...]:
@@ -377,7 +353,12 @@ class LocalSolvability:
     solvable: bool
     obstruction: object  # None, "real", or a prime int
     diagonal: tuple[int, ...]
-    witness: tuple[int, ...] | None = None
+    quadric: RationalQuadricForm
+
+    @cached_property
+    def witness(self) -> tuple[int, ...] | None:
+        """An isotropic vector of height at most 10 of a solvable form, or None."""
+        return _isotropic_vector(self.quadric, 10) if self.solvable else None
 
     def to_report(self) -> dict:
         return {
@@ -388,7 +369,7 @@ class LocalSolvability:
         }
 
 
-def local_solvability(quadric: RationalQuadricForm, witness_height: int = 10) -> LocalSolvability:
+def local_solvability(quadric: RationalQuadricForm) -> LocalSolvability:
     """Exact isotropy of a nondegenerate rank-4 quadratic form over Q.
 
     Diagonalizes by congruence, reduces the diagonal to squarefree integers
@@ -396,14 +377,15 @@ def local_solvability(quadric: RationalQuadricForm, witness_height: int = 10) ->
     by place: the real place first, then 2, then the odd primes of the
     diagonal entries.  At a finite place the form is anisotropic exactly when
     its discriminant is a square and the Hasse invariant disagrees with
-    (-1,-1)_p.  When every place passes, the form is isotropic over Q and a
-    bounded search usually produces an explicit witness vector.
+    (-1,-1)_p.  When every place passes, the form is isotropic over Q.  An
+    explicit witness vector is searched, with bounded height, only when
+    ``witness`` is first read.
     """
     diag = quadric.squarefree_diagonal
     if any(d == 0 for d in diag):
         raise Degenerate("the quadratic form is singular")
     if all(d > 0 for d in diag) or all(d < 0 for d in diag):
-        return LocalSolvability(False, "real", diag)
+        return LocalSolvability(False, "real", diag, quadric)
     odd_primes = sorted(
         {int(p) for d in diag for p in sympy.factorint(abs(d)) if p != 2}
     )
@@ -416,8 +398,8 @@ def local_solvability(quadric: RationalQuadricForm, witness_height: int = 10) ->
             for j in range(i + 1, 4):
                 hasse *= hilbert_symbol(diag[i], diag[j], p)
         if hasse != hilbert_symbol(-1, -1, p):
-            return LocalSolvability(False, p, diag)
-    return LocalSolvability(True, None, diag, witness=_isotropic_vector(quadric, witness_height))
+            return LocalSolvability(False, p, diag, quadric)
+    return LocalSolvability(True, None, diag, quadric)
 
 
 def _isotropic_vector(quadric: RationalQuadricForm, height: int) -> tuple[int, ...] | None:
@@ -509,10 +491,10 @@ def _normalize_rational_cubic(terms: dict, plane_rows) -> tuple[dict, list[list[
         if len(basis) == 2:
             break
         trial = rows + basis + [candidate]
-        if _fraction_rank(trial) == len(trial):
+        if _fraction_rref(trial)[1] == len(trial):
             basis.append(candidate)
     columns = [[basis[0][i], basis[1][i], rows[0][i], rows[1][i], rows[2][i]] for i in range(5)]
-    if _fraction_rank([[columns[i][j] for i in range(5)] for j in range(5)]) != 5:
+    if _fraction_rref([[columns[i][j] for i in range(5)] for j in range(5)])[1] != 5:
         raise InvalidInput("the plane rows are not independent")
 
     moved = _q_substitute({e: Fraction(c) for e, c in terms.items()}, columns)
@@ -522,7 +504,8 @@ def _normalize_rational_cubic(terms: dict, plane_rows) -> tuple[dict, list[list[
     return ints, columns
 
 
-def _fraction_rank(rows) -> int:
+def _fraction_rref(rows) -> tuple[list[list[Fraction]], int]:
+    """The reduced row echelon form of Fraction rows, and their rank."""
     M = [list(r) for r in rows]
     rk = 0
     for col in range(len(M[0])):
@@ -530,12 +513,13 @@ def _fraction_rank(rows) -> int:
         if piv is None:
             continue
         M[rk], M[piv] = M[piv], M[rk]
+        M[rk] = [a / M[rk][col] for a in M[rk]]
         for r in range(len(M)):
             if r != rk and M[r][col] != 0:
-                f = M[r][col] / M[rk][col]
+                f = M[r][col]
                 M[r] = [a - f * b for a, b in zip(M[r], M[rk])]
         rk += 1
-    return rk
+    return M, rk
 
 
 def _good_reduction_prime(int_terms: dict, primes) -> int:
@@ -596,16 +580,13 @@ def _nodes_by_resultant(int_terms: dict) -> list[tuple[int, int, int]]:
     the two specialized conics, produce every candidate node; each candidate
     is verified on both conics exactly.
     """
+    conics = [{e[2:]: c for e, c in int_terms.items() if e[:2] == pick} for pick in ((1, 0), (0, 1))]
     x, y, z = sympy.symbols("x y z")
     syms = (x, y, z)
-    q = []
-    for pick, other in ((1, 0), (0, 1)):
-        expr = sympy.Integer(0)
-        for e, c in int_terms.items():
-            if e[0] == pick and e[1] == other and e[0] + e[1] == 1:
-                expr += int(c) * x ** e[2] * y ** e[3] * z ** e[4]
-        q.append(sympy.expand(expr))
-    q0, q1 = q
+    q0, q1 = (
+        sympy.expand(sum((int(c) * x**a * y**b * z**d for (a, b, d), c in conic.items()), sympy.Integer(0)))
+        for conic in conics
+    )
 
     for elim in (2, 1, 0):
         keep = [i for i in range(3) if i != elim]
@@ -637,16 +618,12 @@ def _nodes_by_resultant(int_terms: dict) -> list[tuple[int, int, int]]:
                 coords[keep[0]], coords[keep[1]], coords[elim] = ru, rv, rw
                 den = coords[0].denominator * coords[1].denominator * coords[2].denominator
                 cand = _primitive(tuple(int(c * den) for c in coords))
-                if any(cand) and _q_evaluate_int(q0, syms, cand) == 0 and _q_evaluate_int(q1, syms, cand) == 0:
+                if any(cand) and all(_q_evaluate(conic, cand) == 0 for conic in conics):
                     candidates.append(cand)
         return _sorted_candidates(set(candidates))
     raise InternalInconsistency(
         "every elimination resultant vanishes although the reduction certified reduced nodes"
     )
-
-
-def _q_evaluate_int(expr, syms, point) -> int:
-    return int(expr.subs({s: int(v) for s, v in zip(syms, point)}))
 
 
 def _term_arrays(int_terms: dict, grids) -> np.ndarray:
@@ -660,13 +637,18 @@ def _term_arrays(int_terms: dict, grids) -> np.ndarray:
     return total
 
 
-def _points_on_cubic(int_terms: dict, bound: int, cap: int = 2500):
+_POINT_CAP = 2500
+
+
+def _points_on_cubic(int_terms: dict, bound: int):
     """Primitive integer points of the cubic off the plane, coordinates <= bound.
 
     The normalized cubic has degree at most 2 in x4 (every monomial carries
     x0 or x1), so the search sweeps (x0..x3) and solves the residual
-    quadratic in x4 exactly.  Degenerate sweeps where the whole x4-line lies
-    on the cubic are returned separately as ready-made lines.
+    quadratic in x4 exactly.  Only the first ``_POINT_CAP`` points in height
+    order are kept; the returned flag says whether any were dropped.
+    Degenerate sweeps where the whole x4-line lies on the cubic are returned
+    separately as ready-made lines.
     """
     by_e4: dict[int, dict] = {0: {}, 1: {}, 2: {}}
     for e, c in int_terms.items():
@@ -708,25 +690,16 @@ def _points_on_cubic(int_terms: dict, bound: int, cap: int = 2500):
             base = (x0, int(g1[tuple(idx)]), int(g2[tuple(idx)]), int(g3[tuple(idx)]), 0)
             vertical_lines.append((_primitive(base), (0, 0, 0, 0, 1)))
 
-    ordered = _sorted_candidates(points)[:cap]
+    ordered = _sorted_candidates(points)
     unique_vertical = sorted(set(vertical_lines))
-    return ordered, unique_vertical
+    return ordered[:_POINT_CAP], len(ordered) > _POINT_CAP, unique_vertical
 
 
 def _line_rows_rational(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The reduced primitive integer row pair spanning the line through a, b."""
-    M = [[Fraction(v) for v in a], [Fraction(v) for v in b]]
-    piv = next(i for i in range(5) if M[0][i] != 0 or M[1][i] != 0)
-    if M[0][piv] == 0:
-        M[0], M[1] = M[1], M[0]
-    M[1] = [vb - (M[1][piv] / M[0][piv]) * va for va, vb in zip(M[0], M[1])]
-    piv2 = next(i for i in range(5) if M[1][i] != 0)
-    M[0] = [va - (M[0][piv2] / M[1][piv2]) * vb for va, vb in zip(M[0], M[1])]
-    den0 = math.lcm(*(f.denominator for f in M[0]))
-    den1 = math.lcm(*(f.denominator for f in M[1]))
-    return (
-        _primitive(tuple(int(f * den0) for f in M[0])),
-        _primitive(tuple(int(f * den1) for f in M[1])),
+    rows, _ = _fraction_rref([[Fraction(v) for v in a], [Fraction(v) for v in b]])
+    return tuple(
+        _primitive(tuple(int(f * math.lcm(*(g.denominator for g in row))) for f in row)) for row in rows
     )
 
 
@@ -774,16 +747,19 @@ def _pencil_member_form(int_terms: dict, s: int, t: int) -> RationalQuadricForm:
 
     Substituting x0 = s*u, x1 = t*u into the normalized cubic gives u times
     the residual quadric, so dividing each substituted monomial by one power
-    of u reads off R_{s,t} directly.
+    of u reads off R_{s,t} directly: a term c*v_i*v_j adds c to a diagonal
+    entry, or c/2 to each of a pair of off-diagonal entries.
     """
-    quad: dict = {}
-    for (e0, e1, e2, e3, e4), c in int_terms.items():
-        coeff = Fraction(c) * s**e0 * t**e1
-        if coeff == 0:
-            continue
-        key = (e0 + e1 - 1, e2, e3, e4)
-        quad[key] = quad.get(key, Fraction(0)) + coeff
-    return RationalQuadricForm.from_quadric_terms(_q_trim(quad))
+    M = [[Fraction(0)] * 4 for _ in range(4)]
+    for (e0, e1, *rest), c in int_terms.items():
+        coeff = Fraction(c * s**e0 * t**e1)
+        i, j = [0] * (e0 + e1 - 1) + [v for v, k in enumerate(rest, 1) for _ in range(k)]
+        if i == j:
+            M[i][i] += coeff
+        else:
+            M[i][j] += coeff / 2
+            M[j][i] += coeff / 2
+    return RationalQuadricForm(tuple(tuple(row) for row in M))
 
 
 def _pencil_members(bound: int):
@@ -839,8 +815,9 @@ def decide_over_rationals(
         return RationalityVerdict("Rational", witness=witness, bounds=bounds)
 
     # (b) rational lines disjoint from the plane
-    pts, vertical = _points_on_cubic(int_terms, height_bound)
+    pts, capped, vertical = _points_on_cubic(int_terms, height_bound)
     bounds["points_found"] = len(pts)
+    bounds["points_capped"] = capped
     for rows in _disjoint_lines_from_pairs(int_terms, pts, vertical):
         a, b = rows
         if any(
@@ -859,7 +836,7 @@ def decide_over_rationals(
     for s, t in _pencil_members(height_bound):
         scanned += 1
         form = _pencil_member_form(int_terms, s, t)
-        if form.determinant == 0:
+        if 0 in form.diagonalization[0]:
             continue
         verdict = local_solvability(form)
         if verdict.solvable:

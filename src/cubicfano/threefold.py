@@ -246,11 +246,13 @@ class SingularLocusZ:
             coords = z.plane_coords
             for _ in range(z.degree):
                 j = index[(z.degree, coords)]
-                assert not seen[j]
+                if seen[j]:
+                    raise InternalInconsistency("a Frobenius orbit revisits a point")
                 seen[j] = True
                 orbit.append(j)
                 coords = normalize_point(L, [L.frobenius(c, self.K.k) for c in coords])
-            assert coords == z.plane_coords, "Frobenius orbit must close up"
+            if coords != z.plane_coords:
+                raise InternalInconsistency("Frobenius orbit must close up")
             out.append(tuple(sorted(orbit)))
         return tuple(out)
 
@@ -304,7 +306,8 @@ def _resultant_quartic(K: GF, t0: HomogeneousForm, t1: HomogeneousForm) -> Binar
     R = det_form_matrix(K, 2, rows)
     if R.is_zero:
         raise NotGeneral("the restricted conics share a component")
-    assert R.degree == 4
+    if R.degree != 4:
+        raise InternalInconsistency(f"the resultant has degree {R.degree}, expected 4")
     return BinaryForm.from_form(R)
 
 
@@ -334,7 +337,8 @@ def _points_of_root(K, A, q0, q1, t0, t1, s0, t0_val, mult, d):
     g0 = [C0L.evaluate((s0, t0_val)), B0L.evaluate((s0, t0_val)), A0L]
     g1 = [C1L.evaluate((s0, t0_val)), B1L.evaluate((s0, t0_val)), A1L]
     g = _poly_gcd_monic(L, g0, g1)
-    assert len(g) in (2, 3), "a resultant root must admit a common root downstream"
+    if len(g) not in (2, 3):
+        raise InternalInconsistency("a resultant root must admit a common root downstream")
     emb = K.embedding_into(L)
     AL = np.vectorize(lambda x: int(emb[x]))(A).astype(np.int64)
     q0L, q1L = q0.embedded(L), q1.embedded(L)
@@ -358,8 +362,10 @@ def _points_of_root(K, A, q0, q1, t0, t1, s0, t0_val, mult, d):
         emb2 = L.embedding_into(L2)
         g2 = [int(emb2[c]) for c in g]
         pair = _quadratic_roots(L2, g2)
-        assert pair is not None, "the discriminant must become a square upstairs"
-        assert mult % 2 == 0, "conjugate points share the root multiplicity evenly"
+        if pair is None:
+            raise InternalInconsistency("the discriminant must become a square upstairs")
+        if mult % 2:
+            raise InternalInconsistency("conjugate points share the root multiplicity evenly")
         emb_big = K.embedding_into(L2)
         embA = np.vectorize(lambda x: int(emb_big[x]))(A).astype(np.int64)
         q0b, q1b = q0.embedded(L2), q1.embedded(L2)
@@ -380,14 +386,18 @@ def _points_of_root(K, A, q0, q1, t0, t1, s0, t0_val, mult, d):
         for c in (c1, c2)
     ]
     if mult == 2:
-        assert trans == [True, True], "two transverse points share a double resultant root"
+        if trans != [True, True]:
+            raise InternalInconsistency("two transverse points share a double resultant root")
         return [finish(c1, 1), finish(c2, 1)]
     if mult == 3:
-        assert trans.count(True) == 1
+        if trans.count(True) != 1:
+            raise InternalInconsistency("a triple resultant root splits as 1 + 2")
         m1, m2 = (1, 2) if trans[0] else (2, 1)
         return [finish(c1, m1), finish(c2, m2)]
-    assert mult == 4
-    assert trans.count(True) != 2, "4 = 1 + 1 is impossible"
+    if mult != 4:
+        raise InternalInconsistency(f"a resultant root of multiplicity {mult}, expected at most 4")
+    if trans.count(True) == 2:
+        raise InternalInconsistency("4 = 1 + 1 is impossible")
     if True in trans:
         m1, m2 = (1, 3) if trans[0] else (3, 1)
         return [finish(c1, m1), finish(c2, m2)]

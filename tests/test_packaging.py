@@ -46,3 +46,10 @@ def test_third_party_imports_are_declared():
     third_party = imported - set(sys.stdlib_module_names) - {"cubicfano"}
     assert "numpy" in third_party  # the scan sees the imports at all
     assert third_party <= declared
+
+
+@pytest.mark.parametrize("module", ["fano", "fourfold", "linalg", "pencil", "rationality", "threefold", "torsor"])
+def test_invariants_survive_optimized_mode(module):
+    # `python -O` strips assert statements; these modules raise instead
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

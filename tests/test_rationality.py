@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubicfano import rationality
 from cubicfano.fano import InvalidInput
 from cubicfano.gf import field
 from cubicfano.pencil import NotGeneral
@@ -380,3 +381,42 @@ def test_verdict_reports_serialize_to_json():
     ):
         blob = json.dumps(verdict.to_report(), sort_keys=True)
         assert json.loads(blob)["kind"] == verdict.kind
+
+
+def test_pencil_scan_never_searches_for_witnesses(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("the witness search ran")
+
+    monkeypatch.setattr(rationality, "_isotropic_vector", refuse)
+    verdict = decide_over_rationals(UNKNOWN_EXAMPLE, height_bound=4)
+    assert verdict.kind == "Unknown"
+    assert verdict.bounds["pencil_members_scanned"] == 24
+    out = local_solvability(diagonal_form(1, 1, -1, -1))
+    assert out.solvable
+    with pytest.raises(RuntimeError, match="the witness search ran"):
+        out.witness
+
+
+def test_a_form_is_singular_iff_its_diagonalization_has_a_zero():
+    forms = []
+    for terms in (NODE_EXAMPLE, LINE_EXAMPLE, DEFINITE_PENCIL_EXAMPLE, UNKNOWN_EXAMPLE):
+        int_terms, _ = rationality._normalize_rational_cubic(terms, rationality._STANDARD_PLANE_ROWS)
+        forms += [rationality._pencil_member_form(int_terms, s, t) for s, t in rationality._pencil_members(3)]
+    rng = random.Random(3)
+    for _ in range(25):
+        M = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                M[i][j] = M[j][i] = rng.randint(-1, 1)
+        forms.append(RationalQuadricForm.from_entries(M))
+    singular = [rationality._fraction_rref(q.matrix)[1] < 4 for q in forms]
+    assert any(singular) and not all(singular)
+    assert [0 in q.diagonalization[0] for q in forms] == singular
+
+
+def test_unknown_verdict_reports_a_capped_point_search(monkeypatch):
+    bounds = decide_over_rationals(UNKNOWN_EXAMPLE, height_bound=4).bounds
+    assert bounds["points_found"] == 189 and bounds["points_capped"] is False
+    monkeypatch.setattr(rationality, "_POINT_CAP", 100)
+    bounds = decide_over_rationals(UNKNOWN_EXAMPLE, height_bound=4).bounds
+    assert bounds["points_found"] == 100 and bounds["points_capped"] is True
