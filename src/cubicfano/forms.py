@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import kernels
-from .gf import GF, field
+from .gf import GF, InternalInconsistency, field
 from .linalg import inverse_matrix
 
 
@@ -137,7 +137,11 @@ class HomogeneousForm:
             return other
         if other.is_zero:
             return self
-        assert self.degree == other.degree and self.nvars == other.nvars
+        if (self.degree, self.nvars) != (other.degree, other.nvars):
+            raise ValueError(
+                f"cannot add a degree {other.degree} form in {other.nvars} variables"
+                f" to a degree {self.degree} form in {self.nvars}"
+            )
         return HomogeneousForm(self.K, self.nvars, self.degree, _dict_add(self.K, self.terms, other.terms))
 
     def minus(self, other: "HomogeneousForm") -> "HomogeneousForm":
@@ -152,7 +156,8 @@ class HomogeneousForm:
         return HomogeneousForm(self.K, self.nvars, self.degree, {e: self.K.mul_(v, c) for e, v in self.terms.items()})
 
     def times(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        assert self.nvars == other.nvars
+        if self.nvars != other.nvars:
+            raise ArityError(f"cannot multiply forms in {self.nvars} and {other.nvars} variables")
         return HomogeneousForm(
             self.K, self.nvars, self.degree + other.degree, _dict_mul(self.K, self.terms, other.terms)
         )
@@ -225,7 +230,8 @@ class HomogeneousForm:
     def substitute(self, M) -> "HomogeneousForm":
         """The form f(M y) in the y variables; M has shape (nvars, m)."""
         M = np.array(M, dtype=np.int64)
-        assert M.shape[0] == self.nvars
+        if M.shape[0] != self.nvars:
+            raise ArityError(f"substitution matrix has {M.shape[0]} rows, form has {self.nvars} variables")
         m = M.shape[1]
         K = self.K
         zero_exp = (0,) * m
@@ -258,7 +264,7 @@ class HomogeneousForm:
         """Substitute constants for the given variables; the rest survive.
 
         Only valid when the result is homogeneous in the surviving variables
-        (e.g. the form is bihomogeneous and one block is fixed); asserted.
+        (e.g. the form is bihomogeneous and one block is fixed); checked.
         """
         K = self.K
         keep = [i for i in range(self.nvars) if i not in values]
@@ -273,7 +279,8 @@ class HomogeneousForm:
                 continue
             new_e = tuple(e[i] for i in keep)
             d = sum(new_e)
-            assert deg is None or d == deg, "specialization is not homogeneous"
+            if deg is not None and d != deg:
+                raise InternalInconsistency("specialization is not homogeneous")
             deg = d
             s = K.add_(out.get(new_e, 0), term)
             if s:
@@ -387,11 +394,53 @@ def _poly_gcd_monic(K: GF, a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _poly_eval(K: GF, u: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(u):
-        acc = K.add_(K.mul_(acc, x), c)
-    return acc
+def _poly_sub(K: GF, a: list[int], b: list[int]) -> list[int]:
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return _poly_trim([K.sub_(x, y) for x, y in zip(a, b)])
+
+
+def _poly_mulmod(K: GF, a: list[int], b: list[int], m: list[int]) -> list[int]:
+    """a * b modulo m."""
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] = K.add_(prod[i + j], K.mul_(x, y))
+    return _poly_divmod(K, prod, m)[1]
+
+
+def _poly_powmod(K: GF, a: list[int], e: int, m: list[int]) -> list[int]:
+    """a^e modulo m (deg m >= 1), by square and multiply."""
+    result, base = [1], _poly_divmod(K, a, m)[1]
+    while e:
+        if e & 1:
+            result = _poly_mulmod(K, result, base, m)
+        e >>= 1
+        if e:
+            base = _poly_mulmod(K, base, base, m)
+    return result
+
+
+def _split_linear(L: GF, h: list[int]) -> list[int]:
+    """The roots of a monic h that is a product of distinct linear factors over L.
+
+    Cantor-Zassenhaus: (t + a)^((|L|-1)/2) is 1 at the roots x with x + a a
+    nonzero square and not 1 at the others, so gcd(h, (t + a)^((|L|-1)/2) - 1)
+    splits h for about half of all a.  The shifts are tried in the fixed
+    order a = 0, 1, 2, ...; some shift splits any two distinct roots.
+    """
+    if len(h) < 3:
+        return [L.neg_(h[0])] if len(h) == 2 else []
+    half = (L.q - 1) // 2
+    for a in range(L.q):
+        g = _poly_gcd_monic(L, h, _poly_sub(L, _poly_powmod(L, [a, 1], half, h), [1]))
+        if 1 < len(g) < len(h):
+            return _split_linear(L, g) + _split_linear(L, _poly_divmod(L, h, g)[0])
+    raise InternalInconsistency("no shift splits a product of distinct linear factors")
 
 
 class BinaryForm:
@@ -411,7 +460,8 @@ class BinaryForm:
 
     @classmethod
     def from_form(cls, f: HomogeneousForm) -> "BinaryForm":
-        assert f.nvars == 2
+        if f.nvars != 2:
+            raise ArityError(f"a binary form has 2 variables, not {f.nvars}")
         coeffs = [0] * (f.degree + 1)
         for (e0, e1), c in f.terms.items():
             coeffs[e1] = c
@@ -523,25 +573,67 @@ class BinaryForm:
         """Roots in P^1(F_{q^extension}) as ((s, t) big-field codes, multiplicity).
 
         Finite points come first ordered by t code, the point (0, 1) last.
+        The finite roots are found by factoring u = f(1, t) over
+        L = F_{q^extension}, without scanning L: h = gcd(u, t^|L| - t) is the
+        product of the distinct linear factors of u, which Cantor-Zassenhaus
+        splitting (:func:`_split_linear`) separates.  A root's multiplicity is
+        the number of times t - x divides u.
         """
+        if self.is_zero:
+            raise ValueError("every point is a root of the zero form")
         K = self.K
         L = K if extension == 1 else field(K.p, K.k * extension)
         emb = K.embedding_into(L)
         u = _poly_trim([int(emb[c]) for c in self.coeffs])
         out = []
-        for x in range(L.q):
-            if _poly_eval(L, u, x) == 0:
-                mult = 0
-                poly = u
-                while poly and _poly_eval(L, poly, x) == 0:
-                    poly, rem = _poly_divmod(L, poly, [L.neg_(x), 1])
-                    assert not rem
-                    mult += 1
+        if len(u) > 1:
+            h = _poly_gcd_monic(L, u, _poly_sub(L, _poly_powmod(L, [0, 1], L.q, u), [0, 1]))
+            for x in sorted(_split_linear(L, h)):
+                mult, poly = 0, u
+                while True:
+                    quot, rem = _poly_divmod(L, poly, [L.neg_(x), 1])
+                    if rem:
+                        break
+                    mult, poly = mult + 1, quot
                 out.append(((1, x), mult))
         inf_mult = self.degree - (len(u) - 1)
         if inf_mult:
             out.append(((0, 1), inf_mult))
         return out
+
+    def distinct_degree_split(self) -> dict[int, "BinaryForm"]:
+        """For each d, the monic factor of f whose points all have exact degree d over K.
+
+        Only the degrees that occur are keys, in increasing order; the point
+        (0:1) counts as degree 1.  Each factor keeps the multiplicities of f,
+        so ``split[d].roots(extension=d)`` lists the points of f of exact
+        degree d with their multiplicities.  Distinct-degree factorization:
+        once the factors of degree < d are divided out of u = f(1, t),
+        gcd(u, t^(q^d) - t) is the product of the distinct irreducible factors
+        of degree d, and t^(q^d) mod f(1, t) comes from repeated q-th powers.
+        """
+        if self.is_zero:
+            raise ValueError("the zero form has no factorization")
+        K = self.K
+        u = self.dehomogenized()
+        split = {}
+        rest, frob, d = u, [0, 1], 0
+        while len(rest) > 1:
+            d += 1
+            frob = _poly_powmod(K, frob, K.q, u)
+            g = _poly_gcd_monic(K, rest, _poly_sub(K, frob, [0, 1]))
+            before = rest
+            while len(g) > 1:
+                rest = _poly_divmod(K, rest, g)[0]
+                g = _poly_gcd_monic(K, rest, g)
+            if len(rest) < len(before):
+                part = _poly_divmod(K, before, rest)[0]
+                split[d] = BinaryForm(K, len(part) - 1, part)
+        inf_mult = self.degree - (len(u) - 1)
+        if inf_mult:
+            part = split.get(1, BinaryForm(K, 0, (1,)))
+            split[1] = BinaryForm(K, part.degree + inf_mult, part.coeffs + (0,) * inf_mult)
+        return dict(sorted(split.items()))
 
     def resultant(self, other: "BinaryForm") -> int:
         """Sylvester resultant of the two binary forms, as an element code."""
@@ -565,7 +657,7 @@ class BinaryForm:
 def det_form_matrix(K: GF, nvars: int, rows) -> HomogeneousForm:
     """Determinant of a square matrix of HomogeneousForms over the same ring.
 
-    The matrix must be graded so the determinant is homogeneous (asserted).
+    The matrix must be graded so the determinant is homogeneous (checked).
     """
     n = len(rows)
     dicts = [[f.terms for f in row] for row in rows]
@@ -588,6 +680,7 @@ def det_form_matrix(K: GF, nvars: int, rows) -> HomogeneousForm:
 
     result = expand(tuple(range(n)), tuple(range(n)))
     degrees = {sum(e) for e in result}
-    assert len(degrees) <= 1, "matrix grading did not produce a homogeneous determinant"
+    if len(degrees) > 1:
+        raise InternalInconsistency("matrix grading did not produce a homogeneous determinant")
     degree = degrees.pop() if degrees else sum(rows[i][i].degree for i in range(n))
     return HomogeneousForm(K, nvars, degree, result)

@@ -35,6 +35,10 @@ class NotSupportedError(ValueError):
     """Raised for parameters outside the supported desk scale."""
 
 
+class InternalInconsistency(AssertionError):
+    """Exact division produced something structurally impossible."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -115,16 +119,19 @@ def canonical_modulus(p: int, k: int) -> tuple[int, ...]:
         coeffs = tuple(tail) + (1,)
         if _is_irreducible(coeffs, p):
             return coeffs
-    raise AssertionError("no irreducible polynomial found (unreachable)")
+    raise InternalInconsistency(f"no irreducible polynomial of degree {k} over F_{p}")
 
 
 # ---------------------------------------------------------------------------
 # the field object
 # ---------------------------------------------------------------------------
 
+# element codes and table entries are uint16
+_MAX_ORDER = 65535
+
 
 class GF:
-    """Finite field F_{p^k} (p odd prime, k <= 4) with precomputed tables.
+    """Finite field F_{p^k} (p odd prime, k <= 4, p^k <= 65535) with precomputed tables.
 
     Use :func:`field` to obtain the cached instance for given (p, k).
     """
@@ -136,6 +143,8 @@ class GF:
             raise CharacteristicTwoError("characteristic 2 is not supported")
         if not 1 <= k <= 4:
             raise NotSupportedError(f"extension degree {k} outside 1..4")
+        if p**k > _MAX_ORDER:
+            raise NotSupportedError(f"F_{p}^{k} has {p**k} elements; uint16 codes stop at {_MAX_ORDER}")
         self.p = p
         self.k = k
         self.q = p**k
@@ -175,7 +184,8 @@ class GF:
             if all(self._code_pow(cand, (q - 1) // f) != 1 for f in order_factors):
                 g = cand
                 break
-        assert g is not None, "multiplicative group has a generator"
+        if g is None:
+            raise InternalInconsistency("the multiplicative group has no generator")
         self.generator = g
         exp = np.empty(q - 1, dtype=np.uint16)
         acc = 1
@@ -355,7 +365,8 @@ def _embedding(p: int, small_k: int, big_k: int) -> np.ndarray:
     for c in reversed(small.modulus[:-1]):
         vals = big.add[big.mul[vals, codes], c]
     roots = codes[vals == 0]
-    assert len(roots) == small_k
+    if len(roots) != small_k:
+        raise InternalInconsistency(f"the modulus of F_{p}^{small_k} has {len(roots)} roots in F_{p}^{big_k}")
     rho = int(roots[0])
     # x = sum c_i alpha^i  ->  sum c_i rho^i
     images = np.zeros(small.q, dtype=np.uint16)

@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .forms import BinaryForm, HomogeneousForm, divide_by_linear
-from .gf import GF
+from .gf import GF, InternalInconsistency
 from .linalg import kernel_basis, mat_mul, rank, rref
 
 
@@ -23,10 +23,6 @@ class PlaneContained(ValueError):
 
 class NotOnCubic(ValueError):
     """A claimed line does not lie on the cubic section."""
-
-
-class InternalInconsistency(AssertionError):
-    """Exact division produced something structurally impossible."""
 
 
 def normalize_point(K: GF, vec) -> tuple[int, ...]:
@@ -203,7 +199,8 @@ def span(K: GF, *objects) -> LinearSubspace:
 
 
 def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine:
-    assert p != q, "need two distinct points"
+    if p == q:
+        raise ValueError("need two distinct points")
     return ProjectiveLine(p.K, np.array([p.coords, q.coords], dtype=np.int64))
 
 
@@ -234,7 +231,8 @@ def count_lines(K: GF, n: int) -> int:
 
 def enumerate_lines(K: GF, n: int) -> Iterator[ProjectiveLine]:
     """Every line of P^n exactly once, walking Schubert cells in RREF order."""
-    assert n >= 2, "lines need at least a plane"
+    if n < 2:
+        raise ValueError("lines need at least a plane")
     for j0 in range(n):
         for j1 in range(j0 + 1, n + 1):
             free0 = [j for j in range(j0 + 1, n + 1) if j != j1]

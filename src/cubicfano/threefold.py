@@ -404,25 +404,16 @@ def _points_of_root(K, A, q0, q1, t0, t1, s0, t0_val, mult, d):
     return [finish(c1, 2), finish(c2, 2)]
 
 
-def _minimal_degree_of_root(K: GF, st, d: int) -> int:
-    """Exact degree over F_q of a P^1 point found over F_{q^d}."""
-    s0, t0_val = st
-    if s0 == 0 or d == 1:
-        return 1
-    L = field(K.p, K.k * d)
-    for m in range(1, d):
-        if d % m == 0 and L.frobenius(t0_val, K.k * m) == t0_val:
-            return m
-    return d
-
-
 def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
     """The base locus of the restricted conic pencil, with multiplicities.
 
     Projects from a point off both conics, takes the Sylvester resultant
     (a binary quartic), and back-substitutes each root; multiplicities are
     apportioned by transversality of the conic intersection where two points
-    sit over the same root.  Raises NotGeneral when Z is not zero-dimensional.
+    sit over the same root.  The quartic's distinct-degree split groups the
+    roots by their degree d over F_q, so F_{q^d} is built only for a degree
+    that occurs.  Raises NotGeneral when Z is not zero-dimensional, and
+    NotSupportedError when a point of Z needs a field beyond degree 4 over F_p.
     """
     K = nf.K
     q0, q1 = nf.restricted_conics
@@ -435,14 +426,11 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
     t1 = q1.substitute(A)
     quartic = _resultant_quartic(K, t0, t1)
     found: list[tuple[int, tuple[int, ...], int]] = []
-    for d in (1, 2, 3, 4):
+    for d, part in quartic.distinct_degree_split().items():
         if K.k * d > 4:
-            break
-        roots = quartic.roots(extension=d)
-        for st, mult in roots:
-            if _minimal_degree_of_root(K, st, d) != d:
-                continue
-            found.extend(_points_of_root(K, A, q0, q1, t0, t1, st[0], st[1], mult, d))
+            raise NotSupportedError(f"a node of degree {d} over F_{K.q} needs F_{K.p}^{K.k * d}")
+        for (s0, t0_val), mult in part.roots(extension=d):
+            found.extend(_points_of_root(K, A, q0, q1, t0, t1, s0, t0_val, mult, d))
     points = tuple(
         ZPoint(d, tuple(int(c) for c in coords), m)
         for d, coords, m in sorted(found, key=lambda z: (z[0], z[1]))
@@ -516,13 +504,13 @@ def _singular_points_off_plane(nf: NormalizedThreefold, d: int):
     return [tuple(int(x) for x in row) for row in hits]
 
 
-def _extra_plane_candidates(nf: NormalizedThreefold, d: int):
+def _extra_plane_candidates(nf: NormalizedThreefold, Z: SingularLocusZ, d: int):
     """Planes other than P that could lie on Y over F_{q^d}, by the structure
     theory: either a component of a rank <= 2 fiber, or the span of two fiber
-    lines through a point of Z in two distinct fibers."""
+    lines through a point of Z (the threefold's node scheme) in two distinct
+    fibers."""
     nfd = nf.embedded(field(nf.K.p, nf.K.k * d)) if d > 1 else nf
     L = nfd.K
-    Z = compute_Z(nf)
     for s, t in projective_reps(L, 1):
         fib = fiber_matrix(nfd, s, t)
         if fib.rank <= 2:
@@ -564,12 +552,15 @@ def certify_generality(nf: NormalizedThreefold, scan_depth: int = 1) -> Generali
     defined over F_{q^d} either lies in a rank <= 2 fiber of the pencil or is
     spanned by its sections with the fibers over (1:0) and (0:1), which are
     lines through a point of Z.  Both families are enumerated exactly.
+
+    Only NotGeneral turns into a false flag; NotSupportedError, a limit of
+    this implementation and not a property of the threefold, propagates.
     """
     witness = None
     try:
-        compute_Z(nf)
+        Z = compute_Z(nf)
         z_ok = True
-    except (NotGeneral, NotSupportedError):
+    except NotGeneral:
         z_ok = False
     try:
         disc_ok = pencil_mod.discriminant(nf).reduced
@@ -593,8 +584,8 @@ def certify_generality(nf: NormalizedThreefold, scan_depth: int = 1) -> Generali
             if nf.K.k * d > 4:
                 break
             try:
-                extra = next(_extra_plane_candidates(nf, d), None)
-            except (NotGeneral, NotSupportedError):
+                extra = next(_extra_plane_candidates(nf, Z, d), None)
+            except NotGeneral:
                 extra = ("degenerate fiber", None)
             if extra is not None:
                 unique = False

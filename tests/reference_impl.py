@@ -94,3 +94,32 @@ def evaluate_form_naive(field, terms, point):
                 term = field.mul_(term, x)
         total = field.add_(total, term)
     return total
+
+
+def binary_roots_by_scan(L, coeffs, degree):
+    """Roots of the binary form sum coeffs[i] s^(degree-i) t^i over the field L.
+
+    Tries every t in L at s = 1, with the multiplicity counted by repeated
+    synthetic division by (t - x); the point (0, 1) comes last with the
+    number of vanishing top coefficients.  Same output shape as
+    ``BinaryForm.roots``.
+    """
+    u = list(coeffs)
+    while u and u[-1] == 0:
+        u.pop()
+    out = []
+    for x in range(L.q):
+        poly, mult = u, 0
+        while len(poly) > 1:
+            # synthetic division of poly by (t - x), highest coefficient first
+            quot = [poly[-1]]
+            for c in reversed(poly[1:-1]):
+                quot.append(L.add_(c, L.mul_(quot[-1], x)))
+            if L.add_(poly[0], L.mul_(quot[-1], x)) != 0:
+                break
+            poly, mult = quot[::-1], mult + 1
+        if mult:
+            out.append(((1, x), mult))
+    if degree > len(u) - 1:
+        out.append(((0, 1), degree - (len(u) - 1)))
+    return out

@@ -18,7 +18,7 @@ from cubicfano.forms import (
 )
 from cubicfano.gf import field
 from cubicfano.linalg import inverse_matrix, mat_vec
-from reference_impl import evaluate_form_naive
+from reference_impl import binary_roots_by_scan, evaluate_form_naive
 
 
 def test_evaluate_frozen_trivial():
@@ -229,6 +229,89 @@ def test_binary_form_roundtrip_with_form():
     f = BinaryForm(K, 3, (1, 2, 0, 4))
     assert BinaryForm.from_form(f.to_form()) == f
     assert f.evaluate(1, 2) == f.to_form().evaluate((1, 2))
+
+
+def _random_binary_with_repeats(K, rng):
+    """A nonzero binary form of degree 1-6, often with repeated factors and the root (0:1)."""
+    n = rng.randint(1, 6)
+    if rng.random() < 0.3:
+        coeffs = [K.random_element(rng) for _ in range(n + 1)]
+        coeffs[rng.randrange(n + 1)] = K.random_nonzero(rng)
+        return BinaryForm(K, n, coeffs)
+    f = BinaryForm(K, 0, (K.random_nonzero(rng),))
+    while f.degree < n:
+        if rng.random() < 0.2:
+            g = BinaryForm(K, 1, (1, 0))  # s, which vanishes at (0:1)
+        else:
+            dg = rng.randint(1, min(3, n - f.degree))
+            g = BinaryForm(K, dg, [K.random_element(rng) for _ in range(dg)] + [K.random_nonzero(rng)])
+        for _ in range(rng.randint(1, (n - f.degree) // g.degree)):
+            f = f.times(g)
+    return f
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_binary_roots_match_scan_oracle(p, k):
+    K = field(p, k)
+    rng = random.Random(10 * p + k)
+    repeated = at_infinity = 0
+    for _ in range(40):
+        f = _random_binary_with_repeats(K, rng)
+        for e in range(1, 4 // k + 1):
+            L = field(p, k * e)
+            emb = K.embedding_into(L)
+            expected = binary_roots_by_scan(L, [int(emb[c]) for c in f.coeffs], f.degree)
+            assert f.roots(extension=e) == expected, (f, e)
+            repeated += any(m > 1 for _, m in expected)
+            at_infinity += any(r == (0, 1) for r, _ in expected)
+    assert repeated and at_infinity
+
+
+def test_binary_roots_of_zero_form_refused():
+    with pytest.raises(ValueError):
+        BinaryForm(field(5), 2, (0, 0, 0)).roots()
+
+
+def test_distinct_degree_split_frozen():
+    # s * (t - s)^2 * (t^2 - 2 s^2) over F_5: 2 is not a square mod 5
+    K = field(5)
+    s = BinaryForm(K, 1, (1, 0))
+    t_minus_s = BinaryForm(K, 1, (K.neg_(1), 1))
+    quad = BinaryForm(K, 2, (K.neg_(2), 0, 1))
+    f = s.times(t_minus_s).times(t_minus_s).times(quad).scaled(3)
+    assert f.distinct_degree_split() == {1: s.times(t_minus_s).times(t_minus_s), 2: quad}
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_distinct_degree_split_holds_the_points_of_each_degree(p, k):
+    K = field(p, k)
+    rng = random.Random(100 * p + k)
+    for _ in range(40):
+        f = _random_binary_with_repeats(K, rng)
+        split = f.distinct_degree_split()
+        product = BinaryForm(K, 0, (1,))
+        for part in split.values():
+            product = product.times(part)
+        assert product.to_form().proportionality(f.to_form()) is not None
+        for d, part in split.items():
+            if k * d > 4:
+                continue
+            # every point of the part is defined over F_{q^d} and over no smaller field
+            assert sum(m for _, m in part.roots(extension=d)) == part.degree
+            assert all(part.roots(extension=e) == [] for e in range(1, d) if d % e == 0)
+
+
+def test_shape_mismatches_raise():
+    K = field(5)
+    f = HomogeneousForm.monomial(K, 3, (1, 1, 0))
+    with pytest.raises(ValueError):
+        f.plus(HomogeneousForm.monomial(K, 3, (1, 0, 0)))
+    with pytest.raises(ArityError):
+        f.times(HomogeneousForm.monomial(K, 2, (1, 0)))
+    with pytest.raises(ArityError):
+        f.substitute(np.eye(2, dtype=np.int64))
+    with pytest.raises(ArityError):
+        BinaryForm.from_form(f)
 
 
 # ---------------------------------------------------------------------------

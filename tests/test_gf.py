@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubicfano import gf
 from cubicfano.gf import (
     GF,
     CharacteristicTwoError,
@@ -70,6 +71,15 @@ def test_bad_parameters_rejected():
         GF(9)
     with pytest.raises(NotSupportedError):
         GF(3, 5)
+
+
+@pytest.mark.parametrize("p,k", [(257, 2), (17, 4)])
+def test_fields_beyond_uint16_codes_refused(monkeypatch, p, k):
+    # refused before the modulus search and before any table is allocated
+    monkeypatch.setattr(gf, "canonical_modulus", lambda p, k: pytest.fail("modulus searched"))
+    monkeypatch.setattr(GF, "_build_tables", lambda self: pytest.fail("tables built"))
+    with pytest.raises(NotSupportedError, match="uint16"):
+        GF(p, k)
 
 
 # ---------------------------------------------------------------------------

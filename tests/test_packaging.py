@@ -48,7 +48,10 @@ def test_third_party_imports_are_declared():
     assert third_party <= declared
 
 
-@pytest.mark.parametrize("module", ["fano", "fourfold", "linalg", "pencil", "rationality", "threefold", "torsor"])
+@pytest.mark.parametrize(
+    "module",
+    ["fano", "forms", "fourfold", "gf", "linalg", "pencil", "projective", "rationality", "threefold", "torsor"],
+)
 def test_invariants_survive_optimized_mode(module):
     # `python -O` strips assert statements; these modules raise instead
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())

@@ -39,6 +39,15 @@ def test_point_normalization():
         ProjectivePoint(K, (0, 0, 0))
 
 
+def test_degenerate_arguments_raise():
+    K = field(5)
+    pt = ProjectivePoint(K, (1, 2, 0))
+    with pytest.raises(ValueError):
+        line_through(pt, pt)
+    with pytest.raises(ValueError):
+        next(enumerate_lines(K, 1))
+
+
 def test_point_counts():
     assert len(all_points(field(3), 2)) == 13 == count_points(field(3), 2)
     assert len(all_points(field(5), 3)) == count_points(field(5), 3) == 156

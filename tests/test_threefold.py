@@ -1,12 +1,18 @@
 """Normal form, the length-4 scheme Z, and the generality certificate."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cubicfano import threefold
 from cubicfano.forms import HomogeneousForm, random_form
-from cubicfano.gf import field
+from cubicfano.gf import NotSupportedError, field
 from cubicfano.linalg import mat_vec, rank
 from cubicfano.pencil import NotGeneral
 from cubicfano.projective import LinearSubspace, all_points_array, normalize_point
@@ -276,6 +282,67 @@ def test_Z_coordinate_independence():
             got.add((z.degree, normalize_point(L, image[2:]), z.multiplicity))
         want = {(z.degree, z.plane_coords, z.multiplicity) for z in Z.points}
         assert got == want
+
+
+# Samples five general threefolds over F_11 with GF.__init__ wrapped to record
+# every field built, and prints the fields and the degrees of the Z points.
+_FIELDS_BUILT_AT_Q11 = """
+import json, random
+from cubicfano import gf
+from cubicfano.threefold import compute_Z, random_general_threefold
+built, init = set(), gf.GF.__init__
+def recording(self, p, k=1):
+    built.add((p, k))
+    init(self, p, k)
+gf.GF.__init__ = recording
+degrees = [
+    [z.degree for z in compute_Z(random_general_threefold(gf.field(11), random.Random(s))).points]
+    for s in range(5)
+]
+print(json.dumps({"built": sorted(built), "degrees": degrees}))
+"""
+
+
+def test_Z_at_q11_builds_only_the_fields_of_its_points():
+    # a fresh interpreter starts with an empty field cache, so every build shows
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIELDS_BUILT_AT_Q11], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["degrees"] == [[2, 2, 2, 2], [1, 3, 3, 3], [2, 2], [1, 1, 2, 2], [2, 2, 2, 2]]
+    assert result["built"] == [[11, 1], [11, 2], [11, 3]]
+
+
+def test_Z_node_beyond_the_tower_is_a_typed_refusal():
+    # over F_9 a node of degree 3 or 4 needs F_{3^6} or F_{3^8}
+    K = field(3, 2)
+    refusals = 0
+    for seed in range(20):
+        try:
+            nf = random_general_threefold(K, random.Random(seed))
+        except NotSupportedError as exc:
+            assert "over F_9 needs F_3^" in str(exc)
+            refusals += 1
+            continue
+        assert compute_Z(nf).total_multiplicity == 4
+    assert 0 < refusals < 20
+
+
+def test_certificate_computes_Z_once(monkeypatch):
+    calls = []
+
+    def counted(nf):
+        calls.append(nf)
+        return compute_Z(nf)
+
+    monkeypatch.setattr(threefold, "compute_Z", counted)
+    nf = random_general_threefold(field(5), random.Random(3))
+    calls.clear()
+    assert certify_generality(nf, scan_depth=2).is_general
+    assert calls == [nf]
 
 
 # ---------------------------------------------------------------------------
