@@ -20,7 +20,9 @@ operators as methods: ``tau`` (the line of a ruling through a node),
 ``sigma`` (the line of a ruling meeting a disjoint line), ``phi`` / ``psi``
 (the node projection to unordered ruling pairs and its inverse), and
 ``involution`` / ``j_table``, the involutions j_c that generate the group law
-on the next layer up.
+on the next layer up.  ``tau`` and ``sigma`` look the point up in a table
+from the points of a ruling's lines to the lines through them; ``j_table``
+evaluates the cubic on all the plane sections of a table in one batch.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ from .projective import (
     line_meets,
     linear_form_cutting_line_in_plane,
     normalize_point,
+    plane_section_values,
     projective_reps,
+    residual_from_values,
     residual_line,
     root_directions,
     span,
@@ -157,15 +161,18 @@ class TorsorPointSet:
 
 
 def _meet_with_plane(K: GF, rows) -> tuple[str, tuple | None]:
-    """Position of a line against P = {x0 = x1 = 0}: tag and meeting point."""
+    """Position of a line against P = {x0 = x1 = 0}: tag and meeting point.
+
+    The line meets P at a*r1 + b*r2 for (a, b) in the kernel of the 2 x 2
+    matrix of the rows' first two coordinates.
+    """
     r1, r2 = rows
-    m = np.array([[r1[0], r2[0]], [r1[1], r2[1]]], dtype=np.int64)
-    ker = kernel_basis(K, m)
-    if ker.shape[0] == 0:
+    if K.sub_(K.mul_(r1[0], r2[1]), K.mul_(r1[1], r2[0])):
         return DISJOINT, None
-    if ker.shape[0] == 2:
+    if not (r1[0] or r1[1] or r2[0] or r2[1]):
         return IN_PLANE, None
-    a, b = int(ker[0][0]), int(ker[0][1])
+    # rank one: a nonzero row of the matrix gives the kernel
+    a, b = (r2[0], K.neg_(r1[0])) if r1[0] or r2[0] else (r2[1], K.neg_(r1[1]))
     pt = tuple(K.add_(K.mul_(a, x), K.mul_(b, y)) for x, y in zip(r1, r2))
     return MEETS_PLANE, normalize_point(K, pt)
 
@@ -221,6 +228,7 @@ class FanoSurface:
             raise InternalInconsistency("line enumeration produced a duplicate")
         self.torsor_set = self._build_torsor_set()
         self._j_tables: dict = {}
+        self._ruling_points: dict = {}
 
     # -- enumeration --------------------------------------------------------
 
@@ -264,18 +272,21 @@ class FanoSurface:
         return sorted(out.values(), key=lambda cl: (_TAG_ORDER[cl.tag], cl.line.rows))
 
     def _plane_line_fiber(self, inner: ProjectiveLine, amb: ProjectiveLine, q0, q1):
-        """The (at most one) fiber whose quadric contains this line of P."""
+        """The (at most one) fiber whose quadric contains this line of P.
+
+        That is the (s:t) with s*r0 + t*r1 = 0, for r0 and r1 the coefficient
+        vectors of the two conics restricted to the line.
+        """
         L = self.L
-        r0 = q0.restrict(inner.matrix)
-        r1 = q1.restrict(inner.matrix)
-        exps = [(2, 0), (1, 1), (0, 2)]
-        m = np.array([[r0.coefficient(e), r1.coefficient(e)] for e in exps], dtype=np.int64)
-        ker = kernel_basis(L, m)
-        if ker.shape[0] == 0:
-            return None, None
-        if ker.shape[0] > 1:
+        u = binary_quadratic(q0, *inner.rows).coeffs
+        v = binary_quadratic(q1, *inner.rows).coeffs
+        if not any(u) and not any(v):
             raise InternalInconsistency("a line of P cannot lie in every fiber unless Z has a line")
-        key = normalize_point(L, tuple(int(x) for x in ker[0]))
+        minors = (L.sub_(L.mul_(u[i], v[j]), L.mul_(u[j], v[i])) for i, j in ((0, 1), (0, 2), (1, 2)))
+        if any(minors):
+            return None, None
+        i = next(i for i in range(3) if u[i] or v[i])
+        key = normalize_point(L, (v[i], L.neg_(u[i])))
         for c in self.rulings[key]:
             if amb in c.lines:
                 return key, c.index
@@ -359,10 +370,27 @@ class FanoSurface:
 
     # -- ruling operators ------------------------------------------------------
 
+    def _lines_through(self, c: RulingClass) -> dict[tuple, list[ProjectiveLine]]:
+        """Each point of the lines of a ruling class, mapped to the lines through it.
+
+        A canonical row pair (a, b) has its points a + t*b and b already
+        normalized, so no point needs a division.
+        """
+        found = self._ruling_points.get(c.key)
+        if found is None:
+            K = c.K
+            params = np.arange(K.q, dtype=np.uint16)[:, None]
+            found = {}
+            for ln in c.lines:
+                a, b = np.array(ln.rows, dtype=np.uint16)
+                for pt in K.add[a, K.mul[params, b]].tolist() + [b.tolist()]:
+                    found.setdefault(tuple(pt), []).append(ln)
+            self._ruling_points[c.key] = found
+        return found
+
     def tau(self, z: ZPoint, c: RulingClass) -> ProjectiveLine:
         """The unique line of the ruling c through the node z."""
-        amb = ProjectivePoint(c.K, self._node_in(z, c.K))
-        hits = [ln for ln in c.lines if ln.contains(amb)]
+        hits = self._lines_through(c).get(self._node_in(z, c.K), [])
         if len(hits) == 1:
             return hits[0]
         if len(hits) > 1:
@@ -377,13 +405,20 @@ class FanoSurface:
     def sigma(self, line: ProjectiveLine, c: RulingClass) -> ProjectiveLine:
         """The unique line of the ruling c meeting a given P-disjoint line.
 
-        The line crosses the fiber hyperplane in a single point of the fiber
-        quadric, and one ruling line passes through that point -- unless the
-        point is a cone vertex, where every generator does (excluded locus).
+        The line crosses the fiber hyperplane t*x0 = s*x1 in a single point of
+        the fiber quadric, g(b)*a - g(a)*b for rows a, b and
+        g(v) = t*v0 - s*v1, and the ruling lines meeting the line are those
+        through that point.  One passes through it -- unless the point is a
+        cone vertex, where every generator does (excluded locus).
         """
         if self.classified(line).tag != DISJOINT:
             raise ValueError("sigma acts on lines disjoint from the plane")
-        hits = [m for m in c.lines if line_meets(line, m)]
+        K = self.L
+        a, b = line.rows
+        ga = K.sub_(K.mul_(c.t, a[0]), K.mul_(c.s, a[1]))
+        gb = K.sub_(K.mul_(c.t, b[0]), K.mul_(c.s, b[1]))
+        crossing = normalize_point(K, [K.sub_(K.mul_(gb, x), K.mul_(ga, y)) for x, y in zip(a, b)])
+        hits = self._lines_through(c).get(crossing, [])
         if len(hits) > 1:
             raise ResampleRequired("the line passes through the vertex of a cone fiber")
         if not hits:
@@ -448,25 +483,26 @@ class FanoSurface:
         """
         if c.K is not d.K:
             raise ValueError("the two ruling classes must live over one field")
+        return residual_line(self._threefold_over(c.K).f, *self._psi_section(z, c, d))
+
+    def _psi_section(self, z: ZPoint, c: RulingClass, d: RulingClass):
+        """The plane of :meth:`psi` and the two lines its residual is taken of."""
         M = c.K
         nf_M = self._threefold_over(M)
         t1 = self.tau(z, c)
         t2 = self.tau(z, d)
-        plane_M = nf_M.plane
-        in_p1 = plane_M.contains_line(t1)
-        in_p2 = plane_M.contains_line(t2)
-        if in_p1 and in_p2:
+        if _meet_with_plane(M, t1.rows)[0] == IN_PLANE and _meet_with_plane(M, t2.rows)[0] == IN_PLANE:
             raise Undefined("both ruling lines lie in P: the pair is in the excluded locus")
         if c.key == d.key:
             if c.is_cone:
                 S = self._cone_tangent_plane(z, c, nf_M)
             else:
                 S = self._deformation_plane(z, c, t1, nf_M)
-            return residual_line(nf_M.f, S, t1, t1)
+            return S, t1, t1
         S = span(M, t1, t2)
         if S.dim != 2:
             raise InternalInconsistency("distinct lines through one node span a plane")
-        return residual_line(nf_M.f, S, t1, t2)
+        return S, t1, t2
 
     def _threefold_over(self, M: GF) -> NormalizedThreefold:
         if M is self.L:
@@ -541,8 +577,45 @@ class FanoSurface:
         conjugate, via the first-order limit on the diagonal); a disjoint
         line maps through the residual of its span with sigma.
         """
+        return self._involutions(c, [x])[0]
+
+    def _involutions(self, c: RulingClass, points) -> list[TorsorPoint]:
+        """:meth:`involution` at each point, in order.
+
+        The plane sections of all points are evaluated in one batch.  An
+        error is raised for the first point at which :meth:`involution` would
+        raise one.
+        """
         if c.K is not self.L:
             raise ValueError("the ruling class must live over the working field")
+        steps = []
+        failure = None
+        try:
+            for x in points:
+                steps.append(self._involution_step(c, x))
+        except Exception as exc:  # raised after the points before x are done
+            failure = exc
+        sections = [step for step in steps if not isinstance(step, TorsorPoint)]
+        values = plane_section_values(self.nf.f, [plane for plane, _, _, _ in sections])
+        rows = iter(values)
+        out = []
+        for step in steps:
+            if not isinstance(step, TorsorPoint):
+                plane, first, second, off_torsor = step
+                step = self._land(residual_from_values(plane, first, second, next(rows)).line)
+                if step is None:
+                    raise off_torsor
+            out.append(step)
+        if failure is not None:
+            raise failure
+        return out
+
+    def _involution_step(self, c: RulingClass, x: TorsorPoint):
+        """The image of x, or the plane section whose residual line it is.
+
+        A section comes as (plane, first line, second line, the error to
+        raise when the residual lies in P).
+        """
         self._check_member(x)
         if x.kind == "node":
             z = self.node_index[x.node]
@@ -558,22 +631,15 @@ class FanoSurface:
             S = span(self.L, line, m)
             if S.dim != 2:
                 raise InternalInconsistency("a disjoint line and the ruling line meeting it span a plane")
-            res = residual_line(self.nf.f, S, line, m)
-            tp = self._land(res.line)
-            if tp is None:
-                raise InternalInconsistency("the residual of a disjoint-line span cannot lie in P")
-            return tp
+            return S, line, m, InternalInconsistency("the residual of a disjoint-line span cannot lie in P")
         # boundary line through a node
         z_amb = cl.meets_at
         z = self.node_index[z_amb]
         d = self.ruling_of(cl)
         if d.key == self.other_ruling(c).key:
             return TorsorPoint("node", node=z_amb)
-        res = self.psi(z, c, d)
-        tp = self._land(res.line)
-        if tp is None:
-            raise ResampleRequired("the residual through the node lands on an excluded in-plane line")
-        return tp
+        S, t1, t2 = self._psi_section(z, c, d)
+        return S, t1, t2, ResampleRequired("the residual through the node lands on an excluded in-plane line")
 
     def _land(self, line: ProjectiveLine) -> TorsorPoint | None:
         """Classify an operator output into the torsor-ready set.
@@ -596,9 +662,8 @@ class FanoSurface:
         cached = self._j_tables.get(key)
         if cached is not None:
             return cached
-        table: dict[TorsorPoint, TorsorPoint] = {}
-        for x in self.torsor_set.points:
-            table[x] = self.involution(c, x)
+        points = self.torsor_set.points
+        table = dict(zip(points, self._involutions(c, points)))
         image = set(table.values())
         if len(image) != len(table):
             raise InternalInconsistency("an involution must permute the torsor-ready set")

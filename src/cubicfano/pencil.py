@@ -316,11 +316,11 @@ def rulings_of_fiber(fiber: PencilFiber) -> list[RulingClass]:
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 if not _lines_disjoint(K, group[i], group[j]):
-                    raise AssertionError("ruling partition is not a congruence")
+                    raise InternalInconsistency("ruling partition is not a congruence")
     for a in same:
         for b in other:
             if _lines_disjoint(K, a, b):
-                raise AssertionError("lines in different rulings must meet")
+                raise InternalInconsistency("lines in different rulings must meet")
     if not len(same) == len(other) == K.q + 1:
         raise InternalInconsistency("split smooth fiber carries q+1 lines per ruling")
     packs = []
@@ -402,13 +402,13 @@ def zeta(model: HyperellipticModel) -> ZetaData:
     p2 = q * q + 1 - N2
     c1 = -p1
     if (p1 * p1 - p2) % 2:
-        raise AssertionError("power sums of a genus-2 curve have even p1^2 - p2")
+        raise InternalInconsistency("power sums of a genus-2 curve have even p1^2 - p2")
     c2 = (p1 * p1 - p2) // 2
     h = 1 + c1 + c2 + q * c1 + q * q
     if c1 * c1 > 16 * q:
-        raise AssertionError(f"Weil bound violated: |c1| = {abs(c1)} > 4*sqrt({q})")
+        raise InternalInconsistency(f"Weil bound violated: |c1| = {abs(c1)} > 4*sqrt({q})")
     if h <= 0:
-        raise AssertionError(f"class number must be positive, got {h}")
+        raise InternalInconsistency(f"class number must be positive, got {h}")
     return ZetaData(N1, N2, c1, c2, h)
 
 

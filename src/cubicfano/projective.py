@@ -7,12 +7,13 @@ order.  Points are normalized so the first nonzero coordinate is 1.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .forms import BinaryForm, HomogeneousForm, divide_by_linear
+from .forms import BinaryForm, HomogeneousForm
 from .gf import GF, InternalInconsistency
 from .linalg import kernel_basis, mat_mul, rank, rref
 
@@ -291,36 +292,156 @@ class Residual(NamedTuple):
     multiplicity: int
 
 
+@lru_cache(maxsize=None)
+def _plane_reps(K: GF) -> np.ndarray:
+    reps = all_points_array(K, 2)
+    reps.flags.writeable = False
+    return reps
+
+
+def _combine(K: GF, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[..., j] * rows[j] over the field, for three rows (broadcasting)."""
+    add, mul = K.add, K.mul
+    return add[
+        add[mul[coeffs[..., 0, None], rows[0]], mul[coeffs[..., 1, None], rows[1]]],
+        mul[coeffs[..., 2, None], rows[2]],
+    ]
+
+
+def plane_section_values(cubic: HomogeneousForm, planes) -> np.ndarray:
+    """The cubic at every point of each plane, in one batch evaluation.
+
+    Row i holds the values at the points y B_i, y running over
+    ``projective_reps(K, 2)``, where B_i is the canonical basis of the i-th
+    plane.
+    """
+    K = cubic.K
+    reps = _plane_reps(K)
+    if not planes:
+        return np.zeros((0, len(reps)), dtype=np.uint16)
+    # basis row j of every plane, shaped to broadcast against the points
+    bases = np.array([plane.rows for plane in planes], dtype=np.uint16).transpose(1, 0, 2)[:, :, None, :]
+    pts = _combine(K, reps, bases)
+    return cubic.evaluate_batch(pts.reshape(-1, cubic.nvars)).reshape(len(planes), len(reps))
+
+
 def residual_line(cubic: HomogeneousForm, plane: LinearSubspace, L: ProjectiveLine, M: ProjectiveLine) -> Residual:
     """The third line of the plane section of a cubic through two known lines.
 
     The section factors as ell_L * ell_M * ell_N; returns N and the count of
     the three factors proportional to ell_N (1 = honest third line, 2 or 3 =
     degenerate configurations).  L = M is legal and divides by the square.
+
+    The section is found from evaluations, not symbolic algebra.  The
+    cubic is evaluated at every point of the plane.  In plane coordinates
+    ell_L and ell_M are the cross products of the lines' pivot-slot
+    coordinates.  Off L and M, c * ell_N equals f / (ell_L * ell_M), so three
+    independent points there give it by one 3 x 3 solve.  The identity
+    f = c * ell_L * ell_M * ell_N is then verified at every point of
+    P^2(F_q); for q >= 3 no nonzero ternary cubic vanishes on all of them,
+    so this pins the section exactly.  A section vanishing everywhere is
+    ``PlaneContained``.  When the identity fails, the section misses L
+    (``NotOnCubic`` for the first line: a binary cubic with q + 1 >= 4 zeros
+    on L is zero) or else is not divisible by ell_M after ell_L
+    (``NotOnCubic`` for the second line).
     """
-    K = cubic.K
     if plane.dim != 2:
         raise ValueError("residual lines live in plane sections")
-    section = cubic.restrict(plane.matrix)
-    if section.is_zero:
+    return residual_from_values(plane, L, M, plane_section_values(cubic, [plane])[0])
+
+
+def _cross(K: GF, u, v) -> tuple[int, int, int]:
+    """The cross product of two 3-vectors: the linear form vanishing on both."""
+    mul, sub = K.mul_, K.sub_
+    return (
+        sub(mul(u[1], v[2]), mul(u[2], v[1])),
+        sub(mul(u[2], v[0]), mul(u[0], v[2])),
+        sub(mul(u[0], v[1]), mul(u[1], v[0])),
+    )
+
+
+def _dot(K: GF, u, v) -> int:
+    return K.add_(K.add_(K.mul_(u[0], v[0]), K.mul_(u[1], v[1])), K.mul_(u[2], v[2]))
+
+
+def _linear_values(K: GF, forms, pts: np.ndarray) -> np.ndarray:
+    """Ternary linear forms (rows of forms) at each row of pts: shape (forms, points)."""
+    return _combine(K, np.array(forms, dtype=np.uint16), pts.T)
+
+
+def _forms_in_plane(plane: LinearSubspace, lines) -> list[tuple[int, int, int]]:
+    """The linear forms, in plane coordinates, cutting lines of the plane.
+
+    The plane coordinates of a point of the plane are its pivot-slot entries,
+    so each form is the cross product of the two rows' pivot slots.
+    """
+    K = plane.K
+    rows = np.array([row for line in lines for row in line.rows], dtype=np.uint16)
+    coords = rows[:, plane.pivots()]
+    if not np.array_equal(_combine(K, coords, np.array(plane.rows, dtype=np.uint16)), rows):
+        raise ValueError("point does not lie in the subspace")
+    coords = coords.tolist()
+    return [_cross(K, coords[i], coords[i + 1]) for i in range(0, len(coords), 2)]
+
+
+def residual_from_values(plane: LinearSubspace, L: ProjectiveLine, M: ProjectiveLine, values) -> Residual:
+    """:func:`residual_line` from the cubic's values at every point of the plane.
+
+    ``values`` is one row of :func:`plane_section_values`, so a caller with
+    many sections evaluates them all in one batch.
+    """
+    K = plane.K
+    values = np.asarray(values)
+    if not values.any():
         raise PlaneContained("plane lies entirely on the cubic")
-    ell_L = linear_form_cutting_line_in_plane(plane, L)
-    ell_M = linear_form_cutting_line_in_plane(plane, M)
-    try:
-        partial = divide_by_linear(section, ell_L)
-    except ValueError as exc:
-        raise NotOnCubic("first line is not on the cubic section") from exc
-    try:
-        residue = divide_by_linear(partial, ell_M)
-    except ValueError as exc:
-        raise NotOnCubic("second line is not on the cubic section") from exc
-    if residue.is_zero or residue.degree != 1:
+    ell_L, ell_M = _forms_in_plane(plane, (L, M))
+    reps = _plane_reps(K)
+    on_L, on_M = _linear_values(K, (ell_L, ell_M), reps)
+    both = K.mul[on_L, on_M]
+    off = np.flatnonzero(both)
+    # three independent points off L and M: two distinct points and the first
+    # point off the line joining them (q^2 - q > q + 1 points are off L and M)
+    p1, p2 = reps[off[0]].tolist(), reps[off[1]].tolist()
+    joining = _cross(K, p1, p2)
+    i3 = off[np.flatnonzero(_linear_values(K, (joining,), reps[off])[0])[0]]
+    p3 = reps[i3].tolist()
+    r1, r2, r3 = (K.div_(int(values[i]), int(both[i])) for i in (off[0], off[1], i3))
+    # Cramer's rule: ell_N . p_i = r_i
+    inv_det = K.inverse(_dot(K, joining, p3))
+    terms = (
+        [K.mul_(r1, x) for x in _cross(K, p2, p3)],
+        [K.mul_(r2, x) for x in _cross(K, p3, p1)],
+        [K.mul_(r3, x) for x in joining],
+    )
+    ell_N = tuple(K.mul_(K.add_(K.add_(a, b), c), inv_det) for a, b, c in zip(*terms))
+    if not np.array_equal(values, K.mul[both, _linear_values(K, (ell_N,), reps)[0]]):
+        if values[on_L == 0].any():
+            raise NotOnCubic("first line is not on the cubic section")
+        raise NotOnCubic("second line is not on the cubic section")
+    if not any(ell_N):
         raise InternalInconsistency("cubic divided by two linear forms must leave a linear form")
-    ell_N = tuple(residue.coefficient(tuple(1 if j == i else 0 for j in range(3))) for i in range(3))
-    line_N = line_in_plane_from_linear_form(plane, ell_N)
     n_norm = normalize_point(K, ell_N)
     multiplicity = sum(1 for ell in (ell_L, ell_M, ell_N) if normalize_point(K, ell) == n_norm)
-    return Residual(line_N, multiplicity)
+    return Residual(ProjectiveLine(K, _kernel_rows(plane, ell_N), _trusted=True), multiplicity)
+
+
+def _kernel_rows(plane: LinearSubspace, ell) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Canonical rows of the line {ell = 0} of the plane.
+
+    With j the last index where ell is nonzero, the rows e_p - (ell_p / ell_j) e_j
+    (p != j, ascending) are the reduced echelon basis of the kernel; times
+    the plane's reduced echelon basis they stay reduced echelon.
+    """
+    K = plane.K
+    j = max(i for i in range(3) if ell[i])
+    scale = K.neg_(K.inverse(ell[j]))
+    basis = plane.rows
+    out = []
+    for p in range(3):
+        if p != j:
+            c = K.mul_(ell[p], scale)
+            out.append(tuple(K.add_(x, K.mul_(c, y)) for x, y in zip(basis[p], basis[j])))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,20 @@ transitive.  Component tags live in Z/4: a word of degree d has tag 2d mod 4
 (0 for differences, 2 for odd-degree words, which exchange the two signed
 copies), the two copies themselves sit at tags 1 and 3, and tags add under
 composition.
+
+Each letter acts through an integer array over the signed universe, read
+once from the involution tables: a word acts by indexing, and the search
+for the words moving one point to another gathers the images of all words
+of one length at once.  The escalation to the quadratic extension maps
+points between the two universes by index arrays built once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+
+import numpy as np
 
 from .fano import (
     FanoSurface,
@@ -120,6 +128,11 @@ class ClassAction:
 class TorsorGroup:
     """The signed universe T(F_{q^k}) in two copies with its word action.
 
+    Point i < n of the universe is the i-th torsor point on the + copy and
+    point n + i the same point on the - copy.  Each letter acts through an
+    integer array over these 2n indices, built once from the involution
+    tables.
+
     Refuses a nonreduced node scheme: the boundary bookkeeping of the action
     assumes every node is an honest quadric cone point.
     """
@@ -136,7 +149,11 @@ class TorsorGroup:
         self.index: dict[SignedTorsorPoint, int] = {x: i for i, x in enumerate(self.points)}
         self._letters: list[RulingClass] | None = None
         self._excluded: list[RulingClass] | None = None
+        self._letter_perms: dict = {}
+        self._letter_matrix: np.ndarray | None = None
         self._big: TorsorGroup | None = None
+        self._up: np.ndarray | None = None
+        self._down: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -171,29 +188,50 @@ class TorsorGroup:
             self._scan_letters()
         return list(self._excluded)
 
+    def _perm_of(self, c: RulingClass) -> np.ndarray:
+        """The permutation the letter (c, +1) induces, as an index array.
+
+        On the + copy it is -j_{cbar}, on the - copy j_c.
+        """
+        perm = self._letter_perms.get(c.key)
+        if perm is None:
+            plus = self.points[: len(self.points) // 2]
+
+            def on_plus(d):
+                table = self.surface.j_table(d)
+                return [self.index[SignedTorsorPoint(table[x.point], +1)] for x in plus]
+
+            perm = np.array(on_plus(self.surface.other_ruling(c)) + on_plus(c), dtype=np.intp)
+            perm[: len(plus)] += len(plus)
+            self._letter_perms[c.key] = perm
+        return perm
+
+    def _letter_perm(self, letter: tuple[RulingClass, int]) -> np.ndarray:
+        c, e = letter
+        return self._perm_of(self.surface.other_ruling(c) if e < 0 else c)
+
     # -- the action --------------------------------------------------------------
 
     def apply_letter(self, letter: tuple[RulingClass, int], x: SignedTorsorPoint) -> SignedTorsorPoint:
         """One letter of a word; a negative sign acts by the inverse rule."""
-        c, e = letter
-        if e < 0:
-            c = self.surface.other_ruling(c)
-        if x.sign > 0:
-            table = self.surface.j_table(self.surface.other_ruling(c))
-            return SignedTorsorPoint(table[x.point], -1)
-        table = self.surface.j_table(c)
-        return SignedTorsorPoint(table[x.point], +1)
+        return self.points[self._letter_perm(letter)[self.index[x]]]
 
     def act(self, word: DivisorWord, x: SignedTorsorPoint) -> SignedTorsorPoint:
-        if x not in self.index:
+        i = self.index.get(x)
+        if i is None:
             raise InvalidInput("the point does not belong to the universe")
         for letter in word.letters:
-            x = self.apply_letter(letter, x)
-        return x
+            i = self._letter_perm(letter)[i]
+        return self.points[i]
+
+    def _word_perm(self, word: DivisorWord) -> np.ndarray:
+        perm = np.arange(len(self.points))
+        for letter in word.letters:
+            perm = self._letter_perm(letter)[perm]
+        return perm
 
     def class_of(self, word: DivisorWord) -> ClassAction:
-        perm = tuple(self.index[self.act(word, x)] for x in self.points)
-        return ClassAction(word.tag, perm, word)
+        return ClassAction(word.tag, tuple(self._word_perm(word).tolist()), word)
 
     def identity_class(self) -> ClassAction:
         return ClassAction(0, tuple(range(len(self.points))), DivisorWord(()))
@@ -201,28 +239,37 @@ class TorsorGroup:
     def compose(self, a: ClassAction, b: ClassAction) -> ClassAction:
         """The class of a-then-b (the order is immaterial: the group is
         commutative, which verify_group_axioms checks by sampling)."""
-        perm = tuple(b.perm[i] for i in a.perm)
-        return ClassAction((a.tag + b.tag) % 4, perm, a.word + b.word)
+        perm = np.array(b.perm)[np.array(a.perm)]
+        return ClassAction((a.tag + b.tag) % 4, tuple(perm.tolist()), a.word + b.word)
 
     # -- sums of torsor points -----------------------------------------------------
 
-    def _matching_words(self, start: SignedTorsorPoint, target: SignedTorsorPoint):
-        """Positive words of length <= 3 and the right parity moving start to target.
+    def _matching_words(self, start: SignedTorsorPoint, target: SignedTorsorPoint) -> list[DivisorWord]:
+        """The first eight positive words of length <= 3 and the right parity
+        moving start to target, in ``itertools.product`` order by length.
 
         Inverse letters are redundant for the search: (c, -1) induces the
         same permutation as (cbar, +1) and the same tag, since the degree
-        only matters mod 2.
+        only matters mod 2.  The images of start under all words of one
+        length n are n gathers through the stacked letter arrays, indexed
+        [c_n, ..., c_1]; reversing the axes puts ``np.argwhere``'s matches in
+        product order.
         """
         flip = start.sign != target.sign
-        if not flip and start == target:
-            yield DivisorWord(())
+        found = [] if flip or start != target else [DivisorWord(())]
         lengths = (1, 3) if flip else (2,)
         letters = self.letters
-        for n in lengths:
-            for combo in itertools.product(letters, repeat=n):
-                word = DivisorWord(tuple((c, +1) for c in combo))
-                if self.act(word, start) == target:
-                    yield word
+        if self._letter_matrix is None:
+            self._letter_matrix = np.stack([self._perm_of(c) for c in letters])
+        images = self.index[start]
+        for n in range(1, lengths[-1] + 1):
+            images = self._letter_matrix[:, images]
+            if n in lengths:
+                for combo in np.argwhere(images.transpose() == self.index[target])[: 8 - len(found)]:
+                    found.append(DivisorWord(tuple((letters[i], +1) for i in combo)))
+                if len(found) == 8:
+                    break
+        return found
 
     def sum_points(
         self, s: SignedTorsorPoint, t: SignedTorsorPoint, escalate: bool = True
@@ -237,23 +284,20 @@ class TorsorGroup:
         universe) before giving up.  The component tag of the result is the
         sum of the component tags of the operands.
         """
-        start = s.negated()
-        found = list(itertools.islice(self._matching_words(start, t), 8))
+        found = self._matching_words(s.negated(), t)
         if not found:
             if escalate:
                 return self._escalated_sum(s, t)
             raise NeedsExtension("no defining word over the working field within degree 3")
-        actions = [self.class_of(w) for w in found]
-        first = actions[0]
-        for other in actions[1:]:
-            if other.perm != first.perm:
+        first = self._word_perm(found[0])
+        for other in found[1:]:
+            if not np.array_equal(self._word_perm(other), first):
                 raise InternalInconsistency(
                     "two words sending -s to t disagree elsewhere: the action is not simply transitive"
                 )
-        expect_tag = (s.component + t.component) % 4
-        if first.tag != expect_tag:
+        if found[0].tag != (s.component + t.component) % 4:
             raise InternalInconsistency("component arithmetic disagrees with the word parity")
-        return first
+        return ClassAction(found[0].tag, tuple(first.tolist()), found[0])
 
     # -- quadratic-extension escalation --------------------------------------------
 
@@ -276,30 +320,18 @@ class TorsorGroup:
             raise InternalInconsistency("a universe point fails to embed into the extension universe")
         return out
 
-    def _pull_back(self, big: "TorsorGroup", y: SignedTorsorPoint) -> SignedTorsorPoint:
-        emb = self.surface.L.embedding_into(big.surface.L)
-        down = {int(code): value for value, code in enumerate(emb)}
-        try:
-            if y.point.kind == "node":
-                pt = TorsorPoint("node", node=tuple(down[v] for v in y.point.node))
-            else:
-                pt = TorsorPoint(
-                    "line", rows=tuple(tuple(down[v] for v in row) for row in y.point.rows)
-                )
-        except KeyError:
-            raise InternalInconsistency(
-                "an escalated class moved a rational point off the rational locus"
-            ) from None
-        return SignedTorsorPoint(pt, y.sign)
-
     def _escalated_sum(self, s: SignedTorsorPoint, t: SignedTorsorPoint) -> ClassAction:
         big = self.extension_group()
-        big_cls = big.sum_points(self.embed_point(big, s), self.embed_point(big, t), escalate=False)
-        perm = []
-        for x in self.points:
-            image = big.points[big_cls.perm[big.index[self.embed_point(big, x)]]]
-            perm.append(self.index[self._pull_back(big, image)])
-        return ClassAction(big_cls.tag, tuple(perm), big_cls.word)
+        if self._up is None:
+            # index maps between the universes; -1 marks a point off the rational locus
+            self._up = np.array([big.index[self.embed_point(big, x)] for x in self.points], dtype=np.intp)
+            self._down = np.full(len(big.points), -1, dtype=np.intp)
+            self._down[self._up] = np.arange(len(self.points))
+        big_cls = big.sum_points(big.points[self._up[self.index[s]]], big.points[self._up[self.index[t]]], False)
+        perm = self._down[np.array(big_cls.perm)[self._up]]
+        if (perm < 0).any():
+            raise InternalInconsistency("an escalated class moved a rational point off the rational locus")
+        return ClassAction(big_cls.tag, tuple(perm.tolist()), big_cls.word)
 
 
 def torsor_group(nf: NormalizedThreefold, k: int = 1) -> TorsorGroup:
@@ -372,18 +404,21 @@ class GroupLawReport:
 def point_count_checks(nf: NormalizedThreefold, depth: int = 2) -> tuple[PointCountCheck, ...]:
     """#T(F_{q^k}) against the class number of the branch curve, k <= depth.
 
-    The left side enumerates the line surface from scratch; the right side is
-    the zeta-function class number.  Equality is the finite-field triviality
-    of the torsor, checked without ever constructing a group isomorphism.
+    The left side is the size of the torsor-ready set of the line surface
+    over F_{q^k}; the right side is the zeta-function class number.
+    Equality is the finite-field triviality of the torsor, checked without
+    ever constructing a group isomorphism.
     """
-    model = HyperellipticModel(discriminant(nf))
-    zdata = zeta(model)
-    out = []
-    for k in range(1, depth + 1):
-        n_t = len(FanoSurface(nf, k).torsor_set)
-        h_k = zdata.h if k == 1 else class_number_over_extension(zdata, nf.K.q, k)
-        out.append(PointCountCheck(k, n_t, h_k))
-    return tuple(out)
+    return _point_count_checks(nf, [len(FanoSurface(nf, k).torsor_set) for k in range(1, depth + 1)])
+
+
+def _point_count_checks(nf: NormalizedThreefold, sizes) -> tuple[PointCountCheck, ...]:
+    """Pair the torsor sizes over F_{q^1}, F_{q^2}, ... with the class numbers."""
+    zdata = zeta(HyperellipticModel(discriminant(nf)))
+    return tuple(
+        PointCountCheck(k, n_t, zdata.h if k == 1 else class_number_over_extension(zdata, nf.K.q, k))
+        for k, n_t in enumerate(sizes, start=1)
+    )
 
 
 def verify_group_axioms(
@@ -526,7 +561,15 @@ def verify_group_axioms(
             break
     axioms.append(AxiomCheck("letter_order_commutes", trials, bad is None, bad))
 
-    counts = point_count_checks(nf, count_depth)
+    # the surfaces over F_q and F_{q^2} are the group's own and its extension's
+    def surface_over(k):
+        if k == 1:
+            return G.surface
+        if k == 2:
+            return G.extension_group().surface
+        return FanoSurface(nf, k, Z=G.surface.Z)
+
+    counts = _point_count_checks(nf, [len(surface_over(k).torsor_set) for k in range(1, count_depth + 1)])
 
     return GroupLawReport(
         universe_size=len(G.points),

@@ -1,13 +1,27 @@
 """Slow reference implementations used as oracles by the test suite.
 
-Everything here is deliberately naive and independent of the package's table
-machinery: polynomial arithmetic on tuples, Fermat inverses, brute-force
-searches.  Tests compare the fast package code against these.
+Everything here is deliberately naive: polynomial arithmetic on tuples,
+Fermat inverses, brute-force searches, symbolic division, and the group law
+acted out letter by letter through dicts.  Tests compare the fast package
+code against these.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+from cubicfano.fano import NeedsExtension, TorsorPoint
+from cubicfano.forms import divide_by_linear
+from cubicfano.gf import InternalInconsistency
+from cubicfano.projective import (
+    NotOnCubic,
+    PlaneContained,
+    Residual,
+    line_in_plane_from_linear_form,
+    linear_form_cutting_line_in_plane,
+    normalize_point,
+)
+from cubicfano.torsor import DivisorWord, SignedTorsorPoint
 
 
 def poly_mul(a, b, p):
@@ -123,3 +137,92 @@ def binary_roots_by_scan(L, coeffs, degree):
     if degree > len(u) - 1:
         out.append(((0, 1), degree - (len(u) - 1)))
     return out
+
+
+def residual_line_symbolic(cubic, plane, L, M):
+    """The residual line of a plane section by symbolic algebra.
+
+    Restricts the cubic to the plane and divides exactly by the linear forms
+    of L and then M; same result and errors as ``residual_line``.
+    """
+    K = cubic.K
+    if plane.dim != 2:
+        raise ValueError("residual lines live in plane sections")
+    section = cubic.restrict(plane.matrix)
+    if section.is_zero:
+        raise PlaneContained("plane lies entirely on the cubic")
+    ell_L = linear_form_cutting_line_in_plane(plane, L)
+    ell_M = linear_form_cutting_line_in_plane(plane, M)
+    try:
+        partial = divide_by_linear(section, ell_L)
+    except ValueError as exc:
+        raise NotOnCubic("first line is not on the cubic section") from exc
+    try:
+        residue = divide_by_linear(partial, ell_M)
+    except ValueError as exc:
+        raise NotOnCubic("second line is not on the cubic section") from exc
+    ell_N = tuple(residue.coefficient(tuple(1 if j == i else 0 for j in range(3))) for i in range(3))
+    n_norm = normalize_point(K, ell_N)
+    multiplicity = sum(1 for ell in (ell_L, ell_M, ell_N) if normalize_point(K, ell) == n_norm)
+    return Residual(line_in_plane_from_linear_form(plane, ell_N), multiplicity)
+
+
+def act_by_dicts(G, word, x):
+    """A word acting on a signed point one letter at a time through the j tables."""
+    surf = G.surface
+    for c, e in word.letters:
+        if e < 0:
+            c = surf.other_ruling(c)
+        if x.sign > 0:
+            x = SignedTorsorPoint(surf.j_table(surf.other_ruling(c))[x.point], -1)
+        else:
+            x = SignedTorsorPoint(surf.j_table(c)[x.point], +1)
+    return x
+
+
+def class_by_dicts(G, word):
+    return tuple(G.index[act_by_dicts(G, word, x)] for x in G.points)
+
+
+def _map_point(x, table):
+    """A signed torsor point with every coordinate code sent through table."""
+    p = x.point
+    if p.kind == "node":
+        pt = TorsorPoint("node", node=tuple(table[v] for v in p.node))
+    else:
+        pt = TorsorPoint("line", rows=tuple(tuple(table[v] for v in row) for row in p.rows))
+    return SignedTorsorPoint(pt, x.sign)
+
+
+def sum_by_dicts(G, s, t, escalate=True):
+    """(tag, perm, word) of the class D with -s + D = t, by trying every word.
+
+    All positive words of length 1 and 3 (or 2, or the empty word) are acted
+    out in ``itertools.product`` order; the first eight matches must induce
+    one permutation.  Without a match the search runs once over the
+    quadratic extension and pulls the class back through the code maps.
+    """
+    start = s.negated()
+    flip = start.sign != t.sign
+    found = [] if flip or start != t else [DivisorWord(())]
+    for n in (1, 3) if flip else (2,):
+        for combo in product(G.letters, repeat=n):
+            word = DivisorWord(tuple((c, +1) for c in combo))
+            if act_by_dicts(G, word, start) == t:
+                found.append(word)
+    found = found[:8]
+    if found:
+        if len({class_by_dicts(G, w) for w in found}) != 1:
+            raise InternalInconsistency("two words sending -s to t disagree elsewhere")
+        return found[0].tag, class_by_dicts(G, found[0]), found[0]
+    if not escalate:
+        raise NeedsExtension("no defining word over the working field within degree 3")
+    big = G.extension_group()
+    emb = G.surface.L.embedding_into(big.surface.L)
+    up = {v: int(code) for v, code in enumerate(emb)}
+    down = {code: v for v, code in up.items()}
+    tag, big_perm, word = sum_by_dicts(big, _map_point(s, up), _map_point(t, up), False)
+    perm = tuple(
+        G.index[_map_point(big.points[big_perm[big.index[_map_point(x, up)]]], down)] for x in G.points
+    )
+    return tag, perm, word

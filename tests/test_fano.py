@@ -20,7 +20,7 @@ from cubicfano.fano import (
 )
 from cubicfano.gf import field
 from cubicfano.linalg import inverse_matrix, mat_mul, rank
-from cubicfano.pencil import extended_threefold
+from cubicfano.pencil import NotGeneral, extended_threefold
 from cubicfano.projective import (
     InternalInconsistency,
     LinearSubspace,
@@ -190,6 +190,39 @@ def test_sigma_rejects_lines_touching_the_plane():
     in_plane = next(cl.line for cl in surf.lines if cl.tag == IN_PLANE)
     with pytest.raises(ValueError):
         surf.sigma(in_plane, surf.curve_points[0])
+
+
+@pytest.mark.parametrize("seed, k", [(2, 1), (7, 1), (8, 1), (2, 2)])
+def test_sigma_and_tau_match_the_incidence_scan(seed, k):
+    # every (line, class) pair against the rank-based scan over the ruling:
+    # one hit is the answer, several are a cone vertex, none is inconsistent
+    surf = FanoSurface(seeded_example(3, seed), k)
+
+    def outcome(op, *args):
+        try:
+            return op(*args).rows
+        except (ResampleRequired, NotGeneral, InternalInconsistency) as exc:
+            return type(exc).__name__
+
+    def scan(hits, several):
+        if len(hits) == 1:
+            return hits[0].rows
+        return several if hits else "InternalInconsistency"
+
+    seen = []
+    for cl in surf.lines:
+        if cl.tag == DISJOINT:
+            for c in surf.curve_points:
+                hits = [m for m in c.lines if line_meets(cl.line, m)]
+                seen.append(outcome(surf.sigma, cl.line, c))
+                assert seen[-1] == scan(hits, "ResampleRequired")
+    for z, amb in surf.nodes:
+        pt = ProjectivePoint(surf.L, amb)
+        for c in surf.curve_points:
+            hits = [ln for ln in c.lines if ln.contains(pt)]
+            seen.append(outcome(surf.tau, z, c))
+            assert seen[-1] == scan(hits, "NotGeneral")
+    assert len(seen) >= 20
 
 
 def run_roundtrips(surf, cap):

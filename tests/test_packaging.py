@@ -56,3 +56,16 @@ def test_invariants_survive_optimized_mode(module):
     # `python -O` strips assert statements; these modules raise instead
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+def test_no_bare_assertion_error_is_raised():
+    # an invariant is an InternalInconsistency, which callers can tell apart
+    # from a failing assert and which survives `python -O`
+    bare = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []

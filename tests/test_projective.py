@@ -8,6 +8,7 @@ import pytest
 
 from cubicfano.forms import HomogeneousForm, random_form
 from cubicfano.gf import field
+from cubicfano.linalg import kernel_basis
 from cubicfano.projective import (
     LinearSubspace,
     NotOnCubic,
@@ -18,6 +19,7 @@ from cubicfano.projective import (
     count_lines,
     count_points,
     enumerate_lines,
+    line_in_plane_from_linear_form,
     line_meets,
     line_through,
     pluecker_coordinates,
@@ -25,6 +27,8 @@ from cubicfano.projective import (
     schubert_cell_dimensions,
     span,
 )
+
+from reference_impl import residual_line_symbolic
 
 # ---------------------------------------------------------------------------
 # points and canonical forms
@@ -300,6 +304,82 @@ def test_residual_line_errors():
     cubic = w.times(w).times(w)
     with pytest.raises(NotOnCubic):
         residual_line(cubic, plane, L, M)
+
+
+def _form_on(K, rng, rows, plane=None):
+    """A random nonzero ambient linear form vanishing on the span of rows,
+    and not on the whole plane when one is given."""
+    ker = kernel_basis(K, np.array(rows, dtype=np.int64))
+    while True:
+        weights = [K.random_element(rng) for _ in range(len(ker))]
+        coeffs = [0] * 5
+        for w, row in zip(weights, ker):
+            coeffs = [K.add_(c, K.mul_(w, int(x))) for c, x in zip(coeffs, row)]
+        form = HomogeneousForm.linear(K, coeffs)
+        if any(coeffs) and (plane is None or any(form.evaluate(row) for row in plane.rows)):
+            return form
+
+
+def _random_section_case(K, rng, kind):
+    """(cubic, plane, L, M) of the given kind on a random plane of P^4."""
+    while True:
+        plane = LinearSubspace(K, [[K.random_element(rng) for _ in range(5)] for _ in range(3)])
+        if plane.dim == 2:
+            break
+
+    def line_of_plane():
+        ell = [K.random_element(rng) for _ in range(3)]
+        return line_in_plane_from_linear_form(plane, ell if any(ell) else [0, 0, 1])
+
+    L, M = line_of_plane(), line_of_plane()
+    if kind in ("double", "triple"):
+        M = L
+    # junk off the plane: the forms vanishing on the plane times random quadrics
+    junk = HomogeneousForm.zero(K, 5, 3)
+    for _ in range(2):
+        junk = junk.plus(_form_on(K, rng, plane.rows).times(random_form(K, 5, 2, rng)))
+    lam_L, lam_M = _form_on(K, rng, L.rows, plane), _form_on(K, rng, M.rows, plane)
+    third = {
+        "generic": lambda: _form_on(K, rng, line_of_plane().rows, plane),
+        "double": lambda: _form_on(K, rng, line_of_plane().rows, plane),
+        "triple": lambda: _form_on(K, rng, L.rows, plane),
+        "third_is_first": lambda: _form_on(K, rng, L.rows, plane),
+    }
+    if kind == "contained":
+        cubic = junk
+    elif kind == "off_first":
+        cubic = random_form(K, 5, 3, rng)
+    elif kind == "off_second":
+        cubic = lam_L.times(random_form(K, 5, 2, rng)).plus(junk)
+    else:
+        cubic = lam_L.times(lam_M).times(third[kind]()).plus(junk)
+    return cubic, plane, L, M
+
+
+def _residual_outcome(fn, *args):
+    try:
+        res = fn(*args)
+    except (PlaneContained, NotOnCubic) as exc:
+        return type(exc).__name__, str(exc)
+    return res.line.rows, res.multiplicity
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_residual_line_matches_the_symbolic_oracle(p, k):
+    K = field(p, k)
+    rng = random.Random(100 * p + k)
+    kinds = ("generic", "double", "triple", "third_is_first", "contained", "off_first", "off_second")
+    seen = set()
+    for kind in kinds:
+        for _ in range(5):
+            case = _random_section_case(K, rng, kind)
+            got = _residual_outcome(residual_line, *case)
+            assert got == _residual_outcome(residual_line_symbolic, *case), kind
+            seen.add(got[1] if isinstance(got[1], int) else got)
+    assert {1, 2, 3} <= seen
+    assert ("PlaneContained", "plane lies entirely on the cubic") in seen
+    assert ("NotOnCubic", "first line is not on the cubic section") in seen
+    assert ("NotOnCubic", "second line is not on the cubic section") in seen
 
 
 # ---------------------------------------------------------------------------

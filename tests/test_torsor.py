@@ -20,6 +20,7 @@ from cubicfano.torsor import (
     word_of,
 )
 
+from reference_impl import act_by_dicts, class_by_dicts, sum_by_dicts
 from test_pencil import general_example
 
 
@@ -187,6 +188,55 @@ def test_escalated_sum_agrees_with_the_rational_search():
             assert escalated.perm == rational.perm and escalated.tag == rational.tag
             agreed += 1
     assert agreed >= 3 and extended >= 1
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+def test_sums_match_the_word_by_word_oracle(seed):
+    # (tag, perm, word) against the search that acts every word letter by
+    # letter through the j-table dicts; seed 2 escalates most sums to F_9
+    G = torsor_group(seeded_example(3, seed))
+    rng = random.Random(seed)
+    escalated = 0
+    for _ in range(12):
+        s, t = rng.choice(G.points), rng.choice(G.points)
+        try:
+            expect = sum_by_dicts(G, s, t)
+        except NeedsExtension:
+            with pytest.raises(NeedsExtension):
+                G.sum_points(s, t)
+            continue
+        cls = G.sum_points(s, t)
+        assert (cls.tag, cls.perm, cls.word) == expect
+        try:
+            G.sum_points(s, t, escalate=False)
+        except NeedsExtension:
+            escalated += 1
+    assert escalated >= (1 if seed == 2 else 0)
+
+
+def test_word_action_matches_the_dict_oracle():
+    G = torsor_group(general_example(3))
+    rng = random.Random(11)
+    for _ in range(30):
+        word = word_of(*((rng.choice(G.letters), rng.choice((1, -1))) for _ in range(rng.randrange(5))))
+        assert G.class_of(word).perm == class_by_dicts(G, word)
+        x = rng.choice(G.points)
+        assert G.act(word, x) == act_by_dicts(G, word, x)
+
+
+def test_axiom_check_builds_one_surface_per_degree(monkeypatch):
+    # #T over F_q and F_{q^2} comes from the group's own surfaces
+    built = []
+    build = FanoSurface.__init__
+
+    def counting(self, nf, k=1, Z=None):
+        built.append(k)
+        build(self, nf, k, Z)
+
+    monkeypatch.setattr(FanoSurface, "__init__", counting)
+    rep = verify_group_axioms(seeded_example(3, 2), random.Random(2), budget=200)
+    assert [c.k for c in rep.point_counts] == [1, 2]
+    assert sorted(built) == [1, 2]
 
 
 def test_nonreduced_node_scheme_is_refused():
