@@ -371,19 +371,12 @@ class FanoSurface:
     # -- ruling operators ------------------------------------------------------
 
     def _lines_through(self, c: RulingClass) -> dict[tuple, list[ProjectiveLine]]:
-        """Each point of the lines of a ruling class, mapped to the lines through it.
-
-        A canonical row pair (a, b) has its points a + t*b and b already
-        normalized, so no point needs a division.
-        """
+        """Each point of the lines of a ruling class, mapped to the lines through it."""
         found = self._ruling_points.get(c.key)
         if found is None:
-            K = c.K
-            params = np.arange(K.q, dtype=np.uint16)[:, None]
             found = {}
             for ln in c.lines:
-                a, b = np.array(ln.rows, dtype=np.uint16)
-                for pt in K.add[a, K.mul[params, b]].tolist() + [b.tolist()]:
+                for pt in ln.points_array().tolist():
                     found.setdefault(tuple(pt), []).append(ln)
             self._ruling_points[c.key] = found
         return found
@@ -1068,10 +1061,11 @@ def _transversal_counts(nf: NormalizedThreefold, line1: ProjectiveLine, line2: P
         nfd = extended_threefold(nf, d)
         Ld = nfd.K
         emb = K.embedding_into(Ld)
-        rows1 = [[int(emb[v]) for v in row] for row in line1.rows]
-        rows2 = [[int(emb[v]) for v in row] for row in line2.rows]
-        pts1 = _points_array(Ld, rows1)
-        pts2 = _points_array(Ld, rows2)
+        # the embedding fixes 0 and 1, so the embedded rows are still canonical
+        pts1, pts2 = (
+            ProjectiveLine(Ld, tuple(map(tuple, emb[np.array(line.rows)].tolist())), _trusted=True).points_array()
+            for line in (line1, line2)
+        )
         n1, n2 = len(pts1), len(pts2)
         a = np.repeat(pts1, n2, axis=0)
         b = np.tile(pts2, (n1, 1))
@@ -1099,15 +1093,6 @@ def _transversal_counts(nf: NormalizedThreefold, line1: ProjectiveLine, line2: P
     if total < 5:
         return None  # a transversal of degree 5, or a tangency: resample
     return (total, total_meet)
-
-
-def _points_array(K: GF, rows) -> np.ndarray:
-    reps = list(projective_reps(K, 1))
-    out = np.zeros((len(reps), 5), dtype=np.uint16)
-    for i, (s, t) in enumerate(reps):
-        for j in range(5):
-            out[i, j] = K.add_(K.mul_(s, int(rows[0][j])), K.mul_(t, int(rows[1][j])))
-    return out
 
 
 def _node_pairs(Z: SingularLocusZ) -> list[tuple[tuple, tuple, int]]:

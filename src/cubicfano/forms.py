@@ -197,7 +197,11 @@ class HomogeneousForm:
         return self._packed
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Values at many points; points is (N, nvars) of codes."""
+        """Values at many points; points is (N, nvars) of codes.
+
+        One call of ``kernels.eval_form_batch``, the package's only batch
+        evaluator, on the packed terms and the field's tables.
+        """
         points = np.ascontiguousarray(points, dtype=np.uint16)
         if points.shape[1] != self.nvars:
             raise ArityError(f"points have {points.shape[1]} coordinates, form has {self.nvars} variables")

@@ -44,7 +44,7 @@ from .projective import (
     LinearSubspace,
     ProjectiveLine,
     ProjectivePoint,
-    all_points_array,
+    common_zeros,
     enumerate_lines,
     normalize_point,
     projective_reps,
@@ -190,18 +190,11 @@ def plane_discriminant(nx: NormalizedFourfold, scan_depth: int = 3) -> PlaneDisc
     for d in range(1, min(scan_depth, 3) + 1):
         if nx.K.k * d > 4:
             break
-        L = field(nx.K.p, nx.K.k * d) if d > 1 else nx.K
-        DL = D.embedded(L) if d > 1 else D
-        pts = all_points_array(L, 2)
-        mask = DL.evaluate_batch(pts) == 0
-        for i in range(3):
-            if not mask.any():
-                break
-            mask &= DL.derivative(i).evaluate_batch(pts) == 0
+        DL = D.embedded(field(nx.K.p, nx.K.k * d)) if d > 1 else D
+        witness = next(common_zeros([DL] + [DL.derivative(i) for i in range(3)]), None)
         depth_used = d
-        if mask.any():
+        if witness is not None:
             ok = False
-            witness = tuple(int(v) for v in pts[mask][0])
             break
     return PlaneDiscriminant(D, depth_used, ok, witness)
 
@@ -351,14 +344,12 @@ def lines_on_fourfold(nx: NormalizedFourfold) -> list[ProjectiveLine]:
     A binary cubic with q+1 >= 4 zeros vanishes identically, so a line lies
     on X exactly when all its rational points do.  Practical at q = 3.
     """
-    K = nx.K
-    pts = all_points_array(K, 5)
-    zeros = {tuple(int(v) for v in row) for row in pts[nx.f.evaluate_batch(pts) == 0]}
-    out = []
-    for line in enumerate_lines(K, 5):
-        if all(p.coords in zeros for p in line.points()):
-            out.append(line)
-    return out
+    zeros = set(common_zeros([nx.f]))
+    return [
+        line
+        for line in enumerate_lines(nx.K, 5)
+        if all(pt in zeros for pt in map(tuple, line.points_array().tolist()))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -387,33 +378,10 @@ class FourfoldCertificate:
         )
 
 
-def _singular_point_scan(nx: NormalizedFourfold, d: int, chunk: int = 1 << 17):
-    """First singular point of X over F_{q^d}, or None; chunked affine charts."""
-    L = field(nx.K.p, nx.K.k * d) if d > 1 else nx.K
-    f = nx.f.embedded(L) if d > 1 else nx.f
-    partials = [f.derivative(i) for i in range(6)]
-    q = L.q
-    for lead in range(6):
-        m = 5 - lead
-        total = q**m
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            pts = np.zeros((len(idx), 6), dtype=np.uint16)
-            pts[:, lead] = 1
-            for pos in range(m):
-                pts[:, lead + 1 + pos] = (idx // q ** (m - 1 - pos)) % q
-            mask = f.evaluate_batch(pts) == 0
-            if not mask.any():
-                continue
-            sub = pts[mask]
-            smask = np.ones(len(sub), dtype=bool)
-            for g in partials:
-                smask &= g.evaluate_batch(sub) == 0
-                if not smask.any():
-                    break
-            if smask.any():
-                return tuple(int(v) for v in sub[smask][0])
-    return None
+def _singular_point_scan(nx: NormalizedFourfold, d: int):
+    """First singular point of X over F_{q^d}, or None."""
+    f = nx.f.embedded(field(nx.K.p, nx.K.k * d)) if d > 1 else nx.f
+    return next(common_zeros([f] + [f.derivative(i) for i in range(6)]), None)
 
 
 def certify_fourfold(

@@ -128,10 +128,16 @@ def canonical_modulus(p: int, k: int) -> tuple[int, ...]:
 
 # element codes and table entries are uint16
 _MAX_ORDER = 65535
+# the dense q x q addition and multiplication tables, 4 q^2 bytes together
+_MAX_TABLE_BYTES = 1 << 30
 
 
 class GF:
-    """Finite field F_{p^k} (p odd prime, k <= 4, p^k <= 65535) with precomputed tables.
+    """Finite field F_{p^k} (p odd prime, k <= 4, p^k <= 16384) with precomputed tables.
+
+    A larger field raises NotSupportedError before any search or allocation:
+    past 65535 elements the uint16 codes overflow, and past 16384 the two
+    q x q tables would take more than 1 GiB.
 
     Use :func:`field` to obtain the cached instance for given (p, k).
     """
@@ -145,6 +151,11 @@ class GF:
             raise NotSupportedError(f"extension degree {k} outside 1..4")
         if p**k > _MAX_ORDER:
             raise NotSupportedError(f"F_{p}^{k} has {p**k} elements; uint16 codes stop at {_MAX_ORDER}")
+        if 4 * p ** (2 * k) > _MAX_TABLE_BYTES:
+            raise NotSupportedError(
+                f"F_{p}^{k} needs {4 * p ** (2 * k) / 2**30:.2f} GiB of addition and multiplication tables;"
+                " the limit is 1 GiB"
+            )
         self.p = p
         self.k = k
         self.q = p**k

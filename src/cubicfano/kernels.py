@@ -1,12 +1,15 @@
-"""Pure-numpy batch evaluator for sparse homogeneous forms.
+"""The batch evaluator behind ``HomogeneousForm.evaluate_batch``.
 
-Same contract as the compiled kernel in ``_batch_c.pyx``; everything is table
-gathers, so the only difference is loop placement.
+One numpy implementation: a sparse form is evaluated at many points by
+gathers from the field's addition, multiplication and power tables.
+``BACKEND`` names it, for reports that record which evaluator ran.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+BACKEND = "numpy"
 
 
 def eval_form_batch(add, mul, pows, exps, coeffs, points):

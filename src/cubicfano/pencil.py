@@ -25,8 +25,8 @@ from .projective import (
     InternalInconsistency,
     ProjectiveLine,
     ProjectivePoint,
-    all_points_array,
     binary_quadratic,
+    common_zeros,
     complete_to_basis,
     normalize_point,
     projective_reps,
@@ -235,13 +235,6 @@ class RulingClass:
         return isinstance(other, RulingClass) and self.key == other.key
 
 
-def quadric_point_scan(K: GF, quadric: HomogeneousForm) -> list[tuple[int, ...]]:
-    """All projective points of a quadric in its own coordinates."""
-    pts = all_points_array(K, quadric.nvars - 1)
-    vals = quadric.evaluate_batch(pts)
-    return [tuple(int(x) for x in row) for row in pts[vals == 0]]
-
-
 def lines_on_quadric(K: GF, quadric: HomogeneousForm, matrix: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
     """All lines (RREF row pairs, fiber coordinates) on a rank >= 3 quadric in P^3.
 
@@ -257,24 +250,17 @@ def lines_on_quadric(K: GF, quadric: HomogeneousForm, matrix: np.ndarray) -> lis
         if ker.shape[0] != 1:
             raise InternalInconsistency("a rank-3 quadric in P^3 has a single vertex")
         vertex = tuple(int(x) for x in ker[0])
-        for pt in quadric_point_scan(K, quadric):
+        for pt in common_zeros([quadric]):
             if pt != normalize_point(K, vertex):
                 rows, _ = rref(K, np.array([vertex, pt], dtype=np.int64))
                 lines.add(tuple(tuple(int(x) for x in row) for row in rows))
         return sorted(lines)
-    # smooth: walk one plane section
-    section = _section_points(K, quadric)
-    for y in section:
+    # smooth: walk the plane section u = 0 (u the first fiber coordinate)
+    for y in common_zeros([HomogeneousForm.linear(K, (1, 0, 0, 0)), quadric]):
         for other, _mult in _tangent_directions(K, matrix, quadric, y):
             rows, _ = rref(K, np.array([y, other], dtype=np.int64))
             lines.add(tuple(tuple(int(x) for x in row) for row in rows))
     return sorted(lines)
-
-
-def _section_points(K: GF, quadric: HomogeneousForm) -> list[tuple[int, ...]]:
-    """Points of the quadric on the plane u = 0 (first fiber coordinate)."""
-    pts = [(0,) + rep for rep in projective_reps(K, 2)]
-    return [p for p in pts if quadric.evaluate(p) == 0]
 
 
 def _tangent_directions(K: GF, matrix: np.ndarray, quadric: HomogeneousForm, y) -> list[tuple[tuple[int, ...], int]]:

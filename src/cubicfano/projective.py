@@ -92,13 +92,21 @@ class ProjectiveLine:
     def __repr__(self) -> str:
         return f"Line{self.rows}"
 
-    def points(self) -> list[ProjectivePoint]:
-        """All q+1 rational points, parameter order (1:t) then (0:1)."""
+    def points_array(self) -> np.ndarray:
+        """All q+1 rational points as a (q+1, n+1) code array, in parameter
+        order (1:t) then (0:1): a + t*b for t = 0, ..., q-1, then b.
+
+        The canonical rows (a, b) are in RREF, so every point is already
+        normalized.
+        """
         K = self.K
-        a, b = self.rows
-        out = [ProjectivePoint(K, [K.add_(x, K.mul_(t, y)) for x, y in zip(a, b)]) for t in range(K.q)]
-        out.append(ProjectivePoint(K, b))
-        return out
+        a, b = np.array(self.rows, dtype=np.uint16)
+        params = np.arange(K.q, dtype=np.uint16)[:, None]
+        return np.vstack([K.add[a, K.mul[params, b]], b])
+
+    def points(self) -> list[ProjectivePoint]:
+        """All q+1 rational points, in the order of :meth:`points_array`."""
+        return [ProjectivePoint(self.K, row) for row in self.points_array().tolist()]
 
     def contains(self, pt: ProjectivePoint) -> bool:
         stacked = np.vstack([self.matrix, np.array(pt.coords, dtype=np.int64)])
@@ -216,9 +224,50 @@ def all_points(K: GF, n: int) -> list[ProjectivePoint]:
     return [ProjectivePoint(K, rep) for rep in projective_reps(K, n)]
 
 
+def _points_at(q: int, n: int, idx: np.ndarray) -> np.ndarray:
+    """The points at the given positions of ``projective_reps`` order, as uint16 rows.
+
+    The points with pivot p fill a block of q^(n-p) positions, in which the
+    tail after the pivot counts up in base q.
+    """
+    sizes = np.array([q ** (n - j) for j in range(n + 1)], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    pivot = np.searchsorted(starts, idx, side="right") - 1
+    local = idx - starts[pivot]
+    pts = np.empty((len(idx), n + 1), dtype=np.uint16)
+    for j in range(n + 1):
+        # zeros before the pivot, a one at it, base-q digits after it
+        pts[:, j] = np.where(j > pivot, (local // sizes[j]) % q, j == pivot)
+    return pts
+
+
 def all_points_array(K: GF, n: int) -> np.ndarray:
     """All normalized representatives as a ((q^{n+1}-1)/(q-1), n+1) uint16 array."""
-    return np.array(list(projective_reps(K, n)), dtype=np.uint16)
+    return _points_at(K.q, n, np.arange(count_points(K, n)))
+
+
+# points made per chunk of a scan; bounds the scan's working arrays
+SCAN_CHUNK = 1 << 17
+
+
+def common_zeros(forms) -> Iterator[tuple[int, ...]]:
+    """The points of P^n(K) where every given form vanishes, in ``projective_reps`` order.
+
+    Points are made ``SCAN_CHUNK`` at a time from their positions, and each
+    form is evaluated only where the forms before it vanish, so a caller that
+    stops at the first zero never scans past its chunk.
+    """
+    K, nvars = forms[0].K, forms[0].nvars
+    if any(f.K is not K or f.nvars != nvars for f in forms):
+        raise ValueError("the forms must share their field and their variables")
+    total = count_points(K, nvars - 1)
+    for start in range(0, total, SCAN_CHUNK):
+        pts = _points_at(K.q, nvars - 1, np.arange(start, min(start + SCAN_CHUNK, total)))
+        for f in forms:
+            if not len(pts):
+                break
+            pts = pts[f.evaluate_batch(pts) == 0]
+        yield from map(tuple, pts.tolist())
 
 
 def count_points(K: GF, n: int) -> int:

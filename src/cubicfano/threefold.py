@@ -27,8 +27,7 @@ from .pencil import NotGeneral, fiber_matrix, lines_on_quadric
 from .projective import (
     InternalInconsistency,
     LinearSubspace,
-    ProjectiveLine,
-    all_points_array,
+    common_zeros,
     normalize_point,
     projective_reps,
 )
@@ -452,19 +451,13 @@ def _compute_Z_by_scan(nf: NormalizedThreefold, q0, q1) -> SingularLocusZ:
     K = nf.K
     if K.k * 4 > 4:
         raise NotSupportedError("no projection center and no room for a verification scan")
-    rational = [
-        rep
-        for rep in projective_reps(K, 2)
-        if q0.evaluate(rep) == 0 and q1.evaluate(rep) == 0
-    ]
+    # a second common zero already refutes the claim
+    rational = list(itertools.islice(common_zeros([q0, q1]), 2))
     L = field(K.p, K.k * 4)
-    q0L, q1L = q0.embedded(L), q1.embedded(L)
-    pts = all_points_array(L, 2)
-    common = pts[(q0L.evaluate_batch(pts) == 0) & (q1L.evaluate_batch(pts) == 0)]
+    common = list(itertools.islice(common_zeros([q0.embedded(L), q1.embedded(L)]), 2))
     if len(common) != 1 or len(rational) != 1:
         raise NotGeneral("conic pencil without a projection center has excess base locus")
-    z = normalize_point(K, np.array(rational[0], dtype=np.int64))
-    return SingularLocusZ(K, (ZPoint(1, z, 4),))
+    return SingularLocusZ(K, (ZPoint(1, rational[0], 4),))
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +485,9 @@ class GeneralityCertificate:
 
 
 def _singular_points_off_plane(nf: NormalizedThreefold, d: int):
-    """Points over F_{q^d} where f and all five partials vanish, off the plane."""
-    nfd = nf.embedded(field(nf.K.p, nf.K.k * d)) if d > 1 else nf
-    L = nfd.K
-    pts = all_points_array(L, 4)
-    mask = nfd.f.evaluate_batch(pts) == 0
-    for i in range(5):
-        mask &= nfd.f.derivative(i).evaluate_batch(pts) == 0
-    mask &= (pts[:, 0] != 0) | (pts[:, 1] != 0)
-    hits = pts[mask]
-    return [tuple(int(x) for x in row) for row in hits]
+    """Points over F_{q^d} where f and all five partials vanish, off the plane, lazily."""
+    f = nf.f.embedded(field(nf.K.p, nf.K.k * d)) if d > 1 else nf.f
+    return (pt for pt in common_zeros([f] + [f.derivative(i) for i in range(5)]) if pt[0] or pt[1])
 
 
 def _extra_plane_candidates(nf: NormalizedThreefold, Z: SingularLocusZ, d: int):
@@ -573,10 +559,10 @@ def certify_generality(nf: NormalizedThreefold, scan_depth: int = 1) -> Generali
     for d in range(1, min(scan_depth, 2) + 1):
         if nf.K.k * d > 4:
             break
-        sing = _singular_points_off_plane(nf, d)
-        if sing:
+        sing = next(_singular_points_off_plane(nf, d), None)
+        if sing is not None:
             smooth_ok = False
-            witness = ("singular point off P", sing[0])
+            witness = ("singular point off P", sing)
             break
     unique = True
     if z_ok:

@@ -110,6 +110,19 @@ def evaluate_form_naive(field, terms, point):
     return total
 
 
+def zeros_by_scan(forms):
+    """Common zeros of forms on P^n, by evaluating every point term by term.
+
+    Every coordinate vector whose first nonzero entry is 1 is one point; the
+    points come by pivot position, then lexicographically, the order of
+    ``projective_reps``.
+    """
+    K, nvars = forms[0].K, forms[0].nvars
+    points = [v for v in product(range(K.q), repeat=nvars) if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1]
+    points.sort(key=lambda v: next(i for i, x in enumerate(v) if x))
+    return [v for v in points if all(evaluate_form_naive(K, f.terms, v) == 0 for f in forms)]
+
+
 def binary_roots_by_scan(L, coeffs, degree):
     """Roots of the binary form sum coeffs[i] s^(degree-i) t^i over the field L.
 

@@ -82,6 +82,16 @@ def test_fields_beyond_uint16_codes_refused(monkeypatch, p, k):
         GF(p, k)
 
 
+@pytest.mark.parametrize("p,k", [(13, 4), (131, 2)])
+def test_fields_beyond_the_table_budget_refused(monkeypatch, p, k):
+    # the two q x q uint16 tables would pass 1 GiB (q > 16384): refused before
+    # the modulus search and before any table is allocated, not a MemoryError
+    monkeypatch.setattr(gf, "canonical_modulus", lambda p, k: pytest.fail("modulus searched"))
+    monkeypatch.setattr(GF, "_build_tables", lambda self: pytest.fail("tables built"))
+    with pytest.raises(NotSupportedError, match="the limit is 1 GiB"):
+        GF(p, k)
+
+
 # ---------------------------------------------------------------------------
 # moduli and table arithmetic against the reference implementation
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def test_third_party_imports_are_declared():
 
 @pytest.mark.parametrize(
     "module",
-    ["fano", "forms", "fourfold", "gf", "linalg", "pencil", "projective", "rationality", "threefold", "torsor"],
+    ["fano", "forms", "fourfold", "gf", "kernels", "linalg", "pencil", "projective", "rationality", "threefold", "torsor"],
 )
 def test_invariants_survive_optimized_mode(module):
     # `python -O` strips assert statements; these modules raise instead
@@ -69,3 +69,29 @@ def test_no_bare_assertion_error_is_raised():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     bare.append(f"{path.name}:{node.lineno}")
     assert bare == []
+
+
+def test_no_compiled_extension_sources():
+    # the package is pure Python: no C or Cython source and no build script
+    assert not (ROOT / "setup.py").exists()
+    leftovers = [p for pattern in ("*.c", "*.pyx", "setup.py") for p in (ROOT / "src").rglob(pattern)]
+    assert leftovers == []
+
+
+def test_build_requirements_are_the_build_backend_only():
+    requires = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in PYPROJECT["build-system"]["requires"]}
+    assert not requires & {"cython", "numpy"}
+
+
+def test_no_module_reads_the_environment():
+    # behaviour depends on arguments only, never on a switch in the environment
+    reads = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                if node.attr in ("environ", "environb", "getenv", "getenvb"):
+                    reads.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                if {alias.name for alias in node.names} & {"environ", "environb", "getenv", "getenvb"}:
+                    reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []

@@ -1,14 +1,17 @@
 """Projective layer: enumeration counts, spans, restriction, residual lines."""
 
+import functools
 import random
 from itertools import islice
 
 import numpy as np
 import pytest
 
-from cubicfano.forms import HomogeneousForm, random_form
+from cubicfano import projective
+from cubicfano.forms import HomogeneousForm, monomial_exponents, random_form
+from cubicfano.fourfold import _singular_point_scan, normalize_fourfold
 from cubicfano.gf import field
-from cubicfano.linalg import kernel_basis
+from cubicfano.linalg import inverse_matrix, kernel_basis, mat_mul
 from cubicfano.projective import (
     LinearSubspace,
     NotOnCubic,
@@ -16,19 +19,24 @@ from cubicfano.projective import (
     ProjectiveLine,
     ProjectivePoint,
     all_points,
+    all_points_array,
+    common_zeros,
     count_lines,
     count_points,
     enumerate_lines,
     line_in_plane_from_linear_form,
     line_meets,
     line_through,
+    normalize_point,
     pluecker_coordinates,
+    projective_reps,
     residual_line,
     schubert_cell_dimensions,
     span,
 )
+from cubicfano.threefold import _singular_points_off_plane, normalize, plane_basis
 
-from reference_impl import residual_line_symbolic
+from reference_impl import residual_line_symbolic, zeros_by_scan
 
 # ---------------------------------------------------------------------------
 # points and canonical forms
@@ -80,6 +88,28 @@ def test_line_points_and_containment():
     for pt in pts:
         assert L.contains(pt)
     assert line_through(pts[0], pts[1]) == L
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (3, 2)])
+def test_line_points_array_walks_the_parameter(p, k):
+    # a + t*b for t = 0, ..., q-1, then b, each already normalized
+    K = field(p, k)
+    rng = random.Random(p * k)
+    for _ in range(50):
+        try:
+            line = ProjectiveLine(K, [[rng.randrange(K.q) for _ in range(5)] for _ in range(2)])
+        except ValueError:  # rank below 2
+            continue
+        a, b = line.rows
+        expected = [tuple(K.add_(x, K.mul_(t, y)) for x, y in zip(a, b)) for t in range(K.q)] + [b]
+        assert [tuple(row) for row in line.points_array().tolist()] == expected
+        assert [pt.coords for pt in line.points()] == expected
+
+
+@pytest.mark.parametrize("p, k, n", [(3, 1, 4), (5, 1, 3), (3, 2, 2)])
+def test_all_points_array_is_in_rep_order(p, k, n):
+    K = field(p, k)
+    assert all_points_array(K, n).tolist() == [list(rep) for rep in projective_reps(K, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -417,3 +447,95 @@ def test_pluecker_export():
     lhs = K.sub_(K.mul_(p01, p23), K.mul_(p02, p13))
     lhs = K.add_(lhs, K.mul_(p03, p12))
     assert lhs == 0
+
+
+# ---------------------------------------------------------------------------
+# the common-zero scan against the scalar oracle
+# ---------------------------------------------------------------------------
+
+
+def _planted(K, rng, case):
+    """A sparse random form singular at a random point, its scan forms and that point.
+
+    No monomial has x0-degree >= degree - 1, so the form is singular at
+    (1:0:...:0); two shears and a permutation of the variables, none of which
+    moves the marked plane {x0 = ... = x_{n-1} = 0} of a cubic, move that point.
+    """
+    nvars, degree, block = {"threefold": (5, 3, 2), "fourfold": (6, 3, 3), "sextic": (3, 6, 0)}[case]
+    monomials = [
+        e for e in monomial_exponents(nvars, degree) if e[0] < degree - 1 and (block == 0 or any(e[:block]))
+    ]
+    form = HomogeneousForm(K, nvars, degree, {e: rng.randrange(1, K.q) for e in rng.sample(monomials, 8)})
+    # x = M y, with M block lower triangular: x_0..x_{n-1} depend on y_0..y_{n-1} only
+    M = np.eye(nvars, dtype=np.int64)
+    for _ in range(2):
+        j = rng.randrange(nvars)
+        i = rng.choice([i for i in range(nvars) if i != j and (j >= block or i < block)])
+        shear = np.eye(nvars, dtype=np.int64)
+        shear[j, i] = rng.randrange(1, K.q)
+        M = mat_mul(K, M, shear)
+    order = rng.sample(range(block), block) + rng.sample(range(block, nvars), nvars - block)
+    M = M[:, order]
+    singular = normalize_point(K, inverse_matrix(K, M)[:, 0])
+    form = form.substitute(M)
+    return form, [form] + [form.derivative(i) for i in range(nvars)], singular
+
+
+_SCAN_SPACES = {"threefold": 4, "fourfold": 5, "sextic": 2}
+
+# every case over F_3, F_5 and F_9 with chunks of 1, 7 and 4096 points, so
+# chunks end inside pivot blocks and across them; a chunking that cuts the
+# scan into more than 2000 chunks is left out (P^5(F_9) in chunks of 7 is 9490
+# kernel calls per form, about 12 s)
+_SCAN_CASES = [
+    (case, p, k, chunk)
+    for case, n in _SCAN_SPACES.items()
+    for p, k in [(3, 1), (5, 1), (3, 2)]
+    for chunk in (1, 7, 4096)
+    if count_points(field(p, k), n) <= 2000 * chunk
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _planted_case(case, p, k):
+    K = field(p, k)
+    form, forms, singular = _planted(K, random.Random(100 * p + k), case)
+    return K, form, forms, singular, zeros_by_scan(forms)
+
+
+@pytest.mark.parametrize("case, p, k, chunk", _SCAN_CASES)
+def test_common_zeros_match_the_scalar_oracle(monkeypatch, case, p, k, chunk):
+    K, form, forms, singular, expected = _planted_case(case, p, k)
+    assert singular in expected
+    monkeypatch.setattr(projective, "SCAN_CHUNK", chunk)
+    assert list(common_zeros(forms)) == expected
+    if case == "threefold":
+        nf = normalize(form, LinearSubspace(K, plane_basis(5)))
+        assert list(_singular_points_off_plane(nf, 1)) == [pt for pt in expected if pt[0] or pt[1]]
+    elif case == "fourfold":
+        nx = normalize_fourfold(form, LinearSubspace(K, plane_basis(6)))
+        assert _singular_point_scan(nx, 1) == expected[0]
+
+
+def test_common_zeros_stop_at_the_first_chunk_with_a_zero(monkeypatch):
+    K = field(5)
+    calls = []
+    evaluate_batch = HomogeneousForm.evaluate_batch
+
+    def counted(self, points):
+        calls.append(len(points))
+        return evaluate_batch(self, points)
+
+    monkeypatch.setattr(HomogeneousForm, "evaluate_batch", counted)
+    monkeypatch.setattr(projective, "SCAN_CHUNK", 4)
+    assert next(common_zeros([HomogeneousForm.linear(K, (1, 1, 0))])) == (1, 4, 0)
+    assert calls == [4] * 6  # (1:4:0) is point 20 of 31
+    calls.clear()
+    # x1 is evaluated only where x0 vanishes: points 25 to 30, in the last two chunks
+    assert list(common_zeros([HomogeneousForm.linear(K, (1, 0, 0)), HomogeneousForm.linear(K, (0, 1, 0))])) == [(0, 0, 1)]
+    assert calls == [4] * 7 + [3, 3, 3]
+
+
+def test_common_zeros_refuse_mixed_forms():
+    with pytest.raises(ValueError):
+        list(common_zeros([HomogeneousForm.linear(field(3), (1, 0, 0)), HomogeneousForm.linear(field(5), (1, 0, 0))]))

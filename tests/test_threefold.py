@@ -13,7 +13,7 @@ import pytest
 from cubicfano import threefold
 from cubicfano.forms import HomogeneousForm, random_form
 from cubicfano.gf import NotSupportedError, field
-from cubicfano.linalg import mat_vec, rank
+from cubicfano.linalg import inverse_matrix, mat_vec, rank
 from cubicfano.pencil import NotGeneral
 from cubicfano.projective import LinearSubspace, all_points_array, normalize_point
 from cubicfano.threefold import (
@@ -185,6 +185,32 @@ def test_Z_no_projection_center_fallback():
     nf = make_nf(K, {(1, 1, 0): 1}, {(2, 0, 0): 1, (0, 2, 0): K.neg_(1)})
     Z = compute_Z(nf)
     assert Z.points == (ZPoint(1, (0, 0, 1), 4),)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_Z_scan_fallback_follows_a_change_of_plane_coordinates(monkeypatch, seed):
+    # the same four concurrent lines, with their common point moved to A^-1 (0:0:1)
+    K = field(3)
+    rng = random.Random(seed)
+    while True:
+        A = np.array([[rng.randrange(3) for _ in range(3)] for _ in range(3)], dtype=np.int64)
+        if rank(K, A) == 3:
+            break
+    q0 = HomogeneousForm(K, 3, 2, {(1, 1, 0): 1}).substitute(A)
+    q1 = HomogeneousForm(K, 3, 2, {(2, 0, 0): 1, (0, 2, 0): K.neg_(1)}).substitute(A)
+    scans = []
+    by_scan = threefold._compute_Z_by_scan
+    monkeypatch.setattr(threefold, "_compute_Z_by_scan", lambda *args: scans.append(args) or by_scan(*args))
+    Z = compute_Z(make_nf(K, q0.terms, q1.terms))
+    assert len(scans) == 1
+    center = normalize_point(K, inverse_matrix(K, A)[:, 2])
+    assert Z.points == (ZPoint(1, center, 4),)
+
+
+def test_q13_node_of_degree_four_is_a_typed_refusal():
+    # seed 0 has a node of degree 4, which needs the 3 GiB tables of F_{13^4}
+    with pytest.raises(NotSupportedError, match="the limit is 1 GiB"):
+        random_general_threefold(field(13), random.Random(0))
 
 
 def test_Z_rejects_vanishing_conic():
