@@ -28,19 +28,18 @@ evaluates the cubic on all the plane sections of a table in one batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
 from .forms import BinaryForm, HomogeneousForm, divide_by_linear
-from .gf import GF, field
+from .gf import GF
 from .linalg import kernel_basis, mat_mul, mat_vec, rank, rref, solve
 from .pencil import (
     NotGeneral,
     PencilFiber,
     RulingClass,
-    extended_threefold,
     fiber_matrix,
     hyperelliptic_involution,
     rulings_of_fiber,
@@ -200,7 +199,7 @@ class FanoSurface:
     def __init__(self, nf: NormalizedThreefold, k: int = 1, Z: SingularLocusZ | None = None):
         self.base = nf
         self.k = k
-        self.nf = extended_threefold(nf, k)
+        self.nf = nf.embedded(nf.K.extension(k))
         self.L: GF = self.nf.K
         self.Z = Z if Z is not None else compute_Z(nf)
         self.plane = self.nf.plane
@@ -440,9 +439,8 @@ class FanoSurface:
         conic = divide_by_linear(section, ell)
         z3 = S.point_coords(zamb)
         Mfield, splits = _split_conic_at(L, conic, z3)
-        emb = L.embedding_into(Mfield)
-        z_big = tuple(int(emb[v]) for v in z3)
-        S_big = np.array([[int(emb[v]) for v in row] for row in S.rows], dtype=np.int64)
+        z_big = L.lift(z3, Mfield)
+        S_big = L.lift(S.matrix, Mfield)
         out = []
         for direction, mult in splits:
             rows_inner = np.array([z_big, direction], dtype=np.int64)
@@ -460,8 +458,7 @@ class FanoSurface:
         if M is self.L:
             classes = self.rulings[key]
         else:
-            nf_M = extended_threefold(self.base, M.k // self.base.K.k)
-            classes = rulings_of_fiber(fiber_matrix(nf_M, key[0], key[1]))
+            classes = rulings_of_fiber(fiber_matrix(self.nf.embedded(M), key[0], key[1]))
         for c in classes:
             if branch in c.lines:
                 return c
@@ -476,12 +473,12 @@ class FanoSurface:
         """
         if c.K is not d.K:
             raise ValueError("the two ruling classes must live over one field")
-        return residual_line(self._threefold_over(c.K).f, *self._psi_section(z, c, d))
+        return residual_line(self.nf.embedded(c.K).f, *self._psi_section(z, c, d))
 
     def _psi_section(self, z: ZPoint, c: RulingClass, d: RulingClass):
         """The plane of :meth:`psi` and the two lines its residual is taken of."""
         M = c.K
-        nf_M = self._threefold_over(M)
+        nf_M = self.nf.embedded(M)
         t1 = self.tau(z, c)
         t2 = self.tau(z, d)
         if _meet_with_plane(M, t1.rows)[0] == IN_PLANE and _meet_with_plane(M, t2.rows)[0] == IN_PLANE:
@@ -496,11 +493,6 @@ class FanoSurface:
         if S.dim != 2:
             raise InternalInconsistency("distinct lines through one node span a plane")
         return S, t1, t2
-
-    def _threefold_over(self, M: GF) -> NormalizedThreefold:
-        if M is self.L:
-            return self.nf
-        return extended_threefold(self.base, M.k // self.base.K.k)
 
     def _cone_tangent_plane(self, z: ZPoint, c: RulingClass, nf_M) -> LinearSubspace:
         """The fiber tangent plane along the cone generator through z."""
@@ -696,10 +688,8 @@ def _split_conic_at(K: GF, conic: HomogeneousForm, z3) -> tuple[GF, list[tuple[t
     roots = form.roots()
     if sum(m for _, m in roots) < 2:
         roots = form.roots(extension=2)
-        L2 = field(K.p, K.k * 2)
-        emb = K.embedding_into(L2)
-        c1 = [int(emb[x]) for x in c1]
-        c2 = [int(emb[x]) for x in c2]
+        L2 = K.extension(2)
+        c1, c2 = K.lift((c1, c2), L2)
         K = L2
     return K, root_directions(K, roots, c1, c2)
 
@@ -897,20 +887,14 @@ def _orbit_span_union(surface: FanoSurface) -> tuple[set, bool]:
     out: set = set()
     total = True
     for z in surface.Z.points:
-        d = K.k * math.lcm(z.degree, surface.k)
-        if d > 4:
+        d = math.lcm(z.degree, surface.k)
+        if not K.reaches(d):
             total = False
             continue
-        M = field(K.p, d)
-        small = surface.Z.field_of(z)
-        emb = small.embedding_into(M)
-        coords = tuple(int(emb[c]) for c in surface.Z.coords_in(z, small))
-        lift = L.embedding_into(M)
+        M = K.extension(d)
+        coords = surface.Z.coords_in(z, M)
         for inner in enumerate_lines(L, 2):
-            m = np.array(
-                [[int(lift[c]) for c in r] for r in inner.rows] + [list(coords)],
-                dtype=np.int64,
-            )
+            m = np.array(L.lift(inner.rows, M) + (coords,), dtype=np.int64)
             if rank(M, m) == 2:
                 out.add(surface.plane.embed_line(inner).rows)
     return out, total
@@ -924,7 +908,7 @@ def _count_degenerate_conic_lines(nf: NormalizedThreefold, depth: int) -> int:
     a double line.  Fibers over parameter fields beyond the scan depth are
     not seen; the caller treats the result as a lower bound checked <= 6.
     """
-    nfd = extended_threefold(nf, depth)
+    nfd = nf.embedded(nf.K.extension(depth))
     Ld = nfd.K
     q0, q1 = nfd.restricted_conics
     total = 0
@@ -1024,8 +1008,7 @@ def verify_intersection_numbers(
 def _sigma_tau_count(surface: FanoSurface, surface2: FanoSurface, z: ZPoint, line: ProjectiveLine) -> int:
     """Lines through the node meeting the given disjoint line, over F_{q^2}."""
     L2 = surface2.L
-    emb = surface.L.embedding_into(L2)
-    line2 = ProjectiveLine(L2, [[int(emb[v]) for v in row] for row in line.rows])
+    line2 = ProjectiveLine(L2, surface.L.lift(line.rows, L2))
     amb2 = ProjectivePoint(L2, surface2.node_coords(z))
     hits = [
         cl
@@ -1058,13 +1041,11 @@ def _transversal_counts(nf: NormalizedThreefold, line1: ProjectiveLine, line2: P
     for d in (1, 2, 3, 4):
         if K.q**d > 3000:
             break
-        nfd = extended_threefold(nf, d)
+        nfd = nf.embedded(K.extension(d))
         Ld = nfd.K
-        emb = K.embedding_into(Ld)
         # the embedding fixes 0 and 1, so the embedded rows are still canonical
         pts1, pts2 = (
-            ProjectiveLine(Ld, tuple(map(tuple, emb[np.array(line.rows)].tolist())), _trusted=True).points_array()
-            for line in (line1, line2)
+            ProjectiveLine(Ld, K.lift(line.rows, Ld), _trusted=True).points_array() for line in (line1, line2)
         )
         n1, n2 = len(pts1), len(pts2)
         a = np.repeat(pts1, n2, axis=0)
@@ -1095,36 +1076,35 @@ def _transversal_counts(nf: NormalizedThreefold, line1: ProjectiveLine, line2: P
     return (total, total_meet)
 
 
-def _node_pairs(Z: SingularLocusZ) -> list[tuple[tuple, tuple, int]]:
-    """Geometric node pairs with their common field degree (<= table bound)."""
+def _node_pairs(Z: SingularLocusZ) -> list[tuple[ZPoint, ZPoint, int]]:
+    """Geometric node pairs with their common field degree (<= table bound).
+
+    The geometric nodes are the points of Z and their Frobenius conjugates.
+    """
     K = Z.K
-    geo: list[tuple[int, tuple]] = []
+    geo: list[ZPoint] = []
     for z in Z.points:
         L = Z.field_of(z)
         coords = z.plane_coords
         for _ in range(z.degree):
-            geo.append((z.degree, coords))
+            geo.append(replace(z, plane_coords=coords))
             coords = normalize_point(L, tuple(L.frobenius(c, K.k) for c in coords))
     pairs = []
     for i in range(len(geo)):
         for j in range(i + 1, len(geo)):
-            da, ca = geo[i]
-            db, cb = geo[j]
-            d = math.lcm(da, db)
-            if K.k * d > 4:
+            d = math.lcm(geo[i].degree, geo[j].degree)
+            if not K.reaches(d):
                 continue
-            pairs.append(((da, ca), (db, cb), d))
+            pairs.append((geo[i], geo[j], d))
     return pairs
 
 
-def _common_fiber_count(nf: NormalizedThreefold, Z: SingularLocusZ, za, zb, d: int) -> int:
+def _common_fiber_count(nf: NormalizedThreefold, Z: SingularLocusZ, za: ZPoint, zb: ZPoint, d: int) -> int:
     """Fibers whose quadric contains the line joining two distinct nodes."""
-    nfd = extended_threefold(nf, d)
+    nfd = nf.embedded(nf.K.extension(d))
     Ld = nfd.K
-    da, ca = za
-    db, cb = zb
-    pa = _embed_coords(Z, da, ca, Ld)
-    pb = _embed_coords(Z, db, cb, Ld)
+    pa = Z.coords_in(za, Ld)
+    pb = Z.coords_in(zb, Ld)
     if pa == pb:
         raise ValueError("the two nodes must be distinct")
     rows = np.array([(0, 0) + pa, (0, 0) + pb], dtype=np.int64)
@@ -1145,12 +1125,6 @@ def _common_fiber_count(nf: NormalizedThreefold, Z: SingularLocusZ, za, zb, d: i
     if any(fib.quadric.evaluate(row) != 0 for row in lifted):
         raise InternalInconsistency("the common fiber must contain the node line")
     return 1
-
-
-def _embed_coords(Z: SingularLocusZ, degree: int, coords: tuple, Ld: GF) -> tuple:
-    small = field(Z.K.p, Z.K.k * degree)
-    emb = small.embedding_into(Ld)
-    return tuple(int(emb[c]) for c in coords)
 
 
 # ---------------------------------------------------------------------------
@@ -1210,12 +1184,9 @@ def lines_on_cubic_surface_section(
 
 def _surface_lines_over(nf: NormalizedThreefold, line1: ProjectiveLine, line2: ProjectiveLine, d: int):
     """(count, canonical rows) of the F_{q^d}-rational lines on span(L1,L2) cap Y."""
-    nfd = extended_threefold(nf, d)
+    nfd = nf.embedded(nf.K.extension(d))
     Ld = nfd.K
-    emb = nf.K.embedding_into(Ld)
-    rows1 = [[int(emb[v]) for v in row] for row in line1.rows]
-    rows2 = [[int(emb[v]) for v in row] for row in line2.rows]
-    S3 = span(Ld, ProjectiveLine(Ld, rows1), ProjectiveLine(Ld, rows2))
+    S3 = span(Ld, *(ProjectiveLine(Ld, nf.K.lift(line.rows, Ld)) for line in (line1, line2)))
     dual = kernel_basis(Ld, S3.matrix)
     if dual.shape[0] != 1:
         raise InternalInconsistency("the span of two skew lines is a hyperplane")

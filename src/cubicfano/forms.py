@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import kernels
-from .gf import GF, InternalInconsistency, field
+from .gf import GF, InternalInconsistency
 from .linalg import inverse_matrix
 
 
@@ -127,8 +127,8 @@ class HomogeneousForm:
         """The same form with coefficients pushed into the extension field L."""
         if L is self.K:
             return self
-        emb = self.K.embedding_into(L)
-        return HomogeneousForm(L, self.nvars, self.degree, {e: int(emb[c]) for e, c in self.terms.items()})
+        lifted = self.K.lift(tuple(self.terms.values()), L)
+        return HomogeneousForm(L, self.nvars, self.degree, dict(zip(self.terms, lifted)))
 
     # -- ring operations ------------------------------------------------------
 
@@ -586,9 +586,8 @@ class BinaryForm:
         if self.is_zero:
             raise ValueError("every point is a root of the zero form")
         K = self.K
-        L = K if extension == 1 else field(K.p, K.k * extension)
-        emb = K.embedding_into(L)
-        u = _poly_trim([int(emb[c]) for c in self.coeffs])
+        L = K.extension(extension)
+        u = _poly_trim(list(K.lift(self.coeffs, L)))
         out = []
         if len(u) > 1:
             h = _poly_gcd_monic(L, u, _poly_sub(L, _poly_powmod(L, [0, 1], L.q, u), [0, 1]))

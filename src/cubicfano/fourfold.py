@@ -21,7 +21,6 @@ threefold pipeline verbatim.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .fano import FanoSurface, InvalidInput
 from .forms import BinaryForm, HomogeneousForm, det_form_matrix
-from .gf import GF, field
+from .gf import GF
 from .linalg import kernel_basis
 from .pencil import (
     HyperellipticModel,
@@ -96,13 +95,10 @@ class NormalizedFourfold:
     def plane(self) -> LinearSubspace:
         return LinearSubspace(self.K, plane_basis(6))
 
-    @cached_property
-    def restricted_net(self) -> tuple[HomogeneousForm, HomogeneousForm, HomogeneousForm]:
-        """(Q0|_P, Q1|_P, Q2|_P) as ternary quadrics in the plane coordinates."""
-        basis = plane_basis(6)
-        return (self.Q0.restrict(basis), self.Q1.restrict(basis), self.Q2.restrict(basis))
-
     def embedded(self, L: GF) -> "NormalizedFourfold":
+        """The same normalized fourfold over an extension field; self over its own."""
+        if L is self.K:
+            return self
         eye = tuple(tuple(1 if i == j else 0 for j in range(6)) for i in range(6))
         return NormalizedFourfold(
             L,
@@ -188,9 +184,9 @@ def plane_discriminant(nx: NormalizedFourfold, scan_depth: int = 3) -> PlaneDisc
     ok = True
     witness = None
     for d in range(1, min(scan_depth, 3) + 1):
-        if nx.K.k * d > 4:
+        if not nx.K.reaches(d):
             break
-        DL = D.embedded(field(nx.K.p, nx.K.k * d)) if d > 1 else D
+        DL = D.embedded(nx.K.extension(d))
         witness = next(common_zeros([DL] + [DL.derivative(i) for i in range(3)]), None)
         depth_used = d
         if witness is not None:
@@ -266,14 +262,6 @@ class Slice:
     def line_in_slice(self, line: ProjectiveLine) -> ProjectiveLine:
         inner = [self.point_in_slice(row) for row in line.rows]
         return ProjectiveLine(self.threefold.K, np.array(inner, dtype=np.int64))
-
-    def pencil_point(self, s: int, t: int) -> tuple[int, int, int]:
-        """The dual-line point under the slice's pencil parameter (s:t)."""
-        K = self.threefold.K
-        m, n = self.heads
-        return normalize_point(
-            K, tuple(K.add_(K.mul_(s, a), K.mul_(t, b)) for a, b in zip(m, n))
-        )
 
 
 def slice_threefold(nx: NormalizedFourfold, lam) -> Slice:
@@ -380,7 +368,7 @@ class FourfoldCertificate:
 
 def _singular_point_scan(nx: NormalizedFourfold, d: int):
     """First singular point of X over F_{q^d}, or None."""
-    f = nx.f.embedded(field(nx.K.p, nx.K.k * d)) if d > 1 else nx.f
+    f = nx.f.embedded(nx.K.extension(d))
     return next(common_zeros([f] + [f.derivative(i) for i in range(6)]), None)
 
 
@@ -413,7 +401,7 @@ def certify_fourfold(
         disc_ok = False
     smooth_ok = True
     for d in range(1, min(smooth_depth, 2) + 1):
-        if nx.K.k * d > 4:
+        if not nx.K.reaches(d):
             break
         hit = _singular_point_scan(nx, d)
         if hit is not None:
@@ -547,17 +535,3 @@ def fiber_scan(
         )
     reports.sort(key=lambda r: r.dual)
     return reports
-
-
-def fiber_scan_csv(reports: list[FiberReport]) -> str:
-    """The CSV summary of a fiber scan: one row per dual point."""
-    buf = io.StringIO()
-    buf.write("dual,transverse,N1,N2,h,torsor_points,equal\r\n")
-    for r in reports:
-        blank = lambda v: "" if v is None else v  # noqa: E731
-        buf.write(
-            f"({r.dual[0]}:{r.dual[1]}:{r.dual[2]}),{r.transverse},"
-            f"{blank(r.zeta.N1 if r.zeta else None)},{blank(r.zeta.N2 if r.zeta else None)},"
-            f"{blank(r.zeta.h if r.zeta else None)},{blank(r.torsor_points)},{blank(r.equal)}\r\n"
-        )
-    return buf.getvalue()

@@ -126,6 +126,9 @@ def canonical_modulus(p: int, k: int) -> tuple[int, ...]:
 # the field object
 # ---------------------------------------------------------------------------
 
+# the top of the extension tower, in degree over F_p: the irreducibility test
+# that picks the modulus stops at degree 4
+_MAX_DEGREE = 4
 # element codes and table entries are uint16
 _MAX_ORDER = 65535
 # the dense q x q addition and multiplication tables, 4 q^2 bytes together
@@ -134,6 +137,10 @@ _MAX_TABLE_BYTES = 1 << 30
 
 class GF:
     """Finite field F_{p^k} (p odd prime, k <= 4, p^k <= 16384) with precomputed tables.
+
+    The tower above a field is reached through :meth:`extension`,
+    :meth:`reaches` (whether a degree is within the tower) and :meth:`lift`
+    (codes into an extension).
 
     A larger field raises NotSupportedError before any search or allocation:
     past 65535 elements the uint16 codes overflow, and past 16384 the two
@@ -147,8 +154,8 @@ class GF:
             raise ValueError(f"characteristic {p} is not prime")
         if p == 2:
             raise CharacteristicTwoError("characteristic 2 is not supported")
-        if not 1 <= k <= 4:
-            raise NotSupportedError(f"extension degree {k} outside 1..4")
+        if not 1 <= k <= _MAX_DEGREE:
+            raise NotSupportedError(f"extension degree {k} outside 1..{_MAX_DEGREE}")
         if p**k > _MAX_ORDER:
             raise NotSupportedError(f"F_{p}^{k} has {p**k} elements; uint16 codes stop at {_MAX_ORDER}")
         if 4 * p ** (2 * k) > _MAX_TABLE_BYTES:
@@ -319,21 +326,37 @@ class GF:
     def random_nonzero(self, rng) -> int:
         return rng.randrange(1, self.q)
 
-    # -- subfields and extensions -------------------------------------------
+    # -- the extension tower ---------------------------------------------------
+
+    def reaches(self, d: int) -> bool:
+        """Whether the tower builds F_{q^d}: its degree over F_p is at most 4."""
+        return 1 <= self.k * d <= _MAX_DEGREE
+
+    def extension(self, d: int) -> "GF":
+        """The cached field F_{q^d}; self when d = 1."""
+        return self if d == 1 else field(self.p, self.k * d)
+
+    def lift(self, x, L: "GF"):
+        """Codes of self pushed into the extension L by the canonical embedding.
+
+        x is a code (an int comes back), nested tuples or lists of codes
+        (nested tuples of ints come back) or a numpy array of codes (an int64
+        array comes back).  L = self is the identity.
+        """
+        emb = None if L is self else _embedding(self.p, self.k, L.k)
+        if isinstance(x, np.ndarray):
+            return np.array(x if emb is None else emb[x], dtype=np.int64)
+
+        def push(v):
+            if isinstance(v, (tuple, list)):
+                return tuple(push(w) for w in v)
+            return int(v) if emb is None else int(emb[v])
+
+        return push(x)
 
     def embedding_into(self, big: "GF") -> np.ndarray:
         """Code map of the canonical embedding self -> big (needs self.k | big.k)."""
         return _embedding(self.p, self.k, big.k)
-
-    def lies_in_subfield(self, a: int, d: int) -> bool:
-        """Whether element a lies in the subfield F_{p^d} (d | k)."""
-        return self.frobenius_power(a, d) == a
-
-    def frobenius_power(self, a: int, d: int) -> int:
-        """a^(p^d)."""
-        for _ in range(d % self.k if self.k > 1 else 0):
-            a = int(self.frob[a])
-        return a
 
     def __repr__(self) -> str:
         if self.k == 1:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .forms import BinaryForm, HomogeneousForm, det_form_matrix
-from .gf import GF, field
+from .gf import GF
 from .linalg import kernel_basis, mat_mul, mat_vec, rank, rref
 from .projective import (
     InternalInconsistency,
@@ -103,20 +103,6 @@ class PencilFiber:
     def ambient_line(self, rows) -> ProjectiveLine:
         return ProjectiveLine(self.K, mat_mul(self.K, np.array(rows, dtype=np.int64), self.embedding.T))
 
-    def fiber_coords(self, pt: ProjectivePoint):
-        """Inverse of ambient_point for points off P (u != 0) or on the base conic."""
-        K = self.K
-        x0, x1, x2, x3, x4 = pt.coords
-        if self.s:
-            if K.mul_(self.t, x0) != K.mul_(self.s, x1):
-                raise ValueError("point is not on the fiber hyperplane")
-            u = K.div_(x0, self.s)
-        else:
-            if x0 != 0:
-                raise ValueError("point is not on the fiber hyperplane")
-            u = K.div_(x1, self.t)
-        return (u, x2, x3, x4)
-
     def contains(self, pt) -> bool:
         return self.quadric.evaluate(pt) == 0
 
@@ -149,8 +135,10 @@ class DiscriminantSextic:
         return self.form.is_squarefree()
 
     def embedded(self, L: GF) -> BinaryForm:
-        emb = self.K.embedding_into(L)
-        return BinaryForm(L, 6, [int(emb[c]) for c in self.form.coeffs])
+        """The sextic with coefficients pushed into L; its own form when L is its field."""
+        if L is self.K:
+            return self.form
+        return BinaryForm(L, 6, self.K.lift(self.form.coeffs, L))
 
 
 def symbolic_fiber_entries(quadrics) -> list[list[HomogeneousForm]]:
@@ -329,17 +317,9 @@ def hyperelliptic_involution(c: RulingClass, classes_of_fiber: list[RulingClass]
 # ---------------------------------------------------------------------------
 
 
-def extended_threefold(nf, d: int):
-    """The same threefold with coefficients embedded into F_{q^d}."""
-    if d == 1:
-        return nf
-    L = field(nf.K.p, nf.K.k * d)
-    return nf.embedded(L)
-
-
 def operational_curve_points(nf, d: int = 1) -> list[RulingClass]:
     """All ruling classes over F_{q^d}: the operational model of C(F_{q^d})."""
-    nfd = extended_threefold(nf, d)
+    nfd = nf.embedded(nf.K.extension(d))
     out = []
     for s, t in projective_reps(nfd.K, 1):
         out.extend(rulings_of_fiber(fiber_matrix(nfd, s, t)))
@@ -359,9 +339,8 @@ class HyperellipticModel:
 
 def count_points_C(model: HyperellipticModel, k: int) -> int:
     """#C(F_{q^k}) = sum over P^1(F_{q^k}) of 1 + chi(disc(s,t))."""
-    K = model.K
-    L = field(K.p, K.k * k) if k > 1 else K
-    sextic = model.disc.embedded(L) if k > 1 else model.disc.form
+    L = model.K.extension(k)
+    sextic = model.disc.embedded(L)
     total = 0
     for s, t in projective_reps(L, 1):
         total += 1 + L.chi_(sextic.evaluate(s, t))
@@ -431,8 +410,8 @@ def match_models(nf, model: HyperellipticModel, depth: int = 2) -> bool:
         ops = operational_curve_points(nf, k)
         if len(ops) != count_points_C(model, k):
             return False
-        L = field(nf.K.p, nf.K.k * k) if k > 1 else nf.K
-        sextic = model.disc.embedded(L) if k > 1 else model.disc.form
+        L = nf.K.extension(k)
+        sextic = model.disc.embedded(L)
         per_fiber: dict = {}
         for c in ops:
             per_fiber[(c.s, c.t)] = per_fiber.get((c.s, c.t), 0) + 1

@@ -112,11 +112,6 @@ class ProjectiveLine:
         stacked = np.vstack([self.matrix, np.array(pt.coords, dtype=np.int64)])
         return rank(self.K, stacked) == 2
 
-    def point_at(self, s: int, t: int) -> ProjectivePoint:
-        K = self.K
-        a, b = self.rows
-        return ProjectivePoint(K, [K.add_(K.mul_(s, x), K.mul_(t, y)) for x, y in zip(a, b)])
-
 
 class LinearSubspace:
     """An r-plane in P^n as a canonical (r+1) x (n+1) RREF matrix (rank r+1)."""

@@ -484,6 +484,8 @@ def _normalize_rational_cubic(terms: dict, plane_rows) -> tuple[dict, list[list[
     rows = [[Fraction(v) for v in row] for row in plane_rows]
     if len(rows) != 3 or any(len(r) != 5 for r in rows):
         raise InvalidInput("the plane needs three spanning rows of length 5")
+    if _fraction_rref(rows)[1] != 3:
+        raise InvalidInput("the plane rows are not independent")
 
     # complete the plane rows to a basis with standard vectors, plane last
     basis: list[list[Fraction]] = []
@@ -494,8 +496,6 @@ def _normalize_rational_cubic(terms: dict, plane_rows) -> tuple[dict, list[list[
         if _fraction_rref(trial)[1] == len(trial):
             basis.append(candidate)
     columns = [[basis[0][i], basis[1][i], rows[0][i], rows[1][i], rows[2][i]] for i in range(5)]
-    if _fraction_rref([[columns[i][j] for i in range(5)] for j in range(5)])[1] != 5:
-        raise InvalidInput("the plane rows are not independent")
 
     moved = _q_substitute({e: Fraction(c) for e, c in terms.items()}, columns)
     ints = _q_clear_denominators(moved)

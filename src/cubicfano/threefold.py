@@ -21,8 +21,8 @@ import numpy as np
 
 from . import pencil as pencil_mod
 from .forms import HomogeneousForm, BinaryForm, _poly_gcd_monic, det_form_matrix, random_form
-from .gf import GF, NotSupportedError, field
-from .linalg import inverse_matrix, mat_vec, rank, rref
+from .gf import GF, NotSupportedError
+from .linalg import mat_vec, rank, rref
 from .pencil import NotGeneral, fiber_matrix, lines_on_quadric
 from .projective import (
     InternalInconsistency,
@@ -76,24 +76,18 @@ class NormalizedThreefold:
     def transform_matrix(self) -> np.ndarray:
         return np.array(self.transform, dtype=np.int64)
 
-    @cached_property
-    def inverse_transform_matrix(self) -> np.ndarray:
-        return inverse_matrix(self.K, self.transform_matrix)
-
     def to_original(self, point) -> tuple[int, ...]:
         vec = mat_vec(self.K, self.transform_matrix, np.array(point, dtype=np.int64))
         return normalize_point(self.K, vec)
 
-    def from_original(self, point) -> tuple[int, ...]:
-        vec = mat_vec(self.K, self.inverse_transform_matrix, np.array(point, dtype=np.int64))
-        return normalize_point(self.K, vec)
-
     def embedded(self, L: GF) -> "NormalizedThreefold":
-        """The same normalized threefold over an extension field.
+        """The same normalized threefold over an extension field; self over its own.
 
         The transform resets to the identity: extension-field work always
         happens in normalized coordinates.
         """
+        if L is self.K:
+            return self
         eye = tuple(tuple(1 if i == j else 0 for j in range(5)) for i in range(5))
         return NormalizedThreefold(
             L, self.f.embedded(L), self.Q0.embedded(L), self.Q1.embedded(L), eye
@@ -219,7 +213,7 @@ class SingularLocusZ:
         return tuple(z for z in self.points if z.degree == 1)
 
     def field_of(self, z: ZPoint) -> GF:
-        return field(self.K.p, self.K.k * z.degree)
+        return self.K.extension(z.degree)
 
     def points_over(self, d: int) -> tuple[ZPoint, ...]:
         """Points defined over F_{q^d} (degree dividing d)."""
@@ -227,9 +221,7 @@ class SingularLocusZ:
 
     def coords_in(self, z: ZPoint, L: GF) -> tuple[int, int, int]:
         """The plane coordinates of z pushed into a field L containing its own."""
-        Lz = self.field_of(z)
-        emb = Lz.embedding_into(L)
-        return tuple(int(emb[c]) for c in z.plane_coords)
+        return self.field_of(z).lift(z.plane_coords, L)
 
     @cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -329,61 +321,45 @@ def _points_of_root(K, A, q0, q1, t0, t1, s0, t0_val, mult, d):
     Returns a list of (degree, plane_coords, multiplicity) triples; the plane
     coordinates are codes over F_{q^degree}.
     """
-    L = field(K.p, K.k * d) if d > 1 else K
-    t0L, t1L = t0.embedded(L), t1.embedded(L)
-    A0L, B0L, C0L = _conic_c_parts(t0L)
-    A1L, B1L, C1L = _conic_c_parts(t1L)
+    L = K.extension(d)
+    A0L, B0L, C0L = _conic_c_parts(t0.embedded(L))
+    A1L, B1L, C1L = _conic_c_parts(t1.embedded(L))
     g0 = [C0L.evaluate((s0, t0_val)), B0L.evaluate((s0, t0_val)), A0L]
     g1 = [C1L.evaluate((s0, t0_val)), B1L.evaluate((s0, t0_val)), A1L]
     g = _poly_gcd_monic(L, g0, g1)
     if len(g) not in (2, 3):
         raise InternalInconsistency("a resultant root must admit a common root downstream")
-    emb = K.embedding_into(L)
-    AL = np.vectorize(lambda x: int(emb[x]))(A).astype(np.int64)
-    q0L, q1L = q0.embedded(L), q1.embedded(L)
 
-    def finish(c_val: int, m: int):
-        y = np.array([s0, t0_val, c_val], dtype=np.int64)
-        x = mat_vec(L, AL, y)
-        coords = normalize_point(L, x)
-        if q0L.evaluate(coords) != 0 or q1L.evaluate(coords) != 0:
+    def plane_point(c_val: int, M: GF = L) -> tuple[int, ...]:
+        """The plane point over M (L or its quadratic extension) with last coordinate c_val."""
+        y = np.array(L.lift((s0, t0_val), M) + (c_val,), dtype=np.int64)
+        return normalize_point(M, mat_vec(M, K.lift(A, M), y))
+
+    def finish(c_val: int, m: int, M: GF = L):
+        coords = plane_point(c_val, M)
+        if q0.embedded(M).evaluate(coords) != 0 or q1.embedded(M).evaluate(coords) != 0:
             raise InternalInconsistency("back-substituted point misses the conics")
-        return (d, coords, m)
+        return (M.k // K.k, coords, m)
 
     if len(g) == 2:  # unique common root over L
         return [finish(L.neg_(g[0]), mult)]
     roots = _quadratic_roots(L, g)
     if roots is None:
         # conjugate pair over the quadratic extension of L
-        if K.k * 2 * d > 4:
+        if not L.reaches(2):
             raise NotSupportedError("Z point needs an extension beyond degree 4")
-        L2 = field(K.p, K.k * 2 * d)
-        emb2 = L.embedding_into(L2)
-        g2 = [int(emb2[c]) for c in g]
-        pair = _quadratic_roots(L2, g2)
+        L2 = L.extension(2)
+        pair = _quadratic_roots(L2, L.lift(g, L2))
         if pair is None:
             raise InternalInconsistency("the discriminant must become a square upstairs")
         if mult % 2:
             raise InternalInconsistency("conjugate points share the root multiplicity evenly")
-        emb_big = K.embedding_into(L2)
-        embA = np.vectorize(lambda x: int(emb_big[x]))(A).astype(np.int64)
-        q0b, q1b = q0.embedded(L2), q1.embedded(L2)
-        out = []
-        for c_val in pair:
-            y = np.array([int(emb2[s0]), int(emb2[t0_val]), c_val], dtype=np.int64)
-            x = mat_vec(L2, embA, y)
-            coords = normalize_point(L2, x)
-            if q0b.evaluate(coords) != 0 or q1b.evaluate(coords) != 0:
-                raise InternalInconsistency("back-substituted point misses the conics")
-            out.append((2 * d, coords, mult // 2))
-        return out
+        return [finish(c_val, mult // 2, L2) for c_val in pair]
     c1, c2 = roots
     if c1 == c2:
         return [finish(c1, mult)]
-    trans = [
-        _is_transverse(L, q0L, q1L, normalize_point(L, mat_vec(L, AL, np.array([s0, t0_val, c], dtype=np.int64))))
-        for c in (c1, c2)
-    ]
+    q0L, q1L = q0.embedded(L), q1.embedded(L)
+    trans = [_is_transverse(L, q0L, q1L, plane_point(c)) for c in (c1, c2)]
     if mult == 2:
         if trans != [True, True]:
             raise InternalInconsistency("two transverse points share a double resultant root")
@@ -426,7 +402,7 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
     quartic = _resultant_quartic(K, t0, t1)
     found: list[tuple[int, tuple[int, ...], int]] = []
     for d, part in quartic.distinct_degree_split().items():
-        if K.k * d > 4:
+        if not K.reaches(d):
             raise NotSupportedError(f"a node of degree {d} over F_{K.q} needs F_{K.p}^{K.k * d}")
         for (s0, t0_val), mult in part.roots(extension=d):
             found.extend(_points_of_root(K, A, q0, q1, t0, t1, s0, t0_val, mult, d))
@@ -449,11 +425,11 @@ def _compute_Z_by_scan(nf: NormalizedThreefold, q0, q1) -> SingularLocusZ:
     claim is verified by scanning for common zeros over F_{q^4}.
     """
     K = nf.K
-    if K.k * 4 > 4:
+    if not K.reaches(4):
         raise NotSupportedError("no projection center and no room for a verification scan")
     # a second common zero already refutes the claim
     rational = list(itertools.islice(common_zeros([q0, q1]), 2))
-    L = field(K.p, K.k * 4)
+    L = K.extension(4)
     common = list(itertools.islice(common_zeros([q0.embedded(L), q1.embedded(L)]), 2))
     if len(common) != 1 or len(rational) != 1:
         raise NotGeneral("conic pencil without a projection center has excess base locus")
@@ -486,7 +462,7 @@ class GeneralityCertificate:
 
 def _singular_points_off_plane(nf: NormalizedThreefold, d: int):
     """Points over F_{q^d} where f and all five partials vanish, off the plane, lazily."""
-    f = nf.f.embedded(field(nf.K.p, nf.K.k * d)) if d > 1 else nf.f
+    f = nf.f.embedded(nf.K.extension(d))
     return (pt for pt in common_zeros([f] + [f.derivative(i) for i in range(5)]) if pt[0] or pt[1])
 
 
@@ -495,25 +471,23 @@ def _extra_plane_candidates(nf: NormalizedThreefold, Z: SingularLocusZ, d: int):
     theory: either a component of a rank <= 2 fiber, or the span of two fiber
     lines through a point of Z (the threefold's node scheme) in two distinct
     fibers."""
-    nfd = nf.embedded(field(nf.K.p, nf.K.k * d)) if d > 1 else nf
+    nfd = nf.embedded(nf.K.extension(d))
     L = nfd.K
     for s, t in projective_reps(L, 1):
         fib = fiber_matrix(nfd, s, t)
         if fib.rank <= 2:
             yield ("rank<=2 fiber", (s, t))
             return
+    fiber_lines = None  # the lines of the fibers over (1:0) and (0:1), found at the first point of Z
     for z in Z.points_over(d):
-        zc = Z.coords_in(z, L)
-        fibers = [fiber_matrix(nfd, 1, 0), fiber_matrix(nfd, 0, 1)]
-        per_fiber = []
-        for fib in fibers:
-            zfib = (0,) + zc
-            lines = [
-                rows
-                for rows in lines_on_quadric(L, fib.quadric, fib.matrix)
-                if _line_rows_contain(L, rows, zfib)
-            ]
-            per_fiber.append([fib.ambient_line(rows) for rows in lines])
+        if fiber_lines is None:
+            fibers = (fiber_matrix(nfd, 1, 0), fiber_matrix(nfd, 0, 1))
+            fiber_lines = [(fib, lines_on_quadric(L, fib.quadric, fib.matrix)) for fib in fibers]
+        zfib = (0,) + Z.coords_in(z, L)
+        per_fiber = [
+            [fib.ambient_line(rows) for rows in lines if _line_rows_contain(L, rows, zfib)]
+            for fib, lines in fiber_lines
+        ]
         for l1, l2 in itertools.product(per_fiber[0], per_fiber[1]):
             stacked = np.array(list(l1.rows) + list(l2.rows), dtype=np.int64)
             basis, _ = rref(L, stacked)
@@ -557,7 +531,7 @@ def certify_generality(nf: NormalizedThreefold, scan_depth: int = 1) -> Generali
     # ambient point count is out of reach and the theorem carries the flag).
     smooth_ok = disc_ok
     for d in range(1, min(scan_depth, 2) + 1):
-        if nf.K.k * d > 4:
+        if not nf.K.reaches(d):
             break
         sing = next(_singular_points_off_plane(nf, d), None)
         if sing is not None:
@@ -567,7 +541,7 @@ def certify_generality(nf: NormalizedThreefold, scan_depth: int = 1) -> Generali
     unique = True
     if z_ok:
         for d in range(1, scan_depth + 1):
-            if nf.K.k * d > 4:
+            if not nf.K.reaches(d):
                 break
             try:
                 extra = next(_extra_plane_candidates(nf, Z, d), None)

@@ -212,10 +212,6 @@ class TorsorGroup:
 
     # -- the action --------------------------------------------------------------
 
-    def apply_letter(self, letter: tuple[RulingClass, int], x: SignedTorsorPoint) -> SignedTorsorPoint:
-        """One letter of a word; a negative sign acts by the inverse rule."""
-        return self.points[self._letter_perm(letter)[self.index[x]]]
-
     def act(self, word: DivisorWord, x: SignedTorsorPoint) -> SignedTorsorPoint:
         i = self.index.get(x)
         if i is None:
@@ -308,13 +304,11 @@ class TorsorGroup:
         return self._big
 
     def embed_point(self, big: "TorsorGroup", x: SignedTorsorPoint) -> SignedTorsorPoint:
-        emb = self.surface.L.embedding_into(big.surface.L)
+        L, M = self.surface.L, big.surface.L
         if x.point.kind == "node":
-            pt = TorsorPoint("node", node=tuple(int(emb[v]) for v in x.point.node))
+            pt = TorsorPoint("node", node=L.lift(x.point.node, M))
         else:
-            pt = TorsorPoint(
-                "line", rows=tuple(tuple(int(emb[v]) for v in row) for row in x.point.rows)
-            )
+            pt = TorsorPoint("line", rows=L.lift(x.point.rows, M))
         out = SignedTorsorPoint(pt, x.sign)
         if out not in big.index:
             raise InternalInconsistency("a universe point fails to embed into the extension universe")

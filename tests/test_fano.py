@@ -20,7 +20,7 @@ from cubicfano.fano import (
 )
 from cubicfano.gf import field
 from cubicfano.linalg import inverse_matrix, mat_mul, rank
-from cubicfano.pencil import NotGeneral, extended_threefold
+from cubicfano.pencil import NotGeneral
 from cubicfano.projective import (
     InternalInconsistency,
     LinearSubspace,
@@ -50,7 +50,7 @@ def seeded_example(p, seed):
 
 def brute_rows_and_tags(nf, k=1):
     """Oracle: restrict the cubic to every line of P^4 and classify directly."""
-    nfk = extended_threefold(nf, k)
+    nfk = nf.embedded(nf.K.extension(k))
     L = nfk.K
     tags = {IN_PLANE: 0, MEETS_PLANE: 0, DISJOINT: 0}
     rows = {}

@@ -221,7 +221,7 @@ def test_embedding_is_injective_ring_map(p, a, b):
             assert int(emb[small.mul_(x, y)]) == big.mul_(int(emb[x]), int(emb[y]))
     # the image is exactly the Frobenius-fixed subfield
     image = {int(v) for v in emb}
-    fixed = {x for x in big.elements() if big.frobenius_power(x, a) == x}
+    fixed = {x for x in big.elements() if big.frobenius(x, a) == x}
     assert image == fixed
     back = section_onto(p, b, a)
     assert all(back[int(emb[x])] == x for x in range(small.q))
@@ -237,6 +237,44 @@ def test_embeddings_compose():
     via9 = field(3, 2).embedding_into(F81)[F3.embedding_into(F9)]
     direct = F3.embedding_into(F81)
     assert np.array_equal(via9, direct)
+
+
+@pytest.mark.parametrize("small,big", [((3, 1), (3, 2)), ((3, 1), (3, 4)), ((3, 2), (3, 4)), ((5, 1), (5, 2))])
+def test_lift_is_the_canonical_embedding(small, big):
+    K, L = field(*small), field(*big)
+    emb = K.embedding_into(L)
+    for x in K.elements():
+        assert K.lift(x, L) == int(emb[x])
+    codes = np.arange(K.q).reshape(-1, 1)
+    lifted = K.lift(codes, L)
+    assert lifted.dtype == np.int64 and lifted.shape == codes.shape
+    assert lifted[:, 0].tolist() == emb.tolist()
+    rows = [[x, (x + 1) % K.q] for x in K.elements()]
+    assert K.lift(rows, L) == tuple((int(emb[a]), int(emb[b])) for a, b in rows)
+    assert K.extension(big[1] // small[1]) is L
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (3, 4)])
+def test_extension_and_lift_within_one_field(p, k):
+    K = field(p, k)
+    assert K.extension(1) is K
+    assert K.lift(((1, 2), (0, K.q - 1)), K) == ((1, 2), (0, K.q - 1))
+    assert K.lift(K.q - 1, K) == K.q - 1
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (7, 1), (3, 4)])
+def test_reaches_is_the_degree_check_of_the_field(p, k):
+    K = field(p, k)
+    for d in range(6):
+        try:
+            field(p, k * d)
+            passes = True
+        except NotSupportedError as exc:
+            assert "extension degree" in str(exc)
+            passes = False
+        assert K.reaches(d) == passes, d
+        if passes:
+            assert K.extension(d) is field(p, k * d)
 
 
 # ---------------------------------------------------------------------------

@@ -95,3 +95,27 @@ def test_no_module_reads_the_environment():
                 if {alias.name for alias in node.names} & {"environ", "environb", "getenv", "getenvb"}:
                     reads.append(f"{path.name}:{node.lineno}")
     assert reads == []
+
+
+def _mentions_degree(node) -> bool:
+    # an extension degree is read off a field as its attribute k
+    return any(isinstance(n, ast.Attribute) and n.attr == "k" for n in ast.walk(node))
+
+
+def test_only_the_field_layer_climbs_the_tower():
+    # extension fields, lifts and the degree bound of the tower live in gf.py
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "gf.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "embedding_into":
+                    found.append(f"{path.name}:{node.lineno} embedding_into")
+            elif isinstance(node, ast.Compare):
+                operands = [node.left] + node.comparators
+                if any(isinstance(n, ast.Constant) and n.value == 4 for n in operands) and any(
+                    _mentions_degree(n) for n in operands
+                ):
+                    found.append(f"{path.name}:{node.lineno} degree compared with 4")
+    assert found == []

@@ -337,6 +337,21 @@ def test_cubic_not_containing_the_plane_is_rejected():
         decide_over_rationals({(0, 0, 3, 0, 0): 1, (1, 0, 2, 0, 0): 1}, height_bound=3)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 1, 1, 0)),
+        ((0, 0, 1, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1)),
+        ((0, 0, 1, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 1)),
+    ],
+    ids=["dependent", "repeated", "zero"],
+)
+def test_plane_rows_that_span_no_plane_are_rejected(rows):
+    terms = {(1, 0, 2, 0, 0): 1, (0, 1, 0, 2, 0): 1, (1, 0, 0, 0, 2): 1, (0, 1, 0, 0, 2): -1}
+    with pytest.raises(InvalidInput, match="not independent"):
+        decide_over_rationals(terms, plane_rows=rows, height_bound=3)
+
+
 TRANSFORMED_PLANE_ROWS = [(-1, 0, -1, 2, 0), (0, 0, -1, 1, 0), (0, 1, 0, 0, 0)]
 
 TRANSFORMED_NODE_EXAMPLE = None  # computed lazily from NODE_EXAMPLE
