@@ -28,8 +28,8 @@ evaluates the cubic on all the plane sections of a table in one batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import product
+from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
@@ -505,8 +505,7 @@ class FanoSurface:
         ker = kernel_basis(M, row)
         if ker.shape[0] != 3:
             raise InternalInconsistency("a nonzero linear form on P^3 cuts a plane")
-        amb = mat_mul(M, ker, fib.embedding.T)
-        return LinearSubspace(M, amb)
+        return LinearSubspace(M, fib.ambient_rows(ker))
 
     def _deformation_plane(self, z: ZPoint, c: RulingClass, tau_line: ProjectiveLine, nf_M) -> LinearSubspace:
         """Limit of span(tau_z(c), tau_z(c')) as c' -> c along the fiber pencil.
@@ -1029,17 +1028,18 @@ def _sigma_tau_count(surface: FanoSurface, surface2: FanoSurface, z: ZPoint, lin
 def _transversal_counts(nf: NormalizedThreefold, line1: ProjectiveLine, line2: ProjectiveLine):
     """(all transversals, those meeting P) of two skew disjoint lines, or None.
 
-    Scans L1(F_{q^d}) x L2(F_{q^d}) for d <= 4; a pair spans a line on Y iff
-    the cubic kills both diagonal points.  The counts are geometric as long
-    as every transversal is defined over degree <= 4, which is the generic
-    (resampled otherwise) situation.
+    Scans L1(F_{q^d}) x L2(F_{q^d}) for d <= 4, while the tower reaches
+    F_{q^d} and q^d <= 3000; a pair spans a line on Y iff the cubic kills
+    both diagonal points.  The counts are geometric as long as every
+    transversal is defined over that degree, which is the generic (resampled
+    otherwise) situation.
     """
     K = nf.K
     exact: dict[int, int] = {}
     meets_p: dict[int, int] = {}
     cumulative: dict[int, tuple[int, int]] = {}
     for d in (1, 2, 3, 4):
-        if K.q**d > 3000:
+        if K.q**d > 3000 or not K.reaches(d):
             break
         nfd = nf.embedded(K.extension(d))
         Ld = nfd.K
@@ -1077,26 +1077,12 @@ def _transversal_counts(nf: NormalizedThreefold, line1: ProjectiveLine, line2: P
 
 
 def _node_pairs(Z: SingularLocusZ) -> list[tuple[ZPoint, ZPoint, int]]:
-    """Geometric node pairs with their common field degree (<= table bound).
+    """Pairs of distinct geometric nodes with their common field degree (within the tower).
 
-    The geometric nodes are the points of Z and their Frobenius conjugates.
+    ``Z.points`` already lists every Frobenius conjugate of a node.
     """
-    K = Z.K
-    geo: list[ZPoint] = []
-    for z in Z.points:
-        L = Z.field_of(z)
-        coords = z.plane_coords
-        for _ in range(z.degree):
-            geo.append(replace(z, plane_coords=coords))
-            coords = normalize_point(L, tuple(L.frobenius(c, K.k) for c in coords))
-    pairs = []
-    for i in range(len(geo)):
-        for j in range(i + 1, len(geo)):
-            d = math.lcm(geo[i].degree, geo[j].degree)
-            if not K.reaches(d):
-                continue
-            pairs.append((geo[i], geo[j], d))
-    return pairs
+    pairs = [(za, zb, math.lcm(za.degree, zb.degree)) for za, zb in combinations(Z.points, 2)]
+    return [pair for pair in pairs if Z.K.reaches(pair[2])]
 
 
 def _common_fiber_count(nf: NormalizedThreefold, Z: SingularLocusZ, za: ZPoint, zb: ZPoint, d: int) -> int:
@@ -1158,9 +1144,10 @@ def lines_on_cubic_surface_section(
     X = S cap Y carries exactly one line inside P (the line S cap P), the
     components of the degenerate conics Q_{s,t} cap S, and finitely many
     further P-disjoint lines.  All three kinds are enumerated rationally over
-    F_{q^d} for each d <= max_degree, and the counts are combined into
-    exact-degree counts; a smooth section whose lines all have degree within
-    the scan totals 27.  Callers resample when the census is incomplete.
+    F_{q^d} for each d <= max_degree that the tower reaches, and the counts are
+    combined into exact-degree counts; a smooth section whose lines all have
+    degree within the scan totals 27.  Callers resample when the census is
+    incomplete.
     """
     K = nf.K
     S3 = span(K, line1, line2)
@@ -1169,6 +1156,8 @@ def lines_on_cubic_surface_section(
     counts: dict[int, int] = {}
     rational: tuple = ()
     for d in range(1, max_degree + 1):
+        if not K.reaches(d):
+            break
         n_d, rows = _surface_lines_over(nf, line1, line2, d)
         counts[d] = n_d
         if d == 1:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .gf import GF, InternalInconsistency
-from .linalg import inverse_matrix
+from .linalg import det, inverse_matrix
 
 
 class ArityError(ValueError):
@@ -640,8 +640,6 @@ class BinaryForm:
 
     def resultant(self, other: "BinaryForm") -> int:
         """Sylvester resultant of the two binary forms, as an element code."""
-        from .linalg import det
-
         m, n = self.degree, other.degree
         size = m + n
         M = np.zeros((size, size), dtype=np.int64)

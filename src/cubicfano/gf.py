@@ -380,10 +380,14 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+_FIELDS: dict[tuple[int, int], GF] = {}
+
+
 def field(p: int, k: int = 1) -> GF:
-    """The cached field F_{p^k} with canonical modulus."""
-    return GF(p, k)
+    """The field F_{p^k} with canonical modulus, built once per (p, k)."""
+    if (p, k) not in _FIELDS:
+        _FIELDS[(p, k)] = GF(p, k)
+    return _FIELDS[(p, k)]
 
 
 @lru_cache(maxsize=None)

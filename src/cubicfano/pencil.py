@@ -9,6 +9,13 @@ the plane P = {x0 = x1 = 0}.  The slice at (s:t) is parametrized by
 with f(su, tu, x) = u * R_{s,t}.  This module computes fiber matrices, the
 sextic discriminant, rulings of fibers, and point counts / zeta data of the
 genus-2 double cover that parametrizes the rulings.
+
+The rulings of a smooth fiber are built, not searched for (Harris, *Algebraic
+Geometry: A First Course*, Lecture 22): with beta the fiber's bilinear form,
+the line of the quadric through x meeting a line span(b1, b2) of the other
+ruling meets it at beta(x, b2) b1 - beta(x, b1) b2.  One matrix of Plucker
+pairings checks them: distinct lines of one ruling pair to nonzero (skew),
+lines of opposite rulings to zero (they meet).
 """
 
 from __future__ import annotations
@@ -20,15 +27,14 @@ import numpy as np
 
 from .forms import BinaryForm, HomogeneousForm, det_form_matrix
 from .gf import GF
-from .linalg import kernel_basis, mat_mul, mat_vec, rank, rref
+from .linalg import kernel_basis, mat_vec, rank
 from .projective import (
     InternalInconsistency,
     ProjectiveLine,
-    ProjectivePoint,
     binary_quadratic,
     common_zeros,
     complete_to_basis,
-    normalize_point,
+    pluecker_coordinates,
     projective_reps,
     root_directions,
 )
@@ -86,25 +92,13 @@ class PencilFiber:
     def rank(self) -> int:
         return rank(self.K, self.matrix)
 
-    @property
-    def embedding(self) -> np.ndarray:
-        """5x4 matrix sending fiber coordinates to ambient P^4."""
-        iota = np.zeros((5, 4), dtype=np.int64)
-        iota[0, 0] = self.s
-        iota[1, 0] = self.t
-        iota[2, 1] = iota[3, 2] = iota[4, 3] = 1
-        return iota
-
-    def ambient_point(self, pt) -> ProjectivePoint:
-        u, x2, x3, x4 = (int(v) for v in pt)
+    def ambient_rows(self, rows) -> list[tuple[int, ...]]:
+        """Rows (u, x2, x3, x4) in fiber coordinates as ambient rows (s*u, t*u, x2, x3, x4)."""
         K = self.K
-        return ProjectivePoint(K, (K.mul_(self.s, u), K.mul_(self.t, u), x2, x3, x4))
+        return [(K.mul_(self.s, int(u)), K.mul_(self.t, int(u)), *(int(x) for x in rest)) for u, *rest in rows]
 
     def ambient_line(self, rows) -> ProjectiveLine:
-        return ProjectiveLine(self.K, mat_mul(self.K, np.array(rows, dtype=np.int64), self.embedding.T))
-
-    def contains(self, pt) -> bool:
-        return self.quadric.evaluate(pt) == 0
+        return ProjectiveLine(self.K, self.ambient_rows(rows))
 
 
 def fiber_matrix(nf, s: int, t: int) -> PencilFiber:
@@ -223,34 +217,6 @@ class RulingClass:
         return isinstance(other, RulingClass) and self.key == other.key
 
 
-def lines_on_quadric(K: GF, quadric: HomogeneousForm, matrix: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
-    """All lines (RREF row pairs, fiber coordinates) on a rank >= 3 quadric in P^3.
-
-    Every line of the quadric meets every plane section, so it suffices to
-    factor the tangent-cone conic at each point of one section.
-    """
-    r = rank(K, matrix)
-    if r <= 2:
-        raise NotGeneral(f"fiber matrix has rank {r} <= 2")
-    lines: set = set()
-    if r == 3:
-        ker = kernel_basis(K, matrix)
-        if ker.shape[0] != 1:
-            raise InternalInconsistency("a rank-3 quadric in P^3 has a single vertex")
-        vertex = tuple(int(x) for x in ker[0])
-        for pt in common_zeros([quadric]):
-            if pt != normalize_point(K, vertex):
-                rows, _ = rref(K, np.array([vertex, pt], dtype=np.int64))
-                lines.add(tuple(tuple(int(x) for x in row) for row in rows))
-        return sorted(lines)
-    # smooth: walk the plane section u = 0 (u the first fiber coordinate)
-    for y in common_zeros([HomogeneousForm.linear(K, (1, 0, 0, 0)), quadric]):
-        for other, _mult in _tangent_directions(K, matrix, quadric, y):
-            rows, _ = rref(K, np.array([y, other], dtype=np.int64))
-            lines.add(tuple(tuple(int(x) for x in row) for row in rows))
-    return sorted(lines)
-
-
 def _tangent_directions(K: GF, matrix: np.ndarray, quadric: HomogeneousForm, y) -> list[tuple[tuple[int, ...], int]]:
     """Second points spanning the (up to two) lines of the quadric through y, with multiplicity."""
     tangent = kernel_basis(K, np.array([mat_vec(K, matrix, y)], dtype=np.int64))
@@ -266,42 +232,86 @@ def _tangent_directions(K: GF, matrix: np.ndarray, quadric: HomogeneousForm, y) 
     return root_directions(K, conic.roots(), c1, c2)
 
 
-def _lines_disjoint(K: GF, a, b) -> bool:
-    stacked = np.array(list(a) + list(b), dtype=np.int64)
-    return rank(K, stacked) == 4
+def _beta(K: GF, matrix: np.ndarray, x, v) -> int:
+    return int(mat_vec(K, [x], mat_vec(K, matrix, v))[0])
+
+
+def _ruling_through(K: GF, matrix: np.ndarray, points, line) -> list[ProjectiveLine]:
+    """For each point x, the line of the quadric through x meeting ``line`` = (b1, b2),
+    which misses x: it lies in the tangent plane at x, so it meets ``line`` at
+    beta(x, b2) b1 - beta(x, b1) b2."""
+    b1, b2 = line
+    out = []
+    for x in points:
+        c1, c2 = _beta(K, matrix, x, b2), K.neg_(_beta(K, matrix, x, b1))
+        meet = [K.add_(K.mul_(c1, int(u)), K.mul_(c2, int(v))) for u, v in zip(b1, b2)]
+        out.append(ProjectiveLine(K, np.array([x, meet], dtype=np.int64)))
+    return out
+
+
+def check_rulings(K: GF, rulings) -> None:
+    """Distinct lines of one ruling are skew, lines of different rulings meet, and
+    each ruling holds q+1 lines: one matrix of Plucker pairings, zero where lines meet."""
+    pl = np.array([pluecker_coordinates(line) for ruling in rulings for line in ruling], dtype=np.uint16)
+    # <p, p'> = p01 p'23 - p02 p'13 + p03 p'12 + p12 p'03 - p13 p'02 + p23 p'01
+    dual = pl[:, ::-1].copy()
+    dual[:, [1, 4]] = K.neg[dual[:, [1, 4]]]
+    pairing = np.zeros((len(pl), len(pl)), dtype=np.uint16)
+    for k in range(6):
+        pairing = K.add[pairing, K.mul[pl[:, None, k], dual[None, :, k]]]
+    labels = np.repeat(np.arange(len(rulings)), [len(ruling) for ruling in rulings])
+    same, meets = labels[:, None] == labels[None, :], pairing == 0
+    if (meets & same & ~np.eye(len(pl), dtype=bool)).any():
+        raise InternalInconsistency("two lines of one ruling meet")
+    if (~meets & ~same).any():
+        raise InternalInconsistency("lines in different rulings must meet")
+    if any(len(ruling) != K.q + 1 for ruling in rulings):
+        raise InternalInconsistency("split smooth fiber carries q+1 lines per ruling")
+
+
+def _ambient_pack(fiber: PencilFiber, lines) -> tuple[ProjectiveLine, ...]:
+    return tuple(sorted((fiber.ambient_line(line.rows) for line in lines), key=lambda L: L.rows))
 
 
 def rulings_of_fiber(fiber: PencilFiber) -> list[RulingClass]:
     """Ruling classes of the fiber over its own field: 2 (split smooth),
-    0 (smooth with no rational lines), or 1 (cone)."""
-    K = fiber.K
-    raw = lines_on_quadric(K, fiber.quadric, fiber.matrix)
+    0 (smooth with no rational lines), or 1 (cone).
+
+    A cone's lines join its vertex to a plane section missing it.  At a point
+    y of a smooth fiber the tangent conic is two lines A = span(y, a) and
+    B = span(y, b), or none (nonsplit).  At a it is A and B' = span(a, b') of
+    B's ruling.  A's ruling is the line through each point of B meeting B', and
+    B's the line through each point of A meeting A', the line of A's ruling
+    through b; :func:`check_rulings` checks them, with no rank between lines.
+    """
+    K, M, quadric = fiber.K, fiber.matrix, fiber.quadric
+    if fiber.rank <= 2:
+        raise NotGeneral(f"fiber matrix has rank {fiber.rank} <= 2")
     if fiber.rank == 3:
-        ambient = tuple(sorted((fiber.ambient_line(rows) for rows in raw), key=lambda L: L.rows))
-        return [RulingClass(K, fiber.s, fiber.t, 0, True, ambient)]
-    if not raw:
+        ker = kernel_basis(K, M)
+        if ker.shape[0] != 1:
+            raise InternalInconsistency("a rank-3 quadric in P^3 has a single vertex")
+        vertex = [int(x) for x in ker[0]]
+        # the plane x_i = 0 at the vertex's leading 1 misses it and meets each line once
+        section = HomogeneousForm.linear(K, tuple(int(i == vertex.index(1)) for i in range(4)))
+        lines = [ProjectiveLine(K, np.array([vertex, pt])) for pt in common_zeros([section, quadric])]
+        return [RulingClass(K, fiber.s, fiber.t, 0, True, _ambient_pack(fiber, lines))]
+    y = next(common_zeros([quadric]))
+    through_y = _tangent_directions(K, M, quadric, y)
+    if not through_y:
         return []
-    first = raw[0]
-    same, other = [first], []
-    for rows in raw[1:]:
-        (same if _lines_disjoint(K, first, rows) else other).append(rows)
-    # congruence sanity: partition is consistent (same-class lines pairwise disjoint)
-    for group in (same, other):
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if not _lines_disjoint(K, group[i], group[j]):
-                    raise InternalInconsistency("ruling partition is not a congruence")
-    for a in same:
-        for b in other:
-            if _lines_disjoint(K, a, b):
-                raise InternalInconsistency("lines in different rulings must meet")
-    if not len(same) == len(other) == K.q + 1:
-        raise InternalInconsistency("split smooth fiber carries q+1 lines per ruling")
-    packs = []
-    for group in (same, other):
-        ambient = tuple(sorted((fiber.ambient_line(rows) for rows in group), key=lambda L: L.rows))
-        packs.append(ambient)
-    packs.sort(key=lambda pack: pack[0].rows)
+    if len(through_y) != 2:
+        raise InternalInconsistency("the tangent conic of a smooth quadric is two distinct lines")
+    (a, _), (b, _) = through_y
+    # b' is the branch at a off the tangent plane at y
+    branches = [d for d, _ in _tangent_directions(K, M, quadric, a) if _beta(K, M, y, d)]
+    if len(branches) != 1:
+        raise InternalInconsistency("a point of a split quadric lies on one line of each ruling")
+    ruling_a = _ruling_through(K, M, ProjectiveLine(K, np.array([y, b])).points_array(), (a, branches[0]))
+    a_prime = _ruling_through(K, M, [b], (a, branches[0]))[0].rows
+    ruling_b = _ruling_through(K, M, ProjectiveLine(K, np.array([y, a])).points_array(), a_prime)
+    check_rulings(K, (ruling_a, ruling_b))
+    packs = sorted((_ambient_pack(fiber, ruling) for ruling in (ruling_a, ruling_b)), key=lambda pack: pack[0].rows)
     return [RulingClass(K, fiber.s, fiber.t, i, False, pack) for i, pack in enumerate(packs)]
 
 

@@ -23,10 +23,11 @@ from . import pencil as pencil_mod
 from .forms import HomogeneousForm, BinaryForm, _poly_gcd_monic, det_form_matrix, random_form
 from .gf import GF, NotSupportedError
 from .linalg import mat_vec, rank, rref
-from .pencil import NotGeneral, fiber_matrix, lines_on_quadric
+from .pencil import NotGeneral, fiber_matrix, rulings_of_fiber
 from .projective import (
     InternalInconsistency,
     LinearSubspace,
+    ProjectivePoint,
     common_zeros,
     normalize_point,
     projective_reps,
@@ -481,13 +482,13 @@ def _extra_plane_candidates(nf: NormalizedThreefold, Z: SingularLocusZ, d: int):
     fiber_lines = None  # the lines of the fibers over (1:0) and (0:1), found at the first point of Z
     for z in Z.points_over(d):
         if fiber_lines is None:
-            fibers = (fiber_matrix(nfd, 1, 0), fiber_matrix(nfd, 0, 1))
-            fiber_lines = [(fib, lines_on_quadric(L, fib.quadric, fib.matrix)) for fib in fibers]
-        zfib = (0,) + Z.coords_in(z, L)
-        per_fiber = [
-            [fib.ambient_line(rows) for rows in lines if _line_rows_contain(L, rows, zfib)]
-            for fib, lines in fiber_lines
-        ]
+            fiber_lines = []
+            for s, t in ((1, 0), (0, 1)):
+                # both rulings in one row order, which fixes the order of the witnesses
+                lines = [line for c in rulings_of_fiber(fiber_matrix(nfd, s, t)) for line in c.lines]
+                fiber_lines.append(sorted(lines, key=lambda line: line.rows))
+        zpt = ProjectivePoint(L, (0, 0) + Z.coords_in(z, L))
+        per_fiber = [[line for line in lines if line.contains(zpt)] for lines in fiber_lines]
         for l1, l2 in itertools.product(per_fiber[0], per_fiber[1]):
             stacked = np.array(list(l1.rows) + list(l2.rows), dtype=np.int64)
             basis, _ = rref(L, stacked)
@@ -498,11 +499,6 @@ def _extra_plane_candidates(nf: NormalizedThreefold, Z: SingularLocusZ, d: int):
             if all(b[0] == 0 and b[1] == 0 for b in basis):
                 continue  # that is P itself
             yield ("plane through Z", tuple(tuple(int(x) for x in row) for row in basis))
-
-
-def _line_rows_contain(L: GF, rows, pt) -> bool:
-    stacked = np.array(list(rows) + [list(pt)], dtype=np.int64)
-    return rank(L, stacked) == 2
 
 
 def certify_generality(nf: NormalizedThreefold, scan_depth: int = 1) -> GeneralityCertificate:

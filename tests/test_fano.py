@@ -14,6 +14,8 @@ from cubicfano.fano import (
     ResampleRequired,
     TorsorPoint,
     Undefined,
+    _node_pairs,
+    _transversal_counts,
     decompose,
     lines_on_cubic_surface_section,
     verify_intersection_numbers,
@@ -417,6 +419,31 @@ def test_intersection_numbers_match_expected_values():
     assert rep.sigma_tau == (2, 2, 2, 2)
     assert rep.sigma_sigma == ((5, 3),) * 4
     assert rep.tau_tau == (1, 1, 1, 1)
+
+
+def test_tau_tau_pairs_conjugate_nodes_once():
+    # Z is two conjugate quadratic pairs: four geometric nodes, listed once each
+    nf = seeded_example(3, 5)
+    Z = compute_Z(nf)
+    assert sorted(z.degree for z in Z.points) == [2, 2, 2, 2]
+    assert len(_node_pairs(Z)) == 6
+    rep = verify_intersection_numbers(nf, random.Random(7), samples=4)
+    assert rep.tau_tau == (1, 1, 1, 1)
+
+
+def test_tower_climbs_stop_where_the_tower_ends():
+    # over F_9 the tower ends at F_81, so neither scan asks for F_{3^6}
+    nf = random_general_threefold(field(3, 2), random.Random(1))
+    surf = FanoSurface(nf, 1)
+    counts, complete = [], []
+    for l1, l2 in skew_disjoint_pairs(surf, random.Random(0), 5):
+        counts.append(_transversal_counts(nf, l1, l2))
+        census = lines_on_cubic_surface_section(nf, l1, l2)
+        assert {d for d, _ in census.exact} <= {1, 2}
+        complete.append(census.is_complete)
+    # a pair whose transversals all lie over F_81 gives the expected counts
+    assert (5, 3) in counts
+    assert any(complete)
 
 
 def test_intersection_numbers_propagate_internal_inconsistency(monkeypatch):

@@ -305,3 +305,26 @@ def test_f2401_character_and_sqrt_sampled(a, b):
 
 def test_field_objects_are_cached():
     assert field(3, 2) is field(3, 2)
+
+
+def test_one_field_object_per_field():
+    assert field(3) is field(3, 1) is field(p=3, k=1)
+
+
+def test_lifting_into_an_extension_builds_each_field_once(monkeypatch):
+    built = []
+    init = GF.__init__
+
+    def counted(self, p, k=1):
+        built.append((p, k))
+        init(self, p, k)
+
+    monkeypatch.setattr(GF, "__init__", counted)
+    monkeypatch.setattr(gf, "_FIELDS", {})
+    gf._embedding.cache_clear()
+    K = field(3)
+    L = K.extension(2)
+    assert K.lift((0, 1, 2), L) == (0, 1, 2)
+    assert L.lift(K.lift(2, L), L) == 2
+    gf._embedding(3, 1, 2)
+    assert sorted(built) == [(3, 1), (3, 2)]

@@ -119,3 +119,17 @@ def test_only_the_field_layer_climbs_the_tower():
                 ):
                     found.append(f"{path.name}:{node.lineno} degree compared with 4")
     assert found == []
+
+
+def test_no_function_imports_inside_its_body():
+    # every import sits at the top of its module, where the import graph reads at a glance
+    inner = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner += [
+                    f"{path.name}:{sub.lineno}"
+                    for sub in ast.walk(node)
+                    if isinstance(sub, (ast.Import, ast.ImportFrom))
+                ]
+    assert inner == []

@@ -6,22 +6,23 @@ import numpy as np
 import pytest
 
 from cubicfano.forms import BinaryForm, HomogeneousForm
-from cubicfano.gf import field
+from cubicfano.gf import InternalInconsistency, field
 from cubicfano.linalg import det, rank, solve
 from cubicfano.pencil import (
     HyperellipticModel,
     NotGeneral,
+    PencilFiber,
+    check_rulings,
     class_number_over_extension,
     count_points_C,
     discriminant,
     fiber_matrix,
-    lines_on_quadric,
     match_models,
     operational_curve_points,
     rulings_of_fiber,
     zeta,
 )
-from cubicfano.projective import enumerate_lines, projective_reps
+from cubicfano.projective import ProjectiveLine, enumerate_lines, projective_reps
 from cubicfano.threefold import random_threefold_through_plane
 
 from test_threefold import make_nf
@@ -162,12 +163,17 @@ def test_discriminant_nonreduced_detected():
 # ---------------------------------------------------------------------------
 
 
+_LINES_OF_P3: dict = {}
+
+
 def brute_lines(K, quadric):
-    found = []
-    for line in enumerate_lines(K, 3):
-        if all(quadric.evaluate(pt.coords) == 0 for pt in line.points()):
-            found.append(line.rows)
-    return sorted(found)
+    """Every line of P^3 on which the quadric vanishes at all q+1 points, as RREF rows."""
+    if K not in _LINES_OF_P3:
+        lines = list(enumerate_lines(K, 3))
+        _LINES_OF_P3[K] = (lines, np.concatenate([line.points_array() for line in lines]))
+    lines, points = _LINES_OF_P3[K]
+    on = ~quadric.evaluate_batch(points).reshape(len(lines), K.q + 1).any(axis=1)
+    return sorted(line.rows for line, keep in zip(lines, on) if keep)
 
 
 def hand_quadric(K, terms):
@@ -187,12 +193,27 @@ def sym_matrix(K, quadric):
     return M
 
 
+def fiber_lines(c):
+    """The lines of a ruling class of a fiber over (1:0), in fiber coordinates.
+
+    Over (1:0) an ambient row is (u, 0, x2, x3, x4), so dropping the zero
+    column leaves the fiber row, still in RREF.
+    """
+    return [ProjectiveLine(c.K, tuple(row[:1] + row[2:] for row in line.rows)) for line in c.lines]
+
+
+def ruling_rows(K, quadric):
+    """Rows, in fiber coordinates, of every line in the rulings of the quadric."""
+    classes = rulings_of_fiber(PencilFiber(K, 1, 0, quadric))
+    return sorted(line.rows for c in classes for line in fiber_lines(c))
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_lines_on_split_quadric_match_brute_force(p):
     # v0 v3 - v1 v2: the standard split quadric, 2(q+1) lines
     K = field(p)
     q = hand_quadric(K, {(1, 0, 0, 1): 1, (0, 1, 1, 0): K.neg_(1)})
-    got = lines_on_quadric(K, q, sym_matrix(K, q))
+    got = ruling_rows(K, q)
     assert len(got) == 2 * (K.q + 1)
     assert got == brute_lines(K, q)
 
@@ -202,7 +223,7 @@ def test_lines_on_cone_match_brute_force(p):
     # v0 v1 - v2^2: a rank-3 cone with vertex (0:0:0:1)
     K = field(p)
     q = hand_quadric(K, {(1, 1, 0, 0): 1, (0, 0, 2, 0): K.neg_(1)})
-    got = lines_on_quadric(K, q, sym_matrix(K, q))
+    got = ruling_rows(K, q)
     assert len(got) == K.q + 1
     assert got == brute_lines(K, q)
 
@@ -212,7 +233,7 @@ def test_lines_on_elliptic_quadric_empty():
     K = field(3)
     q = hand_quadric(K, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): 2})
     assert int(det(K, sym_matrix(K, q))) == 2  # nonsquare mod 3
-    got = lines_on_quadric(K, q, sym_matrix(K, q))
+    got = ruling_rows(K, q)
     assert got == []
     assert brute_lines(K, q) == []
 
@@ -221,7 +242,56 @@ def test_lines_rejects_low_rank():
     K = field(5)
     q = hand_quadric(K, {(1, 1, 0, 0): 1})
     with pytest.raises(NotGeneral):
-        lines_on_quadric(K, q, sym_matrix(K, q))
+        rulings_of_fiber(PencilFiber(K, 1, 0, q))
+
+
+def _skew(K, a, b):
+    return rank(K, np.array(a + b, dtype=np.int64)) == 4
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_rulings_match_brute_force_on_every_fiber(p, k):
+    # the union of the rulings is every line of the fiber, and on a smooth
+    # fiber the classes are the partition by disjointness: two lines of a
+    # smooth quadric lie in one ruling iff they are equal or skew
+    K = field(p, k)
+    kinds = set()
+    for seed in range(4):
+        nf = random_threefold_through_plane(K, random.Random(seed))
+        for s, t in projective_reps(K, 1):
+            fiber = fiber_matrix(nf, s, t)
+            if fiber.rank <= 2:
+                continue
+            classes = rulings_of_fiber(fiber)
+            brute = brute_lines(K, fiber.quadric)
+            got = [frozenset(line.rows for line in c.lines) for c in classes]
+            if fiber.rank == 3:
+                kinds.add("cone")
+                expect = [brute]
+            elif brute:
+                kinds.add("split")
+                first = brute[0]
+                same = [rows for rows in brute if rows == first or _skew(K, first, rows)]
+                expect = [same, [rows for rows in brute if rows not in same]]
+            else:
+                kinds.add("nonsplit")
+                expect = []
+            assert set(got) == {frozenset(fiber.ambient_line(rows).rows for rows in group) for group in expect}
+            assert len(got) == len(expect)
+    assert kinds == {"cone", "split", "nonsplit"}
+
+
+def test_ruling_check_catches_a_line_in_the_wrong_ruling():
+    K = field(5)
+    q = hand_quadric(K, {(1, 0, 0, 1): 1, (0, 1, 1, 0): K.neg_(1)})
+    rulings = [fiber_lines(c) for c in rulings_of_fiber(PencilFiber(K, 1, 0, q))]
+    check_rulings(K, rulings)
+    moved = [rulings[0][1:], rulings[1] + rulings[0][:1]]
+    with pytest.raises(InternalInconsistency, match="meet"):
+        check_rulings(K, moved)
+    swapped = [rulings[0][1:] + rulings[1][:1], rulings[1][1:] + rulings[0][:1]]
+    with pytest.raises(InternalInconsistency, match="meet"):
+        check_rulings(K, swapped)
 
 
 # ---------------------------------------------------------------------------

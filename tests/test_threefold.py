@@ -14,7 +14,7 @@ from cubicfano import threefold
 from cubicfano.forms import HomogeneousForm, random_form
 from cubicfano.gf import NotSupportedError, field
 from cubicfano.linalg import inverse_matrix, mat_vec, rank
-from cubicfano.pencil import NotGeneral, lines_on_quadric
+from cubicfano.pencil import NotGeneral, rulings_of_fiber
 from cubicfano.projective import LinearSubspace, all_points_array, normalize_point
 from cubicfano.threefold import (
     NormalizedThreefold,
@@ -376,13 +376,13 @@ def test_certificate_finds_the_fiber_lines_once_per_depth(monkeypatch, depth):
     # the lines of the fibers over (1:0) and (0:1) do not depend on the node
     calls = []
 
-    def counted(*args):
-        calls.append(args[0])
-        return lines_on_quadric(*args)
+    def counted(fiber):
+        calls.append(fiber.K)
+        return rulings_of_fiber(fiber)
 
     nf = random_general_threefold(field(3), random.Random(2))
     assert len(compute_Z(nf).rational_points) >= 2
-    monkeypatch.setattr(threefold, "lines_on_quadric", counted)
+    monkeypatch.setattr(threefold, "rulings_of_fiber", counted)
     assert certify_generality(nf, scan_depth=depth).is_general
     assert len(calls) <= 2 * depth
     assert {L.q for L in calls} == {3**d for d in range(1, depth + 1)}
