@@ -302,18 +302,19 @@ class FanoSurface:
         b_side = cube[f.evaluate_batch(np.hstack([zeros, ones, cube])) == 0]
         return _chart_rows(L, f, a_side, b_side)
 
+    def _carries_torsor_point(self, cl: ClassifiedLine) -> bool:
+        """A line is a torsor point when it misses P or meets P at a node."""
+        return cl.tag == DISJOINT or (cl.tag == MEETS_PLANE and cl.meets_at in self.node_index)
+
     def _build_torsor_set(self) -> TorsorPointSet:
         node_pts = [TorsorPoint("node", node=amb) for _, amb in self.nodes]
-        boundary = [
-            TorsorPoint("line", rows=cl.line.rows)
-            for cl in self.lines
-            if cl.tag == MEETS_PLANE and cl.meets_at in self.node_index
-        ]
-        open_chart = [TorsorPoint("line", rows=cl.line.rows) for cl in self.lines if cl.tag == DISJOINT]
-        points = tuple(node_pts) + tuple(boundary) + tuple(open_chart)
+        # self.lines lists the boundary lines (meeting P) before the disjoint ones
+        lines = [cl for cl in self.lines if self._carries_torsor_point(cl)]
+        n_boundary = sum(cl.tag == MEETS_PLANE for cl in lines)
+        points = tuple(node_pts) + tuple(TorsorPoint("line", rows=cl.line.rows) for cl in lines)
         if len(set(points)) != len(points):
             raise InternalInconsistency("torsor constituents must be pairwise disjoint")
-        return TorsorPointSet(points, len(node_pts), len(boundary), len(open_chart))
+        return TorsorPointSet(points, len(node_pts), n_boundary, len(lines) - n_boundary)
 
     # -- lookups -------------------------------------------------------------
 
@@ -342,9 +343,7 @@ class FanoSurface:
     def to_torsor_point(self, line: ProjectiveLine) -> TorsorPoint:
         """The torsor point carried by a line, or InvalidInput if none."""
         cl = self.classified(line)
-        if cl.tag == DISJOINT:
-            return TorsorPoint("line", rows=cl.line.rows)
-        if cl.tag == MEETS_PLANE and cl.meets_at in self.node_index:
+        if self._carries_torsor_point(cl):
             return TorsorPoint("line", rows=cl.line.rows)
         raise InvalidInput("the line does not represent a torsor point")
 
@@ -361,11 +360,8 @@ class FanoSurface:
         cl = self.by_rows.get(x.rows)
         if cl is None:
             raise InvalidInput("unknown line")
-        if cl.tag == DISJOINT:
-            return
-        if cl.tag == MEETS_PLANE and cl.meets_at in self.node_index:
-            return
-        raise InvalidInput("the line is not a torsor point")
+        if not self._carries_torsor_point(cl):
+            raise InvalidInput("the line is not a torsor point")
 
     # -- ruling operators ------------------------------------------------------
 
@@ -632,11 +628,9 @@ class FanoSurface:
         the caller decides whether that is excluded or inconsistent.
         """
         cl = self.classified(line)
-        if cl.tag == DISJOINT:
+        if self._carries_torsor_point(cl):
             return TorsorPoint("line", rows=cl.line.rows)
         if cl.tag == MEETS_PLANE:
-            if cl.meets_at in self.node_index:
-                return TorsorPoint("line", rows=cl.line.rows)
             raise InternalInconsistency("an involution output meets P away from every node")
         return None
 
@@ -964,7 +958,6 @@ def verify_intersection_numbers(
     nodes -- exactly 1.  Degenerate samples are resampled and counted.
     """
     surface = FanoSurface(nf, 1)
-    surface2 = FanoSurface(nf, 2, Z=surface.Z)
     disjoint = [cl.line for cl in surface.lines if cl.tag == DISJOINT]
     if not disjoint:
         raise NotGeneral("no disjoint lines over the base field; enlarge the field")
@@ -973,6 +966,7 @@ def verify_intersection_numbers(
     sigma_tau: list[int] = []
     rational_nodes = [z for z, _ in surface.nodes]
     if rational_nodes:
+        surface2 = FanoSurface(nf, 2, Z=surface.Z)
         while len(sigma_tau) < samples and resamples < max_resamples:
             z = rng.choice(rational_nodes)
             line = rng.choice(disjoint)
@@ -1106,7 +1100,6 @@ def _common_fiber_count(nf: NormalizedThreefold, Z: SingularLocusZ, za: ZPoint, 
         raise NotGeneral("the node line lies on every conic of the pencil")
     s, t = (int(x) for x in ker[0])
     fib = fiber_matrix(nfd, s, t)
-    line = ProjectiveLine(Ld, rows)
     lifted = np.hstack([np.zeros((2, 1), dtype=np.int64), rows[:, 2:]])
     if any(fib.quadric.evaluate(row) != 0 for row in lifted):
         raise InternalInconsistency("the common fiber must contain the node line")

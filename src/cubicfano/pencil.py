@@ -98,7 +98,13 @@ class PencilFiber:
         return [(K.mul_(self.s, int(u)), K.mul_(self.t, int(u)), *(int(x) for x in rest)) for u, *rest in rows]
 
     def ambient_line(self, rows) -> ProjectiveLine:
-        return ProjectiveLine(self.K, self.ambient_rows(rows))
+        """The line with canonical fiber rows ``rows``, in ambient coordinates.
+
+        Over a normalized (s:t), (1:t) or (0:1), the x0 column is u or zero
+        and the x1 column t*u, so the ambient rows are canonical already.
+        """
+        normalized = self.s == 1 or (self.s == 0 and self.t == 1)
+        return ProjectiveLine(self.K, tuple(self.ambient_rows(rows)), _trusted=normalized)
 
 
 def fiber_matrix(nf, s: int, t: int) -> PencilFiber:

@@ -9,6 +9,14 @@ with Q0, Q1 quadrics.  The scheme Z = {x0 = x1 = Q0 = Q1 = 0} inside P is the
 base locus of the restricted conic pencil; when zero-dimensional it has length
 4, and its structure controls everything downstream (rulings, the group law on
 lines, rationality).
+
+Z is found on a smooth conic G of the pencil.  The lines through a rational
+point y of G parametrize it, phi(u:v) = -G(w)*y + 2*beta(y, w)*w with
+w = u*c1 + v*c2, so Z is phi of the roots of one binary quartic: a second
+conic H of the pencil pulled back along phi.  A root's degree and
+multiplicity are its point's.  When every conic of the pencil is singular,
+the conics either share a line, and Z is not zero-dimensional, or are line
+pairs through one common vertex, which is then Z with multiplicity 4.
 """
 
 from __future__ import annotations
@@ -20,15 +28,17 @@ from functools import cached_property
 import numpy as np
 
 from . import pencil as pencil_mod
-from .forms import HomogeneousForm, BinaryForm, _poly_gcd_monic, det_form_matrix, random_form
+from .forms import BinaryForm, HomogeneousForm, random_form
 from .gf import GF, NotSupportedError
-from .linalg import mat_vec, rank, rref
+from .linalg import det, kernel_basis, mat_vec, rref
 from .pencil import NotGeneral, fiber_matrix, rulings_of_fiber
 from .projective import (
     InternalInconsistency,
     LinearSubspace,
     ProjectivePoint,
+    binary_quadratic,
     common_zeros,
+    complete_to_basis,
     normalize_point,
     projective_reps,
 )
@@ -249,164 +259,103 @@ class SingularLocusZ:
         return tuple(out)
 
 
-def _is_transverse(L: GF, q0: HomogeneousForm, q1: HomogeneousForm, pt) -> bool:
-    """Intersection multiplicity 1 at pt, i.e. the Jacobian has rank 2."""
-    rows = [q.gradient(pt) for q in (q0, q1)]
-    return rank(L, np.array(rows, dtype=np.int64)) == 2
+def _smooth_member(K: GF, q0: HomogeneousForm, q1: HomogeneousForm):
+    """A smooth conic G = s*q0 + t*q1 of the pencil and a second member H, or None.
 
-
-def _conic_c_parts(q: HomogeneousForm):
-    """Split a ternary quadric as A*c^2 + B(a,b)*c + C(a,b)."""
-    K = q.K
-    A = 0
-    B_terms: dict = {}
-    C_terms: dict = {}
-    for (ea, eb, ec), coeff in q.terms.items():
-        if ec == 2:
-            A = coeff
-        elif ec == 1:
-            B_terms[(ea, eb)] = coeff
-        else:
-            C_terms[(ea, eb)] = coeff
-    return A, HomogeneousForm(K, 2, 1, B_terms), HomogeneousForm(K, 2, 2, C_terms)
-
-
-def _center_and_basis(K: GF, q0: HomogeneousForm, q1: HomogeneousForm):
-    """A point off both conics, completed to a basis of the plane (or None)."""
-    for rep in projective_reps(K, 2):
-        if q0.evaluate(rep) != 0 and q1.evaluate(rep) != 0:
-            v = np.array(rep, dtype=np.int64)
-            pivot = int(np.nonzero(v)[0][0])
-            cols = [np.eye(3, dtype=np.int64)[:, j] for j in range(3) if j != pivot]
-            A = np.column_stack(cols + [v])
-            return A
+    The determinant of the pencil is a binary cubic in (s:t), so when it
+    vanishes at all q + 1 >= 4 rational members, every member is singular.
+    """
+    for s, t in projective_reps(K, 1):
+        G = q0.scaled(s).plus(q1.scaled(t))
+        if det(K, G.symmetric_matrix()):
+            return G, (q1 if s else q0)
     return None
 
 
-def _resultant_quartic(K: GF, t0: HomogeneousForm, t1: HomogeneousForm) -> BinaryForm:
-    """Res_c of two conics written as quadratics in the last coordinate."""
-    A0, B0, C0 = _conic_c_parts(t0)
-    A1, B1, C1 = _conic_c_parts(t1)
-    zero = lambda d: HomogeneousForm.zero(K, 2, d)  # noqa: E731
-    const = lambda a: HomogeneousForm(K, 2, 0, {(0, 0): a} if a else {})  # noqa: E731
-    rows = [
-        [const(A0), B0, C0, zero(3)],
-        [zero(0), const(A0), B0, C0],
-        [const(A1), B1, C1, zero(3)],
-        [zero(0), const(A1), B1, C1],
-    ]
-    R = det_form_matrix(K, 2, rows)
-    if R.is_zero:
-        raise NotGeneral("the restricted conics share a component")
-    if R.degree != 4:
-        raise InternalInconsistency(f"the resultant has degree {R.degree}, expected 4")
-    return BinaryForm.from_form(R)
+def _pullback_quartic(K: GF, G: HomogeneousForm, H: HomogeneousForm):
+    """H along a parametrization phi of the smooth conic G: (H o phi, phi's matrix).
 
-
-def _quadratic_roots(L: GF, g: list[int]):
-    """Roots in L of a monic quadratic [g0, g1, 1], or None if irrational."""
-    g0, g1, _ = g
-    disc = L.sub_(L.mul_(g1, g1), L.mul_(4 % L.p, g0))
-    r = L.sqrt(disc)
-    if r is None:
-        return None
-    half = L.inverse(2 % L.p)
-    c1 = L.mul_(L.sub_(r, g1), half)
-    c2 = L.mul_(L.sub_(L.neg_(r), g1), half)
-    return c1, c2
-
-
-def _points_of_root(K, A, q0, q1, t0, t1, s0, t0_val, mult, d):
-    """Back-substitute one root (s0:t0_val) of the resultant, degree-d minimal.
-
-    Returns a list of (degree, plane_coords, multiplicity) triples; the plane
-    coordinates are codes over F_{q^degree}.
+    From a rational point y of G, with w = u*c1 + v*c2 for (y, c1, c2) a
+    basis, the line through y and w meets G again at
+    phi(u:v) = -G(w)*y + 2*beta(y, w)*w, for beta the bilinear form of G.
+    phi = M @ (u^2, u*v, v^2), so H o phi is a binary quartic in (u:v).
     """
-    L = K.extension(d)
-    A0L, B0L, C0L = _conic_c_parts(t0.embedded(L))
-    A1L, B1L, C1L = _conic_c_parts(t1.embedded(L))
-    g0 = [C0L.evaluate((s0, t0_val)), B0L.evaluate((s0, t0_val)), A0L]
-    g1 = [C1L.evaluate((s0, t0_val)), B1L.evaluate((s0, t0_val)), A1L]
-    g = _poly_gcd_monic(L, g0, g1)
-    if len(g) not in (2, 3):
-        raise InternalInconsistency("a resultant root must admit a common root downstream")
+    y = next(common_zeros([G]))
+    c1, c2 = complete_to_basis(K, y, np.eye(3, dtype=np.int64))
+    g11, g12, g22 = binary_quadratic(G, c1, c2).coeffs  # G(w)
+    # 2*beta(y, c) = G(y + c) - G(c), as G(y) = 0
+    l1, l2 = (K.sub_(G.evaluate([K.add_(a, b) for a, b in zip(y, c)]), G.evaluate(c)) for c in (c1, c2))
+    M = np.array(
+        [
+            [
+                K.sub_(K.mul_(l1, a), K.mul_(g11, yi)),
+                K.sub_(K.add_(K.mul_(l1, b), K.mul_(l2, a)), K.mul_(g12, yi)),
+                K.sub_(K.mul_(l2, b), K.mul_(g22, yi)),
+            ]
+            for yi, a, b in zip(y, c1, c2)
+        ],
+        dtype=np.int64,
+    )
+    coeffs = [0] * 5
+    for (_, e1, e2), c in H.substitute(M).terms.items():
+        coeffs[e1 + 2 * e2] = K.add_(coeffs[e1 + 2 * e2], c)  # (u^2)^e0 (uv)^e1 (v^2)^e2
+    return BinaryForm(K, 4, coeffs), M
 
-    def plane_point(c_val: int, M: GF = L) -> tuple[int, ...]:
-        """The plane point over M (L or its quadratic extension) with last coordinate c_val."""
-        y = np.array(L.lift((s0, t0_val), M) + (c_val,), dtype=np.int64)
-        return normalize_point(M, mat_vec(M, K.lift(A, M), y))
 
-    def finish(c_val: int, m: int, M: GF = L):
-        coords = plane_point(c_val, M)
-        if q0.embedded(M).evaluate(coords) != 0 or q1.embedded(M).evaluate(coords) != 0:
-            raise InternalInconsistency("back-substituted point misses the conics")
-        return (M.k // K.k, coords, m)
+def _Z_at_common_vertex(K: GF, q0: HomogeneousForm, q1: HomogeneousForm) -> SingularLocusZ:
+    """Z when every conic of the pencil is singular.
 
-    if len(g) == 2:  # unique common root over L
-        return [finish(L.neg_(g[0]), mult)]
-    roots = _quadratic_roots(L, g)
-    if roots is None:
-        # conjugate pair over the quadratic extension of L
-        if not L.reaches(2):
-            raise NotSupportedError("Z point needs an extension beyond degree 4")
-        L2 = L.extension(2)
-        pair = _quadratic_roots(L2, L.lift(g, L2))
-        if pair is None:
-            raise InternalInconsistency("the discriminant must become a square upstairs")
-        if mult % 2:
-            raise InternalInconsistency("conjugate points share the root multiplicity evenly")
-        return [finish(c_val, mult // 2, L2) for c_val in pair]
-    c1, c2 = roots
-    if c1 == c2:
-        return [finish(c1, mult)]
-    q0L, q1L = q0.embedded(L), q1.embedded(L)
-    trans = [_is_transverse(L, q0L, q1L, plane_point(c)) for c in (c1, c2)]
-    if mult == 2:
-        if trans != [True, True]:
-            raise InternalInconsistency("two transverse points share a double resultant root")
-        return [finish(c1, 1), finish(c2, 1)]
-    if mult == 3:
-        if trans.count(True) != 1:
-            raise InternalInconsistency("a triple resultant root splits as 1 + 2")
-        m1, m2 = (1, 2) if trans[0] else (2, 1)
-        return [finish(c1, m1), finish(c2, m2)]
-    if mult != 4:
-        raise InternalInconsistency(f"a resultant root of multiplicity {mult}, expected at most 4")
-    if trans.count(True) == 2:
-        raise InternalInconsistency("4 = 1 + 1 is impossible")
-    if True in trans:
-        m1, m2 = (1, 3) if trans[0] else (3, 1)
-        return [finish(c1, m1), finish(c2, m2)]
-    return [finish(c1, 2), finish(c2, 2)]
+    Such a pencil either has a fixed line or consists of line pairs through
+    one common vertex v.  Then Z is v with multiplicity 2 * 2 = 4, unless the
+    two conics share a line through v: a common root of their binary
+    quadratics on the lines through v.
+    """
+    vertex = kernel_basis(K, np.vstack([q0.symmetric_matrix(), q1.symmetric_matrix()]))
+    if vertex.shape[0] == 1:
+        v = normalize_point(K, vertex[0])
+        c1, c2 = complete_to_basis(K, v, np.eye(3, dtype=np.int64))
+        if binary_quadratic(q0, c1, c2).resultant(binary_quadratic(q1, c1, c2)):
+            return SingularLocusZ(K, (ZPoint(1, v, 4),))
+    raise NotGeneral("the restricted conics share a component")
 
 
 def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
     """The base locus of the restricted conic pencil, with multiplicities.
 
-    Projects from a point off both conics, takes the Sylvester resultant
-    (a binary quartic), and back-substitutes each root; multiplicities are
-    apportioned by transversality of the conic intersection where two points
-    sit over the same root.  The quartic's distinct-degree split groups the
-    roots by their degree d over F_q, so F_{q^d} is built only for a degree
-    that occurs.  Raises NotGeneral when Z is not zero-dimensional, and
-    NotSupportedError when a point of Z needs a field beyond degree 4 over F_p.
+    Some conic G of the pencil is smooth unless all of them are singular
+    (:func:`_Z_at_common_vertex`).  A rational point of G gives an
+    isomorphism phi: P^1 -> G defined over F_q, and Z is G cut by a second
+    member H, so its points are phi of the roots of the binary quartic H o phi:
+    each of the same degree over F_q as its root and, since phi is a local
+    parameter at every point of the smooth G, of the root's multiplicity as
+    intersection multiplicity (Fulton, *Algebraic Curves*, 3.3).  The
+    quartic's distinct-degree split groups the roots by that degree d, so
+    F_{q^d} is built only for a degree that occurs.  Raises NotGeneral when Z
+    is not zero-dimensional, and NotSupportedError when a point of Z needs a
+    field beyond degree 4 over F_p.
     """
     K = nf.K
     q0, q1 = nf.restricted_conics
     if q0.is_zero or q1.is_zero:
         raise NotGeneral("a restricted conic vanishes identically")
-    A = _center_and_basis(K, q0, q1)
-    if A is None:
-        return _compute_Z_by_scan(nf, q0, q1)
-    t0 = q0.substitute(A)
-    t1 = q1.substitute(A)
-    quartic = _resultant_quartic(K, t0, t1)
+    members = _smooth_member(K, q0, q1)
+    if members is None:
+        return _Z_at_common_vertex(K, q0, q1)
+    quartic, M = _pullback_quartic(K, *members)
+    if quartic.is_zero:
+        raise NotGeneral("the restricted conics share a component")
     found: list[tuple[int, tuple[int, ...], int]] = []
     for d, part in quartic.distinct_degree_split().items():
         if not K.reaches(d):
             raise NotSupportedError(f"a node of degree {d} over F_{K.q} needs F_{K.p}^{K.k * d}")
-        for (s0, t0_val), mult in part.roots(extension=d):
-            found.extend(_points_of_root(K, A, q0, q1, t0, t1, s0, t0_val, mult, d))
+        L = K.extension(d)
+        ML, q0L, q1L = K.lift(M, L), q0.embedded(L), q1.embedded(L)
+        for (u, v), mult in part.roots(extension=d):
+            square = [L.mul_(u, u), L.mul_(u, v), L.mul_(v, v)]
+            coords = normalize_point(L, mat_vec(L, ML, square))
+            if q0L.evaluate(coords) or q1L.evaluate(coords):
+                raise InternalInconsistency("a point of Z misses the conics")
+            found.append((d, coords, mult))
     points = tuple(
         ZPoint(d, tuple(int(c) for c in coords), m)
         for d, coords, m in sorted(found, key=lambda z: (z[0], z[1]))
@@ -416,25 +365,6 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
         raise InternalInconsistency(f"Z has length {Z.total_multiplicity}, expected 4")
     Z.orbits  # closure check
     return Z
-
-
-def _compute_Z_by_scan(nf: NormalizedThreefold, q0, q1) -> SingularLocusZ:
-    """Fallback when every rational point lies on one of the conics.
-
-    This forces q = 3 with both conics split into two lines, all four
-    concurrent; Z is that single rational point with multiplicity 4.  The
-    claim is verified by scanning for common zeros over F_{q^4}.
-    """
-    K = nf.K
-    if not K.reaches(4):
-        raise NotSupportedError("no projection center and no room for a verification scan")
-    # a second common zero already refutes the claim
-    rational = list(itertools.islice(common_zeros([q0, q1]), 2))
-    L = K.extension(4)
-    common = list(itertools.islice(common_zeros([q0.embedded(L), q1.embedded(L)]), 2))
-    if len(common) != 1 or len(rational) != 1:
-        raise NotGeneral("conic pencil without a projection center has excess base locus")
-    return SingularLocusZ(K, (ZPoint(1, rational[0], 4),))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,46 @@ def binary_roots_by_scan(L, coeffs, degree):
     return out
 
 
+def jacobian_has_rank_two(L, q0, q1, point):
+    """Whether the gradients of the forms q0, q1 (over L) are independent at point.
+
+    The partial derivatives are taken term by term and evaluated with scalar
+    field operations; rank 2 means some 2x2 minor of the 2 x n Jacobian is
+    nonzero.
+    """
+
+    def gradient(form):
+        out = []
+        for i in range(len(point)):
+            partial = {}
+            for e, c in form.terms.items():
+                if e[i] % L.p:
+                    key = e[:i] + (e[i] - 1,) + e[i + 1 :]
+                    partial[key] = L.add_(partial.get(key, 0), L.mul_(c, e[i] % L.p))
+            out.append(evaluate_form_naive(L, partial, point))
+        return out
+
+    g0, g1 = gradient(q0), gradient(q1)
+    n = len(point)
+    return any(L.sub_(L.mul_(g0[i], g1[j]), L.mul_(g0[j], g1[i])) for i in range(n) for j in range(i + 1, n))
+
+
+def Z_multiplicities_by_jacobian(points, transverse):
+    """Multiplicities of points of a length-4 intersection of two conics, from the Jacobian.
+
+    ``transverse[i]`` says whether the Jacobian has rank 2 at ``points[i]``;
+    such a point has multiplicity 1.  The other points share the rest of the
+    length 4: one point takes all of it, two take 2 each.  When some point is
+    not transverse, the list must hold every geometric point.  Returns
+    {point: multiplicity}.
+    """
+    others = [pt for pt, t in zip(points, transverse) if not t]
+    rest = 4 - (len(points) - len(others))
+    if others and not (len(others) == 1 and rest >= 2 or len(others) == 2 and rest == 4):
+        raise InternalInconsistency("non-transverse points cannot share the rest of the length")
+    return {pt: 1 if t else rest // len(others) for pt, t in zip(points, transverse)}
+
+
 def residual_line_symbolic(cubic, plane, L, M):
     """The residual line of a plane section by symbolic algebra.
 

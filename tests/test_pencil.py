@@ -5,9 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from cubicfano import projective
 from cubicfano.forms import BinaryForm, HomogeneousForm
 from cubicfano.gf import InternalInconsistency, field
-from cubicfano.linalg import det, rank, solve
+from cubicfano.linalg import det, rank, rref, solve
 from cubicfano.pencil import (
     HyperellipticModel,
     NotGeneral,
@@ -22,7 +23,7 @@ from cubicfano.pencil import (
     rulings_of_fiber,
     zeta,
 )
-from cubicfano.projective import ProjectiveLine, enumerate_lines, projective_reps
+from cubicfano.projective import ProjectiveLine, _canonical_rows, enumerate_lines, projective_reps
 from cubicfano.threefold import random_threefold_through_plane
 
 from test_threefold import make_nf
@@ -279,6 +280,23 @@ def test_rulings_match_brute_force_on_every_fiber(p, k):
             assert set(got) == {frozenset(fiber.ambient_line(rows).rows for rows in group) for group in expect}
             assert len(got) == len(expect)
     assert kinds == {"cone", "split", "nonsplit"}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_ambient_line_is_canonical_without_rref_over_a_normalized_base_point(p, monkeypatch):
+    K = field(p)
+    quadric = hand_quadric(K, {(1, 0, 0, 1): 1, (0, 1, 1, 0): K.neg_(1)})
+    lines = [line.rows for line in enumerate_lines(K, 3)]
+    for s, t in projective_reps(K, 1):
+        for scale in (1, 2):
+            fiber = PencilFiber(K, K.mul_(scale, s), K.mul_(scale, t), quadric)
+            want = [_canonical_rows(K, fiber.ambient_rows(rows), expect_rank=2) for rows in lines]
+            calls = []
+            monkeypatch.setattr(projective, "rref", lambda K, mat: calls.append(mat) or rref(K, mat))
+            got = [fiber.ambient_line(rows).rows for rows in lines]
+            monkeypatch.undo()
+            assert got == want
+            assert len(calls) == (0 if scale == 1 else len(lines))
 
 
 def test_ruling_check_catches_a_line_in_the_wrong_ruling():

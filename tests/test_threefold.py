@@ -27,6 +27,7 @@ from cubicfano.threefold import (
     random_general_threefold,
     random_threefold_through_plane,
 )
+from reference_impl import Z_multiplicities_by_jacobian, jacobian_has_rank_two
 
 
 def standard_plane(K):
@@ -180,16 +181,17 @@ def test_Z_conjugate_quadratic_points():
 
 def test_Z_no_projection_center_fallback():
     # over F3 with q0 = x2*x3 and q1 = x2^2 - x3^2 the four lines through
-    # (0:0:1) cover the whole plane, so no projection center exists
-    K = field(3)
-    nf = make_nf(K, {(1, 1, 0): 1}, {(2, 0, 0): 1, (0, 2, 0): K.neg_(1)})
-    Z = compute_Z(nf)
-    assert Z.points == (ZPoint(1, (0, 0, 1), 4),)
+    # (0:0:1) cover the whole plane; over every field each conic of the pencil
+    # is a line pair through (0:0:1), which Z is with multiplicity 4
+    for K in (field(3), field(5), field(7), field(3, 2)):
+        nf = make_nf(K, {(1, 1, 0): 1}, {(2, 0, 0): 1, (0, 2, 0): K.neg_(1)})
+        assert compute_Z(nf).points == (ZPoint(1, (0, 0, 1), 4),)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_Z_scan_fallback_follows_a_change_of_plane_coordinates(monkeypatch, seed):
-    # the same four concurrent lines, with their common point moved to A^-1 (0:0:1)
+    # the same four concurrent lines, with their common point moved to A^-1 (0:0:1):
+    # the pencil has no smooth member, and Z comes from the common vertex
     K = field(3)
     rng = random.Random(seed)
     while True:
@@ -198,11 +200,11 @@ def test_Z_scan_fallback_follows_a_change_of_plane_coordinates(monkeypatch, seed
             break
     q0 = HomogeneousForm(K, 3, 2, {(1, 1, 0): 1}).substitute(A)
     q1 = HomogeneousForm(K, 3, 2, {(2, 0, 0): 1, (0, 2, 0): K.neg_(1)}).substitute(A)
-    scans = []
-    by_scan = threefold._compute_Z_by_scan
-    monkeypatch.setattr(threefold, "_compute_Z_by_scan", lambda *args: scans.append(args) or by_scan(*args))
+    calls = []
+    at_vertex = threefold._Z_at_common_vertex
+    monkeypatch.setattr(threefold, "_Z_at_common_vertex", lambda *args: calls.append(args) or at_vertex(*args))
     Z = compute_Z(make_nf(K, q0.terms, q1.terms))
-    assert len(scans) == 1
+    assert len(calls) == 1
     center = normalize_point(K, inverse_matrix(K, A)[:, 2])
     assert Z.points == (ZPoint(1, center, 4),)
 
@@ -222,11 +224,13 @@ def test_Z_rejects_vanishing_conic():
 
 
 def test_Z_rejects_common_component():
-    # q0 = x2*x3, q1 = x2*x4 share the line x2 = 0
+    # q0 = x2*x3 shares the line x2 = 0 with q1 = x2*x4, and with
+    # q1 = x2*(x2 + x3), where every conic is a line pair through (0:0:1)
     K = field(5)
-    nf = make_nf(K, {(1, 1, 0): 1}, {(1, 0, 1): 1})
-    with pytest.raises(NotGeneral):
-        compute_Z(nf)
+    for q1_terms in ({(1, 0, 1): 1}, {(2, 0, 0): 1, (1, 1, 0): 1}):
+        nf = make_nf(K, {(1, 1, 0): 1}, q1_terms)
+        with pytest.raises(NotGeneral):
+            compute_Z(nf)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +265,69 @@ def test_Z_support_matches_exhaustive_scan(p):
             L = field(K.p, K.k * d) if d > 1 else K
             predicted = {Z.coords_in(z, L) for z in Z.points_over(d)}
             assert predicted == support_by_scan(nf, d), f"support mismatch at degree {d}"
+
+
+def _oracle_multiplicities(nf, L):
+    """{coords over L: multiplicity} for the points of Z over L, by the support scan
+    and the Jacobian oracle; None when the conics share a component."""
+    support = sorted(support_by_scan(nf, L.k // nf.K.k))
+    if len(support) > 4:
+        return None
+    q0, q1 = (c.embedded(L) for c in nf.restricted_conics)
+    return Z_multiplicities_by_jacobian(support, [jacobian_has_rank_two(L, q0, q1, pt) for pt in support])
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
+def test_Z_multiplicities_match_the_jacobian_oracle(q):
+    # A point of multiplicity >= 2 shares it with its conjugates, so its degree
+    # is at most 2: the scan over F_{q^2} sees every such point, and the points
+    # of degree 3 or 4 are what the scanned ones leave of the length 4.
+    K = field(3, 2) if q == 9 else field(q)
+    L = K.extension(2)
+    seen = set()
+    for seed in range(40):
+        nf = random_threefold_through_plane(K, random.Random(seed))
+        want = _oracle_multiplicities(nf, L)
+        if want is None:
+            with pytest.raises(NotGeneral):
+                compute_Z(nf)
+            continue
+        rest = 4 - sum(want.values())  # 3 or 4: one orbit of nodes of that degree
+        if rest and not K.reaches(rest):
+            with pytest.raises(NotSupportedError):
+                compute_Z(nf)
+            continue
+        if rest == 4 and q == 11:
+            continue  # a node of degree 4 needs the 0.9 GB tables of F_{11^4}
+        Z = compute_Z(nf)
+        assert {Z.coords_in(z, L): z.multiplicity for z in Z.points_over(2)} == want
+        assert [(z.degree, z.multiplicity) for z in Z.points if z.degree > 2] == [(rest, 1)] * rest
+        if rest == 3 and q == 7:  # at q = 3 and 5 the exhaustive scan test covers degree 3
+            L3 = K.extension(3)
+            assert {Z.coords_in(z, L3) for z in Z.points_over(3)} == support_by_scan(nf, 3)
+        seen.add(Z.reduced)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize(
+    "q1_terms, want",
+    [
+        # x4*(x4 - x3): the tangent at (1:0:0) and a line through it
+        ({(0, 0, 2): 1, (0, 1, 1): -1}, {((1, 0, 0), 3), ((1, 1, 1), 1)}),
+        # x4*(x4 - x2): the tangent at (1:0:0) and a secant
+        ({(0, 0, 2): 1, (1, 0, 1): -1}, {((1, 0, 0), 2), ((1, 1, 1), 1), ((1, -1, 1), 1)}),
+    ],
+    ids=["tangent-and-line", "tangent-and-secant"],
+)
+def test_Z_of_a_conic_and_a_line_pair_through_a_tangency(p, q1_terms, want):
+    # q0 = x2*x4 - x3^2 is smooth; each q1 is a pair of lines through (1:0:0)
+    K = field(p)
+    nf = make_nf(K, {(1, 0, 1): 1, (0, 2, 0): K.neg_(1)}, {e: c % p for e, c in q1_terms.items()})
+    Z = compute_Z(nf)
+    assert {(z.plane_coords, z.multiplicity) for z in Z.points} == {(tuple(x % p for x in pt), m) for pt, m in want}
+    assert all(z.degree == 1 for z in Z.points)
+    assert _oracle_multiplicities(nf, K) == {z.plane_coords: z.multiplicity for z in Z.points}
 
 
 def test_Z_points_satisfy_both_conics():
