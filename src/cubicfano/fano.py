@@ -176,6 +176,16 @@ def _meet_with_plane(K: GF, rows) -> tuple[str, tuple | None]:
     return MEETS_PLANE, normalize_point(K, pt)
 
 
+def _plane_lines(L: GF):
+    """Each line of P = {x0 = x1 = 0} once, as (line of P^2, line of P^4).
+
+    The ambient rows are the plane rows behind two zero columns, which keeps
+    them in RREF.
+    """
+    for inner in enumerate_lines(L, 2):
+        yield inner, ProjectiveLine(L, tuple((0, 0) + row for row in inner.rows), _trusted=True)
+
+
 def _fiber_of_point(K: GF, pt) -> tuple[int, int]:
     """The pencil parameter (s:t) of the unique fiber hyperplane through pt."""
     if (pt[0], pt[1]) == (0, 0):
@@ -236,28 +246,26 @@ class FanoSurface:
         out: dict[tuple, ClassifiedLine] = {}
 
         # every line of the plane P lies on Y
-        q0, q1 = self.nf.restricted_conics
-        for inner in enumerate_lines(L, 2):
-            amb = self.plane.embed_line(inner)
-            fiber, idx = self._plane_line_fiber(inner, amb, q0, q1)
-            out[amb.rows] = ClassifiedLine(amb, IN_PLANE, None, fiber, idx)
-        n_plane = len(out)
-        if n_plane != L.q**2 + L.q + 1:
+        for _, amb in _plane_lines(L):
+            out[amb.rows] = ClassifiedLine(amb, IN_PLANE)
+        if len(out) != L.q**2 + L.q + 1:
             raise InternalInconsistency("P must carry q^2 + q + 1 lines")
 
-        # lines of the pencil fibers; those inside P were already listed
+        # lines of the pencil fibers.  A line of P lies on the fiber quadric
+        # Q_{s,t} exactly when it is a component of the conic s*q0 + t*q1, so
+        # it is one of the ruling lines, and a second fiber would put it in Z.
         for key in sorted(self.fibers):
             for c in self.rulings[key]:
                 for ln in c.lines:
                     tag, pt = _meet_with_plane(L, ln.rows)
+                    prev = out.get(ln.rows)
                     if tag == IN_PLANE:
-                        known = out[ln.rows]
-                        if known.fiber != key or known.ruling_index != c.index:
-                            raise InternalInconsistency("fiber data of an in-plane line disagrees")
+                        if prev.fiber is not None:
+                            raise InternalInconsistency("a line of P lies in two fibers, hence in Z")
+                        out[ln.rows] = ClassifiedLine(prev.line, IN_PLANE, None, key, c.index)
                         continue
                     if tag != MEETS_PLANE:
                         raise InternalInconsistency("a fiber line must meet the plane")
-                    prev = out.get(ln.rows)
                     if prev is not None:
                         raise InternalInconsistency("a line off P lies in two fibers")
                     out[ln.rows] = ClassifiedLine(ln, MEETS_PLANE, pt, key, c.index)
@@ -269,27 +277,6 @@ class FanoSurface:
             out[rows] = ClassifiedLine(ProjectiveLine(L, rows, _trusted=True), DISJOINT)
 
         return sorted(out.values(), key=lambda cl: (_TAG_ORDER[cl.tag], cl.line.rows))
-
-    def _plane_line_fiber(self, inner: ProjectiveLine, amb: ProjectiveLine, q0, q1):
-        """The (at most one) fiber whose quadric contains this line of P.
-
-        That is the (s:t) with s*r0 + t*r1 = 0, for r0 and r1 the coefficient
-        vectors of the two conics restricted to the line.
-        """
-        L = self.L
-        u = binary_quadratic(q0, *inner.rows).coeffs
-        v = binary_quadratic(q1, *inner.rows).coeffs
-        if not any(u) and not any(v):
-            raise InternalInconsistency("a line of P cannot lie in every fiber unless Z has a line")
-        minors = (L.sub_(L.mul_(u[i], v[j]), L.mul_(u[j], v[i])) for i, j in ((0, 1), (0, 2), (1, 2)))
-        if any(minors):
-            return None, None
-        i = next(i for i in range(3) if u[i] or v[i])
-        key = normalize_point(L, (v[i], L.neg_(u[i])))
-        for c in self.rulings[key]:
-            if amb in c.lines:
-                return key, c.index
-        raise InternalInconsistency("fiber containing a line of P does not list it among its rulings")
 
     def _disjoint_rows(self) -> list[tuple]:
         """RREF row pairs ((1,0,a),(0,1,b)) of the lines on Y avoiding P."""
@@ -730,12 +717,16 @@ class FanoDecomposition:
 def decompose(nf: NormalizedThreefold, k: int = 1, scan_depth: int = 2) -> FanoDecomposition:
     """The boundary decomposition of the line set over F_{q^k}.
 
-    Verifies, as exact set identities on the enumerated lines: the count of
-    lines in P, that the closure of the open chart meets the plane dual
-    exactly in the node stars (of geometric nodes -- a rational line of P can
-    pass through a conjugate pair) and the fiber component exactly in the
-    node curves, and that at most six lines of P lie in fibers over the
-    closure scan.
+    Verifies, as exact identities between independent computations on the
+    enumerated lines: the count of lines in P; that each rational node lies
+    on q + 1 of them; that the lines of P through some geometric node (a
+    rational line of P can pass through a conjugate pair), found by a
+    resultant test, contain the stars of the rational nodes and are the lines
+    each spanned with a node over an extension; that the lines of P lying in
+    a fiber are among them; and that at most six lines of P lie in fibers
+    over the closure scan.  The union of the node stars is where the closure
+    of the open chart meets the plane dual; the closure itself is not
+    computed.
     """
     surface = FanoSurface(nf, k)
     L = surface.L
@@ -761,11 +752,6 @@ def decompose(nf: NormalizedThreefold, k: int = 1, scan_depth: int = 2) -> FanoD
     # conics share a zero on it: both binary quadratic restrictions vanish
     # somewhere over the closure, i.e. their resultant is zero.
     node_star_union = _node_star_union(surface)
-    meets_at_nodes = {
-        cl.line.rows for cl in surface.lines if cl.tag == MEETS_PLANE and cl.meets_at in surface.node_index
-    }
-    boundary = node_star_union | meets_at_nodes
-    closure = open_chart | boundary
 
     special = {cl.line.rows for cl in surface.lines if cl.tag == IN_PLANE and cl.fiber is not None}
     geometric = _count_degenerate_conic_lines(nf, k * scan_depth)
@@ -791,32 +777,6 @@ def decompose(nf: NormalizedThreefold, k: int = 1, scan_depth: int = 2) -> FanoD
         witness = next(iter(orbit_union.symmetric_difference(node_star_union)))
     identities.append(("node_stars_match_orbit_spans", ok))
 
-    lhs = closure & plane_lines
-    ok = lhs == node_star_union
-    if not ok and witness is None:
-        witness = next(iter(lhs.symmetric_difference(node_star_union)))
-    identities.append(("closure_meets_plane_dual_in_node_stars", ok))
-
-    lhs = closure & fiber_lines
-    rhs = {r for group in c_z for r in group if r in fiber_lines}
-    ok = lhs == rhs
-    if not ok and witness is None:
-        witness = next(iter(lhs.symmetric_difference(rhs)))
-    identities.append(("closure_meets_fibers_in_node_curves", ok))
-
-    boundary_law = all(
-        (cl.meets_at in surface.node_index) == (cl.line.rows in closure)
-        for cl in surface.lines
-        if cl.tag == MEETS_PLANE
-    )
-    if not boundary_law and witness is None:
-        witness = next(
-            cl.line.rows
-            for cl in surface.lines
-            if cl.tag == MEETS_PLANE and (cl.meets_at in surface.node_index) != (cl.line.rows in closure)
-        )
-    identities.append(("boundary_lines_pass_through_nodes", boundary_law))
-
     ok = special <= node_star_union
     if not ok and witness is None:
         witness = next(iter(special - node_star_union))
@@ -824,9 +784,6 @@ def decompose(nf: NormalizedThreefold, k: int = 1, scan_depth: int = 2) -> FanoD
 
     ok = geometric <= 6
     identities.append(("at_most_six_special_lines", ok))
-
-    ok = not (open_chart & boundary)
-    identities.append(("open_chart_avoids_boundary", ok))
 
     dec = FanoDecomposition(
         k=k,
@@ -858,7 +815,7 @@ def _node_star_union(surface: FanoSurface) -> set:
     q0, q1 = surface.nf.restricted_conics
     exps = [(2, 0), (1, 1), (0, 2)]
     out = set()
-    for inner in enumerate_lines(L, 2):
+    for inner, amb in _plane_lines(L):
         r0 = q0.restrict(inner.matrix)
         r1 = q1.restrict(inner.matrix)
         b0 = BinaryForm(L, 2, tuple(r0.coefficient(e) for e in exps))
@@ -866,7 +823,7 @@ def _node_star_union(surface: FanoSurface) -> set:
         if b0.is_zero and b1.is_zero:
             raise NotGeneral("a line of P lies inside the node scheme")
         if b0.is_zero or b1.is_zero or b0.resultant(b1) == 0:
-            out.add(surface.plane.embed_line(inner).rows)
+            out.add(amb.rows)
     return out
 
 
@@ -886,10 +843,10 @@ def _orbit_span_union(surface: FanoSurface) -> tuple[set, bool]:
             continue
         M = K.extension(d)
         coords = surface.Z.coords_in(z, M)
-        for inner in enumerate_lines(L, 2):
+        for inner, amb in _plane_lines(L):
             m = np.array(L.lift(inner.rows, M) + (coords,), dtype=np.int64)
             if rank(M, m) == 2:
-                out.add(surface.plane.embed_line(inner).rows)
+                out.add(amb.rows)
     return out, total
 
 

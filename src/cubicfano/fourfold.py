@@ -31,10 +31,10 @@ from .forms import BinaryForm, HomogeneousForm, det_form_matrix
 from .gf import GF
 from .linalg import kernel_basis
 from .pencil import (
+    DiscriminantSextic,
     HyperellipticModel,
     NotGeneral,
     ZetaData,
-    discriminant,
     symbolic_fiber_entries,
     zeta,
 )
@@ -413,11 +413,7 @@ def certify_fourfold(
     for lam in projective_reps(nx.K, 2):
         try:
             sl = slice_threefold(nx, lam)
-            z = compute_Z(sl.threefold)
-            if z.total_multiplicity != 4:
-                slices_ok = False
-                witness = witness or ("tangency fiber of wrong length", lam, z.total_multiplicity)
-                break
+            compute_Z(sl.threefold)  # length four, or NotGeneral
             is_transverse = disc is not None and disc.restricted_to_dual(lam).is_squarefree()
             if is_transverse:
                 transverse += 1
@@ -526,7 +522,7 @@ def fiber_scan(
                 )
             )
             continue
-        zdata = zeta(HyperellipticModel(discriminant(sl.threefold)))
+        zdata = zeta(HyperellipticModel(DiscriminantSextic(sextic)))
         n_torsor = len(FanoSurface(sl.threefold, 1).torsor_set)
         reports.append(
             FiberReport(

@@ -144,7 +144,9 @@ class GF:
 
     A larger field raises NotSupportedError before any search or allocation:
     past 65535 elements the uint16 codes overflow, and past 16384 the two
-    q x q tables would take more than 1 GiB.
+    q x q tables would take more than 1 GiB.  The tables are built in row
+    blocks, so that bound holds for the build's peak as well, up to a few
+    tens of MiB.
 
     Use :func:`field` to obtain the cached instance for given (p, k).
     """
@@ -186,7 +188,8 @@ class GF:
         self._vecs = vecs
         pw = p ** np.arange(k)
 
-        # addition is digitwise mod p; build in row blocks to bound memory
+        # addition is digitwise mod p; both tables are built in row blocks,
+        # so the build peaks near the tables it keeps
         add = np.empty((q, q), dtype=np.uint16)
         step = max(1, (1 << 22) // (q * k))
         for lo in range(0, q, step):
@@ -216,8 +219,9 @@ class GF:
 
         mul = np.zeros((q, q), dtype=np.uint16)
         nz = exp  # nonzero codes in generator order
-        sums = (self._log[nz][:, None] + self._log[nz][None, :]) % (q - 1)
-        mul[np.ix_(nz, nz)] = exp[sums]
+        for lo in range(0, q - 1, step):
+            sums = log[nz[lo : lo + step], None] + log[None, nz]
+            mul[np.ix_(nz[lo : lo + step], nz)] = exp[sums % (q - 1)]
         self.mul = mul
 
         inv = np.zeros(q, dtype=np.uint16)

@@ -179,9 +179,6 @@ class LinearSubspace:
                     out[j] = K.add_(out[j], K.mul_(int(c), rj))
         return ProjectivePoint(K, out)
 
-    def embed_line(self, inner: ProjectiveLine) -> ProjectiveLine:
-        return ProjectiveLine(self.K, mat_mul(self.K, inner.matrix, self.matrix))
-
     def points(self) -> Iterator[ProjectivePoint]:
         for coords in projective_reps(self.K, self.dim):
             yield self.embed_point(coords)

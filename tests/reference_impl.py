@@ -192,6 +192,38 @@ def Z_multiplicities_by_jacobian(points, transverse):
     return {pt: 1 if t else rest // len(others) for pt, t in zip(points, transverse)}
 
 
+def plane_line_fiber_by_minors(L, q0, q1, rows, rulings):
+    """(fiber, ruling index) of a line of P^2, from the minors of its two restricted conics.
+
+    ``rows`` spans the line inside P (plane coordinates); ``rulings`` maps
+    each pencil parameter (s:t) to its ruling classes over L.  The conics
+    restrict to binary quadratics with coefficient vectors u and v, read off
+    the values at a, b and a + b.  The line lies on the fiber quadric
+    Q_{s,t} iff s*u + t*v = 0, so it lies in a fiber iff every 2 x 2 minor of
+    (u, v) vanishes; the ruling index is that of the class listing the line.
+    Returns (None, None) for a line in no fiber.
+    """
+    a, b = rows
+    both = tuple(L.add_(x, y) for x, y in zip(a, b))
+
+    def restricted(q):
+        qa, qb = evaluate_form_naive(L, q.terms, a), evaluate_form_naive(L, q.terms, b)
+        return qa, L.sub_(L.sub_(evaluate_form_naive(L, q.terms, both), qa), qb), qb
+
+    u, v = restricted(q0), restricted(q1)
+    if not any(u) and not any(v):
+        raise InternalInconsistency("a line of P cannot lie in every fiber unless Z has a line")
+    if any(L.sub_(L.mul_(u[i], v[j]), L.mul_(u[j], v[i])) for i, j in ((0, 1), (0, 2), (1, 2))):
+        return None, None
+    i = next(i for i in range(3) if u[i] or v[i])
+    key = normalize_point(L, (v[i], L.neg_(u[i])))
+    amb = tuple((0, 0) + tuple(row) for row in rows)
+    for c in rulings[key]:
+        if any(line.rows == amb for line in c.lines):
+            return key, c.index
+    raise InternalInconsistency("fiber containing a line of P does not list it among its rulings")
+
+
 def residual_line_symbolic(cubic, plane, L, M):
     """The residual line of a plane section by symbolic algebra.
 

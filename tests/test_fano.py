@@ -20,9 +20,9 @@ from cubicfano.fano import (
     lines_on_cubic_surface_section,
     verify_intersection_numbers,
 )
-from cubicfano.gf import field
+from cubicfano.gf import NotSupportedError, field
 from cubicfano.linalg import inverse_matrix, mat_mul, rank
-from cubicfano.pencil import NotGeneral
+from cubicfano.pencil import NotGeneral, fiber_matrix, rulings_of_fiber
 from cubicfano.projective import (
     InternalInconsistency,
     LinearSubspace,
@@ -33,8 +33,9 @@ from cubicfano.projective import (
     projective_reps,
     span,
 )
-from cubicfano.threefold import compute_Z, normalize, random_general_threefold
+from cubicfano.threefold import compute_Z, normalize, random_general_threefold, random_threefold_through_plane
 
+from reference_impl import plane_line_fiber_by_minors
 from test_pencil import general_example
 
 
@@ -143,6 +144,45 @@ def test_meets_lines_lie_in_exactly_one_fiber():
             assert containing == ([cl.fiber] if cl.fiber is not None else [])
         else:
             assert containing == []
+
+
+# (p, k of the base field, working degree): seeds, among them seeds whose
+# surface build raises (q = 3 seed 12 and q = 5 seed 16 on a fiber of rank 2,
+# F_9 seed 0 on a node of degree 3)
+PLANE_FIBER_SEEDS = {
+    (3, 1, 1): range(13),
+    (5, 1, 1): (0, 1, 2, 16),
+    (7, 1, 1): range(3),
+    (3, 2, 1): range(3),
+    (11, 1, 1): range(2),
+    (3, 1, 2): (1, 2, 12),
+    (5, 1, 2): range(2),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PLANE_FIBER_SEEDS), ids=lambda key: "q%d^%d-k%d" % key)
+def test_plane_lines_take_their_fiber_from_the_rulings(key):
+    # the fiber and ruling index of every line of P match the minors of its
+    # restricted conics; a build that raises raises what Z or a fiber raises
+    p, k_base, k = key
+    for seed in PLANE_FIBER_SEEDS[key]:
+        nf = random_threefold_through_plane(field(p, k_base), random.Random(seed))
+        nf_L = nf.embedded(nf.K.extension(k))
+        try:
+            compute_Z(nf)
+            rulings = {(s, t): rulings_of_fiber(fiber_matrix(nf_L, s, t)) for s, t in projective_reps(nf_L.K, 1)}
+        except (NotGeneral, NotSupportedError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                FanoSurface(nf, k)
+            assert str(raised.value) == str(exc)
+            continue
+        surf = FanoSurface(nf, k)
+        q0, q1 = nf_L.restricted_conics
+        plane_lines = [cl for cl in surf.lines if cl.tag == IN_PLANE]
+        assert len(plane_lines) == surf.L.q**2 + surf.L.q + 1
+        for cl in plane_lines:
+            inner = tuple(row[2:] for row in cl.line.rows)
+            assert (cl.fiber, cl.ruling_index) == plane_line_fiber_by_minors(surf.L, q0, q1, inner, rulings)
 
 
 def test_nodes_are_singular_points_on_every_fiber_quadric():

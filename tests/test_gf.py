@@ -1,5 +1,7 @@
 """Field layer: table arithmetic against naive oracles, frozen small cases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,18 @@ def test_fields_beyond_the_table_budget_refused(monkeypatch, p, k):
     monkeypatch.setattr(GF, "_build_tables", lambda self: pytest.fail("tables built"))
     with pytest.raises(NotSupportedError, match="the limit is 1 GiB"):
         GF(p, k)
+
+
+def test_table_build_peaks_near_its_tables():
+    # both q x q tables are built in row blocks: F_{7^4} keeps 22 MiB of
+    # tables, and building them may take at most 64 MiB more
+    tracemalloc.start()
+    try:
+        K = GF(7, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= K.add.nbytes + K.mul.nbytes + (64 << 20)
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,7 @@ def test_axiom_check_builds_one_surface_per_degree(monkeypatch):
         build(self, nf, k, Z)
 
     monkeypatch.setattr(FanoSurface, "__init__", counting)
-    rep = verify_group_axioms(seeded_example(3, 2), random.Random(2), budget=200)
+    rep = verify_group_axioms(seeded_example(3, 2), random.Random(2))
     assert [c.k for c in rep.point_counts] == [1, 2]
     assert sorted(built) == [1, 2]
 
@@ -255,13 +255,34 @@ def test_foreign_points_are_rejected():
 
 
 def test_verification_report_round_trips_to_json():
-    rep = verify_group_axioms(general_example(3), random.Random(7), budget=300)
+    rep = verify_group_axioms(general_example(3), random.Random(7))
     assert rep.all_passed
-    assert rep.total_trials >= 300
+    commute = next(a for a in rep.axioms if a.name == "letters_commute")
+    assert commute.trials == rep.n_letters**2
     assert [c.k for c in rep.point_counts] == [1, 2]
     assert all(c.equal for c in rep.point_counts)
     blob = json.dumps(rep.to_report(), sort_keys=True)
     assert json.loads(blob)["all_passed"] is True
+
+
+def test_a_letter_that_breaks_the_relations_fails_the_report(monkeypatch):
+    # one letter swaps the images of two points of the rational universe
+    nf = general_example(3)
+    planted = torsor_group(nf).letters[0]
+    perm_of = TorsorGroup._perm_of
+
+    def swapped(self, c):
+        perm = perm_of(self, c)
+        if self.surface.k == 1 and c.key == planted.key:
+            perm = perm.copy()
+            perm[[0, 1]] = perm[[1, 0]]
+        return perm
+
+    monkeypatch.setattr(TorsorGroup, "_perm_of", swapped)
+    rep = verify_group_axioms(nf, random.Random(7))
+    assert not rep.all_passed
+    commute = next(a for a in rep.axioms if a.name == "letters_commute")
+    assert not commute.passed and repr(planted) in commute.witness
 
 
 FROZEN_COUNTS = {
