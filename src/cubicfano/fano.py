@@ -22,7 +22,7 @@ operators as methods: ``tau`` (the line of a ruling through a node),
 ``involution`` / ``j_table``, the involutions j_c that generate the group law
 on the next layer up.  ``tau`` and ``sigma`` look the point up in a table
 from the points of a ruling's lines to the lines through them; ``j_table``
-evaluates the cubic on all the plane sections of a table in one batch.
+solves all the plane sections of a table at once, as array operations.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .forms import BinaryForm, HomogeneousForm, divide_by_linear
 from .gf import GF
-from .linalg import kernel_basis, mat_mul, mat_vec, rank, rref, solve
+from .linalg import kernel_basis, mat_mul, mat_vec, rank, rref, rref_stack, solve
 from .pencil import (
     NotGeneral,
     PencilFiber,
@@ -60,7 +60,6 @@ from .projective import (
     plane_section_values,
     projective_reps,
     residual_from_values,
-    residual_line,
     root_directions,
     span,
 )
@@ -456,10 +455,17 @@ class FanoSurface:
         """
         if c.K is not d.K:
             raise ValueError("the two ruling classes must live over one field")
-        return residual_line(self.nf.embedded(c.K).f, *self._psi_section(z, c, d))
+        out = self._section_residuals(c.K, [self._psi_section(z, c, d)])[0]
+        if isinstance(out, Exception):
+            raise out
+        return out
 
     def _psi_section(self, z: ZPoint, c: RulingClass, d: RulingClass):
-        """The plane of :meth:`psi` and the two lines its residual is taken of."""
+        """The section of :meth:`psi`, as :meth:`_section_residuals` takes it.
+
+        Off the diagonal its rows are those of the two ruling lines, which
+        span the plane only once they are reduced.
+        """
         M = c.K
         nf_M = self.nf.embedded(M)
         t1 = self.tau(z, c)
@@ -471,11 +477,40 @@ class FanoSurface:
                 S = self._cone_tangent_plane(z, c, nf_M)
             else:
                 S = self._deformation_plane(z, c, t1, nf_M)
-            return S, t1, t1
-        S = span(M, t1, t2)
-        if S.dim != 2:
-            raise InternalInconsistency("distinct lines through one node span a plane")
-        return S, t1, t2
+            return S.rows, t1, t1, "the limiting plane of a diagonal pair is a plane"
+        return t1.rows + t2.rows, t1, t2, "distinct lines through one node span a plane"
+
+    def _section_residuals(self, M: GF, sections) -> list:
+        """The residual line of each plane section over M, or the error in its place.
+
+        A section is (rows spanning its plane, first line, second line, the
+        message of the ``InternalInconsistency`` that stands in for a
+        residual when the rows span no plane).  One stacked elimination
+        reduces the rows of every section, one batch evaluates the cubic on
+        the planes, and one stacked :func:`residual_from_values` call solves
+        them all; its errors are returned in place, like the span errors.
+        """
+        if not sections:
+            return []
+        blocks = np.zeros((len(sections), 4, self.nf.f.nvars), dtype=np.int64)
+        for block, (rows, *_) in zip(blocks, sections):
+            block[: len(rows)] = rows
+        reduced, ranks = rref_stack(M, blocks)
+        flat = np.flatnonzero(ranks == 3)
+        planes = reduced[flat, :3]
+        residuals = iter(
+            residual_from_values(
+                M,
+                planes,
+                [sections[i][1].rows for i in flat],
+                [sections[i][2].rows for i in flat],
+                plane_section_values(self.nf.embedded(M).f, planes),
+            )
+        )
+        return [
+            next(residuals) if rank == 3 else InternalInconsistency(message)
+            for rank, (*_, message) in zip(ranks.tolist(), sections)
+        ]
 
     def _cone_tangent_plane(self, z: ZPoint, c: RulingClass, nf_M) -> LinearSubspace:
         """The fiber tangent plane along the cone generator through z."""
@@ -549,9 +584,13 @@ class FanoSurface:
     def _involutions(self, c: RulingClass, points) -> list[TorsorPoint]:
         """:meth:`involution` at each point, in order.
 
-        The plane sections of all points are evaluated in one batch.  An
-        error is raised for the first point at which :meth:`involution` would
-        raise one.
+        Each point goes to its image or to the plane section whose residual
+        line gives the image.  The sections of all points are then solved as
+        array operations by :meth:`_section_residuals`: one stacked RREF
+        spans their planes, one batch evaluates the cubic on them, and one
+        stacked residual solve divides each by its two lines.  An error is
+        raised for the first point at which :meth:`involution` would raise
+        one.
         """
         if c.K is not self.L:
             raise ValueError("the ruling class must live over the working field")
@@ -562,16 +601,18 @@ class FanoSurface:
                 steps.append(self._involution_step(c, x))
         except Exception as exc:  # raised after the points before x are done
             failure = exc
-        sections = [step for step in steps if not isinstance(step, TorsorPoint)]
-        values = plane_section_values(self.nf.f, [plane for plane, _, _, _ in sections])
-        rows = iter(values)
+        sections = [step[0] for step in steps if not isinstance(step, TorsorPoint)]
+        residuals = iter(self._section_residuals(self.L, sections))
         out = []
         for step in steps:
             if not isinstance(step, TorsorPoint):
-                plane, first, second, off_torsor = step
-                step = self._land(residual_from_values(plane, first, second, next(rows)).line)
-                if step is None:
-                    raise off_torsor
+                residual = next(residuals)
+                if isinstance(residual, Exception):
+                    raise residual
+                landed = self._land(residual.line)
+                if landed is None:
+                    raise step[1]
+                step = landed
             out.append(step)
         if failure is not None:
             raise failure
@@ -580,8 +621,8 @@ class FanoSurface:
     def _involution_step(self, c: RulingClass, x: TorsorPoint):
         """The image of x, or the plane section whose residual line it is.
 
-        A section comes as (plane, first line, second line, the error to
-        raise when the residual lies in P).
+        A section comes as (the section as :meth:`_section_residuals` takes
+        it, the error to raise when the residual lies in P).
         """
         self._check_member(x)
         if x.kind == "node":
@@ -595,18 +636,16 @@ class FanoSurface:
         if cl.tag == DISJOINT:
             line = self.line_of(x)
             m = self.sigma(line, c)
-            S = span(self.L, line, m)
-            if S.dim != 2:
-                raise InternalInconsistency("a disjoint line and the ruling line meeting it span a plane")
-            return S, line, m, InternalInconsistency("the residual of a disjoint-line span cannot lie in P")
+            section = (line.rows + m.rows, line, m, "a disjoint line and the ruling line meeting it span a plane")
+            return section, InternalInconsistency("the residual of a disjoint-line span cannot lie in P")
         # boundary line through a node
         z_amb = cl.meets_at
         z = self.node_index[z_amb]
         d = self.ruling_of(cl)
         if d.key == self.other_ruling(c).key:
             return TorsorPoint("node", node=z_amb)
-        S, t1, t2 = self._psi_section(z, c, d)
-        return S, t1, t2, ResampleRequired("the residual through the node lands on an excluded in-plane line")
+        off_torsor = ResampleRequired("the residual through the node lands on an excluded in-plane line")
+        return self._psi_section(z, c, d), off_torsor
 
     def _land(self, line: ProjectiveLine) -> TorsorPoint | None:
         """Classify an operator output into the torsor-ready set.

@@ -413,12 +413,12 @@ def certify_fourfold(
     for lam in projective_reps(nx.K, 2):
         try:
             sl = slice_threefold(nx, lam)
-            compute_Z(sl.threefold)  # length four, or NotGeneral
+            Z = compute_Z(sl.threefold)  # length four, or NotGeneral
             is_transverse = disc is not None and disc.restricted_to_dual(lam).is_squarefree()
             if is_transverse:
                 transverse += 1
                 if full_slices:
-                    cert = certify_generality(sl.threefold, scan_depth=1)
+                    cert = certify_generality(sl.threefold, scan_depth=1, Z=Z)
                     if not cert.is_general:
                         slices_ok = False
                         witness = witness or ("non-general transverse slice", lam, cert.witness)
@@ -469,6 +469,10 @@ class FiberReport:
         }
 
 
+# how many transverse duals fiber_scan verifies when it chooses them itself
+SCANNED_DUALS = 10
+
+
 def transverse_duals(nx: NormalizedFourfold, count: int, disc: PlaneDiscriminant | None = None):
     """The first ``count`` dual points whose line meets the discriminant
     transversally (a squarefree binary sextic), in enumeration order."""
@@ -483,21 +487,18 @@ def transverse_duals(nx: NormalizedFourfold, count: int, disc: PlaneDiscriminant
     return out
 
 
-def fiber_scan(
-    nx: NormalizedFourfold,
-    duals=None,
-    budget: int = 10,
-    slice_scan_depth: int = 1,
-) -> list[FiberReport]:
+def fiber_scan(nx: NormalizedFourfold, duals=None) -> list[FiberReport]:
     """Verify the fibration fiberwise over a selection of dual points.
 
     Every requested dual gets a report; when ``duals`` is None the first
-    ``budget`` transverse ones are chosen.  Reports come back sorted by dual
-    point.  A failed slice is recorded, never fatal.
+    ``SCANNED_DUALS`` transverse ones are chosen.  Reports come back sorted
+    by dual point.  A failed slice is recorded, never fatal.  The node scheme
+    of a transverse slice is computed once, for its certificate and its
+    surface of lines.
     """
     disc = plane_discriminant(nx, scan_depth=0)
     if duals is None:
-        duals = transverse_duals(nx, budget, disc)
+        duals = transverse_duals(nx, SCANNED_DUALS, disc)
     reports = []
     for lam in duals:
         lam = normalize_point(nx.K, lam)
@@ -513,7 +514,11 @@ def fiber_scan(
                 )
             )
             continue
-        cert = certify_generality(sl.threefold, scan_depth=slice_scan_depth)
+        try:
+            Z = compute_Z(sl.threefold)
+        except NotGeneral:
+            Z = None  # the certificate meets the failure again and records it
+        cert = certify_generality(sl.threefold, scan_depth=1, Z=Z)
         if not cert.is_general:
             reports.append(
                 FiberReport(
@@ -523,7 +528,7 @@ def fiber_scan(
             )
             continue
         zdata = zeta(HyperellipticModel(DiscriminantSextic(sextic)))
-        n_torsor = len(FanoSurface(sl.threefold, 1).torsor_set)
+        n_torsor = len(FanoSurface(sl.threefold, 1, Z).torsor_set)
         reports.append(
             FiberReport(
                 lam, True, True, zdata, n_torsor, n_torsor == zdata.h, "",

@@ -40,6 +40,40 @@ def rref(K: GF, mat) -> tuple[np.ndarray, list[int]]:
     return A[:r], pivots
 
 
+def rref_stack(K: GF, mats) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced row echelon form of every matrix of an (n, rows, cols) stack, and their ranks.
+
+    One Gaussian elimination sweeps the columns of the whole stack; in each
+    matrix the pivot of a column is its first nonzero entry in a row not yet
+    used as a pivot.  R[i, :rank[i]] equals ``rref(K, mats[i])[0]`` and the
+    rows below are zero.  On a single small matrix the sweep's fixed cost per
+    column is several times the work of :func:`rref`'s row loop, so that loop
+    stays for the one-matrix calls.
+    """
+    A = np.array(mats, dtype=np.int64) % K.q
+    n, rows, cols = A.shape
+    free = np.ones((n, rows), dtype=bool)
+    pivot_col = np.full((n, rows), cols)
+    every = np.arange(n)
+    for c in range(cols):
+        candidates = (A[:, :, c] != 0) & free
+        first = candidates.argmax(axis=1)
+        s = np.flatnonzero(candidates[every, first])
+        if not len(s):
+            continue
+        p = first[s]
+        B = A[s]
+        at = np.arange(len(s))
+        pivot_row = K.mul[K.inv[B[at, p, c]][:, None], B[at, p]]
+        B = K.add[B, K.neg[K.mul[B[:, :, c, None], pivot_row[:, None, :]]]]
+        B[at, p] = pivot_row
+        A[s] = B
+        free[s, p] = False
+        pivot_col[s, p] = c
+    order = np.argsort(pivot_col, axis=1, kind="stable")
+    return np.take_along_axis(A, order[:, :, None], axis=1), (~free).sum(axis=1)
+
+
 def rank(K: GF, mat) -> int:
     return rref(K, mat)[0].shape[0]
 

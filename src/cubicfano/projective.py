@@ -352,17 +352,17 @@ def _combine(K: GF, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def plane_section_values(cubic: HomogeneousForm, planes) -> np.ndarray:
     """The cubic at every point of each plane, in one batch evaluation.
 
-    Row i holds the values at the points y B_i, y running over
-    ``projective_reps(K, 2)``, where B_i is the canonical basis of the i-th
-    plane.
+    ``planes`` is an (n, 3, N) array of canonical plane bases B_i.  Row i
+    holds the values at the points y B_i, y running over
+    ``projective_reps(K, 2)``.
     """
     K = cubic.K
     reps = _plane_reps(K)
-    if not planes:
+    planes = np.asarray(planes, dtype=np.uint16)
+    if not len(planes):
         return np.zeros((0, len(reps)), dtype=np.uint16)
     # basis row j of every plane, shaped to broadcast against the points
-    bases = np.array([plane.rows for plane in planes], dtype=np.uint16).transpose(1, 0, 2)[:, :, None, :]
-    pts = _combine(K, reps, bases)
+    pts = _combine(K, reps, planes.transpose(1, 0, 2)[:, :, None, :])
     return cubic.evaluate_batch(pts.reshape(-1, cubic.nvars)).reshape(len(planes), len(reps))
 
 
@@ -373,116 +373,149 @@ def residual_line(cubic: HomogeneousForm, plane: LinearSubspace, L: ProjectiveLi
     the three factors proportional to ell_N (1 = honest third line, 2 or 3 =
     degenerate configurations).  L = M is legal and divides by the square.
 
-    The section is found from evaluations, not symbolic algebra.  The
-    cubic is evaluated at every point of the plane.  In plane coordinates
-    ell_L and ell_M are the cross products of the lines' pivot-slot
-    coordinates.  Off L and M, c * ell_N equals f / (ell_L * ell_M), so three
-    independent points there give it by one 3 x 3 solve.  The identity
-    f = c * ell_L * ell_M * ell_N is then verified at every point of
-    P^2(F_q); for q >= 3 no nonzero ternary cubic vanishes on all of them,
-    so this pins the section exactly.  A section vanishing everywhere is
-    ``PlaneContained``.  When the identity fails, the section misses L
-    (``NotOnCubic`` for the first line: a binary cubic with q + 1 >= 4 zeros
-    on L is zero) or else is not divisible by ell_M after ell_L
-    (``NotOnCubic`` for the second line).
+    This is the one-plane call of :func:`residual_from_values`, which says
+    how the section is solved; the error it reports for the plane is raised:
+    ``PlaneContained`` when the whole plane lies on the cubic, ``NotOnCubic``
+    when the first or the second line is not on the section.
     """
     if plane.dim != 2:
         raise ValueError("residual lines live in plane sections")
-    return residual_from_values(plane, L, M, plane_section_values(cubic, [plane])[0])
+    basis = np.array([plane.rows], dtype=np.uint16)
+    out = residual_from_values(plane.K, basis, [L.rows], [M.rows], plane_section_values(cubic, basis))[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
-def _cross(K: GF, u, v) -> tuple[int, int, int]:
-    """The cross product of two 3-vectors: the linear form vanishing on both."""
-    mul, sub = K.mul_, K.sub_
-    return (
-        sub(mul(u[1], v[2]), mul(u[2], v[1])),
-        sub(mul(u[2], v[0]), mul(u[0], v[2])),
-        sub(mul(u[0], v[1]), mul(u[1], v[0])),
-    )
+def _cross(K: GF, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross products of 3-vectors along the last axis: the linear forms vanishing on both."""
+    add, mul, neg = K.add, K.mul, K.neg
+
+    def minor(i, j):
+        return add[mul[u[..., i], v[..., j]], neg[mul[u[..., j], v[..., i]]]]
+
+    return np.stack([minor(1, 2), minor(2, 0), minor(0, 1)], axis=-1)
 
 
-def _dot(K: GF, u, v) -> int:
-    return K.add_(K.add_(K.mul_(u[0], v[0]), K.mul_(u[1], v[1])), K.mul_(u[2], v[2]))
+def _dot(K: GF, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products of 3-vectors along the last axis (broadcasting)."""
+    add, mul = K.add, K.mul
+    return add[add[mul[u[..., 0], v[..., 0]], mul[u[..., 1], v[..., 1]]], mul[u[..., 2], v[..., 2]]]
 
 
-def _linear_values(K: GF, forms, pts: np.ndarray) -> np.ndarray:
-    """Ternary linear forms (rows of forms) at each row of pts: shape (forms, points)."""
-    return _combine(K, np.array(forms, dtype=np.uint16), pts.T)
+def _normalized(K: GF, vecs: np.ndarray) -> np.ndarray:
+    """Each nonzero row of an (n, 3) array scaled so its first nonzero entry is 1."""
+    lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
+    return K.mul[K.inv[lead][:, None], vecs]
 
 
-def _forms_in_plane(plane: LinearSubspace, lines) -> list[tuple[int, int, int]]:
-    """The linear forms, in plane coordinates, cutting lines of the plane.
+# the two indices other than j, ascending, for j = 0, 1, 2
+_OTHER_TWO = np.array([(1, 2), (0, 2), (0, 1)])
 
-    The plane coordinates of a point of the plane are its pivot-slot entries,
-    so each form is the cross product of the two rows' pivot slots.
+
+def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
+    """:func:`residual_line` for n plane sections at once, as array operations.
+
+    ``planes`` is an (n, 3, N) array of canonical plane bases, ``firsts`` and
+    ``seconds`` hold the (n, 2, N) rows of the two lines in each plane, and
+    ``values`` is the (n, #P^2(F_q)) block :func:`plane_section_values`
+    returns for the planes.  Every step below runs on all n rows at once:
+
+    * In plane coordinates (the pivot-slot entries) ell_L and ell_M are the
+      cross products of the lines' rows.
+    * Off L and M, c * ell_N equals f / (ell_L * ell_M), so three
+      independent points there give it by Cramer's rule: the first two
+      points off L and M and the first one off the line joining them
+      (q^2 - q > q + 1 points are off L and M).
+    * The identity f = c * ell_L * ell_M * ell_N is verified at every point
+      of P^2(F_q); for q >= 3 no nonzero ternary cubic vanishes on all of
+      them, so this pins the section exactly.  When it fails, the section
+      misses L (a binary cubic with q + 1 >= 4 zeros on L is zero) or else
+      is not divisible by ell_M after ell_L.
+    * The multiplicity counts the factors proportional to ell_N, and N's
+      canonical rows are read off ell_N.
+
+    Row i's outcome is its :class:`Residual`, or the error
+    :func:`residual_line` raises for that plane: ``PlaneContained``, a
+    ``ValueError`` for a line outside its plane, ``NotOnCubic`` for the first
+    or the second line, or ``InternalInconsistency``.  Errors are returned,
+    not raised, so a caller raises the first one in its own order.
     """
-    K = plane.K
-    rows = np.array([row for line in lines for row in line.rows], dtype=np.uint16)
-    coords = rows[:, plane.pivots()]
-    if not np.array_equal(_combine(K, coords, np.array(plane.rows, dtype=np.uint16)), rows):
-        raise ValueError("point does not lie in the subspace")
-    coords = coords.tolist()
-    return [_cross(K, coords[i], coords[i + 1]) for i in range(0, len(coords), 2)]
-
-
-def residual_from_values(plane: LinearSubspace, L: ProjectiveLine, M: ProjectiveLine, values) -> Residual:
-    """:func:`residual_line` from the cubic's values at every point of the plane.
-
-    ``values`` is one row of :func:`plane_section_values`, so a caller with
-    many sections evaluates them all in one batch.
-    """
-    K = plane.K
+    planes = np.asarray(planes, dtype=np.uint16)
+    n = len(planes)
+    if not n:
+        return []
     values = np.asarray(values)
-    if not values.any():
-        raise PlaneContained("plane lies entirely on the cubic")
-    ell_L, ell_M = _forms_in_plane(plane, (L, M))
+    lines = np.concatenate([np.asarray(firsts, dtype=np.uint16), np.asarray(seconds, dtype=np.uint16)], axis=1)
+    add, mul, neg, inv = K.add, K.mul, K.neg, K.inv
+    at = np.arange(n)
     reps = _plane_reps(K)
-    on_L, on_M = _linear_values(K, (ell_L, ell_M), reps)
-    both = K.mul[on_L, on_M]
-    off = np.flatnonzero(both)
-    # three independent points off L and M: two distinct points and the first
-    # point off the line joining them (q^2 - q > q + 1 points are off L and M)
-    p1, p2 = reps[off[0]].tolist(), reps[off[1]].tolist()
-    joining = _cross(K, p1, p2)
-    i3 = off[np.flatnonzero(_linear_values(K, (joining,), reps[off])[0])[0]]
-    p3 = reps[i3].tolist()
-    r1, r2, r3 = (K.div_(int(values[i]), int(both[i])) for i in (off[0], off[1], i3))
-    # Cramer's rule: ell_N . p_i = r_i
-    inv_det = K.inverse(_dot(K, joining, p3))
+
+    # plane coordinates of the four line rows, checked to embed back
+    coords = np.take_along_axis(lines, (planes != 0).argmax(axis=2)[:, None, :], axis=2)
+    in_plane = (_combine(K, coords, planes.transpose(1, 0, 2)[:, :, None, :]) == lines).all(axis=(1, 2))
+    ell_L = _cross(K, coords[:, 0], coords[:, 1])
+    ell_M = _cross(K, coords[:, 2], coords[:, 3])
+    on_L = _dot(K, ell_L[:, None, :], reps)
+    both = mul[on_L, _dot(K, ell_M[:, None, :], reps)]
+
+    # three independent points off L and M
+    off = both != 0
+    i1 = off.argmax(axis=1)
+    i2 = (off & (np.arange(len(reps)) > i1[:, None])).argmax(axis=1)
+    joining = _cross(K, reps[i1], reps[i2])
+    i3 = (off & (_dot(K, joining[:, None, :], reps) != 0)).argmax(axis=1)
+    p1, p2, p3 = reps[i1], reps[i2], reps[i3]
+    picked = np.stack([i1, i2, i3], axis=1)
+    ratios = mul[values[at[:, None], picked], inv[both[at[:, None], picked]]]
+
+    # Cramer's rule: ell_N . p_k = ratios[k]
     terms = (
-        [K.mul_(r1, x) for x in _cross(K, p2, p3)],
-        [K.mul_(r2, x) for x in _cross(K, p3, p1)],
-        [K.mul_(r3, x) for x in joining],
+        mul[ratios[:, 0, None], _cross(K, p2, p3)],
+        mul[ratios[:, 1, None], _cross(K, p3, p1)],
+        mul[ratios[:, 2, None], joining],
     )
-    ell_N = tuple(K.mul_(K.add_(K.add_(a, b), c), inv_det) for a, b, c in zip(*terms))
-    if not np.array_equal(values, K.mul[both, _linear_values(K, (ell_N,), reps)[0]]):
-        if values[on_L == 0].any():
-            raise NotOnCubic("first line is not on the cubic section")
-        raise NotOnCubic("second line is not on the cubic section")
-    if not any(ell_N):
-        raise InternalInconsistency("cubic divided by two linear forms must leave a linear form")
-    n_norm = normalize_point(K, ell_N)
-    multiplicity = sum(1 for ell in (ell_L, ell_M, ell_N) if normalize_point(K, ell) == n_norm)
-    return Residual(ProjectiveLine(K, _kernel_rows(plane, ell_N), _trusted=True), multiplicity)
+    ell_N = mul[inv[_dot(K, joining, p3)][:, None], add[add[terms[0], terms[1]], terms[2]]]
+    holds = (values == mul[both, _dot(K, ell_N[:, None, :], reps)]).all(axis=1)
+    misses_L = ((on_L == 0) & (values != 0)).any(axis=1)
 
+    n_norm = _normalized(K, ell_N)
+    multiplicity = 1 + (_normalized(K, ell_L) == n_norm).all(axis=1) + (_normalized(K, ell_M) == n_norm).all(axis=1)
 
-def _kernel_rows(plane: LinearSubspace, ell) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Canonical rows of the line {ell = 0} of the plane.
+    # canonical rows of {ell_N = 0}: with j the last index where ell_N is
+    # nonzero, the rows e_p - (ell_p / ell_j) e_j (p != j, ascending) are the
+    # reduced echelon basis of the kernel; times the plane's reduced echelon
+    # basis they stay reduced echelon
+    j = 2 - (ell_N[:, ::-1] != 0).argmax(axis=1)
+    others = _OTHER_TWO[j]
+    coef = mul[np.take_along_axis(ell_N, others, axis=1), neg[inv[ell_N[at, j]]][:, None]]
+    kernel = add[
+        np.take_along_axis(planes, others[:, :, None], axis=1),
+        mul[coef[:, :, None], planes[at, j][:, None, :]],
+    ]
 
-    With j the last index where ell is nonzero, the rows e_p - (ell_p / ell_j) e_j
-    (p != j, ascending) are the reduced echelon basis of the kernel; times
-    the plane's reduced echelon basis they stay reduced echelon.
-    """
-    K = plane.K
-    j = max(i for i in range(3) if ell[i])
-    scale = K.neg_(K.inverse(ell[j]))
-    basis = plane.rows
     out = []
-    for p in range(3):
-        if p != j:
-            c = K.mul_(ell[p], scale)
-            out.append(tuple(K.add_(x, K.mul_(c, y)) for x, y in zip(basis[p], basis[j])))
-    return tuple(out)
+    for contained, inside, ok, first_missed, nonzero, mult, rows in zip(
+        (~values.any(axis=1)).tolist(),
+        in_plane.tolist(),
+        holds.tolist(),
+        misses_L.tolist(),
+        ell_N.any(axis=1).tolist(),
+        multiplicity.tolist(),
+        kernel.tolist(),
+    ):
+        if contained:
+            out.append(PlaneContained("plane lies entirely on the cubic"))
+        elif not inside:
+            out.append(ValueError("point does not lie in the subspace"))
+        elif not ok:
+            which = "first" if first_missed else "second"
+            out.append(NotOnCubic(which + " line is not on the cubic section"))
+        elif not nonzero:
+            out.append(InternalInconsistency("cubic divided by two linear forms must leave a linear form"))
+        else:
+            out.append(Residual(ProjectiveLine(K, tuple(map(tuple, rows)), _trusted=True), mult))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -431,7 +431,9 @@ def _extra_plane_candidates(nf: NormalizedThreefold, Z: SingularLocusZ, d: int):
             yield ("plane through Z", tuple(tuple(int(x) for x in row) for row in basis))
 
 
-def certify_generality(nf: NormalizedThreefold, scan_depth: int = 1) -> GeneralityCertificate:
+def certify_generality(
+    nf: NormalizedThreefold, scan_depth: int = 1, Z: SingularLocusZ | None = None
+) -> GeneralityCertificate:
     """Check the four generality hypotheses up to the given scan depth.
 
     unique_plane is decided by a complete structured search: an extra plane
@@ -439,15 +441,18 @@ def certify_generality(nf: NormalizedThreefold, scan_depth: int = 1) -> Generali
     spanned by its sections with the fibers over (1:0) and (0:1), which are
     lines through a point of Z.  Both families are enumerated exactly.
 
+    ``Z`` is the node scheme when the caller has already computed it.
+
     Only NotGeneral turns into a false flag; NotSupportedError, a limit of
     this implementation and not a property of the threefold, propagates.
     """
     witness = None
-    try:
-        Z = compute_Z(nf)
-        z_ok = True
-    except NotGeneral:
-        z_ok = False
+    z_ok = True
+    if Z is None:
+        try:
+            Z = compute_Z(nf)
+        except NotGeneral:
+            z_ok = False
     try:
         disc_ok = pencil_mod.discriminant(nf).reduced
     except NotGeneral:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cubicfano import fano, fourfold, threefold
 from cubicfano.fourfold import (
     Indeterminate,
     lines_on_fourfold,
@@ -16,6 +17,7 @@ from cubicfano.fourfold import (
 from cubicfano.gf import field
 from cubicfano.pencil import discriminant
 from cubicfano.projective import projective_reps
+from cubicfano.threefold import compute_Z
 
 
 def seeded_fourfold(seed):
@@ -45,3 +47,40 @@ def test_lines_on_fourfold_and_the_indeterminacy_of_the_fibration(seed, n_lines)
     assert all(nx.plane.contains_line(line) == isinstance(im, Indeterminate) for line, im in zip(lines, images))
     duals = set(projective_reps(nx.K, 2))
     assert all(im in duals for im in images if not isinstance(im, Indeterminate))
+
+
+# (dual point, N1, N2, h) of every fiber that fiber_scan reports; each is a
+# transverse general fiber with #T(F_3) = h
+FIBER_SCANS = {
+    0: [((0, 0, 1), 4, 18, 14), ((0, 1, 0), 4, 14, 12), ((0, 1, 1), 6, 10, 20), ((1, 0, 2), 2, 12, 5),
+        ((1, 1, 0), 6, 18, 24), ((1, 1, 2), 3, 11, 7), ((1, 2, 0), 6, 12, 21), ((1, 2, 1), 5, 13, 16)],
+    1: [((0, 0, 1), 3, 9, 6), ((0, 1, 1), 3, 7, 5), ((1, 0, 0), 2, 18, 8), ((1, 1, 0), 1, 13, 4),
+        ((1, 1, 1), 5, 19, 19), ((1, 1, 2), 2, 16, 7), ((1, 2, 0), 4, 20, 15), ((1, 2, 1), 3, 11, 7),
+        ((1, 2, 2), 7, 15, 29)],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIBER_SCANS))
+def test_fiber_scan_reports_and_computes_each_slice_node_scheme_once(monkeypatch, seed):
+    nx = seeded_fourfold(seed)
+    calls = []
+
+    def counted(nf):
+        calls.append(nf)
+        return compute_Z(nf)
+
+    for module in (threefold, fourfold, fano):
+        monkeypatch.setattr(module, "compute_Z", counted)
+    n_duals = len(list(projective_reps(nx.K, 2)))
+    assert fourfold.certify_fourfold(nx).is_general
+    assert len(calls) <= n_duals
+    calls.clear()
+    reports = fourfold.fiber_scan(nx)
+    assert len(calls) <= len(reports)
+    expected = [
+        {"dual": list(dual), "transverse": True, "general": True, "N1": n1, "N2": n2, "h": h,
+         "torsor_points": h, "equal": True, "note": ""}
+        for dual, n1, n2, h in FIBER_SCANS[seed]
+    ]
+    assert [r.to_report() for r in reports] == expected
+    assert all(r.equal is True for r in reports if r.transverse and r.general)

@@ -133,3 +133,28 @@ def test_no_function_imports_inside_its_body():
                     if isinstance(sub, (ast.Import, ast.ImportFrom))
                 ]
     assert inner == []
+
+
+def _traced_names():
+    """(module, class or None, attribute) of every entry of the benchmark tracer's TARGETS."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            return [tuple(ast.literal_eval(field) for field in entry.elts[1:4]) for entry in node.value.elts]
+    raise LookupError("perfbench/tracing.py defines no TARGETS")
+
+
+def test_every_traced_name_resolves():
+    # the tracer wraps these names; a rename must fail here, not only in the benchmark's self-check
+    names = _traced_names()
+    assert names  # the scan sees the table at all
+    missing = []
+    for module_name, cls_name, attr in names:
+        module = importlib.import_module(module_name)
+        if cls_name is None:
+            ok = callable(getattr(module, attr, None))
+        else:
+            ok = attr in vars(getattr(module, cls_name, object))
+        if not ok:
+            missing.append(f"{module_name}.{cls_name + '.' if cls_name else ''}{attr}")
+    assert missing == []

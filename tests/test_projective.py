@@ -11,7 +11,7 @@ from cubicfano import projective
 from cubicfano.forms import HomogeneousForm, monomial_exponents, random_form
 from cubicfano.fourfold import _singular_point_scan, normalize_fourfold
 from cubicfano.gf import field
-from cubicfano.linalg import inverse_matrix, kernel_basis, mat_mul
+from cubicfano.linalg import inverse_matrix, kernel_basis, mat_mul, rref, rref_stack
 from cubicfano.projective import (
     LinearSubspace,
     NotOnCubic,
@@ -28,8 +28,10 @@ from cubicfano.projective import (
     line_meets,
     line_through,
     normalize_point,
+    plane_section_values,
     pluecker_coordinates,
     projective_reps,
+    residual_from_values,
     residual_line,
     schubert_cell_dimensions,
     span,
@@ -78,6 +80,27 @@ def test_line_rref_canonical():
 
     if rank(K, stacked) == 2:
         assert L1 == L3
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (7, 1), (3, 2)])
+def test_stacked_rref_matches_rref_on_every_matrix(p, k):
+    K = field(p, k)
+    rng = random.Random(10 * p + k)
+    for rows, cols in ((4, 5), (3, 4), (2, 3)):
+        mats = []
+        for r in range(rows + 1):
+            for _ in range(8):
+                # a random matrix of rank at most r, with its rows in random order
+                left = [[K.random_element(rng) for _ in range(r)] for _ in range(rows)]
+                right = [[K.random_element(rng) for _ in range(cols)] for _ in range(r)]
+                mats.append(mat_mul(K, left, right) if r else np.zeros((rows, cols), dtype=np.int64))
+        reduced, ranks = rref_stack(K, np.array(mats))
+        assert set(ranks.tolist()) == set(range(rows + 1))
+        for mat, R, r in zip(mats, reduced, ranks):
+            expected, _ = rref(K, mat)
+            assert r == len(expected)
+            assert np.array_equal(R[:r], expected) and not R[r:].any()
+    assert rref_stack(K, np.zeros((0, 4, 5), dtype=np.int64))[0].shape == (0, 4, 5)
 
 
 def test_line_points_and_containment():
@@ -386,12 +409,18 @@ def _random_section_case(K, rng, kind):
     return cubic, plane, L, M
 
 
+def _outcome(res):
+    if isinstance(res, Exception):
+        return type(res).__name__, str(res)
+    return res.line.rows, res.multiplicity
+
+
 def _residual_outcome(fn, *args):
     try:
         res = fn(*args)
     except (PlaneContained, NotOnCubic) as exc:
-        return type(exc).__name__, str(exc)
-    return res.line.rows, res.multiplicity
+        res = exc
+    return _outcome(res)
 
 
 @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -400,12 +429,24 @@ def test_residual_line_matches_the_symbolic_oracle(p, k):
     rng = random.Random(100 * p + k)
     kinds = ("generic", "double", "triple", "third_is_first", "contained", "off_first", "off_second")
     seen = set()
+    cases, expected = [], []
     for kind in kinds:
         for _ in range(5):
             case = _random_section_case(K, rng, kind)
             got = _residual_outcome(residual_line, *case)
             assert got == _residual_outcome(residual_line_symbolic, *case), kind
             seen.add(got[1] if isinstance(got[1], int) else got)
+            cases.append(case)
+            expected.append((kind, got))
+    # every case of the field through one stacked call, each row's values
+    # taken from its own cubic
+    planes = np.array([plane.rows for _, plane, _, _ in cases])
+    values = np.vstack([plane_section_values(cubic, planes[i : i + 1]) for i, (cubic, *_) in enumerate(cases)])
+    stacked = residual_from_values(
+        K, planes, [L.rows for *_, L, _ in cases], [M.rows for *_, M in cases], values
+    )
+    assert len(stacked) == len(cases)
+    assert [(kind, _outcome(res)) for (kind, _), res in zip(expected, stacked)] == expected
     assert {1, 2, 3} <= seen
     assert ("PlaneContained", "plane lies entirely on the cubic") in seen
     assert ("NotOnCubic", "first line is not on the cubic section") in seen
