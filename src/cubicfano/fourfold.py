@@ -21,7 +21,7 @@ threefold pipeline verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,14 +42,14 @@ from .projective import (
     InternalInconsistency,
     LinearSubspace,
     ProjectiveLine,
-    ProjectivePoint,
     common_zeros,
-    enumerate_lines,
     normalize_point,
     projective_reps,
 )
 from .threefold import (
+    GeneralityCertificate,
     NormalizedThreefold,
+    SingularLocusZ,
     certify_generality,
     compute_Z,
     normalize,
@@ -74,6 +74,9 @@ class NormalizedFourfold:
 
     ``transform`` sends normalized coordinates to the original ambient ones:
     x_original = transform @ x_normalized.
+
+    The plane discriminant and the slice over each dual point are computed
+    on first read and kept, so every walk over the dual plane shares them.
     """
 
     K: GF
@@ -82,6 +85,7 @@ class NormalizedFourfold:
     Q1: HomogeneousForm
     Q2: HomogeneousForm
     transform: tuple[tuple[int, ...], ...]
+    _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         acc = HomogeneousForm.zero(self.K, 6, 3)
@@ -94,6 +98,18 @@ class NormalizedFourfold:
     @property
     def plane(self) -> LinearSubspace:
         return LinearSubspace(self.K, plane_basis(6))
+
+    @cached_property
+    def discriminant(self) -> PlaneDiscriminant:
+        """:func:`plane_discriminant` of this fourfold."""
+        return plane_discriminant(self)
+
+    def slice_over(self, lam) -> Slice:
+        """The :class:`Slice` over a dual point, built on its first request."""
+        lam = normalize_point(self.K, lam)
+        if lam not in self._slices:
+            self._slices[lam] = _build_slice(self, lam)
+        return self._slices[lam]
 
     def embedded(self, L: GF) -> "NormalizedFourfold":
         """The same normalized fourfold over an extension field; self over its own."""
@@ -126,12 +142,15 @@ def random_fourfold_through_plane(K: GF, rng) -> NormalizedFourfold:
     return normalize_fourfold(random_cubic_through_plane(K, 6, rng), LinearSubspace(K, plane_basis(6)))
 
 
-def random_general_fourfold(K: GF, rng, depth: int = 1, max_tries: int = 400) -> NormalizedFourfold:
-    """Rejection-sample a fourfold whose generality certificate passes."""
+def random_general_fourfold(K: GF, rng, max_tries: int = 400) -> NormalizedFourfold:
+    """Rejection-sample a fourfold that passes :func:`certify_fourfold`.
+
+    The accepted fourfold keeps the slices its certificate read, so
+    certifying or scanning it again recomputes none of them.
+    """
     for _ in range(max_tries):
         nx = random_fourfold_through_plane(K, rng)
-        cert = certify_fourfold(nx, smooth_depth=depth, disc_depth=depth, full_slices=False)
-        if cert.is_general:
+        if certify_fourfold(nx).is_general:
             return nx
     raise RuntimeError(f"no general fourfold found in {max_tries} tries")
 
@@ -139,6 +158,9 @@ def random_general_fourfold(K: GF, rng, depth: int = 1, max_tries: int = 400) ->
 # ---------------------------------------------------------------------------
 # the quadric family over the (s:t:u)-plane and its discriminant
 # ---------------------------------------------------------------------------
+
+# the plane discriminant is certified smooth over F_{q^d} for d up to this
+DISC_SCAN_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -173,26 +195,26 @@ class PlaneDiscriminant:
         return BinaryForm.from_form(sliced)
 
 
-def plane_discriminant(nx: NormalizedFourfold, scan_depth: int = 3) -> PlaneDiscriminant:
-    """Exact symbolic determinant of the family matrix, with a smoothness scan."""
+def plane_discriminant(nx: NormalizedFourfold) -> PlaneDiscriminant:
+    """Exact symbolic determinant of the family matrix, scanned for singular
+    points over F_{q^d} for d up to ``DISC_SCAN_DEPTH`` (fewer where the field
+    tower stops).  A fourfold keeps its own as ``nx.discriminant``."""
     D = det_form_matrix(nx.K, 3, symbolic_fiber_entries((nx.Q0, nx.Q1, nx.Q2)))
     if D.is_zero:
         raise NotGeneral("the plane discriminant vanishes identically")
     if D.degree != 6:
         raise InternalInconsistency(f"the plane discriminant has degree {D.degree}, expected 6")
     depth_used = 0
-    ok = True
     witness = None
-    for d in range(1, min(scan_depth, 3) + 1):
+    for d in range(1, DISC_SCAN_DEPTH + 1):
         if not nx.K.reaches(d):
             break
         DL = D.embedded(nx.K.extension(d))
         witness = next(common_zeros([DL] + [DL.derivative(i) for i in range(3)]), None)
         depth_used = d
         if witness is not None:
-            ok = False
             break
-    return PlaneDiscriminant(D, depth_used, ok, witness)
+    return PlaneDiscriminant(D, depth_used, witness is None, witness)
 
 
 def dual_line_rows(K: GF, lam) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
@@ -229,53 +251,70 @@ def tangency_map(nx: NormalizedFourfold, x) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Slice:
-    """The cubic threefold X cap H over the dual point of H, in slice coordinates.
+def slice_threefold(nx: NormalizedFourfold, lam) -> NormalizedThreefold:
+    """The hyperplane section over a dual point, as a normalized threefold.
 
-    ``heads`` are the two kernel rows of the dual triple: the slice coordinate
+    With (m, n) the two kernel rows of the dual triple, the slice coordinate
     y = (y0, y1, y2, y3, y4) embeds as x = y0*(m,0,0,0) + y1*(n,0,0,0) +
     y2*e3 + y3*e4 + y4*e5, so the slice's pencil parameter (s':t') sits over
     the point s'*m + t'*n of the dual line, and the plane of the slice is the
     plane of the fourfold.
     """
-
-    dual: tuple[int, int, int]
-    heads: tuple[tuple[int, int, int], tuple[int, int, int]]
-    threefold: NormalizedThreefold
-
-    @cached_property
-    def subspace(self) -> LinearSubspace:
-        K = self.threefold.K
-        rows = np.zeros((5, 6), dtype=np.int64)
-        rows[0, :3] = self.heads[0]
-        rows[1, :3] = self.heads[1]
-        rows[2, 3] = rows[3, 4] = rows[4, 5] = 1
-        S = LinearSubspace(K, rows)
-        if S.rows != tuple(tuple(int(v) for v in row) for row in rows):
-            raise InternalInconsistency("the slice basis must already be canonical")
-        return S
-
-    def point_in_slice(self, x) -> tuple[int, ...]:
-        return self.subspace.point_coords(ProjectivePoint(self.threefold.K, x))
-
-    def line_in_slice(self, line: ProjectiveLine) -> ProjectiveLine:
-        inner = [self.point_in_slice(row) for row in line.rows]
-        return ProjectiveLine(self.threefold.K, np.array(inner, dtype=np.int64))
-
-
-def slice_threefold(nx: NormalizedFourfold, lam) -> Slice:
-    """The hyperplane section over a dual point, as a normalized threefold."""
     K = nx.K
-    lam = normalize_point(K, lam)
     heads = dual_line_rows(K, lam)
     B = np.zeros((5, 6), dtype=np.int64)
     B[0, :3] = heads[0]
     B[1, :3] = heads[1]
     B[2, 3] = B[3, 4] = B[4, 5] = 1
     f5 = nx.f.restrict(B)
-    nf = normalize(f5, LinearSubspace(K, plane_basis(5)))
-    return Slice(lam, heads, nf)
+    return normalize(f5, LinearSubspace(K, plane_basis(5)))
+
+
+@dataclass(frozen=True)
+class Slice:
+    """The cubic threefold X cap H over a dual point, with what is read off it.
+
+    ``sextic`` is the plane discriminant on the dual line, None when the
+    discriminant contains the line; the dual is ``transverse`` when it is
+    squarefree.  ``Z`` is the slice's node scheme, None when ``compute_Z``
+    raised NotGeneral, and ``failure`` is the message of the first NotGeneral,
+    from ``compute_Z`` and then from the restriction.  ``certificate`` is the
+    slice's threefold certificate at scan depth 1, made on a transverse dual
+    whose Z was found and None elsewhere.
+    """
+
+    dual: tuple[int, int, int]
+    threefold: NormalizedThreefold
+    sextic: BinaryForm | None
+    transverse: bool
+    Z: SingularLocusZ | None
+    failure: str | None
+    certificate: GeneralityCertificate | None
+
+    @property
+    def witness(self) -> tuple | None:
+        """Why the slice breaks the slicing law of :func:`certify_fourfold`, or None."""
+        if self.failure is not None:
+            return ("degenerate slice", self.dual, self.failure)
+        if self.certificate is not None and not self.certificate.is_general:
+            return ("non-general transverse slice", self.dual, self.certificate.witness)
+        return None
+
+
+def _build_slice(nx: NormalizedFourfold, lam: tuple[int, int, int]) -> Slice:
+    nf = slice_threefold(nx, lam)
+    Z = sextic = failure = None
+    try:
+        Z = compute_Z(nf)  # length four, or NotGeneral
+    except NotGeneral as exc:
+        failure = str(exc)
+    try:
+        sextic = nx.discriminant.restricted_to_dual(lam)
+    except NotGeneral as exc:
+        failure = failure or str(exc)
+    transverse = sextic is not None and sextic.is_squarefree()
+    certificate = certify_generality(nf, scan_depth=1, Z=Z) if transverse and Z is not None else None
+    return Slice(lam, nf, sextic, transverse, Z, failure, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +365,6 @@ def pi_of_line(nx: NormalizedFourfold, rows):
     return Indeterminate(line.rows, pencil)
 
 
-def lines_on_fourfold(nx: NormalizedFourfold) -> list[ProjectiveLine]:
-    """All F_q-rational lines on X, by sieving the Grassmannian of P^5.
-
-    A binary cubic with q+1 >= 4 zeros vanishes identically, so a line lies
-    on X exactly when all its rational points do.  Practical at q = 3.
-    """
-    zeros = set(common_zeros([nx.f]))
-    return [
-        line
-        for line in enumerate_lines(nx.K, 5)
-        if all(pt in zeros for pt in map(tuple, line.points_array().tolist()))
-    ]
-
-
 # ---------------------------------------------------------------------------
 # generality certificate
 # ---------------------------------------------------------------------------
@@ -347,23 +372,17 @@ def lines_on_fourfold(nx: NormalizedFourfold) -> list[ProjectiveLine]:
 
 @dataclass(frozen=True)
 class FourfoldCertificate:
+    """``slices_general`` is None when the discriminant or the smoothness
+    check failed, and no slice was read."""
+
     smooth_off_scan: bool
-    disc_degree_six: bool
     disc_smooth: bool
-    slices_general: bool
-    smooth_depth: int
-    disc_depth: int
-    transverse_count: int = 0
+    slices_general: bool | None
     witness: tuple | None = None
 
     @property
     def is_general(self) -> bool:
-        return (
-            self.smooth_off_scan
-            and self.disc_degree_six
-            and self.disc_smooth
-            and self.slices_general
-        )
+        return self.smooth_off_scan and self.disc_smooth and self.slices_general is True
 
 
 def _singular_point_scan(nx: NormalizedFourfold, d: int):
@@ -372,64 +391,39 @@ def _singular_point_scan(nx: NormalizedFourfold, d: int):
     return next(common_zeros([f] + [f.derivative(i) for i in range(6)]), None)
 
 
-def certify_fourfold(
-    nx: NormalizedFourfold,
-    smooth_depth: int = 1,
-    disc_depth: int = 2,
-    full_slices: bool = True,
-) -> FourfoldCertificate:
-    """Scan-certified generality: X smooth up to the scan depth, the plane
-    discriminant a smooth sextic up to its scan depth, and the slicing law
-    over every F_q-rational dual point.
+def certify_fourfold(nx: NormalizedFourfold) -> FourfoldCertificate:
+    """Scan-certified generality: the plane discriminant a smooth sextic up to
+    ``DISC_SCAN_DEPTH``, X smooth at its F_q-points, and the slicing law over
+    every F_q-rational dual point.
 
     Every slice must have a zero-dimensional node scheme of length four
-    (the fibers of the tangency map).  Slices over *transverse* duals —
-    those where the restricted sextic stays reduced — must additionally
-    certify as general threefolds when ``full_slices`` is on; duals tangent
-    to the discriminant carry honestly degenerate slices and are exempt.
+    (the fibers of the tangency map), and the slice over a *transverse*
+    dual, where the restricted sextic stays reduced, must certify as a
+    general threefold; duals tangent to the discriminant carry honestly
+    degenerate slices and are exempt.  The slices are read only when the
+    first two checks pass, in enumeration order, up to the first failure;
+    they are the fourfold's kept slices, shared with :func:`fiber_scan`.
     """
     witness = None
-    disc = None
     try:
-        disc = plane_discriminant(nx, scan_depth=disc_depth)
-        degree_ok = True
+        disc = nx.discriminant
         disc_ok = disc.smooth_to_depth
         if not disc_ok:
             witness = ("singular discriminant point", disc.singular_witness)
-    except NotGeneral:
-        degree_ok = False
+    except NotGeneral as exc:
         disc_ok = False
-    smooth_ok = True
-    for d in range(1, min(smooth_depth, 2) + 1):
-        if not nx.K.reaches(d):
-            break
-        hit = _singular_point_scan(nx, d)
-        if hit is not None:
-            smooth_ok = False
-            witness = witness or ("singular point", hit)
-            break
-    slices_ok = True
-    transverse = 0
-    for lam in projective_reps(nx.K, 2):
-        try:
-            sl = slice_threefold(nx, lam)
-            Z = compute_Z(sl.threefold)  # length four, or NotGeneral
-            is_transverse = disc is not None and disc.restricted_to_dual(lam).is_squarefree()
-            if is_transverse:
-                transverse += 1
-                if full_slices:
-                    cert = certify_generality(sl.threefold, scan_depth=1, Z=Z)
-                    if not cert.is_general:
-                        slices_ok = False
-                        witness = witness or ("non-general transverse slice", lam, cert.witness)
-                        break
-        except NotGeneral as exc:
-            slices_ok = False
-            witness = witness or ("degenerate slice", lam, str(exc))
-            break
-    return FourfoldCertificate(
-        smooth_ok, degree_ok, disc_ok, slices_ok, smooth_depth, disc_depth, transverse, witness
-    )
+        witness = ("degenerate discriminant", str(exc))
+    hit = _singular_point_scan(nx, 1)
+    if hit is not None:
+        witness = witness or ("singular point", hit)
+    slices_ok = None
+    if disc_ok and hit is None:
+        for lam in projective_reps(nx.K, 2):
+            witness = nx.slice_over(lam).witness
+            if witness is not None:
+                break
+        slices_ok = witness is None
+    return FourfoldCertificate(hit is None, disc_ok, slices_ok, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +433,13 @@ def certify_fourfold(
 
 @dataclass(frozen=True)
 class FiberReport:
-    """One fiber of the fibration map, verified through its slice.
+    """One fiber of the fibration map over a transverse dual, verified
+    through its slice.
 
-    For a transverse dual line the slice is a general threefold and the
-    fiber is its torsor: the report records #T(F_q) against the class number
-    h of the genus-2 curve.  Non-transverse or non-general slices are
-    recorded with the degeneration and make no torsor claim.
+    When the slice is a general threefold the fiber is its torsor: the
+    report records #T(F_q) against the class number h of the genus-2 curve.
+    A slice that is not general is recorded with the reason and makes no
+    torsor claim.
     """
 
     dual: tuple[int, int, int]
@@ -469,70 +464,24 @@ class FiberReport:
         }
 
 
-# how many transverse duals fiber_scan verifies when it chooses them itself
-SCANNED_DUALS = 10
+def fiber_scan(nx: NormalizedFourfold) -> list[FiberReport]:
+    """Verify the fibration fiberwise over every transverse dual point.
 
-
-def transverse_duals(nx: NormalizedFourfold, count: int, disc: PlaneDiscriminant | None = None):
-    """The first ``count`` dual points whose line meets the discriminant
-    transversally (a squarefree binary sextic), in enumeration order."""
-    if disc is None:
-        disc = plane_discriminant(nx, scan_depth=0)
-    out = []
-    for lam in projective_reps(nx.K, 2):
-        if disc.restricted_to_dual(lam).is_squarefree():
-            out.append(normalize_point(nx.K, lam))
-            if len(out) == count:
-                break
-    return out
-
-
-def fiber_scan(nx: NormalizedFourfold, duals=None) -> list[FiberReport]:
-    """Verify the fibration fiberwise over a selection of dual points.
-
-    Every requested dual gets a report; when ``duals`` is None the first
-    ``SCANNED_DUALS`` transverse ones are chosen.  Reports come back sorted
-    by dual point.  A failed slice is recorded, never fatal.  The node scheme
-    of a transverse slice is computed once, for its certificate and its
-    surface of lines.
+    Reports come back sorted by dual point.  A failed slice is recorded,
+    never fatal.  The slices are the fourfold's kept ones, so after
+    :func:`certify_fourfold` no node scheme or slice certificate is
+    computed again.
     """
-    disc = plane_discriminant(nx, scan_depth=0)
-    if duals is None:
-        duals = transverse_duals(nx, SCANNED_DUALS, disc)
     reports = []
-    for lam in duals:
-        lam = normalize_point(nx.K, lam)
-        sextic = disc.restricted_to_dual(lam)
-        transverse = sextic.is_squarefree()
-        sl = slice_threefold(nx, lam)
-        if not transverse:
-            reports.append(
-                FiberReport(
-                    lam, False, False, None, None, None,
-                    "dual line tangent to the discriminant: nonreduced slice "
-                    "discriminant, singular double cover, no torsor claim",
-                )
-            )
+    for lam in sorted(projective_reps(nx.K, 2)):
+        sl = nx.slice_over(lam)
+        if not sl.transverse:
             continue
-        try:
-            Z = compute_Z(sl.threefold)
-        except NotGeneral:
-            Z = None  # the certificate meets the failure again and records it
-        cert = certify_generality(sl.threefold, scan_depth=1, Z=Z)
-        if not cert.is_general:
-            reports.append(
-                FiberReport(
-                    lam, True, False, None, None, None,
-                    f"slice fails the threefold generality certificate: {cert.witness}",
-                )
-            )
+        if sl.witness is not None:
+            kind, _, why = sl.witness
+            reports.append(FiberReport(sl.dual, True, False, None, None, None, f"{kind}: {why}"))
             continue
-        zdata = zeta(HyperellipticModel(DiscriminantSextic(sextic)))
-        n_torsor = len(FanoSurface(sl.threefold, 1, Z).torsor_set)
-        reports.append(
-            FiberReport(
-                lam, True, True, zdata, n_torsor, n_torsor == zdata.h, "",
-            )
-        )
-    reports.sort(key=lambda r: r.dual)
+        zdata = zeta(HyperellipticModel(DiscriminantSextic(sl.sextic)))
+        n_torsor = len(FanoSurface(sl.threefold, 1, sl.Z).torsor_set)
+        reports.append(FiberReport(sl.dual, True, True, zdata, n_torsor, n_torsor == zdata.h, ""))
     return reports

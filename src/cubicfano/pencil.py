@@ -27,7 +27,7 @@ import numpy as np
 
 from .forms import BinaryForm, HomogeneousForm, det_form_matrix
 from .gf import GF
-from .linalg import kernel_basis, mat_vec, rank
+from .linalg import kernel_basis, mat_mul, mat_vec, rank
 from .projective import (
     InternalInconsistency,
     ProjectiveLine,
@@ -247,9 +247,11 @@ def _ruling_through(K: GF, matrix: np.ndarray, points, line) -> list[ProjectiveL
     which misses x: it lies in the tangent plane at x, so it meets ``line`` at
     beta(x, b2) b1 - beta(x, b1) b2."""
     b1, b2 = line
+    # beta(x, b2) and beta(x, b1) for every x, with M b2 and M b1 formed once
+    betas = mat_mul(K, points, mat_mul(K, matrix, np.array([b2, b1], dtype=np.int64).T))
     out = []
-    for x in points:
-        c1, c2 = _beta(K, matrix, x, b2), K.neg_(_beta(K, matrix, x, b1))
+    for x, (beta2, beta1) in zip(points, betas):
+        c1, c2 = int(beta2), K.neg_(int(beta1))
         meet = [K.add_(K.mul_(c1, int(u)), K.mul_(c2, int(v))) for u, v in zip(b1, b2)]
         out.append(ProjectiveLine(K, np.array([x, meet], dtype=np.int64)))
     return out

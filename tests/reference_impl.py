@@ -17,6 +17,8 @@ from cubicfano.projective import (
     NotOnCubic,
     PlaneContained,
     Residual,
+    common_zeros,
+    enumerate_lines,
     line_in_plane_from_linear_form,
     linear_form_cutting_line_in_plane,
     normalize_point,
@@ -250,6 +252,21 @@ def residual_line_symbolic(cubic, plane, L, M):
     n_norm = normalize_point(K, ell_N)
     multiplicity = sum(1 for ell in (ell_L, ell_M, ell_N) if normalize_point(K, ell) == n_norm)
     return Residual(line_in_plane_from_linear_form(plane, ell_N), multiplicity)
+
+
+def lines_on_fourfold(nx):
+    """All F_q-rational lines on a normalized fourfold X, by sieving the
+    Grassmannian of P^5.
+
+    A binary cubic with q+1 >= 4 zeros vanishes identically, so a line lies
+    on X exactly when all its rational points do.  Practical at q = 3.
+    """
+    zeros = set(common_zeros([nx.f]))
+    return [
+        line
+        for line in enumerate_lines(nx.K, 5)
+        if all(pt in zeros for pt in map(tuple, line.points_array().tolist()))
+    ]
 
 
 def act_by_dicts(G, word, x):

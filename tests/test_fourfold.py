@@ -1,6 +1,8 @@
 """Cubic fourfolds containing a plane: the plane discriminant against the
 slices, and the line census against the fibration map."""
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -8,16 +10,19 @@ import pytest
 from cubicfano import fano, fourfold, threefold
 from cubicfano.fourfold import (
     Indeterminate,
-    lines_on_fourfold,
+    certify_fourfold,
     pi_of_line,
     plane_discriminant,
+    random_fourfold_through_plane,
     random_general_fourfold,
     slice_threefold,
 )
 from cubicfano.gf import field
 from cubicfano.pencil import discriminant
 from cubicfano.projective import projective_reps
-from cubicfano.threefold import compute_Z
+from cubicfano.threefold import certify_generality, compute_Z
+
+from reference_impl import lines_on_fourfold
 
 
 def seeded_fourfold(seed):
@@ -31,7 +36,7 @@ def test_plane_discriminant_restricts_to_every_slice_discriminant(seed):
     duals = list(projective_reps(nx.K, 2))
     assert len(duals) == 13
     for lam in duals:
-        sliced = discriminant(slice_threefold(nx, lam).threefold).form
+        sliced = discriminant(slice_threefold(nx, lam)).form
         assert disc.restricted_to_dual(lam).coeffs == sliced.coeffs
 
 
@@ -49,38 +54,79 @@ def test_lines_on_fourfold_and_the_indeterminacy_of_the_fibration(seed, n_lines)
     assert all(im in duals for im in images if not isinstance(im, Indeterminate))
 
 
+# the sampled cubic's terms at the census seeds 0-3 and its warm-up seed 4,
+# recorded before the sampler certified slices; these seeds were accepted then
+# and still are, so the benchmark's fourfolds are unchanged
+SAMPLED_CUBICS = {0: "91e6af9b4bd81649", 1: "ee209a56dc4d3b28", 2: "5e1ebd1834171ad8",
+                  3: "81a021b1c7a3a3f4", 4: "b8fbafc11fbe6dcf"}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_sampled_fourfolds_pass_the_certificate(seed):
+    # the sampler once scanned the plane discriminant to depth 1 only, and at
+    # seeds 14, 16, 18 and 21 returned a fourfold whose discriminant is
+    # singular over F_9; the certificate runs on a copy that keeps no slices
+    nx = seeded_fourfold(seed)
+    assert certify_fourfold(dataclasses.replace(nx)).is_general
+    if seed in SAMPLED_CUBICS:
+        digest = hashlib.sha256(repr(sorted(nx.f.terms.items())).encode()).hexdigest()[:16]
+        assert digest == SAMPLED_CUBICS[seed]
+
+
+def test_a_degenerate_slice_fails_the_certificate_and_the_scan_goes_on():
+    # the node scheme of the slice over a tangent dual is not zero-dimensional;
+    # the certificate stops there, and the scan still reports every transverse dual
+    nx = random_fourfold_through_plane(field(3), random.Random(99))
+    cert = certify_fourfold(nx)
+    assert (cert.smooth_off_scan, cert.disc_smooth, cert.slices_general) == (True, True, False)
+    assert cert.witness == ("degenerate slice", (1, 1, 0), "the restricted conics share a component")
+    assert not nx.slice_over((1, 1, 0)).transverse
+    reports = fourfold.fiber_scan(nx)
+    assert len(reports) == 9 and all(r.general and r.equal for r in reports)
+
+
 # (dual point, N1, N2, h) of every fiber that fiber_scan reports; each is a
-# transverse general fiber with #T(F_3) = h
+# transverse general fiber with #T(F_3) = h.  Seed 3 has eleven transverse
+# duals; (0, 0, 1) is the one a cap of ten used to leave out.
 FIBER_SCANS = {
     0: [((0, 0, 1), 4, 18, 14), ((0, 1, 0), 4, 14, 12), ((0, 1, 1), 6, 10, 20), ((1, 0, 2), 2, 12, 5),
         ((1, 1, 0), 6, 18, 24), ((1, 1, 2), 3, 11, 7), ((1, 2, 0), 6, 12, 21), ((1, 2, 1), 5, 13, 16)],
     1: [((0, 0, 1), 3, 9, 6), ((0, 1, 1), 3, 7, 5), ((1, 0, 0), 2, 18, 8), ((1, 1, 0), 1, 13, 4),
         ((1, 1, 1), 5, 19, 19), ((1, 1, 2), 2, 16, 7), ((1, 2, 0), 4, 20, 15), ((1, 2, 1), 3, 11, 7),
         ((1, 2, 2), 7, 15, 29)],
+    2: [((0, 0, 1), 5, 11, 15), ((0, 1, 2), 4, 10, 10), ((1, 0, 0), 6, 12, 21), ((1, 0, 1), 6, 14, 22),
+        ((1, 0, 2), 4, 16, 13), ((1, 1, 1), 6, 18, 24), ((1, 1, 2), 1, 11, 3), ((1, 2, 0), 7, 15, 29),
+        ((1, 2, 1), 4, 16, 13), ((1, 2, 2), 5, 7, 13)],
+    3: [((0, 0, 1), 5, 13, 16), ((0, 1, 0), 3, 7, 5), ((0, 1, 1), 0, 10, 2), ((0, 1, 2), 2, 12, 5),
+        ((1, 0, 0), 2, 14, 6), ((1, 0, 1), 6, 12, 21), ((1, 1, 0), 4, 16, 13), ((1, 1, 1), 4, 20, 15),
+        ((1, 1, 2), 3, 15, 9), ((1, 2, 0), 1, 11, 3), ((1, 2, 2), 4, 6, 8)],
 }
 
 
 @pytest.mark.parametrize("seed", sorted(FIBER_SCANS))
 def test_fiber_scan_reports_and_computes_each_slice_node_scheme_once(monkeypatch, seed):
-    nx = seeded_fourfold(seed)
-    calls = []
+    node_schemes, certificates = [], []
 
-    def counted(nf):
-        calls.append(nf)
+    def counted_Z(nf):
+        node_schemes.append(nf)
         return compute_Z(nf)
 
+    def counted_certificate(nf, *args, **kwargs):
+        certificates.append(nf)
+        return certify_generality(nf, *args, **kwargs)
+
     for module in (threefold, fourfold, fano):
-        monkeypatch.setattr(module, "compute_Z", counted)
-    n_duals = len(list(projective_reps(nx.K, 2)))
+        monkeypatch.setattr(module, "compute_Z", counted_Z)
+    monkeypatch.setattr(fourfold, "certify_generality", counted_certificate)
+    # sample, certify and scan share one walk over the dual plane
+    nx = seeded_fourfold(seed)
     assert fourfold.certify_fourfold(nx).is_general
-    assert len(calls) <= n_duals
-    calls.clear()
     reports = fourfold.fiber_scan(nx)
-    assert len(calls) <= len(reports)
+    assert len(node_schemes) <= len(list(projective_reps(nx.K, 2)))
+    assert len(certificates) <= len(reports)
     expected = [
         {"dual": list(dual), "transverse": True, "general": True, "N1": n1, "N2": n2, "h": h,
          "torsor_points": h, "equal": True, "note": ""}
         for dual, n1, n2, h in FIBER_SCANS[seed]
     ]
     assert [r.to_report() for r in reports] == expected
-    assert all(r.equal is True for r in reports if r.transverse and r.general)

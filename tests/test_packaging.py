@@ -158,3 +158,19 @@ def test_every_traced_name_resolves():
         if not ok:
             missing.append(f"{module_name}.{cls_name + '.' if cls_name else ''}{attr}")
     assert missing == []
+
+
+def test_one_walk_slices_the_fourfold():
+    # a fourfold's slices are built once, by its per-dual record; a second call
+    # site would be a second walk over the dual plane recomputing them
+    callers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [
+                    f"{path.name}:{func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "slice_threefold"
+                ]
+    assert callers == ["fourfold.py:_build_slice"]
