@@ -33,7 +33,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .forms import BinaryForm, HomogeneousForm, divide_by_linear
+from .forms import HomogeneousForm, divide_by_linear
 from .gf import GF
 from .linalg import kernel_basis, mat_mul, mat_vec, rank, rref, rref_stack, solve
 from .pencil import (
@@ -63,7 +63,7 @@ from .projective import (
     root_directions,
     span,
 )
-from .threefold import NormalizedThreefold, SingularLocusZ, ZPoint, compute_Z
+from .threefold import NormalizedThreefold, SingularLocusZ, ZPoint
 
 IN_PLANE = "in_plane"
 MEETS_PLANE = "meets_plane_once"
@@ -202,15 +202,17 @@ class FanoSurface:
 
     The working field is fixed at construction; all operators act on objects
     over that field.  Construction enumerates the fibers, their rulings, the
-    full classified line list, and the torsor-ready point set.
+    full classified line list, and the torsor-ready point set.  The node
+    scheme ``Z`` is the base threefold's kept ``nf.Z``, so the surfaces over
+    every degree share it.
     """
 
-    def __init__(self, nf: NormalizedThreefold, k: int = 1, Z: SingularLocusZ | None = None):
+    def __init__(self, nf: NormalizedThreefold, k: int = 1):
         self.base = nf
         self.k = k
         self.nf = nf.embedded(nf.K.extension(k))
         self.L: GF = self.nf.K
-        self.Z = Z if Z is not None else compute_Z(nf)
+        self.Z = nf.Z
         self.plane = self.nf.plane
 
         self.fibers: dict[tuple[int, int], PencilFiber] = {}
@@ -850,15 +852,10 @@ def _node_star_union(surface: FanoSurface) -> set:
     i.e. their resultant vanishes -- or one restriction is identically zero,
     in which case the other still has zeros over the closure.
     """
-    L = surface.L
     q0, q1 = surface.nf.restricted_conics
-    exps = [(2, 0), (1, 1), (0, 2)]
     out = set()
-    for inner, amb in _plane_lines(L):
-        r0 = q0.restrict(inner.matrix)
-        r1 = q1.restrict(inner.matrix)
-        b0 = BinaryForm(L, 2, tuple(r0.coefficient(e) for e in exps))
-        b1 = BinaryForm(L, 2, tuple(r1.coefficient(e) for e in exps))
+    for inner, amb in _plane_lines(surface.L):
+        b0, b1 = binary_quadratic(q0, *inner.rows), binary_quadratic(q1, *inner.rows)
         if b0.is_zero and b1.is_zero:
             raise NotGeneral("a line of P lies inside the node scheme")
         if b0.is_zero or b1.is_zero or b0.resultant(b1) == 0:
@@ -962,7 +959,7 @@ def verify_intersection_numbers(
     sigma_tau: list[int] = []
     rational_nodes = [z for z, _ in surface.nodes]
     if rational_nodes:
-        surface2 = FanoSurface(nf, 2, Z=surface.Z)
+        surface2 = FanoSurface(nf, 2)
         while len(sigma_tau) < samples and resamples < max_resamples:
             z = rng.choice(rational_nodes)
             line = rng.choice(disjoint)
@@ -989,7 +986,7 @@ def verify_intersection_numbers(
     pairs = _node_pairs(surface.Z)
     while pairs and len(tau_tau) < samples:
         za, zb, d = pairs.pop(0)
-        tau_tau.append(_common_fiber_count(nf, surface.Z, za, zb, d))
+        tau_tau.append(_common_fiber_count(nf, za, zb, d))
 
     return IntersectionReport(tuple(sigma_tau), tuple(sigma_sigma), tuple(tau_tau), resamples)
 
@@ -1075,20 +1072,15 @@ def _node_pairs(Z: SingularLocusZ) -> list[tuple[ZPoint, ZPoint, int]]:
     return [pair for pair in pairs if Z.K.reaches(pair[2])]
 
 
-def _common_fiber_count(nf: NormalizedThreefold, Z: SingularLocusZ, za: ZPoint, zb: ZPoint, d: int) -> int:
+def _common_fiber_count(nf: NormalizedThreefold, za: ZPoint, zb: ZPoint, d: int) -> int:
     """Fibers whose quadric contains the line joining two distinct nodes."""
     nfd = nf.embedded(nf.K.extension(d))
     Ld = nfd.K
-    pa = Z.coords_in(za, Ld)
-    pb = Z.coords_in(zb, Ld)
+    pa = nf.Z.coords_in(za, Ld)
+    pb = nf.Z.coords_in(zb, Ld)
     if pa == pb:
         raise ValueError("the two nodes must be distinct")
-    rows = np.array([(0, 0) + pa, (0, 0) + pb], dtype=np.int64)
-    q0, q1 = nfd.restricted_conics
-    r0 = q0.restrict(rows[:, 2:])
-    r1 = q1.restrict(rows[:, 2:])
-    exps = [(2, 0), (1, 1), (0, 2)]
-    m = np.array([[r0.coefficient(e), r1.coefficient(e)] for e in exps], dtype=np.int64)
+    m = np.array([binary_quadratic(q, pa, pb).coeffs for q in nfd.restricted_conics], dtype=np.int64).T
     ker = kernel_basis(Ld, m)
     if ker.shape[0] == 0:
         return 0
@@ -1096,8 +1088,7 @@ def _common_fiber_count(nf: NormalizedThreefold, Z: SingularLocusZ, za: ZPoint, 
         raise NotGeneral("the node line lies on every conic of the pencil")
     s, t = (int(x) for x in ker[0])
     fib = fiber_matrix(nfd, s, t)
-    lifted = np.hstack([np.zeros((2, 1), dtype=np.int64), rows[:, 2:]])
-    if any(fib.quadric.evaluate(row) != 0 for row in lifted):
+    if any(fib.quadric.evaluate((0,) + pt) != 0 for pt in (pa, pb)):
         raise InternalInconsistency("the common fiber must contain the node line")
     return 1
 

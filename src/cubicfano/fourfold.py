@@ -49,9 +49,7 @@ from .projective import (
 from .threefold import (
     GeneralityCertificate,
     NormalizedThreefold,
-    SingularLocusZ,
     certify_generality,
-    compute_Z,
     normalize,
     plane_basis,
     random_cubic_through_plane,
@@ -142,17 +140,20 @@ def random_fourfold_through_plane(K: GF, rng) -> NormalizedFourfold:
     return normalize_fourfold(random_cubic_through_plane(K, 6, rng), LinearSubspace(K, plane_basis(6)))
 
 
-def random_general_fourfold(K: GF, rng, max_tries: int = 400) -> NormalizedFourfold:
+SAMPLE_TRIES = 400  # draws before the sampler gives up
+
+
+def random_general_fourfold(K: GF, rng) -> NormalizedFourfold:
     """Rejection-sample a fourfold that passes :func:`certify_fourfold`.
 
     The accepted fourfold keeps the slices its certificate read, so
     certifying or scanning it again recomputes none of them.
     """
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         nx = random_fourfold_through_plane(K, rng)
         if certify_fourfold(nx).is_general:
             return nx
-    raise RuntimeError(f"no general fourfold found in {max_tries} tries")
+    raise RuntimeError(f"no general fourfold found in {SAMPLE_TRIES} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +277,17 @@ class Slice:
 
     ``sextic`` is the plane discriminant on the dual line, None when the
     discriminant contains the line; the dual is ``transverse`` when it is
-    squarefree.  ``Z`` is the slice's node scheme, None when ``compute_Z``
-    raised NotGeneral, and ``failure`` is the message of the first NotGeneral,
-    from ``compute_Z`` and then from the restriction.  ``certificate`` is the
-    slice's threefold certificate at scan depth 1, made on a transverse dual
-    whose Z was found and None elsewhere.
+    squarefree.  ``failure`` is the message of the first NotGeneral, from the
+    slice's node scheme ``threefold.Z`` and then from the restriction; on a
+    transverse dual the slice's Z is kept exactly when ``failure`` is None.
+    ``certificate`` is the slice's threefold certificate at scan depth 1,
+    made on a transverse dual without a failure and None elsewhere.
     """
 
     dual: tuple[int, int, int]
     threefold: NormalizedThreefold
     sextic: BinaryForm | None
     transverse: bool
-    Z: SingularLocusZ | None
     failure: str | None
     certificate: GeneralityCertificate | None
 
@@ -303,9 +303,9 @@ class Slice:
 
 def _build_slice(nx: NormalizedFourfold, lam: tuple[int, int, int]) -> Slice:
     nf = slice_threefold(nx, lam)
-    Z = sextic = failure = None
+    sextic = failure = None
     try:
-        Z = compute_Z(nf)  # length four, or NotGeneral
+        nf.Z  # length four, or NotGeneral
     except NotGeneral as exc:
         failure = str(exc)
     try:
@@ -313,8 +313,8 @@ def _build_slice(nx: NormalizedFourfold, lam: tuple[int, int, int]) -> Slice:
     except NotGeneral as exc:
         failure = failure or str(exc)
     transverse = sextic is not None and sextic.is_squarefree()
-    certificate = certify_generality(nf, scan_depth=1, Z=Z) if transverse and Z is not None else None
-    return Slice(lam, nf, sextic, transverse, Z, failure, certificate)
+    certificate = certify_generality(nf) if transverse and failure is None else None
+    return Slice(lam, nf, sextic, transverse, failure, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +482,6 @@ def fiber_scan(nx: NormalizedFourfold) -> list[FiberReport]:
             reports.append(FiberReport(sl.dual, True, False, None, None, None, f"{kind}: {why}"))
             continue
         zdata = zeta(HyperellipticModel(DiscriminantSextic(sl.sextic)))
-        n_torsor = len(FanoSurface(sl.threefold, 1, sl.Z).torsor_set)
+        n_torsor = len(FanoSurface(sl.threefold).torsor_set)
         reports.append(FiberReport(sl.dual, True, True, zdata, n_torsor, n_torsor == zdata.h, ""))
     return reports

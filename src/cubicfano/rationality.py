@@ -36,9 +36,9 @@ from .fano import FanoSurface, InternalInconsistency, InvalidInput
 from .forms import HomogeneousForm
 from .gf import field
 from .linalg import rank
-from .pencil import NotGeneral, discriminant
+from .pencil import NotGeneral
 from .projective import LinearSubspace
-from .threefold import NormalizedThreefold, NotContained, compute_Z, normalize
+from .threefold import NormalizedThreefold, NotContained, normalize
 
 
 class Degenerate(ValueError):
@@ -98,14 +98,13 @@ def decide_over_finite_field(nf: NormalizedThreefold) -> RationalityVerdict:
     Irrational or Unknown: this function never returns those verdicts.
     """
     K = nf.K
-    if not discriminant(nf).reduced:
+    if not nf.discriminant.reduced:
         raise NotGeneral("the rationality theorem requires Y \\ P smooth (reduced discriminant)")
     bounds = {"field": {"p": K.p, "k": K.k}}
 
-    Z = compute_Z(nf)
-    rational_nodes = [z for z in Z.points if z.degree == 1]
+    rational_nodes = nf.Z.points_over(1)
     if rational_nodes:
-        amb = (0, 0) + Z.coords_in(rational_nodes[0], K)
+        amb = (0, 0) + nf.Z.coords_in(rational_nodes[0], K)
         _verify_node_on_cubic(nf, amb)
         witness = {"type": "node", "point": [int(v) for v in amb]}
         return RationalityVerdict("Rational", witness=witness, bounds=bounds)
@@ -534,7 +533,7 @@ def _good_reduction_prime(int_terms: dict, primes) -> int:
             nf = normalize(cubic, LinearSubspace(K, rows))
         except NotContained:
             continue
-        if discriminant(nf).reduced:
+        if nf.discriminant.reduced:
             return p
     raise NeedsDifferentPrime(
         "the discriminant is nonreduced modulo every scanned prime: "

@@ -59,6 +59,10 @@ class NormalizedThreefold:
 
     ``transform`` sends normalized coordinates to the original ambient ones:
     x_original = transform @ x_normalized.
+
+    The node scheme ``Z`` and the pencil's ``discriminant`` are computed on
+    first read and kept, so every reader shares them.  A refusal (NotGeneral,
+    NotSupportedError) is not kept: reading again raises again.
     """
 
     K: GF
@@ -82,6 +86,16 @@ class NormalizedThreefold:
         """(Q0|_P, Q1|_P) as ternary quadrics in the plane coordinates."""
         basis = plane_basis(5)
         return self.Q0.restrict(basis), self.Q1.restrict(basis)
+
+    @cached_property
+    def Z(self) -> SingularLocusZ:
+        """:func:`compute_Z` of this threefold."""
+        return compute_Z(self)
+
+    @cached_property
+    def discriminant(self) -> pencil_mod.DiscriminantSextic:
+        """:func:`pencil.discriminant` of this threefold."""
+        return pencil_mod.discriminant(self)
 
     @cached_property
     def transform_matrix(self) -> np.ndarray:
@@ -176,14 +190,17 @@ def random_threefold_through_plane(K: GF, rng) -> NormalizedThreefold:
     return normalize(random_cubic_through_plane(K, 5, rng), LinearSubspace(K, plane_basis(5)))
 
 
-def random_general_threefold(K: GF, rng, depth: int = 1, max_tries: int = 200) -> NormalizedThreefold:
-    """Rejection-sample a threefold whose generality certificate passes."""
-    for _ in range(max_tries):
+SAMPLE_TRIES = 200  # draws before the sampler gives up
+
+
+def random_general_threefold(K: GF, rng) -> NormalizedThreefold:
+    """Rejection-sample a threefold whose certificate passes at scan depth 1;
+    it keeps the Z and discriminant that the certificate read."""
+    for _ in range(SAMPLE_TRIES):
         nf = random_threefold_through_plane(K, rng)
-        cert = certify_generality(nf, scan_depth=depth)
-        if cert.is_general:
+        if certify_generality(nf).is_general:
             return nf
-    raise RuntimeError(f"no general threefold found in {max_tries} tries")
+    raise RuntimeError(f"no general threefold found in {SAMPLE_TRIES} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +215,6 @@ class ZPoint:
     degree: int
     plane_coords: tuple[int, int, int]
     multiplicity: int
-
-    @property
-    def normalized_ambient(self) -> tuple[int, int, int, int, int]:
-        return (0, 0) + self.plane_coords
 
 
 @dataclass(frozen=True)
@@ -218,10 +231,6 @@ class SingularLocusZ:
     @property
     def reduced(self) -> bool:
         return all(z.multiplicity == 1 for z in self.points)
-
-    @property
-    def rational_points(self) -> tuple[ZPoint, ...]:
-        return tuple(z for z in self.points if z.degree == 1)
 
     def field_of(self, z: ZPoint) -> GF:
         return self.K.extension(z.degree)
@@ -332,7 +341,7 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
     quartic's distinct-degree split groups the roots by that degree d, so
     F_{q^d} is built only for a degree that occurs.  Raises NotGeneral when Z
     is not zero-dimensional, and NotSupportedError when a point of Z needs a
-    field beyond degree 4 over F_p.
+    field beyond degree 4 over F_p.  A threefold keeps its own as ``nf.Z``.
     """
     K = nf.K
     q0, q1 = nf.restricted_conics
@@ -431,9 +440,7 @@ def _extra_plane_candidates(nf: NormalizedThreefold, Z: SingularLocusZ, d: int):
             yield ("plane through Z", tuple(tuple(int(x) for x in row) for row in basis))
 
 
-def certify_generality(
-    nf: NormalizedThreefold, scan_depth: int = 1, Z: SingularLocusZ | None = None
-) -> GeneralityCertificate:
+def certify_generality(nf: NormalizedThreefold, scan_depth: int = 1) -> GeneralityCertificate:
     """Check the four generality hypotheses up to the given scan depth.
 
     unique_plane is decided by a complete structured search: an extra plane
@@ -441,20 +448,20 @@ def certify_generality(
     spanned by its sections with the fibers over (1:0) and (0:1), which are
     lines through a point of Z.  Both families are enumerated exactly.
 
-    ``Z`` is the node scheme when the caller has already computed it.
+    Z and the discriminant are the threefold's kept ``nf.Z`` and
+    ``nf.discriminant``, so a later reader computes neither again.
 
     Only NotGeneral turns into a false flag; NotSupportedError, a limit of
     this implementation and not a property of the threefold, propagates.
     """
     witness = None
-    z_ok = True
-    if Z is None:
-        try:
-            Z = compute_Z(nf)
-        except NotGeneral:
-            z_ok = False
     try:
-        disc_ok = pencil_mod.discriminant(nf).reduced
+        Z = nf.Z
+        z_ok = True
+    except NotGeneral:
+        z_ok = False
+    try:
+        disc_ok = nf.discriminant.reduced
     except NotGeneral:
         disc_ok = False
     # A reduced discriminant already forces smoothness off P; the direct point

@@ -41,7 +41,6 @@ from .pencil import (
     NotGeneral,
     RulingClass,
     class_number_over_extension,
-    discriminant,
     zeta,
 )
 from .threefold import NormalizedThreefold
@@ -299,7 +298,7 @@ class TorsorGroup:
     def extension_group(self) -> "TorsorGroup":
         if self._big is None:
             surf = self.surface
-            self._big = TorsorGroup(FanoSurface(surf.base, 2 * surf.k, Z=surf.Z))
+            self._big = TorsorGroup(FanoSurface(surf.base, 2 * surf.k))
         return self._big
 
     def embed_point(self, big: "TorsorGroup", x: SignedTorsorPoint) -> SignedTorsorPoint:
@@ -407,7 +406,7 @@ def point_count_checks(nf: NormalizedThreefold, depth: int = 2) -> tuple[PointCo
 
 def _point_count_checks(nf: NormalizedThreefold, sizes) -> tuple[PointCountCheck, ...]:
     """Pair the torsor sizes over F_{q^1}, F_{q^2}, ... with the class numbers."""
-    zdata = zeta(HyperellipticModel(discriminant(nf)))
+    zdata = zeta(HyperellipticModel(nf.discriminant))
     return tuple(
         PointCountCheck(k, n_t, zdata.h if k == 1 else class_number_over_extension(zdata, nf.K.q, k))
         for k, n_t in enumerate(sizes, start=1)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cubicfano import fano, fourfold, threefold
+from cubicfano import fourfold, threefold
 from cubicfano.fourfold import (
     Indeterminate,
     certify_fourfold,
@@ -115,8 +115,7 @@ def test_fiber_scan_reports_and_computes_each_slice_node_scheme_once(monkeypatch
         certificates.append(nf)
         return certify_generality(nf, *args, **kwargs)
 
-    for module in (threefold, fourfold, fano):
-        monkeypatch.setattr(module, "compute_Z", counted_Z)
+    monkeypatch.setattr(threefold, "compute_Z", counted_Z)
     monkeypatch.setattr(fourfold, "certify_generality", counted_certificate)
     # sample, certify and scan share one walk over the dual plane
     nx = seeded_fourfold(seed)

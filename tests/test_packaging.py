@@ -174,3 +174,31 @@ def test_one_walk_slices_the_fourfold():
                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "slice_threefold"
                 ]
     assert callers == ["fourfold.py:_build_slice"]
+
+
+def _call_sites(tree, names, scope=""):
+    """(qualified scope, called name) of every call whose function is named in ``names``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in names:
+                yield scope, name
+        yield from _call_sites(node, names, inner)
+
+
+def test_a_threefold_computes_its_node_scheme_and_discriminant_in_one_place():
+    # every reader goes through the threefold's kept nf.Z and nf.discriminant;
+    # a second call site would compute them again
+    callers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        callers += [
+            f"{path.name}:{scope} {name}"
+            for scope, name in _call_sites(ast.parse(path.read_text()), {"compute_Z", "discriminant"})
+        ]
+    assert sorted(callers) == [
+        "threefold.py:NormalizedThreefold.Z compute_Z",
+        "threefold.py:NormalizedThreefold.discriminant discriminant",
+    ]

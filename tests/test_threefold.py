@@ -1,7 +1,9 @@
 """Normal form, the length-4 scheme Z, and the generality certificate."""
 
+import importlib
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -10,12 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubicfano import threefold
+import cubicfano
+from cubicfano import pencil, threefold
+from cubicfano.fano import FanoSurface
 from cubicfano.forms import HomogeneousForm, random_form
 from cubicfano.gf import NotSupportedError, field
 from cubicfano.linalg import inverse_matrix, mat_vec, rank
 from cubicfano.pencil import NotGeneral, rulings_of_fiber
 from cubicfano.projective import LinearSubspace, all_points_array, normalize_point
+from cubicfano.rationality import decide_over_finite_field
 from cubicfano.threefold import (
     NormalizedThreefold,
     NotContained,
@@ -27,6 +32,7 @@ from cubicfano.threefold import (
     random_general_threefold,
     random_threefold_through_plane,
 )
+from cubicfano.torsor import torsor_group, verify_group_axioms
 from reference_impl import Z_multiplicities_by_jacobian, jacobian_has_rank_two
 
 
@@ -176,7 +182,7 @@ def test_Z_conjugate_quadratic_points():
     assert all(z.degree == 2 and z.multiplicity == 1 for z in Z.points)
     assert len(Z.points) == 4
     assert sorted(len(o) for o in Z.orbits) == [2, 2]
-    assert Z.rational_points == ()
+    assert Z.points_over(1) == ()
 
 
 def test_Z_no_projection_center_fallback():
@@ -370,7 +376,7 @@ def test_Z_coordinate_independence():
             L = Z2.field_of(z)
             emb = K.embedding_into(L) if L is not K else None
             GL = G if emb is None else np.vectorize(lambda x: int(emb[x]))(G).astype(np.int64)
-            image = mat_vec(L, GL, np.array(z.normalized_ambient, dtype=np.int64))
+            image = mat_vec(L, GL, np.array((0, 0) + z.plane_coords, dtype=np.int64))
             assert image[0] == image[1] == 0
             got.add((z.degree, normalize_point(L, image[2:]), z.multiplicity))
         want = {(z.degree, z.plane_coords, z.multiplicity) for z in Z.points}
@@ -424,18 +430,32 @@ def test_Z_node_beyond_the_tower_is_a_typed_refusal():
     assert 0 < refusals < 20
 
 
-def test_certificate_computes_Z_once(monkeypatch):
+@pytest.mark.parametrize("seed", [2, 4, 5, 28])
+def test_a_sampled_threefold_computes_Z_and_its_discriminant_once(monkeypatch, seed):
+    # the sampler's certificate computes both and the threefold keeps them, so
+    # the line surface, the verdict and the group law compute neither again
     calls = []
 
-    def counted(nf):
-        calls.append(nf)
-        return compute_Z(nf)
+    def counting(fn):
+        def counted(nf):
+            calls.append(fn.__name__)
+            return fn(nf)
 
-    monkeypatch.setattr(threefold, "compute_Z", counted)
-    nf = random_general_threefold(field(5), random.Random(3))
+        return counted
+
+    for info in pkgutil.iter_modules(cubicfano.__path__):
+        module = importlib.import_module(f"cubicfano.{info.name}")
+        for fn in (threefold.compute_Z, pencil.discriminant):
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting(fn))
+    nf = random_general_threefold(field(3), random.Random(seed))
+    assert {"compute_Z", "discriminant"} <= set(calls)
     calls.clear()
-    assert certify_generality(nf, scan_depth=2).is_general
-    assert calls == [nf]
+    FanoSurface(nf, 1)
+    decide_over_finite_field(nf)
+    torsor_group(nf).letters
+    assert verify_group_axioms(nf, random.Random(seed)).all_passed
+    assert calls == []
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -448,7 +468,7 @@ def test_certificate_finds_the_fiber_lines_once_per_depth(monkeypatch, depth):
         return rulings_of_fiber(fiber)
 
     nf = random_general_threefold(field(3), random.Random(2))
-    assert len(compute_Z(nf).rational_points) >= 2
+    assert len(nf.Z.points_over(1)) >= 2
     monkeypatch.setattr(threefold, "rulings_of_fiber", counted)
     assert certify_generality(nf, scan_depth=depth).is_general
     assert len(calls) <= 2 * depth

@@ -229,9 +229,9 @@ def test_axiom_check_builds_one_surface_per_degree(monkeypatch):
     built = []
     build = FanoSurface.__init__
 
-    def counting(self, nf, k=1, Z=None):
+    def counting(self, nf, k=1):
         built.append(k)
-        build(self, nf, k, Z)
+        build(self, nf, k)
 
     monkeypatch.setattr(FanoSurface, "__init__", counting)
     rep = verify_group_axioms(seeded_example(3, 2), random.Random(2))
