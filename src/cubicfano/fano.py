@@ -33,11 +33,17 @@ from itertools import combinations, product
 
 import numpy as np
 
+from .errors import (
+    InternalInconsistency,
+    InvalidInput,
+    NotGeneral,
+    PlaneContained,
+    ResampleRequired,
+)
 from .forms import HomogeneousForm, divide_by_linear
 from .gf import GF
 from .linalg import kernel_basis, mat_mul, mat_vec, rank, rref, rref_stack, solve
 from .pencil import (
-    NotGeneral,
     PencilFiber,
     RulingClass,
     fiber_matrix,
@@ -45,9 +51,7 @@ from .pencil import (
     rulings_of_fiber,
 )
 from .projective import (
-    InternalInconsistency,
     LinearSubspace,
-    PlaneContained,
     ProjectiveLine,
     ProjectivePoint,
     Residual,
@@ -70,22 +74,6 @@ MEETS_PLANE = "meets_plane_once"
 DISJOINT = "disjoint"
 
 _TAG_ORDER = {IN_PLANE: 0, MEETS_PLANE: 1, DISJOINT: 2}
-
-
-class NeedsExtension(ValueError):
-    """The requested object only exists over a larger field."""
-
-
-class ResampleRequired(ValueError):
-    """The computation ran into one of the finitely many excluded points."""
-
-
-class InvalidInput(ValueError):
-    """The argument is not a point of the torsor-ready set."""
-
-
-class Undefined(ValueError):
-    """The operator has no value at this argument (excluded locus)."""
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +441,8 @@ class FanoSurface:
 
         For c = d the span degenerates and the first-order deformation of the
         ruling along its fiber pencil supplies the limiting plane.  The pair
-        is undefined (excluded locus) when both ruling lines lie in P.
+        is in the excluded locus (ResampleRequired) when both ruling lines
+        lie in P.
         """
         if c.K is not d.K:
             raise ValueError("the two ruling classes must live over one field")
@@ -473,7 +462,7 @@ class FanoSurface:
         t1 = self.tau(z, c)
         t2 = self.tau(z, d)
         if _meet_with_plane(M, t1.rows)[0] == IN_PLANE and _meet_with_plane(M, t2.rows)[0] == IN_PLANE:
-            raise Undefined("both ruling lines lie in P: the pair is in the excluded locus")
+            raise ResampleRequired("both ruling lines lie in P: the pair is in the excluded locus")
         if c.key == d.key:
             if c.is_cone:
                 S = self._cone_tangent_plane(z, c, nf_M)
@@ -542,7 +531,7 @@ class FanoSurface:
             None,
         )
         if y is None:
-            raise Undefined("the ruling line lies in P; the diagonal pair is excluded there")
+            raise ResampleRequired("the ruling line lies in P; the diagonal pair is excluded there")
         s0, t0 = c.s, c.t
         s1, t1 = ((0, 1) if t0 == 0 else (1, 0))
         grads = _gradients_of(nf_M)
@@ -755,7 +744,11 @@ class FanoDecomposition:
         }
 
 
-def decompose(nf: NormalizedThreefold, k: int = 1, scan_depth: int = 2) -> FanoDecomposition:
+# decompose counts the lines of P lying in fibers over F_{q^(k * this)}
+_CLOSURE_SCAN_DEPTH = 2
+
+
+def decompose(nf: NormalizedThreefold, k: int = 1) -> FanoDecomposition:
     """The boundary decomposition of the line set over F_{q^k}.
 
     Verifies, as exact identities between independent computations on the
@@ -795,7 +788,7 @@ def decompose(nf: NormalizedThreefold, k: int = 1, scan_depth: int = 2) -> FanoD
     node_star_union = _node_star_union(surface)
 
     special = {cl.line.rows for cl in surface.lines if cl.tag == IN_PLANE and cl.fiber is not None}
-    geometric = _count_degenerate_conic_lines(nf, k * scan_depth)
+    geometric = _count_degenerate_conic_lines(nf, k * _CLOSURE_SCAN_DEPTH)
 
     identities = []
     witness = None
@@ -887,14 +880,16 @@ def _orbit_span_union(surface: FanoSurface) -> tuple[set, bool]:
 
 
 def _count_degenerate_conic_lines(nf: NormalizedThreefold, depth: int) -> int:
-    """Geometric count of lines of P lying in fibers, scanned over F_{q^depth}.
+    """Geometric count of lines of P lying in fibers, scanned over F_{q^d} for
+    the largest d <= depth that the tower reaches.
 
     Each degenerate member of the restricted conic pencil contributes its
     component lines: two for a rank-2 conic (rational or conjugate), one for
-    a double line.  Fibers over parameter fields beyond the scan depth are
-    not seen; the caller treats the result as a lower bound checked <= 6.
+    a double line.  Fibers over parameter fields beyond the scan are not
+    seen; the caller treats the result as a lower bound checked <= 6.
     """
-    nfd = nf.embedded(nf.K.extension(depth))
+    d = max(e for e in range(1, depth + 1) if nf.K.reaches(e))
+    nfd = nf.embedded(nf.K.extension(d))
     Ld = nfd.K
     q0, q1 = nfd.restricted_conics
     total = 0
@@ -935,13 +930,14 @@ class IntersectionReport:
         )
 
 
-def verify_intersection_numbers(
-    nf: NormalizedThreefold,
-    rng,
-    samples: int = 20,
-    max_resamples: int = 200,
-) -> IntersectionReport:
-    """Sample the three intersection counts on random generic configurations.
+# verify_intersection_numbers: samples of each count, and the resamples allowed in all
+_INTERSECTION_SAMPLES = 4
+_MAX_RESAMPLES = 200
+
+
+def verify_intersection_numbers(nf: NormalizedThreefold, rng) -> IntersectionReport:
+    """Sample the three intersection counts on random generic configurations,
+    ``_INTERSECTION_SAMPLES`` of each.
 
     sigma.tau: the lines through a node meeting a random disjoint line,
     counted over F_{q^2} with the residual multiplicity -- always 2.
@@ -960,7 +956,7 @@ def verify_intersection_numbers(
     rational_nodes = [z for z, _ in surface.nodes]
     if rational_nodes:
         surface2 = FanoSurface(nf, 2)
-        while len(sigma_tau) < samples and resamples < max_resamples:
+        while len(sigma_tau) < _INTERSECTION_SAMPLES and resamples < _MAX_RESAMPLES:
             z = rng.choice(rational_nodes)
             line = rng.choice(disjoint)
             try:
@@ -971,7 +967,7 @@ def verify_intersection_numbers(
             sigma_tau.append(count)
 
     sigma_sigma: list[tuple[int, int]] = []
-    while len(sigma_sigma) < samples and resamples < max_resamples:
+    while len(sigma_sigma) < _INTERSECTION_SAMPLES and resamples < _MAX_RESAMPLES:
         line1, line2 = rng.sample(disjoint, 2)
         if line_meets(line1, line2):
             resamples += 1
@@ -984,7 +980,7 @@ def verify_intersection_numbers(
 
     tau_tau: list[int] = []
     pairs = _node_pairs(surface.Z)
-    while pairs and len(tau_tau) < samples:
+    while pairs and len(tau_tau) < _INTERSECTION_SAMPLES:
         za, zb, d = pairs.pop(0)
         tau_tau.append(_common_fiber_count(nf, za, zb, d))
 
@@ -1113,10 +1109,7 @@ class SurfaceLineCensus:
 
 
 def lines_on_cubic_surface_section(
-    nf: NormalizedThreefold,
-    line1: ProjectiveLine,
-    line2: ProjectiveLine,
-    max_degree: int = 4,
+    nf: NormalizedThreefold, line1: ProjectiveLine, line2: ProjectiveLine
 ) -> SurfaceLineCensus:
     """Census of the lines on the cubic surface cut by the span of two skew lines.
 
@@ -1124,7 +1117,7 @@ def lines_on_cubic_surface_section(
     X = S cap Y carries exactly one line inside P (the line S cap P), the
     components of the degenerate conics Q_{s,t} cap S, and finitely many
     further P-disjoint lines.  All three kinds are enumerated rationally over
-    F_{q^d} for each d <= max_degree that the tower reaches, and the counts are
+    F_{q^d} for each d that the tower reaches, and the counts are
     combined into exact-degree counts; a smooth section whose lines all have
     degree within the scan totals 27.  Callers resample when the census is
     incomplete.
@@ -1135,13 +1128,13 @@ def lines_on_cubic_surface_section(
         raise ValueError("the two lines must be skew")
     counts: dict[int, int] = {}
     rational: tuple = ()
-    for d in range(1, max_degree + 1):
-        if not K.reaches(d):
-            break
+    d = 1
+    while K.reaches(d):
         n_d, rows = _surface_lines_over(nf, line1, line2, d)
         counts[d] = n_d
         if d == 1:
             rational = rows
+        d += 1
     exact: dict[int, int] = {}
     for d in sorted(counts):
         exact[d] = counts[d] - sum(n for e, n in exact.items() if d % e == 0)

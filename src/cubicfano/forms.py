@@ -13,13 +13,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import kernels
-from .gf import GF, InternalInconsistency
+from .errors import InternalInconsistency, InvalidInput
+from .gf import GF
 from .linalg import det, inverse_matrix
-
-
-class ArityError(ValueError):
-    """Point length does not match the form's number of variables."""
-
 
 # ---------------------------------------------------------------------------
 # sparse exponent-dict arithmetic (shared by forms and the symbolic dets)
@@ -64,7 +60,7 @@ class HomogeneousForm:
         for e, c in terms.items():
             e = tuple(int(x) for x in e)
             if len(e) != nvars:
-                raise ArityError(f"exponent {e} has arity {len(e)}, expected {nvars}")
+                raise InvalidInput(f"exponent {e} has arity {len(e)}, expected {nvars}")
             if any(x < 0 for x in e) or sum(e) != degree:
                 raise ValueError(f"exponent {e} is not of total degree {degree}")
             c = int(c)
@@ -157,7 +153,7 @@ class HomogeneousForm:
 
     def times(self, other: "HomogeneousForm") -> "HomogeneousForm":
         if self.nvars != other.nvars:
-            raise ArityError(f"cannot multiply forms in {self.nvars} and {other.nvars} variables")
+            raise InvalidInput(f"cannot multiply forms in {self.nvars} and {other.nvars} variables")
         return HomogeneousForm(
             self.K, self.nvars, self.degree + other.degree, _dict_mul(self.K, self.terms, other.terms)
         )
@@ -177,7 +173,7 @@ class HomogeneousForm:
     def evaluate(self, point) -> int:
         point = tuple(int(x) for x in point)
         if len(point) != self.nvars:
-            raise ArityError(f"point has {len(point)} coordinates, form has {self.nvars} variables")
+            raise InvalidInput(f"point has {len(point)} coordinates, form has {self.nvars} variables")
         K = self.K
         total = 0
         for e, c in self.terms.items():
@@ -204,7 +200,7 @@ class HomogeneousForm:
         """
         points = np.ascontiguousarray(points, dtype=np.uint16)
         if points.shape[1] != self.nvars:
-            raise ArityError(f"points have {points.shape[1]} coordinates, form has {self.nvars} variables")
+            raise InvalidInput(f"points have {points.shape[1]} coordinates, form has {self.nvars} variables")
         if self.is_zero:
             return np.zeros(points.shape[0], dtype=np.uint16)
         exps, coeffs = self._pack()
@@ -235,7 +231,7 @@ class HomogeneousForm:
         """The form f(M y) in the y variables; M has shape (nvars, m)."""
         M = np.array(M, dtype=np.int64)
         if M.shape[0] != self.nvars:
-            raise ArityError(f"substitution matrix has {M.shape[0]} rows, form has {self.nvars} variables")
+            raise InvalidInput(f"substitution matrix has {M.shape[0]} rows, form has {self.nvars} variables")
         m = M.shape[1]
         K = self.K
         zero_exp = (0,) * m
@@ -263,53 +259,6 @@ class HomogeneousForm:
         """Restriction to the subspace spanned by basis rows (r x nvars)."""
         B = np.array(basis_rows, dtype=np.int64)
         return self.substitute(B.T)
-
-    def specialize(self, values: dict[int, int]) -> "HomogeneousForm":
-        """Substitute constants for the given variables; the rest survive.
-
-        Only valid when the result is homogeneous in the surviving variables
-        (e.g. the form is bihomogeneous and one block is fixed); checked.
-        """
-        K = self.K
-        keep = [i for i in range(self.nvars) if i not in values]
-        out: dict = {}
-        deg = None
-        for e, c in self.terms.items():
-            term = c
-            for i, v in values.items():
-                if e[i]:
-                    term = K.mul_(term, K.pow_(v, e[i]))
-            if not term:
-                continue
-            new_e = tuple(e[i] for i in keep)
-            d = sum(new_e)
-            if deg is not None and d != deg:
-                raise InternalInconsistency("specialization is not homogeneous")
-            deg = d
-            s = K.add_(out.get(new_e, 0), term)
-            if s:
-                out[new_e] = s
-            else:
-                out.pop(new_e, None)
-        if deg is None:
-            deg = 0
-        return HomogeneousForm(K, len(keep), deg, out)
-
-    def proportionality(self, other: "HomogeneousForm") -> int | None:
-        """Scalar c with self = c * other, or None (zero forms give 1)."""
-        if self.is_zero and other.is_zero:
-            return 1
-        if self.is_zero or other.is_zero:
-            return None
-        if set(self.terms) != set(other.terms):
-            return None
-        K = self.K
-        e0 = next(iter(self.terms))
-        c = K.div_(self.terms[e0], other.terms[e0])
-        for e, v in self.terms.items():
-            if K.mul_(other.terms[e], c) != v:
-                return None
-        return c
 
 
 def monomial_exponents(nvars: int, degree: int):
@@ -341,7 +290,7 @@ def divide_by_linear(f: HomogeneousForm, ell) -> HomogeneousForm:
     K = f.K
     ell = [int(x) for x in ell]
     if len(ell) != f.nvars:
-        raise ArityError("linear form arity mismatch")
+        raise InvalidInput("linear form arity mismatch")
     try:
         i = next(j for j, c in enumerate(ell) if c)
     except StopIteration:
@@ -465,7 +414,7 @@ class BinaryForm:
     @classmethod
     def from_form(cls, f: HomogeneousForm) -> "BinaryForm":
         if f.nvars != 2:
-            raise ArityError(f"a binary form has 2 variables, not {f.nvars}")
+            raise InvalidInput(f"a binary form has 2 variables, not {f.nvars}")
         coeffs = [0] * (f.degree + 1)
         for (e0, e1), c in f.terms.items():
             coeffs[e1] = c

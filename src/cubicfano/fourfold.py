@@ -26,20 +26,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .fano import FanoSurface, InvalidInput
+from .errors import InternalInconsistency, InvalidInput, NotGeneral
+from .fano import FanoSurface
 from .forms import BinaryForm, HomogeneousForm, det_form_matrix
 from .gf import GF
 from .linalg import kernel_basis
 from .pencil import (
     DiscriminantSextic,
     HyperellipticModel,
-    NotGeneral,
     ZetaData,
     symbolic_fiber_entries,
     zeta,
 )
 from .projective import (
-    InternalInconsistency,
     LinearSubspace,
     ProjectiveLine,
     common_zeros,
@@ -55,10 +54,6 @@ from .threefold import (
     random_cubic_through_plane,
     split_off_plane,
 )
-
-
-class SingularFourfold(ValueError):
-    """The fourfold has a singular point where a smooth one was required."""
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +238,7 @@ def tangency_map(nx: NormalizedFourfold, x) -> tuple[int, int, int]:
         raise InvalidInput("the tangency map is defined on the plane {x0=x1=x2=0}")
     g = (nx.Q0.evaluate(x), nx.Q1.evaluate(x), nx.Q2.evaluate(x))
     if not any(g):
-        raise SingularFourfold(f"the fourfold is singular at {x}")
+        raise NotGeneral(f"the fourfold is singular at {x}")
     return normalize_point(K, g)
 
 

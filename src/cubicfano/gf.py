@@ -26,17 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-
-class CharacteristicTwoError(ValueError):
-    """Raised when a field of characteristic 2 is requested."""
-
-
-class NotSupportedError(ValueError):
-    """Raised for parameters outside the supported desk scale."""
-
-
-class InternalInconsistency(AssertionError):
-    """Exact division produced something structurally impossible."""
+from .errors import InternalInconsistency, InvalidInput, NotSupportedError
 
 
 def is_prime(n: int) -> bool:
@@ -153,9 +143,9 @@ class GF:
 
     def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
+            raise InvalidInput(f"characteristic {p} is not prime")
         if p == 2:
-            raise CharacteristicTwoError("characteristic 2 is not supported")
+            raise InvalidInput("characteristic 2 is not supported")
         if not 1 <= k <= _MAX_DEGREE:
             raise NotSupportedError(f"extension degree {k} outside 1..{_MAX_DEGREE}")
         if p**k > _MAX_ORDER:
@@ -327,9 +317,6 @@ class GF:
     def random_element(self, rng) -> int:
         return rng.randrange(self.q)
 
-    def random_nonzero(self, rng) -> int:
-        return rng.randrange(1, self.q)
-
     # -- the extension tower ---------------------------------------------------
 
     def reaches(self, d: int) -> bool:
@@ -422,9 +409,3 @@ def _embedding(p: int, small_k: int, big_k: int) -> np.ndarray:
         images[code] = acc
     return images
 
-
-@lru_cache(maxsize=None)
-def section_onto(p: int, big_k: int, small_k: int) -> dict[int, int]:
-    """Partial inverse of the canonical embedding, as a dict big-code -> small-code."""
-    emb = _embedding(p, small_k, big_k)
-    return {int(v): i for i, v in enumerate(emb)}

@@ -25,11 +25,11 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import InternalInconsistency, NotGeneral
 from .forms import BinaryForm, HomogeneousForm, det_form_matrix
 from .gf import GF
 from .linalg import kernel_basis, mat_mul, mat_vec, rank
 from .projective import (
-    InternalInconsistency,
     ProjectiveLine,
     binary_quadratic,
     common_zeros,
@@ -38,10 +38,6 @@ from .projective import (
     projective_reps,
     root_directions,
 )
-
-
-class NotGeneral(ValueError):
-    """The input violates a generality hypothesis (flagged, with a reason)."""
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +417,15 @@ def class_number_over_extension(z: ZetaData, q: int, k: int) -> int:
     return ek[0] - ek[1] + ek[2] - ek[3] + ek[4]
 
 
-def match_models(nf, model: HyperellipticModel, depth: int = 2) -> bool:
-    """Operational ruling counts agree with the hyperelliptic counts for k <= depth,
-    and fiberwise degrees agree (2 off the branch locus, 1 on it)."""
-    for k in range(1, depth + 1):
+# match_models compares the two models of C over F_{q^k} for k up to this
+_MODEL_DEPTH = 2
+
+
+def match_models(nf, model: HyperellipticModel) -> bool:
+    """Operational ruling counts agree with the hyperelliptic counts for
+    k <= ``_MODEL_DEPTH``, and fiberwise degrees agree (2 off the branch locus,
+    1 on it)."""
+    for k in range(1, _MODEL_DEPTH + 1):
         ops = operational_curve_points(nf, k)
         if len(ops) != count_points_C(model, k):
             return False

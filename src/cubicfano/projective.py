@@ -13,18 +13,10 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .errors import InternalInconsistency, NotOnCubic, PlaneContained
 from .forms import BinaryForm, HomogeneousForm
-from .gf import GF, InternalInconsistency
-from .linalg import kernel_basis, mat_mul, rank, rref
-
-
-class PlaneContained(ValueError):
-    """The whole plane lies on the cubic; there is no residual line."""
-
-
-class NotOnCubic(ValueError):
-    """A claimed line does not lie on the cubic section."""
-
+from .gf import GF
+from .linalg import kernel_basis, rank, rref
 
 def normalize_point(K: GF, vec) -> tuple[int, ...]:
     vec = [int(x) for x in vec]
@@ -146,14 +138,6 @@ class LinearSubspace:
     def __repr__(self) -> str:
         return f"Flat(dim {self.dim}){self.rows}"
 
-    def contains_point(self, pt: ProjectivePoint) -> bool:
-        stacked = np.vstack([self.matrix, np.array(pt.coords, dtype=np.int64)])
-        return rank(self.K, stacked) == len(self.rows)
-
-    def contains_line(self, line: ProjectiveLine) -> bool:
-        stacked = np.vstack([self.matrix, line.matrix])
-        return rank(self.K, stacked) == len(self.rows)
-
     def pivots(self) -> list[int]:
         return [next(i for i, x in enumerate(row) if x) for row in self.rows]
 
@@ -199,21 +183,11 @@ def span(K: GF, *objects) -> LinearSubspace:
     return LinearSubspace(K, np.array(rows, dtype=np.int64))
 
 
-def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine:
-    if p == q:
-        raise ValueError("need two distinct points")
-    return ProjectiveLine(p.K, np.array([p.coords, q.coords], dtype=np.int64))
-
-
 def projective_reps(K: GF, n: int) -> Iterator[tuple[int, ...]]:
     """Normalized representatives of P^n(F_q): pivot ascending, tail lexicographic."""
     for pivot in range(n + 1):
         for tail in product(range(K.q), repeat=n - pivot):
             yield (0,) * pivot + (1,) + tail
-
-
-def all_points(K: GF, n: int) -> list[ProjectivePoint]:
-    return [ProjectivePoint(K, rep) for rep in projective_reps(K, n)]
 
 
 def _points_at(q: int, n: int, idx: np.ndarray) -> np.ndarray:
@@ -266,11 +240,6 @@ def count_points(K: GF, n: int) -> int:
     return (K.q ** (n + 1) - 1) // (K.q - 1)
 
 
-def count_lines(K: GF, n: int) -> int:
-    q = K.q
-    return (q ** (n + 1) - 1) * (q**n - 1) // ((q**2 - 1) * (q - 1))
-
-
 def enumerate_lines(K: GF, n: int) -> Iterator[ProjectiveLine]:
     """Every line of P^n exactly once, walking Schubert cells in RREF order."""
     if n < 2:
@@ -291,15 +260,6 @@ def enumerate_lines(K: GF, n: int) -> Iterator[ProjectiveLine]:
                 yield ProjectiveLine(K, (tuple(row0), tuple(row1)), _trusted=True)
 
 
-def schubert_cell_dimensions(n: int) -> list[int]:
-    """Free-entry counts of the line cells of P^n (their q-powers sum to the line count)."""
-    dims = []
-    for j0 in range(n):
-        for j1 in range(j0 + 1, n + 1):
-            dims.append((n - j0 - 1) + (n - j1))
-    return dims
-
-
 def line_meets(L: ProjectiveLine, M: ProjectiveLine) -> bool:
     """Whether two lines intersect (always true when equal or in a plane)."""
     stacked = np.vstack([L.matrix, M.matrix])
@@ -314,16 +274,6 @@ def linear_form_cutting_line_in_plane(plane: LinearSubspace, L: ProjectiveLine) 
     if ker.shape[0] != 1:
         raise InternalInconsistency("line inside plane must be cut by exactly one linear form")
     return tuple(int(x) for x in ker[0])
-
-
-def line_in_plane_from_linear_form(plane: LinearSubspace, ell) -> ProjectiveLine:
-    """The line of the plane cut out by a linear form in plane coordinates."""
-    K = plane.K
-    ker = kernel_basis(K, np.array([ell], dtype=np.int64))
-    if ker.shape[0] != 2:
-        raise InternalInconsistency("a nonzero ternary linear form cuts a line")
-    ambient = mat_mul(K, ker, plane.matrix)
-    return ProjectiveLine(K, ambient)
 
 
 class Residual(NamedTuple):

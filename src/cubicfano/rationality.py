@@ -32,21 +32,19 @@ from functools import cached_property
 import numpy as np
 import sympy
 
-from .fano import FanoSurface, InternalInconsistency, InvalidInput
+from .errors import (
+    InternalInconsistency,
+    InvalidInput,
+    NeedsDifferentPrime,
+    NotContained,
+    NotGeneral,
+)
+from .fano import FanoSurface
 from .forms import HomogeneousForm
 from .gf import field
 from .linalg import rank
-from .pencil import NotGeneral
 from .projective import LinearSubspace
-from .threefold import NormalizedThreefold, NotContained, normalize
-
-
-class Degenerate(ValueError):
-    """The quadratic form is singular."""
-
-
-class NeedsDifferentPrime(ValueError):
-    """No scanned prime gives a good (reduced-discriminant) reduction."""
+from .threefold import NormalizedThreefold, normalize
 
 
 @dataclass(frozen=True)
@@ -382,7 +380,7 @@ def local_solvability(quadric: RationalQuadricForm) -> LocalSolvability:
     """
     diag = quadric.squarefree_diagonal
     if any(d == 0 for d in diag):
-        raise Degenerate("the quadratic form is singular")
+        raise InvalidInput("the quadratic form is singular")
     if all(d > 0 for d in diag) or all(d < 0 for d in diag):
         return LocalSolvability(False, "real", diag, quadric)
     odd_primes = sorted(
@@ -469,6 +467,8 @@ def obstruction_confirmed_by_residues(diagonal, place) -> bool:
 # ---------------------------------------------------------------------------
 
 _STANDARD_PLANE_ROWS = ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+# the primes tried, in order, for a reduction with a reduced discriminant
+_REDUCTION_PRIMES = (3, 5, 7)
 
 
 def _normalize_rational_cubic(terms: dict, plane_rows) -> tuple[dict, list[list[Fraction]]]:
@@ -521,8 +521,8 @@ def _fraction_rref(rows) -> tuple[list[list[Fraction]], int]:
     return M, rk
 
 
-def _good_reduction_prime(int_terms: dict, primes) -> int:
-    for p in primes:
+def _good_reduction_prime(int_terms: dict) -> int:
+    for p in _REDUCTION_PRIMES:
         reduced = {e: c % p for e, c in int_terms.items() if c % p}
         if not reduced:
             continue
@@ -537,7 +537,7 @@ def _good_reduction_prime(int_terms: dict, primes) -> int:
             return p
     raise NeedsDifferentPrime(
         "the discriminant is nonreduced modulo every scanned prime: "
-        f"no generality certificate from {tuple(primes)}"
+        f"no generality certificate from {_REDUCTION_PRIMES}"
     )
 
 
@@ -774,13 +774,7 @@ def _pencil_members(bound: int):
                 yield s, t
 
 
-def decide_over_rationals(
-    cubic_terms,
-    plane_rows=_STANDARD_PLANE_ROWS,
-    height_bound: int = 20,
-    *,
-    reduction_primes=(3, 5, 7),
-) -> RationalityVerdict:
+def decide_over_rationals(cubic_terms, plane_rows=_STANDARD_PLANE_ROWS, height_bound: int = 20) -> RationalityVerdict:
     """Height-bounded semidecision of rationality over Q.
 
     The searches run in a fixed priority order (so the outcome is
@@ -793,7 +787,7 @@ def decide_over_rationals(
     searches exhaust their bounds the honest answer is Unknown.
     """
     int_terms, columns = _normalize_rational_cubic(dict(cubic_terms), plane_rows)
-    good_prime = _good_reduction_prime(int_terms, reduction_primes)
+    good_prime = _good_reduction_prime(int_terms)
     bounds = {"height_bound": height_bound, "good_prime": good_prime}
 
     # (a) rational nodes

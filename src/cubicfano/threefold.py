@@ -28,12 +28,12 @@ from functools import cached_property
 import numpy as np
 
 from . import pencil as pencil_mod
+from .errors import InternalInconsistency, NotContained, NotGeneral, NotSupportedError
 from .forms import BinaryForm, HomogeneousForm, random_form
-from .gf import GF, NotSupportedError
+from .gf import GF
 from .linalg import det, kernel_basis, mat_vec, rref
-from .pencil import NotGeneral, fiber_matrix, rulings_of_fiber
+from .pencil import fiber_matrix, rulings_of_fiber
 from .projective import (
-    InternalInconsistency,
     LinearSubspace,
     ProjectivePoint,
     binary_quadratic,
@@ -42,10 +42,6 @@ from .projective import (
     normalize_point,
     projective_reps,
 )
-
-
-class NotContained(ValueError):
-    """The cubic does not vanish on the given plane."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +92,6 @@ class NormalizedThreefold:
     def discriminant(self) -> pencil_mod.DiscriminantSextic:
         """:func:`pencil.discriminant` of this threefold."""
         return pencil_mod.discriminant(self)
-
-    @cached_property
-    def transform_matrix(self) -> np.ndarray:
-        return np.array(self.transform, dtype=np.int64)
-
-    def to_original(self, point) -> tuple[int, ...]:
-        vec = mat_vec(self.K, self.transform_matrix, np.array(point, dtype=np.int64))
-        return normalize_point(self.K, vec)
 
     def embedded(self, L: GF) -> "NormalizedThreefold":
         """The same normalized threefold over an extension field; self over its own.

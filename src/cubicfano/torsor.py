@@ -28,17 +28,16 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fano import (
-    FanoSurface,
+from .errors import (
     InternalInconsistency,
     InvalidInput,
     NeedsExtension,
+    NotGeneral,
     ResampleRequired,
-    TorsorPoint,
 )
+from .fano import FanoSurface, TorsorPoint
 from .pencil import (
     HyperellipticModel,
-    NotGeneral,
     RulingClass,
     class_number_over_extension,
     zeta,
@@ -114,10 +113,6 @@ class ClassAction:
     tag: int
     perm: tuple[int, ...]
     word: DivisorWord = dc_field(compare=False)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.perm))
 
     def __call__(self, i: int) -> int:
         return self.perm[i]
@@ -227,9 +222,6 @@ class TorsorGroup:
     def class_of(self, word: DivisorWord) -> ClassAction:
         return ClassAction(word.tag, tuple(self._word_perm(word).tolist()), word)
 
-    def identity_class(self) -> ClassAction:
-        return ClassAction(0, tuple(range(len(self.points))), DivisorWord(()))
-
     def compose(self, a: ClassAction, b: ClassAction) -> ClassAction:
         """The class of a-then-b (the order is immaterial: the letters
         commute, which verify_group_axioms checks on every pair)."""
@@ -326,8 +318,9 @@ class TorsorGroup:
         return ClassAction(big_cls.tag, tuple(perm.tolist()), big_cls.word)
 
 
-def torsor_group(nf: NormalizedThreefold, k: int = 1) -> TorsorGroup:
-    return TorsorGroup(FanoSurface(nf, k))
+def torsor_group(nf: NormalizedThreefold) -> TorsorGroup:
+    """The group law on the lines over the threefold's own field."""
+    return TorsorGroup(FanoSurface(nf))
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +386,19 @@ class GroupLawReport:
         }
 
 
-def point_count_checks(nf: NormalizedThreefold, depth: int = 2) -> tuple[PointCountCheck, ...]:
-    """#T(F_{q^k}) against the class number of the branch curve, k <= depth.
+# point_count_checks compares the counts over F_{q^k} for k up to this
+_POINT_COUNT_DEPTH = 2
+
+
+def point_count_checks(nf: NormalizedThreefold) -> tuple[PointCountCheck, ...]:
+    """#T(F_{q^k}) against the class number of the branch curve, k <= ``_POINT_COUNT_DEPTH``.
 
     The left side is the size of the torsor-ready set of the line surface
     over F_{q^k}; the right side is the zeta-function class number.
     Equality is the finite-field triviality of the torsor, checked without
     ever constructing a group isomorphism.
     """
-    return _point_count_checks(nf, [len(FanoSurface(nf, k).torsor_set) for k in range(1, depth + 1)])
+    return _point_count_checks(nf, [len(FanoSurface(nf, k).torsor_set) for k in range(1, _POINT_COUNT_DEPTH + 1)])
 
 
 def _point_count_checks(nf: NormalizedThreefold, sizes) -> tuple[PointCountCheck, ...]:

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from itertools import product
 
-from cubicfano.fano import NeedsExtension, TorsorPoint
+import numpy as np
+
+from cubicfano.errors import InternalInconsistency, NeedsExtension, NotOnCubic, PlaneContained
+from cubicfano.fano import TorsorPoint
 from cubicfano.forms import divide_by_linear
-from cubicfano.gf import InternalInconsistency
+from cubicfano.linalg import kernel_basis, mat_mul
 from cubicfano.projective import (
-    NotOnCubic,
-    PlaneContained,
+    ProjectiveLine,
     Residual,
     common_zeros,
     enumerate_lines,
-    line_in_plane_from_linear_form,
     linear_form_cutting_line_in_plane,
     normalize_point,
 )
@@ -224,6 +225,29 @@ def plane_line_fiber_by_minors(L, q0, q1, rows, rulings):
         if any(line.rows == amb for line in c.lines):
             return key, c.index
     raise InternalInconsistency("fiber containing a line of P does not list it among its rulings")
+
+
+def proportionality(f, g):
+    """Scalar c with f = c * g for two homogeneous forms, or None (zero forms give 1)."""
+    if f.is_zero and g.is_zero:
+        return 1
+    if f.is_zero or g.is_zero or set(f.terms) != set(g.terms):
+        return None
+    K = f.K
+    e0 = next(iter(f.terms))
+    c = K.div_(f.terms[e0], g.terms[e0])
+    if any(K.mul_(g.terms[e], c) != v for e, v in f.terms.items()):
+        return None
+    return c
+
+
+def line_in_plane_from_linear_form(plane, ell):
+    """The line of the plane cut out by a linear form in plane coordinates."""
+    K = plane.K
+    ker = kernel_basis(K, np.array([ell], dtype=np.int64))
+    if ker.shape[0] != 2:
+        raise InternalInconsistency("a nonzero ternary linear form cuts a line")
+    return ProjectiveLine(K, mat_mul(K, ker, plane.matrix))
 
 
 def residual_line_symbolic(cubic, plane, L, M):

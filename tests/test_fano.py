@@ -6,28 +6,32 @@ import random
 import numpy as np
 import pytest
 
+from cubicfano.errors import (
+    InternalInconsistency,
+    InvalidInput,
+    NotGeneral,
+    NotSupportedError,
+    PlaneContained,
+    ResampleRequired,
+)
 from cubicfano.fano import (
     DISJOINT,
     IN_PLANE,
     MEETS_PLANE,
     FanoSurface,
-    InvalidInput,
-    ResampleRequired,
     TorsorPoint,
-    Undefined,
+    _count_degenerate_conic_lines,
     _node_pairs,
     _transversal_counts,
     decompose,
     lines_on_cubic_surface_section,
     verify_intersection_numbers,
 )
-from cubicfano.gf import NotSupportedError, field
+from cubicfano.gf import field
 from cubicfano.linalg import inverse_matrix, mat_mul, rank
-from cubicfano.pencil import NotGeneral, fiber_matrix, rulings_of_fiber
+from cubicfano.pencil import fiber_matrix, rulings_of_fiber
 from cubicfano.projective import (
-    InternalInconsistency,
     LinearSubspace,
-    PlaneContained,
     ProjectivePoint,
     enumerate_lines,
     line_meets,
@@ -313,7 +317,7 @@ def test_psi_of_opposite_rulings_degenerates_into_the_plane():
                 continue
             try:
                 res = surf.psi(z, classes[0], classes[1])
-            except (Undefined, PlaneContained):
+            except (ResampleRequired, PlaneContained):
                 continue
             assert surf.classified(res.line).tag == IN_PLANE
             checked += 1
@@ -498,7 +502,7 @@ def test_decomposition_over_quadratic_extension():
 
 
 def test_intersection_numbers_match_expected_values():
-    rep = verify_intersection_numbers(seeded_example(5, 44), random.Random(7), samples=4)
+    rep = verify_intersection_numbers(seeded_example(5, 44), random.Random(7))
     assert rep.all_expected
     assert rep.sigma_tau == (2, 2, 2, 2)
     assert rep.sigma_sigma == ((5, 3),) * 4
@@ -511,7 +515,7 @@ def test_tau_tau_pairs_conjugate_nodes_once():
     Z = compute_Z(nf)
     assert sorted(z.degree for z in Z.points) == [2, 2, 2, 2]
     assert len(_node_pairs(Z)) == 6
-    rep = verify_intersection_numbers(nf, random.Random(7), samples=4)
+    rep = verify_intersection_numbers(nf, random.Random(7))
     assert rep.tau_tau == (1, 1, 1, 1)
 
 
@@ -530,6 +534,12 @@ def test_tower_climbs_stop_where_the_tower_ends():
     assert any(complete)
 
 
+def test_degenerate_conic_scan_stops_where_the_tower_ends():
+    # decompose(nf, 2) over F_9 asks for depth 4; the scan stops at F_81, not F_{3^8}
+    nf = random_general_threefold(field(3, 2), random.Random(1))
+    assert _count_degenerate_conic_lines(nf, 4) == _count_degenerate_conic_lines(nf, 2) == 6
+
+
 def test_intersection_numbers_propagate_internal_inconsistency(monkeypatch):
     # only PlaneContained is a resample; an internal error must surface
     import cubicfano.fano as fano_mod
@@ -539,7 +549,7 @@ def test_intersection_numbers_propagate_internal_inconsistency(monkeypatch):
 
     monkeypatch.setattr(fano_mod, "_sigma_tau_count", broken)
     with pytest.raises(InternalInconsistency, match="planted"):
-        verify_intersection_numbers(seeded_example(5, 44), random.Random(7), samples=4)
+        verify_intersection_numbers(seeded_example(5, 44), random.Random(7))
 
 
 # ---------------------------------------------------------------------------

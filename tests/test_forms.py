@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubicfano.errors import InvalidInput
 from cubicfano.forms import (
-    ArityError,
     BinaryForm,
     HomogeneousForm,
     det_form_matrix,
@@ -18,7 +18,7 @@ from cubicfano.forms import (
 )
 from cubicfano.gf import field
 from cubicfano.linalg import inverse_matrix, mat_vec
-from reference_impl import binary_roots_by_scan, evaluate_form_naive
+from reference_impl import binary_roots_by_scan, evaluate_form_naive, proportionality
 
 
 def test_evaluate_frozen_trivial():
@@ -31,7 +31,7 @@ def test_evaluate_frozen_trivial():
 def test_arity_error():
     K = field(5)
     f = HomogeneousForm.monomial(K, 3, (1, 1, 1))
-    with pytest.raises(ArityError):
+    with pytest.raises(InvalidInput, match="point has 2 coordinates, form has 3 variables"):
         f.evaluate((1, 1))
 
 
@@ -134,21 +134,6 @@ def test_divide_by_linear_roundtrip():
         divide_by_linear(f, (0, 1, 0))
 
 
-def test_specialize_bihomogeneous_block():
-    # f(s X + t Y) coefficient extraction style: fix the X block of a product
-    K = field(5)
-    rng = random.Random(31)
-    a = random_form(K, 6, 1, rng)  # linear in (x0..x2, y0..y2)
-    terms = {e + (0, 0, 0): c for e, c in random_form(K, 3, 2, rng).terms.items()}
-    quad_x = HomogeneousForm(K, 6, 2, terms)
-    f = quad_x.times(a)
-    z = [K.random_element(rng) for _ in range(3)]
-    g = f.specialize({0: z[0], 1: z[1], 2: z[2]})
-    for _ in range(10):
-        y = [K.random_element(rng) for _ in range(3)]
-        assert g.evaluate(y) == f.evaluate(z + y)
-
-
 def test_monomial_exponents_count():
     assert len(monomial_exponents(5, 3)) == 35
     assert len(monomial_exponents(2, 6)) == 7
@@ -197,7 +182,7 @@ def test_binary_gcd_and_squarefree():
     assert gc.degree == 1
     # gcd is proportional to u
     assert gc.coeffs[0] != 0 or gc.coeffs[1] != 0
-    prop = gc.to_form().proportionality(u.to_form())
+    prop = proportionality(gc.to_form(), u.to_form())
     assert prop is not None
     assert not f.is_squarefree()
     assert g.is_squarefree()
@@ -236,15 +221,15 @@ def _random_binary_with_repeats(K, rng):
     n = rng.randint(1, 6)
     if rng.random() < 0.3:
         coeffs = [K.random_element(rng) for _ in range(n + 1)]
-        coeffs[rng.randrange(n + 1)] = K.random_nonzero(rng)
+        coeffs[rng.randrange(n + 1)] = rng.randrange(1, K.q)
         return BinaryForm(K, n, coeffs)
-    f = BinaryForm(K, 0, (K.random_nonzero(rng),))
+    f = BinaryForm(K, 0, (rng.randrange(1, K.q),))
     while f.degree < n:
         if rng.random() < 0.2:
             g = BinaryForm(K, 1, (1, 0))  # s, which vanishes at (0:1)
         else:
             dg = rng.randint(1, min(3, n - f.degree))
-            g = BinaryForm(K, dg, [K.random_element(rng) for _ in range(dg)] + [K.random_nonzero(rng)])
+            g = BinaryForm(K, dg, [K.random_element(rng) for _ in range(dg)] + [rng.randrange(1, K.q)])
         for _ in range(rng.randint(1, (n - f.degree) // g.degree)):
             f = f.times(g)
     return f
@@ -292,7 +277,7 @@ def test_distinct_degree_split_holds_the_points_of_each_degree(p, k):
         product = BinaryForm(K, 0, (1,))
         for part in split.values():
             product = product.times(part)
-        assert product.to_form().proportionality(f.to_form()) is not None
+        assert proportionality(product.to_form(), f.to_form()) is not None
         for d, part in split.items():
             if k * d > 4:
                 continue
@@ -306,11 +291,11 @@ def test_shape_mismatches_raise():
     f = HomogeneousForm.monomial(K, 3, (1, 1, 0))
     with pytest.raises(ValueError):
         f.plus(HomogeneousForm.monomial(K, 3, (1, 0, 0)))
-    with pytest.raises(ArityError):
+    with pytest.raises(InvalidInput, match="cannot multiply forms in 3 and 2 variables"):
         f.times(HomogeneousForm.monomial(K, 2, (1, 0)))
-    with pytest.raises(ArityError):
+    with pytest.raises(InvalidInput, match="substitution matrix has 2 rows, form has 3 variables"):
         f.substitute(np.eye(2, dtype=np.int64))
-    with pytest.raises(ArityError):
+    with pytest.raises(InvalidInput, match="a binary form has 2 variables, not 3"):
         BinaryForm.from_form(f)
 
 

@@ -8,19 +8,23 @@ import random
 import pytest
 
 from cubicfano import fourfold, threefold
+from cubicfano.errors import NotGeneral
+from cubicfano.forms import HomogeneousForm
 from cubicfano.fourfold import (
     Indeterminate,
     certify_fourfold,
+    normalize_fourfold,
     pi_of_line,
     plane_discriminant,
     random_fourfold_through_plane,
     random_general_fourfold,
     slice_threefold,
+    tangency_map,
 )
 from cubicfano.gf import field
 from cubicfano.pencil import discriminant
-from cubicfano.projective import projective_reps
-from cubicfano.threefold import certify_generality, compute_Z
+from cubicfano.projective import LinearSubspace, projective_reps, span
+from cubicfano.threefold import certify_generality, compute_Z, plane_basis
 
 from reference_impl import lines_on_fourfold
 
@@ -49,9 +53,21 @@ def test_lines_on_fourfold_and_the_indeterminacy_of_the_fibration(seed, n_lines)
     # exactly the 13 lines of P are points of indeterminacy
     indeterminate = [im for im in images if isinstance(im, Indeterminate)]
     assert len(indeterminate) == 13
-    assert all(nx.plane.contains_line(line) == isinstance(im, Indeterminate) for line, im in zip(lines, images))
+    plane = nx.plane
+    in_plane = [span(nx.K, plane, line).rows == plane.rows for line in lines]
+    assert in_plane == [isinstance(im, Indeterminate) for im in images]
     duals = set(projective_reps(nx.K, 2))
     assert all(im in duals for im in images if not isinstance(im, Indeterminate))
+
+
+def test_tangency_map_refuses_a_singular_point_of_the_plane():
+    # Q0, Q1 and Q2 all vanish at e3, so X is singular there and no hyperplane is tangent
+    K = field(3)
+    cubic = HomogeneousForm(K, 6, 3, {(1, 0, 0, 0, 2, 0): 1, (0, 1, 0, 0, 0, 2): 1, (0, 0, 1, 1, 1, 0): 1})
+    nx = normalize_fourfold(cubic, LinearSubspace(K, plane_basis(6)))
+    assert tangency_map(nx, (0, 0, 0, 0, 1, 0)) == (1, 0, 0)
+    with pytest.raises(NotGeneral, match="the fourfold is singular at"):
+        tangency_map(nx, (0, 0, 0, 1, 0, 0))
 
 
 # the sampled cubic's terms at the census seeds 0-3 and its warm-up seed 4,

@@ -8,14 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicfano import gf
-from cubicfano.gf import (
-    GF,
-    CharacteristicTwoError,
-    NotSupportedError,
-    canonical_modulus,
-    field,
-    section_onto,
-)
+from cubicfano.errors import InvalidInput, NotSupportedError
+from cubicfano.gf import GF, canonical_modulus, field
 from reference_impl import RefField, ref_irreducible
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
@@ -67,9 +61,9 @@ def test_inverse_of_zero_raises():
 
 
 def test_bad_parameters_rejected():
-    with pytest.raises(CharacteristicTwoError):
+    with pytest.raises(InvalidInput, match="characteristic 2 is not supported"):
         GF(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="characteristic 9 is not prime"):
         GF(9)
     with pytest.raises(NotSupportedError):
         GF(3, 5)
@@ -237,8 +231,6 @@ def test_embedding_is_injective_ring_map(p, a, b):
     image = {int(v) for v in emb}
     fixed = {x for x in big.elements() if big.frobenius(x, a) == x}
     assert image == fixed
-    back = section_onto(p, b, a)
-    assert all(back[int(emb[x])] == x for x in range(small.q))
 
 
 def test_prime_subfield_embeds_as_identity_codes():

@@ -2,6 +2,7 @@
 and declares every third-party module the package imports."""
 
 import ast
+import builtins
 import importlib
 import re
 import sys
@@ -50,7 +51,20 @@ def test_third_party_imports_are_declared():
 
 @pytest.mark.parametrize(
     "module",
-    ["fano", "forms", "fourfold", "gf", "kernels", "linalg", "pencil", "projective", "rationality", "threefold", "torsor"],
+    [
+        "errors",
+        "fano",
+        "forms",
+        "fourfold",
+        "gf",
+        "kernels",
+        "linalg",
+        "pencil",
+        "projective",
+        "rationality",
+        "threefold",
+        "torsor",
+    ],
 )
 def test_invariants_survive_optimized_mode(module):
     # `python -O` strips assert statements; these modules raise instead
@@ -202,3 +216,53 @@ def test_a_threefold_computes_its_node_scheme_and_discriminant_in_one_place():
         "threefold.py:NormalizedThreefold.Z compute_Z",
         "threefold.py:NormalizedThreefold.discriminant discriminant",
     ]
+
+
+def test_every_exception_class_is_defined_in_errors():
+    # one refusal vocabulary: a class derived from an exception lives in errors.py
+    builtin = {name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    assert defined  # the scan sees the module at all
+    elsewhere = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(base, "id", None) or getattr(base, "attr", None) for base in node.bases}
+                if bases & (builtin | defined):
+                    elsewhere.append(f"{path.name}:{node.name}")
+    assert elsewhere == []
+
+
+def _readme_entry_points():
+    """The names in backticks in the README's "Entry points" section."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Entry points\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", section))
+
+
+def test_every_public_name_has_a_caller_or_is_an_entry_point():
+    # package code that only the tests call is dead weight; the bench's tracer
+    # names its targets in strings, which count as references
+    referenced = set()
+    for path in sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    entry_points = _readme_entry_points()
+    assert "decompose" in entry_points  # the scan sees the section at all
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                if node.name not in referenced | entry_points:
+                    unused.append(f"{path.name}:{node.name}")
+    assert unused == []

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from cubicfano import projective
+from cubicfano.errors import InternalInconsistency, NotGeneral
 from cubicfano.forms import BinaryForm, HomogeneousForm
-from cubicfano.gf import InternalInconsistency, field
+from cubicfano.gf import field
 from cubicfano.linalg import det, rank, rref, solve
 from cubicfano.pencil import (
     HyperellipticModel,
-    NotGeneral,
     PencilFiber,
     check_rulings,
     class_number_over_extension,
@@ -347,7 +347,7 @@ def test_ruling_lines_lie_on_the_cubic():
 def test_match_models_on_general_examples(p):
     nf = general_example(p)
     model = HyperellipticModel(discriminant(nf))
-    assert match_models(nf, model, depth=2)
+    assert match_models(nf, model)
 
 
 def test_count_points_naive_double_loop():
@@ -377,7 +377,7 @@ def test_match_models_negative_control():
 
     twisted = HyperellipticModel(DiscriminantSextic(model.disc.form.scaled(nonsquare)))
     if z.N1 != K.q + 1 or z.N2 != K.q**2 + 1:
-        assert not match_models(nf, twisted, depth=2)
+        assert not match_models(nf, twisted)
     else:  # pragma: no cover - would need a different sample
         pytest.skip("twist-invariant point counts; pick another example")
 

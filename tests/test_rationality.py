@@ -12,13 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicfano import rationality
-from cubicfano.fano import InvalidInput
+from cubicfano.errors import InvalidInput, NeedsDifferentPrime, NotGeneral
 from cubicfano.gf import field
-from cubicfano.pencil import NotGeneral
 from cubicfano.projective import LinearSubspace
 from cubicfano.rationality import (
-    Degenerate,
-    NeedsDifferentPrime,
     RationalQuadricForm,
     _q_derivative,
     _q_evaluate,
@@ -83,7 +80,7 @@ def test_solvable_witnesses_satisfy_the_form():
 
 
 def test_singular_form_raises_degenerate():
-    with pytest.raises(Degenerate):
+    with pytest.raises(InvalidInput, match="the quadratic form is singular"):
         local_solvability(diagonal_form(1, 2, 3, 0))
 
 
