@@ -189,23 +189,22 @@ class HomogeneousForm:
             items = sorted(self.terms.items())
             exps = np.array([e for e, _ in items], dtype=np.uint8).reshape(len(items), self.nvars)
             coeffs = np.array([c for _, c in items], dtype=np.uint16)
-            self._packed = (exps, coeffs)
+            self._packed = (exps, coeffs, kernels.digit_width(len(items), self.K.p, self.K.k))
         return self._packed
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Values at many points; points is (N, nvars) of codes.
 
         One call of ``kernels.eval_form_batch``, the package's only batch
-        evaluator, on the packed terms and the field's tables.
+        evaluator, on the packed terms and the field's log and digit tables.
         """
         points = np.ascontiguousarray(points, dtype=np.uint16)
         if points.shape[1] != self.nvars:
             raise InvalidInput(f"points have {points.shape[1]} coordinates, form has {self.nvars} variables")
         if self.is_zero:
             return np.zeros(points.shape[0], dtype=np.uint16)
-        exps, coeffs = self._pack()
-        K = self.K
-        return kernels.eval_form_batch(K.add, K.mul, K.powers(self.degree), exps, coeffs, points)
+        exps, coeffs, width = self._pack()
+        return kernels.eval_form_batch(self.K, self.degree, width, exps, coeffs, points)
 
     def symmetric_matrix(self) -> np.ndarray:
         """The symmetric matrix M of a quadratic form, f(x) = x^T M x (char != 2)."""

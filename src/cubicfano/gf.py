@@ -4,8 +4,8 @@ Elements are plain ints in ``range(q)``: the code ``c0 + c1*p + ... +
 c_{k-1}*p^{k-1}`` stands for the residue ``c0 + c1*X + ...`` modulo the field's
 modulus polynomial.  A :class:`GF` object owns the precomputed numpy tables
 (addition, multiplication, inverses, quadratic character, canonical square
-roots, Frobenius) so that scalar code stays readable and batch code can run as
-pure table gathers.
+roots, Frobenius, and the log and digit tables of the batch form evaluator) so
+that scalar code stays readable and batch code can run as pure table gathers.
 
 Conventions, fixed once so serialized data is portable.  Coefficient words are
 ordered by their value as base-p integers with the constant digit least
@@ -230,8 +230,8 @@ class GF:
         self.sqrt_table = sqrt_table
 
         self.frob = self.pow_vector(p)
-        self._pow_cache: dict[int, np.ndarray] = {0: np.ones(q, dtype=np.uint16), 1: np.arange(q, dtype=np.uint16)}
-        self._pow_cache[0][0] = 1  # 0^0 = 1 by convention (never used on forms)
+        self._term_logs: dict[int, np.ndarray] = {}
+        self._term_digits: dict[tuple[int, int], np.ndarray] = {}
 
     def _code_pow(self, a: int, e: int) -> int:
         result, base = 1, a
@@ -291,12 +291,30 @@ class GF:
             out[0] = 1
         return out
 
-    def powers(self, maxdeg: int) -> np.ndarray:
-        """Stacked pow tables, shape (maxdeg+1, q); row e maps x -> x^e."""
-        for e in range(maxdeg + 1):
-            if e not in self._pow_cache:
-                self._pow_cache[e] = self.pow_vector(e)
-        return np.stack([self._pow_cache[e] for e in range(maxdeg + 1)])
+    def term_tables(self, degree: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """(log, digits): the tables ``kernels.eval_form_batch`` evaluates terms with.
+
+        ``log[x]`` is the discrete log of a nonzero code x, as a float64 for
+        the kernel's matrix product (exact: every log is far below 2^53).  The
+        log of a term c*x^e of the given degree with no zero factor is below
+        period = (degree + 1)*(q - 2) + 1, and ``log[0]`` is period itself, so
+        a term with a zero factor has a log of at least period.  ``digits[t]``
+        holds the base-p digits of g^t, digit j in bits [j*width, (j+1)*width),
+        for t < period, and 0 from period up to the largest term log.  The log
+        table is built once per degree, the digit table once per (degree, width).
+        """
+        q = self.q
+        period = (degree + 1) * (q - 2) + 1
+        if degree not in self._term_logs:
+            log = self._log.astype(np.float64)
+            log[0] = period
+            self._term_logs[degree] = log
+        if (degree, width) not in self._term_digits:
+            packed = (self._vecs.astype(np.int64) << (width * np.arange(self.k))).sum(axis=1)
+            digits = np.zeros(q - 2 + degree * period + 1, dtype=np.int64)
+            digits[:period] = packed[self._exp[np.arange(period) % (q - 1)]]
+            self._term_digits[(degree, width)] = digits
+        return self._term_logs[degree], self._term_digits[(degree, width)]
 
     def sqrt(self, a: int) -> int | None:
         """Canonical square root, or None when a is not a square."""

@@ -399,28 +399,33 @@ def local_solvability(quadric: RationalQuadricForm) -> LocalSolvability:
     return LocalSolvability(True, None, diag, quadric)
 
 
+def _height_layer(h: int) -> np.ndarray:
+    """The primitive vectors of Z^4 of height h: fewest nonzero entries first, then lexicographic."""
+    r = np.arange(-h, h + 1, dtype=np.int64)
+    v = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
+    v = v[(np.abs(v).max(axis=1) == h) & (np.gcd.reduce(v, axis=1) == 1)]
+    return v[np.argsort(np.count_nonzero(v, axis=1), kind="stable")]
+
+
 def _isotropic_vector(quadric: RationalQuadricForm, height: int) -> tuple[int, ...] | None:
-    """Bounded deterministic search for q(v) = 0, sparse low-height vectors first."""
-    M = quadric.matrix
+    """Bounded deterministic search for q(v) = 0, sparse low-height vectors first.
 
-    def q(v):
-        return sum(M[i][j] * v[i] * v[j] for i in range(4) for j in range(4))
-
+    The Gram matrix is cleared of denominators once, and each height layer is
+    tested with one integer product, in int64 when |v^T G v| <= 16 h^2 max|G|
+    cannot overflow it and in Python integers otherwise.  The first zero is
+    returned with its first nonzero entry made positive.
+    """
+    den = math.lcm(*(x.denominator for row in quadric.matrix for x in row))
+    gram = [[int(x * den) for x in row] for row in quadric.matrix]
+    dtype = np.int64 if 16 * height**2 * max(abs(x) for row in gram for x in row) < 2**63 else object
+    G = np.array(gram, dtype=dtype)
     for h in range(1, height + 1):
-        layer = []
-        for v in itertools.product(range(-h, h + 1), repeat=4):
-            if max(abs(x) for x in v) != h:
-                continue
-            g = 0
-            for x in v:
-                g = math.gcd(g, abs(x))
-            if g != 1:
-                continue
-            layer.append((sum(1 for x in v if x), v))
-        for _, v in sorted(layer):
-            if q(v) == 0:
-                k = next(i for i in range(4) if v[i])
-                return tuple(-x for x in v) if v[k] < 0 else v
+        layer = _height_layer(h).astype(dtype)
+        zeros = np.flatnonzero(((layer @ G) * layer).sum(axis=1) == 0)
+        if zeros.size:
+            v = tuple(int(x) for x in layer[zeros[0]])
+            k = next(i for i in range(4) if v[i])
+            return tuple(-x for x in v) if v[k] < 0 else v
     return None
 
 

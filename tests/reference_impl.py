@@ -113,6 +113,25 @@ def evaluate_form_naive(field, terms, point):
     return total
 
 
+def eval_form_batch_by_tables(K, exps, coeffs, points):
+    """A sparse form at many points, term by term through the q x q tables.
+
+    Each factor is one gather into ``K.mul`` and each term one into ``K.add``:
+    the evaluator the package used before its log and digit tables.
+    """
+    pows = np.stack([K.pow_vector(e) for e in range(int(exps.sum(axis=1).max(initial=0)) + 1)])
+    n_points = points.shape[0]
+    acc = np.zeros(n_points, dtype=np.uint16)
+    for t in range(exps.shape[0]):
+        term = np.full(n_points, coeffs[t], dtype=np.uint16)
+        for i in range(exps.shape[1]):
+            e = int(exps[t, i])
+            if e:
+                term = K.mul[term, pows[e, points[:, i]]]
+        acc = K.add[acc, term]
+    return acc
+
+
 def zeros_by_scan(forms):
     """Common zeros of forms on P^n, by evaluating every point term by term.
 

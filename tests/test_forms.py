@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicfano.errors import InvalidInput
+from cubicfano import kernels
+from cubicfano.errors import InvalidInput, NotSupportedError
 from cubicfano.forms import (
     BinaryForm,
     HomogeneousForm,
@@ -16,9 +17,9 @@ from cubicfano.forms import (
     monomial_exponents,
     random_form,
 )
-from cubicfano.gf import field
+from cubicfano.gf import GF, field
 from cubicfano.linalg import inverse_matrix, mat_vec
-from reference_impl import binary_roots_by_scan, evaluate_form_naive, proportionality
+from reference_impl import binary_roots_by_scan, eval_form_batch_by_tables, evaluate_form_naive, proportionality
 
 
 def test_evaluate_frozen_trivial():
@@ -69,6 +70,45 @@ def test_evaluate_batch_matches_scalar():
     batch = f.evaluate_batch(pts)
     for row, val in zip(pts, batch):
         assert f.evaluate(tuple(int(x) for x in row)) == int(val)
+
+
+# (p, k): the fields the census and the group law climb through, and one past
+# q = 10^4, built uncached so its 0.4 GB of q x q tables go with the test
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3), (3, 4), (11, 2), (101, 2)])
+def test_evaluate_batch_matches_the_table_oracle(p, k):
+    K = field(p, k) if p**k < 10**4 else GF(p, k)
+    rng = random.Random(p**k)
+    gen = np.random.default_rng(p**k)
+    sizes = (0, 1, kernels.CHUNK - 1, kernels.CHUNK, kernels.CHUNK + 1)
+    for degree in range(1, 7):
+        for nvars in range(1, 7):
+            full = random_form(K, nvars, degree, rng)
+            monomials = monomial_exponents(nvars, degree)
+            one_term = HomogeneousForm.monomial(K, nvars, monomials[len(monomials) // 2], K.q - 1)
+            zero = HomogeneousForm.zero(K, nvars, degree)
+            # about one coordinate in four is zero
+            pts = gen.integers(0, K.q, size=(sizes[-1], nvars)).astype(np.uint16)
+            pts[gen.random(pts.shape) < 0.25] = 0
+            for f in (full, one_term, zero):
+                exps, coeffs, _ = f._pack()
+                for n_points in sizes if f is full else (sizes[-1],):
+                    got = f.evaluate_batch(pts[:n_points])
+                    assert got.dtype == np.uint16 and got.shape == (n_points,)
+                    assert np.array_equal(got, eval_form_batch_by_tables(K, exps, coeffs, pts[:n_points]))
+
+
+def test_digit_fields_that_cannot_fit_an_int64_are_refused():
+    # 3276 terms over F_{11^4} sum to at most 32760 per digit: four 15-bit
+    # fields, 60 bits; one more term needs 16-bit fields, 64 bits
+    assert kernels.digit_width(3276, 11, 4) == 15
+    with pytest.raises(NotSupportedError, match="an int64 holds 63"):
+        kernels.digit_width(3277, 11, 4)
+    assert kernels.digit_width(10**6, 65521, 1) == 36
+    # every octic in ten variables has 24310 > 2^15 / 2 terms over F_81
+    K = field(3, 4)
+    f = HomogeneousForm(K, 10, 8, {e: 1 for e in monomial_exponents(10, 8)})
+    with pytest.raises(NotSupportedError, match="24310 terms over F_3\\^4"):
+        f.evaluate_batch(np.ones((1, 10), dtype=np.uint16))
 
 
 @given(st.integers(0, 7**2 - 1), st.data())

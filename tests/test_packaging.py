@@ -174,6 +174,14 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
+def test_the_evaluators_sixth_positional_parameter_is_points():
+    # the benchmark tracer counts evaluated points as the sixth positional argument
+    tree = ast.parse((PACKAGE / "kernels.py").read_text())
+    (func,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "eval_form_batch"]
+    positional = [arg.arg for arg in func.args.posonlyargs + func.args.args]
+    assert positional[5:6] == ["points"]
+
+
 def test_one_walk_slices_the_fourfold():
     # a fourfold's slices are built once, by its per-dual record; a second call
     # site would be a second walk over the dual plane recomputing them

@@ -409,6 +409,41 @@ def test_pencil_scan_never_searches_for_witnesses(monkeypatch):
         out.witness
 
 
+# the first isotropic vector of each of the 24 pencil members the height-4 scan
+# of UNKNOWN_EXAMPLE passes, all solvable; recorded from the Fraction search
+# that the layered integer products replaced
+UNKNOWN_MEMBER_WITNESSES = {
+    (0, 1): (1, 0, 0, 0), (1, -1): (1, 0, -1, 0), (1, 0): (0, 1, 0, 0),
+    (1, 1): (1, 0, 0, 0), (1, -2): (1, -1, 0, -1), (1, 2): (1, 3, -2, 2),
+    (2, -1): (1, 0, 0, 0), (2, 1): (0, 0, 1, 0), (1, -3): (1, 0, -1, -1),
+    (1, 3): (1, 0, -1, 1), (2, -3): (0, 1, 1, 0), (2, 3): (0, 2, -1, 0),
+    (3, -2): (1, 2, -1, 0), (3, -1): (1, -1, 2, -2), (3, 1): (1, -3, -3, 0),
+    (3, 2): (0, 1, 2, -2), (1, -4): (0, 3, -2, 0), (1, 4): (0, 1, 2, 0),
+    (3, -4): (1, -1, -1, 1), (3, 4): (0, 3, -2, -4), (4, -3): (0, 2, 1, 1),
+    (4, -1): (0, 1, 0, 1), (4, 1): (0, 1, 1, -1), (4, 3): (0, 1, 0, -1),
+}
+
+
+def test_witnesses_of_the_unknown_examples_pencil_members_are_pinned():
+    int_terms, _ = rationality._normalize_rational_cubic(UNKNOWN_EXAMPLE, rationality._STANDARD_PLANE_ROWS)
+    got = {}
+    for s, t in rationality._pencil_members(4):
+        out = local_solvability(rationality._pencil_member_form(int_terms, s, t))
+        assert out.solvable
+        got[(s, t)] = out.witness
+    assert got == UNKNOWN_MEMBER_WITNESSES
+
+
+def test_witness_search_pins_and_exhausts_its_height():
+    assert local_solvability(diagonal_form(1, 2, 3, -5)).witness == (0, 1, 1, 1)
+    # solvable, with no isotropic vector of height <= 10: every layer is searched
+    out = local_solvability(diagonal_form(3, 5, 7, -1009))
+    assert out.solvable and out.witness is None
+    # |v^T G v| can pass 2^63 here, so the products run in Python integers
+    big = 3**40
+    assert rationality._isotropic_vector(diagonal_form(big, big, -big, -big), 10) == (1, 0, 1, 0)
+
+
 def test_a_form_is_singular_iff_its_diagonalization_has_a_zero():
     forms = []
     for terms in (NODE_EXAMPLE, LINE_EXAMPLE, DEFINITE_PENCIL_EXAMPLE, UNKNOWN_EXAMPLE):
