@@ -46,9 +46,7 @@ from .projective import (
     projective_reps,
 )
 from .threefold import (
-    GeneralityCertificate,
     NormalizedThreefold,
-    certify_generality,
     normalize,
     plane_basis,
     random_cubic_through_plane,
@@ -275,8 +273,11 @@ class Slice:
     squarefree.  ``failure`` is the message of the first NotGeneral, from the
     slice's node scheme ``threefold.Z`` and then from the restriction; on a
     transverse dual the slice's Z is kept exactly when ``failure`` is None.
-    ``certificate`` is the slice's threefold certificate at scan depth 1,
-    made on a transverse dual without a failure and None elsewhere.
+
+    A transverse slice without a failure is a general threefold: its Z is
+    zero-dimensional, and its own discriminant is the squarefree ``sextic``
+    coefficient for coefficient, so :func:`threefold.certify_generality`
+    passes it by the proof in :class:`threefold.GeneralityCertificate`.
     """
 
     dual: tuple[int, int, int]
@@ -284,15 +285,12 @@ class Slice:
     sextic: BinaryForm | None
     transverse: bool
     failure: str | None
-    certificate: GeneralityCertificate | None
 
     @property
     def witness(self) -> tuple | None:
         """Why the slice breaks the slicing law of :func:`certify_fourfold`, or None."""
         if self.failure is not None:
             return ("degenerate slice", self.dual, self.failure)
-        if self.certificate is not None and not self.certificate.is_general:
-            return ("non-general transverse slice", self.dual, self.certificate.witness)
         return None
 
 
@@ -308,8 +306,7 @@ def _build_slice(nx: NormalizedFourfold, lam: tuple[int, int, int]) -> Slice:
     except NotGeneral as exc:
         failure = failure or str(exc)
     transverse = sextic is not None and sextic.is_squarefree()
-    certificate = certify_generality(nf) if transverse and failure is None else None
-    return Slice(lam, nf, sextic, transverse, failure, certificate)
+    return Slice(lam, nf, sextic, transverse, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +389,10 @@ def certify_fourfold(nx: NormalizedFourfold) -> FourfoldCertificate:
     every F_q-rational dual point.
 
     Every slice must have a zero-dimensional node scheme of length four
-    (the fibers of the tangency map), and the slice over a *transverse*
-    dual, where the restricted sextic stays reduced, must certify as a
-    general threefold; duals tangent to the discriminant carry honestly
+    (the fibers of the tangency map).  The slice over a *transverse* dual,
+    where the restricted sextic stays reduced, is then a general threefold
+    with no further check: that sextic is the slice's own discriminant
+    (see :class:`Slice`).  Duals tangent to the discriminant carry honestly
     degenerate slices and are exempt.  The slices are read only when the
     first two checks pass, in enumeration order, up to the first failure;
     they are the fourfold's kept slices, shared with :func:`fiber_scan`.
@@ -464,8 +462,7 @@ def fiber_scan(nx: NormalizedFourfold) -> list[FiberReport]:
 
     Reports come back sorted by dual point.  A failed slice is recorded,
     never fatal.  The slices are the fourfold's kept ones, so after
-    :func:`certify_fourfold` no node scheme or slice certificate is
-    computed again.
+    :func:`certify_fourfold` no node scheme is computed again.
     """
     reports = []
     for lam in sorted(projective_reps(nx.K, 2)):

@@ -21,7 +21,6 @@ pairs through one common vertex, which is then Z with multiplicity 4.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,11 +30,9 @@ from . import pencil as pencil_mod
 from .errors import InternalInconsistency, NotContained, NotGeneral, NotSupportedError
 from .forms import BinaryForm, HomogeneousForm, random_form
 from .gf import GF
-from .linalg import det, kernel_basis, mat_vec, rref
-from .pencil import fiber_matrix, rulings_of_fiber
+from .linalg import det, kernel_basis, mat_vec
 from .projective import (
     LinearSubspace,
-    ProjectivePoint,
     binary_quadratic,
     common_zeros,
     complete_to_basis,
@@ -182,8 +179,8 @@ SAMPLE_TRIES = 200  # draws before the sampler gives up
 
 
 def random_general_threefold(K: GF, rng) -> NormalizedThreefold:
-    """Rejection-sample a threefold whose certificate passes at scan depth 1;
-    it keeps the Z and discriminant that the certificate read."""
+    """Rejection-sample a threefold whose certificate passes; it keeps the Z
+    and discriminant that the certificate read."""
     for _ in range(SAMPLE_TRIES):
         nf = random_threefold_through_plane(K, rng)
         if certify_generality(nf).is_general:
@@ -371,80 +368,48 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
 
 @dataclass(frozen=True)
 class GeneralityCertificate:
-    unique_plane: bool
+    """Generality of Y ⊃ P, read off its node scheme Z and its discriminant D.
+
+    The paper calls Y general when P is its only plane, Y is smooth off P and
+    the quadric-surface fibration has a reduced sextic discriminant D.  Over
+    the algebraic closure the first two follow from the third:
+
+    - A second plane Π meets P.  If it meets P in one point, each
+      hyperplane H_λ ⊃ P cuts Π in a line of the fiber quadric Q_λ,
+      and the ruling of that line is a section of the double cover
+      C: w² = D(s, t) → P¹, which cannot exist when D is reduced, since C
+      is then irreducible.  If Π meets P in a line, Π lies in one Q_λ, which
+      then has rank ≤ 2 and gives D a double root.
+    - A point of Y off P lies in exactly one H_λ.  A singular point of Y
+      there is a singular point of Q_λ, so λ is a root of D, and at a
+      simple root the total space is smooth at the vertex of Q_λ.  So it
+      lies over a multiple root of D (Beauville, Ann. Sci. ÉNS 10, 1977;
+      Hassett, Compositio 120, 2000).
+
+    So ``is_general`` holds over the closure, and no field is searched.
+    """
+
     Z_zero_dimensional: bool
     discriminant_reduced: bool
-    Y_smooth_off_P: bool
-    scan_depth: int
-    witness: tuple | None = None  # an extra plane / singular point, when found
 
     @property
     def is_general(self) -> bool:
-        return (
-            self.unique_plane
-            and self.Z_zero_dimensional
-            and self.discriminant_reduced
-            and self.Y_smooth_off_P
-        )
+        return self.Z_zero_dimensional and self.discriminant_reduced
 
 
-def _singular_points_off_plane(nf: NormalizedThreefold, d: int):
-    """Points over F_{q^d} where f and all five partials vanish, off the plane, lazily."""
-    f = nf.f.embedded(nf.K.extension(d))
-    return (pt for pt in common_zeros([f] + [f.derivative(i) for i in range(5)]) if pt[0] or pt[1])
-
-
-def _extra_plane_candidates(nf: NormalizedThreefold, Z: SingularLocusZ, d: int):
-    """Planes other than P that could lie on Y over F_{q^d}, by the structure
-    theory: either a component of a rank <= 2 fiber, or the span of two fiber
-    lines through a point of Z (the threefold's node scheme) in two distinct
-    fibers."""
-    nfd = nf.embedded(nf.K.extension(d))
-    L = nfd.K
-    for s, t in projective_reps(L, 1):
-        fib = fiber_matrix(nfd, s, t)
-        if fib.rank <= 2:
-            yield ("rank<=2 fiber", (s, t))
-            return
-    fiber_lines = None  # the lines of the fibers over (1:0) and (0:1), found at the first point of Z
-    for z in Z.points_over(d):
-        if fiber_lines is None:
-            fiber_lines = []
-            for s, t in ((1, 0), (0, 1)):
-                # both rulings in one row order, which fixes the order of the witnesses
-                lines = [line for c in rulings_of_fiber(fiber_matrix(nfd, s, t)) for line in c.lines]
-                fiber_lines.append(sorted(lines, key=lambda line: line.rows))
-        zpt = ProjectivePoint(L, (0, 0) + Z.coords_in(z, L))
-        per_fiber = [[line for line in lines if line.contains(zpt)] for lines in fiber_lines]
-        for l1, l2 in itertools.product(per_fiber[0], per_fiber[1]):
-            stacked = np.array(list(l1.rows) + list(l2.rows), dtype=np.int64)
-            basis, _ = rref(L, stacked)
-            if basis.shape[0] != 3:
-                continue
-            if not nfd.f.restrict(basis).is_zero:
-                continue
-            if all(b[0] == 0 and b[1] == 0 for b in basis):
-                continue  # that is P itself
-            yield ("plane through Z", tuple(tuple(int(x) for x in row) for row in basis))
-
-
-def certify_generality(nf: NormalizedThreefold, scan_depth: int = 1) -> GeneralityCertificate:
-    """Check the four generality hypotheses up to the given scan depth.
-
-    unique_plane is decided by a complete structured search: an extra plane
-    defined over F_{q^d} either lies in a rank <= 2 fiber of the pencil or is
-    spanned by its sections with the fibers over (1:0) and (0:1), which are
-    lines through a point of Z.  Both families are enumerated exactly.
+def certify_generality(nf: NormalizedThreefold) -> GeneralityCertificate:
+    """The :class:`GeneralityCertificate` of a threefold.
 
     Z and the discriminant are the threefold's kept ``nf.Z`` and
     ``nf.discriminant``, so a later reader computes neither again.
 
     Only NotGeneral turns into a false flag; NotSupportedError, a limit of
     this implementation and not a property of the threefold, propagates.
+    A general threefold may still have a nonreduced Z, which the group law
+    refuses (``torsor.TorsorGroup``).
     """
-    witness = None
     try:
-        Z = nf.Z
+        nf.Z
         z_ok = True
     except NotGeneral:
         z_ok = False
@@ -452,31 +417,4 @@ def certify_generality(nf: NormalizedThreefold, scan_depth: int = 1) -> Generali
         disc_ok = nf.discriminant.reduced
     except NotGeneral:
         disc_ok = False
-    # A reduced discriminant already forces smoothness off P; the direct point
-    # scan is confirmation only, so it is capped at depth 2 (beyond that the
-    # ambient point count is out of reach and the theorem carries the flag).
-    smooth_ok = disc_ok
-    for d in range(1, min(scan_depth, 2) + 1):
-        if not nf.K.reaches(d):
-            break
-        sing = next(_singular_points_off_plane(nf, d), None)
-        if sing is not None:
-            smooth_ok = False
-            witness = ("singular point off P", sing)
-            break
-    unique = True
-    if z_ok:
-        for d in range(1, scan_depth + 1):
-            if not nf.K.reaches(d):
-                break
-            try:
-                extra = next(_extra_plane_candidates(nf, Z, d), None)
-            except NotGeneral:
-                extra = ("degenerate fiber", None)
-            if extra is not None:
-                unique = False
-                witness = witness or extra
-                break
-    else:
-        unique = False
-    return GeneralityCertificate(unique, z_ok, disc_ok, smooth_ok, scan_depth, witness)
+    return GeneralityCertificate(z_ok, disc_ok)

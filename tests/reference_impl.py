@@ -15,14 +15,17 @@ import numpy as np
 from cubicfano.errors import InternalInconsistency, NeedsExtension, NotOnCubic, PlaneContained
 from cubicfano.fano import TorsorPoint
 from cubicfano.forms import divide_by_linear
-from cubicfano.linalg import kernel_basis, mat_mul
+from cubicfano.linalg import kernel_basis, mat_mul, rref
+from cubicfano.pencil import fiber_matrix, rulings_of_fiber
 from cubicfano.projective import (
     ProjectiveLine,
+    ProjectivePoint,
     Residual,
     common_zeros,
     enumerate_lines,
     linear_form_cutting_line_in_plane,
     normalize_point,
+    projective_reps,
 )
 from cubicfano.torsor import DivisorWord, SignedTorsorPoint
 
@@ -311,6 +314,51 @@ def lines_on_fourfold(nx):
         if all(pt in zeros for pt in map(tuple, line.points_array().tolist()))
     ]
 
+
+
+def singular_points_off_plane(nf, d):
+    """Points over F_{q^d} where f and all five partials vanish, off the plane, lazily.
+
+    The generality certificate's implication says this is empty whenever Z is
+    zero-dimensional and the discriminant is reduced.
+    """
+    f = nf.f.embedded(nf.K.extension(d))
+    return (pt for pt in common_zeros([f] + [f.derivative(i) for i in range(5)]) if pt[0] or pt[1])
+
+
+def extra_plane_candidates(nf, d):
+    """Planes other than P that could lie on Y over F_{q^d}, lazily.
+
+    By the structure theory such a plane is either a component of a rank <= 2
+    fiber, or the span of two fiber lines through a point of Z (the
+    threefold's node scheme) in the fibers over (1:0) and (0:1).  Yields
+    ("rank<=2 fiber", (s, t)) for the first such fiber and stops, or
+    ("plane through Z", basis rows) for each spanned plane on Y.
+    """
+    Z = nf.Z
+    nfd = nf.embedded(nf.K.extension(d))
+    L = nfd.K
+    for s, t in projective_reps(L, 1):
+        if fiber_matrix(nfd, s, t).rank <= 2:
+            yield ("rank<=2 fiber", (s, t))
+            return
+    fiber_lines = None  # the lines of the fibers over (1:0) and (0:1), found at the first point of Z
+    for z in Z.points_over(d):
+        if fiber_lines is None:
+            fiber_lines = []
+            for s, t in ((1, 0), (0, 1)):
+                # both rulings in one row order, which fixes the order of the witnesses
+                lines = [line for c in rulings_of_fiber(fiber_matrix(nfd, s, t)) for line in c.lines]
+                fiber_lines.append(sorted(lines, key=lambda line: line.rows))
+        zpt = ProjectivePoint(L, (0, 0) + Z.coords_in(z, L))
+        per_fiber = [[line for line in lines if line.contains(zpt)] for lines in fiber_lines]
+        for l1, l2 in product(per_fiber[0], per_fiber[1]):
+            basis, _ = rref(L, np.array(list(l1.rows) + list(l2.rows), dtype=np.int64))
+            if basis.shape[0] != 3 or not nfd.f.restrict(basis).is_zero:
+                continue
+            if all(b[0] == 0 and b[1] == 0 for b in basis):
+                continue  # that is P itself
+            yield ("plane through Z", tuple(tuple(int(x) for x in row) for row in basis))
 
 def act_by_dicts(G, word, x):
     """A word acting on a signed point one letter at a time through the j tables."""

@@ -274,3 +274,32 @@ def test_every_public_name_has_a_caller_or_is_an_entry_point():
                 if node.name not in referenced | entry_points:
                     unused.append(f"{path.name}:{node.name}")
     assert unused == []
+
+
+def _identifiers(tree):
+    """Every name the tree binds, reads, passes as a keyword or takes as a parameter."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            yield node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_the_generality_certificate_takes_the_threefold_alone():
+    # generality is read off Z and the discriminant, so no scan has a depth to set
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name in _identifiers(ast.parse(path.read_text()))
+        if name == "scan_depth"
+    ]
+    assert found == []
+    tree = ast.parse((PACKAGE / "threefold.py").read_text())
+    (func,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "certify_generality"]
+    args = func.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+    assert params == ["nf"]

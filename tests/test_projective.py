@@ -30,9 +30,15 @@ from cubicfano.projective import (
     residual_line,
     span,
 )
-from cubicfano.threefold import _singular_points_off_plane, normalize, plane_basis
+from cubicfano.threefold import normalize, plane_basis
 
-from reference_impl import line_in_plane_from_linear_form, proportionality, residual_line_symbolic, zeros_by_scan
+from reference_impl import (
+    line_in_plane_from_linear_form,
+    proportionality,
+    residual_line_symbolic,
+    singular_points_off_plane,
+    zeros_by_scan,
+)
 
 # ---------------------------------------------------------------------------
 # points and canonical forms
@@ -544,7 +550,7 @@ def test_common_zeros_match_the_scalar_oracle(monkeypatch, case, p, k, chunk):
     assert list(common_zeros(forms)) == expected
     if case == "threefold":
         nf = normalize(form, LinearSubspace(K, plane_basis(5)))
-        assert list(_singular_points_off_plane(nf, 1)) == [pt for pt in expected if pt[0] or pt[1]]
+        assert list(singular_points_off_plane(nf, 1)) == [pt for pt in expected if pt[0] or pt[1]]
     elif case == "fourfold":
         nx = normalize_fourfold(form, LinearSubspace(K, plane_basis(6)))
         assert _singular_point_scan(nx, 1) == expected[0]

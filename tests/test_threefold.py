@@ -1,5 +1,7 @@
 """Normal form, the length-4 scheme Z, and the generality certificate."""
 
+import functools
+import hashlib
 import importlib
 import json
 import os
@@ -18,9 +20,15 @@ from cubicfano.errors import NotContained, NotGeneral, NotSupportedError
 from cubicfano.fano import FanoSurface
 from cubicfano.forms import HomogeneousForm, random_form
 from cubicfano.gf import field
-from cubicfano.linalg import inverse_matrix, mat_vec, rank
-from cubicfano.pencil import rulings_of_fiber
-from cubicfano.projective import LinearSubspace, all_points_array, normalize_point, span
+from cubicfano.linalg import inverse_matrix, kernel_basis, mat_vec, rank
+from cubicfano.projective import (
+    LinearSubspace,
+    all_points_array,
+    common_zeros,
+    enumerate_lines,
+    normalize_point,
+    span,
+)
 from cubicfano.rationality import decide_over_finite_field
 from cubicfano.threefold import (
     NormalizedThreefold,
@@ -29,11 +37,17 @@ from cubicfano.threefold import (
     certify_generality,
     compute_Z,
     normalize,
+    random_cubic_through_plane,
     random_general_threefold,
     random_threefold_through_plane,
 )
 from cubicfano.torsor import torsor_group, verify_group_axioms
-from reference_impl import Z_multiplicities_by_jacobian, jacobian_has_rank_two
+from reference_impl import (
+    Z_multiplicities_by_jacobian,
+    extra_plane_candidates,
+    jacobian_has_rank_two,
+    singular_points_off_plane,
+)
 
 
 def standard_plane(K):
@@ -457,21 +471,53 @@ def test_a_sampled_threefold_computes_Z_and_its_discriminant_once(monkeypatch, s
     assert calls == []
 
 
-@pytest.mark.parametrize("depth", [1, 2])
-def test_certificate_finds_the_fiber_lines_once_per_depth(monkeypatch, depth):
-    # the lines of the fibers over (1:0) and (0:1) do not depend on the node
-    calls = []
-
-    def counted(fiber):
-        calls.append(fiber.K)
-        return rulings_of_fiber(fiber)
+def test_certificate_reads_Z_and_the_discriminant_and_scans_nothing(monkeypatch):
+    # generality follows from Z and the discriminant alone: no point scan and
+    # no fiber lines
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the certificate scans")
 
     nf = random_general_threefold(field(3), random.Random(2))
-    assert len(nf.Z.points_over(1)) >= 2
-    monkeypatch.setattr(threefold, "rulings_of_fiber", counted)
-    assert certify_generality(nf, scan_depth=depth).is_general
-    assert len(calls) <= 2 * depth
-    assert {L.q for L in calls} == {3**d for d in range(1, depth + 1)}
+    monkeypatch.setattr(threefold, "common_zeros", refuse)
+    monkeypatch.setattr(threefold, "rulings_of_fiber", refuse, raising=False)
+    monkeypatch.setattr(pencil, "rulings_of_fiber", refuse)
+    cert = certify_generality(nf)
+    assert (cert.Z_zero_dimensional, cert.discriminant_reduced, cert.is_general) == (True, True, True)
+
+
+# (q, seed) -> digest of the cubic that random_general_threefold(field(q), Random(seed))
+# returns, or the refusal it raises: the census fields at seeds 0-4 and the
+# group-law seeds at q = 3, recorded when the certificate still scanned for
+# singular points and extra planes
+SAMPLED_THREEFOLDS = {
+    (3, 0): "3c9e98ee8bdb84df", (3, 1): "293e399409cf92f7", (3, 2): "9c123f172097f599",
+    (3, 3): "7c2353b1b6dbe3f0", (3, 4): "db6e64e4224a7982", (3, 5): "ebc00a7b070877ec",
+    (3, 6): "05a0e42b73d86aea", (3, 28): "15e19731fa9f93c0", (3, 29): "80ef7c1530cdb109",
+    (5, 0): "8d9057b9b406d69b", (5, 1): "5ed7ae8e20128f7a", (5, 2): "a5ee3179b556b47b",
+    (5, 3): "12985a6d7df90cbe", (5, 4): "2c0270dadbf890a1",
+    (7, 0): "88af880a17ab6a57", (7, 1): "91fad6a50047a576", (7, 2): "dd2604b728bcd5aa",
+    (7, 3): "110b014a690e70ce", (7, 4): "14a9b83199717486",
+    (9, 0): ("NotSupportedError", "a node of degree 4 over F_9 needs F_3^8"),
+    (9, 1): "ff89f5747ebcbe31", (9, 2): "dca1612f03e826d9",
+    (9, 3): ("NotSupportedError", "a node of degree 3 over F_9 needs F_3^6"),
+    (9, 4): "51b18312571657e9",
+    (11, 0): "6e2ec8c85d9b2fe8", (11, 1): "ff136132f82fff53", (11, 2): "441fdfc41206ee32",
+    (11, 3): "d13ea01469c3f100", (11, 4): "1edf38e04f657dc7",
+}
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1)], ids=["q3", "q5", "q7", "q9", "q11"])
+def test_the_sampler_accepts_the_cubics_it_accepted_with_the_scans(p, k):
+    for (q, seed), want in SAMPLED_THREEFOLDS.items():
+        if q != p**k:
+            continue
+        try:
+            nf = random_general_threefold(field(p, k), random.Random(seed))
+        except NotSupportedError as exc:
+            got = (type(exc).__name__, str(exc))
+        else:
+            got = hashlib.sha256(repr(sorted(nf.f.terms.items())).encode()).hexdigest()[:16]
+        assert got == want, seed
 
 
 # ---------------------------------------------------------------------------
@@ -483,21 +529,25 @@ def test_certificate_all_true_random():
     K = field(7)
     rng = random.Random(2024)
     nf = random_general_threefold(K, rng)
-    cert = certify_generality(nf, scan_depth=2)
+    cert = certify_generality(nf)
     assert cert.is_general
-    assert cert.witness is None
+    assert cert.Z_zero_dimensional and cert.discriminant_reduced
 
 
 def test_certificate_detects_second_plane():
     # Q0 = x2*x4 + x3^2, Q1 = x3*x4 + x2^2: the cubic also contains
-    # {x2 = x3 = 0}, which meets P at the Z-point (0:0:1)
+    # {x2 = x3 = 0}, which meets P at the Z-point (0:0:1); its discriminant
+    # vanishes identically
     K = field(7)
     nf = make_nf(K, {(1, 0, 1): 1, (0, 2, 0): 1}, {(0, 1, 1): 1, (2, 0, 0): 1})
     Z = compute_Z(nf)
     assert (0, 0, 1) in {z.plane_coords for z in Z.points}
-    cert = certify_generality(nf, scan_depth=1)
+    assert [kind for kind, _ in extra_plane_candidates(nf, 1)] == ["rank<=2 fiber"]
+    with pytest.raises(NotGeneral, match="discriminant vanishes identically"):
+        nf.discriminant
+    cert = certify_generality(nf)
     assert cert.Z_zero_dimensional
-    assert not cert.unique_plane
+    assert not cert.discriminant_reduced
     assert not cert.is_general
 
 
@@ -516,60 +566,117 @@ def test_certificate_detects_nonreduced_discriminant():
             (0, 1, 0, 2, 0): 1,
         },
     )
-    cert = certify_generality(normalize(f, standard_plane(K)), scan_depth=1)
+    cert = certify_generality(normalize(f, standard_plane(K)))
     assert not cert.discriminant_reduced
     assert not cert.is_general
 
 
-def test_certificate_unique_plane_matches_full_enumeration_at_q3():
-    # brute force over all 1210 planes of P^4(F_3) against the structured search
-    from cubicfano.projective import enumerate_lines
+@functools.lru_cache(maxsize=None)
+def planes_of_P4_over_F3():
+    """All 1210 planes of P^4(F_3), the kernels of the lines of the dual P^4,
+    each as its reduced row echelon basis and the set of its 13 rational points."""
+    K = field(3)
+    planes = []
+    for dual in enumerate_lines(K, 4):
+        plane = LinearSubspace(K, kernel_basis(K, np.array(dual.rows, dtype=np.int64)))
+        planes.append((plane.rows, frozenset(pt.coords for pt in plane.points())))
+    return tuple(planes)
 
+
+def brute_extra_planes(nf):
+    """Every plane of P^4(F_3) other than P that lies on the threefold.
+
+    No nonzero ternary cubic over F_3 vanishes at all 13 points of P^2(F_3)
+    (the forms that do are generated in degree 4), so a plane lies on Y
+    exactly when its rational points do; the restriction confirms each hit.
+    """
+    on_Y = set(common_zeros([nf.f]))
+    out = []
+    for basis, points in planes_of_P4_over_F3():
+        if points <= on_Y and not all(row[0] == 0 and row[1] == 0 for row in basis):
+            assert nf.f.restrict(np.array(basis, dtype=np.int64)).is_zero
+            out.append(basis)
+    return out
+
+
+def planted_second_plane(K, rng):
+    """A random cubic through P that also contains {x2 = x3 = 0}, a plane
+    meeting P in the one point (0:0:0:0:1)."""
+    f = random_cubic_through_plane(K, 5, rng)
+    terms = {e: c for e, c in f.terms.items() if e[2] or e[3]}
+    return normalize(HomogeneousForm(K, 5, 3, terms), standard_plane(K))
+
+
+def test_certificate_unique_plane_matches_full_enumeration_at_q3():
+    # brute force over all 1210 planes of P^4(F_3): a threefold with a second
+    # plane never has a reduced discriminant, and the oracle plane search
+    # finds a plane whenever brute force does and finds only planes on Y.
+    # The planted planes meet P in a point, so the oracle finds them through Z
     K = field(3)
     rng = random.Random(31)
-
-    planes = []
-    # planes of P^4 are spanned by a line of P^4 and one more point; instead,
-    # dualize: a plane is the kernel of two independent linear forms, i.e. a
-    # line in the dual P^4
-    for dual in enumerate_lines(K, 4):
-        eqs = np.array(dual.rows, dtype=np.int64)
-        from cubicfano.linalg import kernel_basis
-
-        planes.append(kernel_basis(K, eqs))
-    assert len(planes) == 1210
-
-    def brute_extra_planes(nf):
-        out = []
-        for basis in planes:
-            if nf.f.restrict(basis).is_zero:
-                if not all(int(r[0]) == 0 and int(r[1]) == 0 for r in basis):
-                    out.append(basis)
-        return out
-
-    seen_nonunique = 0
-    for _ in range(40):
-        nf = random_threefold_through_plane(K, rng)
+    assert len(planes_of_P4_over_F3()) == 1210
+    samples = [random_threefold_through_plane(K, rng) for _ in range(40)]
+    samples += [planted_second_plane(K, rng) for _ in range(10)]
+    seen_nonunique = seen_through_Z = 0
+    for nf in samples:
         try:
-            compute_Z(nf)
+            nf.Z
         except NotGeneral:
             continue
-        cert = certify_generality(nf, scan_depth=1)
+        cert = certify_generality(nf)
         brute = brute_extra_planes(nf)
-        if cert.unique_plane:
-            assert brute == []
-        else:
+        found = list(extra_plane_candidates(nf, 1))
+        if brute:
             seen_nonunique += 1
-            # the structured search may flag planes seen only over extensions
-            # or rank <= 2 fibers; when it reports a rational witness the
-            # brute force must agree
-            if cert.witness and cert.witness[0] == "plane through Z":
-                assert brute, "structured search found a plane brute force missed"
-    assert seen_nonunique > 0
+            assert not cert.discriminant_reduced and not cert.is_general
+            assert found, "brute force found a plane the oracle search missed"
+        for kind, witness in found:
+            if kind == "plane through Z":
+                seen_through_Z += 1
+                assert witness in brute, "the oracle search found a plane brute force missed"
+    assert seen_nonunique > 0 and seen_through_Z > 0
 
 
 def test_certificate_second_plane_found_by_brute_force_too():
     K = field(3)
     nf = make_nf(K, {(1, 0, 1): 1, (0, 2, 0): 1}, {(0, 1, 1): 1, (2, 0, 0): 1})
-    cert = certify_generality(nf, scan_depth=1)
-    assert not cert.unique_plane
+    # {x2 = x3 = 0} and three more planes lie on Y; the oracle search stops
+    # at a rank <= 2 fiber
+    brute = brute_extra_planes(nf)
+    assert len(brute) == 4 and ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 1)) in brute
+    assert [kind for kind, _ in extra_plane_candidates(nf, 1)] == ["rank<=2 fiber"]
+    with pytest.raises(NotGeneral, match="discriminant vanishes identically"):
+        nf.discriminant
+    cert = certify_generality(nf)
+    assert not cert.discriminant_reduced
+    assert not cert.is_general
+
+
+# (q, k, seeds, scan degrees): where Z is zero-dimensional and the
+# discriminant is reduced, neither oracle finds anything.  q = 11 stops at
+# seed 6: seed 7 has a node of degree 4 and builds F_{11^4}, 13 s on its own.
+IMPLICATION_CASES = [
+    (3, 1, range(120), (1, 2)),
+    (5, 1, range(40), (1,)),
+    (7, 1, range(20), (1,)),
+    (3, 2, range(20), (1,)),
+    (11, 1, range(7), (1,)),
+]
+
+
+@pytest.mark.parametrize("p, k, seeds, degrees", IMPLICATION_CASES, ids=[f"q{p**k}" for p, k, *_ in IMPLICATION_CASES])
+def test_a_general_threefold_has_no_second_plane_and_no_singular_point_off_P(p, k, seeds, degrees):
+    general = 0
+    for seed in seeds:
+        nf = random_threefold_through_plane(field(p, k), random.Random(seed))
+        try:
+            cert = certify_generality(nf)
+        except NotSupportedError:
+            continue
+        if not cert.is_general:
+            continue
+        general += 1
+        for d in degrees:
+            assert next(singular_points_off_plane(nf, d), None) is None, (seed, d)
+            assert next(extra_plane_candidates(nf, d), None) is None, (seed, d)
+    assert general > 0
