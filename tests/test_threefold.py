@@ -42,6 +42,7 @@ from cubicfano.threefold import (
     random_threefold_through_plane,
 )
 from cubicfano.torsor import torsor_group, verify_group_axioms
+import reference_impl
 from reference_impl import (
     Z_multiplicities_by_jacobian,
     extra_plane_candidates,
@@ -483,6 +484,26 @@ def test_certificate_reads_Z_and_the_discriminant_and_scans_nothing(monkeypatch)
     monkeypatch.setattr(pencil, "rulings_of_fiber", refuse)
     cert = certify_generality(nf)
     assert (cert.Z_zero_dimensional, cert.discriminant_reduced, cert.is_general) == (True, True, True)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_certificate_finds_the_fiber_lines_once_per_depth(monkeypatch, depth):
+    # the plane-search oracle that stands in for the old certificate scan finds
+    # the lines of the fibers over (1:0) and (0:1) once per depth, not per
+    # point of Z, and finds no second plane on a general threefold
+    calls = []
+
+    def counted(fiber):
+        calls.append(fiber.K)
+        return pencil.rulings_of_fiber(fiber)
+
+    nf = random_general_threefold(field(3), random.Random(2))
+    assert len(nf.Z.points_over(1)) >= 2
+    monkeypatch.setattr(reference_impl, "rulings_of_fiber", counted)
+    for d in range(1, depth + 1):
+        assert list(extra_plane_candidates(nf, d)) == []
+    assert len(calls) <= 2 * depth
+    assert {L.q for L in calls} == {3**d for d in range(1, depth + 1)}
 
 
 # (q, seed) -> digest of the cubic that random_general_threefold(field(q), Random(seed))
