@@ -49,6 +49,7 @@ from .pencil import (
     fiber_matrix,
     hyperelliptic_involution,
     rulings_of_fiber,
+    rulings_of_fibers,
 )
 from .projective import (
     LinearSubspace,
@@ -189,10 +190,12 @@ class FanoSurface:
     """Every F_{q^k}-rational line on a normalized threefold, indexed.
 
     The working field is fixed at construction; all operators act on objects
-    over that field.  Construction enumerates the fibers, their rulings, the
-    full classified line list, and the torsor-ready point set.  The node
-    scheme ``Z`` is the base threefold's kept ``nf.Z``, so the surfaces over
-    every degree share it.
+    over that field.  Construction enumerates the fibers, their rulings (all
+    fibers at once, :func:`pencil.rulings_of_fibers`), the full classified
+    line list, and the torsor-ready point set.  The node scheme ``Z`` is the
+    base threefold's kept ``nf.Z``, so the surfaces over every degree share
+    it.  The threefold keeps the first surface built over each degree as
+    ``nf.surfaces[k]``, which :func:`surface_of` reads.
     """
 
     def __init__(self, nf: NormalizedThreefold, k: int = 1):
@@ -203,12 +206,12 @@ class FanoSurface:
         self.Z = nf.Z
         self.plane = self.nf.plane
 
-        self.fibers: dict[tuple[int, int], PencilFiber] = {}
-        self.rulings: dict[tuple[int, int], list[RulingClass]] = {}
-        for s, t in projective_reps(self.L, 1):
-            fib = fiber_matrix(self.nf, s, t)
-            self.fibers[(s, t)] = fib
-            self.rulings[(s, t)] = rulings_of_fiber(fib)
+        self.fibers: dict[tuple[int, int], PencilFiber] = {
+            (s, t): fiber_matrix(self.nf, s, t) for s, t in projective_reps(self.L, 1)
+        }
+        self.rulings: dict[tuple[int, int], list[RulingClass]] = dict(
+            zip(self.fibers, rulings_of_fibers(self.fibers.values()))
+        )
         self.curve_points: list[RulingClass] = [
             c for key in sorted(self.fibers) for c in self.rulings[key]
         ]
@@ -227,6 +230,7 @@ class FanoSurface:
         self.torsor_set = self._build_torsor_set()
         self._j_tables: dict = {}
         self._ruling_points: dict = {}
+        nf.surfaces.setdefault(k, self)
 
     # -- enumeration --------------------------------------------------------
 
@@ -243,21 +247,24 @@ class FanoSurface:
         # lines of the pencil fibers.  A line of P lies on the fiber quadric
         # Q_{s,t} exactly when it is a component of the conic s*q0 + t*q1, so
         # it is one of the ruling lines, and a second fiber would put it in Z.
+        # The rows of a ruling line are in reduced echelon form: it lies in P
+        # when its first row is zero on x0 and x1, and otherwise it meets P at
+        # its second row, which then must be zero there.
         for key in sorted(self.fibers):
             for c in self.rulings[key]:
                 for ln in c.lines:
-                    tag, pt = _meet_with_plane(L, ln.rows)
+                    first, second = ln.rows
                     prev = out.get(ln.rows)
-                    if tag == IN_PLANE:
+                    if not (first[0] or first[1]):
                         if prev.fiber is not None:
                             raise InternalInconsistency("a line of P lies in two fibers, hence in Z")
                         out[ln.rows] = ClassifiedLine(prev.line, IN_PLANE, None, key, c.index)
                         continue
-                    if tag != MEETS_PLANE:
+                    if second[0] or second[1]:
                         raise InternalInconsistency("a fiber line must meet the plane")
                     if prev is not None:
                         raise InternalInconsistency("a line off P lies in two fibers")
-                    out[ln.rows] = ClassifiedLine(ln, MEETS_PLANE, pt, key, c.index)
+                    out[ln.rows] = ClassifiedLine(ln, MEETS_PLANE, second, key, c.index)
 
         # the open chart: lines disjoint from P
         for rows in self._disjoint_rows():
@@ -669,6 +676,12 @@ class FanoSurface:
         return table
 
 
+def surface_of(nf: NormalizedThreefold, k: int = 1) -> FanoSurface:
+    """The threefold's line surface over F_{q^k}: the kept one, built on first need."""
+    surface = nf.surfaces.get(k)
+    return surface if surface is not None else FanoSurface(nf, k)
+
+
 def _gradients_of(nf: NormalizedThreefold) -> list[HomogeneousForm]:
     return [nf.f.derivative(i) for i in range(5)]
 
@@ -762,7 +775,7 @@ def decompose(nf: NormalizedThreefold, k: int = 1) -> FanoDecomposition:
     of the open chart meets the plane dual; the closure itself is not
     computed.
     """
-    surface = FanoSurface(nf, k)
+    surface = surface_of(nf, k)
     L = surface.L
     plane_lines = {cl.line.rows for cl in surface.lines if cl.tag == IN_PLANE}
     fiber_lines = {cl.line.rows for cl in surface.lines if cl.tag == MEETS_PLANE}
@@ -946,7 +959,7 @@ def verify_intersection_numbers(nf: NormalizedThreefold, rng) -> IntersectionRep
     tau.tau: the fibers whose quadric contains the line joining two distinct
     nodes -- exactly 1.  Degenerate samples are resampled and counted.
     """
-    surface = FanoSurface(nf, 1)
+    surface = surface_of(nf, 1)
     disjoint = [cl.line for cl in surface.lines if cl.tag == DISJOINT]
     if not disjoint:
         raise NotGeneral("no disjoint lines over the base field; enlarge the field")
@@ -955,7 +968,7 @@ def verify_intersection_numbers(nf: NormalizedThreefold, rng) -> IntersectionRep
     sigma_tau: list[int] = []
     rational_nodes = [z for z, _ in surface.nodes]
     if rational_nodes:
-        surface2 = FanoSurface(nf, 2)
+        surface2 = surface_of(nf, 2)
         while len(sigma_tau) < _INTERSECTION_SAMPLES and resamples < _MAX_RESAMPLES:
             z = rng.choice(rational_nodes)
             line = rng.choice(disjoint)

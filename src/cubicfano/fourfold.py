@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalInconsistency, InvalidInput, NotGeneral
-from .fano import FanoSurface
+from .fano import surface_of
 from .forms import BinaryForm, HomogeneousForm, det_form_matrix
 from .gf import GF
 from .linalg import kernel_basis
@@ -474,6 +474,6 @@ def fiber_scan(nx: NormalizedFourfold) -> list[FiberReport]:
             reports.append(FiberReport(sl.dual, True, False, None, None, None, f"{kind}: {why}"))
             continue
         zdata = zeta(HyperellipticModel(DiscriminantSextic(sl.sextic)))
-        n_torsor = len(FanoSurface(sl.threefold).torsor_set)
+        n_torsor = len(surface_of(sl.threefold).torsor_set)
         reports.append(FiberReport(sl.dual, True, True, zdata, n_torsor, n_torsor == zdata.h, ""))
     return reports

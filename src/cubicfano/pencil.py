@@ -13,9 +13,16 @@ genus-2 double cover that parametrizes the rulings.
 The rulings of a smooth fiber are built, not searched for (Harris, *Algebraic
 Geometry: A First Course*, Lecture 22): with beta the fiber's bilinear form,
 the line of the quadric through x meeting a line span(b1, b2) of the other
-ruling meets it at beta(x, b2) b1 - beta(x, b1) b2.  One matrix of Plucker
-pairings checks them: distinct lines of one ruling pair to nonzero (skew),
-lines of opposite rulings to zero (they meet).
+ruling meets it at beta(x, b2) b1 - beta(x, b1) b2.  The rulings of all the
+fibers of a field are built at once (:func:`rulings_of_fibers`), as table
+gathers on stacked arrays: the fiber matrices and their ranks from one
+stacked row reduction, a point y of each fiber from stacked evaluations over
+a plane, the two lines through y as the roots of the tangent conic by the
+quadratic formula with the square root read from the field's table, the
+lines of both rulings through all points at once, and one stacked row
+reduction for their canonical rows.  One stack of Plucker pairings checks
+them: distinct lines of one ruling pair to nonzero (skew), lines of opposite
+rulings to zero (they meet).
 """
 
 from __future__ import annotations
@@ -28,16 +35,8 @@ import numpy as np
 from .errors import InternalInconsistency, NotGeneral
 from .forms import BinaryForm, HomogeneousForm, det_form_matrix
 from .gf import GF
-from .linalg import kernel_basis, mat_mul, mat_vec, rank
-from .projective import (
-    ProjectiveLine,
-    binary_quadratic,
-    common_zeros,
-    complete_to_basis,
-    pluecker_coordinates,
-    projective_reps,
-    root_directions,
-)
+from .linalg import rank, rref_stack
+from .projective import ProjectiveLine, all_points_array, projective_reps
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +87,28 @@ class PencilFiber:
     def rank(self) -> int:
         return rank(self.K, self.matrix)
 
-    def ambient_rows(self, rows) -> list[tuple[int, ...]]:
-        """Rows (u, x2, x3, x4) in fiber coordinates as ambient rows (s*u, t*u, x2, x3, x4)."""
+    def ambient_rows(self, rows) -> np.ndarray:
+        """Rows (..., 4) (u, x2, x3, x4) in fiber coordinates as ambient rows (s*u, t*u, x2, x3, x4)."""
         K = self.K
-        return [(K.mul_(self.s, int(u)), K.mul_(self.t, int(u)), *(int(x) for x in rest)) for u, *rest in rows]
+        rows = np.asarray(rows, dtype=np.int64)
+        u = rows[..., :1]
+        return np.concatenate([K.mul[self.s, u], K.mul[self.t, u], rows[..., 1:]], axis=-1)
 
-    def ambient_line(self, rows) -> ProjectiveLine:
-        """The line with canonical fiber rows ``rows``, in ambient coordinates.
+    def ambient_lines(self, rows) -> list[ProjectiveLine]:
+        """The lines with canonical fiber rows ``rows`` (n, 2, 4), in ambient coordinates.
 
         Over a normalized (s:t), (1:t) or (0:1), the x0 column is u or zero
         and the x1 column t*u, so the ambient rows are canonical already.
         """
         normalized = self.s == 1 or (self.s == 0 and self.t == 1)
-        return ProjectiveLine(self.K, tuple(self.ambient_rows(rows)), _trusted=normalized)
+        return [
+            ProjectiveLine(self.K, (tuple(r1), tuple(r2)), _trusted=normalized)
+            for r1, r2 in self.ambient_rows(rows).tolist()
+        ]
+
+    def ambient_line(self, rows) -> ProjectiveLine:
+        """The line with canonical fiber rows ``rows``, in ambient coordinates."""
+        return self.ambient_lines([rows])[0]
 
 
 def fiber_matrix(nf, s: int, t: int) -> PencilFiber:
@@ -219,104 +227,271 @@ class RulingClass:
         return isinstance(other, RulingClass) and self.key == other.key
 
 
-def _tangent_directions(K: GF, matrix: np.ndarray, quadric: HomogeneousForm, y) -> list[tuple[tuple[int, ...], int]]:
-    """Second points spanning the (up to two) lines of the quadric through y, with multiplicity."""
-    tangent = kernel_basis(K, np.array([mat_vec(K, matrix, y)], dtype=np.int64))
-    if tangent.shape[0] != 3:
-        raise InternalInconsistency("a smooth point of a quadric in P^3 has a tangent plane")
-    # rebase so y is the first basis vector of the tangent hyperplane
-    c1, c2 = complete_to_basis(K, y, tangent)
-    # the cross terms with y vanish on the tangent hyperplane
-    conic = binary_quadratic(quadric, c1, c2)
-    if conic.is_zero:
-        # the whole tangent plane lies on the quadric: rank <= 2, excluded upstream
-        raise NotGeneral("tangent plane contained in the quadric")
-    return root_directions(K, conic.roots(), c1, c2)
+def _field_sum(K: GF, terms: np.ndarray) -> np.ndarray:
+    """The field sum over the last axis."""
+    acc = terms[..., 0]
+    for i in range(1, terms.shape[-1]):
+        acc = K.add[acc, terms[..., i]]
+    return acc
 
 
-def _beta(K: GF, matrix: np.ndarray, x, v) -> int:
-    return int(mat_vec(K, [x], mat_vec(K, matrix, v))[0])
+def _apply(K: GF, M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for stacks of matrices (..., n, n) and vectors (..., n), broadcasting."""
+    return _field_sum(K, K.mul[M, v[..., None, :]])
 
 
-def _ruling_through(K: GF, matrix: np.ndarray, points, line) -> list[ProjectiveLine]:
-    """For each point x, the line of the quadric through x meeting ``line`` = (b1, b2),
-    which misses x: it lies in the tangent plane at x, so it meets ``line`` at
-    beta(x, b2) b1 - beta(x, b1) b2."""
-    b1, b2 = line
-    # beta(x, b2) and beta(x, b1) for every x, with M b2 and M b1 formed once
-    betas = mat_mul(K, points, mat_mul(K, matrix, np.array([b2, b1], dtype=np.int64).T))
-    out = []
-    for x, (beta2, beta1) in zip(points, betas):
-        c1, c2 = int(beta2), K.neg_(int(beta1))
-        meet = [K.add_(K.mul_(c1, int(u)), K.mul_(c2, int(v))) for u, v in zip(b1, b2)]
-        out.append(ProjectiveLine(K, np.array([x, meet], dtype=np.int64)))
-    return out
+def _dot(K: GF, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u . v along the last axis, broadcasting."""
+    return _field_sum(K, K.mul[u, v])
 
 
-def check_rulings(K: GF, rulings) -> None:
-    """Distinct lines of one ruling are skew, lines of different rulings meet, and
-    each ruling holds q+1 lines: one matrix of Plucker pairings, zero where lines meet."""
-    pl = np.array([pluecker_coordinates(line) for ruling in rulings for line in ruling], dtype=np.uint16)
+def _combine(K: GF, c1: np.ndarray, u: np.ndarray, c2: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """c1 u + c2 v for scalars (...) and vectors (..., n), broadcasting."""
+    return K.add[K.mul[c1[..., None], u], K.mul[c2[..., None], v]]
+
+
+def _line_points(K: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The q + 1 points a + t b (t in F_q) and b of each line span(a, b): (..., q + 1, n)."""
+    t = np.arange(K.q)[:, None]
+    return np.concatenate([K.add[a[..., None, :], K.mul[t, b[..., None, :]]], b[..., None, :]], axis=-2)
+
+
+def _meeting_lines(K: GF, M: np.ndarray, points: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Rows (x, m) of the line of the quadric through each point x meeting the line span(b1, b2).
+
+    span(b1, b2) misses x, and the line through x lies in the tangent plane
+    at x, so it meets span(b1, b2) at m = beta(x, b2) b1 - beta(x, b1) b2.  M is
+    (S, 4, 4), points (S, P, 4) and b1, b2 (S, 4); the rows come back as
+    (S, P, 2, 4).
+    """
+    Mb1, Mb2 = (_apply(K, M, b)[:, None, :] for b in (b1, b2))
+    meet = _combine(K, _dot(K, points, Mb2), b1[:, None, :], K.neg[_dot(K, points, Mb1)], b2[:, None, :])
+    return np.stack([points, meet], axis=-2)
+
+
+# the three coordinates other than j, ascending, for j = 0, ..., 3
+_OTHER_THREE = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+# points of a plane per step of the scan for a point of each smooth fiber
+_PLANE_CHUNK = 1024
+
+
+def _quadric_values(K: GF, M: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """x^T M_i x for quadrics M (F, 4, 4) at points (F, P, 4) or (P, 4): an (F, P) array."""
+    return _dot(K, points, _apply(K, M[:, None], points))
+
+
+def _pluecker(K: GF, rows: np.ndarray) -> np.ndarray:
+    """Plucker coordinates p01, p02, p03, p12, p13, p23 of lines with rows (..., 2, 4)."""
+    a, b = rows[..., 0, :], rows[..., 1, :]
+    minors = [
+        K.add[K.mul[a[..., i], b[..., j]], K.neg[K.mul[a[..., j], b[..., i]]]]
+        for i in range(4)
+        for j in range(i + 1, 4)
+    ]
+    return np.stack(minors, axis=-1)
+
+
+def _check_pairings(K: GF, rows: np.ndarray, labels: np.ndarray) -> None:
+    """Distinct lines of one ruling are skew and lines of different rulings meet, in every fiber.
+
+    ``rows`` holds the fiber rows (F, N, 2, 4) of the N lines of each of F
+    fibers, and ``labels`` the ruling of each of the N lines.  One stack of
+    Plucker pairings decides it: two lines meet exactly when they pair to zero.
+    """
+    pl = _pluecker(K, rows)
     # <p, p'> = p01 p'23 - p02 p'13 + p03 p'12 + p12 p'03 - p13 p'02 + p23 p'01
-    dual = pl[:, ::-1].copy()
-    dual[:, [1, 4]] = K.neg[dual[:, [1, 4]]]
-    pairing = np.zeros((len(pl), len(pl)), dtype=np.uint16)
+    dual = pl[..., ::-1].copy()
+    dual[..., [1, 4]] = K.neg[dual[..., [1, 4]]]
+    pairing = np.zeros(pl.shape[:2] + pl.shape[1:2], dtype=np.uint16)
     for k in range(6):
-        pairing = K.add[pairing, K.mul[pl[:, None, k], dual[None, :, k]]]
-    labels = np.repeat(np.arange(len(rulings)), [len(ruling) for ruling in rulings])
-    same, meets = labels[:, None] == labels[None, :], pairing == 0
-    if (meets & same & ~np.eye(len(pl), dtype=bool)).any():
+        pairing = K.add[pairing, K.mul[pl[:, :, None, k], dual[:, None, :, k]]]
+    same = labels[:, None] == labels[None, :]
+    meets = pairing == 0
+    if (meets & (same & ~np.eye(len(labels), dtype=bool))).any():
         raise InternalInconsistency("two lines of one ruling meet")
     if (~meets & ~same).any():
         raise InternalInconsistency("lines in different rulings must meet")
-    if any(len(ruling) != K.q + 1 for ruling in rulings):
-        raise InternalInconsistency("split smooth fiber carries q+1 lines per ruling")
 
 
-def _ambient_pack(fiber: PencilFiber, lines) -> tuple[ProjectiveLine, ...]:
-    return tuple(sorted((fiber.ambient_line(line.rows) for line in lines), key=lambda L: L.rows))
+def _smooth_rulings(K: GF, M: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lines of both rulings of each smooth quadric M through its point y, where the quadric splits.
+
+    Returns the indices of the split quadrics and their line rows
+    (S, 2, q + 1, 2, 4), ruling by ruling, in no canonical form.
+    """
+    at = np.arange(len(M))
+    # the tangent plane at y is the kernel of r = M y; with r_p its first
+    # nonzero entry it has the basis e_j - (r_j / r_p) e_p (j != p), in which
+    # y has the coordinates y_j, so y and the two vectors of that basis other
+    # than the first j with y_j != 0 span it
+    r = _apply(K, M, y)
+    p = (r != 0).argmax(axis=1)
+    ratio = K.mul[r, K.inv[r[at, p]][:, None]]
+    j = np.arange(4)
+    star = ((j != p[:, None]) & (y != 0)).argmax(axis=1)
+    rest = np.argsort(j + 4 * ((j == p[:, None]) | (j == star[:, None])), axis=1, kind="stable")[:, :2]
+    c1, c2 = np.zeros((2, len(M), 4), dtype=np.int64)
+    for c, col in ((c1, rest[:, 0]), (c2, rest[:, 1])):
+        c[at, col] = 1
+        c[at, p] = K.neg[ratio[at, col]]
+
+    # the cross terms with y vanish on the tangent plane, so there the quadric
+    # is the binary quadratic q11 b^2 + q12 b g + q22 g^2 in b c1 + g c2,
+    # whose roots are the two lines of the quadric through y
+    Mc2 = _apply(K, M, c2)
+    q11, q22 = _dot(K, c1, _apply(K, M, c1)), _dot(K, c2, Mc2)
+    beta12 = _dot(K, c1, Mc2)
+    q12 = K.add[beta12, beta12]
+    four = 4 % K.p
+    disc = K.add[K.mul[q12, q12], K.neg[K.mul[four, K.mul[q11, q22]]]]
+    if (disc == 0).any():
+        raise InternalInconsistency("the tangent conic of a smooth quadric is two distinct lines")
+    split = np.flatnonzero(K.chi[disc] == 1)
+    M, y, p, r, c1, c2 = M[split], y[split], p[split], r[split], c1[split], c2[split]
+    q11, q12, q22, disc = q11[split], q12[split], q22[split], disc[split]
+    at = np.arange(len(split))
+
+    # the quadratic formula, a square root read from the field's table: the
+    # roots are (-q12 +- d : 2 q11), or (2 q22 : -q12 -+ d) when q11 = 0,
+    # or (1 : 0) and (0 : 1) when both vanish
+    d = K.sqrt_table[disc]
+    two = 2 % K.p
+    plus, minus = K.add[K.neg[q12], d], K.add[K.neg[q12], K.neg[d]]
+    first, second = q11 != 0, q22 != 0
+    a = _combine(
+        K,
+        np.where(first, plus, np.where(second, K.mul[two, q22], 1)), c1,
+        np.where(first, K.mul[two, q11], np.where(second, minus, 0)), c2,
+    )
+    b = _combine(
+        K,
+        np.where(first, minus, np.where(second, K.mul[two, q22], 0)), c1,
+        np.where(first, K.mul[two, q11], np.where(second, plus, 1)), c2,
+    )
+
+    # x = -M_pp y + 2 r_p e_p is the second point of the quadric on the line
+    # through y and e_p, off the tangent plane at y: beta(y, x) = 2 r_p^2.
+    # The line of B's ruling through x meets A at mA, and the line of A's
+    # ruling through x meets B at mB
+    x = K.mul[K.neg[M[at, p, p]][:, None], y]
+    x[at, p] = K.add[x[at, p], K.mul[two, r[at, p]]]
+    Mx = _apply(K, M, x)
+    xy = _dot(K, y, Mx)
+    mA = _combine(K, _dot(K, a, Mx), y, K.neg[xy], a)
+    mB = _combine(K, _dot(K, b, Mx), y, K.neg[xy], b)
+
+    # A's ruling: the line through each point of B meeting span(x, mA), which
+    # is of B's ruling and skew to B; B's ruling likewise through A
+    ruling_a = _meeting_lines(K, M, _line_points(K, y, b), x, mA)
+    ruling_b = _meeting_lines(K, M, _line_points(K, y, a), x, mB)
+    return split, np.stack([ruling_a, ruling_b], axis=1)
+
+
+def rulings_of_fibers(fibers) -> list[list[RulingClass]]:
+    """Ruling classes of each fiber over their common field, built for all fibers at once:
+    2 (split smooth), 0 (smooth with no rational lines), or 1 (cone) per fiber.
+
+    Every step runs on the stack of all fibers, as table gathers:
+
+    * one :func:`rref_stack` of the (F, 4, 4) fiber matrices gives their
+      ranks, and each cone's vertex;
+    * stacked evaluations of the quadrics over a plane of P^3 give a cone's
+      conic section, on a plane missing its vertex, and a point y of each
+      smooth fiber (every conic over F_q has a rational point), the plane
+      scanned a chunk at a time until every fiber has one;
+    * at y the tangent plane meets a smooth quadric in its two lines through
+      y, the roots of a binary quadratic, read off the quadratic formula with
+      the square root from ``K.sqrt_table``: a nonsquare discriminant is a
+      nonsplit fiber;
+    * off the tangent plane, a second point x of the quadric gives a line of
+      each ruling through x, and each ruling is the line through each point
+      of one line through y meeting the line through x of the other ruling
+      (Harris, *Algebraic Geometry*, Lecture 22), for all points of all
+      fibers at once;
+    * one :func:`rref_stack` puts the rows of every line in canonical form,
+      and one stack of Plucker pairings checks the rulings of every split
+      fiber.
+
+    A cone's lines join its vertex to the points of its conic section.  The
+    classes of a fiber are numbered by sorting them by their first line.
+    """
+    fibers = list(fibers)
+    if not fibers:
+        return []
+    K = fibers[0].K
+    if any(f.K is not K for f in fibers):
+        raise ValueError("the fibers must share their field")
+    M = np.stack([f.matrix for f in fibers]) % K.q
+    R, ranks = rref_stack(K, M)
+    low = np.flatnonzero(ranks <= 2)
+    if len(low):
+        raise NotGeneral(f"fiber matrix has rank {ranks[low[0]]} <= 2")
+    cones = np.flatnonzero(ranks == 3)
+    smooth = np.flatnonzero(ranks == 4)
+
+    # a cone's vertex: 1 in the free column of the reduced matrix, minus that
+    # column's entries at the pivots; the plane x_free = 0 misses it
+    pivots = (R[cones, :3] != 0).argmax(axis=2)
+    free = 6 - pivots.sum(axis=1)
+    vertex = np.zeros((len(cones), 4), dtype=np.int64)
+    vertex[np.arange(len(cones)), free] = 1
+    vertex[np.arange(len(cones))[:, None], pivots] = K.neg[R[cones[:, None], np.arange(3), free[:, None]]]
+
+    # a cone's conic section on that plane: its q + 1 zeros there (each cone
+    # lies over a rational root of the sextic discriminant: six at most)
+    reps = all_points_array(K, 2)
+    pts = np.zeros((len(cones), len(reps), 4), dtype=np.int64)
+    pts[np.arange(len(cones))[:, None, None], np.arange(len(reps))[None, :, None], _OTHER_THREE[free][:, None, :]] = reps
+    on_cone = _quadric_values(K, M[cones], pts) == 0
+    if (on_cone.sum(axis=1) != K.q + 1).any():
+        raise InternalInconsistency("a plane missing the vertex of a cone cuts it in a smooth conic")
+    which, where = np.nonzero(on_cone)
+    cone_rows = np.stack([vertex[which], pts[which, where]], axis=1)
+
+    # a point y of each smooth fiber, on the plane u = 0 (every conic over F_q
+    # has a rational point), scanned a chunk of the plane at a time
+    y = np.zeros((len(smooth), 4), dtype=np.int64)
+    missing = np.arange(len(smooth))
+    for start in range(0, len(reps), _PLANE_CHUNK):
+        if not len(missing):
+            break
+        chunk = reps[start : start + _PLANE_CHUNK]
+        pts = np.hstack([np.zeros((len(chunk), 1), dtype=chunk.dtype), chunk])
+        zero = _quadric_values(K, M[smooth[missing]], pts) == 0
+        hit = zero.any(axis=1)
+        y[missing[hit]] = pts[zero[hit].argmax(axis=1)]
+        missing = missing[~hit]
+    if len(missing):
+        raise InternalInconsistency("a conic over a finite field has a rational point")
+    split, split_rows = _smooth_rulings(K, M[smooth], y)
+    split = smooth[split]
+
+    # canonical rows of every line, and the pairing check of every split fiber
+    canon, line_ranks = rref_stack(K, np.concatenate([cone_rows, split_rows.reshape(-1, 2, 4)]))
+    if (line_ranks != 2).any():
+        raise InternalInconsistency("a ruling point and its meeting point span a line")
+    n_cone, per_fiber = len(cone_rows), 2 * (K.q + 1)
+    split_canon = canon[n_cone:].reshape(len(split), per_fiber, 2, 4)
+    _check_pairings(K, split_canon, np.repeat([0, 1], K.q + 1))
+
+    out: list[list[RulingClass]] = [[] for _ in fibers]
+    for i, rows in zip(cones, canon[:n_cone].reshape(len(cones), K.q + 1, 2, 4)):
+        out[i] = [RulingClass(K, fibers[i].s, fibers[i].t, 0, True, _ambient_pack(fibers[i], rows))]
+    for i, rows in zip(split, split_canon):
+        halves = (rows[: K.q + 1], rows[K.q + 1 :])
+        packs = sorted((_ambient_pack(fibers[i], half) for half in halves), key=lambda pack: pack[0].rows)
+        out[i] = [RulingClass(K, fibers[i].s, fibers[i].t, j, False, pack) for j, pack in enumerate(packs)]
+    return out
+
+
+def _ambient_pack(fiber: PencilFiber, rows: np.ndarray) -> tuple[ProjectiveLine, ...]:
+    """The lines with canonical fiber rows (n, 2, 4), in ambient coordinates and sorted."""
+    return tuple(sorted(fiber.ambient_lines(rows), key=lambda L: L.rows))
 
 
 def rulings_of_fiber(fiber: PencilFiber) -> list[RulingClass]:
-    """Ruling classes of the fiber over its own field: 2 (split smooth),
-    0 (smooth with no rational lines), or 1 (cone).
-
-    A cone's lines join its vertex to a plane section missing it.  At a point
-    y of a smooth fiber the tangent conic is two lines A = span(y, a) and
-    B = span(y, b), or none (nonsplit).  At a it is A and B' = span(a, b') of
-    B's ruling.  A's ruling is the line through each point of B meeting B', and
-    B's the line through each point of A meeting A', the line of A's ruling
-    through b; :func:`check_rulings` checks them, with no rank between lines.
-    """
-    K, M, quadric = fiber.K, fiber.matrix, fiber.quadric
-    if fiber.rank <= 2:
-        raise NotGeneral(f"fiber matrix has rank {fiber.rank} <= 2")
-    if fiber.rank == 3:
-        ker = kernel_basis(K, M)
-        if ker.shape[0] != 1:
-            raise InternalInconsistency("a rank-3 quadric in P^3 has a single vertex")
-        vertex = [int(x) for x in ker[0]]
-        # the plane x_i = 0 at the vertex's leading 1 misses it and meets each line once
-        section = HomogeneousForm.linear(K, tuple(int(i == vertex.index(1)) for i in range(4)))
-        lines = [ProjectiveLine(K, np.array([vertex, pt])) for pt in common_zeros([section, quadric])]
-        return [RulingClass(K, fiber.s, fiber.t, 0, True, _ambient_pack(fiber, lines))]
-    y = next(common_zeros([quadric]))
-    through_y = _tangent_directions(K, M, quadric, y)
-    if not through_y:
-        return []
-    if len(through_y) != 2:
-        raise InternalInconsistency("the tangent conic of a smooth quadric is two distinct lines")
-    (a, _), (b, _) = through_y
-    # b' is the branch at a off the tangent plane at y
-    branches = [d for d, _ in _tangent_directions(K, M, quadric, a) if _beta(K, M, y, d)]
-    if len(branches) != 1:
-        raise InternalInconsistency("a point of a split quadric lies on one line of each ruling")
-    ruling_a = _ruling_through(K, M, ProjectiveLine(K, np.array([y, b])).points_array(), (a, branches[0]))
-    a_prime = _ruling_through(K, M, [b], (a, branches[0]))[0].rows
-    ruling_b = _ruling_through(K, M, ProjectiveLine(K, np.array([y, a])).points_array(), a_prime)
-    check_rulings(K, (ruling_a, ruling_b))
-    packs = sorted((_ambient_pack(fiber, ruling) for ruling in (ruling_a, ruling_b)), key=lambda pack: pack[0].rows)
-    return [RulingClass(K, fiber.s, fiber.t, i, False, pack) for i, pack in enumerate(packs)]
+    """Ruling classes of one fiber over its own field: :func:`rulings_of_fibers` of the one fiber."""
+    return rulings_of_fibers([fiber])[0]
 
 
 def hyperelliptic_involution(c: RulingClass, classes_of_fiber: list[RulingClass]) -> RulingClass:
@@ -334,10 +509,8 @@ def hyperelliptic_involution(c: RulingClass, classes_of_fiber: list[RulingClass]
 def operational_curve_points(nf, d: int = 1) -> list[RulingClass]:
     """All ruling classes over F_{q^d}: the operational model of C(F_{q^d})."""
     nfd = nf.embedded(nf.K.extension(d))
-    out = []
-    for s, t in projective_reps(nfd.K, 1):
-        out.extend(rulings_of_fiber(fiber_matrix(nfd, s, t)))
-    return out
+    fibers = [fiber_matrix(nfd, s, t) for s, t in projective_reps(nfd.K, 1)]
+    return [c for classes in rulings_of_fibers(fibers) for c in classes]
 
 
 @dataclass(frozen=True)

@@ -506,14 +506,3 @@ def root_directions(K: GF, roots, c1, c2) -> list[tuple[tuple[int, ...], int]]:
         (tuple(K.add_(K.mul_(b, u), K.mul_(g, v)) for u, v in zip(c1, c2)), mult)
         for (b, g), mult in roots
     ]
-
-
-def pluecker_coordinates(line: ProjectiveLine) -> tuple[int, ...]:
-    """Normalized Plucker coordinates (2x2 minors, i < j), for reports."""
-    K = line.K
-    a, b = line.rows
-    minors = []
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            minors.append(K.sub_(K.mul_(a[i], b[j]), K.mul_(a[j], b[i])))
-    return normalize_point(K, minors)

@@ -39,7 +39,7 @@ from .errors import (
     NotContained,
     NotGeneral,
 )
-from .fano import FanoSurface
+from .fano import surface_of
 from .forms import HomogeneousForm
 from .gf import field
 from .linalg import rank
@@ -107,7 +107,7 @@ def decide_over_finite_field(nf: NormalizedThreefold) -> RationalityVerdict:
         witness = {"type": "node", "point": [int(v) for v in amb]}
         return RationalityVerdict("Rational", witness=witness, bounds=bounds)
 
-    surface = FanoSurface(nf, 1)
+    surface = surface_of(nf, 1)
     ts = surface.torsor_set
     bounds["torsor_points"] = len(ts)
     for tp, kind in ((ts.disjoint_lines, "line_disjoint_from_plane"),

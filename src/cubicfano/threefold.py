@@ -21,7 +21,7 @@ pairs through one common vertex, which is then Z with multiplicity 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -54,8 +54,12 @@ class NormalizedThreefold:
     x_original = transform @ x_normalized.
 
     The node scheme ``Z`` and the pencil's ``discriminant`` are computed on
-    first read and kept, so every reader shares them.  A refusal (NotGeneral,
-    NotSupportedError) is not kept: reading again raises again.
+    first read and kept, so every reader shares them.  So are the line
+    surface over each degree k (``surfaces[k]``, the first
+    ``fano.FanoSurface(nf, k)`` built, read through ``fano.surface_of``) and
+    the group law (``groups[k]``, kept by ``torsor.torsor_group``).  A
+    refusal (NotGeneral, NotSupportedError) is not kept: reading again
+    raises again.
     """
 
     K: GF
@@ -63,6 +67,8 @@ class NormalizedThreefold:
     Q0: HomogeneousForm
     Q1: HomogeneousForm
     transform: tuple[tuple[int, ...], ...]
+    surfaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x0Q0 = self.Q0.times(HomogeneousForm.monomial(self.K, 5, (1, 0, 0, 0, 0)))

@@ -35,7 +35,7 @@ from .errors import (
     NotGeneral,
     ResampleRequired,
 )
-from .fano import FanoSurface, TorsorPoint
+from .fano import FanoSurface, TorsorPoint, surface_of
 from .pencil import (
     HyperellipticModel,
     RulingClass,
@@ -144,7 +144,6 @@ class TorsorGroup:
         self._excluded: list[RulingClass] | None = None
         self._letter_perms: dict = {}
         self._letter_matrix: np.ndarray | None = None
-        self._big: TorsorGroup | None = None
         self._up: np.ndarray | None = None
         self._down: np.ndarray | None = None
 
@@ -288,10 +287,8 @@ class TorsorGroup:
     # -- quadratic-extension escalation --------------------------------------------
 
     def extension_group(self) -> "TorsorGroup":
-        if self._big is None:
-            surf = self.surface
-            self._big = TorsorGroup(FanoSurface(surf.base, 2 * surf.k))
-        return self._big
+        """The group law over the quadratic extension of the working field, kept on the threefold."""
+        return _group_over(self.surface.base, 2 * self.surface.k)
 
     def embed_point(self, big: "TorsorGroup", x: SignedTorsorPoint) -> SignedTorsorPoint:
         L, M = self.surface.L, big.surface.L
@@ -319,8 +316,20 @@ class TorsorGroup:
 
 
 def torsor_group(nf: NormalizedThreefold) -> TorsorGroup:
-    """The group law on the lines over the threefold's own field."""
-    return TorsorGroup(FanoSurface(nf))
+    """The group law on the lines over the threefold's own field.
+
+    Built on the threefold's kept surface on first call and kept as
+    ``nf.groups[1]``, so every later reader shares its letter scan and
+    tables; a refusal is not kept.
+    """
+    return _group_over(nf, 1)
+
+
+def _group_over(nf: NormalizedThreefold, k: int) -> TorsorGroup:
+    group = nf.groups.get(k)
+    if group is None:
+        group = nf.groups[k] = TorsorGroup(surface_of(nf, k))
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +407,7 @@ def point_count_checks(nf: NormalizedThreefold) -> tuple[PointCountCheck, ...]:
     Equality is the finite-field triviality of the torsor, checked without
     ever constructing a group isomorphism.
     """
-    return _point_count_checks(nf, [len(FanoSurface(nf, k).torsor_set) for k in range(1, _POINT_COUNT_DEPTH + 1)])
+    return _point_count_checks(nf, [len(surface_of(nf, k).torsor_set) for k in range(1, _POINT_COUNT_DEPTH + 1)])
 
 
 def _point_count_checks(nf: NormalizedThreefold, sizes) -> tuple[PointCountCheck, ...]:

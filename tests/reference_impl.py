@@ -12,20 +12,29 @@ from itertools import product
 
 import numpy as np
 
-from cubicfano.errors import InternalInconsistency, NeedsExtension, NotOnCubic, PlaneContained
+from cubicfano.errors import InternalInconsistency, NeedsExtension, NotGeneral, NotOnCubic, PlaneContained
 from cubicfano.fano import TorsorPoint
-from cubicfano.forms import divide_by_linear
-from cubicfano.linalg import kernel_basis, mat_mul, rref
-from cubicfano.pencil import fiber_matrix, rulings_of_fiber
+from cubicfano.forms import HomogeneousForm, divide_by_linear
+from cubicfano.linalg import kernel_basis, mat_mul, mat_vec, rref
+from cubicfano.pencil import (
+    HyperellipticModel,
+    RulingClass,
+    count_points_C,
+    fiber_matrix,
+    rulings_of_fiber,
+)
 from cubicfano.projective import (
     ProjectiveLine,
     ProjectivePoint,
     Residual,
+    binary_quadratic,
     common_zeros,
+    complete_to_basis,
     enumerate_lines,
     linear_form_cutting_line_in_plane,
     normalize_point,
     projective_reps,
+    root_directions,
 )
 from cubicfano.torsor import DivisorWord, SignedTorsorPoint
 
@@ -359,6 +368,141 @@ def extra_plane_candidates(nf, d):
             if all(b[0] == 0 and b[1] == 0 for b in basis):
                 continue  # that is P itself
             yield ("plane through Z", tuple(tuple(int(x) for x in row) for row in basis))
+
+def line_count_by_point_counts(nf):
+    """#F(Y)(F_q), the number of lines on the threefold over F_q, from point counts alone.
+
+    With Q = q^k, the threefold has N_k = (Q+1)(Q^2+1) + Q (#C(F_Q) - #Z(F_Q))
+    points over F_Q, where #Z(F_Q) counts the points of Z whose degree
+    divides k.  Galkin-Shinder, [X^[2]] = [P^4][X] + L^2 [F(X)] for a cubic
+    threefold X with S = #Z(F_q) nodes, gives
+    #F(Y)(F_q) = ((N1^2 + N2)/2 - N1 + (N1 - S) #P^2 + S #P^3 - #P^3 N1) / q^2.
+    """
+    q = nf.K.q
+    model = HyperellipticModel(nf.discriminant)
+
+    def points(k):
+        Q = q**k
+        return (Q + 1) * (Q * Q + 1) + Q * (count_points_C(model, k) - len(nf.Z.points_over(k)))
+
+    N1, N2 = points(1), points(2)
+    S = len(nf.Z.points_over(1))
+    P2, P3 = q * q + q + 1, q**3 + q * q + q + 1
+    if (N1 * N1 + N2) % 2:
+        raise InternalInconsistency("N1^2 + N2 is the count of a symmetric square, even")
+    total = (N1 * N1 + N2) // 2 - N1 + (N1 - S) * P2 + S * P3 - P3 * N1
+    if total % (q * q):
+        raise InternalInconsistency("the line count must be an integer")
+    return total // (q * q)
+
+
+def pluecker_coordinates(line):
+    """Normalized Plucker coordinates (2x2 minors, i < j)."""
+    K = line.K
+    a, b = line.rows
+    minors = []
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            minors.append(K.sub_(K.mul_(a[i], b[j]), K.mul_(a[j], b[i])))
+    return normalize_point(K, minors)
+
+
+def check_rulings(K, rulings):
+    """Distinct lines of one ruling are skew, lines of different rulings meet, and
+    each ruling holds q+1 lines: one matrix of Plucker pairings, zero where lines meet."""
+    pl = np.array([pluecker_coordinates(line) for ruling in rulings for line in ruling], dtype=np.uint16)
+    # <p, p'> = p01 p'23 - p02 p'13 + p03 p'12 + p12 p'03 - p13 p'02 + p23 p'01
+    dual = pl[:, ::-1].copy()
+    dual[:, [1, 4]] = K.neg[dual[:, [1, 4]]]
+    pairing = np.zeros((len(pl), len(pl)), dtype=np.uint16)
+    for k in range(6):
+        pairing = K.add[pairing, K.mul[pl[:, None, k], dual[None, :, k]]]
+    labels = np.repeat(np.arange(len(rulings)), [len(ruling) for ruling in rulings])
+    same, meets = labels[:, None] == labels[None, :], pairing == 0
+    if (meets & same & ~np.eye(len(pl), dtype=bool)).any():
+        raise InternalInconsistency("two lines of one ruling meet")
+    if (~meets & ~same).any():
+        raise InternalInconsistency("lines in different rulings must meet")
+    if any(len(ruling) != K.q + 1 for ruling in rulings):
+        raise InternalInconsistency("split smooth fiber carries q+1 lines per ruling")
+
+
+def _tangent_directions(K, matrix, quadric, y):
+    """Second points spanning the (up to two) lines of the quadric through y, with multiplicity."""
+    tangent = kernel_basis(K, np.array([mat_vec(K, matrix, y)], dtype=np.int64))
+    if tangent.shape[0] != 3:
+        raise InternalInconsistency("a smooth point of a quadric in P^3 has a tangent plane")
+    # rebase so y is the first basis vector of the tangent hyperplane
+    c1, c2 = complete_to_basis(K, y, tangent)
+    # the cross terms with y vanish on the tangent hyperplane
+    conic = binary_quadratic(quadric, c1, c2)
+    if conic.is_zero:
+        raise NotGeneral("tangent plane contained in the quadric")
+    return root_directions(K, conic.roots(), c1, c2)
+
+
+def _beta(K, matrix, x, v):
+    return int(mat_vec(K, [x], mat_vec(K, matrix, v))[0])
+
+
+def _ruling_through(K, matrix, points, line):
+    """For each point x, the line of the quadric through x meeting ``line`` = (b1, b2),
+    which misses x: it meets ``line`` at beta(x, b2) b1 - beta(x, b1) b2."""
+    b1, b2 = line
+    betas = mat_mul(K, points, mat_mul(K, matrix, np.array([b2, b1], dtype=np.int64).T))
+    out = []
+    for x, (beta2, beta1) in zip(points, betas):
+        c1, c2 = int(beta2), K.neg_(int(beta1))
+        meet = [K.add_(K.mul_(c1, int(u)), K.mul_(c2, int(v))) for u, v in zip(b1, b2)]
+        out.append(ProjectiveLine(K, np.array([x, meet], dtype=np.int64)))
+    return out
+
+
+def _ambient_sorted(fiber, lines):
+    return tuple(sorted((fiber.ambient_line(line.rows) for line in lines), key=lambda L: L.rows))
+
+
+def rulings_by_tangent_conics(fiber):
+    """The ruling classes of one fiber, built one fiber at a time.
+
+    A cone's lines join its vertex to a plane section missing it.  At the
+    first point y of a smooth fiber the tangent conic, factored by
+    ``BinaryForm.roots``, is two lines A = span(y, a) and B = span(y, b), or
+    none (nonsplit).  At a it is A and B' = span(a, b') of B's ruling.  A's
+    ruling is the line through each point of B meeting B', and B's the line
+    through each point of A meeting A', the line of A's ruling through b;
+    ``check_rulings`` checks them.
+    """
+    K, M, quadric = fiber.K, fiber.matrix, fiber.quadric
+    if fiber.rank <= 2:
+        raise NotGeneral(f"fiber matrix has rank {fiber.rank} <= 2")
+    if fiber.rank == 3:
+        ker = kernel_basis(K, M)
+        if ker.shape[0] != 1:
+            raise InternalInconsistency("a rank-3 quadric in P^3 has a single vertex")
+        vertex = [int(x) for x in ker[0]]
+        # the plane x_i = 0 at the vertex's leading 1 misses it and meets each line once
+        section = HomogeneousForm.linear(K, tuple(int(i == vertex.index(1)) for i in range(4)))
+        lines = [ProjectiveLine(K, np.array([vertex, pt])) for pt in common_zeros([section, quadric])]
+        return [RulingClass(K, fiber.s, fiber.t, 0, True, _ambient_sorted(fiber, lines))]
+    y = next(common_zeros([quadric]))
+    through_y = _tangent_directions(K, M, quadric, y)
+    if not through_y:
+        return []
+    if len(through_y) != 2:
+        raise InternalInconsistency("the tangent conic of a smooth quadric is two distinct lines")
+    (a, _), (b, _) = through_y
+    # b' is the branch at a off the tangent plane at y
+    branches = [d for d, _ in _tangent_directions(K, M, quadric, a) if _beta(K, M, y, d)]
+    if len(branches) != 1:
+        raise InternalInconsistency("a point of a split quadric lies on one line of each ruling")
+    ruling_a = _ruling_through(K, M, ProjectiveLine(K, np.array([y, b])).points_array(), (a, branches[0]))
+    a_prime = _ruling_through(K, M, [b], (a, branches[0]))[0].rows
+    ruling_b = _ruling_through(K, M, ProjectiveLine(K, np.array([y, a])).points_array(), a_prime)
+    check_rulings(K, (ruling_a, ruling_b))
+    packs = sorted((_ambient_sorted(fiber, ruling) for ruling in (ruling_a, ruling_b)), key=lambda pack: pack[0].rows)
+    return [RulingClass(K, fiber.s, fiber.t, i, False, pack) for i, pack in enumerate(packs)]
+
 
 def act_by_dicts(G, word, x):
     """A word acting on a signed point one letter at a time through the j tables."""

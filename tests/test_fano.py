@@ -25,6 +25,7 @@ from cubicfano.fano import (
     _transversal_counts,
     decompose,
     lines_on_cubic_surface_section,
+    surface_of,
     verify_intersection_numbers,
 )
 from cubicfano.gf import field
@@ -40,7 +41,7 @@ from cubicfano.projective import (
 )
 from cubicfano.threefold import compute_Z, normalize, random_general_threefold, random_threefold_through_plane
 
-from reference_impl import plane_line_fiber_by_minors
+from reference_impl import line_count_by_point_counts, plane_line_fiber_by_minors
 from test_pencil import general_example
 
 
@@ -650,3 +651,27 @@ def test_tag_profile_is_invariant_under_linear_changes():
             got[cl.tag] += 1
         assert (got[IN_PLANE], got[MEETS_PLANE], got[DISJOINT]) == (13, 14, 4)
         assert sorted(z.degree for z in compute_Z(moved).points) == [1, 1, 1, 1]
+
+
+# general threefolds on which the closed-form line count is checked, by field (p, k)
+LINE_COUNT_SEEDS = {(3, 1): range(8), (5, 1): range(5), (7, 1): range(3), (3, 2): (1, 2), (11, 1): range(2)}
+
+
+@pytest.mark.parametrize("key", sorted(LINE_COUNT_SEEDS), ids=lambda key: "q%d^%d" % key)
+def test_line_count_follows_from_point_counts(key):
+    # Galkin-Shinder: #F(Y)(F_q) is read off the point counts of Y over F_q
+    # and F_{q^2}, which come from C and Z; reduced and nonreduced Z alike
+    p, k = key
+    for seed in LINE_COUNT_SEEDS[key]:
+        nf = random_general_threefold(field(p, k), random.Random(seed))
+        assert len(FanoSurface(nf, 1).lines) == line_count_by_point_counts(nf)
+
+
+def test_a_threefold_keeps_the_first_surface_built_over_each_degree():
+    nf = seeded_example(3, 2)
+    first = FanoSurface(nf, 1)
+    assert surface_of(nf, 1) is first
+    assert FanoSurface(nf, 1) is not first
+    assert surface_of(nf, 1) is first
+    second = surface_of(nf, 2)
+    assert second.k == 2 and nf.surfaces == {1: first, 2: second}

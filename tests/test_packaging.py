@@ -226,6 +226,24 @@ def test_a_threefold_computes_its_node_scheme_and_discriminant_in_one_place():
     ]
 
 
+def test_no_module_imports_a_name_it_never_reads():
+    # a module-level import binds a name; one the module never reads is dead weight
+    unused, scanned = [], 0
+    for path in sorted(PACKAGE.rglob("*.py")) + sorted(ROOT.joinpath("tests").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update({alias.asname or alias.name.partition(".")[0]: node.lineno for alias in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update({alias.asname or alias.name: node.lineno for alias in node.names})
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in bound.items() if name not in read]
+        scanned += len(bound)
+    assert scanned > 100  # the scan sees the imports at all
+    assert unused == []
+
+
 def test_every_exception_class_is_defined_in_errors():
     # one refusal vocabulary: a class derived from an exception lives in errors.py
     builtin = {name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}

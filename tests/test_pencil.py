@@ -5,15 +5,15 @@ import random
 import numpy as np
 import pytest
 
-from cubicfano import projective
+from cubicfano import fano, pencil, projective
 from cubicfano.errors import InternalInconsistency, NotGeneral
-from cubicfano.forms import BinaryForm, HomogeneousForm
+from cubicfano.forms import HomogeneousForm
 from cubicfano.gf import field
 from cubicfano.linalg import det, rank, rref, solve
 from cubicfano.pencil import (
     HyperellipticModel,
     PencilFiber,
-    check_rulings,
+    _check_pairings,
     class_number_over_extension,
     count_points_C,
     discriminant,
@@ -21,11 +21,13 @@ from cubicfano.pencil import (
     match_models,
     operational_curve_points,
     rulings_of_fiber,
+    rulings_of_fibers,
     zeta,
 )
 from cubicfano.projective import ProjectiveLine, _canonical_rows, enumerate_lines, projective_reps
 from cubicfano.threefold import random_threefold_through_plane
 
+from reference_impl import rulings_by_tangent_conics
 from test_threefold import make_nf
 
 
@@ -300,16 +302,70 @@ def test_ambient_line_is_canonical_without_rref_over_a_normalized_base_point(p, 
 
 
 def test_ruling_check_catches_a_line_in_the_wrong_ruling():
+    # the stacked pairing check, on the same fiber twice: the rulings as built,
+    # one line moved to the other ruling, and one line of each swapped
     K = field(5)
     q = hand_quadric(K, {(1, 0, 0, 1): 1, (0, 1, 1, 0): K.neg_(1)})
     rulings = [fiber_lines(c) for c in rulings_of_fiber(PencilFiber(K, 1, 0, q))]
-    check_rulings(K, rulings)
-    moved = [rulings[0][1:], rulings[1] + rulings[0][:1]]
+    rows = np.array([[line.rows for ruling in rulings for line in ruling]] * 2)
+    labels = np.repeat([0, 1], K.q + 1)
+    _check_pairings(K, rows, labels)
+    moved = labels.copy()
+    moved[0] = 1
     with pytest.raises(InternalInconsistency, match="meet"):
-        check_rulings(K, moved)
-    swapped = [rulings[0][1:] + rulings[1][:1], rulings[1][1:] + rulings[0][:1]]
+        _check_pairings(K, rows, moved)
+    swapped = labels.copy()
+    swapped[[0, K.q + 1]] = [1, 0]
     with pytest.raises(InternalInconsistency, match="meet"):
-        check_rulings(K, swapped)
+        _check_pairings(K, rows, swapped)
+
+
+@pytest.mark.parametrize("p,k_base,k", [(3, 1, 1), (5, 1, 1), (7, 1, 1), (3, 2, 1), (11, 1, 1), (3, 1, 2), (5, 1, 2)])
+def test_stacked_rulings_match_the_one_fiber_oracle(p, k_base, k):
+    # all fibers of a field at once give the classes the tangent-conic
+    # construction gives one fiber at a time, in the same order, and refuse a
+    # rank <= 2 fiber with the oracle's message
+    kinds = set()
+    for seed in range(20):
+        nf = random_threefold_through_plane(field(p, k_base), random.Random(seed))
+        nfd = nf.embedded(nf.K.extension(k))
+        fibers = [fiber_matrix(nfd, s, t) for s, t in projective_reps(nfd.K, 1)]
+        try:
+            expected = [rulings_by_tangent_conics(fiber) for fiber in fibers]
+        except NotGeneral as exc:
+            with pytest.raises(NotGeneral) as raised:
+                rulings_of_fibers(fibers)
+            assert str(raised.value) == str(exc)
+            continue
+        got = rulings_of_fibers(fibers)
+        assert len(got) == len(expected)
+        for fiber, mine, theirs in zip(fibers, got, expected):
+            assert [(c.s, c.t, c.index, c.is_cone, c.lines) for c in mine] == [
+                (c.s, c.t, c.index, c.is_cone, c.lines) for c in theirs
+            ]
+            assert all(c.K is fiber.K for c in mine)
+            kinds.add("cone" if fiber.rank == 3 else ("split" if theirs else "nonsplit"))
+    assert kinds == {"cone", "split", "nonsplit"}
+
+
+def test_a_surface_builds_its_rulings_in_one_stacked_call(monkeypatch):
+    calls = []
+
+    def stacked(fibers):
+        fibers = list(fibers)
+        calls.append(len(fibers))
+        return rulings_of_fibers(fibers)
+
+    def one_fiber(fiber):
+        raise AssertionError("a surface built the rulings of one fiber")
+
+    monkeypatch.setattr(fano, "rulings_of_fibers", stacked)
+    monkeypatch.setattr(fano, "rulings_of_fiber", one_fiber)
+    monkeypatch.setattr(pencil, "rulings_of_fiber", one_fiber)
+    nf = general_example(5)
+    surface = fano.FanoSurface(nf, 1)
+    assert calls == [6]
+    assert len(surface.curve_points) == sum(len(classes) for classes in surface.rulings.values())
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from cubicfano.projective import (
     line_meets,
     normalize_point,
     plane_section_values,
-    pluecker_coordinates,
     projective_reps,
     residual_from_values,
     residual_line,
@@ -34,6 +33,7 @@ from cubicfano.threefold import normalize, plane_basis
 
 from reference_impl import (
     line_in_plane_from_linear_form,
+    pluecker_coordinates,
     proportionality,
     residual_line_symbolic,
     singular_points_off_plane,

@@ -31,8 +31,6 @@ from cubicfano.projective import (
 )
 from cubicfano.rationality import decide_over_finite_field
 from cubicfano.threefold import (
-    NormalizedThreefold,
-    SingularLocusZ,
     ZPoint,
     certify_generality,
     compute_Z,

@@ -240,6 +240,41 @@ def test_axiom_check_builds_one_surface_per_degree(monkeypatch):
     assert sorted(built) == [1, 2]
 
 
+def test_a_group_law_instance_builds_one_surface_and_scans_its_letters_once(monkeypatch):
+    # the group and its surfaces are kept on the threefold, so the axiom check
+    # and the point counts read the group the caller built, with its letters
+    built, scanned = [], []
+    build, scan = FanoSurface.__init__, TorsorGroup._scan_letters
+
+    def counting_build(self, nf, k=1):
+        built.append(k)
+        build(self, nf, k)
+
+    def counting_scan(self):
+        scanned.append(self.surface.k)
+        scan(self)
+
+    monkeypatch.setattr(FanoSurface, "__init__", counting_build)
+    monkeypatch.setattr(TorsorGroup, "_scan_letters", counting_scan)
+    nf = seeded_example(3, 2)
+    group = torsor_group(nf)
+    group.letters
+    rep = verify_group_axioms(nf, random.Random(2))
+    assert rep.all_passed
+    assert torsor_group(nf) is group and group.extension_group() is nf.groups[2]
+    point_count_checks(nf)
+    assert (built.count(1), scanned.count(1)) == (1, 1)
+    assert sorted(built) == [1, 2]
+
+
+def test_a_refused_group_is_not_kept():
+    nf = general_example(5)
+    for _ in range(2):
+        with pytest.raises(NotGeneral):
+            torsor_group(nf)
+    assert nf.groups == {}
+
+
 def test_nonreduced_node_scheme_is_refused():
     with pytest.raises(NotGeneral):
         torsor_group(general_example(5))
