@@ -46,8 +46,8 @@ from .linalg import kernel_basis, mat_mul, mat_vec, rank, rref, rref_stack, solv
 from .pencil import (
     PencilFiber,
     RulingClass,
-    fiber_matrix,
     hyperelliptic_involution,
+    pencil_fibers,
     rulings_of_fiber,
     rulings_of_fibers,
 )
@@ -56,6 +56,7 @@ from .projective import (
     ProjectiveLine,
     ProjectivePoint,
     Residual,
+    _dot,
     binary_quadratic,
     complete_to_basis,
     enumerate_lines,
@@ -206,9 +207,8 @@ class FanoSurface:
         self.Z = nf.Z
         self.plane = self.nf.plane
 
-        self.fibers: dict[tuple[int, int], PencilFiber] = {
-            (s, t): fiber_matrix(self.nf, s, t) for s, t in projective_reps(self.L, 1)
-        }
+        params = list(projective_reps(self.L, 1))
+        self.fibers: dict[tuple[int, int], PencilFiber] = dict(zip(params, pencil_fibers(nf, self.L, params)))
         self.rulings: dict[tuple[int, int], list[RulingClass]] = dict(
             zip(self.fibers, rulings_of_fibers(self.fibers.values()))
         )
@@ -437,7 +437,7 @@ class FanoSurface:
         if M is self.L:
             classes = self.rulings[key]
         else:
-            classes = rulings_of_fiber(fiber_matrix(self.nf.embedded(M), key[0], key[1]))
+            classes = rulings_of_fiber(pencil_fibers(self.base, M, [key])[0])
         for c in classes:
             if branch in c.lines:
                 return c
@@ -465,16 +465,15 @@ class FanoSurface:
         span the plane only once they are reduced.
         """
         M = c.K
-        nf_M = self.nf.embedded(M)
         t1 = self.tau(z, c)
         t2 = self.tau(z, d)
         if _meet_with_plane(M, t1.rows)[0] == IN_PLANE and _meet_with_plane(M, t2.rows)[0] == IN_PLANE:
             raise ResampleRequired("both ruling lines lie in P: the pair is in the excluded locus")
         if c.key == d.key:
             if c.is_cone:
-                S = self._cone_tangent_plane(z, c, nf_M)
+                S = self._cone_tangent_plane(z, c)
             else:
-                S = self._deformation_plane(z, c, t1, nf_M)
+                S = self._deformation_plane(z, c, t1, self.nf.embedded(M))
             return S.rows, t1, t1, "the limiting plane of a diagonal pair is a plane"
         return t1.rows + t2.rows, t1, t2, "distinct lines through one node span a plane"
 
@@ -510,10 +509,10 @@ class FanoSurface:
             for rank, (*_, message) in zip(ranks.tolist(), sections)
         ]
 
-    def _cone_tangent_plane(self, z: ZPoint, c: RulingClass, nf_M) -> LinearSubspace:
+    def _cone_tangent_plane(self, z: ZPoint, c: RulingClass) -> LinearSubspace:
         """The fiber tangent plane along the cone generator through z."""
         M = c.K
-        fib = fiber_matrix(nf_M, c.s, c.t)
+        (fib,) = pencil_fibers(self.base, M, [(c.s, c.t)])
         zf = (0,) + tuple(self._node_in(z, M)[2:])
         row = np.array([mat_vec(M, fib.matrix, zf)], dtype=np.int64)
         if not row.any():
@@ -898,26 +897,19 @@ def _count_degenerate_conic_lines(nf: NormalizedThreefold, depth: int) -> int:
 
     Each degenerate member of the restricted conic pencil contributes its
     component lines: two for a rank-2 conic (rational or conjugate), one for
-    a double line.  Fibers over parameter fields beyond the scan are not
-    seen; the caller treats the result as a lower bound checked <= 6.
+    a double line.  The member over (s:t) is s*q0 + t*q1, whose matrix is the
+    block of the fiber matrix on u = 0, so one stacked row reduction of
+    those blocks ranks them all.  Fibers over parameter fields beyond the
+    scan are not seen; the caller treats the result as a lower bound checked
+    <= 6.
     """
     d = max(e for e in range(1, depth + 1) if nf.K.reaches(e))
-    nfd = nf.embedded(nf.K.extension(d))
-    Ld = nfd.K
-    q0, q1 = nfd.restricted_conics
-    total = 0
-    for s, t in projective_reps(Ld, 1):
-        conic = q0.scaled(s).plus(q1.scaled(t))
-        if conic.is_zero:
-            raise NotGeneral("a member of the restricted conic pencil vanishes")
-        r = rank(Ld, conic.symmetric_matrix())
-        if r == 2:
-            total += 2
-        elif r == 1:
-            total += 1
-        elif r == 0:
-            raise NotGeneral("a member of the restricted conic pencil vanishes")
-    return total
+    Ld = nf.K.extension(d)
+    fibers = pencil_fibers(nf, Ld, projective_reps(Ld, 1))
+    _, ranks = rref_stack(Ld, np.stack([f.matrix[1:, 1:] for f in fibers]))
+    if (ranks == 0).any():
+        raise NotGeneral("a member of the restricted conic pencil vanishes")
+    return 2 * int((ranks == 2).sum()) + int((ranks == 1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -1095,9 +1087,9 @@ def _common_fiber_count(nf: NormalizedThreefold, za: ZPoint, zb: ZPoint, d: int)
         return 0
     if ker.shape[0] > 1:
         raise NotGeneral("the node line lies on every conic of the pencil")
-    s, t = (int(x) for x in ker[0])
-    fib = fiber_matrix(nfd, s, t)
-    if any(fib.quadric.evaluate((0,) + pt) != 0 for pt in (pa, pb)):
+    (fib,) = pencil_fibers(nf, Ld, [ker[0]])
+    on_line = np.array([(0,) + pa, (0,) + pb], dtype=np.int64)
+    if _dot(Ld, on_line, _dot(Ld, fib.matrix, on_line[:, None, :])).any():
         raise InternalInconsistency("the common fiber must contain the node line")
     return 1
 

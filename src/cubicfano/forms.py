@@ -140,12 +140,6 @@ class HomogeneousForm:
             )
         return HomogeneousForm(self.K, self.nvars, self.degree, _dict_add(self.K, self.terms, other.terms))
 
-    def minus(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        return self.plus(other.negated())
-
-    def negated(self) -> "HomogeneousForm":
-        return HomogeneousForm(self.K, self.nvars, self.degree, _dict_neg(self.K, self.terms))
-
     def scaled(self, c: int) -> "HomogeneousForm":
         if c == 0:
             return HomogeneousForm.zero(self.K, self.nvars, self.degree)

@@ -10,6 +10,13 @@ with f(su, tu, x) = u * R_{s,t}.  This module computes fiber matrices, the
 sextic discriminant, rulings of fibers, and point counts / zeta data of the
 genus-2 double cover that parametrizes the rulings.
 
+The symmetric matrix of R_{s,t} has entries that are binary forms in (s, t)
+(:func:`symbolic_fiber_entries`); a threefold keeps it as
+``nf.pencil_matrix``.  The discriminant is its determinant, and every fiber
+matrix, over any field of the tower, is its value at (s:t): one stacked
+evaluation for a whole list of parameters (:func:`pencil_fibers`).  Its
+block on u = 0 is the matrix of the restricted conic s*q0 + t*q1.
+
 The rulings of a smooth fiber are built, not searched for (Harris, *Algebraic
 Geometry: A First Course*, Lecture 22): with beta the fiber's bilinear form,
 the line of the quadric through x meeting a line span(b1, b2) of the other
@@ -35,8 +42,8 @@ import numpy as np
 from .errors import InternalInconsistency, NotGeneral
 from .forms import BinaryForm, HomogeneousForm, det_form_matrix
 from .gf import GF
-from .linalg import rank, rref_stack
-from .projective import ProjectiveLine, all_points_array, projective_reps
+from .linalg import rref_stack
+from .projective import ProjectiveLine, _dot, all_points_array, projective_reps
 
 
 # ---------------------------------------------------------------------------
@@ -44,48 +51,19 @@ from .projective import ProjectiveLine, all_points_array, projective_reps
 # ---------------------------------------------------------------------------
 
 
-def _pencil_quadric_terms(nf, s: int, t: int) -> dict:
-    """Terms of R_{s,t} in the fiber coordinates (u, x2, x3, x4)."""
-    K = nf.K
-    out: dict = {}
-    for outer, Q in ((s, nf.Q0), (t, nf.Q1)):
-        if outer == 0:
-            continue
-        for (e0, e1, e2, e3, e4), c in Q.terms.items():
-            # x0 -> s*u, x1 -> t*u
-            val = K.mul_(outer, c)
-            if e0:
-                val = K.mul_(val, K.pow_(s, e0))
-            if e1:
-                val = K.mul_(val, K.pow_(t, e1))
-            if not val:
-                continue
-            key = (e0 + e1, e2, e3, e4)
-            acc = K.add_(out.get(key, 0), val)
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PencilFiber:
-    """One member of the pencil: the quadric surface over (s:t)."""
+    """One member of the pencil: the quadric surface over (s:t).
+
+    ``matrix`` is its symmetric 4x4 matrix in the fiber coordinates
+    (u, x2, x3, x4), R_{s,t}(v) = v^T M v, as :func:`pencil_fibers` reads it
+    off the threefold's symbolic pencil matrix.
+    """
 
     K: GF
     s: int
     t: int
-    quadric: HomogeneousForm  # R_{s,t} in (u, x2, x3, x4)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Symmetric 4x4 matrix of the quadric (char != 2)."""
-        return self.quadric.symmetric_matrix()
-
-    @cached_property
-    def rank(self) -> int:
-        return rank(self.K, self.matrix)
+    matrix: np.ndarray
 
     def ambient_rows(self, rows) -> np.ndarray:
         """Rows (..., 4) (u, x2, x3, x4) in fiber coordinates as ambient rows (s*u, t*u, x2, x3, x4)."""
@@ -111,12 +89,29 @@ class PencilFiber:
         return self.ambient_lines([rows])[0]
 
 
-def fiber_matrix(nf, s: int, t: int) -> PencilFiber:
-    """The pencil member over (s:t) != (0:0)."""
-    if s == 0 and t == 0:
+def pencil_fibers(nf, L: GF, params) -> list[PencilFiber]:
+    """The pencil members over the points ``params`` (s:t) != (0:0) of P^1(L).
+
+    L is any field of the tower over ``nf.K``.  The entries of the
+    threefold's kept symbolic matrix ``nf.pencil_matrix`` are binary forms of
+    degree at most 3 in (s, t); their coefficients, lifted into L, are
+    evaluated at every (s:t) at once, as table gathers on one stack.
+    """
+    params = np.array(list(params), dtype=np.int64).reshape(-1, 2)
+    if not params.any(axis=1).all():
         raise ValueError("(0:0) is not a point of the pencil base")
-    quad = HomogeneousForm(nf.K, 4, 2, _pencil_quadric_terms(nf, s, t))
-    return PencilFiber(nf.K, s, t, quad)
+    coeffs = np.zeros((4, 4, 4, 4), dtype=np.int64)  # [i, j, a, b]: the coefficient of s^a t^b in entry (i, j)
+    for i, row in enumerate(nf.pencil_matrix):
+        for j, entry in enumerate(row):
+            for (a, b), c in entry.terms.items():
+                coeffs[i, j, a, b] = c
+    coeffs = nf.K.lift(coeffs, L)
+    powers = np.ones((len(params), 4, 2), dtype=np.int64)  # [n, e]: (s^e, t^e)
+    for e in range(1, 4):
+        powers[:, e] = L.mul[powers[:, e - 1], params]
+    monomials = L.mul[powers[:, :, None, 0], powers[:, None, :, 1]]  # [n, a, b]: s^a t^b
+    matrices = _dot(L, coeffs.reshape(4, 4, 16), monomials.reshape(-1, 1, 1, 16)).astype(np.int64)
+    return [PencilFiber(L, s, t, M) for (s, t), M in zip(params.tolist(), matrices)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +178,8 @@ def symbolic_fiber_entries(quadrics) -> list[list[HomogeneousForm]]:
 
 
 def discriminant(nf) -> DiscriminantSextic:
-    """Exact symbolic determinant of the fiber matrix, as a binary sextic."""
-    D = det_form_matrix(nf.K, 2, symbolic_fiber_entries((nf.Q0, nf.Q1)))
+    """Exact symbolic determinant of the threefold's kept pencil matrix, as a binary sextic."""
+    D = det_form_matrix(nf.K, 2, nf.pencil_matrix)
     if D.is_zero:
         raise NotGeneral("discriminant vanishes identically")
     if D.degree != 6:
@@ -227,22 +222,9 @@ class RulingClass:
         return isinstance(other, RulingClass) and self.key == other.key
 
 
-def _field_sum(K: GF, terms: np.ndarray) -> np.ndarray:
-    """The field sum over the last axis."""
-    acc = terms[..., 0]
-    for i in range(1, terms.shape[-1]):
-        acc = K.add[acc, terms[..., i]]
-    return acc
-
-
 def _apply(K: GF, M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M v for stacks of matrices (..., n, n) and vectors (..., n), broadcasting."""
-    return _field_sum(K, K.mul[M, v[..., None, :]])
-
-
-def _dot(K: GF, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u . v along the last axis, broadcasting."""
-    return _field_sum(K, K.mul[u, v])
+    return _dot(K, M, v[..., None, :])
 
 
 def _combine(K: GF, c1: np.ndarray, u: np.ndarray, c2: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -419,8 +401,6 @@ def rulings_of_fibers(fibers) -> list[list[RulingClass]]:
     if not fibers:
         return []
     K = fibers[0].K
-    if any(f.K is not K for f in fibers):
-        raise ValueError("the fibers must share their field")
     M = np.stack([f.matrix for f in fibers]) % K.q
     R, ranks = rref_stack(K, M)
     low = np.flatnonzero(ranks <= 2)
@@ -508,8 +488,8 @@ def hyperelliptic_involution(c: RulingClass, classes_of_fiber: list[RulingClass]
 
 def operational_curve_points(nf, d: int = 1) -> list[RulingClass]:
     """All ruling classes over F_{q^d}: the operational model of C(F_{q^d})."""
-    nfd = nf.embedded(nf.K.extension(d))
-    fibers = [fiber_matrix(nfd, s, t) for s, t in projective_reps(nfd.K, 1)]
+    L = nf.K.extension(d)
+    fibers = pencil_fibers(nf, L, projective_reps(L, 1))
     return [c for classes in rulings_of_fibers(fibers) for c in classes]
 
 

@@ -348,9 +348,11 @@ def _cross(K: GF, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _dot(K: GF, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot products of 3-vectors along the last axis (broadcasting)."""
-    add, mul = K.add, K.mul
-    return add[add[mul[u[..., 0], v[..., 0]], mul[u[..., 1], v[..., 1]]], mul[u[..., 2], v[..., 2]]]
+    """Dot products u . v along the last axis (broadcasting)."""
+    acc = K.mul[u[..., 0], v[..., 0]]
+    for i in range(1, u.shape[-1]):
+        acc = K.add[acc, K.mul[u[..., i], v[..., i]]]
+    return acc
 
 
 def _normalized(K: GF, vecs: np.ndarray) -> np.ndarray:

@@ -53,8 +53,11 @@ class NormalizedThreefold:
     ``transform`` sends normalized coordinates to the original ambient ones:
     x_original = transform @ x_normalized.
 
-    The node scheme ``Z`` and the pencil's ``discriminant`` are computed on
-    first read and kept, so every reader shares them.  So are the line
+    The node scheme ``Z``, the symbolic ``pencil_matrix`` of the quadric
+    surface fibration and its ``discriminant`` are computed on first read
+    and kept, so every reader shares them: every pencil member, over any
+    field of the tower, is read off the one matrix
+    (:func:`pencil.pencil_fibers`).  So are the line
     surface over each degree k (``surfaces[k]``, the first
     ``fano.FanoSurface(nf, k)`` built, read through ``fano.surface_of``) and
     the group law (``groups[k]``, kept by ``torsor.torsor_group``).  A
@@ -90,6 +93,14 @@ class NormalizedThreefold:
     def Z(self) -> SingularLocusZ:
         """:func:`compute_Z` of this threefold."""
         return compute_Z(self)
+
+    @cached_property
+    def pencil_matrix(self) -> list[list[HomogeneousForm]]:
+        """The symmetric 4x4 matrix of R_{s,t} in the fiber coordinates, entries binary forms in (s, t).
+
+        :func:`pencil.symbolic_fiber_entries` of (Q0, Q1).
+        """
+        return pencil_mod.symbolic_fiber_entries((self.Q0, self.Q1))
 
     @cached_property
     def discriminant(self) -> pencil_mod.DiscriminantSextic:

@@ -15,12 +15,12 @@ import numpy as np
 from cubicfano.errors import InternalInconsistency, NeedsExtension, NotGeneral, NotOnCubic, PlaneContained
 from cubicfano.fano import TorsorPoint
 from cubicfano.forms import HomogeneousForm, divide_by_linear
-from cubicfano.linalg import kernel_basis, mat_mul, mat_vec, rref
+from cubicfano.linalg import kernel_basis, mat_mul, mat_vec, rank, rref
 from cubicfano.pencil import (
     HyperellipticModel,
     RulingClass,
     count_points_C,
-    fiber_matrix,
+    pencil_fibers,
     rulings_of_fiber,
 )
 from cubicfano.projective import (
@@ -347,9 +347,9 @@ def extra_plane_candidates(nf, d):
     Z = nf.Z
     nfd = nf.embedded(nf.K.extension(d))
     L = nfd.K
-    for s, t in projective_reps(L, 1):
-        if fiber_matrix(nfd, s, t).rank <= 2:
-            yield ("rank<=2 fiber", (s, t))
+    for fiber in pencil_fibers(nf, L, projective_reps(L, 1)):
+        if rank(L, fiber.matrix) <= 2:
+            yield ("rank<=2 fiber", (fiber.s, fiber.t))
             return
     fiber_lines = None  # the lines of the fibers over (1:0) and (0:1), found at the first point of Z
     for z in Z.points_over(d):
@@ -357,7 +357,7 @@ def extra_plane_candidates(nf, d):
             fiber_lines = []
             for s, t in ((1, 0), (0, 1)):
                 # both rulings in one row order, which fixes the order of the witnesses
-                lines = [line for c in rulings_of_fiber(fiber_matrix(nfd, s, t)) for line in c.lines]
+                lines = [line for c in rulings_of_fiber(pencil_fibers(nf, L, [(s, t)])[0]) for line in c.lines]
                 fiber_lines.append(sorted(lines, key=lambda line: line.rows))
         zpt = ProjectivePoint(L, (0, 0) + Z.coords_in(z, L))
         per_fiber = [[line for line in lines if line.contains(zpt)] for lines in fiber_lines]
@@ -458,6 +458,51 @@ def _ruling_through(K, matrix, points, line):
     return out
 
 
+def pencil_quadric_terms(nf, s, t) -> dict:
+    """Terms of R_{s,t} in the fiber coordinates (u, x2, x3, x4), one term of Q0, Q1 at a time.
+
+    x0 -> s*u and x1 -> t*u in s*Q0 + t*Q1.
+    """
+    K = nf.K
+    out: dict = {}
+    for outer, Q in ((s, nf.Q0), (t, nf.Q1)):
+        if outer == 0:
+            continue
+        for (e0, e1, e2, e3, e4), c in Q.terms.items():
+            val = K.mul_(outer, c)
+            if e0:
+                val = K.mul_(val, K.pow_(s, e0))
+            if e1:
+                val = K.mul_(val, K.pow_(t, e1))
+            if not val:
+                continue
+            key = (e0 + e1, e2, e3, e4)
+            acc = K.add_(out.get(key, 0), val)
+            if acc:
+                out[key] = acc
+            else:
+                out.pop(key, None)
+    return out
+
+
+def pencil_quadric(nf, s, t):
+    """R_{s,t} as a quadratic form in (u, x2, x3, x4), from :func:`pencil_quadric_terms`."""
+    return HomogeneousForm(nf.K, 4, 2, pencil_quadric_terms(nf, s, t))
+
+
+def quadric_of_matrix(K, M):
+    """The quadratic form x^T M x of a symmetric matrix: M_ii x_i^2 and 2 M_ij x_i x_j."""
+    n = len(M)
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            e = [0] * n
+            e[i] += 1
+            e[j] += 1
+            terms[tuple(e)] = int(M[i][j]) if i == j else K.add_(int(M[i][j]), int(M[j][i]))
+    return HomogeneousForm(K, n, 2, terms)
+
+
 def _ambient_sorted(fiber, lines):
     return tuple(sorted((fiber.ambient_line(line.rows) for line in lines), key=lambda L: L.rows))
 
@@ -473,10 +518,12 @@ def rulings_by_tangent_conics(fiber):
     through each point of A meeting A', the line of A's ruling through b;
     ``check_rulings`` checks them.
     """
-    K, M, quadric = fiber.K, fiber.matrix, fiber.quadric
-    if fiber.rank <= 2:
-        raise NotGeneral(f"fiber matrix has rank {fiber.rank} <= 2")
-    if fiber.rank == 3:
+    K, M = fiber.K, fiber.matrix
+    quadric = quadric_of_matrix(K, M)
+    r = rank(K, M)
+    if r <= 2:
+        raise NotGeneral(f"fiber matrix has rank {r} <= 2")
+    if r == 3:
         ker = kernel_basis(K, M)
         if ker.shape[0] != 1:
             raise InternalInconsistency("a rank-3 quadric in P^3 has a single vertex")

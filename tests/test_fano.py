@@ -30,7 +30,7 @@ from cubicfano.fano import (
 )
 from cubicfano.gf import field
 from cubicfano.linalg import inverse_matrix, mat_mul, rank
-from cubicfano.pencil import fiber_matrix, rulings_of_fiber
+from cubicfano.pencil import pencil_fibers, rulings_of_fiber
 from cubicfano.projective import (
     LinearSubspace,
     ProjectivePoint,
@@ -176,7 +176,8 @@ def test_plane_lines_take_their_fiber_from_the_rulings(key):
         nf_L = nf.embedded(nf.K.extension(k))
         try:
             compute_Z(nf)
-            rulings = {(s, t): rulings_of_fiber(fiber_matrix(nf_L, s, t)) for s, t in projective_reps(nf_L.K, 1)}
+            fibers = pencil_fibers(nf, nf_L.K, projective_reps(nf_L.K, 1))
+            rulings = {(f.s, f.t): rulings_of_fiber(f) for f in fibers}
         except (NotGeneral, NotSupportedError) as exc:
             with pytest.raises(type(exc)) as raised:
                 FanoSurface(nf, k)

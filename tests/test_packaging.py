@@ -226,6 +226,19 @@ def test_a_threefold_computes_its_node_scheme_and_discriminant_in_one_place():
     ]
 
 
+def test_a_threefold_builds_its_pencil_matrix_in_one_place():
+    # every fiber and the discriminant are read off the threefold's kept
+    # nf.pencil_matrix; a fourfold's three-quadric family builds its own
+    builders, fibers = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        builders += [f"{path.name}:{scope}" for scope, _ in _call_sites(tree, {"symbolic_fiber_entries"})]
+        if path.name != "pencil.py":
+            fibers += [f"{path.name}:{scope}" for scope, _ in _call_sites(tree, {"PencilFiber"})]
+    assert sorted(builders) == ["fourfold.py:plane_discriminant", "threefold.py:NormalizedThreefold.pencil_matrix"]
+    assert fibers == []
+
+
 def test_no_module_imports_a_name_it_never_reads():
     # a module-level import binds a name; one the module never reads is dead weight
     unused, scanned = [], 0

@@ -17,9 +17,9 @@ from cubicfano.pencil import (
     class_number_over_extension,
     count_points_C,
     discriminant,
-    fiber_matrix,
     match_models,
     operational_curve_points,
+    pencil_fibers,
     rulings_of_fiber,
     rulings_of_fibers,
     zeta,
@@ -27,7 +27,7 @@ from cubicfano.pencil import (
 from cubicfano.projective import ProjectiveLine, _canonical_rows, enumerate_lines, projective_reps
 from cubicfano.threefold import random_threefold_through_plane
 
-from reference_impl import rulings_by_tangent_conics
+from reference_impl import pencil_quadric, quadric_of_matrix, rulings_by_tangent_conics
 from test_threefold import make_nf
 
 
@@ -45,6 +45,32 @@ def general_example(p):
 # ---------------------------------------------------------------------------
 
 
+def one_fiber(nf, s, t):
+    """The pencil member over (s:t) in P^1 of the threefold's own field."""
+    return pencil_fibers(nf, nf.K, [(s, t)])[0]
+
+
+@pytest.mark.parametrize("p,k_base,k", [(3, 1, 1), (5, 1, 1), (7, 1, 1), (3, 2, 1), (11, 1, 1), (3, 1, 2), (5, 1, 2)])
+def test_stacked_fiber_matrices_match_the_term_loop(p, k_base, k):
+    # every member of the pencil, read off the kept symbolic matrix in one
+    # stacked evaluation, against the term loop over Q0 and Q1; its block on
+    # u = 0 against the restricted conic s*q0 + t*q1
+    for seed in range(10):
+        nf = random_threefold_through_plane(field(p, k_base), random.Random(seed))
+        L = nf.K.extension(k)
+        nfd = nf.embedded(L)
+        q0, q1 = nfd.restricted_conics
+        params = list(projective_reps(L, 1))
+        fibers = pencil_fibers(nf, L, params)
+        assert [(f.K, f.s, f.t) for f in fibers] == [(L, s, t) for s, t in params]
+        for f in fibers:
+            assert np.array_equal(f.matrix, pencil_quadric(nfd, f.s, f.t).symmetric_matrix())
+            conic = q0.scaled(f.s).plus(q1.scaled(f.t))
+            assert np.array_equal(f.matrix[1:, 1:], conic.symmetric_matrix())
+        with pytest.raises(ValueError):
+            pencil_fibers(nf, L, [(1, 0), (0, 0)])
+
+
 def test_fiber_quadric_divides_the_cubic():
     # f(su, tu, x2, x3, x4) = u * R_{s,t}(u, x2, x3, x4)
     K = field(7)
@@ -54,10 +80,10 @@ def test_fiber_quadric_divides_the_cubic():
         s, t = K.random_element(rng), K.random_element(rng)
         if s == 0 and t == 0:
             continue
-        fib = fiber_matrix(nf, s, t)
+        fib = one_fiber(nf, s, t)
         u, x2, x3, x4 = (K.random_element(rng) for _ in range(4))
         lhs = nf.f.evaluate((K.mul_(s, u), K.mul_(t, u), x2, x3, x4))
-        rhs = K.mul_(u, fib.quadric.evaluate((u, x2, x3, x4)))
+        rhs = K.mul_(u, quadric_of_matrix(K, fib.matrix).evaluate((u, x2, x3, x4)))
         assert lhs == rhs
 
 
@@ -65,8 +91,7 @@ def test_fiber_matrix_represents_quadric():
     K = field(5)
     rng = random.Random(4)
     nf = random_threefold_through_plane(K, rng)
-    fib = fiber_matrix(nf, 2, 3)
-    M = fib.matrix
+    M = one_fiber(nf, 2, 3).matrix
     assert np.array_equal(M, M.T)
     for _ in range(20):
         v = [K.random_element(rng) for _ in range(4)]
@@ -74,7 +99,7 @@ def test_fiber_matrix_represents_quadric():
         for i in range(4):
             for j in range(4):
                 acc = K.add_(acc, K.mul_(K.mul_(int(M[i, j]), v[i]), v[j]))
-        assert acc == fib.quadric.evaluate(v)
+        assert acc == pencil_quadric(nf, 2, 3).evaluate(v)
 
 
 def test_fiber_scaling_keeps_projective_data():
@@ -83,9 +108,9 @@ def test_fiber_scaling_keeps_projective_data():
     nf = random_threefold_through_plane(K, rng)
     disc = discriminant(nf)
     for lam in range(2, 7):
-        a = fiber_matrix(nf, 1, 4)
-        b = fiber_matrix(nf, lam, K.mul_(lam, 4))
-        assert a.rank == b.rank
+        a = one_fiber(nf, 1, 4)
+        b = one_fiber(nf, lam, K.mul_(lam, 4))
+        assert rank(K, a.matrix) == rank(K, b.matrix)
         # disc scales by lambda^6
         v1 = disc.form.evaluate(1, 4)
         v2 = disc.form.evaluate(lam, K.mul_(lam, 4))
@@ -95,7 +120,7 @@ def test_fiber_scaling_keeps_projective_data():
 def test_fiber_rejects_origin():
     nf = random_threefold_through_plane(field(3), random.Random(0))
     with pytest.raises(ValueError):
-        fiber_matrix(nf, 0, 0)
+        pencil_fibers(nf, nf.K, [(0, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +136,7 @@ def test_discriminant_matches_pointwise_determinants(p):
     disc = discriminant(nf)
     assert disc.form.degree == 6
     for s, t in projective_reps(K, 1):
-        assert disc.form.evaluate(s, t) == det(K, fiber_matrix(nf, s, t).matrix)
+        assert disc.form.evaluate(s, t) == det(K, one_fiber(nf, s, t).matrix)
 
 
 def test_discriminant_interpolation_oracle():
@@ -123,7 +148,7 @@ def test_discriminant_interpolation_oracle():
     rows, rhs = [], []
     for s, t in pts:
         rows.append([K.mul_(K.pow_(s, 6 - i), K.pow_(t, i)) for i in range(7)])
-        rhs.append(det(K, fiber_matrix(nf, s, t).matrix))
+        rhs.append(det(K, one_fiber(nf, s, t).matrix))
     sol = solve(K, np.array(rows, dtype=np.int64), np.array(rhs, dtype=np.int64))
     assert sol is not None
     assert tuple(int(c) for c in sol) == disc.form.coeffs
@@ -207,7 +232,7 @@ def fiber_lines(c):
 
 def ruling_rows(K, quadric):
     """Rows, in fiber coordinates, of every line in the rulings of the quadric."""
-    classes = rulings_of_fiber(PencilFiber(K, 1, 0, quadric))
+    classes = rulings_of_fiber(PencilFiber(K, 1, 0, quadric.symmetric_matrix()))
     return sorted(line.rows for c in classes for line in fiber_lines(c))
 
 
@@ -245,7 +270,7 @@ def test_lines_rejects_low_rank():
     K = field(5)
     q = hand_quadric(K, {(1, 1, 0, 0): 1})
     with pytest.raises(NotGeneral):
-        rulings_of_fiber(PencilFiber(K, 1, 0, q))
+        rulings_of_fiber(PencilFiber(K, 1, 0, q.symmetric_matrix()))
 
 
 def _skew(K, a, b):
@@ -262,13 +287,14 @@ def test_rulings_match_brute_force_on_every_fiber(p, k):
     for seed in range(4):
         nf = random_threefold_through_plane(K, random.Random(seed))
         for s, t in projective_reps(K, 1):
-            fiber = fiber_matrix(nf, s, t)
-            if fiber.rank <= 2:
+            fiber = one_fiber(nf, s, t)
+            r = rank(K, fiber.matrix)
+            if r <= 2:
                 continue
             classes = rulings_of_fiber(fiber)
-            brute = brute_lines(K, fiber.quadric)
+            brute = brute_lines(K, pencil_quadric(nf, s, t))
             got = [frozenset(line.rows for line in c.lines) for c in classes]
-            if fiber.rank == 3:
+            if r == 3:
                 kinds.add("cone")
                 expect = [brute]
             elif brute:
@@ -291,7 +317,7 @@ def test_ambient_line_is_canonical_without_rref_over_a_normalized_base_point(p, 
     lines = [line.rows for line in enumerate_lines(K, 3)]
     for s, t in projective_reps(K, 1):
         for scale in (1, 2):
-            fiber = PencilFiber(K, K.mul_(scale, s), K.mul_(scale, t), quadric)
+            fiber = PencilFiber(K, K.mul_(scale, s), K.mul_(scale, t), quadric.symmetric_matrix())
             want = [_canonical_rows(K, fiber.ambient_rows(rows), expect_rank=2) for rows in lines]
             calls = []
             monkeypatch.setattr(projective, "rref", lambda K, mat: calls.append(mat) or rref(K, mat))
@@ -306,7 +332,7 @@ def test_ruling_check_catches_a_line_in_the_wrong_ruling():
     # one line moved to the other ruling, and one line of each swapped
     K = field(5)
     q = hand_quadric(K, {(1, 0, 0, 1): 1, (0, 1, 1, 0): K.neg_(1)})
-    rulings = [fiber_lines(c) for c in rulings_of_fiber(PencilFiber(K, 1, 0, q))]
+    rulings = [fiber_lines(c) for c in rulings_of_fiber(PencilFiber(K, 1, 0, q.symmetric_matrix()))]
     rows = np.array([[line.rows for ruling in rulings for line in ruling]] * 2)
     labels = np.repeat([0, 1], K.q + 1)
     _check_pairings(K, rows, labels)
@@ -328,8 +354,8 @@ def test_stacked_rulings_match_the_one_fiber_oracle(p, k_base, k):
     kinds = set()
     for seed in range(20):
         nf = random_threefold_through_plane(field(p, k_base), random.Random(seed))
-        nfd = nf.embedded(nf.K.extension(k))
-        fibers = [fiber_matrix(nfd, s, t) for s, t in projective_reps(nfd.K, 1)]
+        L = nf.K.extension(k)
+        fibers = pencil_fibers(nf, L, projective_reps(L, 1))
         try:
             expected = [rulings_by_tangent_conics(fiber) for fiber in fibers]
         except NotGeneral as exc:
@@ -344,7 +370,7 @@ def test_stacked_rulings_match_the_one_fiber_oracle(p, k_base, k):
                 (c.s, c.t, c.index, c.is_cone, c.lines) for c in theirs
             ]
             assert all(c.K is fiber.K for c in mine)
-            kinds.add("cone" if fiber.rank == 3 else ("split" if theirs else "nonsplit"))
+            kinds.add("cone" if rank(L, fiber.matrix) == 3 else ("split" if theirs else "nonsplit"))
     assert kinds == {"cone", "split", "nonsplit"}
 
 
@@ -379,7 +405,7 @@ def test_ruling_count_tracks_character_of_discriminant(p):
     nf = general_example(p)
     disc = discriminant(nf)
     for s, t in projective_reps(K, 1):
-        classes = rulings_of_fiber(fiber_matrix(nf, s, t))
+        classes = rulings_of_fiber(one_fiber(nf, s, t))
         assert len(classes) == 1 + K.chi_(disc.form.evaluate(s, t))
         for c in classes:
             if c.is_cone:
@@ -393,7 +419,7 @@ def test_ruling_lines_lie_on_the_cubic():
     K = field(5)
     nf = general_example(5)
     for s, t in projective_reps(K, 1):
-        for c in rulings_of_fiber(fiber_matrix(nf, s, t)):
+        for c in rulings_of_fiber(one_fiber(nf, s, t)):
             for line in c.lines:
                 for pt in line.points():
                     assert nf.f.evaluate(pt.coords) == 0
