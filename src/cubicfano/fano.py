@@ -20,16 +20,27 @@ operators as methods: ``tau`` (the line of a ruling through a node),
 ``sigma`` (the line of a ruling meeting a disjoint line), ``phi`` / ``psi``
 (the node projection to unordered ruling pairs and its inverse), and
 ``involution`` / ``j_table``, the involutions j_c that generate the group law
-on the next layer up.  ``tau`` and ``sigma`` look the point up in a table
-from the points of a ruling's lines to the lines through them; ``j_table``
-solves all the plane sections of a table at once, as array operations.
+on the next layer up.  ``tau`` and ``sigma`` look the point up in sorted keys
+of the points of the rulings' lines.
+
+The tables of every class are built in one stacked pass over all (class,
+point) pairs (:meth:`FanoSurface.j_tables`; ``j_table`` is its one-class
+call and ``involution`` its one-point call).  The crossing points of
+``sigma`` and the nodes of ``tau`` are looked up as arrays, the deformation
+planes of diagonal pairs come from one batch of gradient evaluations and one
+stacked elimination, and the plane sections of every pair go through one
+residual solve, which reads the cubic at ten points of each plane
+(:func:`projective.residual_from_values`).  Each pair keeps its error in
+place, so a class raises the error of its first failing point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +53,7 @@ from .errors import (
 )
 from .forms import HomogeneousForm, divide_by_linear
 from .gf import GF
-from .linalg import kernel_basis, mat_mul, mat_vec, rank, rref, rref_stack, solve
+from .linalg import kernel_basis, mat_mul, mat_vec, rank, rref, rref_stack
 from .pencil import (
     PencilFiber,
     RulingClass,
@@ -59,11 +70,13 @@ from .projective import (
     _dot,
     binary_quadratic,
     complete_to_basis,
+    count_points,
     enumerate_lines,
     line_meets,
     linear_form_cutting_line_in_plane,
     normalize_point,
     plane_section_values,
+    point_positions,
     projective_reps,
     residual_from_values,
     root_directions,
@@ -228,8 +241,10 @@ class FanoSurface:
         if len(self.by_rows) != len(self.lines):
             raise InternalInconsistency("line enumeration produced a duplicate")
         self.torsor_set = self._build_torsor_set()
-        self._j_tables: dict = {}
-        self._ruling_points: dict = {}
+        self._extension_rulings: dict = {}
+        self._gradients: dict = {}
+        self._j_perms: dict = {}
+        self._j_dicts: dict = {}
         nf.surfaces.setdefault(k, self)
 
     # -- enumeration --------------------------------------------------------
@@ -305,7 +320,7 @@ class FanoSurface:
         try:
             return self.by_rows[line.rows]
         except KeyError:
-            raise InternalInconsistency("a line claimed to be on Y is missing from the enumeration") from None
+            raise _error(_MISSING_LINE) from None
 
     def ruling_of(self, cl: ClassifiedLine) -> RulingClass:
         if cl.fiber is None:
@@ -348,25 +363,33 @@ class FanoSurface:
 
     # -- ruling operators ------------------------------------------------------
 
-    def _lines_through(self, c: RulingClass) -> dict[tuple, list[ProjectiveLine]]:
-        """Each point of the lines of a ruling class, mapped to the lines through it."""
-        found = self._ruling_points.get(c.key)
+    @cached_property
+    def _rulings_over_L(self) -> "_RulingPoints":
+        return _RulingPoints(self.L, self.curve_points)
+
+    def _ruling_points(self, c: RulingClass) -> "_RulingPoints":
+        """The point lookup holding c: the one of every class over the working
+        field, or one kept per class over an extension."""
+        if c.K is self.L:
+            return self._rulings_over_L
+        found = self._extension_rulings.get(c.key)
         if found is None:
-            found = {}
-            for ln in c.lines:
-                for pt in ln.points_array().tolist():
-                    found.setdefault(tuple(pt), []).append(ln)
-            self._ruling_points[c.key] = found
+            found = self._extension_rulings[c.key] = _RulingPoints(c.K, [c])
         return found
+
+    def _one_line_through(self, c: RulingClass, pt, several, none) -> ProjectiveLine:
+        """The line of c through a point, or the error for several or none."""
+        look = self._ruling_points(c)
+        hit = look.find(np.array([look.position[c.key]]), np.array([pt]))[0]
+        if hit == SEVERAL:
+            raise _error(several)
+        if hit == NONE:
+            raise _error(none)
+        return look.lines[hit]
 
     def tau(self, z: ZPoint, c: RulingClass) -> ProjectiveLine:
         """The unique line of the ruling c through the node z."""
-        hits = self._lines_through(c).get(self._node_in(z, c.K), [])
-        if len(hits) == 1:
-            return hits[0]
-        if len(hits) > 1:
-            raise NotGeneral("the node sits at a cone vertex; the node scheme is not reduced")
-        raise InternalInconsistency("a node lies on every fiber quadric, so some ruling line passes through it")
+        return self._one_line_through(c, self._node_in(z, c.K), *_TAU)
 
     def _node_in(self, z: ZPoint, M: GF) -> tuple:
         if M is self.L:
@@ -376,25 +399,16 @@ class FanoSurface:
     def sigma(self, line: ProjectiveLine, c: RulingClass) -> ProjectiveLine:
         """The unique line of the ruling c meeting a given P-disjoint line.
 
-        The line crosses the fiber hyperplane t*x0 = s*x1 in a single point of
-        the fiber quadric, g(b)*a - g(a)*b for rows a, b and
-        g(v) = t*v0 - s*v1, and the ruling lines meeting the line are those
-        through that point.  One passes through it -- unless the point is a
-        cone vertex, where every generator does (excluded locus).
+        The line crosses the fiber hyperplane of c in a single point of the
+        fiber quadric (:func:`_crossings`), and the ruling lines meeting the
+        line are those through that point.  One passes through it -- unless
+        the point is a cone vertex, where every generator does (excluded
+        locus).
         """
         if self.classified(line).tag != DISJOINT:
             raise ValueError("sigma acts on lines disjoint from the plane")
-        K = self.L
-        a, b = line.rows
-        ga = K.sub_(K.mul_(c.t, a[0]), K.mul_(c.s, a[1]))
-        gb = K.sub_(K.mul_(c.t, b[0]), K.mul_(c.s, b[1]))
-        crossing = normalize_point(K, [K.sub_(K.mul_(gb, x), K.mul_(ga, y)) for x, y in zip(a, b)])
-        hits = self._lines_through(c).get(crossing, [])
-        if len(hits) > 1:
-            raise ResampleRequired("the line passes through the vertex of a cone fiber")
-        if not hits:
-            raise InternalInconsistency("a disjoint line crosses every fiber quadric in a ruled point")
-        return hits[0]
+        crossing = _crossings(self.L, np.array([(c.s, c.t)]), np.array([line.rows]))[0]
+        return self._one_line_through(c, crossing, *_SIGMA)
 
     def phi(self, z: ZPoint, line: ProjectiveLine) -> list[tuple[RulingClass, int]]:
         """Ruling classes of the (two, with multiplicity) lines through z meeting the line.
@@ -453,60 +467,54 @@ class FanoSurface:
         """
         if c.K is not d.K:
             raise ValueError("the two ruling classes must live over one field")
-        out = self._section_residuals(c.K, [self._psi_section(z, c, d)])[0]
-        if isinstance(out, Exception):
-            raise out
-        return out
-
-    def _psi_section(self, z: ZPoint, c: RulingClass, d: RulingClass):
-        """The section of :meth:`psi`, as :meth:`_section_residuals` takes it.
-
-        Off the diagonal its rows are those of the two ruling lines, which
-        span the plane only once they are reduced.
-        """
         M = c.K
         t1 = self.tau(z, c)
         t2 = self.tau(z, d)
         if _meet_with_plane(M, t1.rows)[0] == IN_PLANE and _meet_with_plane(M, t2.rows)[0] == IN_PLANE:
-            raise ResampleRequired("both ruling lines lie in P: the pair is in the excluded locus")
-        if c.key == d.key:
-            if c.is_cone:
-                S = self._cone_tangent_plane(z, c)
-            else:
-                S = self._deformation_plane(z, c, t1, self.nf.embedded(M))
-            return S.rows, t1, t1, "the limiting plane of a diagonal pair is a plane"
-        return t1.rows + t2.rows, t1, t2, "distinct lines through one node span a plane"
+            raise _error(_BOTH_IN_P)
+        if c.key != d.key:
+            rows, message = t1.rows + t2.rows, _SPAN_OF_NODE_LINES
+        elif c.is_cone:
+            rows, message = self._cone_tangent_plane(z, c).rows, _DIAGONAL_PLANE
+        else:
+            planes, solvable = self._deformation_planes(
+                M, np.array([(c.s, c.t)]), np.array([self._node_in(z, M)]), np.array([t1.rows[0]])
+            )
+            if not solvable[0]:
+                raise _error(_NO_DEFORMATION)
+            rows, message = planes[0], _DEFORMATION_LEAVES_LINE
+        blocks = np.zeros((1, 4, 5), dtype=np.int64)
+        blocks[0, : len(rows)] = rows
+        out = self._section_residuals(M, blocks, np.array([t1.rows]), np.array([t2.rows]), [message])[0]
+        if isinstance(out, Exception):
+            raise out
+        return out
 
-    def _section_residuals(self, M: GF, sections) -> list:
+    def _section_residuals(self, M: GF, blocks, firsts, seconds, messages) -> list:
         """The residual line of each plane section over M, or the error in its place.
 
-        A section is (rows spanning its plane, first line, second line, the
-        message of the ``InternalInconsistency`` that stands in for a
-        residual when the rows span no plane).  One stacked elimination
-        reduces the rows of every section, one batch evaluates the cubic on
-        the planes, and one stacked :func:`residual_from_values` call solves
-        them all; its errors are returned in place, like the span errors.
+        Section i is spanned by the rows of ``blocks[i]`` (four, zero rows
+        padding) and holds the lines with rows ``firsts[i]`` and
+        ``seconds[i]``; when its rows span no plane,
+        ``InternalInconsistency(messages[i])`` stands in for its residual.
+        One stacked elimination reduces the rows of every section, one batch
+        evaluates the cubic on the planes, and one stacked
+        :func:`residual_from_values` call solves them all; its errors are
+        returned in place, like the span errors.
         """
-        if not sections:
+        if not len(blocks):
             return []
-        blocks = np.zeros((len(sections), 4, self.nf.f.nvars), dtype=np.int64)
-        for block, (rows, *_) in zip(blocks, sections):
-            block[: len(rows)] = rows
         reduced, ranks = rref_stack(M, blocks)
         flat = np.flatnonzero(ranks == 3)
         planes = reduced[flat, :3]
         residuals = iter(
             residual_from_values(
-                M,
-                planes,
-                [sections[i][1].rows for i in flat],
-                [sections[i][2].rows for i in flat],
-                plane_section_values(self.nf.embedded(M).f, planes),
+                M, planes, firsts[flat], seconds[flat], plane_section_values(self.nf.embedded(M).f, planes)
             )
         )
         return [
             next(residuals) if rank == 3 else InternalInconsistency(message)
-            for rank, (*_, message) in zip(ranks.tolist(), sections)
+            for rank, message in zip(ranks.tolist(), messages)
         ]
 
     def _cone_tangent_plane(self, z: ZPoint, c: RulingClass) -> LinearSubspace:
@@ -522,48 +530,48 @@ class FanoSurface:
             raise InternalInconsistency("a nonzero linear form on P^3 cuts a plane")
         return LinearSubspace(M, fib.ambient_rows(ker))
 
-    def _deformation_plane(self, z: ZPoint, c: RulingClass, tau_line: ProjectiveLine, nf_M) -> LinearSubspace:
-        """Limit of span(tau_z(c), tau_z(c')) as c' -> c along the fiber pencil.
+    def _gradient(self, M: GF) -> list[HomogeneousForm]:
+        """The five partial derivatives of the cubic over M, built once per field."""
+        found = self._gradients.get(M)
+        if found is None:
+            f = self.nf.embedded(M).f
+            found = self._gradients[M] = [f.derivative(i) for i in range(5)]
+        return found
 
-        The ruling line is deformed to first order inside the moving fiber:
-        the epsilon-coefficients of the four binary-cubic conditions plus the
-        moving-hyperplane condition are linear in the deformation vector, and
-        any solution spans the limiting plane with the line.
+    def _deformation_planes(self, M: GF, st: np.ndarray, nodes: np.ndarray, ys: np.ndarray):
+        """Limits of span(tau_z(c), tau_z(c')) as c' -> c along the fiber pencil, n at once.
+
+        Row i holds the fiber parameter (s, t) of a smooth class c, a node z
+        and the first row y of tau_z(c), a point off P.  The ruling line is
+        deformed to first order inside the moving fiber: the
+        epsilon-coefficients of the four binary-cubic conditions plus the
+        moving-hyperplane condition are linear in the deformation vector u.
+        One batch of gradient evaluations sets up every system and one
+        stacked elimination solves them all; u has its free unknowns zero,
+        and (z, y, u) spans the limiting plane.  Returns the (n, 3, 5) rows
+        and which systems are solvable.
         """
-        M = c.K
-        znode = self._node_in(z, M)
-        y = next(
-            (pt.coords for pt in tau_line.points() if (pt.coords[0], pt.coords[1]) != (0, 0)),
-            None,
-        )
-        if y is None:
-            raise ResampleRequired("the ruling line lies in P; the diagonal pair is excluded there")
-        s0, t0 = c.s, c.t
-        s1, t1 = ((0, 1) if t0 == 0 else (1, 0))
-        grads = _gradients_of(nf_M)
-        g_y = _grad_at(grads, y)
-        g_p = _grad_at(grads, tuple(M.add_(a, b) for a, b in zip(znode, y)))
-        g_m = _grad_at(grads, tuple(M.sub_(a, b) for a, b in zip(znode, y)))
-        two = 2 % M.p
-        eq_rows = [
-            [M.mul_(t0, 1) if i == 0 else (M.neg_(s0) if i == 1 else 0) for i in range(5)],
-            list(g_y),
-            [M.sub_(a, b) for a, b in zip(g_p, g_m)],
-            [M.sub_(M.add_(a, b), M.mul_(two, gy)) for a, b, gy in zip(g_p, g_m, g_y)],
-        ]
-        rhs = [
-            M.neg_(M.sub_(M.mul_(t1, y[0]), M.mul_(s1, y[1]))),
-            0,
-            0,
-            0,
-        ]
-        u = solve(M, np.array(eq_rows, dtype=np.int64), np.array(rhs, dtype=np.int64))
-        if u is None:
-            raise InternalInconsistency("the ruling deforms with its fiber away from the branch points")
-        S = span(M, znode, y, tuple(int(x) for x in u))
-        if S.dim != 2:
-            raise InternalInconsistency("the first-order deformation must leave the line")
-        return S
+        n = len(ys)
+        add, mul, neg = M.add, M.mul, M.neg
+        pts = np.concatenate([ys, add[nodes, ys], add[nodes, neg[ys]]])
+        grads = np.stack([g.evaluate_batch(pts) for g in self._gradient(M)], axis=1).astype(np.int64)
+        g_y, g_p, g_m = grads[:n], grads[n : 2 * n], grads[2 * n :]
+        system = np.zeros((n, 4, 6), dtype=np.int64)
+        system[:, 0, 0] = st[:, 1]
+        system[:, 0, 1] = neg[st[:, 0]]
+        # the hyperplane moves toward (s1:t1) = (1:0), or (0:1) when t = 0
+        system[:, 0, 5] = np.where(st[:, 1] == 0, neg[ys[:, 0]], ys[:, 1])
+        system[:, 1, :5] = g_y
+        system[:, 2, :5] = add[g_p, neg[g_m]]
+        system[:, 3, :5] = add[add[g_p, g_m], neg[mul[2 % M.p, g_y]]]
+        reduced, ranks = rref_stack(M, system)
+        used = np.arange(4) < ranks[:, None]
+        # each used row sets the unknown at its pivot; unused rows write the right-hand slot
+        pivots = np.where(used, (reduced != 0).argmax(axis=2), 5)
+        u = np.zeros((n, 6), dtype=np.int64)
+        u[np.arange(n)[:, None], pivots] = np.where(used, reduced[:, :, 5], 0)
+        solvable = ~((pivots == 5) & used).any(axis=1)
+        return np.stack([nodes, ys, u[:, :5]], axis=1), solvable
 
     # -- the involutions j_c ----------------------------------------------------
 
@@ -574,105 +582,163 @@ class FanoSurface:
         it; a boundary line maps through the residual of its span with the
         matching ruling line (back to the node when the classes are
         conjugate, via the first-order limit on the diagonal); a disjoint
-        line maps through the residual of its span with sigma.
-        """
-        return self._involutions(c, [x])[0]
-
-    def _involutions(self, c: RulingClass, points) -> list[TorsorPoint]:
-        """:meth:`involution` at each point, in order.
-
-        Each point goes to its image or to the plane section whose residual
-        line gives the image.  The sections of all points are then solved as
-        array operations by :meth:`_section_residuals`: one stacked RREF
-        spans their planes, one batch evaluates the cubic on them, and one
-        stacked residual solve divides each by its two lines.  An error is
-        raised for the first point at which :meth:`involution` would raise
-        one.
-        """
-        if c.K is not self.L:
-            raise ValueError("the ruling class must live over the working field")
-        steps = []
-        failure = None
-        try:
-            for x in points:
-                steps.append(self._involution_step(c, x))
-        except Exception as exc:  # raised after the points before x are done
-            failure = exc
-        sections = [step[0] for step in steps if not isinstance(step, TorsorPoint)]
-        residuals = iter(self._section_residuals(self.L, sections))
-        out = []
-        for step in steps:
-            if not isinstance(step, TorsorPoint):
-                residual = next(residuals)
-                if isinstance(residual, Exception):
-                    raise residual
-                landed = self._land(residual.line)
-                if landed is None:
-                    raise step[1]
-                step = landed
-            out.append(step)
-        if failure is not None:
-            raise failure
-        return out
-
-    def _involution_step(self, c: RulingClass, x: TorsorPoint):
-        """The image of x, or the plane section whose residual line it is.
-
-        A section comes as (the section as :meth:`_section_residuals` takes
-        it, the error to raise when the residual lies in P).
+        line maps through the residual of its span with sigma.  This is the
+        one-point call of :meth:`_involution_images`.
         """
         self._check_member(x)
-        if x.kind == "node":
-            z = self.node_index[x.node]
-            out = self.tau(z, self.other_ruling(c))
-            tp = self._land(out)
-            if tp is None:
-                raise ResampleRequired("the opposite ruling line through the node lies in P")
-            return tp
-        cl = self.by_rows[x.rows]
-        if cl.tag == DISJOINT:
-            line = self.line_of(x)
-            m = self.sigma(line, c)
-            section = (line.rows + m.rows, line, m, "a disjoint line and the ruling line meeting it span a plane")
-            return section, InternalInconsistency("the residual of a disjoint-line span cannot lie in P")
-        # boundary line through a node
-        z_amb = cl.meets_at
-        z = self.node_index[z_amb]
-        d = self.ruling_of(cl)
-        if d.key == self.other_ruling(c).key:
-            return TorsorPoint("node", node=z_amb)
-        off_torsor = ResampleRequired("the residual through the node lands on an excluded in-plane line")
-        return self._psi_section(z, c, d), off_torsor
+        (out,) = self._involution_images([c], np.array([self._arrays.torsor_index[x]]))
+        if isinstance(out, Exception):
+            raise out
+        return self.torsor_set.points[out[0]]
 
-    def _land(self, line: ProjectiveLine) -> TorsorPoint | None:
-        """Classify an operator output into the torsor-ready set.
+    def j_tables(self) -> dict:
+        """Every class's involution as an index array over the torsor-ready set.
 
-        Returns None when the value lies inside P (the contracted locus);
-        the caller decides whether that is excluded or inconsistent.
+        Maps each class key to its array (point i goes to point perm[i]) or
+        to the error :meth:`j_perm` raises for the class.  The classes not
+        yet built are built in one stacked pass.
         """
-        cl = self.classified(line)
-        if self._carries_torsor_point(cl):
-            return TorsorPoint("line", rows=cl.line.rows)
-        if cl.tag == MEETS_PLANE:
-            raise InternalInconsistency("an involution output meets P away from every node")
-        return None
+        todo = [c for c in self.curve_points if c.key not in self._j_perms]
+        for c, out in zip(todo, self._involution_images(todo, np.arange(len(self.torsor_set)))):
+            self._j_perms[c.key] = out if isinstance(out, Exception) else _checked_involution(out)
+        return self._j_perms
+
+    def j_perm(self, c: RulingClass) -> np.ndarray:
+        """One class's involution as an index array: the one-class call of :meth:`j_tables`."""
+        out = self._j_perms.get(c.key)
+        if out is None:
+            (out,) = self._involution_images([c], np.arange(len(self.torsor_set)))
+            out = self._j_perms[c.key] = out if isinstance(out, Exception) else _checked_involution(out)
+        if isinstance(out, Exception):
+            raise out.with_traceback(None)
+        return out
 
     def j_table(self, c: RulingClass) -> dict[TorsorPoint, TorsorPoint]:
         """The involution as a permutation table of the torsor-ready set."""
-        key = c.key
-        cached = self._j_tables.get(key)
-        if cached is not None:
-            return cached
-        points = self.torsor_set.points
-        table = dict(zip(points, self._involutions(c, points)))
-        image = set(table.values())
-        if len(image) != len(table):
-            raise InternalInconsistency("an involution must permute the torsor-ready set")
-        for x, y in table.items():
-            if table[y] != x:
-                raise InternalInconsistency("j_c composed with itself must be the identity")
-        self._j_tables[key] = table
+        table = self._j_dicts.get(c.key)
+        if table is None:
+            points = self.torsor_set.points
+            table = self._j_dicts[c.key] = {x: points[i] for x, i in zip(points, self.j_perm(c).tolist())}
         return table
+
+    @cached_property
+    def _arrays(self) -> "_TorsorArrays":
+        return _TorsorArrays(self)
+
+    def _involution_images(self, classes, idx: np.ndarray) -> list:
+        """The images of the torsor points ``idx`` (ascending) under each class's involution.
+
+        Per class: the torsor indices of the images, or the error
+        :meth:`involution` raises at the first point of ``idx`` that fails.
+        Every (class, point) pair is worked at once, by kind of point:
+
+        * a node goes to the line of the opposite ruling through it;
+        * a disjoint line meets the one line of c through the point where it
+          crosses c's fiber hyperplane (:func:`_crossings`), and the two
+          span a section;
+        * a boundary line through a node z, of class d, goes to z when d is
+          c's opposite; otherwise tau_z(c) and tau_z(d) span a section, or
+          for d = c the fiber tangent plane of a cone or the deformation
+          plane (:meth:`_deformation_planes`) is the section.
+
+        Ruling lines are read off the point lookup of all classes.  The
+        sections of every pair go through one :meth:`_section_residuals`
+        call, and each residual line lands in the torsor-ready set.  A
+        pair's first error is kept in place of its image; a class that fails
+        at a node is worked no further, since nodes come first.
+        """
+        arrays = self._arrays
+        look = self._rulings_over_L
+        try:
+            cls = np.array([look.position[c.key] for c in classes], dtype=np.int64)
+        except KeyError:
+            raise ValueError("the ruling class must live over the working field") from None
+        n_nodes = self.torsor_set.n_nodes
+        out = _PairOutcomes(arrays, look, len(classes), len(idx))
+
+        # nodes: the opposite ruling line through the node
+        cols = np.flatnonzero(idx < n_nodes)
+        rows, cols = np.repeat(np.arange(len(classes)), len(cols)), np.tile(cols, len(classes))
+        pts = arrays.node_coords[idx[cols]]
+        out.land(rows, cols, out.line_through(rows, cols, arrays.bar[cls[rows]], pts, *_TAU), _NODE_LINE_IN_P)
+
+        alive = np.flatnonzero((out.error < 0).all(axis=1))
+        cols = np.flatnonzero(idx >= n_nodes)
+        rows, cols = np.repeat(alive, len(cols)), np.tile(cols, len(alive))
+        c = cls[rows]
+        line = arrays.point_line[idx[cols] - n_nodes]
+        d, z = arrays.ruling[line], arrays.node_of[line]
+        to_node = (z >= 0) & (d == arrays.bar[c])
+        out.image[rows[to_node], cols[to_node]] = z[to_node]
+
+        # disjoint lines and the ruling line through their crossing point
+        on = z < 0
+        r, k, cd = rows[on], cols[on], c[on]
+        m = out.line_through(r, k, cd, _crossings(self.L, arrays.st[cd], arrays.line_rows[line[on]]), *_SIGMA)
+        sections = [_Sections(r, k, line[on], m, _SPAN_OF_DISJOINT_LINE, _DISJOINT_RESIDUAL_IN_P)]
+
+        # boundary lines: the two ruling lines through their node
+        on = (z >= 0) & ~to_node
+        r, k, cd, dd, zd = rows[on], cols[on], c[on], d[on], z[on]
+        t1 = out.line_through(r, k, cd, arrays.node_coords[zd], *_TAU)
+        t2 = out.line_through(r, k, dd, arrays.node_coords[zd], *_TAU)
+        out.fail(r, k, arrays.in_plane[t1] & arrays.in_plane[t2], _BOTH_IN_P)
+        off = cd != dd
+        sections.append(_Sections(r[off], k[off], t1[off], t2[off], _SPAN_OF_NODE_LINES, _OFF_TORSOR))
+        smooth = (cd == dd) & ~arrays.is_cone[cd] & out.ok(r, k)
+        if smooth.any():
+            r1, k1, t = r[smooth], k[smooth], t1[smooth]
+            planes, solvable = self._deformation_planes(
+                self.L, arrays.st[cd[smooth]], arrays.node_coords[zd[smooth]], arrays.line_rows[t, 0]
+            )
+            out.fail(r1, k1, ~solvable, _NO_DEFORMATION)
+            sections.append(_Sections(r1, k1, t, t, _DEFORMATION_LEAVES_LINE, _OFF_TORSOR, planes))
+        for i in np.flatnonzero((cd == dd) & arrays.is_cone[cd] & out.ok(r, k)):
+            one = np.array([i])
+            try:
+                plane = self._cone_tangent_plane(self.nodes[zd[i]][0], look.classes[cd[i]])
+            except (NotGeneral, InternalInconsistency) as exc:
+                out.fail(r[one], k[one], np.ones(1, dtype=bool), exc)
+                continue
+            spanning = np.array([plane.rows])
+            sections.append(_Sections(r[one], k[one], t1[one], t1[one], _DIAGONAL_PLANE, _OFF_TORSOR, spanning))
+
+        self._land_sections(out, [s.kept(out.ok(s.rows, s.cols)) for s in sections])
+        return out.result()
+
+    def _land_sections(self, out: "_PairOutcomes", sections: list["_Sections"]) -> None:
+        """Solve every section in one :meth:`_section_residuals` call and land each residual line."""
+        arrays = self._arrays
+        blocks = np.zeros((sum(len(s.rows) for s in sections), 4, 5), dtype=np.int64)
+        at = 0
+        for s in sections:
+            if s.spanning is None:
+                blocks[at : at + len(s.rows), :2] = arrays.line_rows[s.first]
+                blocks[at : at + len(s.rows), 2:] = arrays.line_rows[s.second]
+            else:
+                blocks[at : at + len(s.rows), :3] = s.spanning
+            at += len(s.rows)
+        residuals = iter(
+            self._section_residuals(
+                self.L,
+                blocks,
+                arrays.line_rows[np.concatenate([s.first for s in sections])],
+                arrays.line_rows[np.concatenate([s.second for s in sections])],
+                [s.message for s in sections for _ in s.rows],
+            )
+        )
+        for s in sections:
+            lines = np.zeros(len(s.rows), dtype=np.int64)
+            for j in range(len(s.rows)):
+                res = next(residuals)
+                found = None if isinstance(res, Exception) else arrays.line_index.get(res.line.rows)
+                if found is None:
+                    exc = res if isinstance(res, Exception) else _MISSING_LINE
+                    out.fail(s.rows, s.cols, np.arange(len(s.rows)) == j, exc)
+                else:
+                    lines[j] = found
+            landed = out.ok(s.rows, s.cols)
+            out.land(s.rows[landed], s.cols[landed], lines[landed], s.in_p)
 
 
 def surface_of(nf: NormalizedThreefold, k: int = 1) -> FanoSurface:
@@ -681,12 +747,210 @@ def surface_of(nf: NormalizedThreefold, k: int = 1) -> FanoSurface:
     return surface if surface is not None else FanoSurface(nf, k)
 
 
-def _gradients_of(nf: NormalizedThreefold) -> list[HomogeneousForm]:
-    return [nf.f.derivative(i) for i in range(5)]
+# the errors of the involution steps, as (type, message); _error makes the instance
+# (several lines through the point, none) of tau and sigma
+_TAU = (
+    (NotGeneral, "the node sits at a cone vertex; the node scheme is not reduced"),
+    (InternalInconsistency, "a node lies on every fiber quadric, so some ruling line passes through it"),
+)
+_SIGMA = (
+    (ResampleRequired, "the line passes through the vertex of a cone fiber"),
+    (InternalInconsistency, "a disjoint line crosses every fiber quadric in a ruled point"),
+)
+_NODE_LINE_IN_P = (ResampleRequired, "the opposite ruling line through the node lies in P")
+_MEETS_AWAY = (InternalInconsistency, "an involution output meets P away from every node")
+_MISSING_LINE = (InternalInconsistency, "a line claimed to be on Y is missing from the enumeration")
+_DISJOINT_RESIDUAL_IN_P = (InternalInconsistency, "the residual of a disjoint-line span cannot lie in P")
+_BOTH_IN_P = (ResampleRequired, "both ruling lines lie in P: the pair is in the excluded locus")
+_OFF_TORSOR = (ResampleRequired, "the residual through the node lands on an excluded in-plane line")
+_NO_DEFORMATION = (InternalInconsistency, "the ruling deforms with its fiber away from the branch points")
+
+# the InternalInconsistency messages of sections whose rows span no plane
+_SPAN_OF_DISJOINT_LINE = "a disjoint line and the ruling line meeting it span a plane"
+_SPAN_OF_NODE_LINES = "distinct lines through one node span a plane"
+_DIAGONAL_PLANE = "the limiting plane of a diagonal pair is a plane"
+_DEFORMATION_LEAVES_LINE = "the first-order deformation must leave the line"
 
 
-def _grad_at(grads: list[HomogeneousForm], pt) -> tuple:
-    return tuple(g.evaluate(pt) for g in grads)
+def _error(spec) -> Exception:
+    """A kept error as an instance to raise: itself, or made from its (type, message)."""
+    return spec if isinstance(spec, Exception) else spec[0](spec[1])
+
+
+def _checked_involution(perm: np.ndarray):
+    """perm, read-only, when it is an involutive permutation; else the error j_table raises."""
+    if len(np.unique(perm)) != len(perm):
+        return InternalInconsistency("an involution must permute the torsor-ready set")
+    if (perm[perm] != np.arange(len(perm))).any():
+        return InternalInconsistency("j_c composed with itself must be the identity")
+    perm.flags.writeable = False
+    return perm
+
+
+def _crossings(K: GF, st: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Where each line span(a, b) crosses the fiber hyperplane t*x0 = s*x1, n at once.
+
+    ``st`` holds the n parameters (s, t) and ``rows`` the (n, 2, N) rows
+    (a, b); the point is g(b)*a - g(a)*b with g(v) = t*v0 - s*v1, nonzero for
+    a line off the hyperplane, and left unnormalized.
+    """
+    add, mul, neg = K.add, K.mul, K.neg
+    s, t = st[:, 0, None], st[:, 1, None]
+    a, b = rows[:, 0], rows[:, 1]
+    ga = add[mul[t, a[:, :1]], neg[mul[s, a[:, 1:2]]]]
+    gb = add[mul[t, b[:, :1]], neg[mul[s, b[:, 1:2]]]]
+    return add[mul[gb, a], neg[mul[ga, b]]]
+
+
+# what a point lookup returns for a point on no line of the class, and on several
+NONE, SEVERAL = -1, -2
+
+
+class _RulingPoints:
+    """The points of the lines of some ruling classes over one field M, each
+    mapped to the line of its class through it.
+
+    A point at position p (``projective_reps`` order) on a line of class i
+    has the key i * #P^4(M) + p.  The keys are kept sorted, so a batch of
+    (class, point) pairs is one ``searchsorted``; the memory is the points
+    of the lines, not of P^4.
+    """
+
+    def __init__(self, M: GF, classes):
+        self.M = M
+        self.classes = list(classes)
+        self.position = {c.key: i for i, c in enumerate(self.classes)}
+        self.lines = [ln for c in self.classes for ln in c.lines]
+        self.size = count_points(M, 4)
+        pts = np.array([ln.points_array() for ln in self.lines], dtype=np.int64).reshape(len(self.lines), M.q + 1, 5)
+        owner = np.repeat(np.arange(len(self.classes)), [len(c.lines) for c in self.classes])
+        keys = owner[:, None] * self.size + point_positions(M, pts.reshape(-1, 5)).reshape(pts.shape[:2])
+        self.keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        self.line = np.where(counts == 1, first // (M.q + 1), SEVERAL)
+
+    def find(self, which: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """For class positions and nonzero points: the index into ``lines`` of the
+        one line of the class through the point, or NONE, or SEVERAL."""
+        keys = which * self.size + point_positions(self.M, pts)
+        if not len(self.keys):
+            return np.full(len(keys), NONE)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[at] == keys, self.line[at], NONE)
+
+
+class _Sections(NamedTuple):
+    """Plane sections of some (class, point) pairs of a stacked pass, one per pair.
+
+    A section holds two lines (indices into ``surface.lines``) and is
+    spanned by their rows, or by the given (n, 3, 5) ``spanning`` rows;
+    ``message`` is the ``InternalInconsistency`` of rows that span no plane
+    and ``in_p`` the error when the residual line lies in P.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    message: str
+    in_p: tuple
+    spanning: np.ndarray | None = None
+
+    def kept(self, mask: np.ndarray) -> "_Sections":
+        """The sections of the masked pairs."""
+        spanning = None if self.spanning is None else self.spanning[mask]
+        return self._replace(
+            rows=self.rows[mask], cols=self.cols[mask], first=self.first[mask], second=self.second[mask],
+            spanning=spanning,
+        )
+
+
+class _PairOutcomes:
+    """The image or the first error of each (class, point) pair of a stacked pass.
+
+    ``error[i, j]`` indexes ``errors`` (-1 for none yet); an error is kept as
+    an instance or as its (type, message), made an instance by :func:`_error`.
+    """
+
+    def __init__(self, arrays: "_TorsorArrays", look: "_RulingPoints", n_classes: int, n_points: int):
+        self.arrays, self.look = arrays, look
+        self.errors: list = []
+        self.error = np.full((n_classes, n_points), -1, dtype=np.int64)
+        self.image = np.zeros((n_classes, n_points), dtype=np.int64)
+
+    def fail(self, rows, cols, mask, exc) -> None:
+        """Keep exc as the error of the masked pairs that have none yet."""
+        rows, cols = rows[mask], cols[mask]
+        kept = self.error[rows, cols]
+        self.error[rows, cols] = np.where(kept < 0, len(self.errors), kept)
+        self.errors.append(exc)
+
+    def ok(self, rows, cols) -> np.ndarray:
+        return self.error[rows, cols] < 0
+
+    def line_through(self, rows, cols, which, pts, several, none) -> np.ndarray:
+        """The line (index into ``surface.lines``) of class ``which`` through each point."""
+        hit = self.look.find(which, pts)
+        self.fail(rows, cols, hit == SEVERAL, several)
+        self.fail(rows, cols, hit == NONE, none)
+        return self.arrays.ruling_line[np.maximum(hit, 0)]
+
+    def land(self, rows, cols, lines, in_p) -> None:
+        """Each line as the pair's image, or in_p when it lies in P."""
+        code = self.arrays.land[lines]
+        self.fail(rows, cols, code == IN_P, in_p)
+        self.fail(rows, cols, code == AWAY, _MEETS_AWAY)
+        self.image[rows, cols] = code
+
+    def result(self) -> list:
+        """Per class: its images, or the error of its first failing point."""
+        out = []
+        for error, image in zip(self.error, self.image):
+            bad = np.flatnonzero(error >= 0)
+            out.append(_error(self.errors[error[bad[0]]]) if len(bad) else image)
+        return out
+
+
+# the land code of a line that is no torsor point: inside P, or meeting P off the nodes
+IN_P, AWAY = -1, -2
+
+
+class _TorsorArrays:
+    """A surface's lines and torsor-ready set as arrays, for the stacked involution pass.
+
+    Lines are indexed as in ``surface.lines`` and classes as in
+    ``surface.curve_points``.  Per line: its rows, whether it lies in P, its
+    land code (its torsor index, IN_P or AWAY) and, for a boundary line, its
+    node's torsor index and its class.  Per class: the opposite class, the
+    fiber parameter (s, t) and whether the fiber is a cone.
+    """
+
+    def __init__(self, surface: FanoSurface):
+        lines = surface.lines
+        ts = surface.torsor_set
+        look = surface._rulings_over_L
+        self.line_index = {cl.line.rows: i for i, cl in enumerate(lines)}
+        self.line_rows = np.array([cl.line.rows for cl in lines], dtype=np.int64).reshape(len(lines), 2, 5)
+        self.in_plane = np.array([cl.tag == IN_PLANE for cl in lines], dtype=bool)
+        self.torsor_index = {x: i for i, x in enumerate(ts.points)}
+        self.node_coords = np.array([x.node for x in ts.nodes], dtype=np.int64).reshape(ts.n_nodes, 5)
+        node_at = {x.node: i for i, x in enumerate(ts.nodes)}
+        # the torsor-ready set lists its lines in the order of surface.lines
+        carries = np.array([surface._carries_torsor_point(cl) for cl in lines], dtype=bool)
+        self.land = np.where(carries, ts.n_nodes + np.cumsum(carries) - 1, IN_P)
+        self.node_of = np.full(len(lines), -1, dtype=np.int64)
+        self.ruling = np.full(len(lines), -1, dtype=np.int64)
+        for i, cl in enumerate(lines):
+            if cl.tag == MEETS_PLANE:
+                if carries[i]:
+                    self.node_of[i] = node_at[cl.meets_at]
+                    self.ruling[i] = look.position[surface.ruling_of(cl).key]
+                else:
+                    self.land[i] = AWAY
+        self.point_line = np.flatnonzero(carries)
+        self.ruling_line = np.array([self.line_index[ln.rows] for ln in look.lines], dtype=np.int64)
+        self.bar = np.array([look.position[surface.other_ruling(c).key] for c in look.classes], dtype=np.int64)
+        self.st = np.array([(c.s, c.t) for c in look.classes], dtype=np.int64).reshape(-1, 2)
+        self.is_cone = np.array([c.is_cone for c in look.classes], dtype=bool)
 
 
 # candidates completing a point of a plane to a basis

@@ -93,20 +93,6 @@ def kernel_basis(K: GF, mat) -> np.ndarray:
     return basis
 
 
-def solve(K: GF, mat, rhs) -> np.ndarray | None:
-    """One solution of mat @ x = rhs, or None when inconsistent."""
-    A = np.array(mat, dtype=np.int64)
-    b = np.array(rhs, dtype=np.int64).reshape(-1, 1)
-    R, pivots = rref(K, np.hstack([A, b]))
-    cols = A.shape[1]
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = R[r, cols]
-    return x
-
-
 def inverse_matrix(K: GF, mat) -> np.ndarray:
     A = np.array(mat, dtype=np.int64)
     n = A.shape[0]

@@ -14,9 +14,10 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import InternalInconsistency, NotOnCubic, PlaneContained
-from .forms import BinaryForm, HomogeneousForm
+from .forms import BinaryForm, HomogeneousForm, divide_by_linear, monomial_exponents
 from .gf import GF
-from .linalg import kernel_basis, rank, rref
+from .linalg import inverse_matrix, kernel_basis, mat_vec, rank, rref
+
 
 def normalize_point(K: GF, vec) -> tuple[int, ...]:
     vec = [int(x) for x in vec]
@@ -207,6 +208,23 @@ def _points_at(q: int, n: int, idx: np.ndarray) -> np.ndarray:
     return pts
 
 
+def point_positions(K: GF, pts) -> np.ndarray:
+    """The position in ``projective_reps`` order of each nonzero row of an (m, n+1) code array.
+
+    The inverse of ``_points_at``: a row is scaled so that its pivot entry
+    is 1, and its position is the start of its pivot block plus its tail
+    read in base q.
+    """
+    pts = np.asarray(pts, dtype=np.int64)
+    n = pts.shape[1] - 1
+    sizes = np.array([K.q ** (n - j) for j in range(n + 1)], dtype=np.int64)
+    pivot = (pts != 0).argmax(axis=1)
+    lead = pts[np.arange(len(pts)), pivot]
+    normed = K.mul[K.inv[lead][:, None], pts].astype(np.int64)
+    # the pivot entry adds sizes[pivot]; the block of pivot p starts at sum(sizes[:p])
+    return np.cumsum(sizes)[pivot] - 2 * sizes[pivot] + normed @ sizes
+
+
 def all_points_array(K: GF, n: int) -> np.ndarray:
     """All normalized representatives as a ((q^{n+1}-1)/(q-1), n+1) uint16 array."""
     return _points_at(K.q, n, np.arange(count_points(K, n)))
@@ -283,11 +301,42 @@ class Residual(NamedTuple):
     multiplicity: int
 
 
+# the cubic monomials of P^2, in the order of the coefficients interpolated
+# from the ten section points
+_CUBIC_EXPONENTS = tuple(monomial_exponents(3, 3))
+
+
+def _monomial_values(K: GF, pts: np.ndarray) -> np.ndarray:
+    """The ten cubic monomials at each point of an (n, 3) code array, as (n, 10) codes."""
+    out = np.ones((len(pts), len(_CUBIC_EXPONENTS)), dtype=np.uint16)
+    for m, e in enumerate(_CUBIC_EXPONENTS):
+        for i, power in enumerate(e):
+            for _ in range(power):
+                out[:, m] = K.mul[out[:, m], pts[:, i]]
+    return out
+
+
 @lru_cache(maxsize=None)
-def _plane_reps(K: GF) -> np.ndarray:
+def _section_points(K: GF) -> tuple[np.ndarray, np.ndarray]:
+    """Ten points of P^2(K) on which no nonzero ternary cubic vanishes, and the
+    inverse of their monomial matrix.
+
+    The forms vanishing on all of P^2(F_q) start in degree q + 1 >= 4, so the
+    monomial matrix of all the points has rank 10; the points are the first
+    ten in ``projective_reps`` order that raise its rank (the pivot columns
+    of its transpose).  The inverse turns ten values into the coefficients
+    of the one cubic taking them, in ``_CUBIC_EXPONENTS`` order.
+    """
     reps = all_points_array(K, 2)
-    reps.flags.writeable = False
-    return reps
+    V = _monomial_values(K, reps)
+    _, chosen = rref(K, V.T)
+    if len(chosen) != len(_CUBIC_EXPONENTS):
+        raise InternalInconsistency("the points of P^2 must separate the ternary cubics")
+    pts = reps[chosen]
+    pts.flags.writeable = False
+    inverse = inverse_matrix(K, _monomial_values(K, pts))
+    inverse.flags.writeable = False
+    return pts, inverse
 
 
 def _combine(K: GF, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -300,14 +349,14 @@ def _combine(K: GF, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def plane_section_values(cubic: HomogeneousForm, planes) -> np.ndarray:
-    """The cubic at every point of each plane, in one batch evaluation.
+    """The cubic at the ten section points of each plane, in one batch evaluation.
 
     ``planes`` is an (n, 3, N) array of canonical plane bases B_i.  Row i
-    holds the values at the points y B_i, y running over
-    ``projective_reps(K, 2)``.
+    holds the values at the points y B_i, y running over the ten points of
+    ``_section_points``, which pin a cubic on the plane.
     """
     K = cubic.K
-    reps = _plane_reps(K)
+    reps = _section_points(K)[0]
     planes = np.asarray(planes, dtype=np.uint16)
     if not len(planes):
         return np.zeros((0, len(reps)), dtype=np.uint16)
@@ -370,20 +419,22 @@ def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
 
     ``planes`` is an (n, 3, N) array of canonical plane bases, ``firsts`` and
     ``seconds`` hold the (n, 2, N) rows of the two lines in each plane, and
-    ``values`` is the (n, #P^2(F_q)) block :func:`plane_section_values`
-    returns for the planes.  Every step below runs on all n rows at once:
+    ``values`` is the (n, 10) block :func:`plane_section_values` returns for
+    the planes, the cubic at the ten section points.  No nonzero ternary
+    cubic vanishes on those points, so neither does one vanishing on L, M and
+    a third line; hence at least three non-collinear section points lie off
+    L and M.  Every step below runs on all n rows at once:
 
     * In plane coordinates (the pivot-slot entries) ell_L and ell_M are the
       cross products of the lines' rows.
     * Off L and M, c * ell_N equals f / (ell_L * ell_M), so three
       independent points there give it by Cramer's rule: the first two
-      points off L and M and the first one off the line joining them
-      (q^2 - q > q + 1 points are off L and M).
-    * The identity f = c * ell_L * ell_M * ell_N is verified at every point
-      of P^2(F_q); for q >= 3 no nonzero ternary cubic vanishes on all of
-      them, so this pins the section exactly.  When it fails, the section
-      misses L (a binary cubic with q + 1 >= 4 zeros on L is zero) or else
-      is not divisible by ell_M after ell_L.
+      section points off L and M and the first one off the line joining them.
+    * The identity f = c * ell_L * ell_M * ell_N is verified at the ten
+      points, which pins the section exactly.  A row where it fails is
+      interpolated from its ten values and divided by ell_L: the section
+      misses L when that division fails, and is not divisible by ell_M
+      after ell_L otherwise.
     * The multiplicity counts the factors proportional to ell_N, and N's
       canonical rows are read off ell_N.
 
@@ -401,15 +452,14 @@ def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
     lines = np.concatenate([np.asarray(firsts, dtype=np.uint16), np.asarray(seconds, dtype=np.uint16)], axis=1)
     add, mul, neg, inv = K.add, K.mul, K.neg, K.inv
     at = np.arange(n)
-    reps = _plane_reps(K)
+    reps = _section_points(K)[0]
 
     # plane coordinates of the four line rows, checked to embed back
     coords = np.take_along_axis(lines, (planes != 0).argmax(axis=2)[:, None, :], axis=2)
     in_plane = (_combine(K, coords, planes.transpose(1, 0, 2)[:, :, None, :]) == lines).all(axis=(1, 2))
     ell_L = _cross(K, coords[:, 0], coords[:, 1])
     ell_M = _cross(K, coords[:, 2], coords[:, 3])
-    on_L = _dot(K, ell_L[:, None, :], reps)
-    both = mul[on_L, _dot(K, ell_M[:, None, :], reps)]
+    both = mul[_dot(K, ell_L[:, None, :], reps), _dot(K, ell_M[:, None, :], reps)]
 
     # three independent points off L and M
     off = both != 0
@@ -429,7 +479,6 @@ def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
     )
     ell_N = mul[inv[_dot(K, joining, p3)][:, None], add[add[terms[0], terms[1]], terms[2]]]
     holds = (values == mul[both, _dot(K, ell_N[:, None, :], reps)]).all(axis=1)
-    misses_L = ((on_L == 0) & (values != 0)).any(axis=1)
 
     n_norm = _normalized(K, ell_N)
     multiplicity = 1 + (_normalized(K, ell_L) == n_norm).all(axis=1) + (_normalized(K, ell_M) == n_norm).all(axis=1)
@@ -447,27 +496,39 @@ def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
     ]
 
     out = []
-    for contained, inside, ok, first_missed, nonzero, mult, rows in zip(
-        (~values.any(axis=1)).tolist(),
-        in_plane.tolist(),
-        holds.tolist(),
-        misses_L.tolist(),
-        ell_N.any(axis=1).tolist(),
-        multiplicity.tolist(),
-        kernel.tolist(),
+    for i, (contained, inside, ok, nonzero, mult, rows) in enumerate(
+        zip(
+            (~values.any(axis=1)).tolist(),
+            in_plane.tolist(),
+            holds.tolist(),
+            ell_N.any(axis=1).tolist(),
+            multiplicity.tolist(),
+            kernel.tolist(),
+        )
     ):
         if contained:
             out.append(PlaneContained("plane lies entirely on the cubic"))
         elif not inside:
             out.append(ValueError("point does not lie in the subspace"))
         elif not ok:
-            which = "first" if first_missed else "second"
+            which = "second" if _divides(K, values[i], ell_L[i]) else "first"
             out.append(NotOnCubic(which + " line is not on the cubic section"))
         elif not nonzero:
             out.append(InternalInconsistency("cubic divided by two linear forms must leave a linear form"))
         else:
             out.append(Residual(ProjectiveLine(K, tuple(map(tuple, rows)), _trusted=True), mult))
     return out
+
+
+def _divides(K: GF, values: np.ndarray, ell: np.ndarray) -> bool:
+    """Whether a linear form divides the ternary cubic taking these values at the section points."""
+    coeffs = mat_vec(K, _section_points(K)[1], values)
+    section = HomogeneousForm(K, 3, 3, {e: int(c) for e, c in zip(_CUBIC_EXPONENTS, coeffs) if c})
+    try:
+        divide_by_linear(section, ell)
+    except ValueError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

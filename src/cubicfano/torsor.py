@@ -154,12 +154,14 @@ class TorsorGroup:
 
     def _scan_letters(self) -> None:
         # a usable letter needs tables for the class and its conjugate: acting
-        # on the + copy looks up j of the conjugate, on the - copy j itself
+        # on the + copy looks up j of the conjugate, on the - copy j itself;
+        # the tables of every class come from one stacked pass
+        self.surface.j_tables()
         usable, excluded = [], []
         for c in self.surface.curve_points:
             try:
-                self.surface.j_table(c)
-                self.surface.j_table(self.surface.other_ruling(c))
+                self.surface.j_perm(c)
+                self.surface.j_perm(self.surface.other_ruling(c))
             except ResampleRequired:
                 excluded.append(c)
                 continue
@@ -183,18 +185,13 @@ class TorsorGroup:
     def _perm_of(self, c: RulingClass) -> np.ndarray:
         """The permutation the letter (c, +1) induces, as an index array.
 
-        On the + copy it is -j_{cbar}, on the - copy j_c.
+        On the + copy it is -j_{cbar}, on the - copy j_c; both are read off
+        the surface's index arrays, whose point i is universe point i.
         """
         perm = self._letter_perms.get(c.key)
         if perm is None:
-            plus = self.points[: len(self.points) // 2]
-
-            def on_plus(d):
-                table = self.surface.j_table(d)
-                return [self.index[SignedTorsorPoint(table[x.point], +1)] for x in plus]
-
-            perm = np.array(on_plus(self.surface.other_ruling(c)) + on_plus(c), dtype=np.intp)
-            perm[: len(plus)] += len(plus)
+            n = len(self.points) // 2
+            perm = np.concatenate([self.surface.j_perm(self.surface.other_ruling(c)) + n, self.surface.j_perm(c)])
             self._letter_perms[c.key] = perm
         return perm
 

@@ -8,12 +8,20 @@ code against these.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from cubicfano.errors import InternalInconsistency, NeedsExtension, NotGeneral, NotOnCubic, PlaneContained
-from cubicfano.fano import TorsorPoint
+from cubicfano.errors import (
+    InternalInconsistency,
+    NeedsExtension,
+    NotGeneral,
+    NotOnCubic,
+    PlaneContained,
+    ResampleRequired,
+)
+from cubicfano.fano import DISJOINT, MEETS_PLANE, TorsorPoint
 from cubicfano.forms import HomogeneousForm, divide_by_linear
 from cubicfano.linalg import kernel_basis, mat_mul, mat_vec, rank, rref
 from cubicfano.pencil import (
@@ -24,9 +32,11 @@ from cubicfano.pencil import (
     rulings_of_fiber,
 )
 from cubicfano.projective import (
+    LinearSubspace,
     ProjectiveLine,
     ProjectivePoint,
     Residual,
+    all_points_array,
     binary_quadratic,
     common_zeros,
     complete_to_basis,
@@ -35,6 +45,7 @@ from cubicfano.projective import (
     normalize_point,
     projective_reps,
     root_directions,
+    span,
 )
 from cubicfano.torsor import DivisorWord, SignedTorsorPoint
 
@@ -610,3 +621,216 @@ def sum_by_dicts(G, s, t, escalate=True):
         G.index[_map_point(big.points[big_perm[big.index[_map_point(x, up)]]], down)] for x in G.points
     )
     return tag, perm, word
+
+
+# ---------------------------------------------------------------------------
+# the involution tables one point at a time
+# ---------------------------------------------------------------------------
+
+
+def solve(K, mat, rhs):
+    """One solution of mat @ x = rhs with its free unknowns zero, or None when inconsistent."""
+    A = np.array(mat, dtype=np.int64)
+    b = np.array(rhs, dtype=np.int64).reshape(-1, 1)
+    R, pivots = rref(K, np.hstack([A, b]))
+    cols = A.shape[1]
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    for r, c in enumerate(pivots):
+        x[c] = R[r, cols]
+    return x
+
+
+def _lines_through(c):
+    """Each point of the lines of a ruling class, mapped to the lines through it."""
+    found = {}
+    for ln in c.lines:
+        for pt in ln.points_array().tolist():
+            found.setdefault(tuple(pt), []).append(ln)
+    return found
+
+
+def _tau(surf, through, z_amb, c):
+    hits = through[c.key].get(z_amb, [])
+    if len(hits) == 1:
+        return hits[0]
+    if len(hits) > 1:
+        raise NotGeneral("the node sits at a cone vertex; the node scheme is not reduced")
+    raise InternalInconsistency("a node lies on every fiber quadric, so some ruling line passes through it")
+
+
+def _sigma(surf, through, line, c):
+    K = surf.L
+    a, b = line.rows
+    ga = K.sub_(K.mul_(c.t, a[0]), K.mul_(c.s, a[1]))
+    gb = K.sub_(K.mul_(c.t, b[0]), K.mul_(c.s, b[1]))
+    crossing = normalize_point(K, [K.sub_(K.mul_(gb, x), K.mul_(ga, y)) for x, y in zip(a, b)])
+    hits = through[c.key].get(crossing, [])
+    if len(hits) > 1:
+        raise ResampleRequired("the line passes through the vertex of a cone fiber")
+    if not hits:
+        raise InternalInconsistency("a disjoint line crosses every fiber quadric in a ruled point")
+    return hits[0]
+
+
+def _deformation_plane_by_solve(surf, z_amb, c, tau_line):
+    """The limiting plane of a diagonal pair, from one scalar linear solve."""
+    M = surf.L
+    y = next((pt.coords for pt in tau_line.points() if (pt.coords[0], pt.coords[1]) != (0, 0)), None)
+    if y is None:
+        raise ResampleRequired("the ruling line lies in P; the diagonal pair is excluded there")
+    s0, t0 = c.s, c.t
+    s1, t1 = (0, 1) if t0 == 0 else (1, 0)
+    grads = [surf.nf.f.derivative(i) for i in range(5)]
+
+    def grad_at(pt):
+        return tuple(g.evaluate(pt) for g in grads)
+
+    g_y = grad_at(y)
+    g_p = grad_at(tuple(M.add_(a, b) for a, b in zip(z_amb, y)))
+    g_m = grad_at(tuple(M.sub_(a, b) for a, b in zip(z_amb, y)))
+    two = 2 % M.p
+    eq_rows = [
+        [t0 if i == 0 else (M.neg_(s0) if i == 1 else 0) for i in range(5)],
+        list(g_y),
+        [M.sub_(a, b) for a, b in zip(g_p, g_m)],
+        [M.sub_(M.add_(a, b), M.mul_(two, gy)) for a, b, gy in zip(g_p, g_m, g_y)],
+    ]
+    rhs = [M.neg_(M.sub_(M.mul_(t1, y[0]), M.mul_(s1, y[1]))), 0, 0, 0]
+    u = solve(M, np.array(eq_rows, dtype=np.int64), np.array(rhs, dtype=np.int64))
+    if u is None:
+        raise InternalInconsistency("the ruling deforms with its fiber away from the branch points")
+    S = span(M, z_amb, y, tuple(int(x) for x in u))
+    if S.dim != 2:
+        raise InternalInconsistency("the first-order deformation must leave the line")
+    return S
+
+
+def _residual_by_division(surf, rows, first, second, message):
+    """The residual line of a section by symbolic division, InternalInconsistency when the rows span no plane."""
+    plane = LinearSubspace(surf.L, np.array(rows, dtype=np.int64))
+    if plane.dim != 2:
+        raise InternalInconsistency(message)
+    return residual_line_symbolic(surf.nf.f, plane, first, second)
+
+
+def _land(surf, line):
+    cl = surf.classified(line)
+    if cl.tag == DISJOINT or (cl.tag == MEETS_PLANE and cl.meets_at in surf.node_index):
+        return TorsorPoint("line", rows=cl.line.rows)
+    if cl.tag == MEETS_PLANE:
+        raise InternalInconsistency("an involution output meets P away from every node")
+    return None
+
+
+def involution_by_step(surf, c, x, through=None):
+    """j_c(x) for one point: node, disjoint line, or boundary line.
+
+    ``through`` maps each class key to :func:`_lines_through` of the class;
+    it is built when not given.
+    """
+    if through is None:
+        through = {d.key: _lines_through(d) for d in surf.curve_points}
+    bar = surf.other_ruling(c)
+    if x.kind == "node":
+        tp = _land(surf, _tau(surf, through, x.node, bar))
+        if tp is None:
+            raise ResampleRequired("the opposite ruling line through the node lies in P")
+        return tp
+    cl = surf.by_rows[x.rows]
+    if cl.tag == DISJOINT:
+        m = _sigma(surf, through, cl.line, c)
+        res = _residual_by_division(
+            surf, cl.line.rows + m.rows, cl.line, m, "a disjoint line and the ruling line meeting it span a plane"
+        )
+        landed = _land(surf, res.line)
+        if landed is None:
+            raise InternalInconsistency("the residual of a disjoint-line span cannot lie in P")
+        return landed
+    d = surf.ruling_of(cl)
+    if d.key == bar.key:
+        return TorsorPoint("node", node=cl.meets_at)
+    z = surf.node_index[cl.meets_at]
+    t1 = _tau(surf, through, cl.meets_at, c)
+    t2 = _tau(surf, through, cl.meets_at, d)
+    in_p = [not any(row[i] for row in t.rows for i in (0, 1)) for t in (t1, t2)]
+    if all(in_p):
+        raise ResampleRequired("both ruling lines lie in P: the pair is in the excluded locus")
+    if c.key == d.key:
+        if c.is_cone:
+            S = surf._cone_tangent_plane(z, c)
+        else:
+            S = _deformation_plane_by_solve(surf, cl.meets_at, c, t1)
+        res = _residual_by_division(surf, S.rows, t1, t1, "the limiting plane of a diagonal pair is a plane")
+    else:
+        res = _residual_by_division(surf, t1.rows + t2.rows, t1, t2, "distinct lines through one node span a plane")
+    landed = _land(surf, res.line)
+    if landed is None:
+        raise ResampleRequired("the residual through the node lands on an excluded in-plane line")
+    return landed
+
+
+def involution_tables_by_steps(surf):
+    """Every class's j table point by point, each section divided symbolically.
+
+    Maps each class key to its table (a dict) or, when a point fails, to the
+    (type name, message) of the error at the first failing point in torsor
+    order; a table that is not an involutive permutation maps to the
+    ``InternalInconsistency`` the package raises.
+    """
+    through = {c.key: _lines_through(c) for c in surf.curve_points}
+    out = {}
+    for c in surf.curve_points:
+        try:
+            table = {x: involution_by_step(surf, c, x, through) for x in surf.torsor_set.points}
+        except Exception as exc:
+            out[c.key] = (type(exc).__name__, str(exc))
+            continue
+        if len(set(table.values())) != len(table):
+            out[c.key] = ("InternalInconsistency", "an involution must permute the torsor-ready set")
+        elif any(table[y] != x for x, y in table.items()):
+            out[c.key] = ("InternalInconsistency", "j_c composed with itself must be the identity")
+        else:
+            out[c.key] = table
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the lines of a fourfold in closed form
+# ---------------------------------------------------------------------------
+
+
+def fourfold_points_by_double_plane(nx, d):
+    """#X(F_Q), Q = q^d, from the double plane w^2 = D(s, t, u) of the plane discriminant.
+
+    Projecting from the plane P fibers the blow-up of X along P in quadric
+    surfaces over P^2: the one over u has Q^2 + 1 + Q(1 + chi(D(u))) points
+    (split, nonsplit, or a cone over the sextic; a smooth sextic leaves no
+    lower rank), and each point of P lies on the fibers over one line of P^2.
+    So #X = sum_u #Q_u - Q #P^2 = Q^4 + Q^2 + 1 + Q #{w^2 = D}.
+    """
+    L = nx.K.extension(d)
+    values = nx.discriminant.form.embedded(L).evaluate_batch(all_points_array(L, 2))
+    chi = np.where(values == 0, 0, np.where(L.sqrt_table[values] >= 0, 1, -1))
+    double_plane = int((1 + chi).sum())
+    Q = L.q
+    return Q**4 + Q**2 + 1 + Q * double_plane
+
+
+def lines_by_galkin_shinder(nx, n=4):
+    """#F(X)(F_q) from [X^[2]] = [P^n][X] + L^2 [F(X)] with n = dim X = 4, as a Fraction.
+
+    Counting points: the Hilbert square X^[2] is the symmetric square,
+    (N1^2 + N2) / 2 points, with its diagonal of N1 points replaced by the
+    projectivized tangent bundle, N1 #P^(n-1) points; N1 and N2 are the
+    points of X over F_q and F_{q^2}.  Another n gives the wrong count.
+    """
+    q = nx.K.q
+    n1, n2 = fourfold_points_by_double_plane(nx, 1), fourfold_points_by_double_plane(nx, 2)
+
+    def projective_space(m):
+        return sum(q**i for i in range(m + 1))
+
+    hilbert_square = (n1 * n1 + n2) // 2 + n1 * (projective_space(n - 1) - 1)
+    return Fraction(hilbert_square - projective_space(n) * n1, q * q)

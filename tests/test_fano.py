@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from cubicfano import fano
 from cubicfano.errors import (
     InternalInconsistency,
     InvalidInput,
@@ -28,6 +29,7 @@ from cubicfano.fano import (
     surface_of,
     verify_intersection_numbers,
 )
+from cubicfano.forms import HomogeneousForm
 from cubicfano.gf import field
 from cubicfano.linalg import inverse_matrix, mat_mul, rank
 from cubicfano.pencil import pencil_fibers, rulings_of_fiber
@@ -40,8 +42,14 @@ from cubicfano.projective import (
     span,
 )
 from cubicfano.threefold import compute_Z, normalize, random_general_threefold, random_threefold_through_plane
+from cubicfano.torsor import TorsorGroup, torsor_group
 
-from reference_impl import line_count_by_point_counts, plane_line_fiber_by_minors
+from reference_impl import (
+    involution_by_step,
+    involution_tables_by_steps,
+    line_count_by_point_counts,
+    plane_line_fiber_by_minors,
+)
 from test_pencil import general_example
 
 
@@ -429,6 +437,80 @@ def _j_table_digest(surf):
 def test_j_tables_are_pinned(p, seed, k):
     surf = FanoSurface(seeded_example(p, seed), k)
     assert _j_table_digest(surf) == PINNED_J_TABLES[(p, seed, k)]
+
+
+# the group-law seeds over F_3 (refusals, escalations and none) at k = 1 and 2,
+# and three seeds over F_5 and F_7
+ORACLE_CASES = [(3, seed, k) for seed in (1, 2, 4, 5, 6, 28, 29) for k in (1, 2)] + [
+    (p, seed, 1) for p in (5, 7) for seed in range(3)
+]
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _scan_by_outcomes(surf, outcomes):
+    """The excluded letters the letter scan finds from the given table outcomes, or its error."""
+    excluded = []
+    for c in surf.curve_points:
+        for d in (c, surf.other_ruling(c)):
+            out = outcomes[d.key]
+            if isinstance(out, tuple):
+                if out[0] != "ResampleRequired":
+                    return out
+                excluded.append(c.key)
+                break
+    if len(excluded) == len(surf.curve_points):
+        return "ResampleRequired", "every ruling class hits the excluded locus"
+    return excluded
+
+
+@pytest.mark.parametrize("p, seed, k", ORACLE_CASES)
+def test_stacked_tables_match_the_per_point_oracle(p, seed, k):
+    # the tables of all classes in one pass (through the letter scan), and
+    # one class at a time on a second surface, against the per-point steps
+    nf = seeded_example(p, seed)
+    surf = FanoSurface(nf, k)
+    expected = involution_tables_by_steps(surf)
+    if nf.Z.reduced:
+        group = TorsorGroup(surf)
+        scanned = _outcome(lambda: [c.key for c in group.excluded_letters])
+        assert scanned == _scan_by_outcomes(surf, expected)
+    else:
+        surf.j_tables()
+    single = FanoSurface(nf, k)
+    for c in surf.curve_points:
+        assert _outcome(surf.j_table, c) == expected[c.key]
+        assert _outcome(single.j_table, c) == expected[c.key]
+    # the one-point call, at every point of the first class
+    c = surf.curve_points[0]
+    for x in surf.torsor_set.points:
+        assert _outcome(surf.involution, c, x) == _outcome(involution_by_step, surf, c, x)
+
+
+def test_the_extension_letter_scan_solves_every_section_at_once(monkeypatch):
+    # seed 2 escalates to F_9; its letter scan sends the sections of every
+    # class through one section evaluation and one residual solve, and
+    # builds the five gradient forms once, not per point
+    G = torsor_group(seeded_example(3, 2)).extension_group()
+    calls = {"plane_section_values": 0, "residual_from_values": 0, "derivative": 0}
+
+    def spy(name, inner):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return counted
+
+    for name in ("plane_section_values", "residual_from_values"):
+        monkeypatch.setattr(fano, name, spy(name, getattr(fano, name)))
+    monkeypatch.setattr(HomogeneousForm, "derivative", spy("derivative", HomogeneousForm.derivative))
+    assert len(G.letters) > 1
+    assert calls == {"plane_section_values": 1, "residual_from_values": 1, "derivative": 5}
 
 
 def test_excluded_letters_raise_resample():

@@ -23,14 +23,26 @@ from cubicfano.fourfold import (
 )
 from cubicfano.gf import field
 from cubicfano.pencil import discriminant
-from cubicfano.projective import LinearSubspace, projective_reps, span
+from cubicfano.projective import LinearSubspace, common_zeros, projective_reps, span
 from cubicfano.threefold import certify_generality, compute_Z, plane_basis
 
-from reference_impl import lines_on_fourfold
+from reference_impl import fourfold_points_by_double_plane, lines_by_galkin_shinder, lines_on_fourfold
 
 
 def seeded_fourfold(seed):
     return random_general_fourfold(field(3), random.Random(seed))
+
+
+@pytest.mark.parametrize("seed, n_lines", [(0, 181), (1, 150), (2, 208), (3, 127)])
+def test_line_count_matches_the_galkin_shinder_closed_form(seed, n_lines):
+    # the sieved lines against the count read off #X over F_3 and F_9, which
+    # come from the double plane of the plane discriminant; the relation of
+    # a threefold (P^2 and P^3 in place of P^3 and P^4) misses
+    nx = seeded_fourfold(seed)
+    assert fourfold_points_by_double_plane(nx, 1) == sum(1 for _ in common_zeros([nx.f]))
+    assert len(lines_on_fourfold(nx)) == n_lines
+    assert lines_by_galkin_shinder(nx) == n_lines
+    assert lines_by_galkin_shinder(nx, 3) != n_lines
 
 
 @pytest.mark.parametrize("seed", [0, 1])

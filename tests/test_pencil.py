@@ -9,7 +9,7 @@ from cubicfano import fano, pencil, projective
 from cubicfano.errors import InternalInconsistency, NotGeneral
 from cubicfano.forms import HomogeneousForm
 from cubicfano.gf import field
-from cubicfano.linalg import det, rank, rref, solve
+from cubicfano.linalg import det, rank, rref
 from cubicfano.pencil import (
     HyperellipticModel,
     PencilFiber,
@@ -27,7 +27,7 @@ from cubicfano.pencil import (
 from cubicfano.projective import ProjectiveLine, _canonical_rows, enumerate_lines, projective_reps
 from cubicfano.threefold import random_threefold_through_plane
 
-from reference_impl import pencil_quadric, quadric_of_matrix, rulings_by_tangent_conics
+from reference_impl import pencil_quadric, quadric_of_matrix, rulings_by_tangent_conics, solve
 from test_threefold import make_nf
 
 

@@ -11,7 +11,7 @@ from cubicfano import projective
 from cubicfano.forms import HomogeneousForm, monomial_exponents, random_form
 from cubicfano.fourfold import _singular_point_scan, normalize_fourfold
 from cubicfano.gf import field
-from cubicfano.linalg import inverse_matrix, kernel_basis, mat_mul, rref, rref_stack
+from cubicfano.linalg import inverse_matrix, kernel_basis, mat_mul, rank, rref, rref_stack
 from cubicfano.errors import NotOnCubic, PlaneContained
 from cubicfano.projective import (
     LinearSubspace,
@@ -449,6 +449,56 @@ def test_residual_line_matches_the_symbolic_oracle(p, k):
     assert ("PlaneContained", "plane lies entirely on the cubic") in seen
     assert ("NotOnCubic", "first line is not on the cubic section") in seen
     assert ("NotOnCubic", "second line is not on the cubic section") in seen
+
+
+def _cubic_monomials_at(K, pt):
+    return [HomogeneousForm(K, 3, 3, {e: 1}).evaluate(pt) for e in monomial_exponents(3, 3)]
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3), (3, 4)])
+def test_the_ten_section_points_pin_every_cubic(p, k):
+    # no nonzero ternary cubic vanishes on the ten points: their monomial
+    # matrix is invertible, and the kept inverse interpolates
+    K = field(p, k)
+    pts, inverse = projective._section_points(K)
+    assert len({tuple(pt) for pt in pts.tolist()}) == 10
+    assert all(tuple(pt) == normalize_point(K, pt) for pt in pts.tolist())
+    V = np.array([_cubic_monomials_at(K, pt) for pt in pts.tolist()], dtype=np.int64)
+    assert rank(K, V) == 10
+    assert (mat_mul(K, inverse, V) == np.eye(10, dtype=np.int64)).all()
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_a_cubic_off_the_factored_section_at_one_point_is_caught(p, k):
+    # c * ell_L * ell_M * ell_N plus a cubic vanishing on nine of the ten
+    # section points differs from the factored section at the tenth alone;
+    # the residual solve must see it there, as the symbolic division does
+    K = field(p, k)
+    rng = random.Random(10 * p + k)
+    pts = projective._section_points(K)[0].tolist()
+    outcomes = set()
+    for j in range(10):
+        _, plane, L, M = _random_section_case(K, rng, "generic")
+        others = np.array([_cubic_monomials_at(K, pt) for i, pt in enumerate(pts) if i != j], dtype=np.int64)
+        (lagrange,) = kernel_basis(K, others)
+        # the plane's reduced rows make x at its pivot columns the plane coordinates
+        pivots = [next(i for i, x in enumerate(row) if x) for row in plane.rows]
+        terms = {}
+        for e, c in zip(monomial_exponents(3, 3), lagrange.tolist()):
+            if c:
+                ambient = [0] * 5
+                for pivot, power in zip(pivots, e):
+                    ambient[pivot] = power
+                terms[tuple(ambient)] = c
+        lam_L, lam_M, lam_N = (
+            _form_on(K, rng, line.rows, plane)
+            for line in (L, M, line_in_plane_from_linear_form(plane, [K.random_element(rng), 1, 1]))
+        )
+        cubic = lam_L.times(lam_M).times(lam_N).plus(HomogeneousForm(K, 5, 3, terms))
+        got = _residual_outcome(residual_line, cubic, plane, L, M)
+        assert got == _residual_outcome(residual_line_symbolic, cubic, plane, L, M)
+        outcomes.add(got[0])
+    assert outcomes == {"NotOnCubic"}
 
 
 # ---------------------------------------------------------------------------
