@@ -340,55 +340,6 @@ def _poly_gcd_monic(K: GF, a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _poly_sub(K: GF, a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _poly_trim([K.sub_(x, y) for x, y in zip(a, b)])
-
-
-def _poly_mulmod(K: GF, a: list[int], b: list[int], m: list[int]) -> list[int]:
-    """a * b modulo m."""
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = K.add_(prod[i + j], K.mul_(x, y))
-    return _poly_divmod(K, prod, m)[1]
-
-
-def _poly_powmod(K: GF, a: list[int], e: int, m: list[int]) -> list[int]:
-    """a^e modulo m (deg m >= 1), by square and multiply."""
-    result, base = [1], _poly_divmod(K, a, m)[1]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(K, result, base, m)
-        e >>= 1
-        if e:
-            base = _poly_mulmod(K, base, base, m)
-    return result
-
-
-def _split_linear(L: GF, h: list[int]) -> list[int]:
-    """The roots of a monic h that is a product of distinct linear factors over L.
-
-    Cantor-Zassenhaus: (t + a)^((|L|-1)/2) is 1 at the roots x with x + a a
-    nonzero square and not 1 at the others, so gcd(h, (t + a)^((|L|-1)/2) - 1)
-    splits h for about half of all a.  The shifts are tried in the fixed
-    order a = 0, 1, 2, ...; some shift splits any two distinct roots.
-    """
-    if len(h) < 3:
-        return [L.neg_(h[0])] if len(h) == 2 else []
-    half = (L.q - 1) // 2
-    for a in range(L.q):
-        g = _poly_gcd_monic(L, h, _poly_sub(L, _poly_powmod(L, [a, 1], half, h), [1]))
-        if 1 < len(g) < len(h):
-            return _split_linear(L, g) + _split_linear(L, _poly_divmod(L, h, g)[0])
-    raise InternalInconsistency("no shift splits a product of distinct linear factors")
-
-
 class BinaryForm:
     """Homogeneous binary form; coeffs[i] is the coefficient of s^(d-i) t^i."""
 
@@ -471,10 +422,6 @@ class BinaryForm:
         d = self.degree
         return BinaryForm(K, d - 1, [K.mul_(self.coeffs[i + 1], (i + 1) % K.p) for i in range(d)])
 
-    def dehomogenized(self) -> list[int]:
-        """f(1, t) as an ascending coefficient list (possibly shorter than d+1)."""
-        return _poly_trim(list(self.coeffs))
-
     def gcd(self, other: "BinaryForm") -> "BinaryForm":
         """Monic gcd as a binary form (degree 0 form when coprime)."""
         K = self.K
@@ -519,66 +466,33 @@ class BinaryForm:
         """Roots in P^1(F_{q^extension}) as ((s, t) big-field codes, multiplicity).
 
         Finite points come first ordered by t code, the point (0, 1) last.
-        The finite roots are found by factoring u = f(1, t) over
-        L = F_{q^extension}, without scanning L: h = gcd(u, t^|L| - t) is the
-        product of the distinct linear factors of u, which Cantor-Zassenhaus
-        splitting (:func:`_split_linear`) separates.  A root's multiplicity is
-        the number of times t - x divides u.
+        u = f(1, t) is evaluated at every code x of L = F_{q^extension} at
+        once, by one Horner pass of gathers from L's addition and
+        multiplication tables; a root's multiplicity is the number of times
+        t - x divides u, by synthetic division.
         """
         if self.is_zero:
             raise ValueError("every point is a root of the zero form")
         K = self.K
         L = K.extension(extension)
         u = _poly_trim(list(K.lift(self.coeffs, L)))
+        xs = np.arange(L.q)
+        values = np.zeros(L.q, dtype=np.uint16)
+        for c in reversed(u):
+            values = L.add[L.mul[values, xs], c]
         out = []
-        if len(u) > 1:
-            h = _poly_gcd_monic(L, u, _poly_sub(L, _poly_powmod(L, [0, 1], L.q, u), [0, 1]))
-            for x in sorted(_split_linear(L, h)):
-                mult, poly = 0, u
-                while True:
-                    quot, rem = _poly_divmod(L, poly, [L.neg_(x), 1])
-                    if rem:
-                        break
-                    mult, poly = mult + 1, quot
-                out.append(((1, x), mult))
+        for x in np.flatnonzero(values == 0).tolist():
+            mult, poly = 0, u
+            while True:
+                quot, rem = _poly_divmod(L, poly, [L.neg_(x), 1])
+                if rem:
+                    break
+                mult, poly = mult + 1, quot
+            out.append(((1, x), mult))
         inf_mult = self.degree - (len(u) - 1)
         if inf_mult:
             out.append(((0, 1), inf_mult))
         return out
-
-    def distinct_degree_split(self) -> dict[int, "BinaryForm"]:
-        """For each d, the monic factor of f whose points all have exact degree d over K.
-
-        Only the degrees that occur are keys, in increasing order; the point
-        (0:1) counts as degree 1.  Each factor keeps the multiplicities of f,
-        so ``split[d].roots(extension=d)`` lists the points of f of exact
-        degree d with their multiplicities.  Distinct-degree factorization:
-        once the factors of degree < d are divided out of u = f(1, t),
-        gcd(u, t^(q^d) - t) is the product of the distinct irreducible factors
-        of degree d, and t^(q^d) mod f(1, t) comes from repeated q-th powers.
-        """
-        if self.is_zero:
-            raise ValueError("the zero form has no factorization")
-        K = self.K
-        u = self.dehomogenized()
-        split = {}
-        rest, frob, d = u, [0, 1], 0
-        while len(rest) > 1:
-            d += 1
-            frob = _poly_powmod(K, frob, K.q, u)
-            g = _poly_gcd_monic(K, rest, _poly_sub(K, frob, [0, 1]))
-            before = rest
-            while len(g) > 1:
-                rest = _poly_divmod(K, rest, g)[0]
-                g = _poly_gcd_monic(K, rest, g)
-            if len(rest) < len(before):
-                part = _poly_divmod(K, before, rest)[0]
-                split[d] = BinaryForm(K, len(part) - 1, part)
-        inf_mult = self.degree - (len(u) - 1)
-        if inf_mult:
-            part = split.get(1, BinaryForm(K, 0, (1,)))
-            split[1] = BinaryForm(K, part.degree + inf_mult, part.coeffs + (0,) * inf_mult)
-        return dict(sorted(split.items()))
 
     def resultant(self, other: "BinaryForm") -> int:
         """Sylvester resultant of the two binary forms, as an element code."""

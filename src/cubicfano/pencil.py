@@ -34,6 +34,7 @@ rulings to zero (they meet).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,10 +84,6 @@ class PencilFiber:
             ProjectiveLine(self.K, (tuple(r1), tuple(r2)), _trusted=normalized)
             for r1, r2 in self.ambient_rows(rows).tolist()
         ]
-
-    def ambient_line(self, rows) -> ProjectiveLine:
-        """The line with canonical fiber rows ``rows``, in ambient coordinates."""
-        return self.ambient_lines([rows])[0]
 
 
 def pencil_fibers(nf, L: GF, params) -> list[PencilFiber]:
@@ -504,14 +501,20 @@ class HyperellipticModel:
         return self.disc.K
 
 
+def _fiber_characters(model: HyperellipticModel, L: GF) -> tuple[np.ndarray, np.ndarray]:
+    """The points (s:t) of P^1(L) in ``projective_reps`` order and chi(disc(s, t)) at each.
+
+    One batch evaluation of the sextic over the whole line, then a gather
+    from L's quadratic character table.
+    """
+    params = all_points_array(L, 1)
+    return params, L.chi[model.disc.embedded(L).to_form().evaluate_batch(params)]
+
+
 def count_points_C(model: HyperellipticModel, k: int) -> int:
-    """#C(F_{q^k}) = sum over P^1(F_{q^k}) of 1 + chi(disc(s,t))."""
-    L = model.K.extension(k)
-    sextic = model.disc.embedded(L)
-    total = 0
-    for s, t in projective_reps(L, 1):
-        total += 1 + L.chi_(sextic.evaluate(s, t))
-    return total
+    """#C(F_{q^k}) = sum over P^1(F_{q^k}) of 1 + chi(disc(s,t)), from one batch evaluation of the sextic."""
+    params, chi = _fiber_characters(model, model.K.extension(k))
+    return len(params) + int(chi.sum())
 
 
 @dataclass(frozen=True)
@@ -579,16 +582,8 @@ def match_models(nf, model: HyperellipticModel) -> bool:
     k <= ``_MODEL_DEPTH``, and fiberwise degrees agree (2 off the branch locus,
     1 on it)."""
     for k in range(1, _MODEL_DEPTH + 1):
-        ops = operational_curve_points(nf, k)
-        if len(ops) != count_points_C(model, k):
+        params, chi = _fiber_characters(model, nf.K.extension(k))
+        expect = Counter(dict(zip(map(tuple, params.tolist()), (1 + chi).tolist())))
+        if Counter((c.s, c.t) for c in operational_curve_points(nf, k)) != expect:
             return False
-        L = nf.K.extension(k)
-        sextic = model.disc.embedded(L)
-        per_fiber: dict = {}
-        for c in ops:
-            per_fiber[(c.s, c.t)] = per_fiber.get((c.s, c.t), 0) + 1
-        for s, t in projective_reps(L, 1):
-            expect = 1 + L.chi_(sextic.evaluate(s, t))
-            if per_fiber.get((s, t), 0) != expect:
-                return False
     return True

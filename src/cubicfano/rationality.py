@@ -581,8 +581,10 @@ def _nodes_by_resultant(int_terms: dict) -> list[tuple[int, int, int]]:
     q0 and q1 are the two restricted conics (the coefficients of x0 and x1 on
     the plane).  The resultant with respect to one plane coordinate is a
     binary quartic whose rational roots, followed by a shared-root test on
-    the two specialized conics, produce every candidate node; each candidate
-    is verified on both conics exactly.
+    the two specialized conics, produce every candidate node off the
+    projection centre (the unit point of the eliminated coordinate), which
+    is a candidate when both conics vanish there; each candidate is
+    verified on both conics exactly.
     """
     conics = [{e[2:]: c for e, c in int_terms.items() if e[:2] == pick} for pick in ((1, 0), (0, 1))]
     x, y, z = sympy.symbols("x y z")
@@ -624,6 +626,9 @@ def _nodes_by_resultant(int_terms: dict) -> list[tuple[int, int, int]]:
                 cand = _primitive(tuple(int(c * den) for c in coords))
                 if any(cand) and all(_q_evaluate(conic, cand) == 0 for conic in conics):
                     candidates.append(cand)
+        centre = tuple(int(i == elim) for i in range(3))
+        if all(_q_evaluate(conic, centre) == 0 for conic in conics):
+            candidates.append(centre)
         return _sorted_candidates(set(candidates))
     raise InternalInconsistency(
         "every elimination resultant vanishes although the reduction certified reduced nodes"

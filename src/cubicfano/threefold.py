@@ -133,9 +133,11 @@ def split_off_plane(cubic: HomogeneousForm, plane: LinearSubspace, nvars: int):
 
     For a cubic in nvars = n + 3 variables, returns (f, [Q0, ..., Q_{n-1}],
     transform) with f = x0*Q0 + ... + x_{n-1}*Q_{n-1} the transformed cubic
-    and x_original = transform @ x_normalized.  The split is the
-    deterministic monomial partition: Q_i collects the monomials of f that
-    are divisible by x_i but by none of x0, ..., x_{i-1}, divided by x_i.
+    and x_original = transform @ x_normalized (the identity, with the cubic
+    kept as it is, when the plane is already the last three coordinates).
+    The split is the deterministic monomial partition: Q_i collects the
+    monomials of f that are divisible by x_i but by none of x0, ...,
+    x_{i-1}, divided by x_i.
     """
     K = cubic.K
     if cubic.nvars != nvars or cubic.degree != 3:
@@ -148,7 +150,7 @@ def split_off_plane(cubic: HomogeneousForm, plane: LinearSubspace, nvars: int):
     complement = [j for j in range(nvars) if j not in pivots]
     cols = [np.eye(nvars, dtype=np.int64)[:, j] for j in complement]
     M = np.column_stack(cols + [plane.matrix[i] for i in range(3)])
-    f_new = cubic.substitute(M)
+    f_new = cubic if (M == np.eye(nvars, dtype=np.int64)).all() else cubic.substitute(M)
     n = nvars - 3
     split: list[dict] = [{} for _ in range(n)]
     for exps, c in f_new.terms.items():
@@ -330,6 +332,14 @@ def _Z_at_common_vertex(K: GF, q0: HomogeneousForm, q1: HomogeneousForm) -> Sing
     raise NotGeneral("the restricted conics share a component")
 
 
+def _degree_of(K: GF, L: GF, x: int) -> int:
+    """The degree over K of the code x of its extension L: the length of x's Frobenius orbit."""
+    degree, y = 1, L.frobenius(x, K.k)
+    while y != x:
+        degree, y = degree + 1, L.frobenius(y, K.k)
+    return degree
+
+
 def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
     """The base locus of the restricted conic pencil, with multiplicities.
 
@@ -339,11 +349,14 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
     member H, so its points are phi of the roots of the binary quartic H o phi:
     each of the same degree over F_q as its root and, since phi is a local
     parameter at every point of the smooth G, of the root's multiplicity as
-    intersection multiplicity (Fulton, *Algebraic Curves*, 3.3).  The
-    quartic's distinct-degree split groups the roots by that degree d, so
-    F_{q^d} is built only for a degree that occurs.  Raises NotGeneral when Z
-    is not zero-dimensional, and NotSupportedError when a point of Z needs a
-    field beyond degree 4 over F_p.  A threefold keeps its own as ``nf.Z``.
+    intersection multiplicity (Fulton, *Algebraic Curves*, 3.3).  The roots
+    are scanned field by field, F_q first: a root of degree d over F_q, read
+    off the Frobenius map, is new in F_{q^d}, and F_{q^d} is scanned only
+    while d divides the length left, so F_{q^3} and F_{q^4} are built only
+    for a point of that degree.  Raises NotGeneral when Z is not
+    zero-dimensional, and NotSupportedError when a point of Z needs a field
+    beyond degree 4 over F_p (over F_{p^3} and F_{p^4}, a length 4 with no
+    rational point names degree 2 or 4).  A threefold keeps its own as ``nf.Z``.
     """
     K = nf.K
     q0, q1 = nf.restricted_conics
@@ -356,17 +369,27 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
     if quartic.is_zero:
         raise NotGeneral("the restricted conics share a component")
     found: list[tuple[int, tuple[int, ...], int]] = []
-    for d, part in quartic.distinct_degree_split().items():
+    left = 4  # the length of Z not yet found, all on points of degree >= d
+    for d in range(1, 5):
+        if not left or left % d:  # a point of degree d takes d times its multiplicity
+            continue
         if not K.reaches(d):
-            raise NotSupportedError(f"a node of degree {d} over F_{K.q} needs F_{K.p}^{K.k * d}")
+            degrees = sorted({d, left})  # left 4 at d = 2: a point of degree 2 or of degree 4
+            raise NotSupportedError(
+                f"a node of degree {' or '.join(map(str, degrees))} over F_{K.q} needs "
+                + " or ".join(f"F_{K.p}^{K.k * e}" for e in degrees)
+            )
         L = K.extension(d)
         ML, q0L, q1L = K.lift(M, L), q0.embedded(L), q1.embedded(L)
-        for (u, v), mult in part.roots(extension=d):
+        for (u, v), mult in quartic.roots(extension=d):
+            if (_degree_of(K, L, v) if u else 1) < d:
+                continue  # found in a smaller field
             square = [L.mul_(u, u), L.mul_(u, v), L.mul_(v, v)]
             coords = normalize_point(L, mat_vec(L, ML, square))
             if q0L.evaluate(coords) or q1L.evaluate(coords):
                 raise InternalInconsistency("a point of Z misses the conics")
             found.append((d, coords, mult))
+            left -= mult
     points = tuple(
         ZPoint(d, tuple(int(c) for c in coords), m)
         for d, coords, m in sorted(found, key=lambda z: (z[0], z[1]))

@@ -515,7 +515,7 @@ def quadric_of_matrix(K, M):
 
 
 def _ambient_sorted(fiber, lines):
-    return tuple(sorted((fiber.ambient_line(line.rows) for line in lines), key=lambda L: L.rows))
+    return tuple(sorted((fiber.ambient_lines([line.rows])[0] for line in lines), key=lambda L: L.rows))
 
 
 def rulings_by_tangent_conics(fiber):

@@ -297,35 +297,6 @@ def test_binary_roots_of_zero_form_refused():
         BinaryForm(field(5), 2, (0, 0, 0)).roots()
 
 
-def test_distinct_degree_split_frozen():
-    # s * (t - s)^2 * (t^2 - 2 s^2) over F_5: 2 is not a square mod 5
-    K = field(5)
-    s = BinaryForm(K, 1, (1, 0))
-    t_minus_s = BinaryForm(K, 1, (K.neg_(1), 1))
-    quad = BinaryForm(K, 2, (K.neg_(2), 0, 1))
-    f = s.times(t_minus_s).times(t_minus_s).times(quad).scaled(3)
-    assert f.distinct_degree_split() == {1: s.times(t_minus_s).times(t_minus_s), 2: quad}
-
-
-@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
-def test_distinct_degree_split_holds_the_points_of_each_degree(p, k):
-    K = field(p, k)
-    rng = random.Random(100 * p + k)
-    for _ in range(40):
-        f = _random_binary_with_repeats(K, rng)
-        split = f.distinct_degree_split()
-        product = BinaryForm(K, 0, (1,))
-        for part in split.values():
-            product = product.times(part)
-        assert proportionality(product.to_form(), f.to_form()) is not None
-        for d, part in split.items():
-            if k * d > 4:
-                continue
-            # every point of the part is defined over F_{q^d} and over no smaller field
-            assert sum(m for _, m in part.roots(extension=d)) == part.degree
-            assert all(part.roots(extension=e) == [] for e in range(1, d) if d % e == 0)
-
-
 def test_shape_mismatches_raise():
     K = field(5)
     f = HomogeneousForm.monomial(K, 3, (1, 1, 0))

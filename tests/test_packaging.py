@@ -307,6 +307,53 @@ def test_every_public_name_has_a_caller_or_is_an_entry_point():
     assert unused == []
 
 
+def _reads_outside_their_definitions(tree):
+    """(name, ids of the enclosing definitions) of every reference in the tree.
+
+    A reference is a name, an attribute, an imported alias or a string
+    constant (the bench's tracer names its targets in strings).
+    """
+    def walk(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {id(node)}
+        if isinstance(node, ast.Name):
+            yield node.id, enclosing
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, enclosing
+        elif isinstance(node, ast.alias):
+            yield node.name, enclosing
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, enclosing
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, enclosing)
+
+    return walk(tree, frozenset())
+
+
+def test_every_private_name_has_a_reader():
+    # a private function or method is read by the package or the bench; a
+    # helper that only reads itself (a recursion) or only the tests read is dead
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))}
+    trees.update({path: ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").rglob("*.py"))})
+    reads: dict = {}
+    for tree in trees.values():
+        for name, enclosing in _reads_outside_their_definitions(tree):
+            reads.setdefault(name, []).append(enclosing)
+    private, unread = 0, []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_"):
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                private += 1
+                if not any(id(node) not in enclosing for enclosing in reads.get(node.name, ())):
+                    unread.append(f"{path.name}:{node.lineno} {node.name}")
+    assert private > 50  # the scan sees the private helpers at all
+    assert unread == []
+
+
 def _identifiers(tree):
     """Every name the tree binds, reads, passes as a keyword or takes as a parameter."""
     for node in ast.walk(tree):

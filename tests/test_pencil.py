@@ -305,7 +305,7 @@ def test_rulings_match_brute_force_on_every_fiber(p, k):
             else:
                 kinds.add("nonsplit")
                 expect = []
-            assert set(got) == {frozenset(fiber.ambient_line(rows).rows for rows in group) for group in expect}
+            assert set(got) == {frozenset(fiber.ambient_lines([rows])[0].rows for rows in group) for group in expect}
             assert len(got) == len(expect)
     assert kinds == {"cone", "split", "nonsplit"}
 
@@ -321,7 +321,7 @@ def test_ambient_line_is_canonical_without_rref_over_a_normalized_base_point(p, 
             want = [_canonical_rows(K, fiber.ambient_rows(rows), expect_rank=2) for rows in lines]
             calls = []
             monkeypatch.setattr(projective, "rref", lambda K, mat: calls.append(mat) or rref(K, mat))
-            got = [fiber.ambient_line(rows).rows for rows in lines]
+            got = [fiber.ambient_lines([rows])[0].rows for rows in lines]
             monkeypatch.undo()
             assert got == want
             assert len(calls) == (0 if scale == 1 else len(lines))

@@ -287,6 +287,23 @@ def test_visible_node_wins_with_the_expected_point():
     assert all(_q_evaluate(_q_derivative(terms, i), amb) == 0 for i in range(5))
 
 
+# Q0|_P = x2^2 + 2 x3^2 + x2 x4 and Q1|_P = x2^2 + x2 x3 + x3 x4 both vanish
+# at (0:0:1), the centre of the first elimination's projection
+CENTRE_NODE_EXAMPLE = {
+    (3, 0, 0, 0, 0): 1, (1, 0, 2, 0, 0): 1, (1, 0, 0, 2, 0): 2, (1, 0, 1, 0, 1): 1, (0, 3, 0, 0, 0): -1,
+    (0, 1, 1, 1, 0): 1, (0, 1, 0, 1, 1): 1, (0, 1, 2, 0, 0): 1, (1, 1, 0, 0, 1): 1,
+}
+
+
+@pytest.mark.parametrize("height", [2, 4])
+def test_a_node_at_the_projection_centre_is_found(height):
+    verdict = decide_over_rationals(CENTRE_NODE_EXAMPLE, height_bound=height)
+    assert verdict.kind == "Rational"
+    assert verdict.witness == {"type": "node", "point": [0, 0, 0, 0, 1], "normalized_point": [0, 0, 0, 0, 1]}
+    terms = {e: Fraction(c) for e, c in CENTRE_NODE_EXAMPLE.items()}
+    assert all(_q_evaluate(_q_derivative(terms, i), (0, 0, 0, 0, 1)) == 0 for i in range(5))
+
+
 def test_planted_line_is_found_and_reported_in_reduced_form():
     verdict = decide_over_rationals(LINE_EXAMPLE, height_bound=4)
     assert verdict.kind == "Rational"
