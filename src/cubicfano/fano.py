@@ -53,7 +53,7 @@ from .errors import (
 )
 from .forms import HomogeneousForm, divide_by_linear
 from .gf import GF
-from .linalg import kernel_basis, mat_mul, mat_vec, rank, rref, rref_stack
+from .linalg import dot, kernel_basis, mat_mul, mat_vec, rank, rref, rref_stack
 from .pencil import (
     PencilFiber,
     RulingClass,
@@ -67,7 +67,6 @@ from .projective import (
     ProjectiveLine,
     ProjectivePoint,
     Residual,
-    _dot,
     binary_quadratic,
     complete_to_basis,
     count_points,
@@ -1353,7 +1352,7 @@ def _common_fiber_count(nf: NormalizedThreefold, za: ZPoint, zb: ZPoint, d: int)
         raise NotGeneral("the node line lies on every conic of the pencil")
     (fib,) = pencil_fibers(nf, Ld, [ker[0]])
     on_line = np.array([(0,) + pa, (0,) + pb], dtype=np.int64)
-    if _dot(Ld, on_line, _dot(Ld, fib.matrix, on_line[:, None, :])).any():
+    if dot(Ld, on_line, dot(Ld, fib.matrix, on_line[:, None, :])).any():
         raise InternalInconsistency("the common fiber must contain the node line")
     return 1
 

@@ -4,21 +4,25 @@ A :class:`HomogeneousForm` is a sparse dict mapping exponent tuples to nonzero
 coefficient codes; a :class:`BinaryForm` of degree d stores the d+1
 coefficients of s^(d-i) t^i.  Both are immutable in practice: every operation
 returns a fresh object.
+
+A form that comes out of a product, a substitution or a determinant is built
+one way: :func:`interpolate` from its values at :func:`interpolation_points`.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from . import kernels
 from .errors import InternalInconsistency, InvalidInput
 from .gf import GF
-from .linalg import det, inverse_matrix
+from .linalg import det, inverse_matrix, mat_mul, mat_vec, rref
 
 # ---------------------------------------------------------------------------
-# sparse exponent-dict arithmetic (shared by forms and the symbolic dets)
+# sparse exponent-dict addition
 # ---------------------------------------------------------------------------
 
 
@@ -33,23 +37,6 @@ def _dict_add(K: GF, A: dict, B: dict) -> dict:
     return out
 
 
-def _dict_mul(K: GF, A: dict, B: dict) -> dict:
-    out: dict = {}
-    for ea, ca in A.items():
-        for eb, cb in B.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = K.add_(out.get(e, 0), K.mul_(ca, cb))
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _dict_neg(K: GF, A: dict) -> dict:
-    return {e: K.neg_(c) for e, c in A.items()}
-
-
 class HomogeneousForm:
     """Homogeneous polynomial of fixed degree in ``nvars`` variables."""
 
@@ -58,10 +45,10 @@ class HomogeneousForm:
     def __init__(self, K: GF, nvars: int, degree: int, terms: dict):
         clean: dict = {}
         for e, c in terms.items():
-            e = tuple(int(x) for x in e)
+            e = tuple(map(int, e))
             if len(e) != nvars:
                 raise InvalidInput(f"exponent {e} has arity {len(e)}, expected {nvars}")
-            if any(x < 0 for x in e) or sum(e) != degree:
+            if min(e, default=0) < 0 or sum(e) != degree:
                 raise ValueError(f"exponent {e} is not of total degree {degree}")
             c = int(c)
             if not 0 <= c < K.q:
@@ -146,11 +133,13 @@ class HomogeneousForm:
         return HomogeneousForm(self.K, self.nvars, self.degree, {e: self.K.mul_(v, c) for e, v in self.terms.items()})
 
     def times(self, other: "HomogeneousForm") -> "HomogeneousForm":
+        """The product, interpolated from the products of the two forms' values."""
         if self.nvars != other.nvars:
             raise InvalidInput(f"cannot multiply forms in {self.nvars} and {other.nvars} variables")
-        return HomogeneousForm(
-            self.K, self.nvars, self.degree + other.degree, _dict_mul(self.K, self.terms, other.terms)
-        )
+        degree = self.degree + other.degree
+        L, pts = interpolation_points(self.K, self.nvars, degree)
+        values = L.mul[self.embedded(L).evaluate_batch(pts), other.embedded(L).evaluate_batch(pts)]
+        return interpolate(self.K, self.nvars, degree, values)
 
     def derivative(self, i: int) -> "HomogeneousForm":
         out = {}
@@ -221,32 +210,18 @@ class HomogeneousForm:
     # -- substitution ---------------------------------------------------------
 
     def substitute(self, M) -> "HomogeneousForm":
-        """The form f(M y) in the y variables; M has shape (nvars, m)."""
+        """The form f(M y) in the y variables; M has shape (nvars, m).
+
+        Interpolated from the values of f at the images M y of the points
+        ``interpolation_points(K, m, degree)``.
+        """
         M = np.array(M, dtype=np.int64)
         if M.shape[0] != self.nvars:
             raise InvalidInput(f"substitution matrix has {M.shape[0]} rows, form has {self.nvars} variables")
         m = M.shape[1]
-        K = self.K
-        zero_exp = (0,) * m
-        rows = []
-        for i in range(self.nvars):
-            row = {}
-            for j in range(m):
-                if M[i, j]:
-                    row[tuple(1 if t == j else 0 for t in range(m))] = int(M[i, j])
-            rows.append(row)
-        out: dict = {}
-        for e, c in self.terms.items():
-            term = {zero_exp: c}
-            for i, ei in enumerate(e):
-                for _ in range(ei):
-                    term = _dict_mul(K, term, rows[i])
-                    if not term:
-                        break
-                if not term:
-                    break
-            out = _dict_add(K, out, term)
-        return HomogeneousForm(K, m, self.degree, out)
+        L, pts = interpolation_points(self.K, m, self.degree)
+        images = mat_mul(L, pts, self.K.lift(M, L).T)
+        return interpolate(self.K, m, self.degree, self.embedded(L).evaluate_batch(images))
 
     def restrict(self, basis_rows) -> "HomogeneousForm":
         """Restriction to the subspace spanned by basis rows (r x nvars)."""
@@ -299,6 +274,74 @@ def divide_by_linear(f: HomogeneousForm, ell) -> HomogeneousForm:
         quot[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c
     g_y = HomogeneousForm(K, f.nvars, f.degree - 1, quot)
     return g_y.substitute(C)
+
+
+# ---------------------------------------------------------------------------
+# forms from their values
+# ---------------------------------------------------------------------------
+
+
+def _monomial_matrix(F: GF, exps, pts: np.ndarray) -> np.ndarray:
+    """The monomials ``exps`` at each point of an (n, nvars) code array, as (n, len(exps)) codes."""
+    return np.stack([HomogeneousForm(F, len(e), sum(e), {e: 1}).evaluate_batch(pts) for e in exps], axis=1)
+
+
+@lru_cache(maxsize=None)
+def _interpolation_basis(K: GF, nvars: int, degree: int):
+    """(L, points, inverse, exponents) for the forms over K of this degree in nvars variables.
+
+    The points are the first candidates, in ``projective_reps`` order, that
+    raise the rank of the monomial matrix; the candidates are the points of
+    P^(nvars-1)(F), F = ``K.points_field(degree)``, with coordinates among
+    F's first min(|F|, degree + 1) codes.  When |F| = degree, all of
+    P^(nvars-1)(F), row reduction picks them.  When |F| > degree they are
+    the points (1, y) whose codes add up to at most ``degree``: a form of
+    the degree vanishing on the candidates (1, s_i, ...) for i < j is
+    (x1 - s_0) ... (x1 - s_(j-1)) times one of degree ``degree - j``, so by
+    induction on nvars the slice x1 = s_j adds the points whose later codes
+    add up to at most ``degree - j``.  As many points as monomials, they pin
+    the forms.  Values live in L, the larger of K and F, and points and
+    inverse come as L's codes; the inverse maps the values to the
+    coefficients of the exponents (``monomial_exponents`` order).
+    """
+    F = K.points_field(degree)
+    exps = monomial_exponents(nvars, degree)
+    if F.q > degree:
+        tails = (t for t in product(range(degree + 1), repeat=nvars - 1) if sum(t) <= degree)
+        pts = np.array([(1,) + t for t in tails], dtype=np.int64)
+    else:
+        reps = np.array(
+            [(0,) * j + (1,) + t for j in range(nvars) for t in product(range(F.q), repeat=nvars - 1 - j)],
+            dtype=np.int64,
+        )
+        _, chosen = rref(F, _monomial_matrix(F, exps, reps).T)
+        if len(chosen) != len(exps):
+            raise InternalInconsistency(f"the points of P^{nvars - 1}({F!r}) must pin the forms of degree {degree}")
+        pts = reps[chosen]
+    inverse = inverse_matrix(F, _monomial_matrix(F, exps, pts))
+    L = F if F.q > K.q else K
+    pts, inverse = F.lift(pts, L), F.lift(inverse, L)
+    pts.flags.writeable = inverse.flags.writeable = False
+    return L, pts, inverse, exps
+
+
+def interpolation_points(K: GF, nvars: int, degree: int) -> tuple[GF, np.ndarray]:
+    """(L, points): the (N, nvars) codes of L at which :func:`interpolate` takes the values of a form over K.
+
+    L is K, or ``K.points_field(degree)`` when K is too small (F_3 from degree 4, F_5 from degree 6).
+    """
+    L, pts, _, _ = _interpolation_basis(K, nvars, degree)
+    return L, pts
+
+
+def interpolate(K: GF, nvars: int, degree: int, values) -> HomogeneousForm:
+    """The form over K of this degree in nvars variables taking ``values`` (in L) at :func:`interpolation_points`.
+
+    A coefficient outside K raises InternalInconsistency.
+    """
+    L, _, inverse, exps = _interpolation_basis(K, nvars, degree)
+    coeffs = K.descend(mat_vec(L, inverse, values), L)
+    return HomogeneousForm(K, nvars, degree, {e: c for e, c in zip(exps, coeffs.tolist()) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +429,6 @@ class BinaryForm:
 
     def __repr__(self) -> str:
         return f"BinaryForm(deg {self.degree}, coeffs {list(self.coeffs)} over {self.K!r})"
-
-    def evaluate(self, s: int, t: int) -> int:
-        K = self.K
-        total = 0
-        for i, c in enumerate(self.coeffs):
-            if c:
-                term = K.mul_(c, K.mul_(K.pow_(s, self.degree - i), K.pow_(t, i)))
-            else:
-                term = 0
-            total = K.add_(total, term)
-        return total
 
     def scaled(self, c: int) -> "BinaryForm":
         K = self.K
@@ -504,40 +536,3 @@ class BinaryForm:
         for r in range(m):
             M[n + r, r : r + n + 1] = other.coeffs
         return det(self.K, M)
-
-
-# ---------------------------------------------------------------------------
-# symbolic determinants of matrices with form entries
-# ---------------------------------------------------------------------------
-
-
-def det_form_matrix(K: GF, nvars: int, rows) -> HomogeneousForm:
-    """Determinant of a square matrix of HomogeneousForms over the same ring.
-
-    The matrix must be graded so the determinant is homogeneous (checked).
-    """
-    n = len(rows)
-    dicts = [[f.terms for f in row] for row in rows]
-
-    def expand(row_ids, col_ids):
-        if len(row_ids) == 1:
-            return dicts[row_ids[0]][col_ids[0]]
-        acc: dict = {}
-        sign = 1
-        for idx, r in enumerate(row_ids):
-            entry = dicts[r][col_ids[0]]
-            if entry:
-                minor = expand(row_ids[:idx] + row_ids[idx + 1 :], col_ids[1:])
-                prod = _dict_mul(K, entry, minor)
-                if sign < 0:
-                    prod = _dict_neg(K, prod)
-                acc = _dict_add(K, acc, prod)
-            sign = -sign
-        return acc
-
-    result = expand(tuple(range(n)), tuple(range(n)))
-    degrees = {sum(e) for e in result}
-    if len(degrees) > 1:
-        raise InternalInconsistency("matrix grading did not produce a homogeneous determinant")
-    degree = degrees.pop() if degrees else sum(rows[i][i].degree for i in range(n))
-    return HomogeneousForm(K, nvars, degree, result)

@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import InternalInconsistency, InvalidInput, NotGeneral
 from .fano import surface_of
-from .forms import BinaryForm, HomogeneousForm, det_form_matrix
+from .forms import BinaryForm, HomogeneousForm, interpolate, interpolation_points
 from .gf import GF
-from .linalg import kernel_basis
+from .linalg import det, kernel_basis
 from .pencil import (
     DiscriminantSextic,
     HyperellipticModel,
@@ -159,7 +159,8 @@ DISC_SCAN_DEPTH = 2
 
 @dataclass(frozen=True)
 class PlaneDiscriminant:
-    """det of the symbolic family matrix: a ternary sextic in (s, t, u).
+    """The determinant of the family matrix: a ternary sextic in (s, t, u),
+    interpolated from its values at 28 points (:func:`plane_discriminant`).
 
     ``smooth_to_depth`` certifies that the sextic and its three partials have
     no common zero over F_{q^d} for d <= smooth_scan_depth; the certificate is
@@ -190,14 +191,16 @@ class PlaneDiscriminant:
 
 
 def plane_discriminant(nx: NormalizedFourfold) -> PlaneDiscriminant:
-    """Exact symbolic determinant of the family matrix, scanned for singular
-    points over F_{q^d} for d up to ``DISC_SCAN_DEPTH`` (fewer where the field
-    tower stops).  A fourfold keeps its own as ``nx.discriminant``."""
-    D = det_form_matrix(nx.K, 3, symbolic_fiber_entries((nx.Q0, nx.Q1, nx.Q2)))
+    """The determinant of the family matrix, interpolated from its values at
+    28 points, and scanned for singular points over F_{q^d} for d up to
+    ``DISC_SCAN_DEPTH`` (fewer where the field tower stops).  A fourfold
+    keeps its own as ``nx.discriminant``."""
+    L, pts = interpolation_points(nx.K, 3, 6)
+    entries = symbolic_fiber_entries((nx.Q0, nx.Q1, nx.Q2))
+    values = np.array([[entry.embedded(L).evaluate_batch(pts) for entry in row] for row in entries])
+    D = interpolate(nx.K, 3, 6, [det(L, M) for M in values.transpose(2, 0, 1)])
     if D.is_zero:
         raise NotGeneral("the plane discriminant vanishes identically")
-    if D.degree != 6:
-        raise InternalInconsistency(f"the plane discriminant has degree {D.degree}, expected 6")
     depth_used = 0
     witness = None
     for d in range(1, DISC_SCAN_DEPTH + 1):

@@ -129,8 +129,10 @@ class GF:
     """Finite field F_{p^k} (p odd prime, k <= 4, p^k <= 16384) with precomputed tables.
 
     The tower above a field is reached through :meth:`extension`,
-    :meth:`reaches` (whether a degree is within the tower) and :meth:`lift`
-    (codes into an extension).
+    :meth:`reaches` (whether a degree is within the tower), :meth:`lift`
+    (codes into an extension), :meth:`descend` (codes back down) and
+    :meth:`points_field` (the field a form of a given degree is interpolated
+    over).
 
     A larger field raises NotSupportedError before any search or allocation:
     past 65535 elements the uint16 codes overflow, and past 16384 the two
@@ -363,6 +365,27 @@ class GF:
 
         return push(x)
 
+    def descend(self, x, L: "GF") -> np.ndarray:
+        """An array of L's codes that lie in self as self's codes (int64): the inverse of :meth:`lift`.
+
+        A code outside self raises InternalInconsistency.
+        """
+        x = np.asarray(x, dtype=np.int64)
+        if L is self:
+            return x
+        found = x[..., None] == self.lift(np.arange(self.q), L)
+        if not found.any(axis=-1).all():
+            raise InternalInconsistency(f"a code of {L!r} outside {self!r} cannot come down to it")
+        return found.argmax(axis=-1)
+
+    def points_field(self, degree: int) -> "GF":
+        """The field whose points pin the forms of a degree: the smallest F_{p^j} with p^j >= degree
+        that is a subfield of self or, when no subfield is, an extension (F_9 over F_3 from degree 4)."""
+        for j in range(1, self.k + 1):
+            if self.k % j == 0 and self.p**j >= degree:
+                return field(self.p, j) if j < self.k else self
+        return self.extension(next(e for e in range(2, degree) if self.q**e >= degree))
+
     def embedding_into(self, big: "GF") -> np.ndarray:
         """Code map of the canonical embedding self -> big (needs self.k | big.k)."""
         return _embedding(self.p, self.k, big.k)
@@ -426,4 +449,3 @@ def _embedding(p: int, small_k: int, big_k: int) -> np.ndarray:
             acc = big.add_(acc, big.mul_(c, rp))
         images[code] = acc
     return images
-

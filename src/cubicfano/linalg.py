@@ -1,9 +1,12 @@
 """Small dense linear algebra over a finite field.
 
 Matrices are numpy arrays of element codes (any integer dtype); all routines
-return fresh int64 arrays and never mutate their inputs.  Sizes here are tiny
-(at most 7x7), so everything is straightforward Gaussian elimination driven by
-the field's tables.
+return fresh int64 arrays and never mutate their inputs.  Sizes here are
+small: in the package's own calls the largest product is with the 56 x 56
+inverse that interpolates a cubic in six variables, and the largest row
+reduction picks that cubic's interpolation points among the 364 points of
+P^5(F_3), once.  Everything is Gaussian elimination and table gathers
+driven by the field's tables.
 """
 
 from __future__ import annotations
@@ -125,18 +128,35 @@ def det(K: GF, mat) -> int:
     return result
 
 
-def mat_mul(K: GF, A, B) -> np.ndarray:
-    A = np.array(A, dtype=np.int64)
-    B = np.array(B, dtype=np.int64)
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for i in range(A.shape[0]):
-        for j in range(B.shape[1]):
-            acc = 0
-            for t in range(A.shape[1]):
-                acc = K.add_(acc, K.mul_(int(A[i, t]), int(B[t, j])))
-            out[i, j] = acc
+# the longest summed axis that dot adds up one gather per entry
+_SHORT_AXIS = 8
+
+
+def dot(K: GF, u, v) -> np.ndarray:
+    """Dot products u . v along the last axis (broadcasting), as codes.
+
+    A short axis, as in the stacked fiber and plane-section products, is
+    added up one gather per entry.  A longer one, as in an interpolation, is
+    added up in one pass: addition is digitwise mod p, so the base-p digits
+    of the products are summed and reduced once.
+    """
+    if u.shape[-1] <= _SHORT_AXIS:
+        acc = K.mul[u[..., 0], v[..., 0]]
+        for i in range(1, u.shape[-1]):
+            acc = K.add[acc, K.mul[u[..., i], v[..., i]]]
+        return acc
+    prods = K.mul[u, v]
+    out = 0
+    for j in range(K.k):
+        out = out + (prods // K.p**j % K.p).sum(axis=-1) % K.p * K.p**j
     return out
 
 
+def mat_mul(K: GF, A, B) -> np.ndarray:
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    return dot(K, A[:, None, :], B.T[None, :, :]).astype(np.int64)
+
+
 def mat_vec(K: GF, A, v) -> np.ndarray:
-    return mat_mul(K, A, np.array(v, dtype=np.int64).reshape(-1, 1))[:, 0]
+    return dot(K, np.asarray(A, dtype=np.int64), np.asarray(v, dtype=np.int64)).astype(np.int64)

@@ -12,10 +12,12 @@ genus-2 double cover that parametrizes the rulings.
 
 The symmetric matrix of R_{s,t} has entries that are binary forms in (s, t)
 (:func:`symbolic_fiber_entries`); a threefold keeps it as
-``nf.pencil_matrix``.  The discriminant is its determinant, and every fiber
-matrix, over any field of the tower, is its value at (s:t): one stacked
-evaluation for a whole list of parameters (:func:`pencil_fibers`).  Its
-block on u = 0 is the matrix of the restricted conic s*q0 + t*q1.
+``nf.pencil_matrix``.  Every fiber matrix, over any field of the tower, is
+its value at (s:t): one stacked evaluation for a whole list of parameters
+(:func:`pencil_fibers`).  Its block on u = 0 is the matrix of the restricted
+conic s*q0 + t*q1.  The discriminant is its determinant, a sextic: the
+determinants of the fiber matrices at the seven points
+``forms.interpolation_points`` fixes for binary sextics, interpolated.
 
 The rulings of a smooth fiber are built, not searched for (Harris, *Algebraic
 Geometry: A First Course*, Lecture 22): with beta the fiber's bilinear form,
@@ -41,10 +43,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalInconsistency, NotGeneral
-from .forms import BinaryForm, HomogeneousForm, det_form_matrix
+from .forms import BinaryForm, HomogeneousForm, interpolate, interpolation_points
 from .gf import GF
-from .linalg import rref_stack
-from .projective import ProjectiveLine, _dot, all_points_array, projective_reps
+from .linalg import det, dot, rref_stack
+from .projective import ProjectiveLine, all_points_array, projective_reps
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +109,7 @@ def pencil_fibers(nf, L: GF, params) -> list[PencilFiber]:
     for e in range(1, 4):
         powers[:, e] = L.mul[powers[:, e - 1], params]
     monomials = L.mul[powers[:, :, None, 0], powers[:, None, :, 1]]  # [n, a, b]: s^a t^b
-    matrices = _dot(L, coeffs.reshape(4, 4, 16), monomials.reshape(-1, 1, 1, 16)).astype(np.int64)
+    matrices = dot(L, coeffs.reshape(4, 4, 16), monomials.reshape(-1, 1, 1, 16)).astype(np.int64)
     return [PencilFiber(L, s, t, M) for (s, t), M in zip(params.tolist(), matrices)]
 
 
@@ -175,12 +177,11 @@ def symbolic_fiber_entries(quadrics) -> list[list[HomogeneousForm]]:
 
 
 def discriminant(nf) -> DiscriminantSextic:
-    """Exact symbolic determinant of the threefold's kept pencil matrix, as a binary sextic."""
-    D = det_form_matrix(nf.K, 2, nf.pencil_matrix)
+    """The determinant of the threefold's kept pencil matrix, interpolated from fiber determinants."""
+    L, params = interpolation_points(nf.K, 2, 6)
+    D = interpolate(nf.K, 2, 6, [det(L, fiber.matrix) for fiber in pencil_fibers(nf, L, params)])
     if D.is_zero:
         raise NotGeneral("discriminant vanishes identically")
-    if D.degree != 6:
-        raise InternalInconsistency(f"the discriminant has degree {D.degree}, expected 6")
     return DiscriminantSextic(BinaryForm.from_form(D))
 
 
@@ -221,7 +222,7 @@ class RulingClass:
 
 def _apply(K: GF, M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M v for stacks of matrices (..., n, n) and vectors (..., n), broadcasting."""
-    return _dot(K, M, v[..., None, :])
+    return dot(K, M, v[..., None, :])
 
 
 def _combine(K: GF, c1: np.ndarray, u: np.ndarray, c2: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -244,7 +245,7 @@ def _meeting_lines(K: GF, M: np.ndarray, points: np.ndarray, b1: np.ndarray, b2:
     (S, P, 2, 4).
     """
     Mb1, Mb2 = (_apply(K, M, b)[:, None, :] for b in (b1, b2))
-    meet = _combine(K, _dot(K, points, Mb2), b1[:, None, :], K.neg[_dot(K, points, Mb1)], b2[:, None, :])
+    meet = _combine(K, dot(K, points, Mb2), b1[:, None, :], K.neg[dot(K, points, Mb1)], b2[:, None, :])
     return np.stack([points, meet], axis=-2)
 
 
@@ -256,7 +257,7 @@ _PLANE_CHUNK = 1024
 
 def _quadric_values(K: GF, M: np.ndarray, points: np.ndarray) -> np.ndarray:
     """x^T M_i x for quadrics M (F, 4, 4) at points (F, P, 4) or (P, 4): an (F, P) array."""
-    return _dot(K, points, _apply(K, M[:, None], points))
+    return dot(K, points, _apply(K, M[:, None], points))
 
 
 def _pluecker(K: GF, rows: np.ndarray) -> np.ndarray:
@@ -318,8 +319,8 @@ def _smooth_rulings(K: GF, M: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
     # is the binary quadratic q11 b^2 + q12 b g + q22 g^2 in b c1 + g c2,
     # whose roots are the two lines of the quadric through y
     Mc2 = _apply(K, M, c2)
-    q11, q22 = _dot(K, c1, _apply(K, M, c1)), _dot(K, c2, Mc2)
-    beta12 = _dot(K, c1, Mc2)
+    q11, q22 = dot(K, c1, _apply(K, M, c1)), dot(K, c2, Mc2)
+    beta12 = dot(K, c1, Mc2)
     q12 = K.add[beta12, beta12]
     four = 4 % K.p
     disc = K.add[K.mul[q12, q12], K.neg[K.mul[four, K.mul[q11, q22]]]]
@@ -355,9 +356,9 @@ def _smooth_rulings(K: GF, M: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
     x = K.mul[K.neg[M[at, p, p]][:, None], y]
     x[at, p] = K.add[x[at, p], K.mul[two, r[at, p]]]
     Mx = _apply(K, M, x)
-    xy = _dot(K, y, Mx)
-    mA = _combine(K, _dot(K, a, Mx), y, K.neg[xy], a)
-    mB = _combine(K, _dot(K, b, Mx), y, K.neg[xy], b)
+    xy = dot(K, y, Mx)
+    mA = _combine(K, dot(K, a, Mx), y, K.neg[xy], a)
+    mB = _combine(K, dot(K, b, Mx), y, K.neg[xy], b)
 
     # A's ruling: the line through each point of B meeting span(x, mA), which
     # is of B's ruling and skew to B; B's ruling likewise through A

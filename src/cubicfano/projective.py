@@ -7,16 +7,15 @@ order.  Points are normalized so the first nonzero coordinate is 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import InternalInconsistency, NotOnCubic, PlaneContained
-from .forms import BinaryForm, HomogeneousForm, divide_by_linear, monomial_exponents
+from .forms import BinaryForm, HomogeneousForm, divide_by_linear, interpolate, interpolation_points
 from .gf import GF
-from .linalg import inverse_matrix, kernel_basis, mat_vec, rank, rref
+from .linalg import dot, kernel_basis, rank, rref
 
 
 def normalize_point(K: GF, vec) -> tuple[int, ...]:
@@ -301,44 +300,6 @@ class Residual(NamedTuple):
     multiplicity: int
 
 
-# the cubic monomials of P^2, in the order of the coefficients interpolated
-# from the ten section points
-_CUBIC_EXPONENTS = tuple(monomial_exponents(3, 3))
-
-
-def _monomial_values(K: GF, pts: np.ndarray) -> np.ndarray:
-    """The ten cubic monomials at each point of an (n, 3) code array, as (n, 10) codes."""
-    out = np.ones((len(pts), len(_CUBIC_EXPONENTS)), dtype=np.uint16)
-    for m, e in enumerate(_CUBIC_EXPONENTS):
-        for i, power in enumerate(e):
-            for _ in range(power):
-                out[:, m] = K.mul[out[:, m], pts[:, i]]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _section_points(K: GF) -> tuple[np.ndarray, np.ndarray]:
-    """Ten points of P^2(K) on which no nonzero ternary cubic vanishes, and the
-    inverse of their monomial matrix.
-
-    The forms vanishing on all of P^2(F_q) start in degree q + 1 >= 4, so the
-    monomial matrix of all the points has rank 10; the points are the first
-    ten in ``projective_reps`` order that raise its rank (the pivot columns
-    of its transpose).  The inverse turns ten values into the coefficients
-    of the one cubic taking them, in ``_CUBIC_EXPONENTS`` order.
-    """
-    reps = all_points_array(K, 2)
-    V = _monomial_values(K, reps)
-    _, chosen = rref(K, V.T)
-    if len(chosen) != len(_CUBIC_EXPONENTS):
-        raise InternalInconsistency("the points of P^2 must separate the ternary cubics")
-    pts = reps[chosen]
-    pts.flags.writeable = False
-    inverse = inverse_matrix(K, _monomial_values(K, pts))
-    inverse.flags.writeable = False
-    return pts, inverse
-
-
 def _combine(K: GF, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sum_j coeffs[..., j] * rows[j] over the field, for three rows (broadcasting)."""
     add, mul = K.add, K.mul
@@ -352,11 +313,12 @@ def plane_section_values(cubic: HomogeneousForm, planes) -> np.ndarray:
     """The cubic at the ten section points of each plane, in one batch evaluation.
 
     ``planes`` is an (n, 3, N) array of canonical plane bases B_i.  Row i
-    holds the values at the points y B_i, y running over the ten points of
-    ``_section_points``, which pin a cubic on the plane.
+    holds the values at the points y B_i, y running over the ten points
+    ``forms.interpolation_points(K, 3, 3)`` on which a ternary cubic is
+    interpolated.  They are points of P^2(F_p), so they are points over K.
     """
     K = cubic.K
-    reps = _section_points(K)[0]
+    reps = interpolation_points(K, 3, 3)[1]
     planes = np.asarray(planes, dtype=np.uint16)
     if not len(planes):
         return np.zeros((0, len(reps)), dtype=np.uint16)
@@ -394,14 +356,6 @@ def _cross(K: GF, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return add[mul[u[..., i], v[..., j]], neg[mul[u[..., j], v[..., i]]]]
 
     return np.stack([minor(1, 2), minor(2, 0), minor(0, 1)], axis=-1)
-
-
-def _dot(K: GF, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot products u . v along the last axis (broadcasting)."""
-    acc = K.mul[u[..., 0], v[..., 0]]
-    for i in range(1, u.shape[-1]):
-        acc = K.add[acc, K.mul[u[..., i], v[..., i]]]
-    return acc
 
 
 def _normalized(K: GF, vecs: np.ndarray) -> np.ndarray:
@@ -452,21 +406,21 @@ def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
     lines = np.concatenate([np.asarray(firsts, dtype=np.uint16), np.asarray(seconds, dtype=np.uint16)], axis=1)
     add, mul, neg, inv = K.add, K.mul, K.neg, K.inv
     at = np.arange(n)
-    reps = _section_points(K)[0]
+    reps = interpolation_points(K, 3, 3)[1]
 
     # plane coordinates of the four line rows, checked to embed back
     coords = np.take_along_axis(lines, (planes != 0).argmax(axis=2)[:, None, :], axis=2)
     in_plane = (_combine(K, coords, planes.transpose(1, 0, 2)[:, :, None, :]) == lines).all(axis=(1, 2))
     ell_L = _cross(K, coords[:, 0], coords[:, 1])
     ell_M = _cross(K, coords[:, 2], coords[:, 3])
-    both = mul[_dot(K, ell_L[:, None, :], reps), _dot(K, ell_M[:, None, :], reps)]
+    both = mul[dot(K, ell_L[:, None, :], reps), dot(K, ell_M[:, None, :], reps)]
 
     # three independent points off L and M
     off = both != 0
     i1 = off.argmax(axis=1)
     i2 = (off & (np.arange(len(reps)) > i1[:, None])).argmax(axis=1)
     joining = _cross(K, reps[i1], reps[i2])
-    i3 = (off & (_dot(K, joining[:, None, :], reps) != 0)).argmax(axis=1)
+    i3 = (off & (dot(K, joining[:, None, :], reps) != 0)).argmax(axis=1)
     p1, p2, p3 = reps[i1], reps[i2], reps[i3]
     picked = np.stack([i1, i2, i3], axis=1)
     ratios = mul[values[at[:, None], picked], inv[both[at[:, None], picked]]]
@@ -477,8 +431,8 @@ def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
         mul[ratios[:, 1, None], _cross(K, p3, p1)],
         mul[ratios[:, 2, None], joining],
     )
-    ell_N = mul[inv[_dot(K, joining, p3)][:, None], add[add[terms[0], terms[1]], terms[2]]]
-    holds = (values == mul[both, _dot(K, ell_N[:, None, :], reps)]).all(axis=1)
+    ell_N = mul[inv[dot(K, joining, p3)][:, None], add[add[terms[0], terms[1]], terms[2]]]
+    holds = (values == mul[both, dot(K, ell_N[:, None, :], reps)]).all(axis=1)
 
     n_norm = _normalized(K, ell_N)
     multiplicity = 1 + (_normalized(K, ell_L) == n_norm).all(axis=1) + (_normalized(K, ell_M) == n_norm).all(axis=1)
@@ -522,10 +476,8 @@ def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
 
 def _divides(K: GF, values: np.ndarray, ell: np.ndarray) -> bool:
     """Whether a linear form divides the ternary cubic taking these values at the section points."""
-    coeffs = mat_vec(K, _section_points(K)[1], values)
-    section = HomogeneousForm(K, 3, 3, {e: int(c) for e, c in zip(_CUBIC_EXPONENTS, coeffs) if c})
     try:
-        divide_by_linear(section, ell)
+        divide_by_linear(interpolate(K, 3, 3, values), ell)
     except ValueError:
         return False
     return True

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import pencil as pencil_mod
 from .errors import InternalInconsistency, NotContained, NotGeneral, NotSupportedError
-from .forms import BinaryForm, HomogeneousForm, random_form
+from .forms import BinaryForm, HomogeneousForm, interpolate, interpolation_points, random_form
 from .gf import GF
-from .linalg import det, kernel_basis, mat_vec
+from .linalg import det, kernel_basis, mat_mul, mat_vec
 from .projective import (
     LinearSubspace,
     binary_quadratic,
@@ -291,7 +291,8 @@ def _pullback_quartic(K: GF, G: HomogeneousForm, H: HomogeneousForm):
     From a rational point y of G, with w = u*c1 + v*c2 for (y, c1, c2) a
     basis, the line through y and w meets G again at
     phi(u:v) = -G(w)*y + 2*beta(y, w)*w, for beta the bilinear form of G.
-    phi = M @ (u^2, u*v, v^2), so H o phi is a binary quartic in (u:v).
+    phi = M @ (u^2, u*v, v^2), so H o phi is a binary quartic in (u:v),
+    interpolated from its values at five points (over F_9 when q = 3).
     """
     y = next(common_zeros([G]))
     c1, c2 = complete_to_basis(K, y, np.eye(3, dtype=np.int64))
@@ -309,10 +310,11 @@ def _pullback_quartic(K: GF, G: HomogeneousForm, H: HomogeneousForm):
         ],
         dtype=np.int64,
     )
-    coeffs = [0] * 5
-    for (_, e1, e2), c in H.substitute(M).terms.items():
-        coeffs[e1 + 2 * e2] = K.add_(coeffs[e1 + 2 * e2], c)  # (u^2)^e0 (uv)^e1 (v^2)^e2
-    return BinaryForm(K, 4, coeffs), M
+    L, uv = interpolation_points(K, 2, 4)
+    u, v = uv.T
+    squares = np.stack([L.mul[u, u], L.mul[u, v], L.mul[v, v]], axis=1)
+    values = H.embedded(L).evaluate_batch(mat_mul(L, squares, K.lift(M, L).T))
+    return BinaryForm.from_form(interpolate(K, 2, 4, values)), M
 
 
 def _Z_at_common_vertex(K: GF, q0: HomogeneousForm, q1: HomogeneousForm) -> SingularLocusZ:

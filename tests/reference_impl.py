@@ -1,8 +1,9 @@
 """Slow reference implementations used as oracles by the test suite.
 
-Everything here is deliberately naive: polynomial arithmetic on tuples,
-Fermat inverses, brute-force searches, symbolic division, and the group law
-acted out letter by letter through dicts.  Tests compare the fast package
+Everything here is deliberately naive: polynomial arithmetic on tuples and
+on exponent dicts, cofactor determinants, Fermat inverses, brute-force
+searches, symbolic division, and the group law acted out letter by letter
+through dicts.  Tests compare the fast package
 code against these.
 """
 
@@ -22,8 +23,8 @@ from cubicfano.errors import (
     ResampleRequired,
 )
 from cubicfano.fano import DISJOINT, MEETS_PLANE, TorsorPoint
-from cubicfano.forms import HomogeneousForm, divide_by_linear
-from cubicfano.linalg import kernel_basis, mat_mul, mat_vec, rank, rref
+from cubicfano.forms import HomogeneousForm
+from cubicfano.linalg import inverse_matrix, kernel_basis, mat_mul, mat_vec, rank, rref
 from cubicfano.pencil import (
     HyperellipticModel,
     RulingClass,
@@ -153,6 +154,95 @@ def eval_form_batch_by_tables(K, exps, coeffs, points):
                 term = K.mul[term, pows[e, points[:, i]]]
         acc = K.add[acc, term]
     return acc
+
+
+def _dict_add(K, A, B):
+    out = dict(A)
+    for e, c in B.items():
+        s = K.add_(out.get(e, 0), c)
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _dict_mul(K, A, B):
+    out = {}
+    for ea, ca in A.items():
+        for eb, cb in B.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = K.add_(out.get(e, 0), K.mul_(ca, cb))
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def times_by_dicts(f, g):
+    """f * g, term by term."""
+    return HomogeneousForm(f.K, f.nvars, f.degree + g.degree, _dict_mul(f.K, f.terms, g.terms))
+
+
+def substitute_by_dicts(f, M):
+    """f(M y), every term multiplied out as a product of linear forms in y."""
+    K = f.K
+    M = np.array(M, dtype=np.int64)
+    m = M.shape[1]
+    rows = [{tuple(int(t == j) for t in range(m)): int(M[i, j]) for j in range(m) if M[i, j]} for i in range(f.nvars)]
+    out = {}
+    for e, c in f.terms.items():
+        term = {(0,) * m: c}
+        for i, ei in enumerate(e):
+            for _ in range(ei):
+                term = _dict_mul(K, term, rows[i])
+        out = _dict_add(K, out, term)
+    return HomogeneousForm(K, m, f.degree, out)
+
+
+def divide_by_linear_by_dicts(f, ell):
+    """The exact quotient by a linear form, ValueError when there is none.
+
+    In coordinates where ell is the variable x_i, divisibility is visible
+    monomial by monomial; both changes of coordinates are multiplied out.
+    """
+    K = f.K
+    i = next(j for j, c in enumerate(ell) if c)
+    C = np.eye(f.nvars, dtype=np.int64)
+    C[i] = ell
+    in_y = substitute_by_dicts(f, inverse_matrix(K, C))
+    if any(e[i] == 0 for e in in_y.terms):
+        raise ValueError("form is not divisible by the given linear form")
+    quot = {e[:i] + (e[i] - 1,) + e[i + 1 :]: c for e, c in in_y.terms.items()}
+    return substitute_by_dicts(HomogeneousForm(K, f.nvars, f.degree - 1, quot), C)
+
+
+def det_form_matrix(K, nvars, rows):
+    """The determinant of a square matrix of forms in nvars variables, by cofactor expansion.
+
+    The matrix must be graded so that the determinant is homogeneous (checked).
+    """
+
+    def expand(rows):
+        if len(rows) == 1:
+            return rows[0][0].terms
+        acc = {}
+        for r, row in enumerate(rows):
+            if row[0].terms:
+                minor = expand([other[1:] for i, other in enumerate(rows) if i != r])
+                prod = _dict_mul(K, row[0].terms, minor)
+                if r % 2:
+                    prod = {e: K.neg_(c) for e, c in prod.items()}
+                acc = _dict_add(K, acc, prod)
+        return acc
+
+    terms = expand(rows)
+    degrees = {sum(e) for e in terms}
+    if len(degrees) > 1:
+        raise InternalInconsistency("matrix grading did not produce a homogeneous determinant")
+    degree = degrees.pop() if degrees else sum(rows[i][i].degree for i in range(len(rows)))
+    return HomogeneousForm(K, nvars, degree, terms)
 
 
 def zeros_by_scan(forms):
@@ -301,17 +391,17 @@ def residual_line_symbolic(cubic, plane, L, M):
     K = cubic.K
     if plane.dim != 2:
         raise ValueError("residual lines live in plane sections")
-    section = cubic.restrict(plane.matrix)
+    section = substitute_by_dicts(cubic, plane.matrix.T)
     if section.is_zero:
         raise PlaneContained("plane lies entirely on the cubic")
     ell_L = linear_form_cutting_line_in_plane(plane, L)
     ell_M = linear_form_cutting_line_in_plane(plane, M)
     try:
-        partial = divide_by_linear(section, ell_L)
+        partial = divide_by_linear_by_dicts(section, ell_L)
     except ValueError as exc:
         raise NotOnCubic("first line is not on the cubic section") from exc
     try:
-        residue = divide_by_linear(partial, ell_M)
+        residue = divide_by_linear_by_dicts(partial, ell_M)
     except ValueError as exc:
         raise NotOnCubic("second line is not on the cubic section") from exc
     ell_N = tuple(residue.coefficient(tuple(1 if j == i else 0 for j in range(3))) for i in range(3))

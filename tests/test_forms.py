@@ -1,6 +1,7 @@
 """Forms layer: evaluation vs naive oracle, substitution, division, binary gcds."""
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,18 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicfano import kernels
-from cubicfano.errors import InvalidInput, NotSupportedError
+from cubicfano.errors import InternalInconsistency, InvalidInput, NotSupportedError
 from cubicfano.forms import (
     BinaryForm,
     HomogeneousForm,
-    det_form_matrix,
     divide_by_linear,
+    interpolate,
+    interpolation_points,
     monomial_exponents,
     random_form,
 )
 from cubicfano.gf import GF, field
-from cubicfano.linalg import inverse_matrix, mat_vec
-from reference_impl import binary_roots_by_scan, eval_form_batch_by_tables, evaluate_form_naive, proportionality
+from cubicfano.linalg import inverse_matrix, mat_vec, rank, rref
+from cubicfano.projective import normalize_point
+from reference_impl import (
+    binary_roots_by_scan,
+    divide_by_linear_by_dicts,
+    eval_form_batch_by_tables,
+    evaluate_form_naive,
+    proportionality,
+    substitute_by_dicts,
+    times_by_dicts,
+)
 
 
 def test_evaluate_frozen_trivial():
@@ -253,7 +264,6 @@ def test_binary_form_roundtrip_with_form():
     K = field(5)
     f = BinaryForm(K, 3, (1, 2, 0, 4))
     assert BinaryForm.from_form(f.to_form()) == f
-    assert f.evaluate(1, 2) == f.to_form().evaluate((1, 2))
 
 
 def _random_binary_with_repeats(K, rng):
@@ -311,40 +321,71 @@ def test_shape_mismatches_raise():
 
 
 # ---------------------------------------------------------------------------
-# symbolic determinants
+# forms from their values
 # ---------------------------------------------------------------------------
 
-
-def test_det_form_matrix_matches_pointwise():
-    from cubicfano.linalg import det as scalar_det
-
-    K = field(5)
-    rng = random.Random(53)
-    n = 3
-    rows = [[random_form(K, 2, 1, rng) for _ in range(n)] for _ in range(n)]
-    D = det_form_matrix(K, 2, rows)
-    assert D.degree == n
-    for s in range(5):
-        for t in range(5):
-            M = [[rows[i][j].evaluate((s, t)) for j in range(n)] for i in range(n)]
-            assert D.evaluate((s, t)) == scalar_det(K, M)
+INTERPOLATION_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3), (3, 4)]
 
 
-def test_det_form_matrix_mixed_grading():
-    # graded like the quadric-pencil matrix: one heavy row/column
-    K = field(7)
-    rng = random.Random(59)
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            deg = 3 if i == 0 and j == 0 else (2 if 0 in (i, j) else 1)
-            row.append(random_form(K, 2, deg, rng))
-        rows.append(row)
-    D = det_form_matrix(K, 2, rows)
-    assert D.degree == 5
-    from cubicfano.linalg import det as scalar_det
+@pytest.mark.parametrize(
+    "nvars, degree", [(2, 4), (2, 6), (3, 2), (3, 3), (3, 6), (5, 3), (6, 3), (3, 0), (1, 3), (2, 5)]
+)
+def test_the_interpolation_points_pin_every_form(nvars, degree):
+    # every shape the package builds, a constant, a form in one variable, and
+    # the quintics over F_5 whose points are all of P^1(F_5)
+    exps = monomial_exponents(nvars, degree)
+    for p, k in INTERPOLATION_FIELDS:
+        K = field(p, k)
+        F = K.points_field(degree)
+        L, pts = interpolation_points(K, nvars, degree)
+        assert L is (F if F.q > K.q else K)
+        assert pts.shape == (len(exps), nvars)
+        # points of P^(nvars-1)(F), normalized and distinct
+        assert F.descend(pts, L).max(initial=0) < F.q
+        assert len({tuple(pt) for pt in pts.tolist()}) == len(exps)
+        assert all(tuple(pt) == normalize_point(L, pt) for pt in pts.tolist())
+        # the first candidates that raise the rank of the monomial matrix
+        codes = range(min(F.q, degree + 1))
+        candidates = np.array(
+            [(0,) * j + (1,) + t for j in range(nvars) for t in product(codes, repeat=nvars - 1 - j)], dtype=np.int64
+        )
+        V = np.stack([HomogeneousForm(F, nvars, degree, {e: 1}).evaluate_batch(candidates) for e in exps], axis=1)
+        assert F.descend(pts, L).tolist() == candidates[rref(F, V.T)[1]].tolist()
+        V = np.array([[HomogeneousForm(L, nvars, degree, {e: 1}).evaluate(pt) for e in exps] for pt in pts.tolist()])
+        assert rank(L, V) == len(exps)
+        # interpolation inverts evaluation at the points
+        f = random_form(K, nvars, degree, random.Random(degree))
+        assert interpolate(K, nvars, degree, f.embedded(L).evaluate_batch(pts)) == f
+        if L is not K:
+            # a primitive element of L at every point: x0^degree times it, not a form over K
+            with pytest.raises(InternalInconsistency):
+                interpolate(K, nvars, degree, np.full(len(exps), L.generator))
 
-    for s in range(7):
-        M = [[rows[i][j].evaluate((s, 3)) for j in range(3)] for i in range(3)]
-        assert D.evaluate((s, 3)) == scalar_det(K, M)
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+def test_forms_built_from_values_match_the_dict_oracle(p, k):
+    # products, substitutions and divisions of degree 1-6 in 2-6 variables;
+    # over F_3 they go through F_9 from degree 4, over F_5 through F_25 at degree 6
+    K = field(p, k)
+    rng = random.Random(100 * p + k)
+    for degree in [1, 2, 3, 4, 5, 6] * 2:
+        m = rng.randint(2, 6 if degree < 5 else 4)
+        f = random_form(K, m, degree, rng)
+        width = rng.randint(2, 5)
+        M = np.array([[K.random_element(rng) for _ in range(width)] for _ in range(m)], dtype=np.int64)
+        assert f.substitute(M) == substitute_by_dicts(f, M)
+        d1 = rng.randint(0, degree)
+        g, h = random_form(K, m, d1, rng), random_form(K, m, degree - d1, rng)
+        assert g.times(h) == times_by_dicts(g, h)
+        ell = [K.random_element(rng) for _ in range(m)]
+        ell[rng.randrange(m)] = rng.randrange(1, K.q)
+        product_form = times_by_dicts(HomogeneousForm.linear(K, ell), g)
+        assert divide_by_linear(product_form, ell) == divide_by_linear_by_dicts(product_form, ell) == g
+        assert _quotient(divide_by_linear, f, ell) == _quotient(divide_by_linear_by_dicts, f, ell)
+
+
+def _quotient(divide, f, ell):
+    try:
+        return divide(f, ell)
+    except ValueError:
+        return "not divisible"

@@ -5,14 +5,16 @@ import dataclasses
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from cubicfano import fourfold, threefold
 from cubicfano.errors import NotGeneral
-from cubicfano.forms import HomogeneousForm
+from cubicfano.forms import BinaryForm, HomogeneousForm
 from cubicfano.fourfold import (
     Indeterminate,
     certify_fourfold,
+    dual_line_rows,
     normalize_fourfold,
     pi_of_line,
     plane_discriminant,
@@ -22,11 +24,17 @@ from cubicfano.fourfold import (
     tangency_map,
 )
 from cubicfano.gf import field
-from cubicfano.pencil import discriminant
+from cubicfano.pencil import discriminant, symbolic_fiber_entries
 from cubicfano.projective import LinearSubspace, common_zeros, projective_reps, span
 from cubicfano.threefold import certify_generality, compute_Z, plane_basis
 
-from reference_impl import fourfold_points_by_double_plane, lines_by_galkin_shinder, lines_on_fourfold
+from reference_impl import (
+    det_form_matrix,
+    fourfold_points_by_double_plane,
+    lines_by_galkin_shinder,
+    lines_on_fourfold,
+    substitute_by_dicts,
+)
 
 
 def seeded_fourfold(seed):
@@ -54,6 +62,22 @@ def test_plane_discriminant_restricts_to_every_slice_discriminant(seed):
     for lam in duals:
         sliced = discriminant(slice_threefold(nx, lam)).form
         assert disc.restricted_to_dual(lam).coeffs == sliced.coeffs
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+def test_plane_discriminant_matches_the_cofactor_oracle(p, k):
+    # over F_3 and F_5 the sextic is interpolated over F_9 and F_25, and so is
+    # its restriction to a dual line
+    K = field(p, k)
+    rng = random.Random(p * k)
+    for seed in range(2):
+        nx = random_fourfold_through_plane(K, random.Random(seed))
+        expected = det_form_matrix(K, 3, symbolic_fiber_entries((nx.Q0, nx.Q1, nx.Q2)))
+        disc = plane_discriminant(nx)
+        assert disc.form == expected
+        for lam in rng.sample(list(projective_reps(K, 2)), 4):
+            sliced = substitute_by_dicts(expected, np.array(dual_line_rows(K, lam)).T)
+            assert disc.restricted_to_dual(lam) == BinaryForm.from_form(sliced)
 
 
 @pytest.mark.parametrize("seed, n_lines", [(0, 181), (1, 150)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicfano import gf
-from cubicfano.errors import InvalidInput, NotSupportedError
+from cubicfano.errors import InternalInconsistency, InvalidInput, NotSupportedError
 from cubicfano.gf import GF, canonical_modulus, field
 from reference_impl import RefField, ref_irreducible
 
@@ -254,6 +254,30 @@ def test_lift_is_the_canonical_embedding(small, big):
     rows = [[x, (x + 1) % K.q] for x in K.elements()]
     assert K.lift(rows, L) == tuple((int(emb[a]), int(emb[b])) for a, b in rows)
     assert K.extension(big[1] // small[1]) is L
+
+
+@pytest.mark.parametrize("small,big", [((3, 1), (3, 2)), ((3, 1), (3, 4)), ((3, 2), (3, 4)), ((5, 1), (5, 2))])
+def test_descend_inverts_lift_and_refuses_a_code_outside(small, big):
+    K, L = field(*small), field(*big)
+    codes = np.arange(K.q).reshape(-1, 1)
+    down = K.descend(K.lift(codes, L), L)
+    assert down.dtype == np.int64 and down.tolist() == codes.tolist()
+    assert K.descend(codes, K).tolist() == codes.tolist()
+    outside = sorted(set(range(L.q)) - set(K.lift(tuple(K.elements()), L)))
+    assert len(outside) == L.q - K.q
+    for x in outside:
+        with pytest.raises(InternalInconsistency, match="cannot come down"):
+            K.descend([0, x], L)
+
+
+@pytest.mark.parametrize(
+    "p, k, degree, points_field",
+    [(3, 1, 3, (3, 1)), (3, 1, 4, (3, 2)), (3, 1, 6, (3, 2)), (5, 1, 5, (5, 1)), (5, 1, 6, (5, 2)),
+     (7, 1, 6, (7, 1)), (3, 2, 6, (3, 2)), (3, 4, 3, (3, 1)), (3, 4, 6, (3, 2)), (3, 3, 6, (3, 3)),
+     (3, 1, 10, (3, 3)), (5, 2, 0, (5, 1))],
+)
+def test_points_field_is_the_smallest_large_enough_subfield_or_extension(p, k, degree, points_field):
+    assert field(p, k).points_field(degree) is field(*points_field)
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (3, 4)])

@@ -7,7 +7,7 @@ import pytest
 
 from cubicfano import fano, pencil, projective
 from cubicfano.errors import InternalInconsistency, NotGeneral
-from cubicfano.forms import HomogeneousForm
+from cubicfano.forms import BinaryForm, HomogeneousForm
 from cubicfano.gf import field
 from cubicfano.linalg import det, rank, rref
 from cubicfano.pencil import (
@@ -27,7 +27,7 @@ from cubicfano.pencil import (
 from cubicfano.projective import ProjectiveLine, _canonical_rows, enumerate_lines, projective_reps
 from cubicfano.threefold import random_threefold_through_plane
 
-from reference_impl import pencil_quadric, quadric_of_matrix, rulings_by_tangent_conics, solve
+from reference_impl import det_form_matrix, pencil_quadric, quadric_of_matrix, rulings_by_tangent_conics, solve
 from test_threefold import make_nf
 
 
@@ -112,8 +112,8 @@ def test_fiber_scaling_keeps_projective_data():
         b = one_fiber(nf, lam, K.mul_(lam, 4))
         assert rank(K, a.matrix) == rank(K, b.matrix)
         # disc scales by lambda^6
-        v1 = disc.form.evaluate(1, 4)
-        v2 = disc.form.evaluate(lam, K.mul_(lam, 4))
+        v1 = disc.form.to_form().evaluate((1, 4))
+        v2 = disc.form.to_form().evaluate((lam, K.mul_(lam, 4)))
         assert v2 == K.mul_(K.pow_(lam, 6), v1)
 
 
@@ -136,7 +136,7 @@ def test_discriminant_matches_pointwise_determinants(p):
     disc = discriminant(nf)
     assert disc.form.degree == 6
     for s, t in projective_reps(K, 1):
-        assert disc.form.evaluate(s, t) == det(K, one_fiber(nf, s, t).matrix)
+        assert disc.form.to_form().evaluate((s, t)) == det(K, one_fiber(nf, s, t).matrix)
 
 
 def test_discriminant_interpolation_oracle():
@@ -152,6 +152,20 @@ def test_discriminant_interpolation_oracle():
     sol = solve(K, np.array(rows, dtype=np.int64), np.array(rhs, dtype=np.int64))
     assert sol is not None
     assert tuple(int(c) for c in sol) == disc.form.coeffs
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+def test_discriminant_matches_the_cofactor_oracle(p, k):
+    # over F_3 and F_5 the sextic is interpolated over F_9 and F_25
+    K = field(p, k)
+    for seed in range(6):
+        nf = random_threefold_through_plane(K, random.Random(seed))
+        expected = det_form_matrix(K, 2, nf.pencil_matrix)
+        if expected.is_zero:
+            with pytest.raises(NotGeneral):
+                discriminant(nf)
+        else:
+            assert discriminant(nf).form == BinaryForm.from_form(expected)
 
 
 def test_discriminant_rejects_identically_zero():
@@ -406,10 +420,10 @@ def test_ruling_count_tracks_character_of_discriminant(p):
     disc = discriminant(nf)
     for s, t in projective_reps(K, 1):
         classes = rulings_of_fiber(one_fiber(nf, s, t))
-        assert len(classes) == 1 + K.chi_(disc.form.evaluate(s, t))
+        assert len(classes) == 1 + K.chi_(disc.form.to_form().evaluate((s, t)))
         for c in classes:
             if c.is_cone:
-                assert disc.form.evaluate(s, t) == 0
+                assert disc.form.to_form().evaluate((s, t)) == 0
                 assert len(c.lines) == K.q + 1
             else:
                 assert len(c.lines) == K.q + 1
@@ -443,7 +457,7 @@ def test_count_points_naive_double_loop():
             sextic = model.disc.embedded(L) if k > 1 else model.disc.form
             naive = 0
             for s, t in projective_reps(L, 1):
-                v = sextic.evaluate(s, t)
+                v = sextic.to_form().evaluate((s, t))
                 naive += sum(1 for y in range(L.q) if L.mul_(y, y) == v)
             assert naive == count_points_C(model, k)
 

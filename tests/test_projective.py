@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cubicfano import projective
-from cubicfano.forms import HomogeneousForm, monomial_exponents, random_form
+from cubicfano.forms import HomogeneousForm, interpolate, interpolation_points, monomial_exponents, random_form
 from cubicfano.fourfold import _singular_point_scan, normalize_fourfold
 from cubicfano.gf import field
 from cubicfano.linalg import inverse_matrix, kernel_basis, mat_mul, rank, rref, rref_stack
@@ -457,15 +457,18 @@ def _cubic_monomials_at(K, pt):
 
 @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3), (3, 4)])
 def test_the_ten_section_points_pin_every_cubic(p, k):
-    # no nonzero ternary cubic vanishes on the ten points: their monomial
-    # matrix is invertible, and the kept inverse interpolates
+    # the points the plane sections are read at are points over K, and no
+    # nonzero ternary cubic vanishes on the ten: their monomial matrix is
+    # invertible, and interpolation gives back each monomial from its values
     K = field(p, k)
-    pts, inverse = projective._section_points(K)
+    L, pts = interpolation_points(K, 3, 3)
+    assert L is K
     assert len({tuple(pt) for pt in pts.tolist()}) == 10
     assert all(tuple(pt) == normalize_point(K, pt) for pt in pts.tolist())
     V = np.array([_cubic_monomials_at(K, pt) for pt in pts.tolist()], dtype=np.int64)
     assert rank(K, V) == 10
-    assert (mat_mul(K, inverse, V) == np.eye(10, dtype=np.int64)).all()
+    for e, column in zip(monomial_exponents(3, 3), V.T):
+        assert interpolate(K, 3, 3, column) == HomogeneousForm.monomial(K, 3, e)
 
 
 @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -475,7 +478,7 @@ def test_a_cubic_off_the_factored_section_at_one_point_is_caught(p, k):
     # the residual solve must see it there, as the symbolic division does
     K = field(p, k)
     rng = random.Random(10 * p + k)
-    pts = projective._section_points(K)[0].tolist()
+    pts = interpolation_points(K, 3, 3)[1].tolist()
     outcomes = set()
     for j in range(10):
         _, plane, L, M = _random_section_case(K, rng, "generic")
