@@ -51,9 +51,9 @@ from .errors import (
     PlaneContained,
     ResampleRequired,
 )
-from .forms import HomogeneousForm, divide_by_linear
+from .forms import HomogeneousForm, divide_by_linear, quadratic_roots
 from .gf import GF
-from .linalg import dot, kernel_basis, mat_mul, mat_vec, rank, rref, rref_stack
+from .linalg import det, dot, kernel_basis, mat_mul, mat_vec, rank, rref_stack
 from .pencil import (
     PencilFiber,
     RulingClass,
@@ -68,7 +68,6 @@ from .projective import (
     ProjectivePoint,
     Residual,
     binary_quadratic,
-    complete_to_basis,
     count_points,
     enumerate_lines,
     line_meets,
@@ -78,7 +77,6 @@ from .projective import (
     point_positions,
     projective_reps,
     residual_from_values,
-    root_directions,
     span,
 )
 from .threefold import NormalizedThreefold, SingularLocusZ, ZPoint
@@ -344,11 +342,6 @@ class FanoSurface:
             return TorsorPoint("line", rows=cl.line.rows)
         raise InvalidInput("the line does not represent a torsor point")
 
-    def line_of(self, x: TorsorPoint) -> ProjectiveLine:
-        if x.kind != "line":
-            raise ValueError("not a line point")
-        return ProjectiveLine(self.L, x.rows, _trusted=True)
-
     def _check_member(self, x: TorsorPoint) -> None:
         if x.kind == "node":
             if x.node not in self.node_index:
@@ -429,17 +422,21 @@ class FanoSurface:
             raise PlaneContained("the span of the line and the node lies on Y")
         ell = linear_form_cutting_line_in_plane(S, line)
         conic = divide_by_linear(section, ell)
-        z3 = S.point_coords(zamb)
-        Mfield, splits = _split_conic_at(L, conic, z3)
-        z_big = L.lift(z3, Mfield)
-        S_big = L.lift(S.matrix, Mfield)
-        out = []
-        for direction, mult in splits:
-            rows_inner = np.array([z_big, direction], dtype=np.int64)
-            amb_rows = mat_mul(Mfield, rows_inner, S_big)
-            branch = ProjectiveLine(Mfield, amb_rows)
-            out.append((self._class_of_node_line(z, branch, Mfield), mult))
-        return out
+        if conic.is_zero:
+            raise InternalInconsistency("the residual conic cannot contain the whole plane")
+        if any(conic.gradient(S.point_coords(zamb))):
+            raise InternalInconsistency("the residual conic must be singular at the node")
+        M, C = L, conic.symmetric_matrix()[None]
+        rows, mult, split = _singular_conic_lines(M, C)
+        if not split[0]:
+            M = L.extension(2)
+            rows, mult, split = _singular_conic_lines(M, L.lift(C, M))
+        S_big = L.lift(S.matrix, M)
+        return [
+            (self._class_of_node_line(z, ProjectiveLine(M, mat_mul(M, line_rows, S_big)), M), m)
+            for line_rows, m in zip(rows[0], mult[0].tolist())
+            if m
+        ]
 
     def _class_of_node_line(self, z: ZPoint, branch: ProjectiveLine, M: GF) -> RulingClass:
         """The ruling class (over M) of a fiber line through the node z."""
@@ -952,31 +949,34 @@ class _TorsorArrays:
         self.is_cone = np.array([c.is_cone for c in look.classes], dtype=bool)
 
 
-# candidates completing a point of a plane to a basis
-_UNIT_VECTORS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# the two coordinates other than p, ascending, for p = 0, 1, 2
+_OTHER_TWO = np.array([[1, 2], [0, 2], [0, 1]])
 
 
-def _split_conic_at(K: GF, conic: HomogeneousForm, z3) -> tuple[GF, list[tuple[tuple, int]]]:
-    """Directions (with multiplicity) of the two lines of a conic singular at z3.
+def _singular_conic_lines(K: GF, conics: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two lines of each conic of an (n, 3, 3) stack of symmetric matrices of rank 1 or 2.
 
-    Returns the field the directions live over (K, or its quadratic extension
-    for a conjugate pair) and the direction triples; multiplicity 2 marks a
-    double line.
+    Each line joins a point v of the conic's kernel to a root (b : g) of the
+    conic on span(c1, c2), for c1, c2 the unit vectors other than e_p, p the
+    last nonzero coordinate of v (the two ``projective.complete_to_basis``
+    picks).  Returns (rows, mult, split): ``rows`` (n, 2, 2, 3) holds
+    (v, b c1 + g c2) in the order of :func:`forms.quadratic_roots`, whose
+    mult and split come along; a conic that is not split has a conjugate
+    pair of lines, which the conic lifted into ``K.extension(2)`` gives.
     """
-    grad = conic.gradient(z3)
-    if any(grad):
-        raise InternalInconsistency("the residual conic must be singular at the node")
-    c1, c2 = complete_to_basis(K, z3, _UNIT_VECTORS)
-    form = binary_quadratic(conic, c1, c2)
-    if form.is_zero:
-        raise InternalInconsistency("the residual conic cannot contain the whole plane")
-    roots = form.roots()
-    if sum(m for _, m in roots) < 2:
-        roots = form.roots(extension=2)
-        L2 = K.extension(2)
-        c1, c2 = K.lift((c1, c2), L2)
-        K = L2
-    return K, root_directions(K, roots, c1, c2)
+    at = np.arange(len(conics))
+    # v is 1 in the first free column of the reduced matrix and minus that
+    # column at the pivots; pivot[n, j, i] says that row i has its pivot in column j
+    R, _ = rref_stack(K, conics)
+    pivot = ((R != 0).argmax(axis=2)[:, None, :] == np.arange(3)[:, None]) & R.any(axis=2)[:, None, :]
+    free = (~pivot.any(axis=2)).argmax(axis=1)
+    v = K.add[np.eye(3, dtype=np.int64)[free], K.neg[dot(K, pivot.astype(np.int64), R[at, :, free][:, None, :])]]
+    c = _OTHER_TWO[2 - (v[:, ::-1] != 0).argmax(axis=1)]
+    Q = conics[at[:, None, None], c[:, :, None], c[:, None, :]]  # the conic on span(c1, c2)
+    roots, mult, split = quadratic_roots(K, Q[:, 0, 0], K.add[Q[:, 0, 1], Q[:, 0, 1]], Q[:, 1, 1])
+    # c1 and c2 are distinct unit vectors, so the integer product places b and g
+    directions = roots @ np.eye(3, dtype=np.int64)[c]
+    return np.stack([np.broadcast_to(v[:, None], directions.shape), directions], axis=2), mult, split
 
 
 # ---------------------------------------------------------------------------
@@ -1421,6 +1421,8 @@ def _surface_lines_over(nf: NormalizedThreefold, line1: ProjectiveLine, line2: P
     if dual.shape[0] != 1:
         raise InternalInconsistency("the span of two skew lines is a hyperplane")
     lam = [int(x) for x in dual[0]]
+    if not any(lam[2:]):
+        raise InternalInconsistency("a hyperplane with P-disjoint lines cannot contain P")
 
     found: set[tuple] = set()
 
@@ -1431,22 +1433,30 @@ def _surface_lines_over(nf: NormalizedThreefold, line1: ProjectiveLine, line2: P
         raise InternalInconsistency("a hyperplane spanned by P-disjoint lines meets P in a line")
     found.add(ProjectiveLine(Ld, ker).rows)
 
-    # components of the degenerate fiber conics Q_{s,t} cap S
-    for s, t in projective_reps(Ld, 1):
-        G = nfd.Q0.scaled(s).plus(nfd.Q1.scaled(t))
-        pi = kernel_basis(Ld, np.array([lam, [t, Ld.neg_(s), 0, 0, 0]], dtype=np.int64))
-        if pi.shape[0] != 3:
-            raise InternalInconsistency("a hyperplane spanned by P-disjoint lines is never a fiber")
-        conic = G.restrict(pi)
-        if conic.is_zero:
-            raise NotGeneral("the section contains a plane component of a fiber")
-        for comp in _conic_component_lines(Ld, conic):
-            amb = mat_mul(Ld, np.array(comp, dtype=np.int64), pi)
-            found.add(ProjectiveLine(Ld, amb).rows)
+    # components of the singular fiber conics Q_{s,t} cap S.  In the fiber
+    # coordinates (u, x2, x3, x4) the hyperplane is mu . v = 0 with
+    # mu = (lam0 s + lam1 t, lam2, lam3, lam4); for j the first of the last
+    # three with mu_j != 0, the plane has the basis e_c - (mu_c / mu_j) e_j
+    # (c != j), and the conic the matrix B M B^T
+    params = np.array(list(projective_reps(Ld, 1)))
+    fibers = pencil_fibers(nf, Ld, params)
+    mu = np.hstack([dot(Ld, params, np.array(lam[:2]))[:, None], np.tile(lam[2:], (len(params), 1))])
+    j = 1 + next(i for i, x in enumerate(lam[2:]) if x)
+    others = [c for c in range(4) if c != j]
+    B = np.tile(np.eye(4, dtype=np.int64)[others], (len(params), 1, 1))
+    B[:, :, j] = Ld.neg[Ld.mul[mu[:, others], Ld.inv[lam[j + 1]]]]
+    MB = dot(Ld, np.stack([fiber.matrix for fiber in fibers])[:, None], B[:, :, None, :])
+    conics = dot(Ld, B[:, :, None, :], MB[:, None]).astype(np.int64)
+    if not conics.any(axis=(1, 2)).all():
+        raise NotGeneral("the section contains a plane component of a fiber")
+    singular = np.flatnonzero(det(Ld, conics) == 0)
+    rows, mult, split = _singular_conic_lines(Ld, conics[singular])
+    for i, line_rows, m in zip(singular[split], rows[split], mult[split]):
+        for plane_rows in line_rows[m > 0]:
+            found.add(ProjectiveLine(Ld, fibers[i].ambient_rows(mat_mul(Ld, plane_rows, B[i]))).rows)
 
     # P-disjoint lines of the section, by the constrained chart sieve
-    for rows in _disjoint_rows_in_hyperplane(nfd, lam):
-        found.add(rows)
+    found.update(_disjoint_rows_in_hyperplane(nfd, lam))
 
     return len(found), tuple(sorted(found))
 
@@ -1479,8 +1489,6 @@ def _disjoint_rows_in_hyperplane(nfd: NormalizedThreefold, lam) -> list[tuple]:
     """RREF row pairs of the lines on Y inside {lam . x = 0} avoiding P."""
     L = nfd.K
     f = nfd.f
-    if lam[2] == 0 and lam[3] == 0 and lam[4] == 0:
-        raise InternalInconsistency("a hyperplane with P-disjoint lines cannot contain P")
     a_side = _affine_slice_points(L, f, (1, 0), lam)
     b_side = _affine_slice_points(L, f, (0, 1), lam)
     return _chart_rows(L, f, a_side, b_side)
@@ -1520,26 +1528,3 @@ def _chart_rows(L: GF, f: HomogeneousForm, a_side: np.ndarray, b_side: np.ndarra
                 )
             )
     return rows
-
-
-def _conic_component_lines(K: GF, conic: HomogeneousForm) -> list[tuple]:
-    """Row pairs of the K-rational component lines of a ternary conic."""
-    m = conic.symmetric_matrix()
-    r = rank(K, m)
-    if r == 3:
-        return []
-    if r == 1:
-        row = next(tuple(int(x) for x in m[i]) for i in range(3) if m[i].any())
-        ker = kernel_basis(K, np.array([row], dtype=np.int64))
-        return [tuple(tuple(int(x) for x in kr) for kr in ker)]
-    # rank 2: two lines through the kernel point, when the binary form splits
-    ker = kernel_basis(K, m)
-    if ker.shape[0] != 1:
-        raise InternalInconsistency("a rank-2 conic is singular at a single point")
-    v = [int(x) for x in ker[0]]
-    c1, c2 = complete_to_basis(K, v, _UNIT_VECTORS)
-    out = []
-    for direction, _mult in root_directions(K, binary_quadratic(conic, c1, c2).roots(), c1, c2):
-        rows, _ = rref(K, np.array([v, list(direction)], dtype=np.int64))
-        out.append(tuple(tuple(int(x) for x in row) for row in rows))
-    return out

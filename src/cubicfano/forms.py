@@ -290,21 +290,33 @@ def _monomial_matrix(F: GF, exps, pts: np.ndarray) -> np.ndarray:
 def _interpolation_basis(K: GF, nvars: int, degree: int):
     """(L, points, inverse, exponents) for the forms over K of this degree in nvars variables.
 
-    The points are the first candidates, in ``projective_reps`` order, that
-    raise the rank of the monomial matrix; the candidates are the points of
-    P^(nvars-1)(F), F = ``K.points_field(degree)``, with coordinates among
-    F's first min(|F|, degree + 1) codes.  When |F| = degree, all of
-    P^(nvars-1)(F), row reduction picks them.  When |F| > degree they are
-    the points (1, y) whose codes add up to at most ``degree``: a form of
-    the degree vanishing on the candidates (1, s_i, ...) for i < j is
-    (x1 - s_0) ... (x1 - s_(j-1)) times one of degree ``degree - j``, so by
-    induction on nvars the slice x1 = s_j adds the points whose later codes
-    add up to at most ``degree - j``.  As many points as monomials, they pin
-    the forms.  Values live in L, the larger of K and F, and points and
-    inverse come as L's codes; the inverse maps the values to the
-    coefficients of the exponents (``monomial_exponents`` order).
+    :func:`_points_field_basis` over F = ``K.points_field(degree)``, shared
+    by every K with that F, lifted into L, the larger of K and F.
     """
     F = K.points_field(degree)
+    pts, inverse, exps = _points_field_basis(F, nvars, degree)
+    L = F if F.q > K.q else K
+    pts, inverse = F.lift(pts, L), F.lift(inverse, L)
+    pts.flags.writeable = inverse.flags.writeable = False
+    return L, pts, inverse, exps
+
+
+@lru_cache(maxsize=None)
+def _points_field_basis(F: GF, nvars: int, degree: int):
+    """(points, inverse, exponents) over F, the points field of forms of this degree in nvars variables.
+
+    The points are the first candidates, in ``projective_reps`` order, that
+    raise the rank of the monomial matrix; the candidates are the points of
+    P^(nvars-1)(F) with coordinates among F's first min(|F|, degree + 1)
+    codes.  When |F| = degree, all of P^(nvars-1)(F), row reduction picks
+    them.  When |F| > degree they are the points (1, y) whose codes add up
+    to at most ``degree``: a form of the degree vanishing on the candidates
+    (1, s_i, ...) for i < j is (x1 - s_0) ... (x1 - s_(j-1)) times one of
+    degree ``degree - j``, so by induction on nvars the slice x1 = s_j adds
+    the points whose later codes add up to at most ``degree - j``.  As many
+    points as monomials, they pin the forms.  The inverse maps the values
+    to the coefficients of the exponents (``monomial_exponents`` order).
+    """
     exps = monomial_exponents(nvars, degree)
     if F.q > degree:
         tails = (t for t in product(range(degree + 1), repeat=nvars - 1) if sum(t) <= degree)
@@ -318,11 +330,7 @@ def _interpolation_basis(K: GF, nvars: int, degree: int):
         if len(chosen) != len(exps):
             raise InternalInconsistency(f"the points of P^{nvars - 1}({F!r}) must pin the forms of degree {degree}")
         pts = reps[chosen]
-    inverse = inverse_matrix(F, _monomial_matrix(F, exps, pts))
-    L = F if F.q > K.q else K
-    pts, inverse = F.lift(pts, L), F.lift(inverse, L)
-    pts.flags.writeable = inverse.flags.writeable = False
-    return L, pts, inverse, exps
+    return pts, inverse_matrix(F, _monomial_matrix(F, exps, pts)), exps
 
 
 def interpolation_points(K: GF, nvars: int, degree: int) -> tuple[GF, np.ndarray]:
@@ -381,6 +389,33 @@ def _poly_gcd_monic(K: GF, a: list[int], b: list[int]) -> list[int]:
         inv = K.inverse(a[-1])
         a = [K.mul_(c, inv) for c in a]
     return a
+
+
+def quadratic_roots(K: GF, q11, q12, q22) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The roots (b : g) of the binary quadratics q11 b^2 + q12 b g + q22 g^2, for stacks of codes.
+
+    The quadratic formula, the square root of q12^2 - 4 q11 q22 read from
+    ``K.sqrt_table``.  Returns (roots, mult, split): ``roots`` (..., 2, 2)
+    as (1 : x) or (0 : 1), ordered as :meth:`BinaryForm.roots` orders them;
+    ``mult`` (..., 2), a double root taking 2 in the first slot and 0 in the
+    second; ``split`` whether the roots lie in K.  Where they do not, roots
+    and mult are zero, and the coefficients lifted into ``K.extension(2)``
+    give the conjugate pair.
+    """
+    q11, q12, q22 = np.broadcast_arrays(*(np.asarray(c, dtype=np.int64) for c in (q11, q12, q22)))
+    if not ((q11 != 0) | (q12 != 0) | (q22 != 0)).all():
+        raise ValueError("every point is a root of the zero form")
+    d = K.sqrt_table[K.add[K.mul[q12, q12], K.neg[K.mul[4 % K.p, K.mul[q11, q22]]]]]
+    split, d = d >= 0, np.maximum(d, 0)
+    # a root (1 : x) as x and (0 : 1) as q: (-q12 +- d) / (2 q22), or
+    # -q11 / q12 and (0 : 1) when q22 = 0, or (0 : 1) twice when q12 = 0 too
+    quad, line = q22 != 0, (q22 == 0) & (q12 == 0)
+    inv = K.inv[np.where(quad, K.mul[2 % K.p, q22], q12)]
+    first = np.where(line, K.q, K.mul[np.where(quad, K.add[K.neg[q12], d], K.neg[q11]), inv])
+    x = np.sort(np.stack([first, np.where(quad, K.mul[K.add[K.neg[q12], K.neg[d]], inv], K.q)], axis=-1))
+    roots = np.stack([x < K.q, np.where(x < K.q, x, 1)], axis=-1) * split[..., None, None]
+    double = x[..., 0] == x[..., 1]
+    return roots, np.stack([1 + double, ~double], axis=-1) * split[..., None], split
 
 
 class BinaryForm:
@@ -535,4 +570,4 @@ class BinaryForm:
             M[r, r : r + m + 1] = self.coeffs
         for r in range(m):
             M[n + r, r : r + n + 1] = other.coeffs
-        return det(self.K, M)
+        return int(det(self.K, M))

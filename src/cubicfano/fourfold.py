@@ -198,7 +198,7 @@ def plane_discriminant(nx: NormalizedFourfold) -> PlaneDiscriminant:
     L, pts = interpolation_points(nx.K, 3, 6)
     entries = symbolic_fiber_entries((nx.Q0, nx.Q1, nx.Q2))
     values = np.array([[entry.embedded(L).evaluate_batch(pts) for entry in row] for row in entries])
-    D = interpolate(nx.K, 3, 6, [det(L, M) for M in values.transpose(2, 0, 1)])
+    D = interpolate(nx.K, 3, 6, det(L, values.transpose(2, 0, 1)))
     if D.is_zero:
         raise NotGeneral("the plane discriminant vanishes identically")
     depth_used = 0

@@ -106,26 +106,29 @@ def inverse_matrix(K: GF, mat) -> np.ndarray:
     return R[:, n:]
 
 
-def det(K: GF, mat) -> int:
-    """Determinant by elimination (tiny matrices, exact)."""
-    A = np.array(mat, dtype=np.int64) % K.q
-    n = A.shape[0]
-    result = 1
+def det(K: GF, mats) -> np.ndarray:
+    """The determinant of every matrix of a (..., n, n) stack, as codes of shape (...).
+
+    One forward elimination sweeps the columns of the whole stack; the pivot
+    of column c, its first nonzero entry in rows c and below, is swapped into
+    row c, negating the product of the pivots.  A column without one has the
+    pivot 0, which zeroes the product, and K.inv[0] = 0 eliminates nothing.
+    """
+    A = np.array(mats, dtype=np.int64) % K.q
+    *lead, n, _ = A.shape
+    A = A.reshape(int(np.prod(lead)), n, n)
+    every = np.arange(len(A))
+    result = np.ones(len(A), dtype=np.int64)
     for c in range(n):
-        pivot = next((i for i in range(c, n) if A[i, c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            A[[c, pivot]] = A[[pivot, c]]
-            result = K.neg_(result)
-        result = K.mul_(result, int(A[c, c]))
-        inv = K.inverse(int(A[c, c]))
-        A[c] = K.mul[A[c], inv]
-        for i in range(c + 1, n):
-            if A[i, c]:
-                factor = K.mul[int(A[i, c])]
-                A[i] = K.add[A[i], K.neg[factor[A[c]]]]
-    return result
+        p = c + (A[:, c:, c] != 0).argmax(axis=1)
+        swapped = p != c
+        result[swapped] = K.neg[result[swapped]]
+        A[every, c], A[every, p] = A[every, p], A[every, c]
+        pivot = A[:, c, c]
+        result = K.mul[result, pivot].astype(np.int64)
+        factors = K.mul[A[:, c + 1 :, c], K.inv[pivot][:, None]]
+        A[:, c + 1 :, c:] = K.add[A[:, c + 1 :, c:], K.neg[K.mul[factors[:, :, None], A[:, None, c, c:]]]]
+    return result.reshape(lead)
 
 
 # the longest summed axis that dot adds up one gather per entry

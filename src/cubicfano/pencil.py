@@ -26,12 +26,11 @@ ruling meets it at beta(x, b2) b1 - beta(x, b1) b2.  The rulings of all the
 fibers of a field are built at once (:func:`rulings_of_fibers`), as table
 gathers on stacked arrays: the fiber matrices and their ranks from one
 stacked row reduction, a point y of each fiber from stacked evaluations over
-a plane, the two lines through y as the roots of the tangent conic by the
-quadratic formula with the square root read from the field's table, the
-lines of both rulings through all points at once, and one stacked row
-reduction for their canonical rows.  One stack of Plucker pairings checks
-them: distinct lines of one ruling pair to nonzero (skew), lines of opposite
-rulings to zero (they meet).
+a plane, the two lines through y as the roots of the tangent conic
+(:func:`forms.quadratic_roots`), the lines of both rulings through all
+points at once, and one stacked row reduction for their canonical rows.
+One stack of Plucker pairings checks them: distinct lines of one ruling
+pair to nonzero (skew), lines of opposite rulings to zero (they meet).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalInconsistency, NotGeneral
-from .forms import BinaryForm, HomogeneousForm, interpolate, interpolation_points
+from .forms import BinaryForm, HomogeneousForm, interpolate, interpolation_points, quadratic_roots
 from .gf import GF
 from .linalg import det, dot, rref_stack
 from .projective import ProjectiveLine, all_points_array, projective_reps
@@ -179,7 +178,7 @@ def symbolic_fiber_entries(quadrics) -> list[list[HomogeneousForm]]:
 def discriminant(nf) -> DiscriminantSextic:
     """The determinant of the threefold's kept pencil matrix, interpolated from fiber determinants."""
     L, params = interpolation_points(nf.K, 2, 6)
-    D = interpolate(nf.K, 2, 6, [det(L, fiber.matrix) for fiber in pencil_fibers(nf, L, params)])
+    D = interpolate(nf.K, 2, 6, det(L, np.stack([fiber.matrix for fiber in pencil_fibers(nf, L, params)])))
     if D.is_zero:
         raise NotGeneral("discriminant vanishes identically")
     return DiscriminantSextic(BinaryForm.from_form(D))
@@ -321,40 +320,20 @@ def _smooth_rulings(K: GF, M: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
     Mc2 = _apply(K, M, c2)
     q11, q22 = dot(K, c1, _apply(K, M, c1)), dot(K, c2, Mc2)
     beta12 = dot(K, c1, Mc2)
-    q12 = K.add[beta12, beta12]
-    four = 4 % K.p
-    disc = K.add[K.mul[q12, q12], K.neg[K.mul[four, K.mul[q11, q22]]]]
-    if (disc == 0).any():
+    roots, mult, split = quadratic_roots(K, q11, K.add[beta12, beta12], q22)
+    if (mult == 2).any():
         raise InternalInconsistency("the tangent conic of a smooth quadric is two distinct lines")
-    split = np.flatnonzero(K.chi[disc] == 1)
-    M, y, p, r, c1, c2 = M[split], y[split], p[split], r[split], c1[split], c2[split]
-    q11, q12, q22, disc = q11[split], q12[split], q22[split], disc[split]
+    split = np.flatnonzero(split)
+    M, y, p, r, c1, c2, roots = M[split], y[split], p[split], r[split], c1[split], c2[split], roots[split]
     at = np.arange(len(split))
-
-    # the quadratic formula, a square root read from the field's table: the
-    # roots are (-q12 +- d : 2 q11), or (2 q22 : -q12 -+ d) when q11 = 0,
-    # or (1 : 0) and (0 : 1) when both vanish
-    d = K.sqrt_table[disc]
-    two = 2 % K.p
-    plus, minus = K.add[K.neg[q12], d], K.add[K.neg[q12], K.neg[d]]
-    first, second = q11 != 0, q22 != 0
-    a = _combine(
-        K,
-        np.where(first, plus, np.where(second, K.mul[two, q22], 1)), c1,
-        np.where(first, K.mul[two, q11], np.where(second, minus, 0)), c2,
-    )
-    b = _combine(
-        K,
-        np.where(first, minus, np.where(second, K.mul[two, q22], 0)), c1,
-        np.where(first, K.mul[two, q11], np.where(second, plus, 1)), c2,
-    )
+    a, b = (_combine(K, roots[:, i, 0], c1, roots[:, i, 1], c2) for i in range(2))
 
     # x = -M_pp y + 2 r_p e_p is the second point of the quadric on the line
     # through y and e_p, off the tangent plane at y: beta(y, x) = 2 r_p^2.
     # The line of B's ruling through x meets A at mA, and the line of A's
     # ruling through x meets B at mB
     x = K.mul[K.neg[M[at, p, p]][:, None], y]
-    x[at, p] = K.add[x[at, p], K.mul[two, r[at, p]]]
+    x[at, p] = K.add[x[at, p], K.mul[2 % K.p, r[at, p]]]
     Mx = _apply(K, M, x)
     xy = dot(K, y, Mx)
     mA = _combine(K, dot(K, a, Mx), y, K.neg[xy], a)
@@ -380,9 +359,8 @@ def rulings_of_fibers(fibers) -> list[list[RulingClass]]:
       smooth fiber (every conic over F_q has a rational point), the plane
       scanned a chunk at a time until every fiber has one;
     * at y the tangent plane meets a smooth quadric in its two lines through
-      y, the roots of a binary quadratic, read off the quadratic formula with
-      the square root from ``K.sqrt_table``: a nonsquare discriminant is a
-      nonsplit fiber;
+      y, the roots of a binary quadratic (:func:`forms.quadratic_roots`): a
+      nonsquare discriminant is a nonsplit fiber;
     * off the tangent plane, a second point x of the quadric gives a line of
       each ruling through x, and each ruling is the line through each point
       of one line through y meeting the line through x of the other ruling

@@ -513,11 +513,3 @@ def binary_quadratic(quadric: HomogeneousForm, c1, c2) -> BinaryForm:
     both = quadric.evaluate([K.add_(a, b) for a, b in zip(c1, c2)])
     q12 = K.sub_(K.sub_(both, q11), q22)  # 2*B(c1, c2)
     return BinaryForm(K, 2, (q11, q12, q22))
-
-
-def root_directions(K: GF, roots, c1, c2) -> list[tuple[tuple[int, ...], int]]:
-    """Each root ((b, g), multiplicity) as the direction b*c1 + g*c2, with its multiplicity."""
-    return [
-        (tuple(K.add_(K.mul_(b, u), K.mul_(g, v)) for u, v in zip(c1, c2)), mult)
-        for (b, g), mult in roots
-    ]

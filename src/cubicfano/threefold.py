@@ -272,17 +272,22 @@ class SingularLocusZ:
         return tuple(out)
 
 
-def _smooth_member(K: GF, q0: HomogeneousForm, q1: HomogeneousForm):
-    """A smooth conic G = s*q0 + t*q1 of the pencil and a second member H, or None.
+def _smooth_member(nf: NormalizedThreefold):
+    """The first smooth conic G = s*q0 + t*q1 of the pencil and a second member H, or None.
 
-    The determinant of the pencil is a binary cubic in (s:t), so when it
-    vanishes at all q + 1 >= 4 rational members, every member is singular.
+    One stacked determinant of the members' matrices, the fiber matrices'
+    blocks on u = 0, in ``projective_reps`` order.  The determinant of the
+    pencil is a binary cubic in (s:t), so when all q + 1 >= 4 vanish, every
+    member is singular.
     """
-    for s, t in projective_reps(K, 1):
-        G = q0.scaled(s).plus(q1.scaled(t))
-        if det(K, G.symmetric_matrix()):
-            return G, (q1 if s else q0)
-    return None
+    params = list(projective_reps(nf.K, 1))
+    fibers = pencil_mod.pencil_fibers(nf, nf.K, params)
+    smooth = np.flatnonzero(det(nf.K, np.stack([fiber.matrix[1:, 1:] for fiber in fibers])))
+    if not len(smooth):
+        return None
+    s, t = params[smooth[0]]
+    q0, q1 = nf.restricted_conics
+    return q0.scaled(s).plus(q1.scaled(t)), (q1 if s else q0)
 
 
 def _pullback_quartic(K: GF, G: HomogeneousForm, H: HomogeneousForm):
@@ -364,7 +369,7 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
     q0, q1 = nf.restricted_conics
     if q0.is_zero or q1.is_zero:
         raise NotGeneral("a restricted conic vanishes identically")
-    members = _smooth_member(K, q0, q1)
+    members = _smooth_member(nf)
     if members is None:
         return _Z_at_common_vertex(K, q0, q1)
     quartic, M = _pullback_quartic(K, *members)

@@ -45,7 +45,6 @@ from cubicfano.projective import (
     linear_form_cutting_line_in_plane,
     normalize_point,
     projective_reps,
-    root_directions,
     span,
 )
 from cubicfano.torsor import DivisorWord, SignedTorsorPoint
@@ -526,6 +525,63 @@ def check_rulings(K, rulings):
         raise InternalInconsistency("lines in different rulings must meet")
     if any(len(ruling) != K.q + 1 for ruling in rulings):
         raise InternalInconsistency("split smooth fiber carries q+1 lines per ruling")
+
+
+def root_directions(K, roots, c1, c2):
+    """Each root ((b, g), multiplicity) as the direction b*c1 + g*c2, with its multiplicity."""
+    return [
+        (tuple(K.add_(K.mul_(b, u), K.mul_(g, v)) for u, v in zip(c1, c2)), mult)
+        for (b, g), mult in roots
+    ]
+
+
+# candidates completing a point of a plane to a basis
+_UNIT_VECTORS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def split_conic_at_by_scan(K, conic, z3):
+    """Directions (with multiplicity) of the two lines of a conic singular at z3, and their field.
+
+    The lines through z3 are the roots of the conic on the line through two
+    unit vectors completing z3 to a basis, found by scanning the field, and
+    over the quadratic extension for a conjugate pair.
+    """
+    if any(conic.gradient(z3)):
+        raise InternalInconsistency("the residual conic must be singular at the node")
+    c1, c2 = complete_to_basis(K, z3, _UNIT_VECTORS)
+    form = binary_quadratic(conic, c1, c2)
+    if form.is_zero:
+        raise InternalInconsistency("the residual conic cannot contain the whole plane")
+    roots = form.roots()
+    if sum(m for _, m in roots) < 2:
+        roots = form.roots(extension=2)
+        L2 = K.extension(2)
+        c1, c2 = K.lift((c1, c2), L2)
+        K = L2
+    return K, root_directions(K, roots, c1, c2)
+
+
+def conic_component_lines_by_scan(K, conic):
+    """Canonical row pairs of the K-rational component lines of a ternary conic, by rank and a field scan."""
+    m = conic.symmetric_matrix()
+    r = rank(K, m)
+    if r == 3:
+        return []
+    if r == 1:
+        row = next(tuple(int(x) for x in m[i]) for i in range(3) if m[i].any())
+        ker = kernel_basis(K, np.array([row], dtype=np.int64))
+        return [tuple(tuple(int(x) for x in kr) for kr in ker)]
+    # rank 2: two lines through the kernel point, when the binary form splits
+    ker = kernel_basis(K, m)
+    if ker.shape[0] != 1:
+        raise InternalInconsistency("a rank-2 conic is singular at a single point")
+    v = [int(x) for x in ker[0]]
+    c1, c2 = complete_to_basis(K, v, _UNIT_VECTORS)
+    out = []
+    for direction, _mult in root_directions(K, binary_quadratic(conic, c1, c2).roots(), c1, c2):
+        rows, _ = rref(K, np.array([v, list(direction)], dtype=np.int64))
+        out.append(tuple(tuple(int(x) for x in row) for row in rows))
+    return out
 
 
 def _tangent_directions(K, matrix, quadric, y):

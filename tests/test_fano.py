@@ -31,13 +31,15 @@ from cubicfano.fano import (
 )
 from cubicfano.forms import HomogeneousForm
 from cubicfano.gf import field
-from cubicfano.linalg import inverse_matrix, mat_mul, rank
+from cubicfano.linalg import det, inverse_matrix, kernel_basis, mat_mul, rank
 from cubicfano.pencil import pencil_fibers, rulings_of_fiber
 from cubicfano.projective import (
     LinearSubspace,
+    ProjectiveLine,
     ProjectivePoint,
     enumerate_lines,
     line_meets,
+    normalize_point,
     projective_reps,
     span,
 )
@@ -45,10 +47,13 @@ from cubicfano.threefold import compute_Z, normalize, random_general_threefold, 
 from cubicfano.torsor import TorsorGroup, torsor_group
 
 from reference_impl import (
+    conic_component_lines_by_scan,
     involution_by_step,
     involution_tables_by_steps,
     line_count_by_point_counts,
     plane_line_fiber_by_minors,
+    quadric_of_matrix,
+    split_conic_at_by_scan,
 )
 from test_pencil import general_example
 
@@ -616,6 +621,44 @@ def test_tower_climbs_stop_where_the_tower_ends():
     # a pair whose transversals all lie over F_81 gives the expected counts
     assert (5, 3) in counts
     assert any(complete)
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_singular_conic_lines_match_the_scanning_oracles(p, k):
+    # random conics A^T diag(a, b, c) A of rank 1, 2 and 3; the two lines of
+    # a rank-2 one are rational when -ab is a square and conjugate otherwise
+    K, L2 = field(p, k), field(p, 2 * k)
+    rng = random.Random(10 * p + k)
+    conics, ranks = [], [1, 2, 2, 2, 3] * 8
+    for r in ranks:
+        A = np.zeros((3, 3), dtype=np.int64)
+        while rank(K, A) < 3:
+            A = np.array([[K.random_element(rng) for _ in range(3)] for _ in range(3)])
+        D = np.diag([rng.randrange(1, K.q) if i < r else 0 for i in range(3)])
+        conics.append(mat_mul(K, mat_mul(K, A.T, D), A))
+    conics = np.array(conics)
+    # the census splits the conics with determinant zero
+    singular = np.flatnonzero(det(K, conics) == 0)
+    assert singular.tolist() == [i for i, r in enumerate(ranks) if r < 3]
+    found = fano._singular_conic_lines(K, conics[singular])
+    over_L2 = fano._singular_conic_lines(L2, K.lift(conics[singular], L2))
+    kinds = set()
+    for i, C, rows, mult, split, rows2, mult2 in zip(singular, conics[singular], *found, *over_L2[:2]):
+        conic = quadric_of_matrix(K, C)
+        got = {ProjectiveLine(K, line).rows for line in rows[mult > 0]} if split else set()
+        assert got == set(conic_component_lines_by_scan(K, conic))
+        # phi: the lines through a point of the kernel, in the oracle's order,
+        # over F_{q^2} for a conjugate pair
+        z3 = normalize_point(K, kernel_basis(K, C)[0])
+        M, directions = split_conic_at_by_scan(K, conic, z3)
+        assert (M is K) == split
+        if not split:
+            rows, mult = rows2, mult2
+        assert [(ProjectiveLine(M, line).rows, m) for line, m in zip(rows, mult.tolist()) if m] == [
+            (ProjectiveLine(M, np.array([K.lift(z3, M), d])).rows, m) for d, m in directions
+        ]
+        kinds.add((ranks[i], bool(split)))
+    assert kinds == {(1, True), (2, True), (2, False)}
 
 
 def test_degenerate_conic_scan_stops_where_the_tower_ends():

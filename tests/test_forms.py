@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicfano import kernels
+from cubicfano import forms, kernels
 from cubicfano.errors import InternalInconsistency, InvalidInput, NotSupportedError
 from cubicfano.forms import (
     BinaryForm,
@@ -17,6 +17,7 @@ from cubicfano.forms import (
     interpolate,
     interpolation_points,
     monomial_exponents,
+    quadratic_roots,
     random_form,
 )
 from cubicfano.gf import GF, field
@@ -305,6 +306,47 @@ def test_binary_roots_match_scan_oracle(p, k):
 def test_binary_roots_of_zero_form_refused():
     with pytest.raises(ValueError):
         BinaryForm(field(5), 2, (0, 0, 0)).roots()
+    with pytest.raises(ValueError):
+        quadratic_roots(field(5), [1, 0], [0, 0], [2, 0])
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_quadratic_roots_match_binary_roots_on_every_quadratic(p, k):
+    # every nonzero (q11, q12, q22) at once; a nonsplit one solved over F_{q^2}
+    K, L = field(p, k), field(p, 2 * k)
+    coeffs = np.array([c for c in product(range(K.q), repeat=3) if any(c)])
+    roots, mult, split = quadratic_roots(K, *coeffs.T)
+    roots2, mult2, split2 = quadratic_roots(L, *K.lift(coeffs, L).T)
+    assert split2.all()
+    kinds = set()
+    for c, r, m, ok, r2, m2 in zip(coeffs.tolist(), roots, mult, split, roots2, mult2):
+        f = BinaryForm(K, 2, c)
+        expected = f.roots()
+        assert ok == (sum(n for _, n in expected) == 2), c
+        assert [(tuple(x), n) for x, n in zip(r.tolist(), m.tolist()) if n] == expected, c
+        if not ok:
+            assert not m.any() and not r.any()
+            assert [(tuple(x), n) for x, n in zip(r2.tolist(), m2.tolist()) if n] == f.roots(extension=2), c
+        kinds.add((bool(ok), tuple(m.tolist()), c[2] == 0))
+    # split and nonsplit, simple and double, with and without a root at (0 : 1)
+    assert kinds >= {(True, (1, 1), False), (True, (2, 0), False), (True, (1, 1), True), (True, (2, 0), True),
+                     (False, (0, 0), False)}
+
+
+def test_interpolation_bases_over_one_points_field_share_its_row_reduction(monkeypatch):
+    # F_3, F_9, F_27 and F_81 all take the interpolation points of cubics from F_3
+    reduced = []
+    monkeypatch.setattr(forms, "rref", lambda K, mat: reduced.append(K) or rref(K, mat))
+    forms._interpolation_basis.cache_clear()
+    forms._points_field_basis.cache_clear()
+    F = field(3)
+    for k in (1, 2, 3, 4):
+        K = field(3, k)
+        L, pts = interpolation_points(K, 5, 3)
+        assert L is K and np.array_equal(pts, F.lift(forms._points_field_basis(F, 5, 3)[0], K))
+        f = random_form(K, 5, 3, random.Random(k))
+        assert interpolate(K, 5, 3, f.evaluate_batch(pts)) == f
+    assert reduced == [F]
 
 
 def test_shape_mismatches_raise():

@@ -239,6 +239,30 @@ def test_a_threefold_builds_its_pencil_matrix_in_one_place():
     assert fibers == []
 
 
+def test_binary_forms_are_scanned_and_square_roots_read_in_one_place_each():
+    # a quadratic is solved by forms.quadratic_roots, the one reader of the
+    # square-root table outside gf.py; only compute_Z's quartic scans a field
+    scans, readers = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        scans += [f"{path.name}:{scope}" for scope, _ in _call_sites(tree, {"roots"})]
+        if path.name != "gf.py":
+            readers += [f"{path.name}:{scope}" for scope in _attribute_reads(tree, "sqrt_table")]
+    assert scans == ["threefold.py:compute_Z"]
+    assert readers == ["forms.py:quadratic_roots"]
+
+
+def _attribute_reads(tree, attr, scope=""):
+    """The qualified scope of every read of an attribute named ``attr``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load):
+            yield scope
+        yield from _attribute_reads(node, attr, inner)
+
+
 def test_no_module_imports_a_name_it_never_reads():
     # a module-level import binds a name; one the module never reads is dead weight
     unused, scanned = [], 0

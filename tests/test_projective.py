@@ -1,6 +1,7 @@
 """Projective layer: enumeration counts, spans, restriction, residual lines."""
 
 import functools
+import itertools
 import random
 from itertools import islice
 
@@ -11,7 +12,7 @@ from cubicfano import projective
 from cubicfano.forms import HomogeneousForm, interpolate, interpolation_points, monomial_exponents, random_form
 from cubicfano.fourfold import _singular_point_scan, normalize_fourfold
 from cubicfano.gf import field
-from cubicfano.linalg import inverse_matrix, kernel_basis, mat_mul, rank, rref, rref_stack
+from cubicfano.linalg import det, inverse_matrix, kernel_basis, mat_mul, rank, rref, rref_stack
 from cubicfano.errors import NotOnCubic, PlaneContained
 from cubicfano.projective import (
     LinearSubspace,
@@ -101,6 +102,44 @@ def test_stacked_rref_matches_rref_on_every_matrix(p, k):
             assert r == len(expected)
             assert np.array_equal(R[:r], expected) and not R[r:].any()
     assert rref_stack(K, np.zeros((0, 4, 5), dtype=np.int64))[0].shape == (0, 4, 5)
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (7, 1), (3, 2), (5, 2)])
+def test_stacked_det_matches_the_leibniz_expansion(p, k):
+    K = field(p, k)
+    rng = random.Random(10 * p + k)
+
+    def leibniz(M):
+        total = 0
+        for perm in itertools.permutations(range(len(M))):
+            term = 1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0 else K.neg_(1)
+            for i, j in enumerate(perm):
+                term = K.mul_(term, int(M[i][j]))
+            total = K.add_(total, term)
+        return total
+
+    for n in (1, 2, 3, 4):
+        mats = []
+        for r in range(n + 1):
+            for _ in range(6):
+                # a random matrix of rank at most r, its rows in random order
+                left = [[K.random_element(rng) for _ in range(r)] for _ in range(n)]
+                right = [[K.random_element(rng) for _ in range(n)] for _ in range(r)]
+                mats.append(mat_mul(K, left, right) if r else np.zeros((n, n), dtype=np.int64))
+        # invertible matrices whose first pivot needs a row swap
+        for _ in range(6 if n > 1 else 0):
+            M = np.zeros((n, n), dtype=np.int64)
+            while leibniz(M) == 0:
+                M = np.array([[K.random_element(rng) for _ in range(n)] for _ in range(n)])
+                M[0, 0] = 0
+            mats.append(M)
+        dets = det(K, np.array(mats).reshape(2, -1, n, n))
+        assert dets.shape == (2, len(mats) // 2)
+        expected = [leibniz(M) for M in mats]
+        assert dets.ravel().tolist() == expected
+        assert 0 in expected and (n == 1 or len(set(expected)) > 1)
+        assert int(det(K, mats[-1])) == expected[-1]  # one matrix
+    assert det(K, np.zeros((0, 3, 3), dtype=np.int64)).shape == (0,)
 
 
 def test_line_points_and_containment():
