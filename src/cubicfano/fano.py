@@ -9,10 +9,15 @@ three ways against the plane P = {x0 = x1 = 0}:
   * lines disjoint from P, the open chart of the line surface.
 
 A disjoint line has RREF pivots in columns 0 and 1, so its rows are
-(1,0,a) and (0,1,b) with affine tails a, b.  It lies on Y iff a is a zero of
-Q0(1,0,-), b is a zero of Q1(0,1,-), and f kills the two diagonal points
-(1,1,a+b) and (1,-1,a-b); that check is two batch cubic evaluations over the
-product of two affine quadric slices, which is how the chart is enumerated.
+A = (1,0,a) and B = (0,1,b) with affine tails a, b.  Since f(1,0,a) =
+Q0(1,0,a) and f(0,1,b) = Q1(0,1,b), each side of the chart is the set of
+affine zeros of a quadric, solved one line of a grid at a time by the
+quadratic formula (:func:`_quadric_zeros`).  As f(A + lam B) = f(A) +
+lam grad f(A).B + lam^2 grad f(B).A + lam^3 f(B) in every characteristic, the
+line AB lies on Y iff both gradient pairings vanish (:func:`_chart_rows`).
+The lines of a cubic-surface section that miss P come from the same two
+helpers, the sides cut down to the section's hyperplane, and the
+transversals of two skew lines are read off that section's lines.
 
 On the torsor-ready point set (disjoint lines, boundary lines through the
 nodes, and the nodes themselves) :class:`FanoSurface` provides the ruling
@@ -39,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -233,13 +238,13 @@ class FanoSurface:
         self.nodes.sort(key=lambda pair: pair[1])
         self.node_index = {amb: z for z, amb in self.nodes}
 
+        self._gradients: dict = {}
         self.lines: list[ClassifiedLine] = self._enumerate()
         self.by_rows = {cl.line.rows: cl for cl in self.lines}
         if len(self.by_rows) != len(self.lines):
             raise InternalInconsistency("line enumeration produced a duplicate")
         self.torsor_set = self._build_torsor_set()
         self._extension_rulings: dict = {}
-        self._gradients: dict = {}
         self._j_perms: dict = {}
         self._j_dicts: dict = {}
         nf.surfaces.setdefault(k, self)
@@ -288,14 +293,7 @@ class FanoSurface:
 
     def _disjoint_rows(self) -> list[tuple]:
         """RREF row pairs ((1,0,a),(0,1,b)) of the lines on Y avoiding P."""
-        L = self.L
-        f = self.nf.f
-        cube = np.array(list(product(range(L.q), repeat=3)), dtype=np.uint16)
-        ones = np.ones((len(cube), 1), dtype=np.uint16)
-        zeros = np.zeros((len(cube), 1), dtype=np.uint16)
-        a_side = cube[f.evaluate_batch(np.hstack([ones, zeros, cube])) == 0]
-        b_side = cube[f.evaluate_batch(np.hstack([zeros, ones, cube])) == 0]
-        return _chart_rows(L, f, a_side, b_side)
+        return _chart_rows(self.L, self.nf.f, self._gradient(self.L), _CHART_FRAMES)
 
     def _carries_torsor_point(self, cl: ClassifiedLine) -> bool:
         """A line is a torsor point when it misses P or meets P at a node."""
@@ -1216,8 +1214,8 @@ def verify_intersection_numbers(nf: NormalizedThreefold, rng) -> IntersectionRep
     """
     surface = surface_of(nf, 1)
     disjoint = [cl.line for cl in surface.lines if cl.tag == DISJOINT]
-    if not disjoint:
-        raise NotGeneral("no disjoint lines over the base field; enlarge the field")
+    if len(disjoint) < 2:
+        raise NotGeneral("fewer than two disjoint lines over the base field; enlarge the field")
     resamples = 0
 
     sigma_tau: list[int] = []
@@ -1240,7 +1238,7 @@ def verify_intersection_numbers(nf: NormalizedThreefold, rng) -> IntersectionRep
         if line_meets(line1, line2):
             resamples += 1
             continue
-        counts = _transversal_counts(nf, line1, line2)
+        counts = _sigma_sigma_counts(nf, line1, line2)
         if counts is None:
             resamples += 1
             continue
@@ -1276,55 +1274,43 @@ def _sigma_tau_count(surface: FanoSurface, surface2: FanoSurface, z: ZPoint, lin
     return sum(m for _, m in pair)
 
 
-def _transversal_counts(nf: NormalizedThreefold, line1: ProjectiveLine, line2: ProjectiveLine):
+def _sigma_sigma_counts(nf: NormalizedThreefold, line1: ProjectiveLine, line2: ProjectiveLine):
     """(all transversals, those meeting P) of two skew disjoint lines, or None.
 
-    Scans L1(F_{q^d}) x L2(F_{q^d}) for d <= 4, while the tower reaches
-    F_{q^d} and q^d <= 3000; a pair spans a line on Y iff the cubic kills
-    both diagonal points.  The counts are geometric as long as every
-    transversal is defined over that degree, which is the generic (resampled
-    otherwise) situation.
+    The transversals over F_{q^d} are the lines of the section census
+    (:func:`_section_lines`) that meet both lines, for each d the tower
+    reaches with q^d <= 3000.  The counts are geometric as long as every
+    transversal is defined over that degree, the generic situation; fewer
+    than five (one of higher degree, or a tangency) give None: resample.
     """
     K = nf.K
+    every: dict[int, int] = {}
+    meeting: dict[int, int] = {}
+    d = 1
+    while K.reaches(d) and K.q**d <= 3000:
+        Ld = K.extension(d)
+        lifted = [ProjectiveLine(Ld, K.lift(line.rows, Ld), _trusted=True) for line in (line1, line2)]
+        found = [
+            rows
+            for rows in _section_lines(nf, line1, line2, d)
+            if all(line_meets(ProjectiveLine(Ld, rows, _trusted=True), line) for line in lifted)
+        ]
+        every[d] = len(found)
+        meeting[d] = sum(_meet_with_plane(Ld, rows)[0] != DISJOINT for rows in found)
+        d += 1
+    total = sum(_exact_degree_counts(every).values())
+    return (total, sum(_exact_degree_counts(meeting).values())) if total == 5 else None
+
+
+def _exact_degree_counts(counts: dict[int, int]) -> dict[int, int]:
+    """Lines of exact degree d from the counts over F_{q^d}, d = 1, 2, ...: those over
+    F_{q^d} are the lines of exact degree e for each e dividing d."""
     exact: dict[int, int] = {}
-    meets_p: dict[int, int] = {}
-    cumulative: dict[int, tuple[int, int]] = {}
-    for d in (1, 2, 3, 4):
-        if K.q**d > 3000 or not K.reaches(d):
-            break
-        nfd = nf.embedded(K.extension(d))
-        Ld = nfd.K
-        # the embedding fixes 0 and 1, so the embedded rows are still canonical
-        pts1, pts2 = (
-            ProjectiveLine(Ld, K.lift(line.rows, Ld), _trusted=True).points_array() for line in (line1, line2)
-        )
-        n1, n2 = len(pts1), len(pts2)
-        a = np.repeat(pts1, n2, axis=0)
-        b = np.tile(pts2, (n1, 1))
-        plus = nfd.f.evaluate_batch(Ld.add[a, b])
-        minus = nfd.f.evaluate_batch(Ld.add[a, Ld.neg[b]])
-        hits = np.flatnonzero((plus == 0) & (minus == 0))
-        n_d = len(hits)
-        n_meet = 0
-        for idx in hits:
-            stacked = np.vstack([a[idx], b[idx], np.eye(5, dtype=np.int64)[2:]])
-            if rank(Ld, stacked) <= 4:
-                n_meet += 1
-        cumulative[d] = (n_d, n_meet)
-    for d, (n_d, n_meet) in cumulative.items():
-        lower = sum(exact.get(e, 0) for e in range(1, d) if d % e == 0)
-        lower_m = sum(meets_p.get(e, 0) for e in range(1, d) if d % e == 0)
-        exact[d] = n_d - lower
-        meets_p[d] = n_meet - lower_m
-        if exact[d] < 0 or meets_p[d] < 0:
-            return None
-    total = sum(exact.values())
-    total_meet = sum(meets_p.values())
-    if total > 5 or total_meet > total:
-        return None
-    if total < 5:
-        return None  # a transversal of degree 5, or a tangency: resample
-    return (total, total_meet)
+    for d in sorted(counts):
+        exact[d] = counts[d] - sum(n for e, n in exact.items() if d % e == 0)
+        if exact[d] < 0:
+            raise InternalInconsistency("line counts must grow monotonically up the field tower")
+    return exact
 
 
 def _node_pairs(Z: SingularLocusZ) -> list[tuple[ZPoint, ZPoint, int]]:
@@ -1398,22 +1384,17 @@ def lines_on_cubic_surface_section(
     rational: tuple = ()
     d = 1
     while K.reaches(d):
-        n_d, rows = _surface_lines_over(nf, line1, line2, d)
-        counts[d] = n_d
+        rows = _section_lines(nf, line1, line2, d)
+        counts[d] = len(rows)
         if d == 1:
             rational = rows
         d += 1
-    exact: dict[int, int] = {}
-    for d in sorted(counts):
-        exact[d] = counts[d] - sum(n for e, n in exact.items() if d % e == 0)
-        if exact[d] < 0:
-            raise InternalInconsistency("line counts must grow monotonically up the field tower")
-    total = sum(exact.values())
-    return SurfaceLineCensus(tuple(sorted(exact.items())), total, rational)
+    exact = _exact_degree_counts(counts)
+    return SurfaceLineCensus(tuple(sorted(exact.items())), sum(exact.values()), rational)
 
 
-def _surface_lines_over(nf: NormalizedThreefold, line1: ProjectiveLine, line2: ProjectiveLine, d: int):
-    """(count, canonical rows) of the F_{q^d}-rational lines on span(L1,L2) cap Y."""
+def _section_lines(nf: NormalizedThreefold, line1: ProjectiveLine, line2: ProjectiveLine, d: int) -> tuple:
+    """The canonical rows, sorted, of the F_{q^d}-rational lines on span(L1,L2) cap Y."""
     nfd = nf.embedded(nf.K.extension(d))
     Ld = nfd.K
     S3 = span(Ld, *(ProjectiveLine(Ld, nf.K.lift(line.rows, Ld)) for line in (line1, line2)))
@@ -1455,76 +1436,87 @@ def _surface_lines_over(nf: NormalizedThreefold, line1: ProjectiveLine, line2: P
         for plane_rows in line_rows[m > 0]:
             found.add(ProjectiveLine(Ld, fibers[i].ambient_rows(mat_mul(Ld, plane_rows, B[i]))).rows)
 
-    # P-disjoint lines of the section, by the constrained chart sieve
-    found.update(_disjoint_rows_in_hyperplane(nfd, lam))
+    # P-disjoint lines of the section: the chart, its sides cut down to the hyperplane
+    gradient = [nfd.f.derivative(i) for i in range(5)]
+    found.update(_chart_rows(Ld, nfd.f, gradient, _hyperplane_frames(Ld, lam)))
 
-    return len(found), tuple(sorted(found))
+    return tuple(sorted(found))
 
 
-def _affine_slice_points(K: GF, f: HomogeneousForm, head: tuple, lam) -> np.ndarray:
-    """Points (head, a) with f = 0 and lam . (head, a) = 0, as tail arrays.
+# the frames of the two sides of the whole chart: from the head e0 (a side)
+# or e1 (b side), a grid over x2 and x3, with x4 solved
+_CHART_FRAMES = np.eye(5, dtype=np.int64)[[[0, 2, 3, 4], [1, 2, 3, 4]]]
 
-    The hyperplane equation eliminates one tail variable; the remaining two
-    run over the full affine grid and the cubic is evaluated in one batch.
+
+def _hyperplane_frames(L: GF, lam) -> np.ndarray:
+    """The frames of the two chart sides inside the hyperplane lam . x = 0.
+
+    For J the first of x2, x3, x4 with lam_J != 0, projecting along e_J
+    sends e_c to e_c - (lam_c / lam_J) e_J.  The head e_h of a side goes to
+    the side's origin, and the other two of x2, x3, x4 give one grid
+    direction and the solved one.
     """
-    tail = lam[2:]
-    j = next(i for i, v in enumerate(tail) if v)
-    free = [i for i in range(3) if i != j]
-    grid = np.array(list(product(range(K.q), repeat=2)), dtype=np.uint16)
-    const = K.add_(K.mul_(lam[0], head[0]), K.mul_(lam[1], head[1]))
-    coef = [K.neg_(int(K.div_(v, tail[j]))) for v in (const, tail[free[0]], tail[free[1]])]
-    a = np.zeros((len(grid), 3), dtype=np.uint16)
-    a[:, free[0]] = grid[:, 0]
-    a[:, free[1]] = grid[:, 1]
-    a[:, j] = K.add[
-        np.uint16(coef[0]),
-        K.add[K.mul[np.uint16(coef[1]), grid[:, 0]], K.mul[np.uint16(coef[2]), grid[:, 1]]],
-    ]
-    heads = np.tile(np.array(head, dtype=np.uint16), (len(a), 1))
-    pts = np.hstack([heads, a])
-    return a[f.evaluate_batch(pts) == 0]
+    J = 2 + next(i for i, x in enumerate(lam[2:]) if x)
+    proj = np.eye(5, dtype=np.int64)
+    proj[:, J] = L.add[proj[:, J], L.neg[L.mul[np.asarray(lam), L.inv[lam[J]]]]]
+    others = [c for c in (2, 3, 4) if c != J]
+    return proj[[[0] + others, [1] + others]]
 
 
-def _disjoint_rows_in_hyperplane(nfd: NormalizedThreefold, lam) -> list[tuple]:
-    """RREF row pairs of the lines on Y inside {lam . x = 0} avoiding P."""
-    L = nfd.K
-    f = nfd.f
-    a_side = _affine_slice_points(L, f, (1, 0), lam)
-    b_side = _affine_slice_points(L, f, (0, 1), lam)
-    return _chart_rows(L, f, a_side, b_side)
+def _quadric_zeros(L: GF, f: HomogeneousForm, frames: np.ndarray) -> list[np.ndarray]:
+    """The zeros of f on affine grids of lines, one grid per frame, where f has degree at most 2.
 
-
-def _chart_rows(L: GF, f: HomogeneousForm, a_side: np.ndarray, b_side: np.ndarray) -> list[tuple]:
-    """RREF row pairs ((1,0,a),(0,1,b)), a in a_side and b in b_side, of the lines on f = 0.
-
-    Both sides are affine tails of points on the cubic, so the line through
-    (1,0,a) and (0,1,b) lies on it iff the cubic also kills the diagonal
-    points (1,1,a+b) and (1,-1,a-b).  The pairs are tested in chunks of rows
-    of a_side, which keeps the row order of the full product a_side x b_side.
+    A frame holds an origin, r grid directions and a solved direction: the
+    points origin + g . grid + t solved, g in L^r and t in L.  Along each line
+    of a grid f is a quadratic h(t); one batch evaluation at t = 0, 1, -1 on
+    every frame gives the coefficients and one :func:`forms.quadratic_roots`
+    call the zeros.  A line on which h vanishes keeps all its points.
     """
+    r = frames.shape[1] - 2
+    grid = np.indices((L.q,) * r).reshape(r, -1).T
+    base = np.broadcast_to(frames[:, None, 0], (len(frames), len(grid), 5))
+    for i in range(r):
+        base = L.add[base, L.mul[grid[:, i, None], frames[:, None, 1 + i]]]
+    base = base.reshape(-1, 5)
+    solved = np.repeat(frames[:, -1], len(grid), axis=0)
+    steps = L.mul[np.array([0, 1, L.neg_(1)])[:, None, None], solved]
+    h0, h1, hm = f.evaluate_batch(L.add[base, steps].reshape(-1, 5)).reshape(3, -1)
+    half = L.inv[2 % L.p]
+    c1 = L.mul[half, L.add[h1, L.neg[hm]]]
+    c2 = L.add[L.mul[half, L.add[h1, hm]], L.neg[h0]]
+    flat = (h0 == 0) & (c1 == 0) & (c2 == 0)
+    # a root (1 : t) of h0 b^2 + c1 b g + c2 g^2 is a zero t of h; (0 : 1) is none
+    roots, mult, _ = quadratic_roots(L, np.where(flat, 1, h0), c1, c2)
+    hit, slot = np.nonzero((mult > 0) & (roots[..., 0] == 1))
+    whole = np.flatnonzero(flat)
+    line = np.concatenate([hit, np.repeat(whole, L.q)])
+    t = np.concatenate([roots[hit, slot, 1], np.tile(np.arange(L.q), len(whole))])
+    points = L.add[base[line], L.mul[t[:, None], solved[line]]]
+    frame = line // len(grid)
+    return [points[frame == i] for i in range(len(frames))]
+
+
+def _chart_rows(L: GF, f: HomogeneousForm, gradient: list[HomogeneousForm], frames: np.ndarray) -> list[tuple]:
+    """RREF row pairs ((1,0,a),(0,1,b)) of the lines on f = 0 joining the two chart sides.
+
+    :func:`_quadric_zeros` solves the two ``frames`` for the a side (points
+    A = (1,0,a)) and the b side (points B = (0,1,b)); ``gradient`` holds the
+    partial derivatives of f.  With f(A) = f(B) = 0, the line AB lies on
+    f = 0 exactly when grad f(A).B = grad f(B).A = 0.  The first pairing is
+    tested on every pair, in chunks of rows of the a side, and the second
+    on the pairs that pass it.
+    """
+    a_side, b_side = _quadric_zeros(L, f, frames)
     if not len(a_side) or not len(b_side):
         return []
-    neg = L.neg
-    minus_one = np.uint16(L.neg_(1))
+    grads = np.stack([g.evaluate_batch(np.concatenate([a_side, b_side])) for g in gradient], axis=1)
+    grad_a, grad_b = grads[: len(a_side)], grads[len(a_side) :]
     rows: list[tuple] = []
-    nb = len(b_side)
-    chunk_size = max(1, 200_000 // nb)
-    for start in range(0, len(a_side), chunk_size):
-        chunk = a_side[start : start + chunk_size]
-        na = len(chunk)
-        a_rep = np.repeat(chunk, nb, axis=0)
-        b_til = np.tile(b_side, (na, 1))
-        head = np.ones((na * nb, 2), dtype=np.uint16)
-        plus = f.evaluate_batch(np.hstack([head, L.add[a_rep, b_til]]))
-        head[:, 1] = minus_one
-        minus = f.evaluate_batch(np.hstack([head, L.add[a_rep, neg[b_til]]]))
-        for idx in np.flatnonzero((plus == 0) & (minus == 0)):
-            a = chunk[idx // nb]
-            b = b_side[idx % nb]
-            rows.append(
-                (
-                    (1, 0, int(a[0]), int(a[1]), int(a[2])),
-                    (0, 1, int(b[0]), int(b[1]), int(b[2])),
-                )
-            )
+    step = max(1, (1 << 19) // len(b_side))  # about half a million pairs at a time
+    for start in range(0, len(a_side), step):
+        # B is zero at x0, so the pairing reads the last four coordinates
+        i, j = np.nonzero(dot(L, grad_a[start : start + step, None, 1:], b_side[None, :, 1:]) == 0)
+        i += start
+        keep = dot(L, grad_b[j], a_side[i]) == 0
+        rows += zip(map(tuple, a_side[i[keep]].tolist()), map(tuple, b_side[j[keep]].tolist()))
     return rows

@@ -425,6 +425,74 @@ def lines_on_fourfold(nx):
 
 
 
+def disjoint_rows_by_diagonal_sieve(nf, lam=None):
+    """The RREF row pairs ((1,0,a),(0,1,b)) of the lines on Y missing P, by a sieve.
+
+    The sides are the tails a with f(1,0,a) = 0 and b with f(0,1,b) = 0 out
+    of the whole cube L^3, kept inside the hyperplane lam . x = 0 when lam
+    is given.  The line through (1,0,a) and (0,1,b) lies on Y iff the cubic
+    also kills the diagonal points (1,1,a+b) and (1,-1,a-b), which every
+    pair is tested on.
+    """
+    L, f = nf.K, nf.f
+    cube = np.array(list(product(range(L.q), repeat=3)), dtype=np.int64)
+    sides = []
+    for head in ((1, 0), (0, 1)):
+        pts = np.hstack([np.tile(head, (len(cube), 1)), cube])
+        on = f.evaluate_batch(pts) == 0
+        if lam is not None:
+            on &= mat_vec(L, pts, lam) == 0
+        sides.append(cube[on])
+    a_side, b_side = sides
+    if not len(a_side) or not len(b_side):
+        return []
+    a = np.repeat(a_side, len(b_side), axis=0)
+    b = np.tile(b_side, (len(a_side), 1))
+    ones = np.ones((len(a), 1), dtype=np.int64)
+    plus = f.evaluate_batch(np.hstack([ones, ones, L.add[a, b]]))
+    minus = f.evaluate_batch(np.hstack([ones, L.neg[ones], L.add[a, L.neg[b]]]))
+    return [
+        ((1, 0) + tuple(a[i].tolist()), (0, 1) + tuple(b[i].tolist()))
+        for i in np.flatnonzero((plus == 0) & (minus == 0))
+    ]
+
+
+def transversal_counts_by_pair_scan(nf, line1, line2):
+    """(all transversals, those meeting P) of two skew lines on Y, or None, by a pair scan.
+
+    For each d <= 4 with q^d <= 3000 in the tower, every pair of points
+    (a, b) of L1(F_{q^d}) x L2(F_{q^d}) spans a line on Y iff the cubic kills
+    a + b and a - b; the line meets P iff a, b, e2, e3, e4 have rank at most
+    4.  The counts over each F_{q^d} are turned into exact-degree counts;
+    None when some count drops, or when the total is not 5.
+    """
+    K = nf.K
+    cumulative = {}
+    for d in (1, 2, 3, 4):
+        if K.q**d > 3000 or not K.reaches(d):
+            break
+        nfd = nf.embedded(K.extension(d))
+        Ld = nfd.K
+        pts1, pts2 = (ProjectiveLine(Ld, K.lift(line.rows, Ld)).points_array() for line in (line1, line2))
+        a = np.repeat(pts1, len(pts2), axis=0)
+        b = np.tile(pts2, (len(pts1), 1))
+        plus = nfd.f.evaluate_batch(Ld.add[a, b])
+        minus = nfd.f.evaluate_batch(Ld.add[a, Ld.neg[b]])
+        hits = np.flatnonzero((plus == 0) & (minus == 0))
+        n_meet = sum(rank(Ld, np.vstack([a[i], b[i], np.eye(5, dtype=np.int64)[2:]])) <= 4 for i in hits)
+        cumulative[d] = (len(hits), n_meet)
+    exact, meets_p = {}, {}
+    for d, (n_d, n_meet) in cumulative.items():
+        exact[d] = n_d - sum(exact[e] for e in range(1, d) if d % e == 0)
+        meets_p[d] = n_meet - sum(meets_p[e] for e in range(1, d) if d % e == 0)
+        if exact[d] < 0 or meets_p[d] < 0:
+            return None
+    total, total_meet = sum(exact.values()), sum(meets_p.values())
+    if total != 5 or total_meet > total:
+        return None
+    return (total, total_meet)
+
+
 def singular_points_off_plane(nf, d):
     """Points over F_{q^d} where f and all five partials vanish, off the plane, lazily.
 

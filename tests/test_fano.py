@@ -1,6 +1,7 @@
 """Line classification against the plane, ruling operators, and involutions."""
 
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -21,15 +22,19 @@ from cubicfano.fano import (
     MEETS_PLANE,
     FanoSurface,
     TorsorPoint,
+    _CHART_FRAMES,
+    _chart_rows,
     _count_degenerate_conic_lines,
+    _hyperplane_frames,
     _node_pairs,
-    _transversal_counts,
+    _quadric_zeros,
+    _sigma_sigma_counts,
     decompose,
     lines_on_cubic_surface_section,
     surface_of,
     verify_intersection_numbers,
 )
-from cubicfano.forms import HomogeneousForm
+from cubicfano.forms import HomogeneousForm, random_form
 from cubicfano.gf import field
 from cubicfano.linalg import det, inverse_matrix, kernel_basis, mat_mul, rank
 from cubicfano.pencil import pencil_fibers, rulings_of_fiber
@@ -48,12 +53,14 @@ from cubicfano.torsor import TorsorGroup, torsor_group
 
 from reference_impl import (
     conic_component_lines_by_scan,
+    disjoint_rows_by_diagonal_sieve,
     involution_by_step,
     involution_tables_by_steps,
     line_count_by_point_counts,
     plane_line_fiber_by_minors,
     quadric_of_matrix,
     split_conic_at_by_scan,
+    transversal_counts_by_pair_scan,
 )
 from test_pencil import general_example
 
@@ -102,6 +109,53 @@ def test_enumeration_matches_brute_force(make):
     assert {cl.line.rows for cl in lines} == set(oracle)
     for cl in lines:
         assert cl.tag == oracle[cl.line.rows]
+
+
+# fields (p, k) and surface degrees of the chart checks, each on seeds 1 and 2
+CHART_CASES = [(p, k, 1) for p, k in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1))] + [(3, 1, 2), (5, 1, 2)]
+
+
+@pytest.mark.parametrize("p, k, d", CHART_CASES)
+def test_chart_matches_the_diagonal_sieve(p, k, d):
+    for seed in (1, 2):
+        surf = FanoSurface(random_general_threefold(field(p, k), random.Random(seed)), d)
+        got = {cl.line.rows for cl in surf.lines if cl.tag == DISJOINT}
+        assert got == set(disjoint_rows_by_diagonal_sieve(surf.nf))
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (3, 2)])
+def test_chart_inside_a_hyperplane_matches_the_diagonal_sieve(p, k):
+    nf = random_general_threefold(field(p, k), random.Random(1))
+    L, rng = nf.K, random.Random(p + k)
+    gradient = [nf.f.derivative(i) for i in range(5)]
+    for _ in range(6):
+        lam = [L.random_element(rng) for _ in range(5)]
+        lam[2 + rng.randrange(3)] = rng.randrange(1, L.q)
+        got = _chart_rows(L, nf.f, gradient, _hyperplane_frames(L, lam))
+        assert sorted(got) == sorted(disjoint_rows_by_diagonal_sieve(nf, np.array(lam)))
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (3, 2)])
+def test_quadric_zeros_match_the_grid_scan(p, k):
+    # random quadrics, and ones that vanish on whole lines of the grids
+    K = field(p, k)
+    rng = random.Random(p * k)
+    forms = [random_form(K, 5, 2, rng) for _ in range(3)] + [
+        HomogeneousForm.monomial(K, 5, (0, 0, 1, 1, 0)),
+        HomogeneousForm.monomial(K, 5, (0, 0, 0, 0, 2)),
+        HomogeneousForm.zero(K, 5, 2),
+    ]
+    lam = [K.random_element(rng) for _ in range(2)] + [1, K.random_element(rng), K.random_element(rng)]
+    for frames in (_CHART_FRAMES, _hyperplane_frames(K, lam)):
+        r = frames.shape[1] - 2
+        coords = np.array(list(itertools.product(range(K.q), repeat=r + 1)), dtype=np.int64)
+        for f in forms:
+            for frame, got in zip(frames, _quadric_zeros(K, f, frames)):
+                points = np.broadcast_to(frame[0], (len(coords), 5))
+                for i in range(r + 1):
+                    points = K.add[points, K.mul[coords[:, i, None], frame[1 + i]]]
+                expected = points[f.evaluate_batch(points) == 0]
+                assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, expected.tolist()))
 
 
 FROZEN_COUNTS = {
@@ -499,9 +553,10 @@ def test_stacked_tables_match_the_per_point_oracle(p, seed, k):
 
 def test_the_extension_letter_scan_solves_every_section_at_once(monkeypatch):
     # seed 2 escalates to F_9; its letter scan sends the sections of every
-    # class through one section evaluation and one residual solve, and
-    # builds the five gradient forms once, not per point
-    G = torsor_group(seeded_example(3, 2)).extension_group()
+    # class through one section evaluation and one residual solve, and the
+    # surface over F_9 builds the five gradient forms once, for its chart
+    # and its scan alike, not per point
+    base = torsor_group(seeded_example(3, 2))
     calls = {"plane_section_values": 0, "residual_from_values": 0, "derivative": 0}
 
     def spy(name, inner):
@@ -514,7 +569,7 @@ def test_the_extension_letter_scan_solves_every_section_at_once(monkeypatch):
     for name in ("plane_section_values", "residual_from_values"):
         monkeypatch.setattr(fano, name, spy(name, getattr(fano, name)))
     monkeypatch.setattr(HomogeneousForm, "derivative", spy("derivative", HomogeneousForm.derivative))
-    assert len(G.letters) > 1
+    assert len(base.extension_group().letters) > 1
     assert calls == {"plane_section_values": 1, "residual_from_values": 1, "derivative": 5}
 
 
@@ -598,6 +653,32 @@ def test_intersection_numbers_match_expected_values():
     assert rep.tau_tau == (1, 1, 1, 1)
 
 
+def test_intersection_numbers_refuse_a_surface_with_one_disjoint_line():
+    # one disjoint line gives no pair to sample sigma.sigma on
+    nf = seeded_example(3, 40)
+    assert [cl.tag for cl in FanoSurface(nf, 1).lines].count(DISJOINT) == 1
+    with pytest.raises(NotGeneral, match="fewer than two disjoint lines"):
+        verify_intersection_numbers(nf, random.Random(7))
+
+
+# surfaces whose skew pairs the transversal counts are checked on, by field (p, k)
+TRANSVERSAL_SEEDS = {(3, 1): range(1, 12), (3, 2): (1, 2), (5, 1): (0, 1)}
+
+
+@pytest.mark.parametrize("key", sorted(TRANSVERSAL_SEEDS), ids=lambda key: "q%d^%d" % key)
+def test_transversal_counts_match_the_pair_scan(key):
+    p, k = key
+    outcomes = set()
+    for seed in TRANSVERSAL_SEEDS[key]:
+        nf = random_general_threefold(field(p, k), random.Random(seed))
+        for l1, l2 in skew_disjoint_pairs(FanoSurface(nf, 1), random.Random(seed), 3):
+            counts = _sigma_sigma_counts(nf, l1, l2)
+            assert counts == transversal_counts_by_pair_scan(nf, l1, l2)
+            outcomes.add(counts)
+    # pairs with all five transversals in the scan and pairs resampled alike
+    assert outcomes == {(5, 3), None}
+
+
 def test_tau_tau_pairs_conjugate_nodes_once():
     # Z is two conjugate quadratic pairs: four geometric nodes, listed once each
     nf = seeded_example(3, 5)
@@ -614,7 +695,7 @@ def test_tower_climbs_stop_where_the_tower_ends():
     surf = FanoSurface(nf, 1)
     counts, complete = [], []
     for l1, l2 in skew_disjoint_pairs(surf, random.Random(0), 5):
-        counts.append(_transversal_counts(nf, l1, l2))
+        counts.append(_sigma_sigma_counts(nf, l1, l2))
         census = lines_on_cubic_surface_section(nf, l1, l2)
         assert {d for d, _ in census.exact} <= {1, 2}
         complete.append(census.is_complete)
@@ -684,13 +765,22 @@ def test_intersection_numbers_propagate_internal_inconsistency(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+# skew_disjoint_pairs gives up after this many draws
+MAX_PAIR_DRAWS = 500
+
+
 def skew_disjoint_pairs(surf, rng, n):
+    """n pairs of skew disjoint lines of the surface, drawn at random (repeats allowed)."""
     disjoint = [cl.line for cl in surf.lines if cl.tag == DISJOINT]
     out = []
-    while len(out) < n:
+    for _ in range(MAX_PAIR_DRAWS):
+        if len(out) == n or len(disjoint) < 2:
+            break
         l1, l2 = rng.sample(disjoint, 2)
         if not line_meets(l1, l2):
             out.append((l1, l2))
+    if len(out) < n:
+        pytest.fail(f"{len(out)} of {n} skew pairs among {len(disjoint)} disjoint lines in {MAX_PAIR_DRAWS} draws")
     return out
 
 
@@ -791,6 +881,18 @@ def test_line_count_follows_from_point_counts(key):
     for seed in LINE_COUNT_SEEDS[key]:
         nf = random_general_threefold(field(p, k), random.Random(seed))
         assert len(FanoSurface(nf, 1).lines) == line_count_by_point_counts(nf)
+
+
+# general threefolds on which the closed-form line count is checked over F_{q^2}, by q;
+# q = 3 seed 0 and q = 7 seed 1 have nodes that need F_{p^6}
+LINE_COUNT_SEEDS_OVER_F_Q2 = {3: (1, 2, 3), 5: (0, 1, 2), 7: (0,)}
+
+
+@pytest.mark.parametrize("p", sorted(LINE_COUNT_SEEDS_OVER_F_Q2))
+def test_line_count_over_the_quadratic_extension_follows_from_point_counts(p):
+    for seed in LINE_COUNT_SEEDS_OVER_F_Q2[p]:
+        nf = random_general_threefold(field(p), random.Random(seed))
+        assert len(FanoSurface(nf, 2).lines) == line_count_by_point_counts(nf.embedded(nf.K.extension(2)))
 
 
 def test_a_threefold_keeps_the_first_surface_built_over_each_degree():

@@ -252,6 +252,21 @@ def test_binary_forms_are_scanned_and_square_roots_read_in_one_place_each():
     assert readers == ["forms.py:quadratic_roots"]
 
 
+def test_the_chart_of_a_surface_and_of_a_section_is_one_pair_test():
+    # the lines missing P, of a whole surface and of a cubic-surface section
+    # alike, come from one side solver and one pair test; the transversals
+    # of two skew lines are read off the section's lines
+    callers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        sites = _call_sites(ast.parse(path.read_text()), {"_chart_rows", "_quadric_zeros"})
+        callers += [f"{path.name}:{scope} {name}" for scope, name in sites]
+    assert sorted(callers) == [
+        "fano.py:FanoSurface._disjoint_rows _chart_rows",
+        "fano.py:_chart_rows _quadric_zeros",
+        "fano.py:_section_lines _chart_rows",
+    ]
+
+
 def _attribute_reads(tree, attr, scope=""):
     """The qualified scope of every read of an attribute named ``attr``."""
     for node in ast.iter_child_nodes(tree):
