@@ -20,8 +20,9 @@ class NotSupportedError(ValueError):
 
 
 class InvalidInput(ValueError):
-    """An argument of the wrong shape or range: an arity mismatch, a field
-    of characteristic 2 or of a characteristic that is not prime, a singular
+    """An argument of the wrong shape or range: an arity mismatch, a
+    coordinate or coefficient that is not a code of the field, a field of
+    characteristic 2 or of a characteristic that is not prime, a singular
     quadratic form for ``local_solvability``, or a point that is not in the
     torsor-ready set."""
 

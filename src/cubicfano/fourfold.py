@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InternalInconsistency, InvalidInput, NotGeneral
 from .fano import surface_of
-from .forms import BinaryForm, HomogeneousForm, interpolate, interpolation_points
+from .forms import HomogeneousForm, interpolate, interpolation_points
 from .gf import GF
 from .linalg import det, kernel_basis
 from .pencil import (
@@ -176,7 +176,7 @@ class PlaneDiscriminant:
     def K(self) -> GF:
         return self.form.K
 
-    def restricted_to_dual(self, lam) -> BinaryForm:
+    def restricted_to_dual(self, lam) -> HomogeneousForm:
         """The binary sextic cut on the dual line {lam . (s,t,u) = 0}.
 
         The line is parametrized by the canonical kernel rows of lam, which
@@ -187,7 +187,7 @@ class PlaneDiscriminant:
         sliced = self.form.restrict(np.array(rows, dtype=np.int64))
         if sliced.is_zero:
             raise NotGeneral("the plane discriminant contains a whole dual line")
-        return BinaryForm.from_form(sliced)
+        return sliced
 
 
 def plane_discriminant(nx: NormalizedFourfold) -> PlaneDiscriminant:
@@ -285,7 +285,7 @@ class Slice:
 
     dual: tuple[int, int, int]
     threefold: NormalizedThreefold
-    sextic: BinaryForm | None
+    sextic: HomogeneousForm | None
     transverse: bool
     failure: str | None
 

@@ -37,12 +37,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import InternalInconsistency, NotGeneral
-from .forms import BinaryForm, HomogeneousForm, interpolate, interpolation_points, quadratic_roots
+from .forms import HomogeneousForm, interpolate, interpolation_points, monomial_exponents, quadratic_roots
 from .gf import GF
 from .linalg import det, dot, rref_stack
 from .projective import ProjectiveLine, all_points_array, projective_reps
@@ -101,8 +101,8 @@ def pencil_fibers(nf, L: GF, params) -> list[PencilFiber]:
     coeffs = np.zeros((4, 4, 4, 4), dtype=np.int64)  # [i, j, a, b]: the coefficient of s^a t^b in entry (i, j)
     for i, row in enumerate(nf.pencil_matrix):
         for j, entry in enumerate(row):
-            for (a, b), c in entry.terms.items():
-                coeffs[i, j, a, b] = c
+            b = np.arange(entry.degree + 1)
+            coeffs[i, j, entry.degree - b, b] = entry.coeffs
     coeffs = nf.K.lift(coeffs, L)
     powers = np.ones((len(params), 4, 2), dtype=np.int64)  # [n, e]: (s^e, t^e)
     for e in range(1, 4):
@@ -119,9 +119,9 @@ def pencil_fibers(nf, L: GF, params) -> list[PencilFiber]:
 
 @dataclass(frozen=True)
 class DiscriminantSextic:
-    """disc(s,t) = det of the symbolic fiber matrix; degree 6."""
+    """disc(s,t) = det of the symbolic fiber matrix; a binary sextic."""
 
-    form: BinaryForm
+    form: HomogeneousForm
 
     @property
     def K(self) -> GF:
@@ -131,11 +131,33 @@ class DiscriminantSextic:
     def reduced(self) -> bool:
         return self.form.is_squarefree()
 
-    def embedded(self, L: GF) -> BinaryForm:
-        """The sextic with coefficients pushed into L; its own form when L is its field."""
-        if L is self.K:
-            return self.form
-        return BinaryForm(L, 6, self.K.lift(self.form.coeffs, L))
+
+@lru_cache(maxsize=None)
+def _entry_positions(n: int):
+    """Where the quadrics' coefficients land in the upper triangle of :func:`symbolic_fiber_entries`.
+
+    The entries (i, j), i <= j, lie end to end, each a form in the n
+    parameters in its ``monomial_exponents`` layout.  Returns ({(i, j):
+    (start, degree, size)}, total size, positions): positions[w, m] is
+    where the m-th monomial of the quadric Q_w lands, one to one for each w.
+    """
+    slots, total = {}, 0
+    for i in range(4):
+        for j in range(i, 4):
+            degree = 3 if j == 0 else (2 if i == 0 else 1)
+            slots[i, j] = (total, degree, len(monomial_exponents(n, degree)))
+            total += slots[i, j][2]
+    quadric = monomial_exponents(n + 3, 2)
+    positions = np.zeros((n, len(quadric)), dtype=np.int64)
+    for w in range(n):
+        for m, e in enumerate(quadric):
+            params = list(e[:n])
+            params[w] += 1
+            i, j = [i for i, v in enumerate((sum(e[:n]),) + e[n:]) for _ in range(v)]
+            start, degree, _ = slots[i, j]
+            positions[w, m] = start + monomial_exponents(n, degree).index(tuple(params))
+    positions.flags.writeable = False
+    return slots, total, positions
 
 
 def symbolic_fiber_entries(quadrics) -> list[list[HomogeneousForm]]:
@@ -147,31 +169,21 @@ def symbolic_fiber_entries(quadrics) -> list[list[HomogeneousForm]]:
     p0*Q0 + ... + p_{n-1}*Q_{n-1} gives the member in the fiber coordinates
     (v, x_n, x_{n+1}, x_{n+2}); entry (0, 0) is cubic, the rest of row and
     column 0 quadratic, and the remaining entries linear in the parameters.
+    Each quadric's coefficients are placed by one index assignment and added
+    by one table gather; the off-diagonal entries are halved.
     """
-    n = len(quadrics)
-    K = quadrics[0].K
+    n, K = len(quadrics), quadrics[0].K
+    slots, total, positions = _entry_positions(n)
+    flat = np.zeros(total, dtype=np.int64)
+    for w, Q in enumerate(quadrics):
+        term = np.zeros(total, dtype=np.int64)
+        term[positions[w]] = Q.coeffs
+        flat = K.add[flat, term]
     half = K.inverse(2 % K.p)
-    entries = [[dict() for _ in range(4)] for _ in range(4)]
-    for which, Q in enumerate(quadrics):
-        for e, c in Q.terms.items():
-            outer = list(e[:n])
-            outer[which] += 1
-            params = tuple(outer)
-            i, j = [i for i, v in enumerate((sum(e[:n]),) + e[n:]) for _ in range(v)]
-            val = c if i == j else K.mul_(c, half)
-            for a, b in ((i, j), (j, i)) if i != j else ((i, i),):
-                acc = K.add_(entries[a][b].get(params, 0), val)
-                if acc:
-                    entries[a][b][params] = acc
-                else:
-                    entries[a][b].pop(params, None)
-    out = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            deg = 3 if i == 0 and j == 0 else (2 if 0 in (i, j) else 1)
-            row.append(HomogeneousForm(K, n, deg, entries[i][j]))
-        out.append(row)
+    out = [[None] * 4 for _ in range(4)]
+    for (i, j), (start, degree, size) in slots.items():
+        codes = flat[start : start + size]
+        out[i][j] = out[j][i] = HomogeneousForm.from_coeffs(K, n, degree, codes if i == j else K.mul[codes, half])
     return out
 
 
@@ -181,7 +193,7 @@ def discriminant(nf) -> DiscriminantSextic:
     D = interpolate(nf.K, 2, 6, det(L, np.stack([fiber.matrix for fiber in pencil_fibers(nf, L, params)])))
     if D.is_zero:
         raise NotGeneral("discriminant vanishes identically")
-    return DiscriminantSextic(BinaryForm.from_form(D))
+    return DiscriminantSextic(D)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +499,7 @@ def _fiber_characters(model: HyperellipticModel, L: GF) -> tuple[np.ndarray, np.
     from L's quadratic character table.
     """
     params = all_points_array(L, 1)
-    return params, L.chi[model.disc.embedded(L).to_form().evaluate_batch(params)]
+    return params, L.chi[model.disc.form.embedded(L).evaluate_batch(params)]
 
 
 def count_points_C(model: HyperellipticModel, k: int) -> int:

@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import InternalInconsistency, NotOnCubic, PlaneContained
-from .forms import BinaryForm, HomogeneousForm, divide_by_linear, interpolate, interpolation_points
+from .forms import HomogeneousForm, divide_by_linear, interpolate, interpolation_points
 from .gf import GF
 from .linalg import dot, kernel_basis, rank, rref
 
@@ -505,11 +505,10 @@ def complete_to_basis(K: GF, y, candidates) -> tuple[list[int], list[int]]:
     raise InternalInconsistency("the candidates do not extend the point to a basis of a 3-space")
 
 
-def binary_quadratic(quadric: HomogeneousForm, c1, c2) -> BinaryForm:
-    """Q(b*c1 + g*c2) as a binary quadratic in (b, g), from three evaluations."""
+def binary_quadratic(quadric: HomogeneousForm, c1, c2) -> HomogeneousForm:
+    """Q(b*c1 + g*c2) as a binary quadratic in (b, g), from its values at c1, c2 and c1 + c2."""
     K = quadric.K
-    q11 = quadric.evaluate(c1)
-    q22 = quadric.evaluate(c2)
-    both = quadric.evaluate([K.add_(a, b) for a, b in zip(c1, c2)])
+    c1, c2 = np.asarray(c1, dtype=np.int64), np.asarray(c2, dtype=np.int64)
+    q11, q22, both = quadric.evaluate_batch(np.stack([c1, c2, K.add[c1, c2]])).tolist()
     q12 = K.sub_(K.sub_(both, q11), q22)  # 2*B(c1, c2)
-    return BinaryForm(K, 2, (q11, q12, q22))
+    return HomogeneousForm.from_coeffs(K, 2, 2, (q11, q12, q22))

@@ -22,13 +22,13 @@ pairs through one common vertex, which is then Z with multiplicity 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import pencil as pencil_mod
 from .errors import InternalInconsistency, NotContained, NotGeneral, NotSupportedError
-from .forms import BinaryForm, HomogeneousForm, interpolate, interpolation_points, random_form
+from .forms import HomogeneousForm, interpolate, interpolation_points, monomial_exponents, random_form
 from .gf import GF
 from .linalg import det, kernel_basis, mat_mul, mat_vec
 from .projective import (
@@ -151,14 +151,13 @@ def split_off_plane(cubic: HomogeneousForm, plane: LinearSubspace, nvars: int):
     cols = [np.eye(nvars, dtype=np.int64)[:, j] for j in complement]
     M = np.column_stack(cols + [plane.matrix[i] for i in range(3)])
     f_new = cubic if (M == np.eye(nvars, dtype=np.int64)).all() else cubic.substitute(M)
-    n = nvars - 3
-    split: list[dict] = [{} for _ in range(n)]
-    for exps, c in f_new.terms.items():
-        i = next((i for i in range(n) if exps[i]), None)
-        if i is None:
-            raise InternalInconsistency("restriction to the plane should have killed this term")
-        split[i][exps[:i] + (exps[i] - 1,) + exps[i + 1 :]] = c
-    quadrics = [HomogeneousForm(K, nvars, 2, terms) for terms in split]
+    raised, first, free = _split_positions(nvars)
+    if f_new.coeffs[free].any():
+        raise InternalInconsistency("restriction to the plane should have killed this term")
+    quadrics = [
+        HomogeneousForm.from_coeffs(K, nvars, 2, np.where(first >= i, f_new.coeffs[raised[i]], 0))
+        for i in range(nvars - 3)
+    ]
     transform = tuple(tuple(int(x) for x in row) for row in M)
     return f_new, quadrics, transform
 
@@ -177,16 +176,33 @@ def normalize(cubic: HomogeneousForm, plane: LinearSubspace) -> NormalizedThreef
 def random_cubic_through_plane(K: GF, nvars: int, rng) -> HomogeneousForm:
     """x0*Q0 + ... + x_{n-1}*Q_{n-1} in nvars = n + 3 variables, with Q0, ..., Q_{n-1}
     uniformly random quadrics drawn from rng in that order."""
-    merged: dict = {}
+    raised, _, free = _split_positions(nvars)
+    codes = np.zeros(len(free), dtype=np.int64)
     for i in range(nvars - 3):
-        for e, c in random_form(K, nvars, 2, rng).terms.items():
-            key = e[:i] + (e[i] + 1,) + e[i + 1 :]
-            acc = K.add_(merged.get(key, 0), c)
-            if acc:
-                merged[key] = acc
-            else:
-                merged.pop(key, None)
-    return HomogeneousForm(K, nvars, 3, merged)
+        term = np.zeros_like(codes)
+        term[raised[i]] = random_form(K, nvars, 2, rng).coeffs
+        codes = K.add[codes, term]
+    return HomogeneousForm.from_coeffs(K, nvars, 3, codes)
+
+
+@lru_cache(maxsize=None)
+def _split_positions(nvars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(raised, first, free) for the cubics x0*Q0 + ... + x_{n-1}*Q_{n-1} in nvars = n + 3 variables.
+
+    raised[i, m] is the position among the cubic monomials of x_i times the
+    m-th quadric monomial; first[m] is the first i < n with x_i in that
+    quadric monomial, n when there is none; free marks the cubic monomials
+    in none of x0, ..., x_{n-1}.  Positions follow ``monomial_exponents``.
+    """
+    n = nvars - 3
+    cubic = {e: j for j, e in enumerate(monomial_exponents(nvars, 3))}
+    quadric = monomial_exponents(nvars, 2)
+    raised = np.array([[cubic[e[:i] + (e[i] + 1,) + e[i + 1 :]] for e in quadric] for i in range(n)])
+    first = np.array([next((i for i in range(n) if e[i]), n) for e in quadric])
+    free = np.array([not any(e[:n]) for e in cubic])
+    for positions in (raised, first, free):
+        positions.flags.writeable = False
+    return raised, first, free
 
 
 def random_threefold_through_plane(K: GF, rng) -> NormalizedThreefold:
@@ -301,7 +317,7 @@ def _pullback_quartic(K: GF, G: HomogeneousForm, H: HomogeneousForm):
     """
     y = next(common_zeros([G]))
     c1, c2 = complete_to_basis(K, y, np.eye(3, dtype=np.int64))
-    g11, g12, g22 = binary_quadratic(G, c1, c2).coeffs  # G(w)
+    g11, g12, g22 = binary_quadratic(G, c1, c2).coeffs.tolist()  # G(w)
     # 2*beta(y, c) = G(y + c) - G(c), as G(y) = 0
     l1, l2 = (K.sub_(G.evaluate([K.add_(a, b) for a, b in zip(y, c)]), G.evaluate(c)) for c in (c1, c2))
     M = np.array(
@@ -319,7 +335,7 @@ def _pullback_quartic(K: GF, G: HomogeneousForm, H: HomogeneousForm):
     u, v = uv.T
     squares = np.stack([L.mul[u, u], L.mul[u, v], L.mul[v, v]], axis=1)
     values = H.embedded(L).evaluate_batch(mat_mul(L, squares, K.lift(M, L).T))
-    return BinaryForm.from_form(interpolate(K, 2, 4, values)), M
+    return interpolate(K, 2, 4, values), M
 
 
 def _Z_at_common_vertex(K: GF, q0: HomogeneousForm, q1: HomogeneousForm) -> SingularLocusZ:

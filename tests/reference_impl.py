@@ -263,7 +263,7 @@ def binary_roots_by_scan(L, coeffs, degree):
     Tries every t in L at s = 1, with the multiplicity counted by repeated
     synthetic division by (t - x); the point (0, 1) comes last with the
     number of vanishing top coefficients.  Same output shape as
-    ``BinaryForm.roots``.
+    ``HomogeneousForm.roots``.
     """
     u = list(coeffs)
     while u and u[-1] == 0:
@@ -403,7 +403,7 @@ def residual_line_symbolic(cubic, plane, L, M):
         residue = divide_by_linear_by_dicts(partial, ell_M)
     except ValueError as exc:
         raise NotOnCubic("second line is not on the cubic section") from exc
-    ell_N = tuple(residue.coefficient(tuple(1 if j == i else 0 for j in range(3))) for i in range(3))
+    ell_N = tuple(residue.terms.get(tuple(1 if j == i else 0 for j in range(3)), 0) for i in range(3))
     n_norm = normalize_point(K, ell_N)
     multiplicity = sum(1 for ell in (ell_L, ell_M, ell_N) if normalize_point(K, ell) == n_norm)
     return Residual(line_in_plane_from_linear_form(plane, ell_N), multiplicity)
@@ -737,7 +737,7 @@ def rulings_by_tangent_conics(fiber):
 
     A cone's lines join its vertex to a plane section missing it.  At the
     first point y of a smooth fiber the tangent conic, factored by
-    ``BinaryForm.roots``, is two lines A = span(y, a) and B = span(y, b), or
+    ``HomogeneousForm.roots``, is two lines A = span(y, a) and B = span(y, b), or
     none (nonsplit).  At a it is A and B' = span(a, b') of B's ruling.  A's
     ruling is the line through each point of B meeting B', and B's the line
     through each point of A meeting A', the line of A's ruling through b;
@@ -754,7 +754,7 @@ def rulings_by_tangent_conics(fiber):
             raise InternalInconsistency("a rank-3 quadric in P^3 has a single vertex")
         vertex = [int(x) for x in ker[0]]
         # the plane x_i = 0 at the vertex's leading 1 misses it and meets each line once
-        section = HomogeneousForm.linear(K, tuple(int(i == vertex.index(1)) for i in range(4)))
+        section = HomogeneousForm.monomial(K, 4, tuple(int(i == vertex.index(1)) for i in range(4)))
         lines = [ProjectiveLine(K, np.array([vertex, pt])) for pt in common_zeros([section, quadric])]
         return [RulingClass(K, fiber.s, fiber.t, 0, True, _ambient_sorted(fiber, lines))]
     y = next(common_zeros([quadric]))

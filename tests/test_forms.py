@@ -1,4 +1,4 @@
-"""Forms layer: evaluation vs naive oracle, substitution, division, binary gcds."""
+"""Forms layer: evaluation vs naive oracle, substitution, division, binary forms as two-variable forms."""
 
 import random
 from itertools import product
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cubicfano import forms, kernels
 from cubicfano.errors import InternalInconsistency, InvalidInput, NotSupportedError
 from cubicfano.forms import (
-    BinaryForm,
     HomogeneousForm,
     divide_by_linear,
     interpolate,
@@ -24,6 +23,7 @@ from cubicfano.gf import GF, field
 from cubicfano.linalg import inverse_matrix, mat_vec, rank, rref
 from cubicfano.projective import normalize_point
 from reference_impl import (
+    _dict_add,
     binary_roots_by_scan,
     divide_by_linear_by_dicts,
     eval_form_batch_by_tables,
@@ -75,13 +75,25 @@ def test_evaluate_matches_naive_oracle(p, k):
 
 
 def test_evaluate_batch_matches_scalar():
+    # the scalar side is the term-by-term oracle, not the one-point batch call
     K = field(5, 2)
     rng = random.Random(7)
     f = random_form(K, 4, 3, rng)
     pts = np.array([[K.random_element(rng) for _ in range(4)] for _ in range(200)], dtype=np.uint16)
     batch = f.evaluate_batch(pts)
-    for row, val in zip(pts, batch):
-        assert f.evaluate(tuple(int(x) for x in row)) == int(val)
+    for row, val in zip(pts.tolist(), batch.tolist()):
+        assert evaluate_form_naive(K, f.terms, row) == val
+
+
+def test_out_of_range_coordinates_are_refused():
+    # -1 is no code of F_3, and neither is 5; a negative code must not wrap
+    # around to the last entry of a table
+    f = random_form(field(3), 3, 2, random.Random(4))
+    for point in ((1, -1, 0), (1, 2, 5)):
+        with pytest.raises(InvalidInput, match="is not a code of GF\\(3\\)"):
+            f.evaluate(point)
+        with pytest.raises(InvalidInput, match="is not a code of GF\\(3\\)"):
+            f.evaluate_batch(np.array([point]))
 
 
 # (p, k): the fields the census and the group law climb through, and one past
@@ -197,24 +209,36 @@ def test_monomial_exponents_count():
 # ---------------------------------------------------------------------------
 
 
+def binary(K, coeffs):
+    """The two-variable form sum coeffs[i] s^(d-i) t^i, d = len(coeffs) - 1."""
+    return HomogeneousForm.from_coeffs(K, 2, len(coeffs) - 1, coeffs)
+
+
+def product_checked(f, g):
+    """f * g by interpolation, checked against the term-by-term product."""
+    fg = f.times(g)
+    assert fg == times_by_dicts(f, g)
+    return fg
+
+
 def test_binary_roots_with_multiplicity():
     K = field(7)
-    # f = s * t^2 * (s - t)  -> roots (1,0) x1? no: t^2 gives (1,0) twice
-    s = BinaryForm(K, 1, (1, 0))
-    t = BinaryForm(K, 1, (0, 1))
-    s_minus_t = BinaryForm(K, 1, (1, K.neg_(1)))
-    f = s.times(t).times(t).times(s_minus_t)
+    # f = s * t^2 * (s - t): the root (1 : 0) of t twice, (1 : 1) and (0 : 1) once
+    s = binary(K, (1, 0))
+    t = binary(K, (0, 1))
+    s_minus_t = binary(K, (1, K.neg_(1)))
+    f = product_checked(product_checked(product_checked(s, t), t), s_minus_t)
     roots = dict(f.roots())
     assert roots == {(1, 0): 2, (1, 1): 1, (0, 1): 1}
 
 
 def test_binary_roots_over_extension():
     K = field(5)
-    # s^2 + t^2 has no roots over F5 (chi(-1) = 1 over F5: -1 = 4 = 2^2 ... it does)
-    f = BinaryForm(K, 2, (1, 0, 1))
+    # s^2 + t^2 splits over F_5, where -1 = 2^2
+    f = binary(K, (1, 0, 1))
     assert {r for r, _ in f.roots()} == {(1, 2), (1, 3)}
     # s^2 - 2 t^2: 2 is not a square mod 5, so roots only appear over F25
-    g = BinaryForm(K, 2, (1, 0, K.neg_(2)))
+    g = binary(K, (1, 0, K.neg_(2)))
     assert g.roots() == []
     ext_roots = g.roots(extension=2)
     assert len(ext_roots) == 2 and all(m == 1 for _, m in ext_roots)
@@ -225,26 +249,26 @@ def test_binary_roots_over_extension():
 
 def test_binary_gcd_and_squarefree():
     K = field(5)
-    s = BinaryForm(K, 1, (1, 0))
-    u = BinaryForm(K, 1, (1, 1))  # s + t? coeffs (1, 1): s + t
-    v = BinaryForm(K, 1, (1, 2))
-    f = s.times(u).times(u)
-    g = u.times(v)
+    s = binary(K, (1, 0))
+    u = binary(K, (1, 1))  # s + t
+    v = binary(K, (1, 2))
+    f = product_checked(product_checked(s, u), u)
+    g = product_checked(u, v)
     gc = f.gcd(g)
     assert gc.degree == 1
     # gcd is proportional to u
-    assert gc.coeffs[0] != 0 or gc.coeffs[1] != 0
-    prop = proportionality(gc.to_form(), u.to_form())
+    assert not gc.is_zero
+    prop = proportionality(gc, u)
     assert prop is not None
     assert not f.is_squarefree()
     assert g.is_squarefree()
-    assert s.times(u).times(v).is_squarefree()
+    assert product_checked(product_checked(s, u), v).is_squarefree()
 
 
 def test_binary_squarefree_char3_frobenius_trap():
     # all partials vanish identically, yet the form is a perfect cube
     K = field(3)
-    f = BinaryForm(K, 6, (1, 0, 0, 1, 0, 0, 0))  # s^6 + s^3 t^3 = s^3 (s+t)^3
+    f = binary(K, (1, 0, 0, 1, 0, 0, 0))  # s^6 + s^3 t^3 = s^3 (s+t)^3
     assert not f.is_squarefree()
 
 
@@ -252,8 +276,8 @@ def test_binary_resultant_detects_common_root():
     K = field(7)
     rng = random.Random(41)
     for _ in range(20):
-        a = BinaryForm(K, 2, [K.random_element(rng) for _ in range(3)])
-        b = BinaryForm(K, 3, [K.random_element(rng) for _ in range(4)])
+        a = binary(K, [K.random_element(rng) for _ in range(3)])
+        b = binary(K, [K.random_element(rng) for _ in range(4)])
         if a.is_zero or b.is_zero:
             continue
         res = a.resultant(b)
@@ -262,9 +286,14 @@ def test_binary_resultant_detects_common_root():
 
 
 def test_binary_form_roundtrip_with_form():
+    # position i of a two-variable form holds the coefficient of s^(d-i) t^i
     K = field(5)
-    f = BinaryForm(K, 3, (1, 2, 0, 4))
-    assert BinaryForm.from_form(f.to_form()) == f
+    f = binary(K, (1, 2, 0, 4))
+    assert f.terms == {(3, 0): 1, (2, 1): 2, (0, 3): 4}
+    assert HomogeneousForm(K, 2, 3, f.terms) == f
+    assert f.derivative(0) == binary(K, (3, 4, 0)) and f.derivative(1) == binary(K, (2, 0, 2))
+    # a constant's derivative is the zero form of degree -1, with no coefficients at all
+    assert binary(K, (3,)).derivative(1).coeffs.shape == (0,)
 
 
 def _random_binary_with_repeats(K, rng):
@@ -273,16 +302,16 @@ def _random_binary_with_repeats(K, rng):
     if rng.random() < 0.3:
         coeffs = [K.random_element(rng) for _ in range(n + 1)]
         coeffs[rng.randrange(n + 1)] = rng.randrange(1, K.q)
-        return BinaryForm(K, n, coeffs)
-    f = BinaryForm(K, 0, (rng.randrange(1, K.q),))
+        return binary(K, coeffs)
+    f = binary(K, (rng.randrange(1, K.q),))
     while f.degree < n:
         if rng.random() < 0.2:
-            g = BinaryForm(K, 1, (1, 0))  # s, which vanishes at (0:1)
+            g = binary(K, (1, 0))  # s, which vanishes at (0:1)
         else:
             dg = rng.randint(1, min(3, n - f.degree))
-            g = BinaryForm(K, dg, [K.random_element(rng) for _ in range(dg)] + [rng.randrange(1, K.q)])
+            g = binary(K, [K.random_element(rng) for _ in range(dg)] + [rng.randrange(1, K.q)])
         for _ in range(rng.randint(1, (n - f.degree) // g.degree)):
-            f = f.times(g)
+            f = product_checked(f, g)
     return f
 
 
@@ -305,7 +334,7 @@ def test_binary_roots_match_scan_oracle(p, k):
 
 def test_binary_roots_of_zero_form_refused():
     with pytest.raises(ValueError):
-        BinaryForm(field(5), 2, (0, 0, 0)).roots()
+        binary(field(5), (0, 0, 0)).roots()
     with pytest.raises(ValueError):
         quadratic_roots(field(5), [1, 0], [0, 0], [2, 0])
 
@@ -320,7 +349,7 @@ def test_quadratic_roots_match_binary_roots_on_every_quadratic(p, k):
     assert split2.all()
     kinds = set()
     for c, r, m, ok, r2, m2 in zip(coeffs.tolist(), roots, mult, split, roots2, mult2):
-        f = BinaryForm(K, 2, c)
+        f = binary(K, c)
         expected = f.roots()
         assert ok == (sum(n for _, n in expected) == 2), c
         assert [(tuple(x), n) for x, n in zip(r.tolist(), m.tolist()) if n] == expected, c
@@ -358,8 +387,13 @@ def test_shape_mismatches_raise():
         f.times(HomogeneousForm.monomial(K, 2, (1, 0)))
     with pytest.raises(InvalidInput, match="substitution matrix has 2 rows, form has 3 variables"):
         f.substitute(np.eye(2, dtype=np.int64))
-    with pytest.raises(InvalidInput, match="a binary form has 2 variables, not 3"):
-        BinaryForm.from_form(f)
+    for binary_only in (f.roots, f.is_squarefree, lambda: f.resultant(f), lambda: f.gcd(f)):
+        with pytest.raises(InvalidInput, match="a binary form has 2 variables, not 3"):
+            binary_only()
+    with pytest.raises(InvalidInput, match="coefficients for a degree 2 form in 3 variables"):
+        HomogeneousForm.from_coeffs(K, 3, 2, (1, 0, 0))
+    with pytest.raises(InvalidInput, match="a coefficient code outside field of order 5"):
+        HomogeneousForm.from_coeffs(K, 3, 1, (1, 5, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -431,3 +465,33 @@ def _quotient(divide, f, ell):
         return divide(f, ell)
     except ValueError:
         return "not divisible"
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (3, 2), (5, 2)])
+def test_every_vector_operation_matches_the_dict_oracles(p, k):
+    # random forms in 2-6 variables of degree 1-4, each operation against its
+    # term-by-term counterpart; the extension takes F_9 to F_81 and F_25 to F_625
+    K, L = field(p, k), field(p, 2 * k)
+    rng = random.Random(1000 * p + k)
+    for nvars in range(2, 7):
+        for degree in range(1, 5):
+            f, g = random_form(K, nvars, degree, rng), random_form(K, nvars, degree, rng)
+            c = K.random_element(rng)
+            assert f.plus(g) == HomogeneousForm(K, nvars, degree, _dict_add(K, f.terms, g.terms))
+            assert f.scaled(c) == HomogeneousForm(K, nvars, degree, {e: K.mul_(v, c) for e, v in f.terms.items()})
+            for i in range(nvars):
+                lowered = {e[:i] + (e[i] - 1,) + e[i + 1 :]: K.mul_(v, e[i] % p) for e, v in f.terms.items() if e[i]}
+                assert f.derivative(i) == HomogeneousForm(K, nvars, degree - 1, lowered)
+            assert f.embedded(L) == HomogeneousForm(L, nvars, degree, {e: K.lift(v, L) for e, v in f.terms.items()})
+            h = random_form(K, nvars, rng.randint(0, 4 - degree), rng)
+            assert f.times(h) == times_by_dicts(f, h)
+            width = rng.randint(2, 3)
+            M = np.array([[K.random_element(rng) for _ in range(width)] for _ in range(nvars)])
+            assert f.substitute(M) == substitute_by_dicts(f, M)
+            ell = [K.random_element(rng) for _ in range(nvars)]
+            ell[rng.randrange(nvars)] = rng.randrange(1, K.q)
+            product_form = times_by_dicts(HomogeneousForm.linear(K, ell), g)
+            assert divide_by_linear(product_form, ell) == divide_by_linear_by_dicts(product_form, ell) == g
+            assert _quotient(divide_by_linear, f, ell) == _quotient(divide_by_linear_by_dicts, f, ell)
+            pts = [[K.random_element(rng) for _ in range(nvars)] for _ in range(5)]
+            assert [f.evaluate(pt) for pt in pts] == [evaluate_form_naive(K, f.terms, pt) for pt in pts]
