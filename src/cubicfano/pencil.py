@@ -92,18 +92,14 @@ def pencil_fibers(nf, L: GF, params) -> list[PencilFiber]:
 
     L is any field of the tower over ``nf.K``.  The entries of the
     threefold's kept symbolic matrix ``nf.pencil_matrix`` are binary forms of
-    degree at most 3 in (s, t); their coefficients, lifted into L, are
-    evaluated at every (s:t) at once, as table gathers on one stack.
+    degree at most 3 in (s, t); their coefficients, kept stacked as
+    ``nf.pencil_coeffs`` and lifted into L, are evaluated at every (s:t) at
+    once, as table gathers on one stack.
     """
     params = np.array(list(params), dtype=np.int64).reshape(-1, 2)
     if not params.any(axis=1).all():
         raise ValueError("(0:0) is not a point of the pencil base")
-    coeffs = np.zeros((4, 4, 4, 4), dtype=np.int64)  # [i, j, a, b]: the coefficient of s^a t^b in entry (i, j)
-    for i, row in enumerate(nf.pencil_matrix):
-        for j, entry in enumerate(row):
-            b = np.arange(entry.degree + 1)
-            coeffs[i, j, entry.degree - b, b] = entry.coeffs
-    coeffs = nf.K.lift(coeffs, L)
+    coeffs = nf.K.lift(nf.pencil_coeffs, L)  # [i, j, a, b]: the coefficient of s^a t^b in entry (i, j)
     powers = np.ones((len(params), 4, 2), dtype=np.int64)  # [n, e]: (s^e, t^e)
     for e in range(1, 4):
         powers[:, e] = L.mul[powers[:, e - 1], params]

@@ -18,7 +18,12 @@ Hilbert symbols at the real place, at 2, and at the odd primes of the
 determinant.
 
 This is the one module that computes in characteristic zero; all rational
-arithmetic is exact (integers, ``fractions.Fraction``, sympy polynomials).
+arithmetic is exact (integers, ``fractions.Fraction``, and integer polynomials
+as exponent dicts).  Its integer algorithms are the textbook ones: trial
+division, Miller-Rabin and Pollard-Brent rho for factoring, a strong Lucas
+test above the proven Miller-Rabin range (Cohen, GTM 138, 8.2 and 8.5), and
+the Sylvester determinant for the resultant (von zur Gathen-Gerhard, *Modern
+Computer Algebra*, ch. 6).
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-import sympy
 
 from .errors import (
     InternalInconsistency,
@@ -219,6 +223,152 @@ def _q_clear_denominators(terms: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# exact integer arithmetic: primality and factoring
+# ---------------------------------------------------------------------------
+
+# Trial division runs over these primes only: the integers factored here
+# reach about 10^12, and a bound near their square root would cost
+# milliseconds a call.  What is left is split by Pollard-Brent rho.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# Miller-Rabin to the first 13 prime bases is proven deterministic below the
+# least strong pseudoprime to all of them (OEIS A014233); above it the
+# primality test is Baillie-PSW, base 2 and a strong Lucas test.
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_BOUND = 3317044064679887385961981
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for an odd positive n."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """The Miller-Rabin test of the odd n > a to the base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of the odd n, with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
+    P = 1 and Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, n passes when
+    U_d = 0 or V_(d 2^r) = 0 mod n for some r < s.  A square n has no such
+    D, and a D sharing a factor with n shows n composite.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (symbol := _jacobi(D, n)) != -1:
+        if symbol == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    U, V, Qk = 1, 1, Q  # U_1, V_1, Q^1
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # index doubled
+        if bit == "1":  # index plus one; n is odd, so adding n makes a sum even
+            U, V = U + V, D * U + V
+            U, V = (U + n * (U % 2)) // 2 % n, (V + n * (V % 2)) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality below _MR_BOUND (about 3.3e24), Baillie-PSW above it."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return True
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the composite n free of small primes.
+
+    Brent's cycle search on x -> x^2 + c, c = 1, 2, ... in turn, with the
+    differences multiplied in batches of 128 between gcds; a batch whose gcd
+    is n is replayed one step at a time, and a cycle that still gives n moves
+    on to the next c.
+    """
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _factor(n: int) -> dict[int, int]:
+    """The factorization {prime: exponent} of the positive integer n ({} for 1)."""
+    if n < 1:
+        raise InvalidInput("only positive integers are factored")
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    left = [n] if n > 1 else []
+    while left:
+        m = left.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _pollard_brent(m)
+            left += [d, m // d]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # rational quadratic forms and local solvability
 # ---------------------------------------------------------------------------
 
@@ -291,11 +441,11 @@ def _squarefree_part(d: Fraction) -> int:
     """The squarefree integer representing d modulo nonzero rational squares."""
     if d == 0:
         return 0
-    n = abs(d.numerator * d.denominator)
+    n = abs(int(d.numerator) * int(d.denominator))  # int: a Fraction may hold numpy integers
     out = 1
-    for p, e in sympy.factorint(n).items():
+    for p, e in _factor(n).items():
         if e % 2:
-            out *= int(p)
+            out *= p
     return out if d > 0 else -out
 
 
@@ -383,9 +533,7 @@ def local_solvability(quadric: RationalQuadricForm) -> LocalSolvability:
         raise InvalidInput("the quadratic form is singular")
     if all(d > 0 for d in diag) or all(d < 0 for d in diag):
         return LocalSolvability(False, "real", diag, quadric)
-    odd_primes = sorted(
-        {int(p) for d in diag for p in sympy.factorint(abs(d)) if p != 2}
-    )
+    odd_primes = sorted({p for d in diag for p in _factor(abs(d)) if p != 2})
     disc = diag[0] * diag[1] * diag[2] * diag[3]
     for p in [2] + odd_primes:
         if not _is_padic_square(disc, p):
@@ -564,67 +712,140 @@ def _primitive(vec) -> tuple[int, ...]:
     return tuple(-x for x in out) if k is not None and out[k] < 0 else out
 
 
-def _rational_roots(poly: sympy.Poly) -> list[Fraction]:
-    if poly.is_zero:
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of the positive integer n."""
+    out = [1]
+    for p, e in _factor(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return out
+
+
+def _vanishes_at(coeffs, num: int, den: int) -> bool:
+    """Whether sum_i coeffs[i] t^i is zero at t = num/den, with den != 0.
+
+    Integer Horner on den^deg times the value: no fraction is formed.
+    """
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc == 0
+
+
+def _rational_roots(coeffs: dict[int, int]) -> list[Fraction]:
+    """The rational roots, sorted, of a nonzero integer polynomial {power: coefficient}.
+
+    The root 0 is split off with the lowest power present; the rest is made
+    primitive, and by the rational root theorem a root d/e in lowest terms
+    has d dividing its constant term and e its leading coefficient.  Each
+    such +-d/e is tested exactly.
+    """
+    powers = [k for k, c in coeffs.items() if c]
+    if not powers:
         raise InvalidInput("cannot list roots of the zero polynomial")
-    out = []
-    for factor, _ in poly.factor_list()[1]:
-        if factor.degree() == 1:
-            a, b = factor.all_coeffs()
-            out.append(Fraction(-int(b), int(a)))  # root of a*t + b
-    return sorted(set(out))
+    low = min(powers)
+    poly = [coeffs.get(k, 0) for k in range(low, max(powers) + 1)]
+    content = math.gcd(*poly)
+    poly = [c // content for c in poly]
+    out = {Fraction(0)} if low else set()
+    for e in _divisors(abs(poly[-1])):
+        for d in _divisors(abs(poly[0])):
+            if math.gcd(d, e) == 1:
+                out.update(Fraction(num, e) for num in (d, -d) if _vanishes_at(poly, num, e))
+    return sorted(out)
+
+
+def _quadratic_rational_roots(c0: int, c1: int, c2: int) -> set[Fraction]:
+    """The rational roots of c2 w^2 + c1 w + c0, integers not all zero."""
+    if c2 == 0:
+        return {Fraction(-c0, c1)} if c1 else set()
+    disc = c1 * c1 - 4 * c2 * c0
+    root = math.isqrt(disc) if disc >= 0 else -1
+    if root * root != disc:
+        return set()
+    return {Fraction(-c1 + root, 2 * c2), Fraction(-c1 - root, 2 * c2)}
+
+
+def _binary_determinant(rows) -> dict:
+    """The determinant of a square matrix of binary forms (exponent-pair dicts), by cofactors."""
+    if not rows:
+        return {(0, 0): 1}
+    out: dict = {}
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            term = _q_mul(entry, _binary_determinant([row[:j] + row[j + 1 :] for row in rows[1:]]))
+            out = _q_add(out, term if j % 2 == 0 else {e: -c for e, c in term.items()})
+    return out
+
+
+def _resultant(f: dict, g: dict, elim: int) -> dict[tuple[int, int], int]:
+    """Res_w(f, g) of two ternary forms, w the coordinate ``elim``, as a binary form.
+
+    Each form is read as a polynomial in w whose coefficients are binary
+    forms in the other two coordinates (in their order), to its actual
+    degree in w: read to the formal degree 2, two conics through the unit
+    point of w would have R = 0.  R is the determinant of the Sylvester
+    matrix, f's rows first; a zero form gives R = 0.
+    """
+    keep = [i for i in range(3) if i != elim]
+
+    def in_w(form):
+        by_power: dict = {}
+        for e, c in form.items():
+            by_power.setdefault(e[elim], {})[(e[keep[0]], e[keep[1]])] = c
+        return [by_power.get(k, {}) for k in range(max(by_power, default=-1), -1, -1)]
+
+    a, b = in_w(f), in_w(g)
+    if not a or not b:
+        return {}
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[{}] * i + a + [{}] * (n - 1 - i) for i in range(n)]
+    rows += [[{}] * i + b + [{}] * (m - 1 - i) for i in range(m)]
+    return {e: int(c) for e, c in _binary_determinant(rows).items()}
 
 
 def _nodes_by_resultant(int_terms: dict) -> list[tuple[int, int, int]]:
     """Rational points of {q0 = q1 = 0} in the plane, by elimination.
 
     q0 and q1 are the two restricted conics (the coefficients of x0 and x1 on
-    the plane).  The resultant with respect to one plane coordinate is a
-    binary quartic whose rational roots, followed by a shared-root test on
-    the two specialized conics, produce every candidate node off the
-    projection centre (the unit point of the eliminated coordinate), which
-    is a candidate when both conics vanish there; each candidate is
-    verified on both conics exactly.
+    the plane).  The resultant with respect to one plane coordinate w is a
+    binary form R in the other two, (u, v); the eliminations run over z, y,
+    x, and the first with R != 0 is used.  The rational roots (u : v) of R
+    are those of R(u, 1), and (1 : 0) when R has no u^deg term.  At each,
+    the conics become integer polynomials of degree at most 2 in w, and
+    their shared rational roots are the roots of a nonzero one at which the
+    other vanishes (a zero one shares every root; both zero is a line of
+    singular points, nonreduced input, and gives nothing).  Together with
+    the projection centre (the unit point of w) when both conics vanish
+    there, this is every candidate node; each is verified on both conics
+    exactly.
     """
     conics = [{e[2:]: c for e, c in int_terms.items() if e[:2] == pick} for pick in ((1, 0), (0, 1))]
-    x, y, z = sympy.symbols("x y z")
-    syms = (x, y, z)
-    q0, q1 = (
-        sympy.expand(sum((int(c) * x**a * y**b * z**d for (a, b, d), c in conic.items()), sympy.Integer(0)))
-        for conic in conics
-    )
-
     for elim in (2, 1, 0):
-        keep = [i for i in range(3) if i != elim]
-        R = sympy.resultant(q0, q1, syms[elim])
-        if R == 0:
+        R = _resultant(*conics, elim)
+        if not R:
             continue
-        u, v = syms[keep[0]], syms[keep[1]]
-        Ru = sympy.Poly(R.subs(v, 1), u)
-        total = sympy.Poly(R, u, v).total_degree()
-        roots: list[tuple[Fraction, Fraction]] = [(Fraction(r), Fraction(1)) for r in _rational_roots(Ru)]
-        if Ru.degree() < total:
-            roots.append((Fraction(1), Fraction(0)))
+        keep = [i for i in range(3) if i != elim]
+        total = max(i + j for i, j in R)
+        roots = [(r.numerator, r.denominator) for r in _rational_roots({i: c for (i, _), c in R.items()})]
+        if (total, 0) not in R:
+            roots.append((1, 0))
         candidates = []
-        for ru, rv in roots:
-            sub = {
-                u: sympy.Rational(ru.numerator, ru.denominator),
-                v: sympy.Rational(rv.numerator, rv.denominator),
-            }
-            p0 = q0.subs(sub)
-            p1 = q1.subs(sub)
-            w = syms[elim]
-            if p0 == 0 and p1 == 0:
-                continue  # a whole line of singular points: nonreduced input
-            g = sympy.gcd(sympy.Poly(p0, w), sympy.Poly(p1, w))
-            if g.degree() < 1:
+        for u, v in roots:
+            p0, p1 = (
+                [sum(c * u ** e[keep[0]] * v ** e[keep[1]] for e, c in conic.items() if e[elim] == k) for k in range(3)]
+                for conic in conics
+            )
+            if not any(p0) and not any(p1):
                 continue
-            for rw in _rational_roots(sympy.Poly(g, w)):
-                coords = [Fraction(0)] * 3
-                coords[keep[0]], coords[keep[1]], coords[elim] = ru, rv, rw
-                den = coords[0].denominator * coords[1].denominator * coords[2].denominator
-                cand = _primitive(tuple(int(c * den) for c in coords))
-                if any(cand) and all(_q_evaluate(conic, cand) == 0 for conic in conics):
+            lead, other = (p0, p1) if any(p0) else (p1, p0)
+            for w in _quadratic_rational_roots(*lead):
+                if not _vanishes_at(other, w.numerator, w.denominator):
+                    continue
+                coords = [0, 0, 0]
+                coords[keep[0]], coords[keep[1]], coords[elim] = u * w.denominator, v * w.denominator, w.numerator
+                cand = _primitive(coords)
+                if all(_q_evaluate(conic, cand) == 0 for conic in conics):
                     candidates.append(cand)
         centre = tuple(int(i == elim) for i in range(3))
         if all(_q_evaluate(conic, centre) == 0 for conic in conics):

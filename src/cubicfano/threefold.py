@@ -54,7 +54,8 @@ class NormalizedThreefold:
     x_original = transform @ x_normalized.
 
     The node scheme ``Z``, the symbolic ``pencil_matrix`` of the quadric
-    surface fibration and its ``discriminant`` are computed on first read
+    surface fibration (with its coefficients stacked as ``pencil_coeffs``)
+    and its ``discriminant`` are computed on first read
     and kept, so every reader shares them: every pencil member, over any
     field of the tower, is read off the one matrix
     (:func:`pencil.pencil_fibers`).  So are the line
@@ -101,6 +102,20 @@ class NormalizedThreefold:
         :func:`pencil.symbolic_fiber_entries` of (Q0, Q1).
         """
         return pencil_mod.symbolic_fiber_entries((self.Q0, self.Q1))
+
+    @cached_property
+    def pencil_coeffs(self) -> np.ndarray:
+        """``pencil_matrix`` as one read-only array: [i, j, a, b] is the coefficient of s^a t^b in entry (i, j).
+
+        :func:`pencil.pencil_fibers` lifts it into its field and evaluates it.
+        """
+        coeffs = np.zeros((4, 4, 4, 4), dtype=np.int64)
+        for i, row in enumerate(self.pencil_matrix):
+            for j, entry in enumerate(row):
+                b = np.arange(entry.degree + 1)
+                coeffs[i, j, entry.degree - b, b] = entry.coeffs
+        coeffs.flags.writeable = False
+        return coeffs
 
     @cached_property
     def discriminant(self) -> pencil_mod.DiscriminantSextic:

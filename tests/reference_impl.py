@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive: polynomial arithmetic on tuples and
 on exponent dicts, cofactor determinants, Fermat inverses, brute-force
-searches, symbolic division, and the group law acted out letter by letter
-through dicts.  Tests compare the fast package
-code against these.
+searches, symbolic division, the group law acted out letter by letter
+through dicts, and the node search over Q through sympy's resultant, gcd
+and factoring.  Tests compare the fast package code against these.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import sympy
 
 from cubicfano.errors import (
     InternalInconsistency,
@@ -47,6 +48,7 @@ from cubicfano.projective import (
     projective_reps,
     span,
 )
+from cubicfano.rationality import _primitive, _q_evaluate, _sorted_candidates
 from cubicfano.torsor import DivisorWord, SignedTorsorPoint
 
 
@@ -1048,3 +1050,73 @@ def lines_by_galkin_shinder(nx, n=4):
 
     hilbert_square = (n1 * n1 + n2) // 2 + n1 * (projective_space(n - 1) - 1)
     return Fraction(hilbert_square - projective_space(n) * n1, q * q)
+
+
+def rational_roots_by_factor_list(poly: sympy.Poly) -> list[Fraction]:
+    """The rational roots of a nonzero univariate sympy polynomial, from its linear factors."""
+    if poly.is_zero:
+        raise ValueError("cannot list roots of the zero polynomial")
+    out = []
+    for factor, _ in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            a, b = factor.all_coeffs()
+            out.append(Fraction(-int(b), int(a)))  # root of a*t + b
+    return sorted(set(out))
+
+
+def nodes_by_sympy_resultant(int_terms: dict) -> list[tuple[int, int, int]]:
+    """Rational points of {q0 = q1 = 0} in the plane, by sympy's elimination.
+
+    The same search as ``rationality._nodes_by_resultant``: the resultant in
+    z, then y, then x, the first that does not vanish; its rational roots in
+    the kept pair, a (1:0) root when the kept pair's second variable divides
+    it, the shared roots of the two specialized conics through sympy's gcd,
+    and the projection centre when both conics pass through it.
+    """
+    conics = [{e[2:]: c for e, c in int_terms.items() if e[:2] == pick} for pick in ((1, 0), (0, 1))]
+    x, y, z = sympy.symbols("x y z")
+    syms = (x, y, z)
+    q0, q1 = (
+        sympy.expand(sum((int(c) * x**a * y**b * z**d for (a, b, d), c in conic.items()), sympy.Integer(0)))
+        for conic in conics
+    )
+
+    for elim in (2, 1, 0):
+        keep = [i for i in range(3) if i != elim]
+        R = sympy.resultant(q0, q1, syms[elim])
+        if R == 0:
+            continue
+        u, v = syms[keep[0]], syms[keep[1]]
+        Ru = sympy.Poly(R.subs(v, 1), u)
+        total = sympy.Poly(R, u, v).total_degree()
+        roots = [(Fraction(r), Fraction(1)) for r in rational_roots_by_factor_list(Ru)]
+        if Ru.degree() < total:
+            roots.append((Fraction(1), Fraction(0)))
+        candidates = []
+        for ru, rv in roots:
+            sub = {
+                u: sympy.Rational(ru.numerator, ru.denominator),
+                v: sympy.Rational(rv.numerator, rv.denominator),
+            }
+            p0 = q0.subs(sub)
+            p1 = q1.subs(sub)
+            w = syms[elim]
+            if p0 == 0 and p1 == 0:
+                continue  # a whole line of singular points: nonreduced input
+            g = sympy.gcd(sympy.Poly(p0, w), sympy.Poly(p1, w))
+            if g.degree() < 1:
+                continue
+            for rw in rational_roots_by_factor_list(sympy.Poly(g, w)):
+                coords = [Fraction(0)] * 3
+                coords[keep[0]], coords[keep[1]], coords[elim] = ru, rv, rw
+                den = coords[0].denominator * coords[1].denominator * coords[2].denominator
+                cand = _primitive(tuple(int(c * den) for c in coords))
+                if any(cand) and all(_q_evaluate(conic, cand) == 0 for conic in conics):
+                    candidates.append(cand)
+        centre = tuple(int(i == elim) for i in range(3))
+        if all(_q_evaluate(conic, centre) == 0 for conic in conics):
+            candidates.append(centre)
+        return _sorted_candidates(set(candidates))
+    raise InternalInconsistency(
+        "every elimination resultant vanishes although the reduction certified reduced nodes"
+    )

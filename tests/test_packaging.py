@@ -41,12 +41,32 @@ def top_level_imports(path):
             yield node.module.partition(".")[0]
 
 
+def declared(requirements):
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in requirements}
+
+
 def test_third_party_imports_are_declared():
-    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in PYPROJECT["project"]["dependencies"]}
     imported = {name for path in PACKAGE.rglob("*.py") for name in top_level_imports(path)}
     third_party = imported - set(sys.stdlib_module_names) - {"cubicfano"}
     assert "numpy" in third_party  # the scan sees the imports at all
-    assert third_party <= declared
+    assert third_party <= declared(PYPROJECT["project"]["dependencies"])
+
+
+def test_no_package_module_imports_sympy():
+    # the package runs on numpy and the standard library; sympy is a test oracle
+    importers = [path.name for path in sorted(PACKAGE.rglob("*.py")) if "sympy" in top_level_imports(path)]
+    assert importers == []
+
+
+def test_third_party_test_imports_are_declared():
+    # what the tests import is installed by the package and its test extra
+    tests = ROOT / "tests"
+    local = {"cubicfano"} | {path.stem for path in tests.glob("*.py")}
+    imported = {name for path in tests.rglob("*.py") for name in top_level_imports(path)}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"numpy", "pytest", "sympy"} <= third_party  # the scan sees the imports at all
+    project = PYPROJECT["project"]
+    assert third_party <= declared(project["dependencies"] + project["optional-dependencies"]["test"])
 
 
 @pytest.mark.parametrize(

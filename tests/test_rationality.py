@@ -2,17 +2,19 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_impl import nodes_by_sympy_resultant, rational_roots_by_factor_list
 
 from cubicfano import rationality
-from cubicfano.errors import InvalidInput, NeedsDifferentPrime, NotGeneral
+from cubicfano.errors import InternalInconsistency, InvalidInput, NeedsDifferentPrime, NotGeneral
 from cubicfano.gf import field
 from cubicfano.projective import LinearSubspace
 from cubicfano.rationality import (
@@ -484,3 +486,153 @@ def test_unknown_verdict_reports_a_capped_point_search(monkeypatch):
     monkeypatch.setattr(rationality, "_POINT_CAP", 100)
     bounds = decide_over_rationals(UNKNOWN_EXAMPLE, height_bound=4).bounds
     assert bounds["points_found"] == 100 and bounds["points_capped"] is True
+
+
+# ---------------------------------------------------------------------------
+# exact integer arithmetic against sympy
+# ---------------------------------------------------------------------------
+
+QUADRIC_MONOMIALS = [e for e in itertools.product(range(3), repeat=5) if sum(e) == 2]
+CONIC_MONOMIALS = [e for e in itertools.product(range(3), repeat=3) if sum(e) == 2]
+
+
+def random_integer_cubic(seed):
+    """x0*Q0 + x1*Q1 with every quadric coefficient uniform in [-2, 2] (the benchmark's integer cubics)."""
+    rng = random.Random(seed)
+    terms = {}
+    for i in (0, 1):
+        for e in QUADRIC_MONOMIALS:
+            c = rng.randint(-2, 2)
+            if c:
+                key = tuple(v + (j == i) for j, v in enumerate(e))
+                terms[key] = terms.get(key, 0) + c
+    return {e: c for e, c in terms.items() if c}
+
+
+def cubic_of_conics(q0, q1):
+    """x0*q0 + x1*q1, with q0 and q1 ternary quadrics {(a, b, c): coefficient} on the plane."""
+    return {(1, 0) + e: c for e, c in q0.items()} | {(0, 1) + e: c for e, c in q1.items()}
+
+
+def nodes_both_ways(int_terms):
+    """The node lists of the package and of the sympy oracle, or the refusal each raises."""
+    out = []
+    for finder in (rationality._nodes_by_resultant, nodes_by_sympy_resultant):
+        try:
+            out.append(finder(int_terms))
+        except InternalInconsistency as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_node_finder_matches_the_sympy_resultant_on_integer_cubics():
+    examples = [NODE_EXAMPLE, LINE_EXAMPLE, DEFINITE_PENCIL_EXAMPLE, UNKNOWN_EXAMPLE, CENTRE_NODE_EXAMPLE]
+    found = 0
+    for terms in [random_integer_cubic(seed) for seed in range(100)] + examples:
+        int_terms, _ = rationality._normalize_rational_cubic(terms, rationality._STANDARD_PLANE_ROWS)
+        new, old = nodes_both_ways(int_terms)
+        assert new == old
+        found += len(new)
+    assert found  # some inputs have rational nodes
+
+
+# the eliminations run over z, then y, then x; each pair is (q0, q1, nodes)
+DEGENERATE_CONIC_PAIRS = {
+    # q0 = xz - y^2 has degree 1 in z and meets q1 = z^2 - x^2 at t = +-1 of (1 : t : t^2)
+    "degree 1 in w": ({(1, 0, 1): 1, (0, 2, 0): -1}, {(0, 0, 2): 1, (2, 0, 0): -1}, [(1, 1, 1), (1, -1, 1)]),
+    # q0 = x^2 - y^2 is free of z
+    "degree 0 in w": ({(2, 0, 0): 1, (0, 2, 0): -1}, {(0, 0, 2): 1, (1, 1, 0): -1}, [(1, 1, 1), (1, 1, -1)]),
+    # both free of z: R is the constant 1, and the centre (0:0:1) is the only node
+    "both of degree 0 in w": ({(2, 0, 0): 1, (0, 2, 0): -1}, {(1, 1, 0): 1}, [(0, 0, 1)]),
+    # neither has a z^2 term: read to the formal degree 2, R would vanish
+    "both through the centre": ({(1, 0, 1): 1, (0, 2, 0): -1}, {(0, 1, 1): 1, (2, 0, 0): -1}, [(0, 0, 1), (1, 1, 1)]),
+    # the shared component z makes R = 0 in z; in y, R = 3xz^2, whose root
+    # (x : z) = (1 : 0) is a whole line of common zeros and gives nothing
+    "shared linear component": ({(1, 0, 1): 1, (0, 1, 1): 1}, {(1, 0, 1): 1, (0, 1, 1): -2}, [(0, 0, 1), (0, 1, 0)]),
+    # the component x + y + z, shared in every elimination, and a zero conic leave no resultant
+    "shared in every elimination": (
+        {(1, 0, 1): 1, (0, 1, 1): 1, (0, 0, 2): 1},
+        {(2, 0, 0): 1, (0, 2, 0): -1, (1, 0, 1): 1, (0, 1, 1): -1},
+        "every elimination resultant vanishes although the reduction certified reduced nodes",
+    ),
+    "zero conic": (
+        {},
+        {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1},
+        "every elimination resultant vanishes although the reduction certified reduced nodes",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE_CONIC_PAIRS)
+def test_node_finder_matches_the_sympy_resultant_on_degenerate_conic_pairs(name):
+    q0, q1, nodes = DEGENERATE_CONIC_PAIRS[name]
+    new, old = nodes_both_ways(cubic_of_conics(q0, q1))
+    assert new == old == nodes
+
+
+def test_only_the_elimination_in_y_survives_a_shared_component_in_z():
+    q0, q1, _ = DEGENERATE_CONIC_PAIRS["shared linear component"]
+    assert rationality._resultant(q0, q1, 2) == {}
+    assert rationality._resultant(q0, q1, 1) == {(1, 2): 3}
+
+
+SEMIPRIMES = st.tuples(st.integers(10**9, 2 * 10**9), st.integers(10**9, 2 * 10**9)).map(
+    lambda ab: sympy.nextprime(ab[0]) * sympy.nextprime(ab[1])
+)
+PRIME_POWERS = st.tuples(st.integers(2, 10**6), st.integers(1, 8)).map(lambda pe: sympy.nextprime(pe[0]) ** pe[1])
+
+
+@given(st.one_of(st.integers(1, 10**24), SEMIPRIMES, PRIME_POWERS, st.just(1)))
+@settings(max_examples=60, deadline=None)
+def test_factoring_matches_sympy(n):
+    factors = rationality._factor(n)
+    assert math.prod(p**e for p, e in factors.items()) == n
+    assert all(sympy.isprime(p) for p in factors)
+    assert factors == sympy.factorint(n)
+
+
+@given(st.integers(2, 10**40))
+@settings(max_examples=100, deadline=None)
+def test_primality_matches_sympy_on_both_sides_of_the_proven_range(n):
+    p = sympy.nextprime(n)
+    assert rationality._is_prime(n) == sympy.isprime(n)
+    assert rationality._is_prime(p)
+    assert not rationality._is_prime(p * sympy.nextprime(p))
+
+
+def test_strong_pseudoprimes_are_found_composite():
+    # the least strong pseudoprimes to the first 1, 2, 4, 9, 12 and 13 prime
+    # bases, the last at the end of the proven Miller-Rabin range; two
+    # Carmichael numbers; three strong Lucas pseudoprimes
+    pseudoprimes = (2047, 1373653, 3215031751, 3825123056546413051, 318665857834031151167461,
+                    3317044064679887385961981, 561, 41041, 5459, 5777, 10877)
+    assert [rationality._is_prime(n) for n in pseudoprimes] == [False] * len(pseudoprimes)
+    assert not any(sympy.isprime(n) for n in pseudoprimes)
+
+
+@given(st.lists(st.integers(-3, 3), min_size=12, max_size=12), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_resultant_matches_sympy(coeffs, elim):
+    f, g = ({e: c for e, c in zip(CONIC_MONOMIALS, half) if c} for half in (coeffs[:6], coeffs[6:]))
+    syms = sympy.symbols("x y z")
+
+    def expr(form):
+        return sum((c * math.prod(s**k for s, k in zip(syms, e)) for e, c in form.items()), sympy.Integer(0))
+
+    R = sympy.resultant(expr(f), expr(g), syms[elim])
+    keep = [s for i, s in enumerate(syms) if i != elim]
+    expected = {} if R == 0 else {e: int(c) for e, c in sympy.Poly(R, *keep).as_dict().items()}
+    assert rationality._resultant(f, g, elim) == expected
+
+
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(-12, 12)), max_size=4),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_rational_roots_match_the_linear_factors(linear, cofactor):
+    t = sympy.Symbol("t")
+    poly = sympy.Poly(cofactor, t)
+    for a, b in linear:
+        poly *= sympy.Poly(a * t + b, t)
+    assume(not poly.is_zero)
+    coeffs = {k: int(c) for (k,), c in poly.as_dict().items()}
+    assert rationality._rational_roots(coeffs) == rational_roots_by_factor_list(poly)
