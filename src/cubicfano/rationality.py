@@ -9,7 +9,8 @@ internal self-test.
 Over the rationals no decision procedure is known, so the module runs an
 honest semidecision with three outcomes.  It searches for the same witnesses
 with bounded height (nodes through a resultant of the two restricted conics,
-lines through pairs of low-height integer points), and in the other direction
+lines through pairs of low-height integer points whose gradient pairings
+vanish, the pair test of the chart over F_q), and in the other direction
 scans the quadric surface pencil for a member with no local points: a quadric
 surface inside Y with no rational points blocks every section of the
 fibration, which certifies irrationality.  Local solvability of a rank-4
@@ -18,8 +19,12 @@ Hilbert symbols at the real place, at 2, and at the odd primes of the
 determinant.
 
 This is the one module that computes in characteristic zero; all rational
-arithmetic is exact (integers, ``fractions.Fraction``, and integer polynomials
-as exponent dicts).  Its integer algorithms are the textbook ones: trial
+arithmetic is exact.  Coordinate changes, pencil members and quadratic forms
+use ``fractions.Fraction`` and integer polynomials as exponent dicts.  The
+line search runs on integer arrays: a cubic at a grid of points is its
+monomial matrix on the ``forms.monomial_exponents`` layout times its
+coefficient vector, in int64 where a bound proves no overflow and in Python
+integers otherwise.  Its integer algorithms are the textbook ones: trial
 division, Miller-Rabin and Pollard-Brent rho for factoring, a strong Lucas
 test above the proven Miller-Rabin range (Cohen, GTM 138, 8.2 and 8.5), and
 the Sylvester determinant for the resultant (von zur Gathen-Gerhard, *Modern
@@ -30,9 +35,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,7 +50,7 @@ from .errors import (
     NotGeneral,
 )
 from .fano import surface_of
-from .forms import HomogeneousForm
+from .forms import HomogeneousForm, monomial_exponents
 from .gf import field
 from .linalg import rank
 from .projective import LinearSubspace
@@ -388,7 +394,13 @@ class RationalQuadricForm:
 
     @classmethod
     def from_entries(cls, rows) -> "RationalQuadricForm":
-        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
+        """The form of a matrix of rationals, each entry a Fraction of Python integers.
+
+        A numpy integer, or a Fraction built from numpy integers, is converted
+        by ``int``: kept inside a Fraction it would run the diagonalization in
+        fixed-width int64.
+        """
+        return cls(tuple(tuple(_python_fraction(v) for v in row) for row in rows))
 
     @cached_property
     def diagonalization(self) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
@@ -437,11 +449,18 @@ class RationalQuadricForm:
         return tuple(_squarefree_part(d) for d in self.diagonalization[0])
 
 
+def _python_fraction(v) -> Fraction:
+    """v as a Fraction whose numerator and denominator are Python integers."""
+    if isinstance(v, numbers.Rational):
+        return Fraction(int(v.numerator), int(v.denominator))
+    return Fraction(v)
+
+
 def _squarefree_part(d: Fraction) -> int:
     """The squarefree integer representing d modulo nonzero rational squares."""
     if d == 0:
         return 0
-    n = abs(int(d.numerator) * int(d.denominator))  # int: a Fraction may hold numpy integers
+    n = abs(d.numerator * d.denominator)
     out = 1
     for p, e in _factor(n).items():
         if e % 2:
@@ -856,15 +875,67 @@ def _nodes_by_resultant(int_terms: dict) -> list[tuple[int, int, int]]:
     )
 
 
-def _term_arrays(int_terms: dict, grids) -> np.ndarray:
-    total = np.zeros_like(grids[0])
+@lru_cache(maxsize=None)
+def _monomial_steps(nvars: int, degree: int) -> np.ndarray:
+    """(variable, position in the layout of degree - 1) for each monomial of the ``monomial_exponents`` layout.
+
+    The monomial is that variable, its first, times the monomial at that position.
+    """
+    lower = {e: i for i, e in enumerate(monomial_exponents(nvars, degree - 1))}
+    steps = []
+    for e in monomial_exponents(nvars, degree):
+        i = next(k for k, x in enumerate(e) if x)
+        steps.append((i, lower[e[:i] + (e[i] - 1,) + e[i + 1 :]]))
+    out = np.array(steps, dtype=np.intp).T
+    out.flags.writeable = False
+    return out
+
+
+def _integer_monomials(pts: np.ndarray, degree: int) -> np.ndarray:
+    """The monomial matrix of an int64 point array: one row per point, one column per monomial of the layout.
+
+    Built one degree at a time; the entries are at most max|pts|^degree.  An
+    integer form of this degree at the points is this matrix times its
+    coefficient vector (``_layout_coeffs``).
+    """
+    out = np.ones((len(pts), 1), dtype=np.int64)
+    for d in range(1, degree + 1):
+        var, src = _monomial_steps(pts.shape[1], d)
+        out = out[:, src] * pts[:, var]
+    return out
+
+
+def _layout_coeffs(terms: dict, nvars: int, degree: int, dtype) -> np.ndarray:
+    """The coefficient vector of an integer form {exponent tuple: c} on the ``monomial_exponents`` layout."""
+    index = {e: i for i, e in enumerate(monomial_exponents(nvars, degree))}
+    out = np.zeros(len(index), dtype=dtype)
+    for e, c in terms.items():
+        out[index[e]] += c
+    return out
+
+
+def _gradient_coeffs(int_terms: dict, dtype) -> np.ndarray:
+    """The five partial derivatives of an integer cubic in five variables, as columns on the quadric layout."""
+    index = {e: i for i, e in enumerate(monomial_exponents(5, 2))}
+    out = np.zeros((len(index), 5), dtype=dtype)
     for e, c in int_terms.items():
-        term = np.full_like(grids[0], int(c))
         for i, k in enumerate(e):
-            for _ in range(k):
-                term = term * grids[i]
-        total = total + term
-    return total
+            if k:
+                out[index[e[:i] + (k - 1,) + e[i + 1 :]], i] += c * k
+    return out
+
+
+def _exact_dtype(bound: int):
+    """int64 when every value is at most ``bound`` in absolute value, Python integers otherwise."""
+    return np.int64 if bound < 2**63 else object
+
+
+def _primitive_rows(vecs: np.ndarray) -> np.ndarray:
+    """Each nonzero integer row divided by its content, its first nonzero entry made positive."""
+    vecs = vecs // np.gcd.reduce(vecs, axis=1)[:, None]
+    lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+    vecs[lead < 0] *= -1
+    return vecs
 
 
 _POINT_CAP = 2500
@@ -874,71 +945,100 @@ def _points_on_cubic(int_terms: dict, bound: int):
     """Primitive integer points of the cubic off the plane, coordinates <= bound.
 
     The normalized cubic has degree at most 2 in x4 (every monomial carries
-    x0 or x1), so the search sweeps (x0..x3) and solves the residual
-    quadratic in x4 exactly.  Only the first ``_POINT_CAP`` points in height
-    order are kept; the returned flag says whether any were dropped.
-    Degenerate sweeps where the whole x4-line lies on the cubic are returned
-    separately as ready-made lines.
+    x0 or x1), so the search sweeps (x0..x3), one x0 slice at a time, and
+    solves the residual quadratic A x4^2 + B x4 + C in x4 exactly.  A, B and
+    C of a slice are one product each: the monomial matrix of the points
+    (1, x1, x2, x3), built once, times a coefficient vector on the
+    ``monomial_exponents`` layout with the slice's powers of x0 folded in,
+    which is the slice's own monomial matrix times the vector.  The values run
+    in int64 while |B^2 - 4AC| <= (sum|c|)^2 * 5 bound^4 stays below 2^63
+    and in Python integers past it; a discriminant is tested for a square
+    by the float square root below 2^53 and by ``math.isqrt`` above.  Only
+    the first ``_POINT_CAP`` points in height order are kept; the returned
+    flag says whether any were dropped.  Degenerate sweeps where the whole
+    x4-line lies on the cubic are returned separately as ready-made lines.
     """
     by_e4: dict[int, dict] = {0: {}, 1: {}, 2: {}}
     for e, c in int_terms.items():
         by_e4[e[4]][e[:4]] = c
+    worst = sum(abs(c) for c in int_terms.values()) ** 2 * 5 * bound**4
+    dtype = _exact_dtype(worst)
 
     side = np.arange(-bound, bound + 1, dtype=np.int64)
-    g1, g2, g3 = np.meshgrid(side, side, side, indexing="ij")
-    points: set[tuple[int, ...]] = set()
+    rest = np.stack(np.meshgrid(side, side, side, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = np.column_stack([np.ones(len(rest), dtype=np.int64), rest])
+    # the column of the monomial x0^k m at x0 = s is s^k times that at x0 = 1
+    parts = []
+    for d in (1, 2, 3):
+        x0_powers = np.array(monomial_exponents(4, d))[:, 0]
+        parts.append((_integer_monomials(pts, d), _layout_coeffs(by_e4[3 - d], 4, d, dtype), x0_powers))
+    found = []
     vertical_lines: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for x0 in range(-bound, bound + 1):
-        g0 = np.full_like(g1, x0)
-        grids = (g0, g1, g2, g3)
-        A = _term_arrays(by_e4[2], grids)
-        B = _term_arrays(by_e4[1], grids)
-        C = _term_arrays(by_e4[0], grids)
-        off_plane = (g0 != 0) | (g1 != 0)
+        pts[:, 0] = x0
+        A, B, C = (monomials @ (coeffs * x0**powers) for monomials, coeffs, powers in parts)
+        off_plane = (pts[:, 0] != 0) | (pts[:, 1] != 0)
 
         disc = B * B - 4 * A * C
-        quad = off_plane & (A != 0) & (disc >= 0)
-        root = np.round(np.sqrt(np.where(quad, disc, 0).astype(np.float64))).astype(np.int64)
-        hits = np.argwhere(quad & (root * root == disc))
-        for idx in hits:
-            base = (x0, int(g1[tuple(idx)]), int(g2[tuple(idx)]), int(g3[tuple(idx)]))
-            a, b, d = int(A[tuple(idx)]), int(B[tuple(idx)]), int(root[tuple(idx)])
-            for sgn in (1, -1):
-                x4 = Fraction(-b + sgn * d, 2 * a)
-                pt = _primitive(tuple(v * x4.denominator for v in base) + (x4.numerator,))
-                if max(abs(v) for v in pt) <= bound:
-                    points.add(pt)
-        lin = np.argwhere(off_plane & (A == 0) & (B != 0))
-        for idx in lin:
-            base = (x0, int(g1[tuple(idx)]), int(g2[tuple(idx)]), int(g3[tuple(idx)]))
-            x4 = Fraction(-int(C[tuple(idx)]), int(B[tuple(idx)]))
-            pt = _primitive(tuple(v * x4.denominator for v in base) + (x4.numerator,))
-            if max(abs(v) for v in pt) <= bound:
-                points.add(pt)
-        free = np.argwhere(off_plane & (A == 0) & (B == 0) & (C == 0))
-        for idx in free:
-            base = (x0, int(g1[tuple(idx)]), int(g2[tuple(idx)]), int(g3[tuple(idx)]), 0)
-            vertical_lines.append((_primitive(base), (0, 0, 0, 0, 1)))
+        quad = np.flatnonzero(off_plane & (A != 0) & (disc >= 0))
+        if worst < 2**53:
+            root = np.round(np.sqrt(disc[quad].astype(np.float64))).astype(np.int64)
+        else:
+            root = np.array([math.isqrt(int(v)) for v in disc[quad]], dtype=dtype)
+        square = root * root == disc[quad]
+        quad, root = quad[square], root[square]
+        scaled = 2 * A[quad, None] * pts[quad]
+        found += [np.column_stack([scaled, -B[quad] + sgn * root]) for sgn in (1, -1)]
+        lin = np.flatnonzero(off_plane & (A == 0) & (B != 0))
+        found.append(np.column_stack([B[lin, None] * pts[lin], -C[lin]]))
 
-    ordered = _sorted_candidates(points)
+        free = np.flatnonzero(off_plane & (A == 0) & (B == 0) & (C == 0))
+        for base in pts[free].tolist():
+            vertical_lines.append((_primitive(base + [0]), (0, 0, 0, 0, 1)))
+
+    points = _primitive_rows(np.concatenate(found).astype(dtype))
+    points = points[np.abs(points).max(axis=1) <= bound].astype(np.int64)
+    # the key of _sorted_candidates: height, count of negative entries, the
+    # vector itself; equal points end up adjacent, and the repeats are dropped
+    # (np.unique(axis=0) would import numpy.ma, about 1.5 MB)
+    keys = tuple(points.T[::-1]) + ((points < 0).sum(axis=1), np.abs(points).max(axis=1))
+    points = points[np.lexsort(keys)]
+    fresh = np.ones(len(points), dtype=bool)
+    fresh[1:] = (points[1:] != points[:-1]).any(axis=1)
+    ordered = points[fresh]
     unique_vertical = sorted(set(vertical_lines))
-    return ordered[:_POINT_CAP], len(ordered) > _POINT_CAP, unique_vertical
+    return [tuple(v) for v in ordered[:_POINT_CAP].tolist()], len(ordered) > _POINT_CAP, unique_vertical
+
+
+# entries of one block of the pair test: 128 KiB of int64, under malloc's
+# default mmap threshold.  A freed block above it raises the threshold, and
+# blocks of 500k entries left about 1 MB more heap resident after a pass of
+# the rational benchmark list; the pairs of 2500 points take as long.
+_PAIR_BLOCK = 16_384
 
 
 def _line_rows_rational(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The reduced primitive integer row pair spanning the line through a, b."""
-    rows, _ = _fraction_rref([[Fraction(v) for v in a], [Fraction(v) for v in b]])
-    return tuple(
-        _primitive(tuple(int(f * math.lcm(*(g.denominator for g in row))) for f in row)) for row in rows
+    """The reduced primitive integer row pair spanning the line through a and b, which misses the plane.
+
+    With a0 b1 - a1 b0 != 0 the echelon rows pivot in x0 and x1: b1 a - a1 b
+    and a0 b - b0 a, each made primitive.
+    """
+    return (
+        _primitive(tuple(b[1] * x - a[1] * y for x, y in zip(a, b))),
+        _primitive(tuple(a[0] * y - b[0] * x for x, y in zip(a, b))),
     )
 
 
 def _disjoint_lines_from_pairs(int_terms: dict, pts, vertical_lines):
     """Lines on the cubic through point pairs, disjoint from the plane.
 
-    A line through a and b lies on the cubic iff f vanishes at a, b, a+b and
-    a-b (four binary-cubic coefficients in characteristic zero); it misses
-    the plane iff the 2x2 minor of the first two coordinates is invertible.
+    For a and b on the cubic, f(a + t b) = t grad f(a).b + t^2 grad f(b).a,
+    so the line through them lies on the cubic iff both gradient pairings
+    vanish: the pair test of the chart over F_q.  The gradient is evaluated
+    once at the points, and each block of rows is two integer products, in
+    int64 while |grad f(a).b| <= 15 sum|c| max|a|^3 stays below 2^63.  The
+    line misses the plane iff the 2x2 minor of the first two coordinates is
+    invertible.
     """
     found = []
     for base, direction in vertical_lines:
@@ -948,23 +1048,16 @@ def _disjoint_lines_from_pairs(int_terms: dict, pts, vertical_lines):
     if pts:
         arr = np.array(pts, dtype=np.int64)
         n = len(arr)
-        chunk = max(1, 500_000 // n)
+        dtype = _exact_dtype(15 * sum(abs(c) for c in int_terms.values()) * int(np.abs(arr).max()) ** 3)
+        grad = _integer_monomials(arr, 2) @ _gradient_coeffs(int_terms, dtype)
+        chunk = max(1, _PAIR_BLOCK // n)
         for lo in range(0, n, chunk):
-            Ablock = arr[lo : lo + chunk]
-            S = Ablock[:, None, :] + arr[None, :, :]
-            D = Ablock[:, None, :] - arr[None, :, :]
-            fS = _term_arrays(dict(int_terms), tuple(S[..., i] for i in range(5)))
-            fD = _term_arrays(dict(int_terms), tuple(D[..., i] for i in range(5)))
-            hits = np.argwhere((fS == 0) & (fD == 0))
-            for i_local, j in hits:
-                i = lo + int(i_local)
-                if i >= j:
-                    continue
-                a, b = pts[i], pts[int(j)]
-                det = a[0] * b[1] - a[1] * b[0]
-                if det == 0:
-                    continue
-                found.append(_line_rows_rational(a, b))
+            on_cubic = grad[lo : lo + chunk] @ arr.T == 0
+            on_cubic &= arr[lo : lo + chunk] @ grad.T == 0
+            for i, j in np.argwhere(on_cubic).tolist():
+                a, b = pts[lo + i], pts[j]
+                if lo + i < j and a[0] * b[1] != a[1] * b[0]:
+                    found.append(_line_rows_rational(a, b))
     seen = []
     for rows in found:
         if rows not in seen:

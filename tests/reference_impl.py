@@ -3,12 +3,15 @@
 Everything here is deliberately naive: polynomial arithmetic on tuples and
 on exponent dicts, cofactor determinants, Fermat inverses, brute-force
 searches, symbolic division, the group law acted out letter by letter
-through dicts, and the node search over Q through sympy's resultant, gcd
-and factoring.  Tests compare the fast package code against these.
+through dicts, the node search over Q through sympy's resultant, gcd
+and factoring, and the line search over Q by per-term grid loops and the
+four values f(a), f(b), f(a + b), f(a - b).  Tests compare the fast package
+code against these.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -48,7 +51,7 @@ from cubicfano.projective import (
     projective_reps,
     span,
 )
-from cubicfano.rationality import _primitive, _q_evaluate, _sorted_candidates
+from cubicfano.rationality import _fraction_rref, _primitive, _q_evaluate, _sorted_candidates
 from cubicfano.torsor import DivisorWord, SignedTorsorPoint
 
 
@@ -1120,3 +1123,112 @@ def nodes_by_sympy_resultant(int_terms: dict) -> list[tuple[int, int, int]]:
     raise InternalInconsistency(
         "every elimination resultant vanishes although the reduction certified reduced nodes"
     )
+
+
+def _term_arrays(int_terms: dict, grids, dtype) -> np.ndarray:
+    """An integer polynomial at every entry of the coordinate grids, one term at a time."""
+    total = np.zeros(grids[0].shape, dtype=dtype)
+    for e, c in int_terms.items():
+        term = np.full(grids[0].shape, int(c), dtype=dtype)
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = term * grids[i]
+        total = total + term
+    return total
+
+
+def _grid_dtype(int_terms: dict, largest: int):
+    """int64 when no product of the sweeps can pass 2^62, Python integers otherwise."""
+    return np.int64 if 8 * sum(abs(c) for c in int_terms.values()) ** 2 * largest**6 < 2**62 else object
+
+
+def points_on_cubic_by_term_loops(int_terms: dict, bound: int, cap: int):
+    """The point sweep of ``rationality._points_on_cubic``, term by term and point by point.
+
+    Each x0 slice of the grid gets A, B and C (the x4^2, x4 and constant
+    parts) by a loop over the terms, in Python integers whenever int64 could
+    overflow; every discriminant is tested by ``math.isqrt`` and every root
+    is a Fraction.  Returns the first ``cap`` points in height order, whether
+    more were found, and the vertical lines.
+    """
+    by_e4: dict[int, dict] = {0: {}, 1: {}, 2: {}}
+    for e, c in int_terms.items():
+        by_e4[e[4]][e[:4]] = c
+    dtype = _grid_dtype(int_terms, bound)
+    side = np.arange(-bound, bound + 1, dtype=np.int64).astype(dtype)
+    g1, g2, g3 = np.meshgrid(side, side, side, indexing="ij")
+    points: set = set()
+    vertical_lines = []
+    for x0 in range(-bound, bound + 1):
+        g0 = np.full(g1.shape, x0, dtype=dtype)
+        grids = (g0, g1, g2, g3)
+        A, B, C = (_term_arrays(by_e4[k], grids, dtype) for k in (2, 1, 0))
+        off_plane = (g0 != 0) | (g1 != 0)
+        disc = B * B - 4 * A * C
+        for idx in np.argwhere(off_plane & (A != 0) & (disc >= 0)):
+            idx = tuple(idx)
+            d = math.isqrt(int(disc[idx]))
+            if d * d != disc[idx]:
+                continue
+            base = (x0, int(g1[idx]), int(g2[idx]), int(g3[idx]))
+            for sgn in (1, -1):
+                x4 = Fraction(-int(B[idx]) + sgn * d, 2 * int(A[idx]))
+                pt = _primitive(tuple(v * x4.denominator for v in base) + (x4.numerator,))
+                if max(abs(v) for v in pt) <= bound:
+                    points.add(pt)
+        for idx in np.argwhere(off_plane & (A == 0) & (B != 0)):
+            idx = tuple(idx)
+            base = (x0, int(g1[idx]), int(g2[idx]), int(g3[idx]))
+            x4 = Fraction(-int(C[idx]), int(B[idx]))
+            pt = _primitive(tuple(v * x4.denominator for v in base) + (x4.numerator,))
+            if max(abs(v) for v in pt) <= bound:
+                points.add(pt)
+        for idx in np.argwhere(off_plane & (A == 0) & (B == 0) & (C == 0)):
+            idx = tuple(idx)
+            base = (x0, int(g1[idx]), int(g2[idx]), int(g3[idx]), 0)
+            vertical_lines.append((_primitive(base), (0, 0, 0, 0, 1)))
+    ordered = _sorted_candidates(points)
+    return ordered[:cap], len(ordered) > cap, sorted(set(vertical_lines))
+
+
+def _line_rows_by_rref(a, b):
+    rows, _ = _fraction_rref([[Fraction(v) for v in a], [Fraction(v) for v in b]])
+    return tuple(_primitive(tuple(int(f * math.lcm(*(g.denominator for g in row))) for f in row)) for row in rows)
+
+
+def lines_by_four_values(int_terms: dict, pts, vertical_lines):
+    """The lines of ``rationality._disjoint_lines_from_pairs``, by the four-value test.
+
+    A line through a and b lies on a cubic iff f vanishes at a, b, a + b and
+    a - b (the four coefficients of the binary cubic f(s a + t b) in
+    characteristic zero), so each pair of points is tested at a + b and
+    a - b over the whole grid of pairs.  The rows are the reduced row
+    echelon form over Q, each scaled to a primitive integer row.
+    """
+    found = [
+        _line_rows_by_rref(base, direction)
+        for base, direction in vertical_lines
+        if base[0] * direction[1] - base[1] * direction[0] != 0
+    ]
+    if pts:
+        arr = np.array(pts, dtype=np.int64)
+        dtype = _grid_dtype(int_terms, 2 * int(np.abs(arr).max()))
+        arr = arr.astype(dtype)
+        n = len(arr)
+        chunk = max(1, 500_000 // n)
+        for lo in range(0, n, chunk):
+            block = arr[lo : lo + chunk]
+            S = block[:, None, :] + arr[None, :, :]
+            D = block[:, None, :] - arr[None, :, :]
+            fS = _term_arrays(int_terms, tuple(S[..., i] for i in range(5)), dtype)
+            fD = _term_arrays(int_terms, tuple(D[..., i] for i in range(5)), dtype)
+            for i_local, j in np.argwhere((fS == 0) & (fD == 0)):
+                i, j = lo + int(i_local), int(j)
+                a, b = pts[i], pts[j]
+                if i < j and a[0] * b[1] - a[1] * b[0] != 0:
+                    found.append(_line_rows_by_rref(a, b))
+    seen = []
+    for rows in found:
+        if rows not in seen:
+            seen.append(rows)
+    return seen

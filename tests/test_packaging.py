@@ -287,6 +287,28 @@ def test_the_chart_of_a_surface_and_of_a_section_is_one_pair_test():
     ]
 
 
+def test_the_line_search_over_q_runs_on_integer_arrays():
+    # the points and the pairs of the Q line search are integer array code:
+    # one grid evaluator, the monomial matrix, and no Fraction per point or
+    # pair; the per-term grid loop is gone from every module
+    tree = ast.parse((PACKAGE / "rationality.py").read_text())
+    search = {"_points_on_cubic", "_disjoint_lines_from_pairs", "_line_rows_rational", "_primitive_rows"}
+    fractions = {scope for scope, _ in _call_sites(tree, {"Fraction"})}
+    assert fractions  # the scan sees the Fractions of the module at all
+    assert fractions & search == set()
+    evaluators = {"_integer_monomials", "_term_arrays", "_q_evaluate", "_q_derivative", "evaluate", "evaluate_batch",
+                  "eval_form_batch", "gradient"}
+    calls = sorted({f"{scope} {name}" for scope, name in _call_sites(tree, evaluators) if scope in search})
+    assert calls == ["_disjoint_lines_from_pairs _integer_monomials", "_points_on_cubic _integer_monomials"]
+    defined = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_term_arrays"
+    ]
+    assert defined == []
+
+
 def _attribute_reads(tree, attr, scope=""):
     """The qualified scope of every read of an attribute named ``attr``."""
     for node in ast.iter_child_nodes(tree):

@@ -11,7 +11,12 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference_impl import nodes_by_sympy_resultant, rational_roots_by_factor_list
+from reference_impl import (
+    lines_by_four_values,
+    nodes_by_sympy_resultant,
+    points_on_cubic_by_term_loops,
+    rational_roots_by_factor_list,
+)
 
 from cubicfano import rationality
 from cubicfano.errors import InternalInconsistency, InvalidInput, NeedsDifferentPrime, NotGeneral
@@ -28,7 +33,7 @@ from cubicfano.rationality import (
     local_solvability,
     obstruction_confirmed_by_residues,
 )
-from cubicfano.forms import HomogeneousForm
+from cubicfano.forms import HomogeneousForm, monomial_exponents
 from cubicfano.threefold import normalize, random_general_threefold
 
 
@@ -124,6 +129,22 @@ def test_solvability_is_invariant_under_unimodular_congruence():
             got = local_solvability(RationalQuadricForm.from_entries(moved))
             assert got.solvable == expected.solvable
             assert got.obstruction == expected.obstruction
+
+
+def test_numpy_entries_diagonalize_in_python_integers():
+    # a Fraction keeps the numpy integers it is built from, and int64
+    # arithmetic would wrap past 2^63 (numpy warns, which fails the run)
+    big = 2**40 + 15
+    M = np.array([[big, 3, 0, 1], [3, -big, 2, 0], [0, 2, big, 5], [1, 0, 5, -7]], dtype=np.int64)
+    for rows in (M, [[Fraction(v) for v in row] for row in M]):
+        q = RationalQuadricForm.from_entries(rows)
+        diag, C = q.diagonalization
+        entries = [x for row in q.matrix for x in row] + list(diag) + [x for row in C for x in row]
+        assert all(type(x.numerator) is int and type(x.denominator) is int for x in entries)
+        assert math.prod(diag) == sympy.Matrix(M.tolist()).det()
+    # the squarefree parts go to three-argument pow, which refuses np.int64
+    small = np.diag(np.array([1, 1, 1, -7], dtype=np.int64))
+    assert local_solvability(RationalQuadricForm.from_entries(small)).obstruction == 2
 
 
 def test_scaling_the_form_preserves_solvability():
@@ -636,3 +657,66 @@ def test_rational_roots_match_the_linear_factors(linear, cofactor):
     assume(not poly.is_zero)
     coeffs = {k: int(c) for (k,), c in poly.as_dict().items()}
     assert rationality._rational_roots(coeffs) == rational_roots_by_factor_list(poly)
+
+
+# ---------------------------------------------------------------------------
+# the line search over Q against its oracles
+# ---------------------------------------------------------------------------
+
+# at height 8, |B^2 - 4AC| of the point sweep passes 2^63 and its square
+# test passes 2^53: an int64 sweep wrapped silently and kept 193 points
+LARGE_COEFFICIENT_EXAMPLE = LINE_EXAMPLE | {(1, 0, 0, 1, 1): 10**9 + 7}
+# here the bound on |B^2 - 4AC| lies between 2^53 and 2^63: int64 values, squares tested by isqrt
+MEDIUM_COEFFICIENT_EXAMPLE = LINE_EXAMPLE | {(1, 0, 0, 1, 1): 10**6 + 3}
+
+LINE_SEARCH_CASES = {
+    "integer cubics 0-19 at height 4": [(random_integer_cubic(seed), 4) for seed in range(20)],
+    "frozen examples at height 8": [
+        (terms, 8) for terms in (NODE_EXAMPLE, LINE_EXAMPLE, DEFINITE_PENCIL_EXAMPLE, UNKNOWN_EXAMPLE)
+    ],
+    "large coefficients at height 8": [(MEDIUM_COEFFICIENT_EXAMPLE, 8), (LARGE_COEFFICIENT_EXAMPLE, 8)],
+}
+
+
+@pytest.mark.parametrize("name", LINE_SEARCH_CASES)
+def test_line_search_matches_the_term_loop_and_four_value_oracles(name):
+    for terms, height in LINE_SEARCH_CASES[name]:
+        int_terms, _ = rationality._normalize_rational_cubic(terms, rationality._STANDARD_PLANE_ROWS)
+        found = rationality._points_on_cubic(int_terms, height)
+        assert found == points_on_cubic_by_term_loops(int_terms, height, rationality._POINT_CAP)
+        pts, _, vertical = found
+        assert rationality._disjoint_lines_from_pairs(int_terms, pts, vertical) == lines_by_four_values(
+            int_terms, pts, vertical
+        )
+
+
+def test_a_large_coefficient_gives_the_exact_point_count():
+    int_terms, _ = rationality._normalize_rational_cubic(LARGE_COEFFICIENT_EXAMPLE, rationality._STANDARD_PLANE_ROWS)
+    pts, capped, vertical = rationality._points_on_cubic(int_terms, 8)
+    assert len(pts) == 322 and not capped
+    verdict = decide_over_rationals(LARGE_COEFFICIENT_EXAMPLE, height_bound=8)
+    assert verdict.bounds["points_found"] == 322
+    first = lines_by_four_values(int_terms, pts, vertical)[0]
+    assert verdict.witness == {"type": "line_disjoint_from_plane", "rows": [list(row) for row in first]}
+
+
+CUBIC_MONOMIALS = monomial_exponents(5, 3)
+
+
+@given(
+    st.lists(st.integers(-10**12, 10**12), min_size=len(CUBIC_MONOMIALS), max_size=len(CUBIC_MONOMIALS)),
+    st.lists(st.integers(-20, 20), min_size=10, max_size=10),
+    st.integers(-6, 6),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_cubic_along_a_line_is_read_off_the_gradient_pairings(coeffs, coords, t):
+    # f(a + t b) = f(a) + t grad f(a).b + t^2 grad f(b).a + t^3 f(b): on the
+    # cubic, f(a + b) = f(a - b) = 0 exactly when both pairings vanish
+    f = {e: c for e, c in zip(CUBIC_MONOMIALS, coeffs) if c}
+    a, b = coords[:5], coords[5:]
+    bound = 15 * sum(map(abs, coeffs)) * max(map(abs, coords)) ** 3
+    pts = np.array([a, b], dtype=np.int64)
+    grad = rationality._integer_monomials(pts, 2) @ rationality._gradient_coeffs(f, rationality._exact_dtype(bound))
+    (_, grad_a_b), (grad_b_a, _) = (grad @ pts.T).tolist()
+    line = tuple(x + t * y for x, y in zip(a, b))
+    assert _q_evaluate(f, line) == _q_evaluate(f, a) + t * grad_a_b + t**2 * grad_b_a + t**3 * _q_evaluate(f, b)
