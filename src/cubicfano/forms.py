@@ -62,6 +62,22 @@ def _raised(nvars: int, degree: int, i: int) -> np.ndarray:
     return positions
 
 
+@lru_cache(maxsize=None)
+def _monomial_steps(nvars: int, degree: int) -> np.ndarray:
+    """(variable, position in the layout of degree - 1) for each monomial of the layout.
+
+    The monomial is that variable, its first, times the monomial at that position.
+    """
+    index = _layout(nvars, degree - 1)[0]
+    steps = []
+    for e in monomial_exponents(nvars, degree):
+        i = next(k for k, x in enumerate(e) if x)
+        steps.append((i, index[e[:i] + (e[i] - 1,) + e[i + 1 :]]))
+    out = np.array(steps, dtype=np.intp).T
+    out.flags.writeable = False
+    return out
+
+
 class HomogeneousForm:
     """Homogeneous polynomial of fixed degree in ``nvars`` variables."""
 

@@ -19,12 +19,16 @@ Hilbert symbols at the real place, at 2, and at the odd primes of the
 determinant.
 
 This is the one module that computes in characteristic zero; all rational
-arithmetic is exact.  Coordinate changes, pencil members and quadratic forms
-use ``fractions.Fraction`` and integer polynomials as exponent dicts.  The
-line search runs on integer arrays: a cubic at a grid of points is its
-monomial matrix on the ``forms.monomial_exponents`` layout times its
-coefficient vector, in int64 where a bound proves no overflow and in Python
-integers otherwise.  Its integer algorithms are the textbook ones: trial
+arithmetic is exact.  An integer form is a coefficient vector on the
+``forms.monomial_exponents`` layout, Python integers in an ``object``
+array: the input cubic is read once, moved to the standard plane by one
+product with a substitution matrix, and made primitive, and its conics on
+the plane, its parts at each power of x4 and the binary forms of the
+resultant are index slices of that vector.  A form at a grid of points is
+its monomial matrix times its coefficient vector, in int64 where a bound
+proves no overflow and in Python integers otherwise.  The plane's
+coordinate columns, pencil members and quadratic forms use
+``fractions.Fraction``.  Its integer algorithms are the textbook ones: trial
 division, Miller-Rabin and Pollard-Brent rho for factoring, a strong Lucas
 test above the proven Miller-Rabin range (Cohen, GTM 138, 8.2 and 8.5), and
 the Sylvester determinant for the resultant (von zur Gathen-Gerhard, *Modern
@@ -50,7 +54,7 @@ from .errors import (
     NotGeneral,
 )
 from .fano import surface_of
-from .forms import HomogeneousForm, monomial_exponents
+from .forms import HomogeneousForm, _layout, _monomial_steps, _raised
 from .gf import field
 from .linalg import rank
 from .projective import LinearSubspace
@@ -147,85 +151,6 @@ def _verify_line_on_cubic(nf: NormalizedThreefold, rows, disjoint: bool) -> None
     expected = 2 if disjoint else 1
     if rank(nf.K, meet) != expected:
         raise InternalInconsistency("a claimed witness line meets the plane incorrectly")
-
-
-# ---------------------------------------------------------------------------
-# exact rational polynomials (dict of exponent tuples -> Fraction)
-# ---------------------------------------------------------------------------
-
-
-def _q_trim(terms: dict) -> dict:
-    return {e: c for e, c in terms.items() if c != 0}
-
-
-def _q_add(A: dict, B: dict) -> dict:
-    out = dict(A)
-    for e, c in B.items():
-        out[e] = out.get(e, Fraction(0)) + c
-    return _q_trim(out)
-
-
-def _q_mul(A: dict, B: dict) -> dict:
-    out: dict = {}
-    for ea, ca in A.items():
-        for eb, cb in B.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb
-    return _q_trim(out)
-
-
-def _q_evaluate(terms: dict, point) -> Fraction:
-    total = Fraction(0)
-    for e, c in terms.items():
-        v = c
-        for x, k in zip(point, e):
-            for _ in range(k):
-                v *= x
-        total += v
-    return total
-
-
-def _q_derivative(terms: dict, i: int) -> dict:
-    out: dict = {}
-    for e, c in terms.items():
-        if e[i]:
-            d = list(e)
-            d[i] -= 1
-            out[tuple(d)] = out.get(tuple(d), Fraction(0)) + c * e[i]
-    return _q_trim(out)
-
-
-def _q_substitute(terms: dict, columns) -> dict:
-    """Substitute x_i = sum_j columns[i][j] * y_j (one linear form per variable)."""
-    out: dict = {}
-    nvars = len(columns[0])
-    for e, c in terms.items():
-        prod = {tuple([0] * nvars): c}
-        for i, k in enumerate(e):
-            lin = {
-                tuple(1 if j == m else 0 for j in range(nvars)): columns[i][m]
-                for m in range(nvars)
-                if columns[i][m] != 0
-            }
-            for _ in range(k):
-                prod = _q_mul(prod, lin)
-        out = _q_add(out, prod)
-    return out
-
-
-def _q_clear_denominators(terms: dict) -> dict:
-    """Scale to a primitive integer polynomial (positive leading content)."""
-    terms = {e: Fraction(c) for e, c in terms.items() if Fraction(c) != 0}
-    if not terms:
-        raise InvalidInput("the cubic is identically zero")
-    lcm = 1
-    for c in terms.values():
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = {e: int(c * lcm) for e, c in terms.items()}
-    content = 0
-    for v in ints.values():
-        content = math.gcd(content, abs(v))
-    return {e: v // content for e, v in ints.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +369,20 @@ class RationalQuadricForm:
         return tuple(A[i][i] for i in range(4)), tuple(tuple(row) for row in C)
 
     @cached_property
+    def _squarefree(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(``squarefree_diagonal``, ``odd_primes``), from one factorization of each diagonal entry."""
+        parts = [_squarefree_part(d) for d in self.diagonalization[0]]
+        return tuple(v for v, _ in parts), tuple(sorted({p for _, primes in parts for p in primes if p != 2}))
+
+    @property
     def squarefree_diagonal(self) -> tuple[int, ...]:
         """The diagonalization scaled entrywise to squarefree integers."""
-        return tuple(_squarefree_part(d) for d in self.diagonalization[0])
+        return self._squarefree[0]
+
+    @property
+    def odd_primes(self) -> tuple[int, ...]:
+        """The odd primes dividing an entry of ``squarefree_diagonal``, in increasing order."""
+        return self._squarefree[1]
 
 
 def _python_fraction(v) -> Fraction:
@@ -456,16 +392,12 @@ def _python_fraction(v) -> Fraction:
     return Fraction(v)
 
 
-def _squarefree_part(d: Fraction) -> int:
-    """The squarefree integer representing d modulo nonzero rational squares."""
+def _squarefree_part(d: Fraction) -> tuple[int, tuple[int, ...]]:
+    """The squarefree integer representing d modulo nonzero rational squares, and its primes."""
     if d == 0:
-        return 0
-    n = abs(d.numerator * d.denominator)
-    out = 1
-    for p, e in _factor(n).items():
-        if e % 2:
-            out *= p
-    return out if d > 0 else -out
+        return 0, ()
+    primes = tuple(p for p, e in _factor(abs(d.numerator * d.denominator)).items() if e % 2)
+    return math.prod(primes) * (1 if d > 0 else -1), primes
 
 
 def _legendre(u: int, p: int) -> int:
@@ -552,9 +484,8 @@ def local_solvability(quadric: RationalQuadricForm) -> LocalSolvability:
         raise InvalidInput("the quadratic form is singular")
     if all(d > 0 for d in diag) or all(d < 0 for d in diag):
         return LocalSolvability(False, "real", diag, quadric)
-    odd_primes = sorted({p for d in diag for p in _factor(abs(d)) if p != 2})
     disc = diag[0] * diag[1] * diag[2] * diag[3]
-    for p in [2] + odd_primes:
+    for p in (2,) + quadric.odd_primes:
         if not _is_padic_square(disc, p):
             continue
         hasse = 1
@@ -643,15 +574,22 @@ _STANDARD_PLANE_ROWS = ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
 _REDUCTION_PRIMES = (3, 5, 7)
 
 
-def _normalize_rational_cubic(terms: dict, plane_rows) -> tuple[dict, list[list[Fraction]]]:
-    """Integer cubic + plane -> integer cubic with the plane at {x0 = x1 = 0}.
+def _normalize_rational_cubic(terms: dict, plane_rows) -> tuple[np.ndarray, list[list[Fraction]]]:
+    """Rational cubic + plane -> integer cubic with the plane at {x0 = x1 = 0}.
 
-    Returns the transformed primitive integer terms and the column matrix M
-    of the coordinate change x = M*y (original coordinates from new ones).
+    Returns the primitive integer coefficient vector of the transformed
+    cubic on the ``monomial_exponents(5, 3)`` layout, Python integers in an
+    ``object`` array, and the column matrix M of the coordinate change
+    x = M*y (original coordinates from new ones).  The substitution runs on
+    integers: the input is scaled by the lcm of its denominators and M by
+    that of its entries, positive factors that the primitive cubic forgets.
     """
-    for e in terms:
-        if len(e) != 5 or sum(e) != 3 or any(k < 0 for k in e):
+    index = _layout(5, 3)[0]
+    given = np.zeros(len(index), dtype=object)
+    for e, c in terms.items():
+        if tuple(e) not in index:
             raise InvalidInput("the cubic needs exponent 5-tuples of total degree 3")
+        given[index[tuple(e)]] = c
     rows = [[Fraction(v) for v in row] for row in plane_rows]
     if len(rows) != 3 or any(len(r) != 5 for r in rows):
         raise InvalidInput("the plane needs three spanning rows of length 5")
@@ -668,11 +606,37 @@ def _normalize_rational_cubic(terms: dict, plane_rows) -> tuple[dict, list[list[
             basis.append(candidate)
     columns = [[basis[0][i], basis[1][i], rows[0][i], rows[1][i], rows[2][i]] for i in range(5)]
 
-    moved = _q_substitute({e: Fraction(c) for e, c in terms.items()}, columns)
-    ints = _q_clear_denominators(moved)
-    if any(e[0] + e[1] == 0 for e in ints):
+    given = [Fraction(c) for c in given]
+    den = math.lcm(*(c.denominator for c in given))
+    coeffs = np.array([int(c * den) for c in given], dtype=object)
+    scale = math.lcm(*(v.denominator for row in columns for v in row))
+    M = np.array([[int(v * scale) for v in row] for row in columns], dtype=object)
+    coeffs = coeffs @ _substitution_matrix(M)
+    if not np.count_nonzero(coeffs):
+        raise InvalidInput("the cubic is identically zero")
+    coeffs //= np.gcd.reduce(coeffs)
+    exps = _layout(5, 3)[1]
+    if np.count_nonzero(coeffs[exps[:, 0] + exps[:, 1] == 0]):
         raise InvalidInput("the cubic does not vanish on the plane")
-    return ints, columns
+    return coeffs, columns
+
+
+def _substitution_matrix(M: np.ndarray) -> np.ndarray:
+    """The matrix S with f(M y) = c @ S for every cubic f in five variables with coefficient vector c.
+
+    Row m of S is the coefficient vector of the monomial m at x = M y, where
+    row i of the 5 x 5 ``object`` array M is x_i as a linear form in y.  S is
+    built one degree at a time, as ``_integer_monomials`` is: the monomial
+    x_i m' is the form of m' times that linear form, whose y_j part lands at
+    the positions ``_raised`` of y_j.
+    """
+    S = np.ones((1, 1), dtype=object)
+    for d in (1, 2, 3):
+        var, src = _monomial_steps(5, d)
+        lower, S = S[src], np.zeros((len(var), len(var)), dtype=object)
+        for j in range(5):
+            S[:, _raised(5, d - 1, j)] += lower * M[var, j][:, None]
+    return S
 
 
 def _fraction_rref(rows) -> tuple[list[list[Fraction]], int]:
@@ -693,13 +657,13 @@ def _fraction_rref(rows) -> tuple[list[list[Fraction]], int]:
     return M, rk
 
 
-def _good_reduction_prime(int_terms: dict) -> int:
+def _good_reduction_prime(coeffs: np.ndarray) -> int:
     for p in _REDUCTION_PRIMES:
-        reduced = {e: c % p for e, c in int_terms.items() if c % p}
-        if not reduced:
+        reduced = coeffs % p
+        if not np.count_nonzero(reduced):
             continue
         K = field(p)
-        cubic = HomogeneousForm(K, 5, 3, reduced)
+        cubic = HomogeneousForm.from_coeffs(K, 5, 3, reduced)
         rows = np.array(_STANDARD_PLANE_ROWS, dtype=np.int64)
         try:
             nf = normalize(cubic, LinearSubspace(K, rows))
@@ -718,17 +682,6 @@ def _sorted_candidates(points) -> list:
         return (max(abs(x) for x in v), sum(1 for x in v if x < 0), v)
 
     return sorted(points, key=keyfun)
-
-
-def _primitive(vec) -> tuple[int, ...]:
-    g = 0
-    for x in vec:
-        g = math.gcd(g, abs(x))
-    if g == 0:
-        return tuple(vec)
-    out = tuple(x // g for x in vec)
-    k = next((i for i, x in enumerate(out) if x), None)
-    return tuple(-x for x in out) if k is not None and out[k] < 0 else out
 
 
 def _divisors(n: int) -> list[int]:
@@ -751,19 +704,19 @@ def _vanishes_at(coeffs, num: int, den: int) -> bool:
     return acc == 0
 
 
-def _rational_roots(coeffs: dict[int, int]) -> list[Fraction]:
-    """The rational roots, sorted, of a nonzero integer polynomial {power: coefficient}.
+def _rational_roots(coeffs) -> list[Fraction]:
+    """The rational roots, sorted, of a nonzero integer polynomial sum_i coeffs[i] t^i.
 
     The root 0 is split off with the lowest power present; the rest is made
     primitive, and by the rational root theorem a root d/e in lowest terms
     has d dividing its constant term and e its leading coefficient.  Each
     such +-d/e is tested exactly.
     """
-    powers = [k for k, c in coeffs.items() if c]
+    powers = [k for k, c in enumerate(coeffs) if c]
     if not powers:
         raise InvalidInput("cannot list roots of the zero polynomial")
     low = min(powers)
-    poly = [coeffs.get(k, 0) for k in range(low, max(powers) + 1)]
+    poly = [int(c) for c in coeffs[low : max(powers) + 1]]
     content = math.gcd(*poly)
     poly = [c // content for c in poly]
     out = {Fraction(0)} if low else set()
@@ -785,149 +738,130 @@ def _quadratic_rational_roots(c0: int, c1: int, c2: int) -> set[Fraction]:
     return {Fraction(-c1 + root, 2 * c2), Fraction(-c1 - root, 2 * c2)}
 
 
-def _binary_determinant(rows) -> dict:
-    """The determinant of a square matrix of binary forms (exponent-pair dicts), by cofactors."""
-    if not rows:
-        return {(0, 0): 1}
-    out: dict = {}
-    for j, entry in enumerate(rows[0]):
-        if entry:
-            term = _q_mul(entry, _binary_determinant([row[:j] + row[j + 1 :] for row in rows[1:]]))
-            out = _q_add(out, term if j % 2 == 0 else {e: -c for e, c in term.items()})
-    return out
+def _resultant(f: np.ndarray, g: np.ndarray, elim: int) -> np.ndarray:
+    """Res_w(f, g) of two ternary quadrics, w the coordinate ``elim``, as a binary form.
 
-
-def _resultant(f: dict, g: dict, elim: int) -> dict[tuple[int, int], int]:
-    """Res_w(f, g) of two ternary forms, w the coordinate ``elim``, as a binary form.
-
-    Each form is read as a polynomial in w whose coefficients are binary
-    forms in the other two coordinates (in their order), to its actual
-    degree in w: read to the formal degree 2, two conics through the unit
-    point of w would have R = 0.  R is the determinant of the Sylvester
-    matrix, f's rows first; a zero form gives R = 0.
+    A quadric's part at w^k is a binary form of degree 2 - k in the other
+    two coordinates (in their order): a slice of its coefficient vector on
+    the binary layout.  Each form is read as a polynomial in w to its actual
+    degree: read to the formal degree 2, two conics through the unit point
+    of w would have R = 0.  R is the determinant of the Sylvester matrix,
+    f's rows first, expanded by cofactors with the products of binary forms
+    taken by ``np.convolve``; it comes back on the binary layout of its
+    degree, and a zero form gives R = 0.
     """
-    keep = [i for i in range(3) if i != elim]
+    powers = _layout(3, 2)[1][:, elim]
 
     def in_w(form):
-        by_power: dict = {}
-        for e, c in form.items():
-            by_power.setdefault(e[elim], {})[(e[keep[0]], e[keep[1]])] = c
-        return [by_power.get(k, {}) for k in range(max(by_power, default=-1), -1, -1)]
+        parts = [form[powers == k] for k in (2, 1, 0)]
+        while parts and not np.count_nonzero(parts[0]):
+            parts.pop(0)
+        return parts
+
+    def determinant(rows):
+        # None marks an entry outside the band of the Sylvester matrix: a zero with no degree
+        if not rows:
+            return np.ones(1, dtype=object)
+        out = None
+        for j, entry in enumerate(rows[0]):
+            minor = None if entry is None else determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
+            if minor is not None:
+                term = np.convolve(entry, minor) * (-1) ** j
+                out = term if out is None else out + term
+        return out
 
     a, b = in_w(f), in_w(g)
     if not a or not b:
-        return {}
+        return np.zeros(1, dtype=object)
     m, n = len(a) - 1, len(b) - 1
-    rows = [[{}] * i + a + [{}] * (n - 1 - i) for i in range(n)]
-    rows += [[{}] * i + b + [{}] * (m - 1 - i) for i in range(m)]
-    return {e: int(c) for e, c in _binary_determinant(rows).items()}
+    rows = [[None] * i + a + [None] * (n - 1 - i) for i in range(n)]
+    rows += [[None] * i + b + [None] * (m - 1 - i) for i in range(m)]
+    return determinant(rows)
 
 
-def _nodes_by_resultant(int_terms: dict) -> list[tuple[int, int, int]]:
+def _nodes_by_resultant(coeffs: np.ndarray) -> list[tuple[int, int, int]]:
     """Rational points of {q0 = q1 = 0} in the plane, by elimination.
 
     q0 and q1 are the two restricted conics (the coefficients of x0 and x1 on
-    the plane).  The resultant with respect to one plane coordinate w is a
-    binary form R in the other two, (u, v); the eliminations run over z, y,
-    x, and the first with R != 0 is used.  The rational roots (u : v) of R
-    are those of R(u, 1), and (1 : 0) when R has no u^deg term.  At each,
-    the conics become integer polynomials of degree at most 2 in w, and
-    their shared rational roots are the roots of a nonzero one at which the
-    other vanishes (a zero one shares every root; both zero is a line of
-    singular points, nonreduced input, and gives nothing).  Together with
-    the projection centre (the unit point of w) when both conics vanish
-    there, this is every candidate node; each is verified on both conics
-    exactly.
+    the plane), slices of the cubic's vector on the ternary quadric layout.
+    The resultant with respect to one plane coordinate w is a binary form R
+    in the other two, (u, v); the eliminations run over z, y, x, and the
+    first with R != 0 is used.  The rational roots (u : v) of R are those of
+    R(u, 1), and (1 : 0) when R has no u^deg term.  At each, the conics
+    become integer polynomials of degree at most 2 in w, and their shared
+    rational roots are the roots of a nonzero one at which the other
+    vanishes (a zero one shares every root; both zero is a line of singular
+    points, nonreduced input, and gives nothing).  Together with the
+    projection centre (the unit point of w), this is every candidate node;
+    each is verified on both conics exactly.
     """
-    conics = [{e[2:]: c for e, c in int_terms.items() if e[:2] == pick} for pick in ((1, 0), (0, 1))]
+    exps = _layout(5, 3)[1]
+    conics = [coeffs[(exps[:, 0] == i) & (exps[:, 1] == 1 - i)] for i in (1, 0)]
     for elim in (2, 1, 0):
         R = _resultant(*conics, elim)
-        if not R:
+        if not np.count_nonzero(R):
             continue
         keep = [i for i in range(3) if i != elim]
-        total = max(i + j for i, j in R)
-        roots = [(r.numerator, r.denominator) for r in _rational_roots({i: c for (i, _), c in R.items()})]
-        if (total, 0) not in R:
+        roots = [(r.numerator, r.denominator) for r in _rational_roots(R[::-1])]
+        if R[0] == 0:
             roots.append((1, 0))
-        candidates = []
+        powers = _layout(3, 2)[1][:, elim]
+        candidates = [[int(i == elim) for i in range(3)]]
         for u, v in roots:
-            p0, p1 = (
-                [sum(c * u ** e[keep[0]] * v ** e[keep[1]] for e, c in conic.items() if e[elim] == k) for k in range(3)]
-                for conic in conics
-            )
+            p0, p1 = ([int(_form_values(conic[powers == k], [[u, v]], 2 - k)[0]) for k in range(3)] for conic in conics)
             if not any(p0) and not any(p1):
                 continue
             lead, other = (p0, p1) if any(p0) else (p1, p0)
             for w in _quadratic_rational_roots(*lead):
-                if not _vanishes_at(other, w.numerator, w.denominator):
-                    continue
-                coords = [0, 0, 0]
-                coords[keep[0]], coords[keep[1]], coords[elim] = u * w.denominator, v * w.denominator, w.numerator
-                cand = _primitive(coords)
-                if all(_q_evaluate(conic, cand) == 0 for conic in conics):
-                    candidates.append(cand)
-        centre = tuple(int(i == elim) for i in range(3))
-        if all(_q_evaluate(conic, centre) == 0 for conic in conics):
-            candidates.append(centre)
-        return _sorted_candidates(set(candidates))
+                if _vanishes_at(other, w.numerator, w.denominator):
+                    coords = [0, 0, 0]
+                    coords[keep[0]], coords[keep[1]], coords[elim] = u * w.denominator, v * w.denominator, w.numerator
+                    candidates.append(coords)
+        candidates = _primitive_rows(np.array(candidates, dtype=object))
+        nodes = (_form_values(conics[0], candidates, 2) == 0) & (_form_values(conics[1], candidates, 2) == 0)
+        return _sorted_candidates({tuple(v) for v in candidates[nodes].tolist()})
     raise InternalInconsistency(
         "every elimination resultant vanishes although the reduction certified reduced nodes"
     )
 
 
-@lru_cache(maxsize=None)
-def _monomial_steps(nvars: int, degree: int) -> np.ndarray:
-    """(variable, position in the layout of degree - 1) for each monomial of the ``monomial_exponents`` layout.
-
-    The monomial is that variable, its first, times the monomial at that position.
-    """
-    lower = {e: i for i, e in enumerate(monomial_exponents(nvars, degree - 1))}
-    steps = []
-    for e in monomial_exponents(nvars, degree):
-        i = next(k for k, x in enumerate(e) if x)
-        steps.append((i, lower[e[:i] + (e[i] - 1,) + e[i + 1 :]]))
-    out = np.array(steps, dtype=np.intp).T
-    out.flags.writeable = False
-    return out
-
-
 def _integer_monomials(pts: np.ndarray, degree: int) -> np.ndarray:
-    """The monomial matrix of an int64 point array: one row per point, one column per monomial of the layout.
+    """The monomial matrix of an integer point array: one row per point, one column per monomial of the layout.
 
-    Built one degree at a time; the entries are at most max|pts|^degree.  An
-    integer form of this degree at the points is this matrix times its
-    coefficient vector (``_layout_coeffs``).
+    Built one degree at a time in the dtype of the points; the entries are
+    at most max|pts|^degree.  An integer form of this degree at the points
+    is this matrix times its coefficient vector.
     """
-    out = np.ones((len(pts), 1), dtype=np.int64)
+    out = np.ones((len(pts), 1), dtype=pts.dtype)
     for d in range(1, degree + 1):
         var, src = _monomial_steps(pts.shape[1], d)
         out = out[:, src] * pts[:, var]
     return out
 
 
-def _layout_coeffs(terms: dict, nvars: int, degree: int, dtype) -> np.ndarray:
-    """The coefficient vector of an integer form {exponent tuple: c} on the ``monomial_exponents`` layout."""
-    index = {e: i for i, e in enumerate(monomial_exponents(nvars, degree))}
-    out = np.zeros(len(index), dtype=dtype)
-    for e, c in terms.items():
-        out[index[e]] += c
-    return out
-
-
-def _gradient_coeffs(int_terms: dict, dtype) -> np.ndarray:
-    """The five partial derivatives of an integer cubic in five variables, as columns on the quadric layout."""
-    index = {e: i for i, e in enumerate(monomial_exponents(5, 2))}
-    out = np.zeros((len(index), 5), dtype=dtype)
-    for e, c in int_terms.items():
-        for i, k in enumerate(e):
-            if k:
-                out[index[e[:i] + (k - 1,) + e[i + 1 :]], i] += c * k
-    return out
-
-
 def _exact_dtype(bound: int):
     """int64 when every value is at most ``bound`` in absolute value, Python integers otherwise."""
     return np.int64 if bound < 2**63 else object
+
+
+def _form_values(coeffs: np.ndarray, pts, degree: int) -> np.ndarray:
+    """The integer form(s) with coefficient vector (or columns) ``coeffs`` at the integer rows of ``pts``, exactly.
+
+    One product with the monomial matrix, in int64 when sum|c| max|x|^degree
+    stays below 2^63 and in Python integers otherwise.
+    """
+    pts = np.array(pts, dtype=object)
+    dtype = _exact_dtype(int(np.abs(coeffs).sum()) * int(np.abs(pts).max()) ** degree)
+    return _integer_monomials(pts.astype(dtype), degree) @ coeffs.astype(dtype)
+
+
+def _gradient_columns(coeffs: np.ndarray) -> np.ndarray:
+    """The five partial derivatives of a cubic in five variables, as columns on the quadric layout.
+
+    Column i holds (e_i + 1) c_(e + x_i) at each quadric monomial e.
+    """
+    exps = _layout(5, 2)[1].astype(np.int64)
+    return np.column_stack([coeffs[_raised(5, 2, i)] * (exps[:, i] + 1) for i in range(5)])
 
 
 def _primitive_rows(vecs: np.ndarray) -> np.ndarray:
@@ -941,27 +875,27 @@ def _primitive_rows(vecs: np.ndarray) -> np.ndarray:
 _POINT_CAP = 2500
 
 
-def _points_on_cubic(int_terms: dict, bound: int):
+def _points_on_cubic(coeffs: np.ndarray, bound: int):
     """Primitive integer points of the cubic off the plane, coordinates <= bound.
 
     The normalized cubic has degree at most 2 in x4 (every monomial carries
     x0 or x1), so the search sweeps (x0..x3), one x0 slice at a time, and
-    solves the residual quadratic A x4^2 + B x4 + C in x4 exactly.  A, B and
-    C of a slice are one product each: the monomial matrix of the points
-    (1, x1, x2, x3), built once, times a coefficient vector on the
-    ``monomial_exponents`` layout with the slice's powers of x0 folded in,
-    which is the slice's own monomial matrix times the vector.  The values run
-    in int64 while |B^2 - 4AC| <= (sum|c|)^2 * 5 bound^4 stays below 2^63
-    and in Python integers past it; a discriminant is tested for a square
-    by the float square root below 2^53 and by ``math.isqrt`` above.  Only
-    the first ``_POINT_CAP`` points in height order are kept; the returned
-    flag says whether any were dropped.  Degenerate sweeps where the whole
-    x4-line lies on the cubic are returned separately as ready-made lines.
+    solves the residual quadratic A x4^2 + B x4 + C in x4 exactly.  The
+    cubic's part at x4^k is a slice of its vector, on the layout of degree
+    3 - k in (x0..x3).  A, B and C of a slice are one product each: the
+    monomial matrix of the points (1, x1, x2, x3), built once, times that
+    part with the slice's powers of x0 folded in, which is the slice's own
+    monomial matrix times the part.  The values run in int64 while
+    |B^2 - 4AC| <= (sum|c|)^2 * 5 bound^4 stays below 2^63 and in Python
+    integers past it; a discriminant is tested for a square by the float
+    square root below 2^53 and by ``math.isqrt`` above.  A base point whose
+    whole x4-line lies on the cubic (A = B = C = 0) gives no point: that
+    line meets the plane at (0:0:0:0:1), so it is no witness, and its
+    points stay out of the sweep.  Only the first ``_POINT_CAP`` points in
+    height order are kept; the returned flag says whether any were dropped.
     """
-    by_e4: dict[int, dict] = {0: {}, 1: {}, 2: {}}
-    for e, c in int_terms.items():
-        by_e4[e[4]][e[:4]] = c
-    worst = sum(abs(c) for c in int_terms.values()) ** 2 * 5 * bound**4
+    e4 = _layout(5, 3)[1][:, 4]
+    worst = int(np.abs(coeffs).sum()) ** 2 * 5 * bound**4
     dtype = _exact_dtype(worst)
 
     side = np.arange(-bound, bound + 1, dtype=np.int64)
@@ -970,13 +904,12 @@ def _points_on_cubic(int_terms: dict, bound: int):
     # the column of the monomial x0^k m at x0 = s is s^k times that at x0 = 1
     parts = []
     for d in (1, 2, 3):
-        x0_powers = np.array(monomial_exponents(4, d))[:, 0]
-        parts.append((_integer_monomials(pts, d), _layout_coeffs(by_e4[3 - d], 4, d, dtype), x0_powers))
+        x0_powers = _layout(4, d)[1][:, 0].astype(np.int64)
+        parts.append((_integer_monomials(pts, d), coeffs[e4 == 3 - d].astype(dtype), x0_powers))
     found = []
-    vertical_lines: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for x0 in range(-bound, bound + 1):
         pts[:, 0] = x0
-        A, B, C = (monomials @ (coeffs * x0**powers) for monomials, coeffs, powers in parts)
+        A, B, C = (monomials @ (part * x0**powers) for monomials, part, powers in parts)
         off_plane = (pts[:, 0] != 0) | (pts[:, 1] != 0)
 
         disc = B * B - 4 * A * C
@@ -992,10 +925,6 @@ def _points_on_cubic(int_terms: dict, bound: int):
         lin = np.flatnonzero(off_plane & (A == 0) & (B != 0))
         found.append(np.column_stack([B[lin, None] * pts[lin], -C[lin]]))
 
-        free = np.flatnonzero(off_plane & (A == 0) & (B == 0) & (C == 0))
-        for base in pts[free].tolist():
-            vertical_lines.append((_primitive(base + [0]), (0, 0, 0, 0, 1)))
-
     points = _primitive_rows(np.concatenate(found).astype(dtype))
     points = points[np.abs(points).max(axis=1) <= bound].astype(np.int64)
     # the key of _sorted_candidates: height, count of negative entries, the
@@ -1006,8 +935,7 @@ def _points_on_cubic(int_terms: dict, bound: int):
     fresh = np.ones(len(points), dtype=bool)
     fresh[1:] = (points[1:] != points[:-1]).any(axis=1)
     ordered = points[fresh]
-    unique_vertical = sorted(set(vertical_lines))
-    return [tuple(v) for v in ordered[:_POINT_CAP].tolist()], len(ordered) > _POINT_CAP, unique_vertical
+    return [tuple(v) for v in ordered[:_POINT_CAP].tolist()], len(ordered) > _POINT_CAP
 
 
 # entries of one block of the pair test: 128 KiB of int64, under malloc's
@@ -1017,19 +945,18 @@ def _points_on_cubic(int_terms: dict, bound: int):
 _PAIR_BLOCK = 16_384
 
 
-def _line_rows_rational(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The reduced primitive integer row pair spanning the line through a and b, which misses the plane.
+def _line_rows_rational(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The reduced primitive integer row pairs spanning the lines through the rows of a and b, which miss the plane.
 
     With a0 b1 - a1 b0 != 0 the echelon rows pivot in x0 and x1: b1 a - a1 b
-    and a0 b - b0 a, each made primitive.
+    and a0 b - b0 a, each made primitive.  Returns an (n, 2, 5) array.
     """
-    return (
-        _primitive(tuple(b[1] * x - a[1] * y for x, y in zip(a, b))),
-        _primitive(tuple(a[0] * y - b[0] * x for x, y in zip(a, b))),
-    )
+    first = _primitive_rows(b[:, 1:2] * a - a[:, 1:2] * b)
+    second = _primitive_rows(a[:, 0:1] * b - b[:, 0:1] * a)
+    return np.stack([first, second], axis=1)
 
 
-def _disjoint_lines_from_pairs(int_terms: dict, pts, vertical_lines):
+def _disjoint_lines_from_pairs(coeffs: np.ndarray, pts):
     """Lines on the cubic through point pairs, disjoint from the plane.
 
     For a and b on the cubic, f(a + t b) = t grad f(a).b + t^2 grad f(b).a,
@@ -1040,32 +967,47 @@ def _disjoint_lines_from_pairs(int_terms: dict, pts, vertical_lines):
     line misses the plane iff the 2x2 minor of the first two coordinates is
     invertible.
     """
-    found = []
-    for base, direction in vertical_lines:
-        det = base[0] * direction[1] - base[1] * direction[0]
-        if det != 0:
-            found.append(_line_rows_rational(base, direction))
-    if pts:
-        arr = np.array(pts, dtype=np.int64)
-        n = len(arr)
-        dtype = _exact_dtype(15 * sum(abs(c) for c in int_terms.values()) * int(np.abs(arr).max()) ** 3)
-        grad = _integer_monomials(arr, 2) @ _gradient_coeffs(int_terms, dtype)
-        chunk = max(1, _PAIR_BLOCK // n)
-        for lo in range(0, n, chunk):
-            on_cubic = grad[lo : lo + chunk] @ arr.T == 0
-            on_cubic &= arr[lo : lo + chunk] @ grad.T == 0
-            for i, j in np.argwhere(on_cubic).tolist():
-                a, b = pts[lo + i], pts[j]
-                if lo + i < j and a[0] * b[1] != a[1] * b[0]:
-                    found.append(_line_rows_rational(a, b))
-    seen = []
-    for rows in found:
-        if rows not in seen:
-            seen.append(rows)
-    return seen
+    if not pts:
+        return []
+    arr = np.array(pts, dtype=np.int64)
+    n = len(arr)
+    dtype = _exact_dtype(15 * int(np.abs(coeffs).sum()) * int(np.abs(arr).max()) ** 3)
+    grad = _integer_monomials(arr, 2) @ _gradient_columns(coeffs).astype(dtype)
+    chunk = max(1, _PAIR_BLOCK // n)
+    pairs = []
+    for lo in range(0, n, chunk):
+        on_cubic = grad[lo : lo + chunk] @ arr.T == 0
+        on_cubic &= arr[lo : lo + chunk] @ grad.T == 0
+        i, j = np.nonzero(on_cubic)
+        pairs.append(np.column_stack([lo + i, j]))
+    i, j = np.concatenate(pairs).T
+    a, b = arr[i], arr[j]
+    keep = (i < j) & (a[:, 0] * b[:, 1] != a[:, 1] * b[:, 0])
+    rows = _line_rows_rational(a[keep], b[keep]).tolist()
+    return list(dict.fromkeys(tuple(tuple(row) for row in pair) for pair in rows))
 
 
-def _pencil_member_form(int_terms: dict, s: int, t: int) -> RationalQuadricForm:
+@lru_cache(maxsize=None)
+def _pencil_positions() -> tuple[np.ndarray, ...]:
+    """(positions, e0, e1, i, j) for each monomial of the cubic layout that carries x0 or x1.
+
+    Substituting x0 = s*u, x1 = t*u turns the monomial x0^e0 x1^e1 m into
+    s^e0 t^e1 u times v_i v_j in the variables (u, x2, x3, x4), i <= j.
+    """
+    exps = _layout(5, 3)[1].astype(np.int64)
+    positions = np.flatnonzero(exps[:, 0] + exps[:, 1])
+    pairs = [
+        [0] * (e0 + e1 - 1) + [v for v, k in enumerate(rest, 1) for _ in range(k)]
+        for e0, e1, *rest in exps[positions].tolist()
+    ]
+    i, j = np.array(pairs).T
+    out = (positions, exps[positions, 0].astype(object), exps[positions, 1].astype(object), i, j)
+    for table in out:
+        table.flags.writeable = False
+    return out
+
+
+def _pencil_member_form(coeffs: np.ndarray, s: int, t: int) -> RationalQuadricForm:
     """The Gram matrix of the residual quadric R_{s,t} in (u, x2, x3, x4).
 
     Substituting x0 = s*u, x1 = t*u into the normalized cubic gives u times
@@ -1073,16 +1015,12 @@ def _pencil_member_form(int_terms: dict, s: int, t: int) -> RationalQuadricForm:
     of u reads off R_{s,t} directly: a term c*v_i*v_j adds c to a diagonal
     entry, or c/2 to each of a pair of off-diagonal entries.
     """
-    M = [[Fraction(0)] * 4 for _ in range(4)]
-    for (e0, e1, *rest), c in int_terms.items():
-        coeff = Fraction(c * s**e0 * t**e1)
-        i, j = [0] * (e0 + e1 - 1) + [v for v, k in enumerate(rest, 1) for _ in range(k)]
-        if i == j:
-            M[i][i] += coeff
-        else:
-            M[i][j] += coeff / 2
-            M[j][i] += coeff / 2
-    return RationalQuadricForm(tuple(tuple(row) for row in M))
+    positions, e0, e1, i, j = _pencil_positions()
+    upper = np.zeros((4, 4), dtype=object)
+    np.add.at(upper, (i, j), coeffs[positions] * s**e0 * t**e1)
+    return RationalQuadricForm(
+        tuple(tuple(Fraction(upper[min(a, b), max(a, b)], 1 if a == b else 2) for b in range(4)) for a in range(4))
+    )
 
 
 def _pencil_members(bound: int):
@@ -1110,37 +1048,32 @@ def decide_over_rationals(cubic_terms, plane_rows=_STANDARD_PLANE_ROWS, height_b
     exhaustive residue search before the verdict is emitted.  When all
     searches exhaust their bounds the honest answer is Unknown.
     """
-    int_terms, columns = _normalize_rational_cubic(dict(cubic_terms), plane_rows)
-    good_prime = _good_reduction_prime(int_terms)
+    coeffs, columns = _normalize_rational_cubic(dict(cubic_terms), plane_rows)
+    good_prime = _good_reduction_prime(coeffs)
     bounds = {"height_bound": height_bound, "good_prime": good_prime}
 
     # (a) rational nodes
-    for node in _nodes_by_resultant(int_terms):
+    for node in _nodes_by_resultant(coeffs):
         amb = (0, 0) + node
-        if _q_evaluate(int_terms, amb) != 0 or any(
-            _q_evaluate(_q_derivative(int_terms, i), amb) != 0 for i in range(5)
-        ):
+        if _form_values(coeffs, [amb], 3)[0] != 0 or np.count_nonzero(_form_values(_gradient_columns(coeffs), [amb], 2)):
             raise InternalInconsistency("a node candidate is not a singular point of the cubic")
         mapped = [sum(columns[i][j] * amb[j] for j in range(5)) for i in range(5)]
         den = math.lcm(*(Fraction(v).denominator for v in mapped))
-        original = _primitive(tuple(int(Fraction(v) * den) for v in mapped))
+        original = _primitive_rows(np.array([[int(Fraction(v) * den) for v in mapped]], dtype=object))[0]
         witness = {
             "type": "node",
-            "point": [int(v) for v in original],
+            "point": original.tolist(),
             "normalized_point": [int(v) for v in amb],
         }
         return RationalityVerdict("Rational", witness=witness, bounds=bounds)
 
     # (b) rational lines disjoint from the plane
-    pts, capped, vertical = _points_on_cubic(int_terms, height_bound)
+    pts, capped = _points_on_cubic(coeffs, height_bound)
     bounds["points_found"] = len(pts)
     bounds["points_capped"] = capped
-    for rows in _disjoint_lines_from_pairs(int_terms, pts, vertical):
-        a, b = rows
-        if any(
-            _q_evaluate(int_terms, v) != 0
-            for v in (a, b, tuple(x + y for x, y in zip(a, b)), tuple(x - y for x, y in zip(a, b)))
-        ):
+    for rows in _disjoint_lines_from_pairs(coeffs, pts):
+        a, b = np.array(rows, dtype=object)
+        if np.count_nonzero(_form_values(coeffs, [a, b, a + b, a - b], 3)):
             raise InternalInconsistency("a line candidate does not lie on the cubic")
         witness = {
             "type": "line_disjoint_from_plane",
@@ -1152,7 +1085,7 @@ def decide_over_rationals(cubic_terms, plane_rows=_STANDARD_PLANE_ROWS, height_b
     scanned = 0
     for s, t in _pencil_members(height_bound):
         scanned += 1
-        form = _pencil_member_form(int_terms, s, t)
+        form = _pencil_member_form(coeffs, s, t)
         if 0 in form.diagonalization[0]:
             continue
         verdict = local_solvability(form)

@@ -51,7 +51,7 @@ from cubicfano.projective import (
     projective_reps,
     span,
 )
-from cubicfano.rationality import _fraction_rref, _primitive, _q_evaluate, _sorted_candidates
+from cubicfano.rationality import _fraction_rref, _sorted_candidates
 from cubicfano.torsor import DivisorWord, SignedTorsorPoint
 
 
@@ -1055,6 +1055,86 @@ def lines_by_galkin_shinder(nx, n=4):
     return Fraction(hilbert_square - projective_space(n) * n1, q * q)
 
 
+def _q_trim(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def _q_add(A: dict, B: dict) -> dict:
+    out = dict(A)
+    for e, c in B.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _q_trim(out)
+
+
+def _q_mul(A: dict, B: dict) -> dict:
+    out: dict = {}
+    for ea, ca in A.items():
+        for eb, cb in B.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return _q_trim(out)
+
+
+def q_evaluate(terms: dict, point) -> Fraction:
+    """A polynomial {exponent tuple: coefficient} at a point, term by term."""
+    total = Fraction(0)
+    for e, c in terms.items():
+        v = c
+        for x, k in zip(point, e):
+            for _ in range(k):
+                v *= x
+        total += v
+    return total
+
+
+def q_derivative(terms: dict, i: int) -> dict:
+    """The partial derivative in x_i of a polynomial {exponent tuple: coefficient}."""
+    out: dict = {}
+    for e, c in terms.items():
+        if e[i]:
+            d = list(e)
+            d[i] -= 1
+            out[tuple(d)] = out.get(tuple(d), Fraction(0)) + c * e[i]
+    return _q_trim(out)
+
+
+def q_substitute(terms: dict, columns) -> dict:
+    """Substitute x_i = sum_j columns[i][j] * y_j (one linear form per variable), by products of term dicts."""
+    out: dict = {}
+    nvars = len(columns[0])
+    for e, c in terms.items():
+        prod = {tuple([0] * nvars): c}
+        for i, k in enumerate(e):
+            lin = {
+                tuple(1 if j == m else 0 for j in range(nvars)): columns[i][m]
+                for m in range(nvars)
+                if columns[i][m] != 0
+            }
+            for _ in range(k):
+                prod = _q_mul(prod, lin)
+        out = _q_add(out, prod)
+    return out
+
+
+def q_clear_denominators(terms: dict) -> dict:
+    """Scale a nonzero rational polynomial to a primitive integer one by a positive rational."""
+    terms = {e: Fraction(c) for e, c in terms.items() if Fraction(c) != 0}
+    lcm = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {e: int(c * lcm) for e, c in terms.items()}
+    content = math.gcd(*ints.values())
+    return {e: v // content for e, v in ints.items()}
+
+
+def _primitive(vec) -> tuple[int, ...]:
+    """An integer vector divided by its content, its first nonzero entry made positive; zero stays zero."""
+    g = math.gcd(*vec)
+    if g == 0:
+        return tuple(vec)
+    out = tuple(x // g for x in vec)
+    k = next(i for i, x in enumerate(out) if x)
+    return tuple(-x for x in out) if out[k] < 0 else out
+
+
 def rational_roots_by_factor_list(poly: sympy.Poly) -> list[Fraction]:
     """The rational roots of a nonzero univariate sympy polynomial, from its linear factors."""
     if poly.is_zero:
@@ -1114,10 +1194,10 @@ def nodes_by_sympy_resultant(int_terms: dict) -> list[tuple[int, int, int]]:
                 coords[keep[0]], coords[keep[1]], coords[elim] = ru, rv, rw
                 den = coords[0].denominator * coords[1].denominator * coords[2].denominator
                 cand = _primitive(tuple(int(c * den) for c in coords))
-                if any(cand) and all(_q_evaluate(conic, cand) == 0 for conic in conics):
+                if any(cand) and all(q_evaluate(conic, cand) == 0 for conic in conics):
                     candidates.append(cand)
         centre = tuple(int(i == elim) for i in range(3))
-        if all(_q_evaluate(conic, centre) == 0 for conic in conics):
+        if all(q_evaluate(conic, centre) == 0 for conic in conics):
             candidates.append(centre)
         return _sorted_candidates(set(candidates))
     raise InternalInconsistency(
@@ -1148,8 +1228,9 @@ def points_on_cubic_by_term_loops(int_terms: dict, bound: int, cap: int):
     Each x0 slice of the grid gets A, B and C (the x4^2, x4 and constant
     parts) by a loop over the terms, in Python integers whenever int64 could
     overflow; every discriminant is tested by ``math.isqrt`` and every root
-    is a Fraction.  Returns the first ``cap`` points in height order, whether
-    more were found, and the vertical lines.
+    is a Fraction.  Base points whose whole x4-line lies on the cubic give
+    no point.  Returns the first ``cap`` points in height order and whether
+    more were found.
     """
     by_e4: dict[int, dict] = {0: {}, 1: {}, 2: {}}
     for e, c in int_terms.items():
@@ -1158,7 +1239,6 @@ def points_on_cubic_by_term_loops(int_terms: dict, bound: int, cap: int):
     side = np.arange(-bound, bound + 1, dtype=np.int64).astype(dtype)
     g1, g2, g3 = np.meshgrid(side, side, side, indexing="ij")
     points: set = set()
-    vertical_lines = []
     for x0 in range(-bound, bound + 1):
         g0 = np.full(g1.shape, x0, dtype=dtype)
         grids = (g0, g1, g2, g3)
@@ -1183,12 +1263,8 @@ def points_on_cubic_by_term_loops(int_terms: dict, bound: int, cap: int):
             pt = _primitive(tuple(v * x4.denominator for v in base) + (x4.numerator,))
             if max(abs(v) for v in pt) <= bound:
                 points.add(pt)
-        for idx in np.argwhere(off_plane & (A == 0) & (B == 0) & (C == 0)):
-            idx = tuple(idx)
-            base = (x0, int(g1[idx]), int(g2[idx]), int(g3[idx]), 0)
-            vertical_lines.append((_primitive(base), (0, 0, 0, 0, 1)))
     ordered = _sorted_candidates(points)
-    return ordered[:cap], len(ordered) > cap, sorted(set(vertical_lines))
+    return ordered[:cap], len(ordered) > cap
 
 
 def _line_rows_by_rref(a, b):
@@ -1196,7 +1272,7 @@ def _line_rows_by_rref(a, b):
     return tuple(_primitive(tuple(int(f * math.lcm(*(g.denominator for g in row))) for f in row)) for row in rows)
 
 
-def lines_by_four_values(int_terms: dict, pts, vertical_lines):
+def lines_by_four_values(int_terms: dict, pts):
     """The lines of ``rationality._disjoint_lines_from_pairs``, by the four-value test.
 
     A line through a and b lies on a cubic iff f vanishes at a, b, a + b and
@@ -1205,11 +1281,7 @@ def lines_by_four_values(int_terms: dict, pts, vertical_lines):
     a - b over the whole grid of pairs.  The rows are the reduced row
     echelon form over Q, each scaled to a primitive integer row.
     """
-    found = [
-        _line_rows_by_rref(base, direction)
-        for base, direction in vertical_lines
-        if base[0] * direction[1] - base[1] * direction[0] != 0
-    ]
+    found = []
     if pts:
         arr = np.array(pts, dtype=np.int64)
         dtype = _grid_dtype(int_terms, 2 * int(np.abs(arr).max()))

@@ -296,7 +296,7 @@ def test_the_line_search_over_q_runs_on_integer_arrays():
     fractions = {scope for scope, _ in _call_sites(tree, {"Fraction"})}
     assert fractions  # the scan sees the Fractions of the module at all
     assert fractions & search == set()
-    evaluators = {"_integer_monomials", "_term_arrays", "_q_evaluate", "_q_derivative", "evaluate", "evaluate_batch",
+    evaluators = {"_integer_monomials", "_term_arrays", "_form_values", "evaluate", "evaluate_batch",
                   "eval_form_batch", "gradient"}
     calls = sorted({f"{scope} {name}" for scope, name in _call_sites(tree, evaluators) if scope in search})
     assert calls == ["_disjoint_lines_from_pairs _integer_monomials", "_points_on_cubic _integer_monomials"]
@@ -307,6 +307,23 @@ def test_the_line_search_over_q_runs_on_integer_arrays():
         if isinstance(node, ast.FunctionDef) and node.name == "_term_arrays"
     ]
     assert defined == []
+
+
+def test_over_q_an_integer_form_is_one_coefficient_vector():
+    # the Q code keeps no exponent-dict polynomial layer beside the layout:
+    # no _q_ helper, and only the normalization reads the input's terms; any
+    # other .items() reads a factorization {prime: exponent}
+    tree = ast.parse((PACKAGE / "rationality.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert [func.name for func in functions if func.name.startswith("_q_")] == []
+    readers = set()
+    for func in functions:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "items":
+                receiver = node.func.value
+                if not (isinstance(receiver, ast.Call) and getattr(receiver.func, "id", None) == "_factor"):
+                    readers.add(func.name)
+    assert readers == {"_normalize_rational_cubic"}
 
 
 def _attribute_reads(tree, attr, scope=""):

@@ -15,6 +15,10 @@ from reference_impl import (
     lines_by_four_values,
     nodes_by_sympy_resultant,
     points_on_cubic_by_term_loops,
+    q_clear_denominators,
+    q_derivative,
+    q_evaluate,
+    q_substitute,
     rational_roots_by_factor_list,
 )
 
@@ -24,8 +28,6 @@ from cubicfano.gf import field
 from cubicfano.projective import LinearSubspace
 from cubicfano.rationality import (
     RationalQuadricForm,
-    _q_derivative,
-    _q_evaluate,
     _residue_solution_count,
     decide_over_finite_field,
     decide_over_rationals,
@@ -35,6 +37,23 @@ from cubicfano.rationality import (
 )
 from cubicfano.forms import HomogeneousForm, monomial_exponents
 from cubicfano.threefold import normalize, random_general_threefold
+
+
+CUBIC_MONOMIALS = monomial_exponents(5, 3)
+
+
+def coefficient_vector(terms, nvars=5, degree=3):
+    """An integer form {exponent tuple: c} as its coefficient vector, Python integers on the layout."""
+    return np.array([terms.get(e, 0) for e in monomial_exponents(nvars, degree)], dtype=object)
+
+
+def terms_of(coeffs):
+    """The {exponent tuple: c} dict of a cubic's coefficient vector, for the term-loop oracles."""
+    return {e: c for e, c in zip(CUBIC_MONOMIALS, coeffs.tolist()) if c}
+
+
+def normalized(terms, rows=rationality._STANDARD_PLANE_ROWS):
+    return rationality._normalize_rational_cubic(terms, rows)[0]
 
 
 def seeded_example(p, seed):
@@ -306,8 +325,8 @@ def test_visible_node_wins_with_the_expected_point():
     assert verdict.witness["point"] == [0, 0, 1, 1, 1]
     amb = tuple(verdict.witness["point"])
     terms = {e: Fraction(c) for e, c in NODE_EXAMPLE.items()}
-    assert _q_evaluate(terms, amb) == 0
-    assert all(_q_evaluate(_q_derivative(terms, i), amb) == 0 for i in range(5))
+    assert q_evaluate(terms, amb) == 0
+    assert all(q_evaluate(q_derivative(terms, i), amb) == 0 for i in range(5))
 
 
 # Q0|_P = x2^2 + 2 x3^2 + x2 x4 and Q1|_P = x2^2 + x2 x3 + x3 x4 both vanish
@@ -324,7 +343,7 @@ def test_a_node_at_the_projection_centre_is_found(height):
     assert verdict.kind == "Rational"
     assert verdict.witness == {"type": "node", "point": [0, 0, 0, 0, 1], "normalized_point": [0, 0, 0, 0, 1]}
     terms = {e: Fraction(c) for e, c in CENTRE_NODE_EXAMPLE.items()}
-    assert all(_q_evaluate(_q_derivative(terms, i), (0, 0, 0, 0, 1)) == 0 for i in range(5))
+    assert all(q_evaluate(q_derivative(terms, i), (0, 0, 0, 0, 1)) == 0 for i in range(5))
 
 
 def test_planted_line_is_found_and_reported_in_reduced_form():
@@ -337,7 +356,7 @@ def test_planted_line_is_found_and_reported_in_reduced_form():
     terms = {e: Fraction(c) for e, c in LINE_EXAMPLE.items()}
     a, b = (1, 0, 1, 0, 0), (0, 1, 0, 1, 0)
     for pt in (a, b, tuple(x + y for x, y in zip(a, b)), tuple(x - y for x, y in zip(a, b))):
-        assert _q_evaluate(terms, pt) == 0
+        assert q_evaluate(terms, pt) == 0
 
 
 def test_definite_pencil_member_certifies_irrationality():
@@ -374,6 +393,12 @@ def test_cubic_not_containing_the_plane_is_rejected():
         decide_over_rationals({(0, 0, 3, 0, 0): 1, (1, 0, 2, 0, 0): 1}, height_bound=3)
 
 
+@pytest.mark.parametrize("exponent", [(1, 0, 2, 0), (-1, 0, 2, 0, 2), (1, 0, 2, 0, 1), (1.5, 0, 1.5, 0, 0)])
+def test_exponents_off_the_cubic_layout_are_rejected(exponent):
+    with pytest.raises(InvalidInput, match="exponent 5-tuples of total degree 3"):
+        decide_over_rationals(NODE_EXAMPLE | {exponent: 1}, height_bound=3)
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -397,8 +422,6 @@ TRANSFORMED_NODE_EXAMPLE = None  # computed lazily from NODE_EXAMPLE
 def _transformed_example():
     global TRANSFORMED_NODE_EXAMPLE
     if TRANSFORMED_NODE_EXAMPLE is None:
-        from cubicfano.rationality import _q_substitute
-
         V = [
             [1, 0, 1, 1, 0],
             [0, 0, 0, 0, -1],
@@ -406,7 +429,7 @@ def _transformed_example():
             [2, 0, 0, 1, 0],
             [0, 1, 0, 0, 1],
         ]
-        moved = _q_substitute({e: Fraction(c) for e, c in NODE_EXAMPLE.items()}, V)
+        moved = q_substitute({e: Fraction(c) for e, c in NODE_EXAMPLE.items()}, V)
         TRANSFORMED_NODE_EXAMPLE = {e: int(c) for e, c in moved.items()}
     return TRANSFORMED_NODE_EXAMPLE
 
@@ -421,8 +444,8 @@ def test_arbitrary_plane_coordinates_are_normalized():
     assert verdict.witness["normalized_point"] == [0, 0, 1, 1, 1]
     amb = tuple(verdict.witness["point"])
     q_terms = {e: Fraction(c) for e, c in terms.items()}
-    assert _q_evaluate(q_terms, amb) == 0
-    assert all(_q_evaluate(_q_derivative(q_terms, i), amb) == 0 for i in range(5))
+    assert q_evaluate(q_terms, amb) == 0
+    assert all(q_evaluate(q_derivative(q_terms, i), amb) == 0 for i in range(5))
 
 
 def test_verdict_reports_serialize_to_json():
@@ -465,10 +488,10 @@ UNKNOWN_MEMBER_WITNESSES = {
 
 
 def test_witnesses_of_the_unknown_examples_pencil_members_are_pinned():
-    int_terms, _ = rationality._normalize_rational_cubic(UNKNOWN_EXAMPLE, rationality._STANDARD_PLANE_ROWS)
+    coeffs = normalized(UNKNOWN_EXAMPLE)
     got = {}
     for s, t in rationality._pencil_members(4):
-        out = local_solvability(rationality._pencil_member_form(int_terms, s, t))
+        out = local_solvability(rationality._pencil_member_form(coeffs, s, t))
         assert out.solvable
         got[(s, t)] = out.witness
     assert got == UNKNOWN_MEMBER_WITNESSES
@@ -487,8 +510,8 @@ def test_witness_search_pins_and_exhausts_its_height():
 def test_a_form_is_singular_iff_its_diagonalization_has_a_zero():
     forms = []
     for terms in (NODE_EXAMPLE, LINE_EXAMPLE, DEFINITE_PENCIL_EXAMPLE, UNKNOWN_EXAMPLE):
-        int_terms, _ = rationality._normalize_rational_cubic(terms, rationality._STANDARD_PLANE_ROWS)
-        forms += [rationality._pencil_member_form(int_terms, s, t) for s, t in rationality._pencil_members(3)]
+        coeffs = normalized(terms)
+        forms += [rationality._pencil_member_form(coeffs, s, t) for s, t in rationality._pencil_members(3)]
     rng = random.Random(3)
     for _ in range(25):
         M = [[0] * 4 for _ in range(4)]
@@ -535,12 +558,12 @@ def cubic_of_conics(q0, q1):
     return {(1, 0) + e: c for e, c in q0.items()} | {(0, 1) + e: c for e, c in q1.items()}
 
 
-def nodes_both_ways(int_terms):
+def nodes_both_ways(coeffs):
     """The node lists of the package and of the sympy oracle, or the refusal each raises."""
     out = []
-    for finder in (rationality._nodes_by_resultant, nodes_by_sympy_resultant):
+    for finder, cubic in ((rationality._nodes_by_resultant, coeffs), (nodes_by_sympy_resultant, terms_of(coeffs))):
         try:
-            out.append(finder(int_terms))
+            out.append(finder(cubic))
         except InternalInconsistency as exc:
             out.append(str(exc))
     return out
@@ -550,8 +573,7 @@ def test_node_finder_matches_the_sympy_resultant_on_integer_cubics():
     examples = [NODE_EXAMPLE, LINE_EXAMPLE, DEFINITE_PENCIL_EXAMPLE, UNKNOWN_EXAMPLE, CENTRE_NODE_EXAMPLE]
     found = 0
     for terms in [random_integer_cubic(seed) for seed in range(100)] + examples:
-        int_terms, _ = rationality._normalize_rational_cubic(terms, rationality._STANDARD_PLANE_ROWS)
-        new, old = nodes_both_ways(int_terms)
+        new, old = nodes_both_ways(normalized(terms))
         assert new == old
         found += len(new)
     assert found  # some inputs have rational nodes
@@ -587,14 +609,16 @@ DEGENERATE_CONIC_PAIRS = {
 @pytest.mark.parametrize("name", DEGENERATE_CONIC_PAIRS)
 def test_node_finder_matches_the_sympy_resultant_on_degenerate_conic_pairs(name):
     q0, q1, nodes = DEGENERATE_CONIC_PAIRS[name]
-    new, old = nodes_both_ways(cubic_of_conics(q0, q1))
+    new, old = nodes_both_ways(coefficient_vector(cubic_of_conics(q0, q1)))
     assert new == old == nodes
 
 
 def test_only_the_elimination_in_y_survives_a_shared_component_in_z():
     q0, q1, _ = DEGENERATE_CONIC_PAIRS["shared linear component"]
-    assert rationality._resultant(q0, q1, 2) == {}
-    assert rationality._resultant(q0, q1, 1) == {(1, 2): 3}
+    q0, q1 = coefficient_vector(q0, 3, 2), coefficient_vector(q1, 3, 2)
+    assert not np.count_nonzero(rationality._resultant(q0, q1, 2))
+    # 3 x z^2 on the layout of the binary cubics in (x, z)
+    assert rationality._resultant(q0, q1, 1).tolist() == [0, 0, 3, 0]
 
 
 SEMIPRIMES = st.tuples(st.integers(10**9, 2 * 10**9), st.integers(10**9, 2 * 10**9)).map(
@@ -641,9 +665,14 @@ def test_resultant_matches_sympy(coeffs, elim):
         return sum((c * math.prod(s**k for s, k in zip(syms, e)) for e, c in form.items()), sympy.Integer(0))
 
     R = sympy.resultant(expr(f), expr(g), syms[elim])
-    keep = [s for i, s in enumerate(syms) if i != elim]
-    expected = {} if R == 0 else {e: int(c) for e, c in sympy.Poly(R, *keep).as_dict().items()}
-    assert rationality._resultant(f, g, elim) == expected
+    got = rationality._resultant(coefficient_vector(f, 3, 2), coefficient_vector(g, 3, 2), elim)
+    if R == 0:
+        assert not np.count_nonzero(got)
+    else:
+        # position i of the binary layout of degree d holds the coefficient of u^(d - i) v^i
+        R = sympy.Poly(R, *(s for i, s in enumerate(syms) if i != elim))
+        d = R.total_degree()
+        assert got.tolist() == [int(R.as_dict().get((d - i, i), 0)) for i in range(d + 1)]
 
 
 @given(st.lists(st.tuples(st.integers(1, 12), st.integers(-12, 12)), max_size=4),
@@ -655,7 +684,7 @@ def test_rational_roots_match_the_linear_factors(linear, cofactor):
     for a, b in linear:
         poly *= sympy.Poly(a * t + b, t)
     assume(not poly.is_zero)
-    coeffs = {k: int(c) for (k,), c in poly.as_dict().items()}
+    coeffs = [int(c) for c in reversed(poly.all_coeffs())]
     assert rationality._rational_roots(coeffs) == rational_roots_by_factor_list(poly)
 
 
@@ -681,26 +710,21 @@ LINE_SEARCH_CASES = {
 @pytest.mark.parametrize("name", LINE_SEARCH_CASES)
 def test_line_search_matches_the_term_loop_and_four_value_oracles(name):
     for terms, height in LINE_SEARCH_CASES[name]:
-        int_terms, _ = rationality._normalize_rational_cubic(terms, rationality._STANDARD_PLANE_ROWS)
-        found = rationality._points_on_cubic(int_terms, height)
-        assert found == points_on_cubic_by_term_loops(int_terms, height, rationality._POINT_CAP)
-        pts, _, vertical = found
-        assert rationality._disjoint_lines_from_pairs(int_terms, pts, vertical) == lines_by_four_values(
-            int_terms, pts, vertical
-        )
+        coeffs = normalized(terms)
+        found = rationality._points_on_cubic(coeffs, height)
+        assert found == points_on_cubic_by_term_loops(terms_of(coeffs), height, rationality._POINT_CAP)
+        pts, _ = found
+        assert rationality._disjoint_lines_from_pairs(coeffs, pts) == lines_by_four_values(terms_of(coeffs), pts)
 
 
 def test_a_large_coefficient_gives_the_exact_point_count():
-    int_terms, _ = rationality._normalize_rational_cubic(LARGE_COEFFICIENT_EXAMPLE, rationality._STANDARD_PLANE_ROWS)
-    pts, capped, vertical = rationality._points_on_cubic(int_terms, 8)
+    coeffs = normalized(LARGE_COEFFICIENT_EXAMPLE)
+    pts, capped = rationality._points_on_cubic(coeffs, 8)
     assert len(pts) == 322 and not capped
     verdict = decide_over_rationals(LARGE_COEFFICIENT_EXAMPLE, height_bound=8)
     assert verdict.bounds["points_found"] == 322
-    first = lines_by_four_values(int_terms, pts, vertical)[0]
+    first = lines_by_four_values(terms_of(coeffs), pts)[0]
     assert verdict.witness == {"type": "line_disjoint_from_plane", "rows": [list(row) for row in first]}
-
-
-CUBIC_MONOMIALS = monomial_exponents(5, 3)
 
 
 @given(
@@ -716,7 +740,122 @@ def test_a_cubic_along_a_line_is_read_off_the_gradient_pairings(coeffs, coords, 
     a, b = coords[:5], coords[5:]
     bound = 15 * sum(map(abs, coeffs)) * max(map(abs, coords)) ** 3
     pts = np.array([a, b], dtype=np.int64)
-    grad = rationality._integer_monomials(pts, 2) @ rationality._gradient_coeffs(f, rationality._exact_dtype(bound))
+    columns = rationality._gradient_columns(np.array(coeffs, dtype=object))
+    grad = rationality._integer_monomials(pts, 2) @ columns.astype(rationality._exact_dtype(bound))
     (_, grad_a_b), (grad_b_a, _) = (grad @ pts.T).tolist()
     line = tuple(x + t * y for x, y in zip(a, b))
-    assert _q_evaluate(f, line) == _q_evaluate(f, a) + t * grad_a_b + t**2 * grad_b_a + t**3 * _q_evaluate(f, b)
+    assert q_evaluate(f, line) == q_evaluate(f, a) + t * grad_a_b + t**2 * grad_b_a + t**3 * q_evaluate(f, b)
+
+
+# ---------------------------------------------------------------------------
+# one coefficient layout over Q against the term-dict oracles
+# ---------------------------------------------------------------------------
+
+
+def test_each_diagonal_entry_is_factored_once(monkeypatch):
+    # the squarefree diagonal keeps the odd primes it found, so the places
+    # of the Hasse-Minkowski scan need no second factorization
+    seen = []
+
+    def spy(n):
+        seen.append(n)
+        return factor(n)
+
+    factor = rationality._factor
+    monkeypatch.setattr(rationality, "_factor", spy)
+    quadric = diagonal_form(12, -45, 7, 1)
+    out = local_solvability(quadric)
+    assert sorted(seen) == [1, 7, 12, 45]
+    assert out.diagonal == (3, -5, 7, 1) and quadric.odd_primes == (3, 5, 7)
+
+
+FRACTION_ENTRIES = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@given(
+    st.lists(st.integers(-5, 5), min_size=len(CUBIC_MONOMIALS), max_size=len(CUBIC_MONOMIALS)),
+    st.lists(st.integers(-4, 4), min_size=25, max_size=25),
+    st.lists(FRACTION_ENTRIES, min_size=25, max_size=25),
+)
+@settings(max_examples=50, deadline=None)
+def test_the_substitution_matrix_matches_the_term_dict_substitution(coeffs, integers, fractions):
+    c = np.array(coeffs, dtype=object)
+    for entries in (integers, fractions):
+        columns = [entries[5 * i : 5 * i + 5] for i in range(5)]
+        moved = c @ rationality._substitution_matrix(np.array(columns, dtype=object))
+        expected = q_substitute({e: Fraction(v) for e, v in terms_of(c).items()}, columns)
+        assert moved.tolist() == [expected.get(e, 0) for e in CUBIC_MONOMIALS]
+
+
+@given(
+    st.sampled_from(["integer cubic", "transformed plane"]),
+    st.integers(0, 99),
+    st.integers(1, 12),
+    st.lists(FRACTION_ENTRIES.filter(bool), min_size=3, max_size=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_normalization_matches_the_term_dict_substitution(case, seed, den, scales):
+    # rational coefficients and plane rows: the input and M are scaled to
+    # integers before the substitution, which the primitive cubic forgets
+    terms, rows = {
+        "integer cubic": (random_integer_cubic(seed), rationality._STANDARD_PLANE_ROWS),
+        "transformed plane": (_transformed_example(), TRANSFORMED_PLANE_ROWS),
+    }[case]
+    terms = {e: Fraction(c, den) for e, c in terms.items()}
+    rows = [[scale * v for v in row] for scale, row in zip(scales, rows)]
+    coeffs, columns = rationality._normalize_rational_cubic(terms, rows)
+    expected = q_clear_denominators(q_substitute(terms, columns))
+    assert coeffs.tolist() == [expected.get(e, 0) for e in CUBIC_MONOMIALS]
+    assert all(type(c) is int for c in coeffs)
+
+
+@given(
+    st.lists(st.integers(-10**12, 10**12), min_size=len(CUBIC_MONOMIALS), max_size=len(CUBIC_MONOMIALS)),
+    st.lists(st.lists(st.integers(-10**8, 10**8), min_size=5, max_size=5), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_values_match_the_term_loop_past_int64(coeffs, pts):
+    c = np.array(coeffs, dtype=object)
+    f = terms_of(c)
+    assert rationality._form_values(c, pts, 3).tolist() == [q_evaluate(f, p) for p in pts]
+    grad = rationality._form_values(rationality._gradient_columns(c), pts, 2)
+    assert grad.tolist() == [[q_evaluate(q_derivative(f, i), p) for i in range(5)] for p in pts]
+
+
+def test_exact_values_switch_to_python_integers_past_int64():
+    c = coefficient_vector(LINE_EXAMPLE)
+    small, large = [[1, 2, 3, 4, 5]], [[2**21, 1, 0, 0, 3]]
+    assert rationality._form_values(c, small, 3).dtype == np.int64
+    values = rationality._form_values(c, large, 3)
+    assert values.dtype == object and values.tolist() == [q_evaluate(LINE_EXAMPLE, large[0])]
+    assert abs(values[0]) > 2**63
+
+
+# (layout, the monomials kept, what is kept of each, the layout they form)
+SLICE_FACTS = {
+    "the x4^k part of the cubic": [
+        (monomial_exponents(5, 3), lambda e, k=k: e[4] == k, lambda e: e[:4], monomial_exponents(4, 3 - k))
+        for k in range(4)
+    ],
+    "the x0 and x1 conics on the plane": [
+        (monomial_exponents(5, 3), lambda e, pick=pick: e[:2] == pick, lambda e: e[2:], monomial_exponents(3, 2))
+        for pick in ((1, 0), (0, 1))
+    ],
+    "a conic at a fixed power of w": [
+        (
+            monomial_exponents(3, 2),
+            lambda e, w=w, k=k: e[w] == k,
+            lambda e, w=w: e[:w] + e[w + 1 :],
+            monomial_exponents(2, 2 - k),
+        )
+        for w in range(3)
+        for k in range(3)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", SLICE_FACTS)
+def test_slices_of_the_layout_are_layouts(name):
+    # the Q code reads these parts of a coefficient vector as index slices
+    for layout, keep, project, sublayout in SLICE_FACTS[name]:
+        assert tuple(project(e) for e in layout if keep(e)) == sublayout
