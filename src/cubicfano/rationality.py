@@ -26,12 +26,13 @@ product with a substitution matrix, and made primitive, and its conics on
 the plane, its parts at each power of x4 and the binary forms of the
 resultant are index slices of that vector.  A form at a grid of points is
 its monomial matrix times its coefficient vector, in int64 where a bound
-proves no overflow and in Python integers otherwise.  The plane's
-coordinate columns, pencil members and quadratic forms use
-``fractions.Fraction``.  Its integer algorithms are the textbook ones: trial
-division, Miller-Rabin and Pollard-Brent rho for factoring, a strong Lucas
-test above the proven Miller-Rabin range (Cohen, GTM 138, 8.2 and 8.5), and
-the Sylvester determinant for the resultant (von zur Gathen-Gerhard, *Modern
+proves no overflow and in Python integers otherwise.  A quadratic form is
+an integer Gram matrix, diagonalized fraction-free; ``fractions.Fraction``
+reads the plane's columns, maps a node back and holds the node search's
+roots.  Its integer algorithms are the textbook ones: trial division,
+Miller-Rabin and Pollard-Brent rho for factoring, a strong Lucas test above
+the proven Miller-Rabin range (Cohen, GTM 138, 8.2 and 8.5), and the
+Sylvester determinant for the resultant (von zur Gathen-Gerhard, *Modern
 Computer Algebra*, ch. 6).
 """
 
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -306,72 +306,80 @@ def _factor(n: int) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class RationalQuadricForm:
-    """A 4x4 symmetric matrix over the rationals with a diagonalization record."""
+    """A quadratic form over Q in four variables, as an integer symmetric Gram matrix.
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    ``gram`` is G = k^2 A for the rational matrix A of the form and the
+    nonzero integer ``scale`` k: a square multiple, with the isotropic
+    vectors and the squarefree diagonal classes of A.
+    """
+
+    gram: tuple[tuple[int, ...], ...]
+    scale: int
 
     def __post_init__(self):
-        M = self.matrix
-        if len(M) != 4 or any(len(row) != 4 for row in M):
-            raise InvalidInput("the quadratic form needs a 4x4 matrix")
-        if any(M[i][j] != M[j][i] for i in range(4) for j in range(4)):
+        G = self.gram
+        if len(G) != 4 or any(len(row) != 4 for row in G) or not self.scale:
+            raise InvalidInput("the quadratic form needs a 4x4 matrix and a nonzero scale")
+        if any(G[i][j] != G[j][i] for i in range(4) for j in range(4)):
             raise InvalidInput("the matrix is not symmetric")
 
     @classmethod
     def from_entries(cls, rows) -> "RationalQuadricForm":
-        """The form of a matrix of rationals, each entry a Fraction of Python integers.
+        """The form of a matrix of rationals: integers, numpy integers or fractions.
 
-        A numpy integer, or a Fraction built from numpy integers, is converted
-        by ``int``: kept inside a Fraction it would run the diagonalization in
-        fixed-width int64.
+        The denominators are cleared by k^2, k their lcm, and each numerator and
+        denominator is read by ``int``: G holds Python integers for any input.
         """
-        return cls(tuple(tuple(_python_fraction(v) for v in row) for row in rows))
+        pairs = [[(int(v.numerator), int(v.denominator)) for v in row] for row in rows]
+        k = math.lcm(*(den for row in pairs for _, den in row))
+        return cls(tuple(tuple(num * (k * k // den) for num, den in row) for row in pairs), k)
 
     @cached_property
-    def diagonalization(self) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
-        """(diagonal, C) with C^T * matrix * C diagonal.
+    def diagonalization(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(diagonal, scales), with diagonal[i] / scales[i]^2 a diagonalization of A by congruence.
 
-        C is a product of swaps and elementary operations, so det C = +-1 and
-        the product of the diagonal is the determinant: the form is singular
-        exactly when the diagonal has a zero.
+        One fraction-free elimination of G on the pivot path of the rational
+        one (Bareiss, Math. Comp. 22, 1968): a zero pivot is swapped with a
+        later nonzero diagonal entry or, if there is none, gets a column that
+        meets it added; then each later column j is cleared by the step
+        col_j <- p col_j - g_ij col_i, the rational step times the pivot p.
+        So column j carries a scale, k times its pivots, and an added column
+        is weighted by the scales (s_j col_i + s_i col_j).  The form is
+        singular exactly when the diagonal has a zero.
         """
-        A = [[Fraction(v) for v in row] for row in self.matrix]
-        C = [[Fraction(1 if i == j else 0) for j in range(4)] for i in range(4)]
+        G = [list(row) for row in self.gram]
+        scales = [self.scale] * 4
 
-        def col_op(dst, src, factor):
+        def combine(dst, a, src, b):  # col_dst <- a col_dst + b col_src, then the same on the rows
             for r in range(4):
-                A[r][dst] += factor * A[r][src]
+                G[r][dst] = a * G[r][dst] + b * G[r][src]
             for r in range(4):
-                A[dst][r] += factor * A[src][r]
-            for r in range(4):
-                C[r][dst] += factor * C[r][src]
-
-        def col_swap(i, j):
-            for r in range(4):
-                A[r][i], A[r][j] = A[r][j], A[r][i]
-            A[i], A[j] = A[j], A[i]
-            for r in range(4):
-                C[r][i], C[r][j] = C[r][j], C[r][i]
+                G[dst][r] = a * G[dst][r] + b * G[src][r]
 
         for i in range(4):
-            if A[i][i] == 0:
-                j = next((j for j in range(i + 1, 4) if A[j][j] != 0), None)
+            if G[i][i] == 0:
+                j = next((j for j in range(i + 1, 4) if G[j][j] != 0), None)
                 if j is not None:
-                    col_swap(i, j)
+                    G[i], G[j] = G[j], G[i]
+                    for row in G:
+                        row[i], row[j] = row[j], row[i]
+                    scales[i], scales[j] = scales[j], scales[i]
                 else:
-                    j = next((j for j in range(i + 1, 4) if A[i][j] != 0), None)
+                    j = next((j for j in range(i + 1, 4) if G[i][j] != 0), None)
                     if j is None:
                         continue
-                    col_op(i, j, Fraction(1))
+                    combine(i, scales[j], j, scales[i])
+                    scales[i] *= scales[j]
             for j in range(i + 1, 4):
-                if A[i][j] != 0:
-                    col_op(j, i, -A[i][j] / A[i][i])
-        return tuple(A[i][i] for i in range(4)), tuple(tuple(row) for row in C)
+                if G[i][j] != 0:
+                    combine(j, G[i][i], i, -G[i][j])
+                    scales[j] *= G[i][i]
+        return tuple(G[i][i] for i in range(4)), tuple(scales)
 
     @cached_property
     def _squarefree(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(``squarefree_diagonal``, ``odd_primes``), from one factorization of each diagonal entry."""
-        parts = [_squarefree_part(d) for d in self.diagonalization[0]]
+        parts = [_squarefree_part(d, scale * scale) for d, scale in zip(*self.diagonalization)]
         return tuple(v for v, _ in parts), tuple(sorted({p for _, primes in parts for p in primes if p != 2}))
 
     @property
@@ -385,19 +393,13 @@ class RationalQuadricForm:
         return self._squarefree[1]
 
 
-def _python_fraction(v) -> Fraction:
-    """v as a Fraction whose numerator and denominator are Python integers."""
-    if isinstance(v, numbers.Rational):
-        return Fraction(int(v.numerator), int(v.denominator))
-    return Fraction(v)
-
-
-def _squarefree_part(d: Fraction) -> tuple[int, tuple[int, ...]]:
-    """The squarefree integer representing d modulo nonzero rational squares, and its primes."""
-    if d == 0:
+def _squarefree_part(num: int, den: int) -> tuple[int, tuple[int, ...]]:
+    """The squarefree integer representing num/den (den > 0) modulo nonzero rational squares, and its primes."""
+    if num == 0:
         return 0, ()
-    primes = tuple(p for p, e in _factor(abs(d.numerator * d.denominator)).items() if e % 2)
-    return math.prod(primes) * (1 if d > 0 else -1), primes
+    g = math.gcd(num, den)
+    primes = tuple(p for p, e in _factor(abs(num * den) // (g * g)).items() if e % 2)
+    return math.prod(primes) * (1 if num > 0 else -1), primes
 
 
 def _legendre(u: int, p: int) -> int:
@@ -508,13 +510,12 @@ def _height_layer(h: int) -> np.ndarray:
 def _isotropic_vector(quadric: RationalQuadricForm, height: int) -> tuple[int, ...] | None:
     """Bounded deterministic search for q(v) = 0, sparse low-height vectors first.
 
-    The Gram matrix is cleared of denominators once, and each height layer is
-    tested with one integer product, in int64 when |v^T G v| <= 16 h^2 max|G|
-    cannot overflow it and in Python integers otherwise.  The first zero is
-    returned with its first nonzero entry made positive.
+    Each height layer is tested against the integer Gram matrix with one
+    product, in int64 when |v^T G v| <= 16 h^2 max|G| cannot overflow it and
+    in Python integers otherwise.  The first zero is returned with its first
+    nonzero entry made positive.
     """
-    den = math.lcm(*(x.denominator for row in quadric.matrix for x in row))
-    gram = [[int(x * den) for x in row] for row in quadric.matrix]
+    gram = quadric.gram
     dtype = np.int64 if 16 * height**2 * max(abs(x) for row in gram for x in row) < 2**63 else object
     G = np.array(gram, dtype=dtype)
     for h in range(1, height + 1):
@@ -962,10 +963,10 @@ def _disjoint_lines_from_pairs(coeffs: np.ndarray, pts):
     For a and b on the cubic, f(a + t b) = t grad f(a).b + t^2 grad f(b).a,
     so the line through them lies on the cubic iff both gradient pairings
     vanish: the pair test of the chart over F_q.  The gradient is evaluated
-    once at the points, and each block of rows is two integer products, in
-    int64 while |grad f(a).b| <= 15 sum|c| max|a|^3 stays below 2^63.  The
-    line misses the plane iff the 2x2 minor of the first two coordinates is
-    invertible.
+    once at the points, and a block of rows is two integer products with the
+    points from its first row on (pairs i < j are kept), in int64 while
+    |grad f(a).b| <= 15 sum|c| max|a|^3 stays below 2^63.  The line misses
+    the plane iff the 2x2 minor of the first two coordinates is invertible.
     """
     if not pts:
         return []
@@ -976,10 +977,10 @@ def _disjoint_lines_from_pairs(coeffs: np.ndarray, pts):
     chunk = max(1, _PAIR_BLOCK // n)
     pairs = []
     for lo in range(0, n, chunk):
-        on_cubic = grad[lo : lo + chunk] @ arr.T == 0
-        on_cubic &= arr[lo : lo + chunk] @ grad.T == 0
+        on_cubic = grad[lo : lo + chunk] @ arr[lo:].T == 0
+        on_cubic &= arr[lo : lo + chunk] @ grad[lo:].T == 0
         i, j = np.nonzero(on_cubic)
-        pairs.append(np.column_stack([lo + i, j]))
+        pairs.append(np.column_stack([lo + i, lo + j]))
     i, j = np.concatenate(pairs).T
     a, b = arr[i], arr[j]
     keep = (i < j) & (a[:, 0] * b[:, 1] != a[:, 1] * b[:, 0])
@@ -1008,19 +1009,17 @@ def _pencil_positions() -> tuple[np.ndarray, ...]:
 
 
 def _pencil_member_form(coeffs: np.ndarray, s: int, t: int) -> RationalQuadricForm:
-    """The Gram matrix of the residual quadric R_{s,t} in (u, x2, x3, x4).
+    """The residual quadric R_{s,t} in (u, x2, x3, x4), with Gram matrix 4 R (scale 2).
 
     Substituting x0 = s*u, x1 = t*u into the normalized cubic gives u times
     the residual quadric, so dividing each substituted monomial by one power
     of u reads off R_{s,t} directly: a term c*v_i*v_j adds c to a diagonal
-    entry, or c/2 to each of a pair of off-diagonal entries.
+    entry, or c/2 to each of a pair of off-diagonal entries (4c, 2c in 4 R).
     """
     positions, e0, e1, i, j = _pencil_positions()
     upper = np.zeros((4, 4), dtype=object)
     np.add.at(upper, (i, j), coeffs[positions] * s**e0 * t**e1)
-    return RationalQuadricForm(
-        tuple(tuple(Fraction(upper[min(a, b), max(a, b)], 1 if a == b else 2) for b in range(4)) for a in range(4))
-    )
+    return RationalQuadricForm(tuple(map(tuple, (2 * (upper + upper.T)).tolist())), 2)
 
 
 def _pencil_members(bound: int):

@@ -333,8 +333,10 @@ def _pullback_quartic(K: GF, G: HomogeneousForm, H: HomogeneousForm):
     y = next(common_zeros([G]))
     c1, c2 = complete_to_basis(K, y, np.eye(3, dtype=np.int64))
     g11, g12, g22 = binary_quadratic(G, c1, c2).coeffs.tolist()  # G(w)
-    # 2*beta(y, c) = G(y + c) - G(c), as G(y) = 0
-    l1, l2 = (K.sub_(G.evaluate([K.add_(a, b) for a, b in zip(y, c)]), G.evaluate(c)) for c in (c1, c2))
+    # 2*beta(y, c) = G(y + c) - G(c), as G(y) = 0; one batch for c = c1, c2
+    shifted = [[K.add_(a, b) for a, b in zip(y, c)] for c in (c1, c2)]
+    g = G.evaluate_batch(np.array([shifted[0], c1, shifted[1], c2])).tolist()
+    l1, l2 = K.sub_(g[0], g[1]), K.sub_(g[2], g[3])
     M = np.array(
         [
             [
@@ -418,16 +420,17 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
                 + " or ".join(f"F_{K.p}^{K.k * e}" for e in degrees)
             )
         L = K.extension(d)
-        ML, q0L, q1L = K.lift(M, L), q0.embedded(L), q1.embedded(L)
+        ML = K.lift(M, L)
+        new = []
         for (u, v), mult in quartic.roots(extension=d):
             if (_degree_of(K, L, v) if u else 1) < d:
                 continue  # found in a smaller field
             square = [L.mul_(u, u), L.mul_(u, v), L.mul_(v, v)]
-            coords = normalize_point(L, mat_vec(L, ML, square))
-            if q0L.evaluate(coords) or q1L.evaluate(coords):
-                raise InternalInconsistency("a point of Z misses the conics")
-            found.append((d, coords, mult))
-            left -= mult
+            new.append((d, normalize_point(L, mat_vec(L, ML, square)), mult))
+        if new and any(q.embedded(L).evaluate_batch(np.array([c for _, c, _ in new])).any() for q in (q0, q1)):
+            raise InternalInconsistency("a point of Z misses the conics")
+        found += new
+        left -= sum(mult for _, _, mult in new)
     points = tuple(
         ZPoint(d, tuple(int(c) for c in coords), m)
         for d, coords, m in sorted(found, key=lambda z: (z[0], z[1]))

@@ -4,9 +4,10 @@ Everything here is deliberately naive: polynomial arithmetic on tuples and
 on exponent dicts, cofactor determinants, Fermat inverses, brute-force
 searches, symbolic division, the group law acted out letter by letter
 through dicts, the node search over Q through sympy's resultant, gcd
-and factoring, and the line search over Q by per-term grid loops and the
-four values f(a), f(b), f(a + b), f(a - b).  Tests compare the fast package
-code against these.
+and factoring, the line search over Q by per-term grid loops and the
+four values f(a), f(b), f(a + b), f(a - b), and the diagonalization of a
+quadratic form over Q on Fractions.  Tests compare the fast package code
+against these.
 """
 
 from __future__ import annotations
@@ -1304,3 +1305,77 @@ def lines_by_four_values(int_terms: dict, pts):
         if rows not in seen:
             seen.append(rows)
     return seen
+
+
+def diagonalize_by_fractions(matrix):
+    """(diagonal, C) with C^T A C = diag(diagonal), for a symmetric 4x4 matrix A of rationals.
+
+    The congruence elimination of ``RationalQuadricForm.diagonalization`` on
+    Fractions, with its transform C kept: a zero pivot is swapped with a
+    later nonzero diagonal entry or, if there is none, gets a column that
+    meets it added; then every later column is cleared by a multiple of the
+    pivot's.  C is a product of swaps and elementary operations, so
+    det C = +-1 and the product of the diagonal is det A.
+    """
+    A = [[Fraction(v) for v in row] for row in matrix]
+    C = [[Fraction(1 if i == j else 0) for j in range(4)] for i in range(4)]
+
+    def col_op(dst, src, factor):
+        for r in range(4):
+            A[r][dst] += factor * A[r][src]
+        for r in range(4):
+            A[dst][r] += factor * A[src][r]
+        for r in range(4):
+            C[r][dst] += factor * C[r][src]
+
+    def col_swap(i, j):
+        for r in range(4):
+            A[r][i], A[r][j] = A[r][j], A[r][i]
+        A[i], A[j] = A[j], A[i]
+        for r in range(4):
+            C[r][i], C[r][j] = C[r][j], C[r][i]
+
+    for i in range(4):
+        if A[i][i] == 0:
+            j = next((j for j in range(i + 1, 4) if A[j][j] != 0), None)
+            if j is not None:
+                col_swap(i, j)
+            else:
+                j = next((j for j in range(i + 1, 4) if A[i][j] != 0), None)
+                if j is None:
+                    continue
+                col_op(i, j, Fraction(1))
+        for j in range(i + 1, 4):
+            if A[i][j] != 0:
+                col_op(j, i, -A[i][j] / A[i][i])
+    return tuple(A[i][i] for i in range(4)), tuple(tuple(row) for row in C)
+
+
+def pencil_member_matrix(int_terms: dict, s: int, t: int) -> list[list[Fraction]]:
+    """The symmetric matrix of the residual quadric R_{s,t} in (u, x2, x3, x4), term by term.
+
+    x0 = s*u, x1 = t*u turns a term c x0^e0 x1^e1 x2^e2 x3^e3 x4^e4 of a
+    normalized cubic into u times c s^e0 t^e1 u^(e0 + e1 - 1) x2^e2 x3^e3
+    x4^e4, a quadratic monomial v_i v_j: c s^e0 t^e1 on the diagonal when
+    i = j, half of it at (i, j) and at (j, i) otherwise.
+    """
+    R = [[Fraction(0)] * 4 for _ in range(4)]
+    for (e0, e1, *rest), c in int_terms.items():
+        if e0 + e1 == 0:
+            continue
+        i, j = [0] * (e0 + e1 - 1) + [v for v, k in enumerate(rest, 1) for _ in range(k)]
+        value = Fraction(c * s**e0 * t**e1)
+        if i == j:
+            R[i][i] += value
+        else:
+            R[i][j] += value / 2
+            R[j][i] += value / 2
+    return R
+
+
+def squarefree_class(d: Fraction) -> int:
+    """The squarefree integer representing the rational d modulo nonzero squares, by sympy's factorint."""
+    if d == 0:
+        return 0
+    odd = [p for p, e in sympy.factorint(abs(d.numerator * d.denominator)).items() if e % 2]
+    return math.prod(odd) * (1 if d > 0 else -1)

@@ -326,6 +326,24 @@ def test_over_q_an_integer_form_is_one_coefficient_vector():
     assert readers == {"_normalize_rational_cubic"}
 
 
+def test_quadratic_forms_over_q_are_integer_gram_matrices():
+    # a form over Q is an integer Gram matrix, diagonalized fraction-free:
+    # no Fraction is built in the form, a pencil member, the local decision or
+    # the witness search, and no helper converts entries to Fractions
+    tree = ast.parse((PACKAGE / "rationality.py").read_text())
+    scopes = {"RationalQuadricForm", "_pencil_member_form", "local_solvability", "_isotropic_vector"}
+    found = {node.name for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert scopes <= found and "_python_fraction" not in found
+    mentions = [
+        f"{node.name}:{sub.lineno}"
+        for node in tree.body
+        if getattr(node, "name", None) in scopes
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and sub.id == "Fraction"
+    ]
+    assert mentions == []
+
+
 def _attribute_reads(tree, attr, scope=""):
     """The qualified scope of every read of an attribute named ``attr``."""
     for node in ast.iter_child_nodes(tree):

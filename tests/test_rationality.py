@@ -12,14 +12,17 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_impl import (
+    diagonalize_by_fractions,
     lines_by_four_values,
     nodes_by_sympy_resultant,
+    pencil_member_matrix,
     points_on_cubic_by_term_loops,
     q_clear_denominators,
     q_derivative,
     q_evaluate,
     q_substitute,
     rational_roots_by_factor_list,
+    squarefree_class,
 )
 
 from cubicfano import rationality
@@ -102,7 +105,7 @@ def test_solvable_witnesses_satisfy_the_form():
         assert out.solvable
         v = out.witness
         assert v is not None and any(v)
-        assert sum(q.matrix[i][j] * v[i] * v[j] for i in range(4) for j in range(4)) == 0
+        assert sum(q.gram[i][j] * v[i] * v[j] for i in range(4) for j in range(4)) == 0
 
 
 def test_singular_form_raises_degenerate():
@@ -110,19 +113,28 @@ def test_singular_form_raises_degenerate():
         local_solvability(diagonal_form(1, 2, 3, 0))
 
 
+def is_nonzero_square(n) -> bool:
+    return n > 0 and math.isqrt(n) ** 2 == n
+
+
 def test_diagonalization_is_a_congruence():
+    # the transform C lives in the Fraction oracle: C^T A C = diag and
+    # prod(diag) = det A are checked there, and the package's integer diagonal
+    # is a congruence diagonal of G when disc(G) times its product is a square
     rng = random.Random(11)
     for _ in range(25):
         M = [[Fraction(0)] * 4 for _ in range(4)]
         for i in range(4):
             for j in range(i, 4):
                 M[i][j] = M[j][i] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-        q = RationalQuadricForm.from_entries(M)
-        diag, C = q.diagonalization
+        diag, C = diagonalize_by_fractions(M)
         for i in range(4):
             for j in range(4):
-                got = sum(C[a][i] * q.matrix[a][b] * C[b][j] for a in range(4) for b in range(4))
+                got = sum(C[a][i] * M[a][b] * C[b][j] for a in range(4) for b in range(4))
                 assert got == (diag[i] if i == j else 0)
+        assert math.prod(diag) == sympy.Matrix(M).det() != 0
+        q = RationalQuadricForm.from_entries(M)
+        assert is_nonzero_square(int(sympy.Matrix(q.gram).det()) * math.prod(q.diagonalization[0]))
 
 
 def _random_unimodular(rng):
@@ -143,7 +155,7 @@ def test_solvability_is_invariant_under_unimodular_congruence():
         expected = local_solvability(q)
         for _ in range(4):
             U = _random_unimodular(rng)
-            moved = [[sum(Fraction(U[a][i]) * q.matrix[a][b] * U[b][j] for a in range(4) for b in range(4))
+            moved = [[sum(Fraction(U[a][i]) * q.gram[a][b] * U[b][j] for a in range(4) for b in range(4))
                       for j in range(4)] for i in range(4)]
             got = local_solvability(RationalQuadricForm.from_entries(moved))
             assert got.solvable == expected.solvable
@@ -155,12 +167,14 @@ def test_numpy_entries_diagonalize_in_python_integers():
     # arithmetic would wrap past 2^63 (numpy warns, which fails the run)
     big = 2**40 + 15
     M = np.array([[big, 3, 0, 1], [3, -big, 2, 0], [0, 2, big, 5], [1, 0, 5, -7]], dtype=np.int64)
+    det = int(sympy.Matrix(M.tolist()).det())
     for rows in (M, [[Fraction(v) for v in row] for row in M]):
         q = RationalQuadricForm.from_entries(rows)
-        diag, C = q.diagonalization
-        entries = [x for row in q.matrix for x in row] + list(diag) + [x for row in C for x in row]
-        assert all(type(x.numerator) is int and type(x.denominator) is int for x in entries)
-        assert math.prod(diag) == sympy.Matrix(M.tolist()).det()
+        diag, scales = q.diagonalization
+        entries = [x for row in q.gram for x in row] + list(diag) + list(scales) + [q.scale]
+        assert all(type(x) is int for x in entries)
+        assert is_nonzero_square(det * math.prod(diag))
+    assert math.prod(diagonalize_by_fractions(M.tolist())[0]) == det
     # the squarefree parts go to three-argument pow, which refuses np.int64
     small = np.diag(np.array([1, 1, 1, -7], dtype=np.int64))
     assert local_solvability(RationalQuadricForm.from_entries(small)).obstruction == 2
@@ -169,7 +183,7 @@ def test_numpy_entries_diagonalize_in_python_integers():
 def test_scaling_the_form_preserves_solvability():
     for q, scale in ((diagonal_form(1, 1, 1, -7), 3), (diagonal_form(1, 2, -3, 5), -2)):
         scaled = RationalQuadricForm.from_entries(
-            [[scale * v for v in row] for row in q.matrix]
+            [[scale * v for v in row] for row in q.gram]
         )
         assert local_solvability(scaled).solvable == local_solvability(q).solvable
 
@@ -519,7 +533,7 @@ def test_a_form_is_singular_iff_its_diagonalization_has_a_zero():
             for j in range(i, 4):
                 M[i][j] = M[j][i] = rng.randint(-1, 1)
         forms.append(RationalQuadricForm.from_entries(M))
-    singular = [rationality._fraction_rref(q.matrix)[1] < 4 for q in forms]
+    singular = [sympy.Matrix(q.gram).rank() < 4 for q in forms]
     assert any(singular) and not all(singular)
     assert [0 in q.diagonalization[0] for q in forms] == singular
 
@@ -767,6 +781,75 @@ def test_each_diagonal_entry_is_factored_once(monkeypatch):
     out = local_solvability(quadric)
     assert sorted(seen) == [1, 7, 12, 45]
     assert out.diagonal == (3, -5, 7, 1) and quadric.odd_primes == (3, 5, 7)
+
+
+def random_symmetric(rng, kind):
+    """A symmetric 4x4 matrix of Fractions, entries in [-6, 6] over denominators up to 4.
+
+    ``kind`` "random" draws every entry; "zero-diagonal" leaves the diagonal
+    zero, so the first pivot gets a column added; "first-zero" zeroes only
+    the first diagonal entry, so the first pivot is swapped; "sparse" draws
+    entries in {-1, 0, 1}, which often leave a whole pivot row zero.
+    """
+    M = [[Fraction(0)] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            if kind == "sparse":
+                M[i][j] = M[j][i] = Fraction(rng.choice([-1, 0, 0, 1]))
+            elif i != j or kind == "random" or (kind == "first-zero" and i):
+                M[i][j] = M[j][i] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return M
+
+
+def oracle_cases():
+    """(name, Fraction matrix, package form) pairs for the fraction-free diagonalization."""
+    rng = random.Random(28)
+    cases = []
+    for kind in ("random", "zero-diagonal", "first-zero", "sparse"):
+        for n in range(40):
+            M = random_symmetric(rng, kind)
+            cases.append((f"{kind} {n}", M, RationalQuadricForm.from_entries(M)))
+    # every pencil member of height <= 4 of integer cubics 0-99
+    for seed in range(100):
+        coeffs = normalized(random_integer_cubic(seed))
+        for s, t in rationality._pencil_members(4):
+            M = pencil_member_matrix(terms_of(coeffs), s, t)
+            cases.append((f"cubic {seed} ({s}:{t})", M, rationality._pencil_member_form(coeffs, s, t)))
+    return cases
+
+
+def test_the_fraction_free_diagonal_is_the_fraction_diagonal_times_squares():
+    cases = oracle_cases()
+    # an added column not weighted by the scales diagonalizes these two wrongly
+    assert {"cubic 15 (0:1)", "cubic 78 (0:1)"} <= {name for name, _, _ in cases}
+    reached = set()
+    for name, M, q in cases:
+        expected, _ = diagonalize_by_fractions(M)
+        diag, scales = q.diagonalization
+        assert [d == 0 for d in diag] == [d == 0 for d in expected], name
+        assert q.squarefree_diagonal == tuple(squarefree_class(d) for d in expected), name
+        # each integer entry is the rational one times the square of its nonzero scale
+        assert all(scale and d == scale**2 * e for d, scale, e in zip(diag, scales, expected)), name
+        if name.startswith("cubic"):
+            assert [[4 * v for v in row] for row in M] == [list(row) for row in q.gram] and q.scale == 2
+        reached.add(name.split(" ")[0] + ("" if all(diag) else " singular"))
+    assert reached >= {"random", "zero-diagonal", "first-zero", "sparse singular", "cubic", "cubic singular"}
+
+
+def test_the_factored_integers_are_the_fraction_diagonals_numerators_times_denominators(monkeypatch):
+    seen = []
+
+    def spy(n):
+        seen.append(n)
+        return factor(n)
+
+    factor = rationality._factor
+    monkeypatch.setattr(rationality, "_factor", spy)
+    for name, M, q in oracle_cases():
+        expected, _ = diagonalize_by_fractions(M)
+        del seen[:]
+        q.squarefree_diagonal
+        assert seen == [abs(d.numerator * d.denominator) for d in expected if d], name
 
 
 FRACTION_ENTRIES = st.fractions(min_value=-4, max_value=4, max_denominator=6)
