@@ -68,6 +68,7 @@ from .pencil import (
     rulings_of_fibers,
 )
 from .projective import (
+    _OTHER_TWO,
     LinearSubspace,
     ProjectiveLine,
     ProjectivePoint,
@@ -546,18 +547,17 @@ class FanoSurface:
         and which systems are solvable.
         """
         n = len(ys)
-        add, mul, neg = M.add, M.mul, M.neg
-        pts = np.concatenate([ys, add[nodes, ys], add[nodes, neg[ys]]])
+        pts = np.concatenate([ys, M.add(nodes, ys), M.sub(nodes, ys)])
         grads = np.stack([g.evaluate_batch(pts) for g in self._gradient(M)], axis=1).astype(np.int64)
         g_y, g_p, g_m = grads[:n], grads[n : 2 * n], grads[2 * n :]
         system = np.zeros((n, 4, 6), dtype=np.int64)
         system[:, 0, 0] = st[:, 1]
-        system[:, 0, 1] = neg[st[:, 0]]
+        system[:, 0, 1] = M.neg[st[:, 0]]
         # the hyperplane moves toward (s1:t1) = (1:0), or (0:1) when t = 0
-        system[:, 0, 5] = np.where(st[:, 1] == 0, neg[ys[:, 0]], ys[:, 1])
+        system[:, 0, 5] = np.where(st[:, 1] == 0, M.neg[ys[:, 0]], ys[:, 1])
         system[:, 1, :5] = g_y
-        system[:, 2, :5] = add[g_p, neg[g_m]]
-        system[:, 3, :5] = add[add[g_p, g_m], neg[mul[2 % M.p, g_y]]]
+        system[:, 2, :5] = M.sub(g_p, g_m)
+        system[:, 3, :5] = M.sub(M.add(g_p, g_m), M.mul(2 % M.p, g_y))
         reduced, ranks = rref_stack(M, system)
         used = np.arange(4) < ranks[:, None]
         # each used row sets the unknown at its pivot; unused rows write the right-hand slot
@@ -788,12 +788,11 @@ def _crossings(K: GF, st: np.ndarray, rows: np.ndarray) -> np.ndarray:
     (a, b); the point is g(b)*a - g(a)*b with g(v) = t*v0 - s*v1, nonzero for
     a line off the hyperplane, and left unnormalized.
     """
-    add, mul, neg = K.add, K.mul, K.neg
     s, t = st[:, 0, None], st[:, 1, None]
     a, b = rows[:, 0], rows[:, 1]
-    ga = add[mul[t, a[:, :1]], neg[mul[s, a[:, 1:2]]]]
-    gb = add[mul[t, b[:, :1]], neg[mul[s, b[:, 1:2]]]]
-    return add[mul[gb, a], neg[mul[ga, b]]]
+    ga = K.sub(K.mul(t, a[:, :1]), K.mul(s, a[:, 1:2]))
+    gb = K.sub(K.mul(t, b[:, :1]), K.mul(s, b[:, 1:2]))
+    return K.sub(K.mul(gb, a), K.mul(ga, b))
 
 
 # what a point lookup returns for a point on no line of the class, and on several
@@ -947,10 +946,6 @@ class _TorsorArrays:
         self.is_cone = np.array([c.is_cone for c in look.classes], dtype=bool)
 
 
-# the two coordinates other than p, ascending, for p = 0, 1, 2
-_OTHER_TWO = np.array([[1, 2], [0, 2], [0, 1]])
-
-
 def _singular_conic_lines(K: GF, conics: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The two lines of each conic of an (n, 3, 3) stack of symmetric matrices of rank 1 or 2.
 
@@ -968,10 +963,10 @@ def _singular_conic_lines(K: GF, conics: np.ndarray) -> tuple[np.ndarray, np.nda
     R, _ = rref_stack(K, conics)
     pivot = ((R != 0).argmax(axis=2)[:, None, :] == np.arange(3)[:, None]) & R.any(axis=2)[:, None, :]
     free = (~pivot.any(axis=2)).argmax(axis=1)
-    v = K.add[np.eye(3, dtype=np.int64)[free], K.neg[dot(K, pivot.astype(np.int64), R[at, :, free][:, None, :])]]
+    v = K.sub(np.eye(3, dtype=np.int64)[free], dot(K, pivot.astype(np.int64), R[at, :, free][:, None, :]))
     c = _OTHER_TWO[2 - (v[:, ::-1] != 0).argmax(axis=1)]
     Q = conics[at[:, None, None], c[:, :, None], c[:, None, :]]  # the conic on span(c1, c2)
-    roots, mult, split = quadratic_roots(K, Q[:, 0, 0], K.add[Q[:, 0, 1], Q[:, 0, 1]], Q[:, 1, 1])
+    roots, mult, split = quadratic_roots(K, Q[:, 0, 0], K.add(Q[:, 0, 1], Q[:, 0, 1]), Q[:, 1, 1])
     # c1 and c2 are distinct unit vectors, so the integer product places b and g
     directions = roots @ np.eye(3, dtype=np.int64)[c]
     return np.stack([np.broadcast_to(v[:, None], directions.shape), directions], axis=2), mult, split
@@ -1425,7 +1420,7 @@ def _section_lines(nf: NormalizedThreefold, line1: ProjectiveLine, line2: Projec
     j = 1 + next(i for i, x in enumerate(lam[2:]) if x)
     others = [c for c in range(4) if c != j]
     B = np.tile(np.eye(4, dtype=np.int64)[others], (len(params), 1, 1))
-    B[:, :, j] = Ld.neg[Ld.mul[mu[:, others], Ld.inv[lam[j + 1]]]]
+    B[:, :, j] = Ld.neg[Ld.mul(mu[:, others], Ld.inv[lam[j + 1]])]
     MB = dot(Ld, np.stack([fiber.matrix for fiber in fibers])[:, None], B[:, :, None, :])
     conics = dot(Ld, B[:, :, None, :], MB[:, None]).astype(np.int64)
     if not conics.any(axis=(1, 2)).all():
@@ -1458,7 +1453,7 @@ def _hyperplane_frames(L: GF, lam) -> np.ndarray:
     """
     J = 2 + next(i for i, x in enumerate(lam[2:]) if x)
     proj = np.eye(5, dtype=np.int64)
-    proj[:, J] = L.add[proj[:, J], L.neg[L.mul[np.asarray(lam), L.inv[lam[J]]]]]
+    proj[:, J] = L.sub(proj[:, J], L.mul(np.asarray(lam), L.inv[lam[J]]))
     others = [c for c in (2, 3, 4) if c != J]
     return proj[[[0] + others, [1] + others]]
 
@@ -1476,14 +1471,14 @@ def _quadric_zeros(L: GF, f: HomogeneousForm, frames: np.ndarray) -> list[np.nda
     grid = np.indices((L.q,) * r).reshape(r, -1).T
     base = np.broadcast_to(frames[:, None, 0], (len(frames), len(grid), 5))
     for i in range(r):
-        base = L.add[base, L.mul[grid[:, i, None], frames[:, None, 1 + i]]]
+        base = L.add(base, L.mul(grid[:, i, None], frames[:, None, 1 + i]))
     base = base.reshape(-1, 5)
     solved = np.repeat(frames[:, -1], len(grid), axis=0)
-    steps = L.mul[np.array([0, 1, L.neg_(1)])[:, None, None], solved]
-    h0, h1, hm = f.evaluate_batch(L.add[base, steps].reshape(-1, 5)).reshape(3, -1)
+    steps = L.mul(np.array([0, 1, L.neg_(1)])[:, None, None], solved)
+    h0, h1, hm = f.evaluate_batch(L.add(base, steps).reshape(-1, 5)).reshape(3, -1)
     half = L.inv[2 % L.p]
-    c1 = L.mul[half, L.add[h1, L.neg[hm]]]
-    c2 = L.add[L.mul[half, L.add[h1, hm]], L.neg[h0]]
+    c1 = L.mul(half, L.sub(h1, hm))
+    c2 = L.sub(L.mul(half, L.add(h1, hm)), h0)
     flat = (h0 == 0) & (c1 == 0) & (c2 == 0)
     # a root (1 : t) of h0 b^2 + c1 b g + c2 g^2 is a zero t of h; (0 : 1) is none
     roots, mult, _ = quadratic_roots(L, np.where(flat, 1, h0), c1, c2)
@@ -1491,7 +1486,7 @@ def _quadric_zeros(L: GF, f: HomogeneousForm, frames: np.ndarray) -> list[np.nda
     whole = np.flatnonzero(flat)
     line = np.concatenate([hit, np.repeat(whole, L.q)])
     t = np.concatenate([roots[hit, slot, 1], np.tile(np.arange(L.q), len(whole))])
-    points = L.add[base[line], L.mul[t[:, None], solved[line]]]
+    points = L.add(base[line], L.mul(t[:, None], solved[line]))
     frame = line // len(grid)
     return [points[frame == i] for i in range(len(frames))]
 

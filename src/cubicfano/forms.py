@@ -170,10 +170,10 @@ class HomogeneousForm:
                 f"cannot add a degree {other.degree} form in {other.nvars} variables"
                 f" to a degree {self.degree} form in {self.nvars}"
             )
-        return HomogeneousForm.from_coeffs(self.K, self.nvars, self.degree, self.K.add[self.coeffs, other.coeffs])
+        return HomogeneousForm.from_coeffs(self.K, self.nvars, self.degree, self.K.add(self.coeffs, other.coeffs))
 
     def scaled(self, c: int) -> "HomogeneousForm":
-        return HomogeneousForm.from_coeffs(self.K, self.nvars, self.degree, self.K.mul[self.coeffs, c])
+        return HomogeneousForm.from_coeffs(self.K, self.nvars, self.degree, self.K.mul(self.coeffs, c))
 
     def times(self, other: "HomogeneousForm") -> "HomogeneousForm":
         """The product, interpolated from the products of the two forms' values."""
@@ -181,14 +181,14 @@ class HomogeneousForm:
             raise InvalidInput(f"cannot multiply forms in {self.nvars} and {other.nvars} variables")
         degree = self.degree + other.degree
         L, pts = interpolation_points(self.K, self.nvars, degree)
-        values = L.mul[self.embedded(L).evaluate_batch(pts), other.embedded(L).evaluate_batch(pts)]
+        values = L.mul(self.embedded(L).evaluate_batch(pts), other.embedded(L).evaluate_batch(pts))
         return interpolate(self.K, self.nvars, degree, values)
 
     def derivative(self, i: int) -> "HomogeneousForm":
         """The partial derivative in x_i: each monomial e of degree - 1 takes (e_i + 1) c_(e + x_i)."""
         K, degree = self.K, self.degree - 1
         factors = (_layout(self.nvars, degree)[1][:, i].astype(np.int64) + 1) % K.p
-        coeffs = K.mul[self.coeffs[_raised(self.nvars, degree, i)], factors]
+        coeffs = K.mul(self.coeffs[_raised(self.nvars, degree, i)], factors)
         return HomogeneousForm.from_coeffs(K, self.nvars, degree, coeffs)
 
     # -- evaluation -----------------------------------------------------------
@@ -231,7 +231,7 @@ class HomogeneousForm:
         K, rows = self.K, _layout(self.nvars, 2)[1]
         # the first and the last variable of each monomial x_i x_j
         i, j = rows.argmax(axis=1), self.nvars - 1 - rows[:, ::-1].argmax(axis=1)
-        values = np.where(i == j, self.coeffs, K.mul[self.coeffs, K.inverse(2 % K.p)])
+        values = np.where(i == j, self.coeffs, K.mul(self.coeffs, K.inverse(2 % K.p)))
         M = np.zeros((self.nvars, self.nvars), dtype=np.int64)
         M[i, j] = M[j, i] = values
         return M
@@ -309,8 +309,8 @@ class HomogeneousForm:
 
         Finite points come first ordered by t code, the point (0, 1) last.
         u = f(1, t) is evaluated at every code x of L = F_{q^extension} at
-        once, by one Horner pass of gathers from L's addition and
-        multiplication tables; a root's multiplicity is the number of times
+        once, by one Horner pass of L's vectorized addition and
+        multiplication; a root's multiplicity is the number of times
         t - x divides u, by synthetic division.
         """
         self._require_binary()
@@ -322,7 +322,7 @@ class HomogeneousForm:
         xs = np.arange(L.q)
         values = np.zeros(L.q, dtype=np.uint16)
         for c in reversed(u):
-            values = L.add[L.mul[values, xs], c]
+            values = L.add(L.mul(values, xs), c)
         out = []
         for x in np.flatnonzero(values == 0).tolist():
             mult, poly = 0, u
@@ -513,14 +513,14 @@ def quadratic_roots(K: GF, q11, q12, q22) -> tuple[np.ndarray, np.ndarray, np.nd
     q11, q12, q22 = np.broadcast_arrays(*(np.asarray(c, dtype=np.int64) for c in (q11, q12, q22)))
     if not ((q11 != 0) | (q12 != 0) | (q22 != 0)).all():
         raise ValueError("every point is a root of the zero form")
-    d = K.sqrt_table[K.add[K.mul[q12, q12], K.neg[K.mul[4 % K.p, K.mul[q11, q22]]]]]
+    d = K.sqrt_table[K.sub(K.mul(q12, q12), K.mul(4 % K.p, K.mul(q11, q22)))]
     split, d = d >= 0, np.maximum(d, 0)
     # a root (1 : x) as x and (0 : 1) as q: (-q12 +- d) / (2 q22), or
     # -q11 / q12 and (0 : 1) when q22 = 0, or (0 : 1) twice when q12 = 0 too
     quad, line = q22 != 0, (q22 == 0) & (q12 == 0)
-    inv = K.inv[np.where(quad, K.mul[2 % K.p, q22], q12)]
-    first = np.where(line, K.q, K.mul[np.where(quad, K.add[K.neg[q12], d], K.neg[q11]), inv])
-    x = np.sort(np.stack([first, np.where(quad, K.mul[K.add[K.neg[q12], K.neg[d]], inv], K.q)], axis=-1))
+    inv = K.inv[np.where(quad, K.mul(2 % K.p, q22), q12)]
+    first = np.where(line, K.q, K.mul(np.where(quad, K.sub(d, q12), K.neg[q11]), inv))
+    x = np.sort(np.stack([first, np.where(quad, K.mul(K.sub(K.neg[q12], d), inv), K.q)], axis=-1))
     roots = np.stack([x < K.q, np.where(x < K.q, x, 1)], axis=-1) * split[..., None, None]
     double = x[..., 0] == x[..., 1]
     return roots, np.stack([1 + double, ~double], axis=-1) * split[..., None], split

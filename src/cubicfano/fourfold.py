@@ -102,20 +102,6 @@ class NormalizedFourfold:
             self._slices[lam] = _build_slice(self, lam)
         return self._slices[lam]
 
-    def embedded(self, L: GF) -> "NormalizedFourfold":
-        """The same normalized fourfold over an extension field; self over its own."""
-        if L is self.K:
-            return self
-        eye = tuple(tuple(1 if i == j else 0 for j in range(6)) for i in range(6))
-        return NormalizedFourfold(
-            L,
-            self.f.embedded(L),
-            self.Q0.embedded(L),
-            self.Q1.embedded(L),
-            self.Q2.embedded(L),
-            eye,
-        )
-
 
 def normalize_fourfold(cubic: HomogeneousForm, plane: LinearSubspace) -> NormalizedFourfold:
     """Move ``plane`` to {x0 = x1 = x2 = 0} and split off the quadrics.

@@ -2,10 +2,14 @@
 
 Elements are plain ints in ``range(q)``: the code ``c0 + c1*p + ... +
 c_{k-1}*p^{k-1}`` stands for the residue ``c0 + c1*X + ...`` modulo the field's
-modulus polynomial.  A :class:`GF` object owns the precomputed numpy tables
-(addition, multiplication, inverses, quadratic character, canonical square
-roots, Frobenius, and the log and digit tables of the batch form evaluator) so
-that scalar code stays readable and batch code can run as pure table gathers.
+modulus polynomial.  A :class:`GF` object owns the precomputed numpy tables.
+Addition and multiplication are its methods: ``add``, ``sub`` and ``mul`` on
+codes and broadcasting arrays of codes, ``add_``, ``sub_`` and ``mul_`` on two
+codes.  How they are stored, today two dense q x q tables, is private to this
+module.  The length-q vectors ``neg``, ``inv``, ``chi`` (the quadratic
+character), ``sqrt_table`` (canonical square roots) and ``frob`` (Frobenius)
+are public arrays for gathers; the log and digit tables of the batch form
+evaluator come from :meth:`GF.term_tables`.
 
 Conventions, fixed once so serialized data is portable.  Coefficient words are
 ordered by their value as base-p integers with the constant digit least
@@ -27,17 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InternalInconsistency, InvalidInput, NotSupportedError
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+from .integers import _factor, _is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +138,7 @@ class GF:
     """
 
     def __init__(self, p: int, k: int = 1):
-        if not is_prime(p):
+        if not _is_prime(p):
             raise InvalidInput(f"characteristic {p} is not prime")
         if p == 2:
             raise InvalidInput("characteristic 2 is not supported")
@@ -187,11 +181,11 @@ class GF:
         for lo in range(0, q, step):
             blk = (vecs[lo : lo + step, None, :] + vecs[None, :, :]) % p
             add[lo : lo + step] = blk.astype(np.int64) @ pw
-        self.add = add
+        self._add = add
         self.neg = (((-vecs) % p).astype(np.int64) @ pw).astype(np.uint16)
 
         # discrete log on the smallest primitive code
-        order_factors = _prime_factors(q - 1)
+        order_factors = sorted(_factor(q - 1))
         g = None
         for cand in range(2, q):
             if all(self._code_pow(cand, (q - 1) // f) != 1 for f in order_factors):
@@ -214,7 +208,7 @@ class GF:
         for lo in range(0, q - 1, step):
             sums = log[nz[lo : lo + step], None] + log[None, nz]
             mul[np.ix_(nz[lo : lo + step], nz)] = exp[sums % (q - 1)]
-        self.mul = mul
+        self._mul = mul
 
         inv = np.zeros(q, dtype=np.uint16)
         inv[nz] = exp[(-(self._log[nz])) % (q - 1)]
@@ -244,7 +238,20 @@ class GF:
             e >>= 1
         return result
 
-    # -- scalar arithmetic ---------------------------------------------------
+    # -- arithmetic ------------------------------------------------------------
+    #
+    # add, sub and mul take codes or integer arrays of codes, broadcast them
+    # against each other, and return uint16 codes (a numpy scalar for two
+    # scalars); add_, sub_ and mul_ take two codes and return a Python int
+
+    def add(self, a, b):
+        return self._add[a, b]
+
+    def sub(self, a, b):
+        return self._add[a, self.neg[b]]
+
+    def mul(self, a, b):
+        return self._mul[a, b]
 
     def encode(self, coeffs) -> int:
         code = 0
@@ -260,13 +267,13 @@ class GF:
         return tuple(out)
 
     def add_(self, a: int, b: int) -> int:
-        return int(self.add[a, b])
+        return int(self._add[a, b])
 
     def sub_(self, a: int, b: int) -> int:
-        return int(self.add[a, self.neg[b]])
+        return int(self._add[a, self.neg[b]])
 
     def mul_(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
+        return int(self._mul[a, b])
 
     def neg_(self, a: int) -> int:
         return int(self.neg[a])
@@ -275,14 +282,6 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in " + repr(self))
         return int(self.inv[a])
-
-    def div_(self, a: int, b: int) -> int:
-        return self.mul_(a, self.inverse(b))
-
-    def pow_(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e else 1
-        return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
 
     def pow_vector(self, e: int) -> np.ndarray:
         """Table of x -> x^e over all codes (e >= 0)."""
@@ -322,9 +321,6 @@ class GF:
         """Canonical square root, or None when a is not a square."""
         r = int(self.sqrt_table[a])
         return None if r < 0 else r
-
-    def chi_(self, a: int) -> int:
-        return int(self.chi[a])
 
     def frobenius(self, a: int, i: int = 1) -> int:
         for _ in range(i % self.k if self.k > 1 else 0):
@@ -386,10 +382,6 @@ class GF:
                 return field(self.p, j) if j < self.k else self
         return self.extension(next(e for e in range(2, degree) if self.q**e >= degree))
 
-    def embedding_into(self, big: "GF") -> np.ndarray:
-        """Code map of the canonical embedding self -> big (needs self.k | big.k)."""
-        return _embedding(self.p, self.k, big.k)
-
     def __repr__(self) -> str:
         if self.k == 1:
             return f"GF({self.p})"
@@ -397,19 +389,6 @@ class GF:
 
     def __reduce__(self):
         return (field, (self.p, self.k))
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 _FIELDS: dict[tuple[int, int], GF] = {}
@@ -433,7 +412,7 @@ def _embedding(p: int, small_k: int, big_k: int) -> np.ndarray:
     codes = np.arange(big.q)
     vals = np.full(big.q, small.modulus[-1], dtype=np.uint16)
     for c in reversed(small.modulus[:-1]):
-        vals = big.add[big.mul[vals, codes], c]
+        vals = big.add(big.mul(vals, codes), c)
     roots = codes[vals == 0]
     if len(roots) != small_k:
         raise InternalInconsistency(f"the modulus of F_{p}^{small_k} has {len(roots)} roots in F_{p}^{big_k}")

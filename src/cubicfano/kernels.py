@@ -2,8 +2,8 @@
 
 One numpy implementation, the same for F_p and F_{p^k}: a sparse form is
 evaluated at many points from the field's log and digit tables
-(``GF.term_tables``), with no per-term loop and no gather from the dense
-q x q addition and multiplication tables.  A term c*x^e is nonzero exactly
+(``GF.term_tables``), with no per-term loop and no call of the field's
+addition or multiplication.  A term c*x^e is nonzero exactly
 when no variable it uses is zero, and then it is g^t for the term log
 t = log c + sum_i e_i*log x_i.  One small product gives every term log at
 every point; one gather turns each into the base-p digits of its value,

@@ -5,8 +5,8 @@ return fresh int64 arrays and never mutate their inputs.  Sizes here are
 small: in the package's own calls the largest product is with the 56 x 56
 inverse that interpolates a cubic in six variables, and the largest row
 reduction picks that cubic's interpolation points among the 364 points of
-P^5(F_3), once.  Everything is Gaussian elimination and table gathers
-driven by the field's tables.
+P^5(F_3), once.  Everything is Gaussian elimination on the field's
+vectorized ``add``, ``sub`` and ``mul``.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ def rref(K: GF, mat) -> tuple[np.ndarray, list[int]]:
         if pivot is None:
             continue
         A[[r, pivot]] = A[[pivot, r]]
-        A[r] = K.mul[A[r], K.inverse(int(A[r, c]))]
-        for i in range(rows):
-            if i != r and A[i, c]:
-                factor = K.mul[int(A[i, c])]
-                A[i] = K.add[A[i], K.neg[factor[A[r]]]]
+        A[r] = K.mul(A[r], K.inverse(int(A[r, c])))
+        # every other row loses its entry in column c times the pivot row
+        factors = A[:, c].copy()
+        factors[r] = 0
+        A[:] = K.sub(A, K.mul(factors[:, None], A[r]))
         pivots.append(c)
         r += 1
         if r == rows:
@@ -50,8 +50,9 @@ def rref_stack(K: GF, mats) -> tuple[np.ndarray, np.ndarray]:
     matrix the pivot of a column is its first nonzero entry in a row not yet
     used as a pivot.  R[i, :rank[i]] equals ``rref(K, mats[i])[0]`` and the
     rows below are zero.  On a single small matrix the sweep's fixed cost per
-    column is several times the work of :func:`rref`'s row loop, so that loop
-    stays for the one-matrix calls.
+    column outweighs the work of :func:`rref`'s column step (a 2 x 5 matrix
+    over F_3 takes about three times as long), so :func:`rref` stays for the
+    one-matrix calls.
     """
     A = np.array(mats, dtype=np.int64) % K.q
     n, rows, cols = A.shape
@@ -67,8 +68,8 @@ def rref_stack(K: GF, mats) -> tuple[np.ndarray, np.ndarray]:
         p = first[s]
         B = A[s]
         at = np.arange(len(s))
-        pivot_row = K.mul[K.inv[B[at, p, c]][:, None], B[at, p]]
-        B = K.add[B, K.neg[K.mul[B[:, :, c, None], pivot_row[:, None, :]]]]
+        pivot_row = K.mul(K.inv[B[at, p, c]][:, None], B[at, p])
+        B = K.sub(B, K.mul(B[:, :, c, None], pivot_row[:, None, :]))
         B[at, p] = pivot_row
         A[s] = B
         free[s, p] = False
@@ -125,13 +126,13 @@ def det(K: GF, mats) -> np.ndarray:
         result[swapped] = K.neg[result[swapped]]
         A[every, c], A[every, p] = A[every, p], A[every, c]
         pivot = A[:, c, c]
-        result = K.mul[result, pivot].astype(np.int64)
-        factors = K.mul[A[:, c + 1 :, c], K.inv[pivot][:, None]]
-        A[:, c + 1 :, c:] = K.add[A[:, c + 1 :, c:], K.neg[K.mul[factors[:, :, None], A[:, None, c, c:]]]]
+        result = K.mul(result, pivot).astype(np.int64)
+        factors = K.mul(A[:, c + 1 :, c], K.inv[pivot][:, None])
+        A[:, c + 1 :, c:] = K.sub(A[:, c + 1 :, c:], K.mul(factors[:, :, None], A[:, None, c, c:]))
     return result.reshape(lead)
 
 
-# the longest summed axis that dot adds up one gather per entry
+# the longest summed axis that dot adds up one field addition per entry
 _SHORT_AXIS = 8
 
 
@@ -139,16 +140,16 @@ def dot(K: GF, u, v) -> np.ndarray:
     """Dot products u . v along the last axis (broadcasting), as codes.
 
     A short axis, as in the stacked fiber and plane-section products, is
-    added up one gather per entry.  A longer one, as in an interpolation, is
-    added up in one pass: addition is digitwise mod p, so the base-p digits
-    of the products are summed and reduced once.
+    added up one field addition per entry.  A longer one, as in an
+    interpolation, is added up in one pass: addition is digitwise mod p, so
+    the base-p digits of the products are summed and reduced once.
     """
     if u.shape[-1] <= _SHORT_AXIS:
-        acc = K.mul[u[..., 0], v[..., 0]]
+        acc = K.mul(u[..., 0], v[..., 0])
         for i in range(1, u.shape[-1]):
-            acc = K.add[acc, K.mul[u[..., i], v[..., i]]]
+            acc = K.add(acc, K.mul(u[..., i], v[..., i]))
         return acc
-    prods = K.mul[u, v]
+    prods = K.mul(u, v)
     out = 0
     for j in range(K.k):
         out = out + (prods // K.p**j % K.p).sum(axis=-1) % K.p * K.p**j
@@ -162,4 +163,17 @@ def mat_mul(K: GF, A, B) -> np.ndarray:
 
 
 def mat_vec(K: GF, A, v) -> np.ndarray:
-    return dot(K, np.asarray(A, dtype=np.int64), np.asarray(v, dtype=np.int64)).astype(np.int64)
+    """A v for stacks of matrices (..., m, n) and vectors (..., n), broadcasting."""
+    v = np.asarray(v, dtype=np.int64)
+    return dot(K, np.asarray(A, dtype=np.int64), v[..., None, :]).astype(np.int64)
+
+
+def minors(K: GF, u, v, pairs) -> np.ndarray:
+    """The 2x2 minors u_i v_j - u_j v_i of vectors u and v (..., n), broadcasting.
+
+    One minor per index pair (i, j), along the last axis: the pairs (1, 2),
+    (2, 0), (0, 1) give the cross product of 3-vectors, the six pairs i < j
+    of 4-vectors the Plucker coordinates of the line they span.
+    """
+    i, j = np.array(pairs).T
+    return K.sub(K.mul(u[..., i], v[..., j]), K.mul(u[..., j], v[..., i]))

@@ -23,8 +23,8 @@ The rulings of a smooth fiber are built, not searched for (Harris, *Algebraic
 Geometry: A First Course*, Lecture 22): with beta the fiber's bilinear form,
 the line of the quadric through x meeting a line span(b1, b2) of the other
 ruling meets it at beta(x, b2) b1 - beta(x, b1) b2.  The rulings of all the
-fibers of a field are built at once (:func:`rulings_of_fibers`), as table
-gathers on stacked arrays: the fiber matrices and their ranks from one
+fibers of a field are built at once (:func:`rulings_of_fibers`), as field
+arithmetic on stacked arrays: the fiber matrices and their ranks from one
 stacked row reduction, a point y of each fiber from stacked evaluations over
 a plane, the two lines through y as the roots of the tangent conic
 (:func:`forms.quadratic_roots`), the lines of both rulings through all
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import InternalInconsistency, NotGeneral
 from .forms import HomogeneousForm, interpolate, interpolation_points, monomial_exponents, quadratic_roots
 from .gf import GF
-from .linalg import det, dot, rref_stack
+from .linalg import det, dot, mat_vec, minors, rref_stack
 from .projective import ProjectiveLine, all_points_array, projective_reps
 
 
@@ -72,7 +72,7 @@ class PencilFiber:
         K = self.K
         rows = np.asarray(rows, dtype=np.int64)
         u = rows[..., :1]
-        return np.concatenate([K.mul[self.s, u], K.mul[self.t, u], rows[..., 1:]], axis=-1)
+        return np.concatenate([K.mul(self.s, u), K.mul(self.t, u), rows[..., 1:]], axis=-1)
 
     def ambient_lines(self, rows) -> list[ProjectiveLine]:
         """The lines with canonical fiber rows ``rows`` (n, 2, 4), in ambient coordinates.
@@ -94,7 +94,7 @@ def pencil_fibers(nf, L: GF, params) -> list[PencilFiber]:
     threefold's kept symbolic matrix ``nf.pencil_matrix`` are binary forms of
     degree at most 3 in (s, t); their coefficients, kept stacked as
     ``nf.pencil_coeffs`` and lifted into L, are evaluated at every (s:t) at
-    once, as table gathers on one stack.
+    once, as field arithmetic on one stack.
     """
     params = np.array(list(params), dtype=np.int64).reshape(-1, 2)
     if not params.any(axis=1).all():
@@ -102,8 +102,8 @@ def pencil_fibers(nf, L: GF, params) -> list[PencilFiber]:
     coeffs = nf.K.lift(nf.pencil_coeffs, L)  # [i, j, a, b]: the coefficient of s^a t^b in entry (i, j)
     powers = np.ones((len(params), 4, 2), dtype=np.int64)  # [n, e]: (s^e, t^e)
     for e in range(1, 4):
-        powers[:, e] = L.mul[powers[:, e - 1], params]
-    monomials = L.mul[powers[:, :, None, 0], powers[:, None, :, 1]]  # [n, a, b]: s^a t^b
+        powers[:, e] = L.mul(powers[:, e - 1], params)
+    monomials = L.mul(powers[:, :, None, 0], powers[:, None, :, 1])  # [n, a, b]: s^a t^b
     matrices = dot(L, coeffs.reshape(4, 4, 16), monomials.reshape(-1, 1, 1, 16)).astype(np.int64)
     return [PencilFiber(L, s, t, M) for (s, t), M in zip(params.tolist(), matrices)]
 
@@ -166,7 +166,7 @@ def symbolic_fiber_entries(quadrics) -> list[list[HomogeneousForm]]:
     (v, x_n, x_{n+1}, x_{n+2}); entry (0, 0) is cubic, the rest of row and
     column 0 quadratic, and the remaining entries linear in the parameters.
     Each quadric's coefficients are placed by one index assignment and added
-    by one table gather; the off-diagonal entries are halved.
+    by one vectorized field addition; the off-diagonal entries are halved.
     """
     n, K = len(quadrics), quadrics[0].K
     slots, total, positions = _entry_positions(n)
@@ -174,12 +174,12 @@ def symbolic_fiber_entries(quadrics) -> list[list[HomogeneousForm]]:
     for w, Q in enumerate(quadrics):
         term = np.zeros(total, dtype=np.int64)
         term[positions[w]] = Q.coeffs
-        flat = K.add[flat, term]
+        flat = K.add(flat, term)
     half = K.inverse(2 % K.p)
     out = [[None] * 4 for _ in range(4)]
     for (i, j), (start, degree, size) in slots.items():
         codes = flat[start : start + size]
-        out[i][j] = out[j][i] = HomogeneousForm.from_coeffs(K, n, degree, codes if i == j else K.mul[codes, half])
+        out[i][j] = out[j][i] = HomogeneousForm.from_coeffs(K, n, degree, codes if i == j else K.mul(codes, half))
     return out
 
 
@@ -227,20 +227,10 @@ class RulingClass:
         return isinstance(other, RulingClass) and self.key == other.key
 
 
-def _apply(K: GF, M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M v for stacks of matrices (..., n, n) and vectors (..., n), broadcasting."""
-    return dot(K, M, v[..., None, :])
-
-
-def _combine(K: GF, c1: np.ndarray, u: np.ndarray, c2: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """c1 u + c2 v for scalars (...) and vectors (..., n), broadcasting."""
-    return K.add[K.mul[c1[..., None], u], K.mul[c2[..., None], v]]
-
-
 def _line_points(K: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The q + 1 points a + t b (t in F_q) and b of each line span(a, b): (..., q + 1, n)."""
     t = np.arange(K.q)[:, None]
-    return np.concatenate([K.add[a[..., None, :], K.mul[t, b[..., None, :]]], b[..., None, :]], axis=-2)
+    return np.concatenate([K.add(a[..., None, :], K.mul(t, b[..., None, :])), b[..., None, :]], axis=-2)
 
 
 def _meeting_lines(K: GF, M: np.ndarray, points: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
@@ -251,31 +241,23 @@ def _meeting_lines(K: GF, M: np.ndarray, points: np.ndarray, b1: np.ndarray, b2:
     (S, 4, 4), points (S, P, 4) and b1, b2 (S, 4); the rows come back as
     (S, P, 2, 4).
     """
-    Mb1, Mb2 = (_apply(K, M, b)[:, None, :] for b in (b1, b2))
-    meet = _combine(K, dot(K, points, Mb2), b1[:, None, :], K.neg[dot(K, points, Mb1)], b2[:, None, :])
+    Mb1, Mb2 = (mat_vec(K, M, b)[:, None, :] for b in (b1, b2))
+    coeffs = np.stack([dot(K, points, Mb2), K.neg[dot(K, points, Mb1)]], axis=-1)
+    meet = dot(K, coeffs[..., None, :], np.stack([b1, b2], axis=-1)[:, None])
     return np.stack([points, meet], axis=-2)
 
 
 # the three coordinates other than j, ascending, for j = 0, ..., 3
 _OTHER_THREE = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+# the index pairs of the Plucker coordinates p01, p02, p03, p12, p13, p23
+_PLUECKER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # points of a plane per step of the scan for a point of each smooth fiber
 _PLANE_CHUNK = 1024
 
 
 def _quadric_values(K: GF, M: np.ndarray, points: np.ndarray) -> np.ndarray:
     """x^T M_i x for quadrics M (F, 4, 4) at points (F, P, 4) or (P, 4): an (F, P) array."""
-    return dot(K, points, _apply(K, M[:, None], points))
-
-
-def _pluecker(K: GF, rows: np.ndarray) -> np.ndarray:
-    """Plucker coordinates p01, p02, p03, p12, p13, p23 of lines with rows (..., 2, 4)."""
-    a, b = rows[..., 0, :], rows[..., 1, :]
-    minors = [
-        K.add[K.mul[a[..., i], b[..., j]], K.neg[K.mul[a[..., j], b[..., i]]]]
-        for i in range(4)
-        for j in range(i + 1, 4)
-    ]
-    return np.stack(minors, axis=-1)
+    return dot(K, points, mat_vec(K, M[:, None], points))
 
 
 def _check_pairings(K: GF, rows: np.ndarray, labels: np.ndarray) -> None:
@@ -285,13 +267,13 @@ def _check_pairings(K: GF, rows: np.ndarray, labels: np.ndarray) -> None:
     fibers, and ``labels`` the ruling of each of the N lines.  One stack of
     Plucker pairings decides it: two lines meet exactly when they pair to zero.
     """
-    pl = _pluecker(K, rows)
+    pl = minors(K, rows[..., 0, :], rows[..., 1, :], _PLUECKER)
     # <p, p'> = p01 p'23 - p02 p'13 + p03 p'12 + p12 p'03 - p13 p'02 + p23 p'01
     dual = pl[..., ::-1].copy()
     dual[..., [1, 4]] = K.neg[dual[..., [1, 4]]]
     pairing = np.zeros(pl.shape[:2] + pl.shape[1:2], dtype=np.uint16)
     for k in range(6):
-        pairing = K.add[pairing, K.mul[pl[:, :, None, k], dual[:, None, :, k]]]
+        pairing = K.add(pairing, K.mul(pl[:, :, None, k], dual[:, None, :, k]))
     same = labels[:, None] == labels[None, :]
     meets = pairing == 0
     if (meets & (same & ~np.eye(len(labels), dtype=bool))).any():
@@ -311,9 +293,9 @@ def _smooth_rulings(K: GF, M: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
     # nonzero entry it has the basis e_j - (r_j / r_p) e_p (j != p), in which
     # y has the coordinates y_j, so y and the two vectors of that basis other
     # than the first j with y_j != 0 span it
-    r = _apply(K, M, y)
+    r = mat_vec(K, M, y)
     p = (r != 0).argmax(axis=1)
-    ratio = K.mul[r, K.inv[r[at, p]][:, None]]
+    ratio = K.mul(r, K.inv[r[at, p]][:, None])
     j = np.arange(4)
     star = ((j != p[:, None]) & (y != 0)).argmax(axis=1)
     rest = np.argsort(j + 4 * ((j == p[:, None]) | (j == star[:, None])), axis=1, kind="stable")[:, :2]
@@ -325,27 +307,30 @@ def _smooth_rulings(K: GF, M: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
     # the cross terms with y vanish on the tangent plane, so there the quadric
     # is the binary quadratic q11 b^2 + q12 b g + q22 g^2 in b c1 + g c2,
     # whose roots are the two lines of the quadric through y
-    Mc2 = _apply(K, M, c2)
-    q11, q22 = dot(K, c1, _apply(K, M, c1)), dot(K, c2, Mc2)
+    Mc2 = mat_vec(K, M, c2)
+    q11, q22 = dot(K, c1, mat_vec(K, M, c1)), dot(K, c2, Mc2)
     beta12 = dot(K, c1, Mc2)
-    roots, mult, split = quadratic_roots(K, q11, K.add[beta12, beta12], q22)
+    roots, mult, split = quadratic_roots(K, q11, K.add(beta12, beta12), q22)
     if (mult == 2).any():
         raise InternalInconsistency("the tangent conic of a smooth quadric is two distinct lines")
     split = np.flatnonzero(split)
     M, y, p, r, c1, c2, roots = M[split], y[split], p[split], r[split], c1[split], c2[split], roots[split]
     at = np.arange(len(split))
-    a, b = (_combine(K, roots[:, i, 0], c1, roots[:, i, 1], c2) for i in range(2))
+    c12 = np.stack([c1, c2], axis=-1)
+    a, b = (dot(K, roots[:, i, None, :], c12) for i in range(2))
 
     # x = -M_pp y + 2 r_p e_p is the second point of the quadric on the line
     # through y and e_p, off the tangent plane at y: beta(y, x) = 2 r_p^2.
     # The line of B's ruling through x meets A at mA, and the line of A's
     # ruling through x meets B at mB
-    x = K.mul[K.neg[M[at, p, p]][:, None], y]
-    x[at, p] = K.add[x[at, p], K.mul[2 % K.p, r[at, p]]]
-    Mx = _apply(K, M, x)
-    xy = dot(K, y, Mx)
-    mA = _combine(K, dot(K, a, Mx), y, K.neg[xy], a)
-    mB = _combine(K, dot(K, b, Mx), y, K.neg[xy], b)
+    x = K.mul(K.neg[M[at, p, p]][:, None], y)
+    x[at, p] = K.add(x[at, p], K.mul(2 % K.p, r[at, p]))
+    Mx = mat_vec(K, M, x)
+    minus_xy = K.neg[dot(K, y, Mx)]
+    # mA = beta(a, x) y - beta(x, y) a, and mB likewise with b
+    mA, mB = (
+        dot(K, np.stack([dot(K, v, Mx), minus_xy], axis=-1)[:, None], np.stack([y, v], axis=-1)) for v in (a, b)
+    )
 
     # A's ruling: the line through each point of B meeting span(x, mA), which
     # is of B's ruling and skew to B; B's ruling likewise through A
@@ -358,7 +343,7 @@ def rulings_of_fibers(fibers) -> list[list[RulingClass]]:
     """Ruling classes of each fiber over their common field, built for all fibers at once:
     2 (split smooth), 0 (smooth with no rational lines), or 1 (cone) per fiber.
 
-    Every step runs on the stack of all fibers, as table gathers:
+    Every step runs on the stack of all fibers, as array operations:
 
     * one :func:`rref_stack` of the (F, 4, 4) fiber matrices gives their
       ranks, and each cone's vertex;

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InternalInconsistency, NotOnCubic, PlaneContained
 from .forms import HomogeneousForm, divide_by_linear, interpolate, interpolation_points
 from .gf import GF
-from .linalg import dot, kernel_basis, rank, rref
+from .linalg import dot, kernel_basis, minors, rank, rref
 
 
 def normalize_point(K: GF, vec) -> tuple[int, ...]:
@@ -94,7 +94,7 @@ class ProjectiveLine:
         K = self.K
         a, b = np.array(self.rows, dtype=np.uint16)
         params = np.arange(K.q, dtype=np.uint16)[:, None]
-        return np.vstack([K.add[a, K.mul[params, b]], b])
+        return np.vstack([K.add(a, K.mul(params, b)), b])
 
     def points(self) -> list[ProjectivePoint]:
         """All q+1 rational points, in the order of :meth:`points_array`."""
@@ -219,7 +219,7 @@ def point_positions(K: GF, pts) -> np.ndarray:
     sizes = np.array([K.q ** (n - j) for j in range(n + 1)], dtype=np.int64)
     pivot = (pts != 0).argmax(axis=1)
     lead = pts[np.arange(len(pts)), pivot]
-    normed = K.mul[K.inv[lead][:, None], pts].astype(np.int64)
+    normed = K.mul(K.inv[lead][:, None], pts).astype(np.int64)
     # the pivot entry adds sizes[pivot]; the block of pivot p starts at sum(sizes[:p])
     return np.cumsum(sizes)[pivot] - 2 * sizes[pivot] + normed @ sizes
 
@@ -300,15 +300,6 @@ class Residual(NamedTuple):
     multiplicity: int
 
 
-def _combine(K: GF, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[..., j] * rows[j] over the field, for three rows (broadcasting)."""
-    add, mul = K.add, K.mul
-    return add[
-        add[mul[coeffs[..., 0, None], rows[0]], mul[coeffs[..., 1, None], rows[1]]],
-        mul[coeffs[..., 2, None], rows[2]],
-    ]
-
-
 def plane_section_values(cubic: HomogeneousForm, planes) -> np.ndarray:
     """The cubic at the ten section points of each plane, in one batch evaluation.
 
@@ -322,8 +313,8 @@ def plane_section_values(cubic: HomogeneousForm, planes) -> np.ndarray:
     planes = np.asarray(planes, dtype=np.uint16)
     if not len(planes):
         return np.zeros((0, len(reps)), dtype=np.uint16)
-    # basis row j of every plane, shaped to broadcast against the points
-    pts = _combine(K, reps, planes.transpose(1, 0, 2)[:, :, None, :])
+    # y B_i as y . (column c of B_i), for every plane, point and column
+    pts = dot(K, reps[:, None, :], planes.transpose(0, 2, 1)[:, None])
     return cubic.evaluate_batch(pts.reshape(-1, cubic.nvars)).reshape(len(planes), len(reps))
 
 
@@ -348,24 +339,16 @@ def residual_line(cubic: HomogeneousForm, plane: LinearSubspace, L: ProjectiveLi
     return out
 
 
-def _cross(K: GF, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross products of 3-vectors along the last axis: the linear forms vanishing on both."""
-    add, mul, neg = K.add, K.mul, K.neg
-
-    def minor(i, j):
-        return add[mul[u[..., i], v[..., j]], neg[mul[u[..., j], v[..., i]]]]
-
-    return np.stack([minor(1, 2), minor(2, 0), minor(0, 1)], axis=-1)
-
-
 def _normalized(K: GF, vecs: np.ndarray) -> np.ndarray:
     """Each nonzero row of an (n, 3) array scaled so its first nonzero entry is 1."""
     lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
-    return K.mul[K.inv[lead][:, None], vecs]
+    return K.mul(K.inv[lead][:, None], vecs)
 
 
 # the two indices other than j, ascending, for j = 0, 1, 2
 _OTHER_TWO = np.array([(1, 2), (0, 2), (0, 1)])
+# the index pairs of the cross product of 3-vectors: the linear form vanishing on both
+_CROSS = ((1, 2), (2, 0), (0, 1))
 
 
 def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
@@ -404,35 +387,30 @@ def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
         return []
     values = np.asarray(values)
     lines = np.concatenate([np.asarray(firsts, dtype=np.uint16), np.asarray(seconds, dtype=np.uint16)], axis=1)
-    add, mul, neg, inv = K.add, K.mul, K.neg, K.inv
     at = np.arange(n)
     reps = interpolation_points(K, 3, 3)[1]
 
     # plane coordinates of the four line rows, checked to embed back
     coords = np.take_along_axis(lines, (planes != 0).argmax(axis=2)[:, None, :], axis=2)
-    in_plane = (_combine(K, coords, planes.transpose(1, 0, 2)[:, :, None, :]) == lines).all(axis=(1, 2))
-    ell_L = _cross(K, coords[:, 0], coords[:, 1])
-    ell_M = _cross(K, coords[:, 2], coords[:, 3])
-    both = mul[dot(K, ell_L[:, None, :], reps), dot(K, ell_M[:, None, :], reps)]
+    in_plane = (dot(K, coords[:, :, None, :], planes.transpose(0, 2, 1)[:, None]) == lines).all(axis=(1, 2))
+    ell_L = minors(K, coords[:, 0], coords[:, 1], _CROSS)
+    ell_M = minors(K, coords[:, 2], coords[:, 3], _CROSS)
+    both = K.mul(dot(K, ell_L[:, None, :], reps), dot(K, ell_M[:, None, :], reps))
 
     # three independent points off L and M
     off = both != 0
     i1 = off.argmax(axis=1)
     i2 = (off & (np.arange(len(reps)) > i1[:, None])).argmax(axis=1)
-    joining = _cross(K, reps[i1], reps[i2])
+    joining = minors(K, reps[i1], reps[i2], _CROSS)
     i3 = (off & (dot(K, joining[:, None, :], reps) != 0)).argmax(axis=1)
     p1, p2, p3 = reps[i1], reps[i2], reps[i3]
     picked = np.stack([i1, i2, i3], axis=1)
-    ratios = mul[values[at[:, None], picked], inv[both[at[:, None], picked]]]
+    ratios = K.mul(values[at[:, None], picked], K.inv[both[at[:, None], picked]])
 
     # Cramer's rule: ell_N . p_k = ratios[k]
-    terms = (
-        mul[ratios[:, 0, None], _cross(K, p2, p3)],
-        mul[ratios[:, 1, None], _cross(K, p3, p1)],
-        mul[ratios[:, 2, None], joining],
-    )
-    ell_N = mul[inv[dot(K, joining, p3)][:, None], add[add[terms[0], terms[1]], terms[2]]]
-    holds = (values == mul[both, dot(K, ell_N[:, None, :], reps)]).all(axis=1)
+    adjugate = np.stack([minors(K, p2, p3, _CROSS), minors(K, p3, p1, _CROSS), joining], axis=-1)
+    ell_N = K.mul(K.inv[dot(K, joining, p3)][:, None], dot(K, ratios[:, None, :], adjugate))
+    holds = (values == K.mul(both, dot(K, ell_N[:, None, :], reps))).all(axis=1)
 
     n_norm = _normalized(K, ell_N)
     multiplicity = 1 + (_normalized(K, ell_L) == n_norm).all(axis=1) + (_normalized(K, ell_M) == n_norm).all(axis=1)
@@ -443,11 +421,10 @@ def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
     # basis they stay reduced echelon
     j = 2 - (ell_N[:, ::-1] != 0).argmax(axis=1)
     others = _OTHER_TWO[j]
-    coef = mul[np.take_along_axis(ell_N, others, axis=1), neg[inv[ell_N[at, j]]][:, None]]
-    kernel = add[
-        np.take_along_axis(planes, others[:, :, None], axis=1),
-        mul[coef[:, :, None], planes[at, j][:, None, :]],
-    ]
+    coef = K.mul(np.take_along_axis(ell_N, others, axis=1), K.neg[K.inv[ell_N[at, j]]][:, None])
+    kernel = K.add(
+        np.take_along_axis(planes, others[:, :, None], axis=1), K.mul(coef[:, :, None], planes[at, j][:, None, :])
+    )
 
     out = []
     for i, (contained, inside, ok, nonzero, mult, rows) in enumerate(
@@ -509,6 +486,6 @@ def binary_quadratic(quadric: HomogeneousForm, c1, c2) -> HomogeneousForm:
     """Q(b*c1 + g*c2) as a binary quadratic in (b, g), from its values at c1, c2 and c1 + c2."""
     K = quadric.K
     c1, c2 = np.asarray(c1, dtype=np.int64), np.asarray(c2, dtype=np.int64)
-    q11, q22, both = quadric.evaluate_batch(np.stack([c1, c2, K.add[c1, c2]])).tolist()
+    q11, q22, both = quadric.evaluate_batch(np.stack([c1, c2, K.add(c1, c2)])).tolist()
     q12 = K.sub_(K.sub_(both, q11), q22)  # 2*B(c1, c2)
     return HomogeneousForm.from_coeffs(K, 2, 2, (q11, q12, q22))

@@ -196,7 +196,7 @@ def random_cubic_through_plane(K: GF, nvars: int, rng) -> HomogeneousForm:
     for i in range(nvars - 3):
         term = np.zeros_like(codes)
         term[raised[i]] = random_form(K, nvars, 2, rng).coeffs
-        codes = K.add[codes, term]
+        codes = K.add(codes, term)
     return HomogeneousForm.from_coeffs(K, nvars, 3, codes)
 
 
@@ -350,7 +350,7 @@ def _pullback_quartic(K: GF, G: HomogeneousForm, H: HomogeneousForm):
     )
     L, uv = interpolation_points(K, 2, 4)
     u, v = uv.T
-    squares = np.stack([L.mul[u, u], L.mul[u, v], L.mul[v, v]], axis=1)
+    squares = np.stack([L.mul(u, u), L.mul(u, v), L.mul(v, v)], axis=1)
     values = H.embedded(L).evaluate_batch(mat_mul(L, squares, K.lift(M, L).T))
     return interpolate(K, 2, 4, values), M
 

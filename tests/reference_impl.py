@@ -143,10 +143,10 @@ def evaluate_form_naive(field, terms, point):
 
 
 def eval_form_batch_by_tables(K, exps, coeffs, points):
-    """A sparse form at many points, term by term through the q x q tables.
+    """A sparse form at many points, term by term through the field's arithmetic.
 
-    Each factor is one gather into ``K.mul`` and each term one into ``K.add``:
-    the evaluator the package used before its log and digit tables.
+    Each factor is one ``K.mul`` and each term one ``K.add``: the evaluator
+    the package used before its log and digit tables.
     """
     pows = np.stack([K.pow_vector(e) for e in range(int(exps.sum(axis=1).max(initial=0)) + 1)])
     n_points = points.shape[0]
@@ -156,8 +156,8 @@ def eval_form_batch_by_tables(K, exps, coeffs, points):
         for i in range(exps.shape[1]):
             e = int(exps[t, i])
             if e:
-                term = K.mul[term, pows[e, points[:, i]]]
-        acc = K.add[acc, term]
+                term = K.mul(term, pows[e, points[:, i]])
+        acc = K.add(acc, term)
     return acc
 
 
@@ -372,7 +372,7 @@ def proportionality(f, g):
         return None
     K = f.K
     e0 = next(iter(f.terms))
-    c = K.div_(f.terms[e0], g.terms[e0])
+    c = K.mul_(f.terms[e0], K.inverse(g.terms[e0]))
     if any(K.mul_(g.terms[e], c) != v for e, v in f.terms.items()):
         return None
     return c
@@ -455,8 +455,8 @@ def disjoint_rows_by_diagonal_sieve(nf, lam=None):
     a = np.repeat(a_side, len(b_side), axis=0)
     b = np.tile(b_side, (len(a_side), 1))
     ones = np.ones((len(a), 1), dtype=np.int64)
-    plus = f.evaluate_batch(np.hstack([ones, ones, L.add[a, b]]))
-    minus = f.evaluate_batch(np.hstack([ones, L.neg[ones], L.add[a, L.neg[b]]]))
+    plus = f.evaluate_batch(np.hstack([ones, ones, L.add(a, b)]))
+    minus = f.evaluate_batch(np.hstack([ones, L.neg[ones], L.sub(a, b)]))
     return [
         ((1, 0) + tuple(a[i].tolist()), (0, 1) + tuple(b[i].tolist()))
         for i in np.flatnonzero((plus == 0) & (minus == 0))
@@ -482,8 +482,8 @@ def transversal_counts_by_pair_scan(nf, line1, line2):
         pts1, pts2 = (ProjectiveLine(Ld, K.lift(line.rows, Ld)).points_array() for line in (line1, line2))
         a = np.repeat(pts1, len(pts2), axis=0)
         b = np.tile(pts2, (len(pts1), 1))
-        plus = nfd.f.evaluate_batch(Ld.add[a, b])
-        minus = nfd.f.evaluate_batch(Ld.add[a, Ld.neg[b]])
+        plus = nfd.f.evaluate_batch(Ld.add(a, b))
+        minus = nfd.f.evaluate_batch(Ld.sub(a, b))
         hits = np.flatnonzero((plus == 0) & (minus == 0))
         n_meet = sum(rank(Ld, np.vstack([a[i], b[i], np.eye(5, dtype=np.int64)[2:]])) <= 4 for i in hits)
         cumulative[d] = (len(hits), n_meet)
@@ -590,7 +590,7 @@ def check_rulings(K, rulings):
     dual[:, [1, 4]] = K.neg[dual[:, [1, 4]]]
     pairing = np.zeros((len(pl), len(pl)), dtype=np.uint16)
     for k in range(6):
-        pairing = K.add[pairing, K.mul[pl[:, None, k], dual[None, :, k]]]
+        pairing = K.add(pairing, K.mul(pl[:, None, k], dual[None, :, k]))
     labels = np.repeat(np.arange(len(rulings)), [len(ruling) for ruling in rulings])
     same, meets = labels[:, None] == labels[None, :], pairing == 0
     if (meets & same & ~np.eye(len(pl), dtype=bool)).any():
@@ -702,9 +702,9 @@ def pencil_quadric_terms(nf, s, t) -> dict:
         for (e0, e1, e2, e3, e4), c in Q.terms.items():
             val = K.mul_(outer, c)
             if e0:
-                val = K.mul_(val, K.pow_(s, e0))
+                val = K.mul_(val, K.pow_vector(e0)[s])
             if e1:
-                val = K.mul_(val, K.pow_(t, e1))
+                val = K.mul_(val, K.pow_vector(e1)[t])
             if not val:
                 continue
             key = (e0 + e1, e2, e3, e4)
@@ -833,7 +833,7 @@ def sum_by_dicts(G, s, t, escalate=True):
     if not escalate:
         raise NeedsExtension("no defining word over the working field within degree 3")
     big = G.extension_group()
-    emb = G.surface.L.embedding_into(big.surface.L)
+    emb = G.surface.L.lift(np.arange(G.surface.L.q), big.surface.L)
     up = {v: int(code) for v, code in enumerate(emb)}
     down = {code: v for v, code in up.items()}
     tag, big_perm, word = sum_by_dicts(big, _map_point(s, up), _map_point(t, up), False)

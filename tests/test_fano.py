@@ -153,7 +153,7 @@ def test_quadric_zeros_match_the_grid_scan(p, k):
             for frame, got in zip(frames, _quadric_zeros(K, f, frames)):
                 points = np.broadcast_to(frame[0], (len(coords), 5))
                 for i in range(r + 1):
-                    points = K.add[points, K.mul[coords[:, i, None], frame[1 + i]]]
+                    points = K.add(points, K.mul(coords[:, i, None], frame[1 + i]))
                 expected = points[f.evaluate_batch(points) == 0]
                 assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, expected.tolist()))
 
@@ -189,9 +189,8 @@ def test_enumeration_over_extension_contains_embedded_lines():
     surf1 = FanoSurface(nf, 1)
     surf2 = FanoSurface(nf, 2)
     assert len(surf2.lines) == 299
-    emb = surf1.L.embedding_into(surf2.L)
     for cl in surf1.lines:
-        rows = tuple(tuple(int(emb[v]) for v in row) for row in cl.line.rows)
+        rows = surf1.L.lift(cl.line.rows, surf2.L)
         assert surf2.by_rows[rows].tag == cl.tag
 
 
@@ -361,8 +360,7 @@ def run_roundtrips(surf, cap):
                 expect = line.rows
             else:
                 stats["conjugate"] += 1
-                emb = surf.L.embedding_into(c.K)
-                expect = tuple(tuple(int(emb[v]) for v in row) for row in line.rows)
+                expect = surf.L.lift(line.rows, c.K)
             assert res.line.rows == expect
     return stats
 
@@ -806,10 +804,7 @@ def test_surface_census_agrees_with_full_enumeration_at_q3():
     counts = dict(census.exact)
     for d in (1, 2, 3):
         sd = FanoSurface(nf, d)
-        emb = nf.K.embedding_into(sd.L)
-        stack0 = np.array(
-            [[int(emb[v]) for v in row] for line in pair for row in line.rows], dtype=np.int64
-        )
+        stack0 = nf.K.lift(np.array([line.rows for line in pair]).reshape(-1, 5), sd.L)
         direct = sum(
             1
             for cl in sd.lines

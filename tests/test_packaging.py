@@ -155,6 +155,27 @@ def test_only_the_field_layer_climbs_the_tower():
     assert found == []
 
 
+def test_only_the_field_layer_knows_how_a_field_adds_and_multiplies():
+    # gf.GF stores its addition and multiplication privately: every other
+    # module calls K.add, K.sub and K.mul, and no module subscripts a name or
+    # an attribute add or mul, as it would a table
+    found, calls = [], 0
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "gf.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("_add", "_mul"):
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.Subscript):
+                name = getattr(node.value, "attr", None) or getattr(node.value, "id", None)
+                if name in ("add", "mul"):
+                    found.append(f"{path.name}:{node.lineno} {name}[...]")
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("add", "sub", "mul"):
+                calls += 1
+    assert found == []
+    assert calls > 50  # the scan sees the arithmetic at all
+
+
 def test_no_function_imports_inside_its_body():
     # every import sits at the top of its module, where the import graph reads at a glance
     inner = []

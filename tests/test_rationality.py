@@ -25,7 +25,7 @@ from reference_impl import (
     squarefree_class,
 )
 
-from cubicfano import rationality
+from cubicfano import integers, rationality
 from cubicfano.errors import InternalInconsistency, InvalidInput, NeedsDifferentPrime, NotGeneral
 from cubicfano.gf import field
 from cubicfano.projective import LinearSubspace
@@ -654,9 +654,9 @@ def test_factoring_matches_sympy(n):
 @settings(max_examples=100, deadline=None)
 def test_primality_matches_sympy_on_both_sides_of_the_proven_range(n):
     p = sympy.nextprime(n)
-    assert rationality._is_prime(n) == sympy.isprime(n)
-    assert rationality._is_prime(p)
-    assert not rationality._is_prime(p * sympy.nextprime(p))
+    assert integers._is_prime(n) == sympy.isprime(n)
+    assert integers._is_prime(p)
+    assert not integers._is_prime(p * sympy.nextprime(p))
 
 
 def test_strong_pseudoprimes_are_found_composite():
@@ -665,7 +665,7 @@ def test_strong_pseudoprimes_are_found_composite():
     # Carmichael numbers; three strong Lucas pseudoprimes
     pseudoprimes = (2047, 1373653, 3215031751, 3825123056546413051, 318665857834031151167461,
                     3317044064679887385961981, 561, 41041, 5459, 5777, 10877)
-    assert [rationality._is_prime(n) for n in pseudoprimes] == [False] * len(pseudoprimes)
+    assert [integers._is_prime(n) for n in pseudoprimes] == [False] * len(pseudoprimes)
     assert not any(sympy.isprime(n) for n in pseudoprimes)
 
 

@@ -386,8 +386,7 @@ def test_Z_coordinate_independence():
         got = set()
         for z in Z2.points:
             L = Z2.field_of(z)
-            emb = K.embedding_into(L) if L is not K else None
-            GL = G if emb is None else np.vectorize(lambda x: int(emb[x]))(G).astype(np.int64)
+            GL = K.lift(G, L)
             image = mat_vec(L, GL, np.array((0, 0) + z.plane_coords, dtype=np.int64))
             assert image[0] == image[1] == 0
             got.add((z.degree, normalize_point(L, image[2:]), z.multiplicity))
