@@ -58,7 +58,7 @@ from .errors import (
 )
 from .forms import HomogeneousForm, divide_by_linear, quadratic_roots
 from .gf import GF
-from .linalg import det, dot, kernel_basis, mat_mul, mat_vec, rank, rref_stack
+from .linalg import det, dot, hyperplane_rows, kernel_basis, mat_mul, mat_vec, rank, rref_stack, unit_complement
 from .pencil import (
     PencilFiber,
     RulingClass,
@@ -68,7 +68,6 @@ from .pencil import (
     rulings_of_fibers,
 )
 from .projective import (
-    _OTHER_TWO,
     LinearSubspace,
     ProjectiveLine,
     ProjectivePoint,
@@ -221,7 +220,6 @@ class FanoSurface:
         self.nf = nf.embedded(nf.K.extension(k))
         self.L: GF = self.nf.K
         self.Z = nf.Z
-        self.plane = self.nf.plane
 
         params = list(projective_reps(self.L, 1))
         self.fibers: dict[tuple[int, int], PencilFiber] = dict(zip(params, pencil_fibers(nf, self.L, params)))
@@ -333,13 +331,6 @@ class FanoSurface:
         if amb not in self.node_index:
             raise InvalidInput("the node is not rational over the working field")
         return amb
-
-    def to_torsor_point(self, line: ProjectiveLine) -> TorsorPoint:
-        """The torsor point carried by a line, or InvalidInput if none."""
-        cl = self.classified(line)
-        if self._carries_torsor_point(cl):
-            return TorsorPoint("line", rows=cl.line.rows)
-        raise InvalidInput("the line does not represent a torsor point")
 
     def _check_member(self, x: TorsorPoint) -> None:
         if x.kind == "node":
@@ -517,13 +508,10 @@ class FanoSurface:
         M = c.K
         (fib,) = pencil_fibers(self.base, M, [(c.s, c.t)])
         zf = (0,) + tuple(self._node_in(z, M)[2:])
-        row = np.array([mat_vec(M, fib.matrix, zf)], dtype=np.int64)
+        row = mat_vec(M, fib.matrix, zf)
         if not row.any():
             raise NotGeneral("the node sits at the cone vertex; the node scheme is not reduced")
-        ker = kernel_basis(M, row)
-        if ker.shape[0] != 3:
-            raise InternalInconsistency("a nonzero linear form on P^3 cuts a plane")
-        return LinearSubspace(M, fib.ambient_rows(ker))
+        return LinearSubspace(M, fib.ambient_rows(hyperplane_rows(M, row)))
 
     def _gradient(self, M: GF) -> list[HomogeneousForm]:
         """The five partial derivatives of the cubic over M, built once per field."""
@@ -632,8 +620,9 @@ class FanoSurface:
           span a section;
         * a boundary line through a node z, of class d, goes to z when d is
           c's opposite; otherwise tau_z(c) and tau_z(d) span a section, or
-          for d = c the fiber tangent plane of a cone or the deformation
-          plane (:meth:`_deformation_planes`) is the section.
+          for d = c the deformation plane (:meth:`_deformation_planes`) is
+          the section.  A cone class is its own opposite, so d = c is
+          never a cone class there.
 
         Ruling lines are read off the point lookup of all classes.  The
         sections of every pair go through one :meth:`_section_residuals`
@@ -679,7 +668,7 @@ class FanoSurface:
         out.fail(r, k, arrays.in_plane[t1] & arrays.in_plane[t2], _BOTH_IN_P)
         off = cd != dd
         sections.append(_Sections(r[off], k[off], t1[off], t2[off], _SPAN_OF_NODE_LINES, _OFF_TORSOR))
-        smooth = (cd == dd) & ~arrays.is_cone[cd] & out.ok(r, k)
+        smooth = (cd == dd) & out.ok(r, k)
         if smooth.any():
             r1, k1, t = r[smooth], k[smooth], t1[smooth]
             planes, solvable = self._deformation_planes(
@@ -687,15 +676,6 @@ class FanoSurface:
             )
             out.fail(r1, k1, ~solvable, _NO_DEFORMATION)
             sections.append(_Sections(r1, k1, t, t, _DEFORMATION_LEAVES_LINE, _OFF_TORSOR, planes))
-        for i in np.flatnonzero((cd == dd) & arrays.is_cone[cd] & out.ok(r, k)):
-            one = np.array([i])
-            try:
-                plane = self._cone_tangent_plane(self.nodes[zd[i]][0], look.classes[cd[i]])
-            except (NotGeneral, InternalInconsistency) as exc:
-                out.fail(r[one], k[one], np.ones(1, dtype=bool), exc)
-                continue
-            spanning = np.array([plane.rows])
-            sections.append(_Sections(r[one], k[one], t1[one], t1[one], _DIAGONAL_PLANE, _OFF_TORSOR, spanning))
 
         self._land_sections(out, [s.kept(out.ok(s.rows, s.cols)) for s in sections])
         return out.result()
@@ -943,19 +923,18 @@ class _TorsorArrays:
         self.ruling_line = np.array([self.line_index[ln.rows] for ln in look.lines], dtype=np.int64)
         self.bar = np.array([look.position[surface.other_ruling(c).key] for c in look.classes], dtype=np.int64)
         self.st = np.array([(c.s, c.t) for c in look.classes], dtype=np.int64).reshape(-1, 2)
-        self.is_cone = np.array([c.is_cone for c in look.classes], dtype=bool)
 
 
 def _singular_conic_lines(K: GF, conics: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The two lines of each conic of an (n, 3, 3) stack of symmetric matrices of rank 1 or 2.
 
     Each line joins a point v of the conic's kernel to a root (b : g) of the
-    conic on span(c1, c2), for c1, c2 the unit vectors other than e_p, p the
-    last nonzero coordinate of v (the two ``projective.complete_to_basis``
-    picks).  Returns (rows, mult, split): ``rows`` (n, 2, 2, 3) holds
-    (v, b c1 + g c2) in the order of :func:`forms.quadratic_roots`, whose
-    mult and split come along; a conic that is not split has a conjugate
-    pair of lines, which the conic lifted into ``K.extension(2)`` gives.
+    conic on span(c1, c2), for c1, c2 the unit vectors that complete v to a
+    basis (:func:`linalg.unit_complement`).  Returns (rows, mult, split):
+    ``rows`` (n, 2, 2, 3) holds (v, b c1 + g c2) in the order of
+    :func:`forms.quadratic_roots`, whose mult and split come along; a conic
+    that is not split has a conjugate pair of lines, which the conic lifted
+    into ``K.extension(2)`` gives.
     """
     at = np.arange(len(conics))
     # v is 1 in the first free column of the reduced matrix and minus that
@@ -964,7 +943,7 @@ def _singular_conic_lines(K: GF, conics: np.ndarray) -> tuple[np.ndarray, np.nda
     pivot = ((R != 0).argmax(axis=2)[:, None, :] == np.arange(3)[:, None]) & R.any(axis=2)[:, None, :]
     free = (~pivot.any(axis=2)).argmax(axis=1)
     v = K.sub(np.eye(3, dtype=np.int64)[free], dot(K, pivot.astype(np.int64), R[at, :, free][:, None, :]))
-    c = _OTHER_TWO[2 - (v[:, ::-1] != 0).argmax(axis=1)]
+    c = unit_complement(v)
     Q = conics[at[:, None, None], c[:, :, None], c[:, None, :]]  # the conic on span(c1, c2)
     roots, mult, split = quadratic_roots(K, Q[:, 0, 0], K.add(Q[:, 0, 1], Q[:, 0, 1]), Q[:, 1, 1])
     # c1 and c2 are distinct unit vectors, so the integer product places b and g
@@ -1402,25 +1381,18 @@ def _section_lines(nf: NormalizedThreefold, line1: ProjectiveLine, line2: Projec
 
     found: set[tuple] = set()
 
-    # the unique line of P inside the hyperplane
-    cut = np.vstack([np.eye(5, dtype=np.int64)[:2], [lam]])
-    ker = kernel_basis(Ld, cut)
-    if ker.shape[0] != 2:
-        raise InternalInconsistency("a hyperplane spanned by P-disjoint lines meets P in a line")
-    found.add(ProjectiveLine(Ld, ker).rows)
+    # the unique line of P inside the hyperplane: the last two of its
+    # reduced echelon rows, as the last nonzero of lam is one of x2, x3, x4
+    found.add(tuple(map(tuple, hyperplane_rows(Ld, lam)[2:].tolist())))
 
     # components of the singular fiber conics Q_{s,t} cap S.  In the fiber
     # coordinates (u, x2, x3, x4) the hyperplane is mu . v = 0 with
-    # mu = (lam0 s + lam1 t, lam2, lam3, lam4); for j the first of the last
-    # three with mu_j != 0, the plane has the basis e_c - (mu_c / mu_j) e_j
-    # (c != j), and the conic the matrix B M B^T
+    # mu = (lam0 s + lam1 t, lam2, lam3, lam4); B holds the reduced echelon
+    # basis of that plane, and the conic has the matrix B M B^T
     params = np.array(list(projective_reps(Ld, 1)))
     fibers = pencil_fibers(nf, Ld, params)
     mu = np.hstack([dot(Ld, params, np.array(lam[:2]))[:, None], np.tile(lam[2:], (len(params), 1))])
-    j = 1 + next(i for i, x in enumerate(lam[2:]) if x)
-    others = [c for c in range(4) if c != j]
-    B = np.tile(np.eye(4, dtype=np.int64)[others], (len(params), 1, 1))
-    B[:, :, j] = Ld.neg[Ld.mul(mu[:, others], Ld.inv[lam[j + 1]])]
+    B = hyperplane_rows(Ld, mu)
     MB = dot(Ld, np.stack([fiber.matrix for fiber in fibers])[:, None], B[:, :, None, :])
     conics = dot(Ld, B[:, :, None, :], MB[:, None]).astype(np.int64)
     if not conics.any(axis=(1, 2)).all():
@@ -1446,16 +1418,13 @@ _CHART_FRAMES = np.eye(5, dtype=np.int64)[[[0, 2, 3, 4], [1, 2, 3, 4]]]
 def _hyperplane_frames(L: GF, lam) -> np.ndarray:
     """The frames of the two chart sides inside the hyperplane lam . x = 0.
 
-    For J the first of x2, x3, x4 with lam_J != 0, projecting along e_J
-    sends e_c to e_c - (lam_c / lam_J) e_J.  The head e_h of a side goes to
-    the side's origin, and the other two of x2, x3, x4 give one grid
-    direction and the solved one.
+    The last nonzero of lam is one of x2, x3, x4, so the reduced echelon
+    rows of the hyperplane are the images of e0, e1 and of the other two of
+    x2, x3, x4 under the projection along it.  The head of a side (e0 or e1)
+    gives the side's origin, and the other two rows give one grid direction
+    and the solved one.
     """
-    J = 2 + next(i for i, x in enumerate(lam[2:]) if x)
-    proj = np.eye(5, dtype=np.int64)
-    proj[:, J] = L.sub(proj[:, J], L.mul(np.asarray(lam), L.inv[lam[J]]))
-    others = [c for c in (2, 3, 4) if c != J]
-    return proj[[[0] + others, [1] + others]]
+    return hyperplane_rows(L, lam)[[[0, 2, 3], [1, 2, 3]]]
 
 
 def _quadric_zeros(L: GF, f: HomogeneousForm, frames: np.ndarray) -> list[np.ndarray]:

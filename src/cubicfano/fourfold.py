@@ -30,7 +30,7 @@ from .errors import InternalInconsistency, InvalidInput, NotGeneral
 from .fano import surface_of
 from .forms import HomogeneousForm, interpolate, interpolation_points
 from .gf import GF
-from .linalg import det, kernel_basis
+from .linalg import det, hyperplane_rows, kernel_basis, minors
 from .pencil import (
     DiscriminantSextic,
     HyperellipticModel,
@@ -39,6 +39,7 @@ from .pencil import (
     zeta,
 )
 from .projective import (
+    _CROSS,
     LinearSubspace,
     ProjectiveLine,
     common_zeros,
@@ -202,11 +203,7 @@ def plane_discriminant(nx: NormalizedFourfold) -> PlaneDiscriminant:
 
 def dual_line_rows(K: GF, lam) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Canonical spanning rows of the line {lam . (s,t,u) = 0} in the projection plane."""
-    lam = normalize_point(K, lam)
-    rows = kernel_basis(K, np.array([list(lam)], dtype=np.int64))
-    if rows.shape[0] != 2:
-        raise InvalidInput("the dual point must be a nonzero coefficient triple")
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(map(tuple, hyperplane_rows(K, normalize_point(K, lam)).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +329,10 @@ def pi_of_line(nx: NormalizedFourfold, rows):
     heads = np.array([r1[:3], r2[:3]], dtype=np.int64)
     ker = kernel_basis(K, heads.T)  # coefficient pairs landing in P
     if ker.shape[0] == 0:
-        lam = kernel_basis(K, heads)
-        if lam.shape[0] != 1:
+        lam = minors(K, heads[0], heads[1], _CROSS)
+        if not lam.any():
             raise InternalInconsistency("a P-disjoint line spans a hyperplane with P")
-        return normalize_point(K, tuple(int(v) for v in lam[0]))
+        return normalize_point(K, lam)
     if ker.shape[0] == 1:
         a, b = int(ker[0][0]), int(ker[0][1])
         x = normalize_point(

@@ -6,7 +6,10 @@ small: in the package's own calls the largest product is with the 56 x 56
 inverse that interpolates a cubic in six variables, and the largest row
 reduction picks that cubic's interpolation points among the 364 points of
 P^5(F_3), once.  Everything is Gaussian elimination on the field's
-vectorized ``add``, ``sub`` and ``mul``.
+vectorized ``add``, ``sub`` and ``mul``, except two flats that have a closed
+form: the reduced echelon basis of a hyperplane {ell = 0}
+(:func:`hyperplane_rows`) and the unit vectors completing a vector to a
+basis (:func:`unit_complement`).  Every module takes those two from here.
 """
 
 from __future__ import annotations
@@ -95,6 +98,38 @@ def kernel_basis(K: GF, mat) -> np.ndarray:
     if len(basis):
         basis, _ = rref(K, basis)
     return basis
+
+
+def _last_nonzero(vecs: np.ndarray) -> np.ndarray:
+    """The index of the last nonzero entry of each vector of a (..., n) stack; n - 1 for a zero vector."""
+    return vecs.shape[-1] - 1 - (vecs[..., ::-1] != 0).argmax(axis=-1)
+
+
+def unit_complement(vecs) -> np.ndarray:
+    """The n - 1 indices other than the last nonzero one of each vector of a (..., n) stack, ascending.
+
+    The vector and the unit vectors at these indices are a basis; a zero
+    vector gives the indices other than n - 1.
+    """
+    vecs = np.asarray(vecs)
+    p = np.arange(vecs.shape[-1] - 1)
+    return p + (p >= _last_nonzero(vecs)[..., None])
+
+
+def hyperplane_rows(K: GF, ells) -> np.ndarray:
+    """The reduced echelon basis of {ell . x = 0} for each linear form of a (..., n) stack, as (..., n - 1, n).
+
+    With j the last index where ell is nonzero, the rows are
+    e_p - (ell_p / ell_j) e_j for p != j, ascending: row p has its pivot at p,
+    and j is the one free column.  So this is ``kernel_basis(K, [ell])``
+    without an elimination.  A zero form gives the unit rows e_p, p < n - 1.
+    """
+    ells = np.asarray(ells, dtype=np.int64)
+    j = _last_nonzero(ells)[..., None]
+    others = unit_complement(ells)
+    coef = K.neg[K.mul(np.take_along_axis(ells, others, axis=-1), K.inv[np.take_along_axis(ells, j, axis=-1)])]
+    cols = np.arange(ells.shape[-1])
+    return np.where(cols == j[..., None], coef[..., None], cols == others[..., None]).astype(np.int64)
 
 
 def inverse_matrix(K: GF, mat) -> np.ndarray:

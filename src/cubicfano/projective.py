@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InternalInconsistency, NotOnCubic, PlaneContained
 from .forms import HomogeneousForm, divide_by_linear, interpolate, interpolation_points
 from .gf import GF
-from .linalg import dot, kernel_basis, minors, rank, rref
+from .linalg import dot, hyperplane_rows, minors, rank, rref
 
 
 def normalize_point(K: GF, vec) -> tuple[int, ...]:
@@ -287,10 +287,10 @@ def linear_form_cutting_line_in_plane(plane: LinearSubspace, L: ProjectiveLine) 
     """Coefficients (in plane coordinates) of the linear form vanishing on L."""
     K = plane.K
     inner = np.array([plane.point_coords(ProjectivePoint(K, row)) for row in L.rows], dtype=np.int64)
-    ker = kernel_basis(K, inner)
-    if ker.shape[0] != 1:
+    ell = minors(K, inner[0], inner[1], _CROSS)
+    if not ell.any():
         raise InternalInconsistency("line inside plane must be cut by exactly one linear form")
-    return tuple(int(x) for x in ker[0])
+    return normalize_point(K, ell)
 
 
 class Residual(NamedTuple):
@@ -345,8 +345,6 @@ def _normalized(K: GF, vecs: np.ndarray) -> np.ndarray:
     return K.mul(K.inv[lead][:, None], vecs)
 
 
-# the two indices other than j, ascending, for j = 0, 1, 2
-_OTHER_TWO = np.array([(1, 2), (0, 2), (0, 1)])
 # the index pairs of the cross product of 3-vectors: the linear form vanishing on both
 _CROSS = ((1, 2), (2, 0), (0, 1))
 
@@ -415,16 +413,9 @@ def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
     n_norm = _normalized(K, ell_N)
     multiplicity = 1 + (_normalized(K, ell_L) == n_norm).all(axis=1) + (_normalized(K, ell_M) == n_norm).all(axis=1)
 
-    # canonical rows of {ell_N = 0}: with j the last index where ell_N is
-    # nonzero, the rows e_p - (ell_p / ell_j) e_j (p != j, ascending) are the
-    # reduced echelon basis of the kernel; times the plane's reduced echelon
-    # basis they stay reduced echelon
-    j = 2 - (ell_N[:, ::-1] != 0).argmax(axis=1)
-    others = _OTHER_TWO[j]
-    coef = K.mul(np.take_along_axis(ell_N, others, axis=1), K.neg[K.inv[ell_N[at, j]]][:, None])
-    kernel = K.add(
-        np.take_along_axis(planes, others[:, :, None], axis=1), K.mul(coef[:, :, None], planes[at, j][:, None, :])
-    )
+    # canonical rows of N: the reduced echelon basis of {ell_N = 0} times the
+    # plane's reduced echelon basis stays reduced echelon
+    kernel = dot(K, hyperplane_rows(K, ell_N)[:, :, None, :], planes.transpose(0, 2, 1)[:, None])
 
     out = []
     for i, (contained, inside, ok, nonzero, mult, rows) in enumerate(
@@ -466,20 +457,9 @@ def _divides(K: GF, values: np.ndarray, ell: np.ndarray) -> bool:
 #
 # A line of a quadric Q through a point y of Q lies in a 3-space containing y
 # on which Q is singular at y.  Complete y to a basis (y, c1, c2) of that
-# space: then Q(a*y + b*c1 + g*c2) is a binary quadratic in (b, g), and each
-# root (b, g) gives the second point b*c1 + g*c2 of a line through y.
-
-
-def complete_to_basis(K: GF, y, candidates) -> tuple[list[int], list[int]]:
-    """The first two candidates that extend y to a basis of a 3-space."""
-    basis = [list(y)]
-    for cand in candidates:
-        cand = [int(x) for x in cand]
-        if rank(K, np.array(basis + [cand], dtype=np.int64)) == len(basis) + 1:
-            basis.append(cand)
-            if len(basis) == 3:
-                return basis[1], basis[2]
-    raise InternalInconsistency("the candidates do not extend the point to a basis of a 3-space")
+# space, in a plane by the unit vectors at ``linalg.unit_complement(y)``:
+# then Q(a*y + b*c1 + g*c2) is a binary quadratic in (b, g), and each root
+# (b, g) gives the second point b*c1 + g*c2 of a line through y.
 
 
 def binary_quadratic(quadric: HomogeneousForm, c1, c2) -> HomogeneousForm:

@@ -51,11 +51,10 @@ from .errors import (
     NotContained,
     NotGeneral,
 )
-from .fano import surface_of
+from .fano import DISJOINT, MEETS_PLANE, _meet_with_plane, surface_of
 from .forms import HomogeneousForm, _layout, _monomial_steps, _raised
 from .gf import field
 from .integers import _factor
-from .linalg import rank
 from .projective import LinearSubspace
 from .threefold import NormalizedThreefold, normalize
 
@@ -146,9 +145,7 @@ def _verify_line_on_cubic(nf: NormalizedThreefold, rows, disjoint: bool) -> None
     basis = np.array(rows, dtype=np.int64)
     if not nf.f.restrict(basis).is_zero:
         raise InternalInconsistency("a claimed witness line does not lie on the cubic")
-    meet = np.array([[rows[0][0], rows[1][0]], [rows[0][1], rows[1][1]]], dtype=np.int64)
-    expected = 2 if disjoint else 1
-    if rank(nf.K, meet) != expected:
+    if _meet_with_plane(nf.K, rows)[0] != (DISJOINT if disjoint else MEETS_PLANE):
         raise InternalInconsistency("a claimed witness line meets the plane incorrectly")
 
 

@@ -30,12 +30,11 @@ from . import pencil as pencil_mod
 from .errors import InternalInconsistency, NotContained, NotGeneral, NotSupportedError
 from .forms import HomogeneousForm, interpolate, interpolation_points, monomial_exponents, random_form
 from .gf import GF
-from .linalg import det, kernel_basis, mat_mul, mat_vec
+from .linalg import det, kernel_basis, mat_mul, mat_vec, unit_complement
 from .projective import (
     LinearSubspace,
     binary_quadratic,
     common_zeros,
-    complete_to_basis,
     normalize_point,
     projective_reps,
 )
@@ -324,14 +323,15 @@ def _smooth_member(nf: NormalizedThreefold):
 def _pullback_quartic(K: GF, G: HomogeneousForm, H: HomogeneousForm):
     """H along a parametrization phi of the smooth conic G: (H o phi, phi's matrix).
 
-    From a rational point y of G, with w = u*c1 + v*c2 for (y, c1, c2) a
-    basis, the line through y and w meets G again at
+    From a rational point y of G, with w = u*c1 + v*c2 for c1, c2 the unit
+    vectors completing y to a basis (:func:`linalg.unit_complement`), the
+    line through y and w meets G again at
     phi(u:v) = -G(w)*y + 2*beta(y, w)*w, for beta the bilinear form of G.
     phi = M @ (u^2, u*v, v^2), so H o phi is a binary quartic in (u:v),
     interpolated from its values at five points (over F_9 when q = 3).
     """
     y = next(common_zeros([G]))
-    c1, c2 = complete_to_basis(K, y, np.eye(3, dtype=np.int64))
+    c1, c2 = np.eye(3, dtype=np.int64)[unit_complement(y)].tolist()
     g11, g12, g22 = binary_quadratic(G, c1, c2).coeffs.tolist()  # G(w)
     # 2*beta(y, c) = G(y + c) - G(c), as G(y) = 0; one batch for c = c1, c2
     shifted = [[K.add_(a, b) for a, b in zip(y, c)] for c in (c1, c2)]
@@ -366,7 +366,7 @@ def _Z_at_common_vertex(K: GF, q0: HomogeneousForm, q1: HomogeneousForm) -> Sing
     vertex = kernel_basis(K, np.vstack([q0.symmetric_matrix(), q1.symmetric_matrix()]))
     if vertex.shape[0] == 1:
         v = normalize_point(K, vertex[0])
-        c1, c2 = complete_to_basis(K, v, np.eye(3, dtype=np.int64))
+        c1, c2 = np.eye(3, dtype=np.int64)[unit_complement(v)]
         if binary_quadratic(q0, c1, c2).resultant(binary_quadratic(q1, c1, c2)):
             return SingularLocusZ(K, (ZPoint(1, v, 4),))
     raise NotGeneral("the restricted conics share a component")

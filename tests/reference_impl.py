@@ -45,7 +45,6 @@ from cubicfano.projective import (
     all_points_array,
     binary_quadratic,
     common_zeros,
-    complete_to_basis,
     enumerate_lines,
     linear_form_cutting_line_in_plane,
     normalize_point,
@@ -613,6 +612,18 @@ def root_directions(K, roots, c1, c2):
 _UNIT_VECTORS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def complete_to_basis(K, y, candidates):
+    """The first two candidates that extend y to a basis of a 3-space, by a rank test per candidate."""
+    basis = [list(y)]
+    for cand in candidates:
+        cand = [int(x) for x in cand]
+        if rank(K, np.array(basis + [cand], dtype=np.int64)) == len(basis) + 1:
+            basis.append(cand)
+            if len(basis) == 3:
+                return basis[1], basis[2]
+    raise InternalInconsistency("the candidates do not extend the point to a basis of a 3-space")
+
+
 def split_conic_at_by_scan(K, conic, z3):
     """Directions (with multiplicity) of the two lines of a conic singular at z3, and their field.
 
@@ -927,6 +938,19 @@ def _deformation_plane_by_solve(surf, z_amb, c, tau_line):
     return S
 
 
+def cone_tangent_plane_by_kernel(surf, z, c):
+    """The tangent plane at the node z to the fiber of the class c, as the kernel of its tangent row."""
+    M = c.K
+    (fib,) = pencil_fibers(surf.base, M, [(c.s, c.t)])
+    row = mat_vec(M, fib.matrix, (0,) + tuple(surf.Z.coords_in(z, M)))
+    if not row.any():
+        raise NotGeneral("the node sits at the cone vertex; the node scheme is not reduced")
+    ker = kernel_basis(M, np.array([row], dtype=np.int64))
+    if ker.shape[0] != 3:
+        raise InternalInconsistency("a nonzero linear form on P^3 cuts a plane")
+    return LinearSubspace(M, fib.ambient_rows(ker))
+
+
 def _residual_by_division(surf, rows, first, second, message):
     """The residual line of a section by symbolic division, InternalInconsistency when the rows span no plane."""
     plane = LinearSubspace(surf.L, np.array(rows, dtype=np.int64))
@@ -979,7 +1003,7 @@ def involution_by_step(surf, c, x, through=None):
         raise ResampleRequired("both ruling lines lie in P: the pair is in the excluded locus")
     if c.key == d.key:
         if c.is_cone:
-            S = surf._cone_tangent_plane(z, c)
+            S = cone_tangent_plane_by_kernel(surf, z, c)
         else:
             S = _deformation_plane_by_solve(surf, cl.meets_at, c, t1)
         res = _residual_by_division(surf, S.rows, t1, t1, "the limiting plane of a diagonal pair is a plane")

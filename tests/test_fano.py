@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from cubicfano import fano
+from cubicfano import fano, linalg, projective
 from cubicfano.errors import (
     InternalInconsistency,
     InvalidInput,
@@ -35,6 +35,7 @@ from cubicfano.fano import (
     verify_intersection_numbers,
 )
 from cubicfano.forms import HomogeneousForm, random_form
+from cubicfano.fourfold import dual_line_rows
 from cubicfano.gf import field
 from cubicfano.linalg import det, inverse_matrix, kernel_basis, mat_mul, rank
 from cubicfano.pencil import pencil_fibers, rulings_of_fiber
@@ -52,6 +53,7 @@ from cubicfano.threefold import compute_Z, normalize, random_general_threefold, 
 from cubicfano.torsor import TorsorGroup, torsor_group
 
 from reference_impl import (
+    cone_tangent_plane_by_kernel,
     conic_component_lines_by_scan,
     disjoint_rows_by_diagonal_sieve,
     involution_by_step,
@@ -427,6 +429,52 @@ def test_every_letter_without_excluded_output_gives_a_table():
     assert usable >= 4
 
 
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1)])
+def test_node_scheme_surface_and_dual_lines_take_no_row_reduction(monkeypatch, p, k):
+    # the flats they build (the unit vectors completing a conic point, the
+    # rows of each dual line) are closed forms; a first call builds the
+    # cached interpolation bases, which are row reductions
+    K = field(p, k)
+    duals = list(projective_reps(K, 2))
+    original = linalg.rref
+    reduced = []
+    built = 0
+    for seed in range(4):
+        try:
+            nf = random_general_threefold(K, random.Random(seed))
+        except NotSupportedError:
+            continue  # F_9 seeds 0 and 3: a node of degree 3 or 4
+        for counted in (False, True):
+            with monkeypatch.context() as patch:
+                if counted:
+                    for module in (linalg, projective):
+                        patch.setattr(module, "rref", lambda K, mat: reduced.append(mat) or original(K, mat))
+                compute_Z(nf)
+                FanoSurface(nf, 1)
+                for lam in duals:
+                    dual_line_rows(K, lam)
+        built += 1
+    assert built >= 2
+    assert len(reduced) == 0
+
+
+def test_the_cone_tangent_plane_is_the_kernel_of_the_tangent_row():
+    # every (rational node, cone class) pair at q = 3, 5, 7, seeds 0-9; the
+    # involution tables never reach this plane, since a cone class is its
+    # own opposite and j_c sends its boundary lines to their nodes
+    pairs = 0
+    for p in (3, 5, 7):
+        for seed in range(10):
+            surf = FanoSurface(seeded_example(p, seed), 1)
+            for z, _amb in surf.nodes:
+                for c in (c for c in surf.curve_points if c.is_cone):
+                    plane = surf._cone_tangent_plane(z, c)
+                    assert plane == cone_tangent_plane_by_kernel(surf, z, c)
+                    assert rank(surf.L, np.vstack([plane.matrix, surf.tau(z, c).matrix])) == 3
+                    pairs += 1
+    assert pairs == 49
+
+
 def test_involution_of_a_node_is_the_opposite_ruling_line():
     surf = FanoSurface(seeded_example(5, 2), 1)
     c = surf.curve_points[0]
@@ -446,8 +494,8 @@ def test_involutions_commute_through_the_node_pairing():
     d = by_key[(1, 1, 0)]
     checked = 0
     for z, _amb in surf.nodes:
-        x_d = surf.to_torsor_point(surf.tau(z, d))
-        x_c = surf.to_torsor_point(surf.tau(z, c))
+        x_d = TorsorPoint("line", rows=surf.tau(z, d).rows)
+        x_c = TorsorPoint("line", rows=surf.tau(z, c).rows)
         assert surf.involution(c, x_d) == surf.involution(d, x_c)
         checked += 1
     assert checked == 2

@@ -12,7 +12,17 @@ from cubicfano import projective
 from cubicfano.forms import HomogeneousForm, interpolate, interpolation_points, monomial_exponents, random_form
 from cubicfano.fourfold import _singular_point_scan, normalize_fourfold
 from cubicfano.gf import field
-from cubicfano.linalg import det, inverse_matrix, kernel_basis, mat_mul, rank, rref, rref_stack
+from cubicfano.linalg import (
+    det,
+    hyperplane_rows,
+    inverse_matrix,
+    kernel_basis,
+    mat_mul,
+    rank,
+    rref,
+    rref_stack,
+    unit_complement,
+)
 from cubicfano.errors import NotOnCubic, PlaneContained
 from cubicfano.projective import (
     LinearSubspace,
@@ -33,6 +43,7 @@ from cubicfano.projective import (
 from cubicfano.threefold import normalize, plane_basis
 
 from reference_impl import (
+    complete_to_basis,
     line_in_plane_from_linear_form,
     pluecker_coordinates,
     proportionality,
@@ -140,6 +151,33 @@ def test_stacked_det_matches_the_leibniz_expansion(p, k):
         assert 0 in expected and (n == 1 or len(set(expected)) > 1)
         assert int(det(K, mats[-1])) == expected[-1]  # one matrix
     assert det(K, np.zeros((0, 3, 3), dtype=np.int64)).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_hyperplane_rows_are_the_kernel_basis_of_each_form(p, k, n):
+    # every nonzero vector of F_q^n, or 500 of them where there are more than 3000
+    K = field(p, k)
+    codes = range(1, K.q**n)
+    if len(codes) > 3000:
+        codes = random.Random(K.q * n).sample(codes, 500)
+    ells = np.array([[c // K.q**i % K.q for i in range(n)] for c in codes], dtype=np.int64)
+    expected = np.stack([kernel_basis(K, ell[None]) for ell in ells])
+    for ell, rows in zip(ells, expected):
+        got = hyperplane_rows(K, ell)
+        assert got.dtype == np.int64 and np.array_equal(got, rows)
+    assert np.array_equal(hyperplane_rows(K, ells), expected)
+    m = len(ells) // 2 * 2
+    assert np.array_equal(hyperplane_rows(K, ells[:m].reshape(2, -1, n)), expected[:m].reshape(2, -1, n - 1, n))
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_unit_complement_is_the_first_unit_pair_completing_each_point(p, k):
+    K = field(p, k)
+    points = all_points_array(K, 2)
+    units = np.eye(3, dtype=np.int64)
+    got = units[unit_complement(points)].tolist()
+    assert got == [list(complete_to_basis(K, y, units)) for y in points.tolist()]
 
 
 def test_line_points_and_containment():
