@@ -43,10 +43,6 @@ class NeedsExtension(ValueError):
     worked in."""
 
 
-class NeedsDifferentPrime(ValueError):
-    """No scanned prime gives a reduction with a reduced discriminant."""
-
-
 class NotContained(ValueError):
     """The cubic does not vanish on the given plane."""
 

@@ -16,7 +16,11 @@ surface inside Y with no rational points blocks every section of the
 fibration, which certifies irrationality.  Local solvability of a rank-4
 quadratic form is decided exactly by the Hasse-Minkowski criterion through
 Hilbert symbols at the real place, at 2, and at the odd primes of the
-determinant.
+determinant.  The semidecision runs only on a general threefold, one whose
+discriminant sextic D(s, t) = det 4 R_{s,t} of the pencil is reduced; this
+is decided over Q from D alone, as disc(D) != 0, and ``good_prime`` is the
+least odd prime that does not divide disc(D), the least odd prime modulo
+which D stays reduced.
 
 This is the one module that computes in characteristic zero; all rational
 arithmetic is exact.  An integer form is a coefficient vector on the
@@ -29,9 +33,10 @@ its monomial matrix times its coefficient vector, in int64 where a bound
 proves no overflow and in Python integers otherwise.  A quadratic form is
 an integer Gram matrix, diagonalized fraction-free; ``fractions.Fraction``
 reads the plane's columns, maps a node back and holds the node search's
-roots.  Primality and factoring come from :mod:`cubicfano.integers`; the
-resultant is the Sylvester determinant (von zur Gathen-Gerhard, *Modern
-Computer Algebra*, ch. 6).
+roots.  Primality and factoring come from :mod:`cubicfano.integers`.  A
+resultant is a Sylvester determinant (von zur Gathen-Gerhard, *Modern
+Computer Algebra*, ch. 6): of binary forms by cofactors, the same
+expansion that gives D, and of integers by fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -44,19 +49,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    InternalInconsistency,
-    InvalidInput,
-    NeedsDifferentPrime,
-    NotContained,
-    NotGeneral,
-)
+from .errors import InternalInconsistency, InvalidInput, NotGeneral
 from .fano import DISJOINT, MEETS_PLANE, _meet_with_plane, surface_of
-from .forms import HomogeneousForm, _layout, _monomial_steps, _raised
-from .gf import field
-from .integers import _factor
-from .projective import LinearSubspace
-from .threefold import NormalizedThreefold, normalize
+from .forms import _layout, _monomial_steps, _raised
+from .integers import _factor, _is_prime
+from .threefold import NormalizedThreefold
 
 
 @dataclass(frozen=True)
@@ -70,6 +67,9 @@ class RationalityVerdict:
     search found nothing, ``points_found`` and ``points_capped`` (True when
     more than ``_POINT_CAP`` points were found and only the first were kept),
     then, once the line search found nothing, ``pencil_members_scanned``.
+    ``good_prime`` is the least odd prime that does not divide disc(D), for
+    D = det 4 R_{s,t} the discriminant sextic of the pencil, not made
+    primitive: modulo that prime D stays reduced.
     Over F_q the keys are ``field`` and, past a rational node,
     ``torsor_points``.
     """
@@ -421,8 +421,6 @@ def obstruction_confirmed_by_residues(diagonal, place) -> bool:
 # ---------------------------------------------------------------------------
 
 _STANDARD_PLANE_ROWS = ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
-# the primes tried, in order, for a reduction with a reduced discriminant
-_REDUCTION_PRIMES = (3, 5, 7)
 
 
 def _normalize_rational_cubic(terms: dict, plane_rows) -> tuple[np.ndarray, list[list[Fraction]]]:
@@ -508,26 +506,6 @@ def _fraction_rref(rows) -> tuple[list[list[Fraction]], int]:
     return M, rk
 
 
-def _good_reduction_prime(coeffs: np.ndarray) -> int:
-    for p in _REDUCTION_PRIMES:
-        reduced = coeffs % p
-        if not np.count_nonzero(reduced):
-            continue
-        K = field(p)
-        cubic = HomogeneousForm.from_coeffs(K, 5, 3, reduced)
-        rows = np.array(_STANDARD_PLANE_ROWS, dtype=np.int64)
-        try:
-            nf = normalize(cubic, LinearSubspace(K, rows))
-        except NotContained:
-            continue
-        if nf.discriminant.reduced:
-            return p
-    raise NeedsDifferentPrime(
-        "the discriminant is nonreduced modulo every scanned prime: "
-        f"no generality certificate from {_REDUCTION_PRIMES}"
-    )
-
-
 def _sorted_candidates(points) -> list:
     def keyfun(v):
         return (max(abs(x) for x in v), sum(1 for x in v if x < 0), v)
@@ -596,10 +574,9 @@ def _resultant(f: np.ndarray, g: np.ndarray, elim: int) -> np.ndarray:
     two coordinates (in their order): a slice of its coefficient vector on
     the binary layout.  Each form is read as a polynomial in w to its actual
     degree: read to the formal degree 2, two conics through the unit point
-    of w would have R = 0.  R is the determinant of the Sylvester matrix,
-    f's rows first, expanded by cofactors with the products of binary forms
-    taken by ``np.convolve``; it comes back on the binary layout of its
-    degree, and a zero form gives R = 0.
+    of w would have R = 0.  R is the ``_form_determinant`` of the Sylvester
+    matrix, whose entries outside the band are None; it comes back on the
+    binary layout of its degree, and a zero form gives R = 0.
     """
     powers = _layout(3, 2)[1][:, elim]
 
@@ -609,25 +586,63 @@ def _resultant(f: np.ndarray, g: np.ndarray, elim: int) -> np.ndarray:
             parts.pop(0)
         return parts
 
-    def determinant(rows):
-        # None marks an entry outside the band of the Sylvester matrix: a zero with no degree
-        if not rows:
-            return np.ones(1, dtype=object)
-        out = None
-        for j, entry in enumerate(rows[0]):
-            minor = None if entry is None else determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
-            if minor is not None:
-                term = np.convolve(entry, minor) * (-1) ** j
-                out = term if out is None else out + term
-        return out
-
     a, b = in_w(f), in_w(g)
     if not a or not b:
         return np.zeros(1, dtype=object)
+    return _form_determinant(_sylvester(a, b, None))
+
+
+def _sylvester(a: list, b: list, zero) -> list[list]:
+    """The Sylvester matrix of two polynomials with coefficient lists a and b, highest power first.
+
+    a's rows come first; ``zero`` fills the entries outside the band.
+    """
     m, n = len(a) - 1, len(b) - 1
-    rows = [[None] * i + a + [None] * (n - 1 - i) for i in range(n)]
-    rows += [[None] * i + b + [None] * (m - 1 - i) for i in range(m)]
-    return determinant(rows)
+    rows = [[zero] * i + a + [zero] * (n - 1 - i) for i in range(n)]
+    return rows + [[zero] * i + b + [zero] * (m - 1 - i) for i in range(m)]
+
+
+def _form_determinant(rows: list) -> np.ndarray:
+    """The determinant of a square matrix of integer binary forms, as a binary form.
+
+    An entry is a coefficient vector on the binary layout of its degree, or
+    None for a zero with no degree; every term of the expansion must have
+    one degree, as in a Sylvester matrix or the Gram matrix of the pencil.
+    The expansion is by cofactors along the first row, with the product of
+    two forms taken by ``np.convolve``.
+    """
+    if not rows:
+        return np.ones(1, dtype=object)
+    out = None
+    for j, entry in enumerate(rows[0]):
+        minor = None if entry is None else _form_determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
+        if minor is not None:
+            term = np.convolve(entry, minor) * (-1) ** j
+            out = term if out is None else out + term
+    return out
+
+
+def _integer_determinant(rows) -> int:
+    """The determinant of a square integer matrix, by one fraction-free elimination.
+
+    Bareiss's step (Math. Comp. 22, 1968) replaces each row r below the
+    pivot row k by (p row_r - a_rk row_k) / p', p the pivot and p' the one
+    before it: the division is exact, so every entry stays an integer.
+    """
+    M = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(M) - 1):
+        piv = next((r for r in range(k, len(M)) if M[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        p = M[k][k]
+        for r in range(k + 1, len(M)):
+            M[r] = [(p * x - M[r][k] * y) // prev for x, y in zip(M[r], M[k])]
+        prev = p
+    return sign * M[-1][-1]
 
 
 def _nodes_by_resultant(coeffs: np.ndarray) -> list[tuple[int, int, int]]:
@@ -672,7 +687,7 @@ def _nodes_by_resultant(coeffs: np.ndarray) -> list[tuple[int, int, int]]:
         nodes = (_form_values(conics[0], candidates, 2) == 0) & (_form_values(conics[1], candidates, 2) == 0)
         return _sorted_candidates({tuple(v) for v in candidates[nodes].tolist()})
     raise InternalInconsistency(
-        "every elimination resultant vanishes although the reduction certified reduced nodes"
+        "every elimination resultant vanishes although disc(D) != 0 certified reduced nodes"
     )
 
 
@@ -872,6 +887,58 @@ def _pencil_member_form(coeffs: np.ndarray, s: int, t: int) -> RationalQuadricFo
     return RationalQuadricForm(tuple(map(tuple, (2 * (upper + upper.T)).tolist())), 2)
 
 
+def _pencil_discriminant(coeffs: np.ndarray) -> np.ndarray:
+    """The discriminant sextic D(s, t) = det 4 R_{s,t} of the pencil, on the binary layout of degree 6.
+
+    The Gram matrix 4 R_{s,t} of ``_pencil_member_form`` as a matrix of
+    binary forms: the monomial x0^e0 x1^e1 m adds its coefficient at s^e0
+    t^e1, position e1 of the layout of degree e0 + e1, of its entry (i, j).
+    Entry (0, 0) has degree 3, the rest of row and column 0 degree 2, and
+    the other entries degree 1; D is their ``_form_determinant``.  D is not
+    made primitive.
+    """
+    positions, _, e1, i, j = _pencil_positions()
+    upper = np.zeros((4, 4, 4), dtype=object)
+    np.add.at(upper, (i, j, e1.astype(np.intp)), coeffs[positions])
+    gram = 2 * (upper + upper.transpose(1, 0, 2))
+    return _form_determinant([[gram[r, k, : 4 - (r > 0) - (k > 0)] for k in range(4)] for r in range(4)])
+
+
+def _sextic_discriminant(D: np.ndarray) -> int:
+    """disc(D) = -Res(D_s, D_t) / 6^4 of an integer binary sextic on the binary layout.
+
+    Zero exactly when D has a repeated root in P^1 over the algebraic
+    closure, or is zero.  The partials are read at the formal degree 5, so a
+    double root at (1 : 0), where both lose their s^5 term, gives zero too.
+    The resultant is the ``_integer_determinant`` of their 10 x 10 Sylvester
+    matrix, and Res(F_s, F_t) = (-1)^(n(n-1)/2) n^(n-2) disc(F) for a binary
+    form of degree n, disc the universal polynomial in the coefficients.  The
+    division is needed: in characteristic 2 and 3, Euler's identity
+    s D_s + t D_t = 6 D makes the partials share a root, so 6^4 divides every
+    resultant, and only the quotient reduces to the discriminant modulo 3.
+    """
+    ds = [(6 - k) * D[k] for k in range(6)]
+    dt = [k * D[k] for k in range(1, 7)]
+    disc, rest = divmod(-_integer_determinant(_sylvester(ds, dt, 0)), 6**4)
+    if rest:
+        raise InternalInconsistency("the resultant of the partials of D is not divisible by 6^4")
+    return disc
+
+
+def _good_prime(coeffs: np.ndarray) -> int:
+    """The least odd prime p that does not divide disc(D): the generality certificate over Q.
+
+    D is ``_pencil_discriminant`` of the normalized cubic, and the threefold
+    is general when D is reduced, that is when disc(D) != 0; otherwise this
+    raises NotGeneral.  Modulo p the discriminant of D is disc(D) mod p, so
+    p is the least odd prime modulo which D stays reduced.
+    """
+    disc = _sextic_discriminant(_pencil_discriminant(coeffs))
+    if disc == 0:
+        raise NotGeneral("the rationality criterion requires a reduced discriminant sextic: disc(D) = 0")
+    return next(p for p in itertools.count(3, 2) if disc % p and _is_prime(p))
+
+
 def _pencil_members(bound: int):
     for h in range(1, bound + 1):
         layer = [
@@ -898,8 +965,7 @@ def decide_over_rationals(cubic_terms, plane_rows=_STANDARD_PLANE_ROWS, height_b
     searches exhaust their bounds the honest answer is Unknown.
     """
     coeffs, columns = _normalize_rational_cubic(dict(cubic_terms), plane_rows)
-    good_prime = _good_reduction_prime(coeffs)
-    bounds = {"height_bound": height_bound, "good_prime": good_prime}
+    bounds = {"height_bound": height_bound, "good_prime": _good_prime(coeffs)}
 
     # (a) rational nodes
     for node in _nodes_by_resultant(coeffs):

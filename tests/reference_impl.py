@@ -5,9 +5,11 @@ on exponent dicts, cofactor determinants, Fermat inverses, brute-force
 searches, symbolic division, the group law acted out letter by letter
 through dicts, the node search over Q through sympy's resultant, gcd
 and factoring, the line search over Q by per-term grid loops and the
-four values f(a), f(b), f(a + b), f(a - b), and the diagonalization of a
-quadratic form over Q on Fractions.  Tests compare the fast package code
-against these.
+four values f(a), f(b), f(a + b), f(a - b), the diagonalization of a
+quadratic form over Q on Fractions, generality over Q by the F_p pipeline
+modulo 3, 5 and 7, and the discriminant sextic over Q as sympy's
+determinant of the symbolic Gram matrix.  Tests compare the fast package
+code against these.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import sympy
 from cubicfano.errors import (
     InternalInconsistency,
     NeedsExtension,
+    NotContained,
     NotGeneral,
     NotOnCubic,
     PlaneContained,
@@ -29,6 +32,7 @@ from cubicfano.errors import (
 )
 from cubicfano.fano import DISJOINT, MEETS_PLANE, TorsorPoint
 from cubicfano.forms import HomogeneousForm
+from cubicfano.gf import field
 from cubicfano.linalg import inverse_matrix, kernel_basis, mat_mul, mat_vec, rank, rref
 from cubicfano.pencil import (
     HyperellipticModel,
@@ -51,7 +55,8 @@ from cubicfano.projective import (
     projective_reps,
     span,
 )
-from cubicfano.rationality import _fraction_rref, _sorted_candidates
+from cubicfano.rationality import _STANDARD_PLANE_ROWS, _fraction_rref, _sorted_candidates
+from cubicfano.threefold import normalize
 from cubicfano.torsor import DivisorWord, SignedTorsorPoint
 
 
@@ -1226,7 +1231,7 @@ def nodes_by_sympy_resultant(int_terms: dict) -> list[tuple[int, int, int]]:
             candidates.append(centre)
         return _sorted_candidates(set(candidates))
     raise InternalInconsistency(
-        "every elimination resultant vanishes although the reduction certified reduced nodes"
+        "every elimination resultant vanishes although disc(D) != 0 certified reduced nodes"
     )
 
 
@@ -1403,3 +1408,57 @@ def squarefree_class(d: Fraction) -> int:
         return 0
     odd = [p for p, e in sympy.factorint(abs(d.numerator * d.denominator)).items() if e % 2]
     return math.prod(odd) * (1 if d > 0 else -1)
+
+
+def discriminant_sextic_by_sympy(int_terms: dict) -> list[int]:
+    """D = det 4 R_{s,t} of a normalized integer cubic, by sympy's determinant of the symbolic Gram matrix.
+
+    The entries are read term by term as in ``pencil_member_matrix``, with s
+    and t symbols and the matrix scaled by 4.  Returns the coefficients of
+    s^(6 - k) t^k for k = 0..6, the binary layout of degree 6.
+    """
+    s, t = sympy.symbols("s t")
+    G = sympy.zeros(4, 4)
+    for (e0, e1, *rest), c in int_terms.items():
+        if e0 + e1 == 0:
+            continue
+        i, j = [0] * (e0 + e1 - 1) + [v for v, k in enumerate(rest, 1) for _ in range(k)]
+        value = c * s**e0 * t**e1
+        if i == j:
+            G[i, i] += 4 * value
+        else:
+            G[i, j] += 2 * value
+            G[j, i] += 2 * value
+    D = sympy.Poly(G.det(), s, t)
+    return [int(D.coeff_monomial(s ** (6 - k) * t**k)) for k in range(7)]
+
+
+# the primes tried, in order, for a reduction with a reduced discriminant
+REDUCTION_PRIMES = (3, 5, 7)
+
+
+def good_reduction_prime(coeffs: np.ndarray) -> int:
+    """The first p of 3, 5, 7 modulo which the normalized integer cubic has a reduced discriminant.
+
+    The F_p pipeline at each p: the reduced cubic as a form over field(p),
+    normalized against the standard plane, and the discriminant sextic of
+    the normalized threefold tested for squarefreeness.  Raises ValueError
+    when no p certifies the cubic (NotGeneral when D vanishes modulo p).
+    """
+    for p in REDUCTION_PRIMES:
+        reduced = coeffs % p
+        if not np.count_nonzero(reduced):
+            continue
+        K = field(p)
+        cubic = HomogeneousForm.from_coeffs(K, 5, 3, reduced)
+        rows = np.array(_STANDARD_PLANE_ROWS, dtype=np.int64)
+        try:
+            nf = normalize(cubic, LinearSubspace(K, rows))
+        except NotContained:
+            continue
+        if nf.discriminant.reduced:
+            return p
+    raise ValueError(
+        "the discriminant is nonreduced modulo every scanned prime: "
+        f"no generality certificate from {REDUCTION_PRIMES}"
+    )

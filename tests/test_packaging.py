@@ -365,6 +365,26 @@ def test_quadratic_forms_over_q_are_integer_gram_matrices():
     assert mentions == []
 
 
+def test_generality_over_q_runs_no_finite_field_pipeline():
+    # the Q verdict certifies generality from the integer discriminant: it
+    # builds no field, subspace or normalized threefold over F_p
+    tree = ast.parse((PACKAGE / "rationality.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("cubicfano.")
+            imported += [(module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name.removeprefix("cubicfano."), None) for alias in node.names]
+    assert ("threefold", "NormalizedThreefold") in imported  # the scan sees the package imports at all
+    finite = [
+        f"{module}.{name}"
+        for module, name in imported
+        if module.partition(".")[0] in ("gf", "projective") or (module, name) == ("threefold", "normalize")
+    ]
+    assert finite == []
+
+
 def _attribute_reads(tree, attr, scope=""):
     """The qualified scope of every read of an attribute named ``attr``."""
     for node in ast.iter_child_nodes(tree):

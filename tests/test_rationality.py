@@ -13,6 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_impl import (
     diagonalize_by_fractions,
+    discriminant_sextic_by_sympy,
+    good_reduction_prime,
     lines_by_four_values,
     nodes_by_sympy_resultant,
     pencil_member_matrix,
@@ -26,7 +28,7 @@ from reference_impl import (
 )
 
 from cubicfano import integers, rationality
-from cubicfano.errors import InternalInconsistency, InvalidInput, NeedsDifferentPrime, NotGeneral
+from cubicfano.errors import InternalInconsistency, InvalidInput, NotGeneral
 from cubicfano.gf import field
 from cubicfano.projective import LinearSubspace
 from cubicfano.rationality import (
@@ -398,7 +400,8 @@ def test_bad_reduction_at_every_scanned_prime():
         for i in (0, 1):
             key = tuple(v + (1 if j == i else 0) for j, v in enumerate(e))
             shared[key] = shared.get(key, 0) + c
-    with pytest.raises(NeedsDifferentPrime):
+    # D = c s t (s + t)^4 over Q: no reduction certifies it, and over Q it is not general
+    with pytest.raises(NotGeneral, match=r"disc\(D\) = 0"):
         decide_over_rationals(shared, height_bound=3)
 
 
@@ -610,12 +613,12 @@ DEGENERATE_CONIC_PAIRS = {
     "shared in every elimination": (
         {(1, 0, 1): 1, (0, 1, 1): 1, (0, 0, 2): 1},
         {(2, 0, 0): 1, (0, 2, 0): -1, (1, 0, 1): 1, (0, 1, 1): -1},
-        "every elimination resultant vanishes although the reduction certified reduced nodes",
+        "every elimination resultant vanishes although disc(D) != 0 certified reduced nodes",
     ),
     "zero conic": (
         {},
         {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1},
-        "every elimination resultant vanishes although the reduction certified reduced nodes",
+        "every elimination resultant vanishes although disc(D) != 0 certified reduced nodes",
     ),
 }
 
@@ -700,6 +703,149 @@ def test_rational_roots_match_the_linear_factors(linear, cofactor):
     assume(not poly.is_zero)
     coeffs = [int(c) for c in reversed(poly.all_coeffs())]
     assert rationality._rational_roots(coeffs) == rational_roots_by_factor_list(poly)
+
+
+# ---------------------------------------------------------------------------
+# generality over Q: the discriminant sextic D and disc(D)
+# ---------------------------------------------------------------------------
+
+FROZEN_EXAMPLES = (NODE_EXAMPLE, LINE_EXAMPLE, DEFINITE_PENCIL_EXAMPLE, UNKNOWN_EXAMPLE)
+
+
+def generality_inputs():
+    """The normalized integer cubics 0-99, the frozen examples and the transformed-plane example."""
+    cubics = [random_integer_cubic(seed) for seed in range(100)] + list(FROZEN_EXAMPLES)
+    return [normalized(terms) for terms in cubics] + [normalized(_transformed_example(), TRANSFORMED_PLANE_ROWS)]
+
+
+def test_good_prime_is_the_reduction_prime_wherever_a_reduction_certifies():
+    compared = 0
+    for coeffs in generality_inputs():
+        try:
+            expected = good_reduction_prime(coeffs)
+        except ValueError:
+            continue
+        assert rationality._good_prime(coeffs) == expected
+        compared += 1
+    assert compared == 104  # of 105: cubic 41 has no reduction certificate from 3, 5 and 7
+
+
+def test_a_cubic_no_scanned_reduction_certifies_gets_a_verdict():
+    # 3, 5 and 7 divide disc(D), which is not zero: the cubic is general over Q
+    coeffs = normalized(random_integer_cubic(41))
+    disc = rationality._sextic_discriminant(rationality._pencil_discriminant(coeffs))
+    assert disc != 0 and disc % (3 * 5 * 7) == 0
+    with pytest.raises(ValueError, match="no generality certificate"):
+        good_reduction_prime(coeffs)
+    verdict = decide_over_rationals(random_integer_cubic(41), height_bound=4)
+    assert verdict.kind == "Rational" and verdict.witness["type"] == "node"
+    assert verdict.bounds["good_prime"] == 11
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 13])
+def test_scaling_x4_by_three_keeps_the_verdict_kind(seed):
+    # x4 -> 3 x4 fixes the plane and is an isomorphism over Q, but it makes D
+    # vanish modulo 3; a point of height h maps to one of height at most 3h
+    terms = random_integer_cubic(seed)
+    moved = {e: c * 3 ** e[4] for e, c in terms.items()}
+    assert not np.count_nonzero(rationality._pencil_discriminant(normalized(moved)) % 3)
+    before = decide_over_rationals(terms, height_bound=4)
+    after = decide_over_rationals(moved, height_bound=12)
+    assert after.kind == before.kind
+    assert after.certificate == before.certificate  # diag(1, 1, 1, 9) keeps each member's square classes
+
+
+def cubic_with_a_shared_line(seed):
+    """An integer cubic whose restricted conics are l*m0 and l*m1, l a linear form on the plane."""
+    rng = random.Random(seed)
+    terms = {e: c for e, c in random_integer_cubic(seed).items() if e[0] + e[1] != 1}
+    line = [rng.choice([-2, -1, 1, 2]) for _ in range(3)]
+    for i in (0, 1):
+        other = [rng.randint(-2, 2) for _ in range(3)]
+        for a, b in itertools.product(range(3), repeat=2):
+            key = [int(i == 0), int(i == 1), 0, 0, 0]
+            key[2 + a] += 1
+            key[2 + b] += 1
+            terms[tuple(key)] = terms.get(tuple(key), 0) + line[a] * other[b]
+    return {e: c for e, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_conics_sharing_a_line_are_not_general(seed):
+    # the threefold is singular along a line of P, and D is not reduced
+    with pytest.raises(NotGeneral, match=r"disc\(D\) = 0"):
+        decide_over_rationals(cubic_with_a_shared_line(seed), height_bound=2)
+
+
+def test_the_discriminant_sextic_is_the_determinant_of_the_symbolic_gram_matrix():
+    inputs = generality_inputs()
+    for coeffs in inputs[::7] + inputs[100:]:
+        assert rationality._pencil_discriminant(coeffs).tolist() == discriminant_sextic_by_sympy(terms_of(coeffs))
+
+
+def binary_form(coeffs):
+    """The sympy binary form with coefficient coeffs[k] at s^(d - k) t^k."""
+    s, t = sympy.symbols("s t")
+    return sympy.Poly(sum(int(c) * s ** (len(coeffs) - 1 - k) * t**k for k, c in enumerate(coeffs)), s, t)
+
+
+def linear_product(factors):
+    """The coefficients of the product of the binary linear forms a s + b t, on the binary layout."""
+    out = np.ones(1, dtype=object)
+    for a, b in factors:
+        out = np.convolve(out, np.array([a, b], dtype=object))
+    return out.tolist()
+
+
+SEXTICS = st.one_of(
+    st.lists(st.integers(-5, 5), min_size=7, max_size=7),
+    # six linear factors a s + b t: repeats are common, and a = 0 is a root at (1 : 0)
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any), min_size=6, max_size=6).map(linear_product),
+    # the square of a binary cubic: never reduced
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(lambda f: np.convolve(f, f).tolist()),
+)
+
+
+@given(SEXTICS)
+@settings(max_examples=200, deadline=None)
+def test_disc_is_nonzero_exactly_when_the_sextic_is_squarefree(coeffs):
+    disc = rationality._sextic_discriminant(np.array(coeffs, dtype=object))
+    if not any(coeffs):
+        assert disc == 0
+        return
+    _, factors = binary_form(coeffs).sqf_list()
+    assert (disc != 0) == all(mult == 1 for _, mult in factors)
+    if coeffs[0]:
+        s = sympy.Symbol("s")
+        assert disc == sympy.discriminant(sum(c * s ** (6 - k) for k, c in enumerate(coeffs)), s)
+
+
+@pytest.mark.parametrize(
+    "factors, multiplicity",
+    [
+        # t (s - t)(s + t)(s - 2t)(s + 2t)(2s + t): a simple root at (1 : 0)
+        ([(0, 1), (1, -1), (1, 1), (1, -2), (1, 2), (2, 1)], 1),
+        # t^2 (s - t)(s + t)(s - 2t)(s + 2t): a double root at (1 : 0), where
+        # both partials lose their s^5 term and only the formal degree sees it
+        ([(0, 1), (0, 1), (1, -1), (1, 1), (1, -2), (1, 2)], 2),
+    ],
+    ids=["simple", "double"],
+)
+def test_a_root_at_infinity_counts_with_its_multiplicity(factors, multiplicity):
+    coeffs = linear_product(factors)
+    assert coeffs[:multiplicity] == [0] * multiplicity and coeffs[multiplicity] != 0
+    assert (rationality._sextic_discriminant(np.array(coeffs, dtype=object)) != 0) == (multiplicity == 1)
+
+
+SQUARE_MATRICES = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(SQUARE_MATRICES)
+@settings(max_examples=150, deadline=None)
+def test_the_fraction_free_determinant_matches_sympy(rows):
+    assert rationality._integer_determinant(rows) == sympy.Matrix(rows).det()
 
 
 # ---------------------------------------------------------------------------
