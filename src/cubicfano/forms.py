@@ -11,8 +11,8 @@ returns a fresh form.
 Input from outside comes as a dict of exponent tuples, checked term by term.
 The forms the package builds come from their coefficient vector
 (:meth:`HomogeneousForm.from_coeffs`), checked by one range test.  A form
-that comes out of a product, a substitution or a determinant is built one
-way: :func:`interpolate` from its values at :func:`interpolation_points`.
+that comes out of a substitution or a determinant is built one way:
+:func:`interpolate` from its values at :func:`interpolation_points`.
 """
 
 from __future__ import annotations
@@ -174,15 +174,6 @@ class HomogeneousForm:
 
     def scaled(self, c: int) -> "HomogeneousForm":
         return HomogeneousForm.from_coeffs(self.K, self.nvars, self.degree, self.K.mul(self.coeffs, c))
-
-    def times(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        """The product, interpolated from the products of the two forms' values."""
-        if self.nvars != other.nvars:
-            raise InvalidInput(f"cannot multiply forms in {self.nvars} and {other.nvars} variables")
-        degree = self.degree + other.degree
-        L, pts = interpolation_points(self.K, self.nvars, degree)
-        values = L.mul(self.embedded(L).evaluate_batch(pts), other.embedded(L).evaluate_batch(pts))
-        return interpolate(self.K, self.nvars, degree, values)
 
     def derivative(self, i: int) -> "HomogeneousForm":
         """The partial derivative in x_i: each monomial e of degree - 1 takes (e_i + 1) c_(e + x_i)."""

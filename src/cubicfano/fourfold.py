@@ -48,8 +48,9 @@ from .projective import (
 )
 from .threefold import (
     NormalizedThreefold,
+    cubic_through_plane,
+    marked_plane,
     normalize,
-    plane_basis,
     random_cubic_through_plane,
     split_off_plane,
 )
@@ -80,16 +81,12 @@ class NormalizedFourfold:
     _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        acc = HomogeneousForm.zero(self.K, 6, 3)
-        for i, Q in enumerate((self.Q0, self.Q1, self.Q2)):
-            xi = tuple(1 if j == i else 0 for j in range(6))
-            acc = acc.plus(Q.times(HomogeneousForm.monomial(self.K, 6, xi)))
-        if acc != self.f:
+        if cubic_through_plane(self.K, (self.Q0, self.Q1, self.Q2)) != self.f:
             raise InternalInconsistency("x0*Q0 + x1*Q1 + x2*Q2 does not reconstruct f")
 
     @property
     def plane(self) -> LinearSubspace:
-        return LinearSubspace(self.K, plane_basis(6))
+        return marked_plane(self.K, 6)
 
     @cached_property
     def discriminant(self) -> PlaneDiscriminant:
@@ -117,7 +114,7 @@ def normalize_fourfold(cubic: HomogeneousForm, plane: LinearSubspace) -> Normali
 
 def random_fourfold_through_plane(K: GF, rng) -> NormalizedFourfold:
     """A uniformly random cubic of the shape x0*Q0 + x1*Q1 + x2*Q2."""
-    return normalize_fourfold(random_cubic_through_plane(K, 6, rng), LinearSubspace(K, plane_basis(6)))
+    return normalize_fourfold(random_cubic_through_plane(K, 6, rng), marked_plane(K, 6))
 
 
 SAMPLE_TRIES = 400  # draws before the sampler gives up
@@ -247,7 +244,7 @@ def slice_threefold(nx: NormalizedFourfold, lam) -> NormalizedThreefold:
     B[1, :3] = heads[1]
     B[2, 3] = B[3, 4] = B[4, 5] = 1
     f5 = nx.f.restrict(B)
-    return normalize(f5, LinearSubspace(K, plane_basis(5)))
+    return normalize(f5, marked_plane(K, 5))
 
 
 @dataclass(frozen=True)
@@ -256,43 +253,28 @@ class Slice:
 
     ``sextic`` is the plane discriminant on the dual line, None when the
     discriminant contains the line; the dual is ``transverse`` when it is
-    squarefree.  ``failure`` is the message of the first NotGeneral, from the
-    slice's node scheme ``threefold.Z`` and then from the restriction; on a
-    transverse dual the slice's Z is kept exactly when ``failure`` is None.
+    squarefree.  Its node scheme is computed when first read.
 
-    A transverse slice without a failure is a general threefold: its Z is
-    zero-dimensional, and its own discriminant is the squarefree ``sextic``
-    coefficient for coefficient, so :func:`threefold.certify_generality`
-    passes it by the proof in :class:`threefold.GeneralityCertificate`.
+    On a fourfold that passes :func:`certify_fourfold`, a transverse slice is
+    a general threefold: its Z is zero-dimensional (:class:`FourfoldCertificate`),
+    and its own discriminant is the squarefree ``sextic`` coefficient for
+    coefficient, so :func:`threefold.certify_generality` passes it by the
+    proof in :class:`threefold.GeneralityCertificate`.
     """
 
     dual: tuple[int, int, int]
     threefold: NormalizedThreefold
     sextic: HomogeneousForm | None
     transverse: bool
-    failure: str | None
-
-    @property
-    def witness(self) -> tuple | None:
-        """Why the slice breaks the slicing law of :func:`certify_fourfold`, or None."""
-        if self.failure is not None:
-            return ("degenerate slice", self.dual, self.failure)
-        return None
 
 
 def _build_slice(nx: NormalizedFourfold, lam: tuple[int, int, int]) -> Slice:
-    nf = slice_threefold(nx, lam)
-    sextic = failure = None
-    try:
-        nf.Z  # length four, or NotGeneral
-    except NotGeneral as exc:
-        failure = str(exc)
     try:
         sextic = nx.discriminant.restricted_to_dual(lam)
-    except NotGeneral as exc:
-        failure = failure or str(exc)
+    except NotGeneral:
+        sextic = None
     transverse = sextic is not None and sextic.is_squarefree()
-    return Slice(lam, nf, sextic, transverse, failure)
+    return Slice(lam, slice_threefold(nx, lam), sextic, transverse)
 
 
 # ---------------------------------------------------------------------------
@@ -350,59 +332,71 @@ def pi_of_line(nx: NormalizedFourfold, rows):
 
 @dataclass(frozen=True)
 class FourfoldCertificate:
-    """``slices_general`` is None when the discriminant or the smoothness
-    check failed, and no slice was read."""
+    """Smoothness of X along and off P, and of its plane discriminant D.
 
-    smooth_off_scan: bool
+    ``disc_smooth``: D is a sextic with no singular point over F_{q^d} for
+    d <= ``DISC_SCAN_DEPTH``, and contains no F_q-rational dual line (the
+    scan alone misses a line whose five crossings with the residual quintic
+    are one point of degree 5).  ``smooth_along_P`` is exact, and None when
+    D failed and it was not read.  The ``witness`` names what failed:
+    ``("singular along P", (x3, x4, x5), degree)`` for a singular point of X
+    on P over F_{q^degree}, in the plane coordinates of the slices.
+
+    - **Along P.**  On P, grad f = (Q0, Q1, Q2, 0, 0, 0), so X is singular at
+      x in P exactly when x is a base point of the tangency map
+      g = (Q0 : Q1 : Q2)|_P.  The node scheme of the slice over lam is
+      g^-1(lam) together with the base points.  With no base point, g is a
+      morphism by conics and O(2) is ample, so g is finite of degree 4 and
+      every slice's Z is zero-dimensional of length 4.  So one slice
+      decides: when its Z is not zero-dimensional, g has a curve as a fiber
+      and a base point exists; otherwise the base points are among the
+      points of Z, where the three quadrics are evaluated.
+    - **Off P.**  A point of X off P lies on one fiber quadric, the one over
+      (x0 : x1 : x2), and X can be singular there only at a singular point
+      of that fiber.  A fiber of rank <= 2 lies over a singular point of D.
+      At the vertex w of a fiber of rank 3 with matrix A, f = v * R_{s,t,u}
+      has derivatives across the fibers v * w^T (dA) w with v != 0, and
+      adj A = c*w*w^T with c != 0, so d(det A) = c * w^T (dA) w in odd
+      characteristic: X is singular at w exactly when D is singular below
+      it (cf. Hassett, Compositio Math. 120, 2000).  So the depth-2 scan of
+      D rules out singular points of X off P of degree <= 2.
+    """
+
     disc_smooth: bool
-    slices_general: bool | None
+    smooth_along_P: bool | None
     witness: tuple | None = None
 
     @property
     def is_general(self) -> bool:
-        return self.smooth_off_scan and self.disc_smooth and self.slices_general is True
-
-
-def _singular_point_scan(nx: NormalizedFourfold, d: int):
-    """First singular point of X over F_{q^d}, or None."""
-    f = nx.f.embedded(nx.K.extension(d))
-    return next(common_zeros([f] + [f.derivative(i) for i in range(6)]), None)
+        return self.disc_smooth and self.smooth_along_P is True
 
 
 def certify_fourfold(nx: NormalizedFourfold) -> FourfoldCertificate:
-    """Scan-certified generality: the plane discriminant a smooth sextic up to
-    ``DISC_SCAN_DEPTH``, X smooth at its F_q-points, and the slicing law over
-    every F_q-rational dual point.
+    """The :class:`FourfoldCertificate` of a fourfold, up to the first failure.
 
-    Every slice must have a zero-dimensional node scheme of length four
-    (the fibers of the tangency map).  The slice over a *transverse* dual,
-    where the restricted sextic stays reduced, is then a general threefold
-    with no further check: that sextic is the slice's own discriminant
-    (see :class:`Slice`).  Duals tangent to the discriminant carry honestly
-    degenerate slices and are exempt.  The slices are read only when the
-    first two checks pass, in enumeration order, up to the first failure;
-    they are the fourfold's kept slices, shared with :func:`fiber_scan`.
+    It reads the fourfold's kept slices, shared with :func:`fiber_scan`:
+    every sextic, for the dual lines in D, and the node scheme of the first
+    slice, for the base points of g.
     """
-    witness = None
     try:
         disc = nx.discriminant
-        disc_ok = disc.smooth_to_depth
-        if not disc_ok:
-            witness = ("singular discriminant point", disc.singular_witness)
     except NotGeneral as exc:
-        disc_ok = False
-        witness = ("degenerate discriminant", str(exc))
-    hit = _singular_point_scan(nx, 1)
-    if hit is not None:
-        witness = witness or ("singular point", hit)
-    slices_ok = None
-    if disc_ok and hit is None:
-        for lam in projective_reps(nx.K, 2):
-            witness = nx.slice_over(lam).witness
-            if witness is not None:
-                break
-        slices_ok = witness is None
-    return FourfoldCertificate(hit is None, disc_ok, slices_ok, witness)
+        return FourfoldCertificate(False, None, ("degenerate discriminant", str(exc)))
+    if not disc.smooth_to_depth:
+        return FourfoldCertificate(False, None, ("singular discriminant point", disc.singular_witness))
+    duals = list(projective_reps(nx.K, 2))
+    lam = next((lam for lam in duals if nx.slice_over(lam).sextic is None), None)
+    if lam is not None:
+        return FourfoldCertificate(False, None, ("dual line in the discriminant", lam))
+    try:
+        Z = nx.slice_over(duals[0]).threefold.Z
+    except NotGeneral as exc:
+        return FourfoldCertificate(True, False, ("positive-dimensional fiber of g", duals[0], str(exc)))
+    for z in Z.points:
+        L, x = Z.field_of(z), np.array([(0, 0, 0) + z.plane_coords])
+        if not any(Q.embedded(L).evaluate_batch(x)[0] for Q in (nx.Q0, nx.Q1, nx.Q2)):
+            return FourfoldCertificate(True, False, ("singular along P", z.plane_coords, z.degree))
+    return FourfoldCertificate(True, True)
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +440,19 @@ class FiberReport:
 def fiber_scan(nx: NormalizedFourfold) -> list[FiberReport]:
     """Verify the fibration fiberwise over every transverse dual point.
 
-    Reports come back sorted by dual point.  A failed slice is recorded,
-    never fatal.  The slices are the fourfold's kept ones, so after
-    :func:`certify_fourfold` no node scheme is computed again.
+    Reports come back sorted by dual point.  A slice whose node scheme is
+    not zero-dimensional is recorded, never fatal.  Only transverse slices
+    compute their node schemes, on the fourfold's kept slices.
     """
     reports = []
     for lam in sorted(projective_reps(nx.K, 2)):
         sl = nx.slice_over(lam)
         if not sl.transverse:
             continue
-        if sl.witness is not None:
-            kind, _, why = sl.witness
-            reports.append(FiberReport(sl.dual, True, False, None, None, None, f"{kind}: {why}"))
+        try:
+            sl.threefold.Z
+        except NotGeneral as exc:
+            reports.append(FiberReport(sl.dual, True, False, None, None, None, f"degenerate slice: {exc}"))
             continue
         zdata = zeta(HyperellipticModel(DiscriminantSextic(sl.sextic)))
         n_torsor = len(surface_of(sl.threefold).torsor_set)

@@ -74,14 +74,12 @@ class NormalizedThreefold:
     groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x0Q0 = self.Q0.times(HomogeneousForm.monomial(self.K, 5, (1, 0, 0, 0, 0)))
-        x1Q1 = self.Q1.times(HomogeneousForm.monomial(self.K, 5, (0, 1, 0, 0, 0)))
-        if x0Q0.plus(x1Q1) != self.f:
+        if cubic_through_plane(self.K, (self.Q0, self.Q1)) != self.f:
             raise InternalInconsistency("x0*Q0 + x1*Q1 does not reconstruct f")
 
     @property
     def plane(self) -> LinearSubspace:
-        return LinearSubspace(self.K, plane_basis(5))
+        return marked_plane(self.K, 5)
 
     @cached_property
     def restricted_conics(self) -> tuple[HomogeneousForm, HomogeneousForm]:
@@ -142,6 +140,12 @@ def plane_basis(nvars: int) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=None)
+def marked_plane(K: GF, nvars: int) -> LinearSubspace:
+    """The flat of :func:`plane_basis`, reduced once per field and number of variables."""
+    return LinearSubspace(K, plane_basis(nvars))
+
+
 def split_off_plane(cubic: HomogeneousForm, plane: LinearSubspace, nvars: int):
     """Move ``plane`` to {x0 = ... = x_{n-1} = 0} and split off the quadrics.
 
@@ -187,16 +191,22 @@ def normalize(cubic: HomogeneousForm, plane: LinearSubspace) -> NormalizedThreef
     return NormalizedThreefold(cubic.K, f_new, Q0, Q1, transform)
 
 
+def cubic_through_plane(K: GF, quadrics) -> HomogeneousForm:
+    """x0*Q0 + ... + x_{n-1}*Q_{n-1} for n quadrics in n + 3 variables: each
+    Q_i's coefficients placed at ``raised[i]`` of :func:`_split_positions`."""
+    raised, _, free = _split_positions(len(quadrics) + 3)
+    codes = np.zeros(len(free), dtype=np.int64)
+    for positions, Q in zip(raised, quadrics):
+        term = np.zeros_like(codes)
+        term[positions] = Q.coeffs
+        codes = K.add(codes, term)
+    return HomogeneousForm.from_coeffs(K, len(quadrics) + 3, 3, codes)
+
+
 def random_cubic_through_plane(K: GF, nvars: int, rng) -> HomogeneousForm:
     """x0*Q0 + ... + x_{n-1}*Q_{n-1} in nvars = n + 3 variables, with Q0, ..., Q_{n-1}
     uniformly random quadrics drawn from rng in that order."""
-    raised, _, free = _split_positions(nvars)
-    codes = np.zeros(len(free), dtype=np.int64)
-    for i in range(nvars - 3):
-        term = np.zeros_like(codes)
-        term[raised[i]] = random_form(K, nvars, 2, rng).coeffs
-        codes = K.add(codes, term)
-    return HomogeneousForm.from_coeffs(K, nvars, 3, codes)
+    return cubic_through_plane(K, [random_form(K, nvars, 2, rng) for _ in range(nvars - 3)])
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +231,7 @@ def _split_positions(nvars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def random_threefold_through_plane(K: GF, rng) -> NormalizedThreefold:
     """A uniformly random cubic of the shape x0*Q0 + x1*Q1 (may be degenerate)."""
-    return normalize(random_cubic_through_plane(K, 5, rng), LinearSubspace(K, plane_basis(5)))
+    return normalize(random_cubic_through_plane(K, 5, rng), marked_plane(K, 5))
 
 
 SAMPLE_TRIES = 200  # draws before the sampler gives up

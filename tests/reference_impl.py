@@ -7,9 +7,10 @@ through dicts, the node search over Q through sympy's resultant, gcd
 and factoring, the line search over Q by per-term grid loops and the
 four values f(a), f(b), f(a + b), f(a - b), the diagonalization of a
 quadratic form over Q on Fractions, generality over Q by the F_p pipeline
-modulo 3, 5 and 7, and the discriminant sextic over Q as sympy's
-determinant of the symbolic Gram matrix.  Tests compare the fast package
-code against these.
+modulo 3, 5 and 7, the discriminant sextic over Q as sympy's
+determinant of the symbolic Gram matrix, products of forms by
+interpolation, and the singular points of a fourfold by a scan of P^5.
+Tests compare the fast package code against these.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sympy
 
 from cubicfano.errors import (
     InternalInconsistency,
+    InvalidInput,
     NeedsExtension,
     NotContained,
     NotGeneral,
@@ -31,7 +33,7 @@ from cubicfano.errors import (
     ResampleRequired,
 )
 from cubicfano.fano import DISJOINT, MEETS_PLANE, TorsorPoint
-from cubicfano.forms import HomogeneousForm
+from cubicfano.forms import HomogeneousForm, interpolate, interpolation_points
 from cubicfano.gf import field
 from cubicfano.linalg import inverse_matrix, kernel_basis, mat_mul, mat_vec, rank, rref
 from cubicfano.pencil import (
@@ -187,6 +189,20 @@ def _dict_mul(K, A, B):
             else:
                 out.pop(e, None)
     return out
+
+
+def times(f, g):
+    """f * g, interpolated from the products of the two forms' values.
+
+    The oracle of ``threefold.cubic_through_plane``, which places the
+    quadrics' coefficients instead of multiplying.
+    """
+    if f.nvars != g.nvars:
+        raise InvalidInput(f"cannot multiply forms in {f.nvars} and {g.nvars} variables")
+    degree = f.degree + g.degree
+    L, pts = interpolation_points(f.K, f.nvars, degree)
+    values = L.mul(f.embedded(L).evaluate_batch(pts), g.embedded(L).evaluate_batch(pts))
+    return interpolate(f.K, f.nvars, degree, values)
 
 
 def times_by_dicts(f, g):
@@ -511,6 +527,17 @@ def singular_points_off_plane(nf, d):
     """
     f = nf.f.embedded(nf.K.extension(d))
     return (pt for pt in common_zeros([f] + [f.derivative(i) for i in range(5)]) if pt[0] or pt[1])
+
+
+def singular_point_scan(nx, d):
+    """Points of P^5 over F_{q^d} where the fourfold's cubic and all six partials vanish, lazily.
+
+    ``fourfold.certify_fourfold`` reads no such scan: a singular point lies
+    on P, where it is a base point of the tangency map, or over a singular
+    point (x0 : x1 : x2) of the plane discriminant.
+    """
+    f = nx.f.embedded(nx.K.extension(d))
+    return common_zeros([f] + [f.derivative(i) for i in range(6)])
 
 
 def extra_plane_candidates(nf, d):

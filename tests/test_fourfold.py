@@ -4,13 +4,14 @@ slices, and the line census against the fibration map."""
 import dataclasses
 import hashlib
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from cubicfano import fourfold, threefold
 from cubicfano.errors import NotGeneral
-from cubicfano.forms import HomogeneousForm
+from cubicfano.forms import HomogeneousForm, random_form
 from cubicfano.fourfold import (
     Indeterminate,
     certify_fourfold,
@@ -24,15 +25,24 @@ from cubicfano.fourfold import (
     tangency_map,
 )
 from cubicfano.gf import field
+from cubicfano.linalg import rref
 from cubicfano.pencil import discriminant, symbolic_fiber_entries
 from cubicfano.projective import LinearSubspace, common_zeros, projective_reps, span
-from cubicfano.threefold import certify_generality, compute_Z, plane_basis
+from cubicfano.threefold import (
+    certify_generality,
+    compute_Z,
+    cubic_through_plane,
+    marked_plane,
+    plane_basis,
+    random_general_threefold,
+)
 
 from reference_impl import (
     det_form_matrix,
     fourfold_points_by_double_plane,
     lines_by_galkin_shinder,
     lines_on_fourfold,
+    singular_point_scan,
     substitute_by_dicts,
 )
 
@@ -126,15 +136,141 @@ def test_sampled_fourfolds_pass_the_certificate(seed):
 
 
 def test_a_degenerate_slice_fails_the_certificate_and_the_scan_goes_on():
-    # the node scheme of the slice over a tangent dual is not zero-dimensional;
-    # the certificate stops there, and the scan still reports every transverse dual
+    # the tangency map has a base point of degree 2, so X is singular there and
+    # the node scheme of the slice over the tangent dual (1, 1, 0) is not
+    # zero-dimensional; the scan still reports every transverse dual
     nx = random_fourfold_through_plane(field(3), random.Random(99))
     cert = certify_fourfold(nx)
-    assert (cert.smooth_off_scan, cert.disc_smooth, cert.slices_general) == (True, True, False)
-    assert cert.witness == ("degenerate slice", (1, 1, 0), "the restricted conics share a component")
-    assert not nx.slice_over((1, 1, 0)).transverse
+    assert (cert.disc_smooth, cert.smooth_along_P) == (True, False)
+    assert cert.witness == ("singular along P", (1, 0, 5), 2)
     reports = fourfold.fiber_scan(nx)
     assert len(reports) == 9 and all(r.general and r.equal for r in reports)
+    # neither computed the node scheme over the tangent dual
+    tangent = nx.slice_over((1, 1, 0))
+    assert not tangent.transverse and "Z" not in vars(tangent.threefold)
+    with pytest.raises(NotGeneral, match="the restricted conics share a component"):
+        tangent.threefold.Z
+
+
+def planted_fourfold(seed, dropped):
+    """A random x0*Q0 + x1*Q1 + x2*Q2 over F_3 without the monomials e of Q_i where dropped(i, e)."""
+    K, rng = field(3), random.Random(seed)
+    quadrics = []
+    for i in range(3):
+        terms = random_form(K, 6, 2, rng).terms
+        quadrics.append(HomogeneousForm(K, 6, 2, {e: c for e, c in terms.items() if not dropped(i, e)}))
+    return normalize_fourfold(cubic_through_plane(K, quadrics), marked_plane(K, 6))
+
+
+def test_a_singular_point_on_the_plane_is_a_base_point_of_the_tangency_map():
+    # Q0, Q1 and Q2 lose their x3^2 terms: X is singular at e3, a point of P,
+    # while the plane discriminant passes its scan
+    nx = planted_fourfold(0, lambda i, e: e == (0, 0, 0, 2, 0, 0))
+    assert (0, 0, 0, 1, 0, 0) in set(singular_point_scan(nx, 1))
+    cert = certify_fourfold(nx)
+    assert (cert.disc_smooth, cert.smooth_along_P, cert.is_general) == (True, False, False)
+    assert cert.witness == ("singular along P", (1, 0, 0), 1)
+
+
+def test_a_curve_in_a_fiber_of_the_tangency_map_is_refused():
+    # Q1|_P and Q2|_P both vanish on the line {x3 = 0} of P, which then lies in
+    # the fiber of g over the first dual (1, 0, 0); Q0|_P meets that line in
+    # base points over F_9, so X is singular along P
+    nx = planted_fourfold(0, lambda i, e: i > 0 and not any(e[:4]))
+    L = field(3, 2)
+    assert next(common_zeros([Q.restrict(plane_basis(6)).embedded(L) for Q in (nx.Q0, nx.Q1, nx.Q2)]), None)
+    cert = certify_fourfold(nx)
+    assert (cert.disc_smooth, cert.smooth_along_P) == (True, False)
+    assert cert.witness == ("positive-dimensional fiber of g", (1, 0, 0), "the restricted conics share a component")
+
+
+def test_a_singular_point_of_degree_three_on_the_plane_is_refused():
+    # the sampler once returned this eleventh draw: every slice's Z is a
+    # rational point plus the orbit of a base point of degree 3, so the
+    # slicing law held and X has no singular F_3-point
+    rng = random.Random(23)
+    for _ in range(11):
+        nx = random_fourfold_through_plane(field(3), rng)
+    assert next(singular_point_scan(nx, 1), None) is None
+    cert = certify_fourfold(nx)
+    assert (cert.disc_smooth, cert.smooth_along_P) == (True, False)
+    kind, coords, degree = cert.witness
+    assert (kind, degree) == ("singular along P", 3)
+    L = field(3, 3)
+    point = np.array([(0, 0, 0) + coords])
+    assert not any(Q.embedded(L).evaluate_batch(point)[0] for Q in (nx.Q0, nx.Q1, nx.Q2))
+    assert random_general_fourfold(field(3), random.Random(23)).f != nx.f
+
+
+def test_a_singular_point_off_the_plane_is_refused_by_the_discriminant_scan():
+    # no monomial x0^3 or x0^2*x_j: X is singular at e0, which lies over the
+    # point (1 : 0 : 0) of the plane discriminant
+    nx = planted_fourfold(0, lambda i, e: (i == 0 and e[0] > 0) or e == (2, 0, 0, 0, 0, 0))
+    assert (1, 0, 0, 0, 0, 0) in set(singular_point_scan(nx, 1))
+    cert = certify_fourfold(nx)
+    assert (cert.disc_smooth, cert.smooth_along_P) == (False, None)
+    assert cert.witness == ("singular discriminant point", (1, 0, 0))
+
+
+@pytest.mark.parametrize("p, draws", [(3, 60), (5, 20), (7, 8)])
+def test_singular_points_lie_on_the_plane_or_over_a_singular_point_of_the_discriminant(p, draws):
+    # the two cases of the certificate's proof, against the scan of P^5 that it
+    # does not make
+    rng = random.Random(11)
+    off_plane = 0
+    for _ in range(draws):
+        nx = random_fourfold_through_plane(field(p), rng)
+        D = nx.discriminant.form
+        singular_D = [D] + [D.derivative(i) for i in range(3)]
+        for x in singular_point_scan(nx, 1):
+            if any(x[:3]):
+                off_plane += 1
+                assert not any(F.evaluate(x[:3]) for F in singular_D)
+    assert off_plane
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_certificate_reads_one_node_scheme_and_scans_no_p5(monkeypatch, seed):
+    # a fresh copy keeps no slice, so the certificate computes what it reads
+    nx = dataclasses.replace(seeded_fourfold(seed))
+    node_schemes, scanned = [], []
+
+    def counted_Z(nf):
+        node_schemes.append(nf)
+        return compute_Z(nf)
+
+    def counted_zeros(forms):
+        scanned.extend(f.nvars for f in forms)
+        return common_zeros(forms)
+
+    monkeypatch.setattr(threefold, "compute_Z", counted_Z)
+    monkeypatch.setattr(fourfold, "common_zeros", counted_zeros)
+    assert certify_fourfold(nx).is_general
+    assert len(node_schemes) == 1
+    assert scanned and set(scanned) == {3}
+
+
+def test_a_warm_sample_certificate_and_scan_reduce_no_matrix(monkeypatch):
+    # the marked plane is a flat built once per field, and nothing else on
+    # this path row-reduces
+    def run():
+        random_general_threefold(field(3), random.Random(0))
+        nx = seeded_fourfold(0)
+        certify_fourfold(dataclasses.replace(nx))
+        fourfold.fiber_scan(nx)
+
+    run()
+    reductions = []
+
+    def counted_rref(K, mat):
+        reductions.append(np.shape(mat))
+        return rref(K, mat)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("cubicfano") and getattr(module, "rref", None) is rref:
+            monkeypatch.setattr(module, "rref", counted_rref)
+    run()
+    assert reductions == []
 
 
 # (dual point, N1, N2, h) of every fiber that fiber_scan reports; each is a
@@ -175,9 +311,9 @@ def test_fiber_scan_reports_and_computes_each_slice_node_scheme_once(monkeypatch
         for dual, n1, n2, h in FIBER_SCANS[seed]
     ]
     assert [r.to_report() for r in reports] == expected
-    # a transverse slice without a failure is a general threefold, with no
-    # certificate made by the walk
+    # a transverse slice of a certified fourfold is a general threefold, with
+    # no certificate made by the walk
     slices = [nx.slice_over(lam) for lam in projective_reps(nx.K, 2)]
-    clean = [sl for sl in slices if sl.transverse and sl.failure is None]
-    assert len(clean) == len(reports)
-    assert all(certify_generality(sl.threefold).is_general for sl in clean)
+    transverse = [sl for sl in slices if sl.transverse]
+    assert len(transverse) == len(reports)
+    assert all(certify_generality(sl.threefold).is_general for sl in transverse)

@@ -10,7 +10,7 @@ import pytest
 
 from cubicfano import projective
 from cubicfano.forms import HomogeneousForm, interpolate, interpolation_points, monomial_exponents, random_form
-from cubicfano.fourfold import _singular_point_scan, normalize_fourfold
+from cubicfano.fourfold import normalize_fourfold
 from cubicfano.gf import field
 from cubicfano.linalg import (
     det,
@@ -48,7 +48,9 @@ from reference_impl import (
     pluecker_coordinates,
     proportionality,
     residual_line_symbolic,
+    singular_point_scan,
     singular_points_off_plane,
+    times,
     zeros_by_scan,
 )
 
@@ -302,7 +304,7 @@ def test_restrict_split_cubic_to_its_plane_is_zero():
     rng = random.Random(2)
     x0 = HomogeneousForm.linear(K, (1, 0, 0, 0, 0))
     x1 = HomogeneousForm.linear(K, (0, 1, 0, 0, 0))
-    f = x0.times(random_form(K, 5, 2, rng)).plus(x1.times(random_form(K, 5, 2, rng)))
+    f = times(x0, random_form(K, 5, 2, rng)).plus(times(x1, random_form(K, 5, 2, rng)))
     P = LinearSubspace(K, ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)))
     assert f.restrict(P.matrix).is_zero
 
@@ -360,7 +362,7 @@ def test_residual_line_sum_case():
     u = HomogeneousForm.linear(K, (1, 0, 0, 0, 0))
     v = HomogeneousForm.linear(K, (0, 1, 0, 0, 0))
     w = HomogeneousForm.linear(K, (1, 1, 1, 0, 0))
-    cubic = u.times(v).times(w)
+    cubic = times(times(u, v), w)
     L = _plane_line(K, plane, (1, 0, 0))
     M = _plane_line(K, plane, (0, 1, 0))
     res = residual_line(cubic, plane, L, M)
@@ -376,13 +378,13 @@ def test_residual_line_symmetric_and_multiplicity():
     L = _plane_line(K, plane, (1, 0, 0))
     M = _plane_line(K, plane, (0, 1, 0))
     # double line: u * u * v -> dividing by u and v leaves u again
-    cubic = u.times(u).times(v)
+    cubic = times(times(u, u), v)
     res = residual_line(cubic, plane, L, M)
     assert res.line == L and res.multiplicity == 2
     swapped = residual_line(cubic, plane, M, L)
     assert swapped.line == res.line and swapped.multiplicity == 2
     # triple line: u^3 with L = M = {u = 0} (tangent-style double input)
-    cubic3 = u.times(u).times(u)
+    cubic3 = times(times(u, u), u)
     res3 = residual_line(cubic3, plane, L, L)
     assert res3.line == L and res3.multiplicity == 3
 
@@ -399,7 +401,7 @@ def test_residual_line_random_vanishing_oracle():
         w = HomogeneousForm.linear(K, tuple(ell) + (0, 0))
         u = HomogeneousForm.linear(K, (1, 0, 0, 0, 0))
         v = HomogeneousForm.linear(K, (0, 1, 0, 0, 0))
-        cubic = u.times(v).times(w)
+        cubic = times(times(u, v), w)
         L = _plane_line(K, plane, (1, 0, 0))
         M = _plane_line(K, plane, (0, 1, 0))
         res = residual_line(cubic, plane, L, M)
@@ -411,9 +413,10 @@ def test_residual_line_random_vanishing_oracle():
         from cubicfano.projective import linear_form_cutting_line_in_plane
 
         ln = linear_form_cutting_line_in_plane(plane, res.line)
-        recovered = (
-            HomogeneousForm.linear(K, (1, 0, 0)).times(HomogeneousForm.linear(K, (0, 1, 0)))
-        ).times(HomogeneousForm.linear(K, ln))
+        recovered = times(
+            times(HomogeneousForm.linear(K, (1, 0, 0)), HomogeneousForm.linear(K, (0, 1, 0))),
+            HomogeneousForm.linear(K, ln),
+        )
         section = cubic.restrict(plane.matrix)
         assert proportionality(recovered, section) is not None
 
@@ -429,7 +432,7 @@ def test_residual_line_errors():
         residual_line(g, plane, L, M)
     # cubic not through L
     w = HomogeneousForm.linear(K, (1, 1, 1, 0, 0))
-    cubic = w.times(w).times(w)
+    cubic = times(times(w, w), w)
     with pytest.raises(NotOnCubic):
         residual_line(cubic, plane, L, M)
 
@@ -465,7 +468,7 @@ def _random_section_case(K, rng, kind):
     # junk off the plane: the forms vanishing on the plane times random quadrics
     junk = HomogeneousForm.zero(K, 5, 3)
     for _ in range(2):
-        junk = junk.plus(_form_on(K, rng, plane.rows).times(random_form(K, 5, 2, rng)))
+        junk = junk.plus(times(_form_on(K, rng, plane.rows), random_form(K, 5, 2, rng)))
     lam_L, lam_M = _form_on(K, rng, L.rows, plane), _form_on(K, rng, M.rows, plane)
     third = {
         "generic": lambda: _form_on(K, rng, line_of_plane().rows, plane),
@@ -478,9 +481,9 @@ def _random_section_case(K, rng, kind):
     elif kind == "off_first":
         cubic = random_form(K, 5, 3, rng)
     elif kind == "off_second":
-        cubic = lam_L.times(random_form(K, 5, 2, rng)).plus(junk)
+        cubic = times(lam_L, random_form(K, 5, 2, rng)).plus(junk)
     else:
-        cubic = lam_L.times(lam_M).times(third[kind]()).plus(junk)
+        cubic = times(times(lam_L, lam_M), third[kind]()).plus(junk)
     return cubic, plane, L, M
 
 
@@ -574,7 +577,7 @@ def test_a_cubic_off_the_factored_section_at_one_point_is_caught(p, k):
             _form_on(K, rng, line.rows, plane)
             for line in (L, M, line_in_plane_from_linear_form(plane, [K.random_element(rng), 1, 1]))
         )
-        cubic = lam_L.times(lam_M).times(lam_N).plus(HomogeneousForm(K, 5, 3, terms))
+        cubic = times(times(lam_L, lam_M), lam_N).plus(HomogeneousForm(K, 5, 3, terms))
         got = _residual_outcome(residual_line, cubic, plane, L, M)
         assert got == _residual_outcome(residual_line_symbolic, cubic, plane, L, M)
         outcomes.add(got[0])
@@ -683,7 +686,7 @@ def test_common_zeros_match_the_scalar_oracle(monkeypatch, case, p, k, chunk):
         assert list(singular_points_off_plane(nf, 1)) == [pt for pt in expected if pt[0] or pt[1]]
     elif case == "fourfold":
         nx = normalize_fourfold(form, LinearSubspace(K, plane_basis(6)))
-        assert _singular_point_scan(nx, 1) == expected[0]
+        assert list(singular_point_scan(nx, 1)) == expected
 
 
 def test_common_zeros_stop_at_the_first_chunk_with_a_zero(monkeypatch):

@@ -25,6 +25,7 @@ from reference_impl import (
     q_substitute,
     rational_roots_by_factor_list,
     squarefree_class,
+    times,
 )
 
 from cubicfano import integers, rationality
@@ -295,7 +296,7 @@ def test_nonreduced_discriminant_is_refused():
     Q = HomogeneousForm(K, 5, 2, {(0, 0, 2, 0, 0): 1, (0, 0, 0, 1, 1): 1, (1, 1, 0, 0, 0): 1})
     x0 = HomogeneousForm.monomial(K, 5, (1, 0, 0, 0, 0))
     x1 = HomogeneousForm.monomial(K, 5, (0, 1, 0, 0, 0))
-    cubic = x0.times(Q).plus(x1.times(Q))
+    cubic = times(x0, Q).plus(times(x1, Q))
     rows = np.zeros((3, 5), dtype=np.int64)
     rows[0, 2] = rows[1, 3] = rows[2, 4] = 1
     nf = normalize(cubic, LinearSubspace(K, rows))

@@ -1,5 +1,6 @@
 """Normal form, the length-4 scheme Z, and the generality certificate."""
 
+import dataclasses
 import functools
 import hashlib
 import importlib
@@ -16,7 +17,7 @@ import pytest
 
 import cubicfano
 from cubicfano import pencil, threefold
-from cubicfano.errors import NotContained, NotGeneral, NotSupportedError
+from cubicfano.errors import InternalInconsistency, NotContained, NotGeneral, NotSupportedError
 from cubicfano.fano import FanoSurface
 from cubicfano.forms import HomogeneousForm, random_form
 from cubicfano.gf import field
@@ -34,10 +35,13 @@ from cubicfano.threefold import (
     ZPoint,
     certify_generality,
     compute_Z,
+    cubic_through_plane,
+    marked_plane,
     normalize,
     random_cubic_through_plane,
     random_general_threefold,
     random_threefold_through_plane,
+    split_off_plane,
 )
 from cubicfano.torsor import torsor_group, verify_group_axioms
 import reference_impl
@@ -46,6 +50,7 @@ from reference_impl import (
     extra_plane_candidates,
     jacobian_has_rank_two,
     singular_points_off_plane,
+    times,
 )
 
 
@@ -116,7 +121,7 @@ def test_normalize_moves_general_plane():
     g0, g1 = random_form(K, 5, 2, rng), random_form(K, 5, 2, rng)
     x0 = HomogeneousForm.monomial(K, 5, (1, 0, 0, 0, 0))
     x3 = HomogeneousForm.monomial(K, 5, (0, 0, 0, 1, 0))
-    cubic = x0.times(g0).plus(x3.times(g1))
+    cubic = times(x0, g0).plus(times(x3, g1))
     nf = normalize(cubic, plane)
     # the transform carries the normalized cubic back to the original one
     M = np.array(nf.transform, dtype=np.int64)
@@ -135,9 +140,32 @@ def test_normalize_reconstruction_random():
     rng = random.Random(23)
     for _ in range(10):
         nf = random_threefold_through_plane(K, rng)
-        x0Q0 = nf.Q0.times(HomogeneousForm.monomial(K, 5, (1, 0, 0, 0, 0)))
-        x1Q1 = nf.Q1.times(HomogeneousForm.monomial(K, 5, (0, 1, 0, 0, 0)))
+        x0Q0 = times(HomogeneousForm.monomial(K, 5, (1, 0, 0, 0, 0)), nf.Q0)
+        x1Q1 = times(HomogeneousForm.monomial(K, 5, (0, 1, 0, 0, 0)), nf.Q1)
         assert x0Q0.plus(x1Q1) == nf.f
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (7, 1), (3, 2)])
+@pytest.mark.parametrize("nvars", [4, 5, 6])
+def test_cubic_through_plane_places_what_the_products_give(p, k, nvars):
+    # x0*Q0 + ... + x_{n-1}*Q_{n-1} by placed coefficients against the
+    # interpolated products, on random quadrics and on the ones a split returns
+    K = field(p, k)
+    rng = random.Random(nvars)
+    for _ in range(4):
+        quadrics = [random_form(K, nvars, 2, rng) for _ in range(nvars - 3)]
+        expected = HomogeneousForm.zero(K, nvars, 3)
+        for i, Q in enumerate(quadrics):
+            expected = expected.plus(times(HomogeneousForm.monomial(K, nvars, np.eye(nvars, dtype=int)[i]), Q))
+        assert cubic_through_plane(K, quadrics) == expected
+        _, split, _ = split_off_plane(expected, marked_plane(K, nvars), nvars)
+        assert cubic_through_plane(K, split) == expected
+
+
+def test_a_split_that_does_not_reconstruct_the_cubic_is_inconsistent():
+    nf = random_threefold_through_plane(field(5), random.Random(0))
+    with pytest.raises(InternalInconsistency, match=r"x0\*Q0 \+ x1\*Q1 does not reconstruct f"):
+        dataclasses.replace(nf, Q1=nf.Q0)
 
 
 # ---------------------------------------------------------------------------
