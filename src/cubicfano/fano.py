@@ -60,12 +60,12 @@ from .forms import HomogeneousForm, divide_by_linear, quadratic_roots
 from .gf import GF
 from .linalg import det, dot, hyperplane_rows, kernel_basis, mat_mul, mat_vec, rank, rref_stack, unit_complement
 from .pencil import (
-    PencilFiber,
     RulingClass,
     hyperelliptic_involution,
     pencil_fibers,
     rulings_of_fiber,
     rulings_of_fibers,
+    stacked_pencil_fibers,
 )
 from .projective import (
     LinearSubspace,
@@ -208,10 +208,13 @@ class FanoSurface:
     The working field is fixed at construction; all operators act on objects
     over that field.  Construction enumerates the fibers, their rulings (all
     fibers at once, :func:`pencil.rulings_of_fibers`), the full classified
-    line list, and the torsor-ready point set.  The node scheme ``Z`` is the
-    base threefold's kept ``nf.Z``, so the surfaces over every degree share
-    it.  The threefold keeps the first surface built over each degree as
-    ``nf.surfaces[k]``, which :func:`surface_of` reads.
+    line list, and the torsor-ready point set.  The fibers and their rulings
+    are the threefold's kept ``nf.pencils[k]``: ``FanoSurface(nf, k)`` rules
+    them as a batch of one, and :func:`surfaces_of` those of several
+    threefolds in one pass.  The node scheme ``Z`` is the base threefold's
+    kept ``nf.Z``, so the surfaces over every degree share it.  The threefold
+    keeps the first surface built over each degree as ``nf.surfaces[k]``,
+    which :func:`surface_of` reads.
     """
 
     def __init__(self, nf: NormalizedThreefold, k: int = 1):
@@ -221,11 +224,8 @@ class FanoSurface:
         self.L: GF = self.nf.K
         self.Z = nf.Z
 
-        params = list(projective_reps(self.L, 1))
-        self.fibers: dict[tuple[int, int], PencilFiber] = dict(zip(params, pencil_fibers(nf, self.L, params)))
-        self.rulings: dict[tuple[int, int], list[RulingClass]] = dict(
-            zip(self.fibers, rulings_of_fibers(self.fibers.values()))
-        )
+        _rule_pencils([nf], k)
+        self.fibers, self.rulings = nf.pencils[k]
         self.curve_points: list[RulingClass] = [
             c for key in sorted(self.fibers) for c in self.rulings[key]
         ]
@@ -719,6 +719,35 @@ def surface_of(nf: NormalizedThreefold, k: int = 1) -> FanoSurface:
     """The threefold's line surface over F_{q^k}: the kept one, built on first need."""
     surface = nf.surfaces.get(k)
     return surface if surface is not None else FanoSurface(nf, k)
+
+
+def surfaces_of(nfs, k: int = 1) -> list[FanoSurface]:
+    """The line surfaces over F_{q^k} of threefolds over one field: the kept ones,
+    and the others built on first need, their pencils ruled together in one
+    pass (:func:`_rule_pencils`)."""
+    nfs = list(nfs)
+    _rule_pencils([nf for nf in nfs if k not in nf.surfaces], k)
+    return [surface_of(nf, k) for nf in nfs]
+
+
+def _rule_pencils(nfs: list, k: int) -> None:
+    """Keep on each threefold its pencil over F_{q^k}, ruled, where it is not kept yet.
+
+    ``nf.pencils[k]`` is (fibers, rulings), each keyed by (s:t).  The fibers
+    of all the threefolds come from one stacked evaluation
+    (:func:`pencil.stacked_pencil_fibers`), and their rulings from one
+    :func:`pencil.rulings_of_fibers` call, whose rank, cone and pairing
+    checks run over the whole stack.
+    """
+    fresh = list({id(nf): nf for nf in nfs if k not in nf.pencils}.values())
+    if not fresh:
+        return
+    L = fresh[0].K.extension(k)
+    params = list(projective_reps(L, 1))
+    fibers = stacked_pencil_fibers(fresh, L, params)
+    rulings = iter(rulings_of_fibers([fiber for pencil in fibers for fiber in pencil]))
+    for nf, pencil in zip(fresh, fibers):
+        nf.pencils[k] = (dict(zip(params, pencil)), {key: next(rulings) for key in params})
 
 
 # the errors of the involution steps, as (type, message); _error makes the instance

@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 from .errors import InternalInconsistency, InvalidInput
 from .gf import GF
-from .linalg import det, inverse_matrix, mat_mul, mat_vec, rref
+from .linalg import det, inverse_matrix, mat_vec, rref
 
 
 @lru_cache(maxsize=None)
@@ -233,18 +233,24 @@ class HomogeneousForm:
     # -- substitution ---------------------------------------------------------
 
     def substitute(self, M) -> "HomogeneousForm":
-        """The form f(M y) in the y variables; M has shape (nvars, m).
+        """The form f(M y) in the y variables; M has shape (nvars, m): :meth:`substitute_each` of the one matrix."""
+        return self.substitute_each(np.asarray(M)[None])[0]
+
+    def substitute_each(self, Ms) -> list["HomogeneousForm"]:
+        """The forms f(M y) for a stack of matrices M, (S, nvars, m).
 
         Interpolated from the values of f at the images M y of the points
-        ``interpolation_points(K, m, degree)``.
+        ``interpolation_points(K, m, degree)``: one evaluation of f at the
+        images under every M, and one interpolation of all the value rows.
         """
-        M = np.array(M, dtype=np.int64)
-        if M.shape[0] != self.nvars:
-            raise InvalidInput(f"substitution matrix has {M.shape[0]} rows, form has {self.nvars} variables")
-        m = M.shape[1]
+        Ms = np.array(Ms, dtype=np.int64)
+        if Ms.ndim != 3 or Ms.shape[1] != self.nvars:
+            raise InvalidInput(f"substitution matrix has {Ms.shape[1]} rows, form has {self.nvars} variables")
+        m = Ms.shape[2]
         L, pts = interpolation_points(self.K, m, self.degree)
-        images = mat_mul(L, pts, self.K.lift(M, L).T)
-        return interpolate(self.K, m, self.degree, self.embedded(L).evaluate_batch(images))
+        images = mat_vec(L, self.K.lift(Ms, L)[:, None], pts)
+        values = self.embedded(L).evaluate_batch(images.reshape(-1, self.nvars))
+        return _interpolate_rows(self.K, m, self.degree, values.reshape(len(Ms), -1))
 
     def restrict(self, basis_rows) -> "HomogeneousForm":
         """Restriction to the subspace spanned by basis rows (r x nvars)."""
@@ -447,8 +453,14 @@ def interpolate(K: GF, nvars: int, degree: int, values) -> HomogeneousForm:
 
     A coefficient outside K raises InternalInconsistency.
     """
+    return _interpolate_rows(K, nvars, degree, np.asarray(values)[None])[0]
+
+
+def _interpolate_rows(K: GF, nvars: int, degree: int, values: np.ndarray) -> list[HomogeneousForm]:
+    """:func:`interpolate` of each row of values (S, N), by one product with the inverse monomial matrix."""
     L, _, inverse, _ = _interpolation_basis(K, nvars, degree)
-    return HomogeneousForm.from_coeffs(K, nvars, degree, K.descend(mat_vec(L, inverse, values), L))
+    coeffs = K.descend(mat_vec(L, inverse, values), L)
+    return [HomogeneousForm.from_coeffs(K, nvars, degree, row) for row in coeffs]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ quadric pencil is the restriction of this family to the line H cuts in the
 (s:t:u)-plane; the fibration map on lines sends a line of X off P to the
 hyperplane it spans with P, and the fiber over a transverse dual line is the
 torsor of the sliced threefold.  Everything downstream of a slice reuses the
-threefold pipeline verbatim.
+threefold pipeline verbatim, in stacked passes across the slices: the
+discriminant is restricted to every dual line at once, a slice cuts its
+threefold only when read, and the surfaces of the general slices are ruled
+together (:func:`fiber_scan`).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalInconsistency, InvalidInput, NotGeneral
-from .fano import surface_of
+from .fano import surfaces_of
 from .forms import HomogeneousForm, interpolate, interpolation_points
 from .gf import GF
 from .linalg import det, hyperplane_rows, kernel_basis, minors
@@ -68,8 +71,10 @@ class NormalizedFourfold:
     ``transform`` sends normalized coordinates to the original ambient ones:
     x_original = transform @ x_normalized.
 
-    The plane discriminant and the slice over each dual point are computed
-    on first read and kept, so every walk over the dual plane shares them.
+    The plane discriminant and the slices over all the dual points are
+    computed on first read and kept, so every walk over the dual plane
+    shares them.  The slices come in one pass (:func:`_slices`), each slice
+    threefold only when first read.
     """
 
     K: GF
@@ -78,7 +83,6 @@ class NormalizedFourfold:
     Q1: HomogeneousForm
     Q2: HomogeneousForm
     transform: tuple[tuple[int, ...], ...]
-    _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if cubic_through_plane(self.K, (self.Q0, self.Q1, self.Q2)) != self.f:
@@ -93,12 +97,14 @@ class NormalizedFourfold:
         """:func:`plane_discriminant` of this fourfold."""
         return plane_discriminant(self)
 
+    @cached_property
+    def slices(self) -> dict[tuple[int, int, int], Slice]:
+        """The :class:`Slice` over every dual point, keyed in ``projective_reps`` order."""
+        return _slices(self)
+
     def slice_over(self, lam) -> Slice:
-        """The :class:`Slice` over a dual point, built on its first request."""
-        lam = normalize_point(self.K, lam)
-        if lam not in self._slices:
-            self._slices[lam] = _build_slice(self, lam)
-        return self._slices[lam]
+        """The kept :class:`Slice` over a dual point."""
+        return self.slices[normalize_point(self.K, lam)]
 
 
 def normalize_fourfold(cubic: HomogeneousForm, plane: LinearSubspace) -> NormalizedFourfold:
@@ -160,18 +166,17 @@ class PlaneDiscriminant:
     def K(self) -> GF:
         return self.form.K
 
-    def restricted_to_dual(self, lam) -> HomogeneousForm:
-        """The binary sextic cut on the dual line {lam . (s,t,u) = 0}.
+    def on_dual_lines(self, duals) -> list[HomogeneousForm]:
+        """The binary sextics cut on the dual lines {lam . (s,t,u) = 0} of a list
+        of dual points, from one evaluation of the sextic and one interpolation.
 
-        The line is parametrized by the canonical kernel rows of lam, which
-        is also how slices are parametrized, so the restriction agrees with
-        the sliced threefold's discriminant on the nose.
+        Each line is parametrized by the canonical kernel rows of lam
+        (:func:`dual_line_rows`), which is also how slices are parametrized,
+        so each restriction agrees with the sliced threefold's discriminant
+        on the nose.  A line inside the discriminant gets the zero form.
         """
-        rows = dual_line_rows(self.K, lam)
-        sliced = self.form.restrict(np.array(rows, dtype=np.int64))
-        if sliced.is_zero:
-            raise NotGeneral("the plane discriminant contains a whole dual line")
-        return sliced
+        rows = hyperplane_rows(self.K, [normalize_point(self.K, lam) for lam in duals])
+        return self.form.substitute_each(rows.transpose(0, 2, 1))
 
 
 def plane_discriminant(nx: NormalizedFourfold) -> PlaneDiscriminant:
@@ -228,8 +233,9 @@ def tangency_map(nx: NormalizedFourfold, x) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def slice_threefold(nx: NormalizedFourfold, lam) -> NormalizedThreefold:
-    """The hyperplane section over a dual point, as a normalized threefold.
+def slice_threefold(f: HomogeneousForm, lam) -> NormalizedThreefold:
+    """The hyperplane section over a dual point of a fourfold's cubic f in
+    normalized coordinates, as a normalized threefold.
 
     With (m, n) the two kernel rows of the dual triple, the slice coordinate
     y = (y0, y1, y2, y3, y4) embeds as x = y0*(m,0,0,0) + y1*(n,0,0,0) +
@@ -237,14 +243,13 @@ def slice_threefold(nx: NormalizedFourfold, lam) -> NormalizedThreefold:
     the point s'*m + t'*n of the dual line, and the plane of the slice is the
     plane of the fourfold.
     """
-    K = nx.K
+    K = f.K
     heads = dual_line_rows(K, lam)
     B = np.zeros((5, 6), dtype=np.int64)
     B[0, :3] = heads[0]
     B[1, :3] = heads[1]
     B[2, 3] = B[3, 4] = B[4, 5] = 1
-    f5 = nx.f.restrict(B)
-    return normalize(f5, marked_plane(K, 5))
+    return normalize(f.restrict(B), marked_plane(K, 5))
 
 
 @dataclass(frozen=True)
@@ -253,7 +258,9 @@ class Slice:
 
     ``sextic`` is the plane discriminant on the dual line, None when the
     discriminant contains the line; the dual is ``transverse`` when it is
-    squarefree.  Its node scheme is computed when first read.
+    squarefree.  The slice keeps the fourfold's ``cubic``, not the fourfold,
+    and builds its ``threefold`` when first read; the threefold's node scheme
+    is computed when first read.
 
     On a fourfold that passes :func:`certify_fourfold`, a transverse slice is
     a general threefold: its Z is zero-dimensional (:class:`FourfoldCertificate`),
@@ -263,18 +270,31 @@ class Slice:
     """
 
     dual: tuple[int, int, int]
-    threefold: NormalizedThreefold
     sextic: HomogeneousForm | None
     transverse: bool
+    cubic: HomogeneousForm = field(repr=False, compare=False)
+
+    @cached_property
+    def threefold(self) -> NormalizedThreefold:
+        """:func:`slice_threefold` of the fourfold's cubic over this dual point."""
+        return slice_threefold(self.cubic, self.dual)
 
 
-def _build_slice(nx: NormalizedFourfold, lam: tuple[int, int, int]) -> Slice:
+def _slices(nx: NormalizedFourfold) -> dict[tuple[int, int, int], Slice]:
+    """The slice over every dual point in one pass: the plane discriminant on
+    all the dual lines at once (on none when it vanishes identically), and
+    each sextic's squarefree test."""
+    duals = list(projective_reps(nx.K, 2))
     try:
-        sextic = nx.discriminant.restricted_to_dual(lam)
+        sextics = nx.discriminant.on_dual_lines(duals)
     except NotGeneral:
-        sextic = None
-    transverse = sextic is not None and sextic.is_squarefree()
-    return Slice(lam, slice_threefold(nx, lam), sextic, transverse)
+        sextics = [None] * len(duals)
+    out = {}
+    for lam, sextic in zip(duals, sextics):
+        if sextic is not None and sextic.is_zero:
+            sextic = None
+        out[lam] = Slice(lam, sextic, sextic is not None and sextic.is_squarefree(), nx.f)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +462,13 @@ def fiber_scan(nx: NormalizedFourfold) -> list[FiberReport]:
 
     Reports come back sorted by dual point.  A slice whose node scheme is
     not zero-dimensional is recorded, never fatal.  Only transverse slices
-    compute their node schemes, on the fourfold's kept slices.
+    compute their node schemes, on the fourfold's kept slices; the surfaces
+    of the general ones are built together, their fibers ruled in one pass
+    (:func:`fano.surfaces_of`).
     """
-    reports = []
-    for lam in sorted(projective_reps(nx.K, 2)):
-        sl = nx.slice_over(lam)
+    reports, general = [], []
+    for lam in sorted(nx.slices):
+        sl = nx.slices[lam]
         if not sl.transverse:
             continue
         try:
@@ -454,7 +476,9 @@ def fiber_scan(nx: NormalizedFourfold) -> list[FiberReport]:
         except NotGeneral as exc:
             reports.append(FiberReport(sl.dual, True, False, None, None, None, f"degenerate slice: {exc}"))
             continue
+        general.append(sl)
+    for sl, surface in zip(general, surfaces_of([sl.threefold for sl in general])):
         zdata = zeta(HyperellipticModel(DiscriminantSextic(sl.sextic)))
-        n_torsor = len(surface_of(sl.threefold).torsor_set)
+        n_torsor = len(surface.torsor_set)
         reports.append(FiberReport(sl.dual, True, True, zdata, n_torsor, n_torsor == zdata.h, ""))
-    return reports
+    return sorted(reports, key=lambda report: report.dual)

@@ -14,8 +14,9 @@ The symmetric matrix of R_{s,t} has entries that are binary forms in (s, t)
 (:func:`symbolic_fiber_entries`); a threefold keeps it as
 ``nf.pencil_matrix``.  Every fiber matrix, over any field of the tower, is
 its value at (s:t): one stacked evaluation for a whole list of parameters
-(:func:`pencil_fibers`).  Its block on u = 0 is the matrix of the restricted
-conic s*q0 + t*q1.  The discriminant is its determinant, a sextic: the
+(:func:`pencil_fibers`), or for the pencils of several threefolds at once
+(:func:`stacked_pencil_fibers`).  Its block on u = 0 is the matrix of the
+restricted conic s*q0 + t*q1.  The discriminant is its determinant, a sextic: the
 determinants of the fiber matrices at the seven points
 ``forms.interpolation_points`` fixes for binary sextics, interpolated.
 
@@ -88,24 +89,36 @@ class PencilFiber:
 
 
 def pencil_fibers(nf, L: GF, params) -> list[PencilFiber]:
-    """The pencil members over the points ``params`` (s:t) != (0:0) of P^1(L).
+    """The pencil members over the points ``params`` (s:t) != (0:0) of P^1(L):
+    :func:`stacked_pencil_fibers` of the one threefold."""
+    return stacked_pencil_fibers([nf], L, params)[0]
 
-    L is any field of the tower over ``nf.K``.  The entries of the
-    threefold's kept symbolic matrix ``nf.pencil_matrix`` are binary forms of
-    degree at most 3 in (s, t); their coefficients, kept stacked as
-    ``nf.pencil_coeffs`` and lifted into L, are evaluated at every (s:t) at
-    once, as field arithmetic on one stack.
+
+def stacked_pencil_fibers(nfs, L: GF, params) -> list[list[PencilFiber]]:
+    """The members of the pencils of threefolds over one field K, each over the
+    points ``params`` (s:t) != (0:0) of P^1(L), in one stacked evaluation.
+
+    L is any field of the tower over K.  The entries of each threefold's kept
+    symbolic matrix ``nf.pencil_matrix`` are binary forms of degree at most 3
+    in (s, t); their coefficients, kept stacked as ``nf.pencil_coeffs``,
+    stacked again over the threefolds and lifted into L, are evaluated at
+    every (s:t) at once, as field arithmetic on one stack.
     """
+    nfs = list(nfs)
+    K = nfs[0].K
+    if any(nf.K is not K for nf in nfs):
+        raise ValueError("the threefolds of one stack share their field")
     params = np.array(list(params), dtype=np.int64).reshape(-1, 2)
     if not params.any(axis=1).all():
         raise ValueError("(0:0) is not a point of the pencil base")
-    coeffs = nf.K.lift(nf.pencil_coeffs, L)  # [i, j, a, b]: the coefficient of s^a t^b in entry (i, j)
-    powers = np.ones((len(params), 4, 2), dtype=np.int64)  # [n, e]: (s^e, t^e)
+    # [n, i, j, a, b]: the coefficient of s^a t^b in entry (i, j) of the n-th matrix
+    coeffs = K.lift(np.stack([nf.pencil_coeffs for nf in nfs]), L)
+    powers = np.ones((len(params), 4, 2), dtype=np.int64)  # [m, e]: (s^e, t^e)
     for e in range(1, 4):
         powers[:, e] = L.mul(powers[:, e - 1], params)
-    monomials = L.mul(powers[:, :, None, 0], powers[:, None, :, 1])  # [n, a, b]: s^a t^b
-    matrices = dot(L, coeffs.reshape(4, 4, 16), monomials.reshape(-1, 1, 1, 16)).astype(np.int64)
-    return [PencilFiber(L, s, t, M) for (s, t), M in zip(params.tolist(), matrices)]
+    monomials = L.mul(powers[:, :, None, 0], powers[:, None, :, 1])  # [m, a, b]: s^a t^b
+    matrices = dot(L, coeffs.reshape(len(nfs), 1, 4, 4, 16), monomials.reshape(-1, 1, 1, 16)).astype(np.int64)
+    return [[PencilFiber(L, s, t, M) for (s, t), M in zip(params.tolist(), stack)] for stack in matrices]
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,9 @@ class NormalizedThreefold:
     and its ``discriminant`` are computed on first read
     and kept, so every reader shares them: every pencil member, over any
     field of the tower, is read off the one matrix
-    (:func:`pencil.pencil_fibers`).  So are the line
-    surface over each degree k (``surfaces[k]``, the first
+    (:func:`pencil.pencil_fibers`).  So are the pencil's fibers over
+    F_{q^k} with their rulings (``pencils[k]``, kept by ``fano._rule_pencils``),
+    the line surface over each degree k (``surfaces[k]``, the first
     ``fano.FanoSurface(nf, k)`` built, read through ``fano.surface_of``) and
     the group law (``groups[k]``, kept by ``torsor.torsor_group``).  A
     refusal (NotGeneral, NotSupportedError) is not kept: reading again
@@ -70,6 +71,7 @@ class NormalizedThreefold:
     Q0: HomogeneousForm
     Q1: HomogeneousForm
     transform: tuple[tuple[int, ...], ...]
+    pencils: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     surfaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -83,9 +85,13 @@ class NormalizedThreefold:
 
     @cached_property
     def restricted_conics(self) -> tuple[HomogeneousForm, HomogeneousForm]:
-        """(Q0|_P, Q1|_P) as ternary quadrics in the plane coordinates."""
-        basis = plane_basis(5)
-        return self.Q0.restrict(basis), self.Q1.restrict(basis)
+        """(Q0|_P, Q1|_P) as ternary quadrics in the plane coordinates.
+
+        On P = {x0 = x1 = 0} a quadric keeps its monomials in x2, x3, x4
+        alone: the last six of the ``monomial_exponents`` layout, which lie
+        there in the ternary layout's order.
+        """
+        return tuple(HomogeneousForm.from_coeffs(self.K, 3, 2, Q.coeffs[-6:]) for Q in (self.Q0, self.Q1))
 
     @cached_property
     def Z(self) -> SingularLocusZ:
@@ -155,22 +161,28 @@ def split_off_plane(cubic: HomogeneousForm, plane: LinearSubspace, nvars: int):
     kept as it is, when the plane is already the last three coordinates).
     The split is the deterministic monomial partition: Q_i collects the
     monomials of f that are divisible by x_i but by none of x0, ...,
-    x_{i-1}, divided by x_i.
+    x_{i-1}, divided by x_i.  On the plane of the last three coordinates,
+    the restriction of the cubic is its monomials in those alone, so their
+    coefficients decide containment; any other plane is tested by restricting
+    the cubic to it.
     """
     K = cubic.K
     if cubic.nvars != nvars or cubic.degree != 3:
         raise ValueError(f"expected a cubic form in {nvars} variables")
     if plane.dim != 2 or plane.n != nvars - 1:
         raise ValueError(f"expected a plane (projective dimension 2) in P^{nvars - 1}")
-    if not cubic.restrict(plane.matrix).is_zero:
-        raise NotContained("the cubic does not vanish on the plane")
     pivots = set(int(j) for j in plane.pivots())
     complement = [j for j in range(nvars) if j not in pivots]
     cols = [np.eye(nvars, dtype=np.int64)[:, j] for j in complement]
     M = np.column_stack(cols + [plane.matrix[i] for i in range(3)])
-    f_new = cubic if (M == np.eye(nvars, dtype=np.int64)).all() else cubic.substitute(M)
+    marked = (M == np.eye(nvars, dtype=np.int64)).all()
+    if not marked and not cubic.restrict(plane.matrix).is_zero:
+        raise NotContained("the cubic does not vanish on the plane")
+    f_new = cubic if marked else cubic.substitute(M)
     raised, first, free = _split_positions(nvars)
     if f_new.coeffs[free].any():
+        if marked:
+            raise NotContained("the cubic does not vanish on the plane")
         raise InternalInconsistency("restriction to the plane should have killed this term")
     quadrics = [
         HomogeneousForm.from_coeffs(K, nvars, 2, np.where(first >= i, f_new.coeffs[raised[i]], 0))

@@ -118,6 +118,10 @@ class ClassAction:
         return self.perm[i]
 
 
+# the group law's refusal of a nonreduced node scheme
+_NONREDUCED = "the group law requires a reduced node scheme"
+
+
 class TorsorGroup:
     """The signed universe T(F_{q^k}) in two copies with its word action.
 
@@ -132,7 +136,7 @@ class TorsorGroup:
 
     def __init__(self, surface: FanoSurface):
         if not surface.Z.reduced:
-            raise NotGeneral("the group law requires a reduced node scheme")
+            raise NotGeneral(_NONREDUCED)
         self.surface = surface
         self.points: tuple[SignedTorsorPoint, ...] = tuple(
             SignedTorsorPoint(pt, sign)
@@ -323,8 +327,11 @@ def torsor_group(nf: NormalizedThreefold) -> TorsorGroup:
 
 
 def _group_over(nf: NormalizedThreefold, k: int) -> TorsorGroup:
+    """The kept group law over F_{q^k}; a nonreduced Z is refused before any surface is built."""
     group = nf.groups.get(k)
     if group is None:
+        if not nf.Z.reduced:
+            raise NotGeneral(_NONREDUCED)
         group = nf.groups[k] = TorsorGroup(surface_of(nf, k))
     return group
 

@@ -1,5 +1,6 @@
 """Line classification against the plane, ruling operators, and involutions."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -946,3 +947,35 @@ def test_a_threefold_keeps_the_first_surface_built_over_each_degree():
     assert surface_of(nf, 1) is first
     second = surface_of(nf, 2)
     assert second.k == 2 and nf.surfaces == {1: first, 2: second}
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (3, 2)])
+def test_surfaces_built_together_reuse_the_kept_ones_and_rule_the_rest_in_one_pass(monkeypatch, p, k):
+    # kept surfaces come back as they are; the others, a repeated threefold
+    # once, share one stacked fiber evaluation and one ruling pass, and each
+    # equals the surface of its threefold built alone, ruled by itself
+    nfs = [random_general_threefold(field(p), random.Random(seed)) for seed in range(4)]
+    kept = surface_of(nfs[1], k)
+    passes = []
+    rule = fano.rulings_of_fibers
+
+    def counted(fibers):
+        fibers = list(fibers)
+        passes.append(len(fibers))
+        return rule(fibers)
+
+    monkeypatch.setattr(fano, "rulings_of_fibers", counted)
+    surfaces = fano.surfaces_of([nfs[0], nfs[1], nfs[2], nfs[0], nfs[3]], k)
+    assert passes == [3 * (field(p).extension(k).q + 1)]
+    assert surfaces[1] is kept and surfaces[0] is surfaces[3]
+    assert [s.base for s in surfaces] == [nfs[0], nfs[1], nfs[2], nfs[0], nfs[3]]
+    assert all(nf.surfaces[k] is s for nf, s in zip(nfs, [surfaces[0], kept, surfaces[2], surfaces[4]]))
+    for nf, together in zip(nfs, [surfaces[0], kept, surfaces[2], surfaces[4]]):
+        alone = FanoSurface(dataclasses.replace(nf), k)  # a copy keeps no pencil
+        assert [cl.line.rows for cl in together.lines] == [cl.line.rows for cl in alone.lines]
+        assert together.curve_points == alone.curve_points
+        assert together.torsor_set == alone.torsor_set
+    assert fano.surfaces_of([], k) == []
+    with pytest.raises(ValueError, match="share their field"):
+        fano.surfaces_of([random_general_threefold(field(3), random.Random(0)),
+                          random_general_threefold(field(5), random.Random(0))], k)

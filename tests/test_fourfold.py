@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from cubicfano import fourfold, threefold
+from cubicfano import fano, fourfold, threefold
 from cubicfano.errors import NotGeneral
+from cubicfano.fano import FanoSurface
 from cubicfano.forms import HomogeneousForm, random_form
 from cubicfano.fourfold import (
     Indeterminate,
@@ -69,9 +70,9 @@ def test_plane_discriminant_restricts_to_every_slice_discriminant(seed):
     disc = plane_discriminant(nx)
     duals = list(projective_reps(nx.K, 2))
     assert len(duals) == 13
-    for lam in duals:
-        sliced = discriminant(slice_threefold(nx, lam)).form
-        assert disc.restricted_to_dual(lam) == sliced
+    for lam, sextic in zip(duals, disc.on_dual_lines(duals)):
+        sliced = discriminant(slice_threefold(nx.f, lam)).form
+        assert sextic == sliced
 
 
 @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
@@ -85,9 +86,9 @@ def test_plane_discriminant_matches_the_cofactor_oracle(p, k):
         expected = det_form_matrix(K, 3, symbolic_fiber_entries((nx.Q0, nx.Q1, nx.Q2)))
         disc = plane_discriminant(nx)
         assert disc.form == expected
-        for lam in rng.sample(list(projective_reps(K, 2)), 4):
-            sliced = substitute_by_dicts(expected, np.array(dual_line_rows(K, lam)).T)
-            assert disc.restricted_to_dual(lam) == sliced
+        duals = rng.sample(list(projective_reps(K, 2)), 4)
+        for lam, sextic in zip(duals, disc.on_dual_lines(duals)):
+            assert sextic == substitute_by_dicts(expected, np.array(dual_line_rows(K, lam)).T)
 
 
 @pytest.mark.parametrize("seed, n_lines", [(0, 181), (1, 150)])
@@ -317,3 +318,100 @@ def test_fiber_scan_reports_and_computes_each_slice_node_scheme_once(monkeypatch
     transverse = [sl for sl in slices if sl.transverse]
     assert len(transverse) == len(reports)
     assert all(certify_generality(sl.threefold).is_general for sl in transverse)
+
+
+@pytest.mark.parametrize("p, seed", [(3, 0), (3, 1), (3, 2), (3, 3), (5, 0), (5, 1)])
+def test_surfaces_ruled_together_equal_surfaces_built_alone(p, seed):
+    # fiber_scan builds the surfaces of all general slices with one ruling
+    # pass; each equals the surface of its slice threefold cut and built by
+    # itself, which rules its own pencil
+    nx = random_general_fourfold(field(p), random.Random(seed))
+    reports = fourfold.fiber_scan(nx)
+    general = [nx.slice_over(r.dual) for r in reports if r.general]
+    assert general and len(general) == len(reports)
+    for sl in general:
+        together, alone = sl.threefold.surfaces[1], FanoSurface(slice_threefold(nx.f, sl.dual), 1)
+        assert together.rulings is not alone.rulings
+        assert [(cl.line.rows, cl.tag, cl.meets_at, cl.fiber, cl.ruling_index) for cl in together.lines] == [
+            (cl.line.rows, cl.tag, cl.meets_at, cl.fiber, cl.ruling_index) for cl in alone.lines
+        ]
+        assert together.rulings.keys() == alone.rulings.keys()
+        for key, classes in together.rulings.items():
+            assert [(c.key, c.is_cone, [ln.rows for ln in c.lines]) for c in classes] == [
+                (c.key, c.is_cone, [ln.rows for ln in c.lines]) for c in alone.rulings[key]
+            ]
+        assert together.torsor_set == alone.torsor_set
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fiber_scan_rules_the_fibers_of_every_slice_in_one_pass(monkeypatch, seed):
+    nx = seeded_fourfold(seed)
+    passes, evaluations = [], []
+    rule, evaluate = fano.rulings_of_fibers, fano.stacked_pencil_fibers
+
+    def counted_rulings(fibers):
+        fibers = list(fibers)
+        passes.append(len(fibers))
+        return rule(fibers)
+
+    def counted_fibers(nfs, L, params):
+        nfs = list(nfs)
+        evaluations.append(len(nfs))
+        return evaluate(nfs, L, params)
+
+    monkeypatch.setattr(fano, "rulings_of_fibers", counted_rulings)
+    monkeypatch.setattr(fano, "stacked_pencil_fibers", counted_fibers)
+    reports = fourfold.fiber_scan(nx)
+    assert evaluations == [len(reports)]
+    assert passes == [4 * len(reports)]
+    # the surfaces are kept: a second scan builds none
+    assert [r.to_report() for r in fourfold.fiber_scan(nx)] == [r.to_report() for r in reports]
+    assert len(passes) == 1
+
+
+def test_a_fourfold_with_no_general_slice_scans_to_nothing(monkeypatch):
+    # a plane discriminant that vanishes identically leaves no transverse dual
+    nx = planted_fourfold(0, lambda i, e: any(e[:3]))
+    with pytest.raises(NotGeneral, match="vanishes identically"):
+        nx.discriminant
+    assert all(sl.sextic is None and not sl.transverse for sl in nx.slices.values())
+    assert fourfold.fiber_scan(nx) == []
+
+
+@pytest.mark.parametrize("p, draws", [(3, 40), (5, 8)])
+def test_the_certificate_builds_at_most_one_slice_threefold(monkeypatch, p, draws):
+    built = []
+
+    def counted_slice(f, lam):
+        built.append(lam)
+        return slice_threefold(f, lam)
+
+    monkeypatch.setattr(fourfold, "slice_threefold", counted_slice)
+    rng = random.Random(5)
+    for _ in range(draws):
+        nx = random_fourfold_through_plane(field(p), rng)
+        built.clear()
+        certify_fourfold(nx)
+        assert len(built) <= 1
+        assert built == [lam for lam, sl in nx.slices.items() if "threefold" in vars(sl)]
+    nx = dataclasses.replace(seeded_fourfold(0))
+    built.clear()
+    assert certify_fourfold(nx).is_general
+    assert built == [next(projective_reps(nx.K, 2))]
+
+
+@pytest.mark.parametrize("p, seeds", [(3, range(4)), (5, range(2)), (7, range(1)), (9, range(1))])
+def test_the_slice_sextics_are_the_discriminant_restricted_to_each_dual_line(p, seeds):
+    # the stacked restriction of D to every dual line, against one
+    # restriction per line; a slice keeps the fourfold's cubic, not the fourfold
+    K = field(3, 2) if p == 9 else field(p)
+    for seed in seeds:
+        nx = random_fourfold_through_plane(K, random.Random(seed))
+        D = nx.discriminant.form
+        assert list(nx.slices) == list(projective_reps(K, 2))
+        for lam, sl in nx.slices.items():
+            expected = D.restrict(dual_line_rows(K, lam))
+            assert sl.sextic == (None if expected.is_zero else expected)
+            assert sl.transverse == (not expected.is_zero and expected.is_squarefree())
+            assert sl.cubic is nx.f
+        assert not any(isinstance(v, fourfold.NormalizedFourfold) for sl in nx.slices.values() for v in vars(sl).values())

@@ -224,19 +224,36 @@ def test_the_evaluators_sixth_positional_parameter_is_points():
 
 
 def test_one_walk_slices_the_fourfold():
-    # a fourfold's slices are built once, by its per-dual record; a second call
-    # site would be a second walk over the dual plane recomputing them
+    # a fourfold's slices are built once, in one pass that restricts the
+    # plane discriminant to every dual line, and each slice cuts its own
+    # threefold when first read; a second call site would be a second walk
+    # over the dual plane recomputing them
     callers = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                callers += [
-                    f"{path.name}:{func.name}"
-                    for node in ast.walk(func)
-                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "slice_threefold"
-                ]
-    assert callers == ["fourfold.py:_build_slice"]
+        sites = _call_sites(ast.parse(path.read_text()), {"slice_threefold", "_slices", "on_dual_lines"})
+        callers += [f"{path.name}:{scope} {name}" for scope, name in sites]
+    assert sorted(callers) == [
+        "fourfold.py:NormalizedFourfold.slices _slices",
+        "fourfold.py:Slice.threefold slice_threefold",
+        "fourfold.py:_slices on_dual_lines",
+    ]
+
+
+def test_every_line_surface_is_built_by_one_path():
+    # every surface is a FanoSurface(nf, k), whose fibers and rulings are
+    # the threefold's kept pencil, ruled alone or with others' in one pass;
+    # a second path would rule fibers another way
+    callers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        sites = _call_sites(ast.parse(path.read_text()), {"FanoSurface", "_rule_pencils", "stacked_pencil_fibers"})
+        callers += [f"{path.name}:{scope} {name}" for scope, name in sites]
+    assert sorted(callers) == [
+        "fano.py:FanoSurface.__init__ _rule_pencils",
+        "fano.py:_rule_pencils stacked_pencil_fibers",
+        "fano.py:surface_of FanoSurface",
+        "fano.py:surfaces_of _rule_pencils",
+        "pencil.py:pencil_fibers stacked_pencil_fibers",
+    ]
 
 
 def _call_sites(tree, names, scope=""):

@@ -38,6 +38,7 @@ from cubicfano.threefold import (
     cubic_through_plane,
     marked_plane,
     normalize,
+    plane_basis,
     random_cubic_through_plane,
     random_general_threefold,
     random_threefold_through_plane,
@@ -109,6 +110,44 @@ def test_normalize_rejects_noncontaining_plane():
     f = HomogeneousForm(K, 5, 3, {(0, 0, 3, 0, 0): 1})
     with pytest.raises(NotContained):
         normalize(f, standard_plane(K))
+
+
+def test_a_cubic_off_the_marked_plane_is_refused_without_a_restriction(monkeypatch):
+    # on the plane of the last three coordinates the cubic's monomials in
+    # those alone decide containment; a moved plane still restricts the cubic
+    K = field(7)
+    f = HomogeneousForm(K, 5, 3, {(0, 0, 3, 0, 0): 1, (1, 0, 2, 0, 0): 1})
+    substituted = []
+    original = HomogeneousForm.substitute
+
+    def counted(form, M):
+        substituted.append(np.shape(M))
+        return original(form, M)
+
+    monkeypatch.setattr(HomogeneousForm, "substitute", counted)
+    for plane in (marked_plane(K, 5), standard_plane(K)):
+        with pytest.raises(NotContained, match="^the cubic does not vanish on the plane$"):
+            normalize(f, plane)
+    nf = random_threefold_through_plane(K, random.Random(3))
+    assert substituted == []
+    rows = np.zeros((3, 5), dtype=np.int64)
+    rows[0, 1] = rows[1, 2] = rows[2, 4] = 1
+    with pytest.raises(NotContained, match="^the cubic does not vanish on the plane$"):
+        normalize(nf.f, LinearSubspace(K, rows))
+    assert substituted == [(5, 3)]
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (3, 2), (11, 1)])
+def test_restricted_conics_are_the_last_six_coefficients(p, k):
+    # read off the layout, against the interpolated restriction to the plane
+    K = field(p, k)
+    rng = random.Random(p * k)
+    for _ in range(6):
+        quadrics = [random_form(K, 5, 2, rng) for _ in range(2)]
+        nf = normalize(cubic_through_plane(K, quadrics), marked_plane(K, 5))
+        assert nf.restricted_conics == tuple(Q.restrict(plane_basis(5)) for Q in (nf.Q0, nf.Q1))
+        for Q in quadrics:
+            assert HomogeneousForm.from_coeffs(K, 3, 2, Q.coeffs[-6:]) == Q.restrict(plane_basis(5))
 
 
 def test_normalize_moves_general_plane():

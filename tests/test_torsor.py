@@ -280,6 +280,19 @@ def test_nonreduced_node_scheme_is_refused():
         torsor_group(general_example(5))
 
 
+@pytest.mark.parametrize("seed", [1, 6])
+def test_a_nonreduced_node_scheme_is_refused_before_any_surface_is_built(seed):
+    # the group-law seeds whose Z is nonreduced: the refusal reads Z alone,
+    # and the message is the one the group law itself gives
+    nf = random_general_threefold(field(3), random.Random(seed))
+    assert not nf.Z.reduced
+    with pytest.raises(NotGeneral, match="^the group law requires a reduced node scheme$"):
+        torsor_group(nf)
+    assert nf.surfaces == {} and nf.groups == {}
+    with pytest.raises(NotGeneral, match="^the group law requires a reduced node scheme$"):
+        TorsorGroup(FanoSurface(nf, 1))
+
+
 def test_foreign_points_are_rejected():
     G = torsor_group(general_example(3))
     H = torsor_group(seeded_example(3, 2))
