@@ -37,6 +37,14 @@ stacked elimination, and the plane sections of every pair go through one
 residual solve, which reads the cubic at ten points of each plane
 (:func:`projective.residual_from_values`).  Each pair keeps its error in
 place, so a class raises the error of its first failing point.
+
+Over F_{q^k} the pass works one pair per Frobenius orbit.  The threefold, P
+and everything built from them are defined over F_q, so Frobenius phi over
+F_q permutes the classes and the torsor-ready points, and every step of the
+pass commutes with it: j_{phi c}(phi x) = phi(j_c(x)), and the pair (phi c,
+phi x) fails with the error of (c, x).  So only the least pair of each orbit
+is worked, and the others are read off it by conjugation.  Over F_q itself
+(k = 1) every orbit is a single pair.
 """
 
 from __future__ import annotations
@@ -76,6 +84,7 @@ from .projective import (
     count_points,
     enumerate_lines,
     line_meets,
+    line_points,
     linear_form_cutting_line_in_plane,
     normalize_point,
     plane_section_values,
@@ -578,7 +587,10 @@ class FanoSurface:
 
         Maps each class key to its array (point i goes to point perm[i]) or
         to the error :meth:`j_perm` raises for the class.  The classes not
-        yet built are built in one stacked pass.
+        yet built are built in one stacked pass, which over F_{q^k} works one
+        (class, point) pair per Frobenius orbit over F_q and reads the others
+        off by conjugation (:meth:`_involution_images`): everything is built
+        over F_q, so the pass commutes with Frobenius.
         """
         todo = [c for c in self.curve_points if c.key not in self._j_perms]
         for c, out in zip(todo, self._involution_images(todo, np.arange(len(self.torsor_set)))):
@@ -629,6 +641,15 @@ class FanoSurface:
         call, and each residual line lands in the torsor-ready set.  A
         pair's first error is kept in place of its image; a class that fails
         at a node is worked no further, since nodes come first.
+
+        Only one pair per Frobenius orbit is worked.  The threefold and P are
+        defined over F_q, so Frobenius phi over F_q commutes with every step
+        above: j_{phi c}(phi x) = phi(j_c(x)), with the same error.  Of each
+        orbit the least (class, point) pair is worked, and every other pair
+        (phi^m c, phi^m x) takes its error and phi^m of its image
+        (:class:`_PairOutcomes`).  A pair whose least pair lies outside the
+        batch (one class, one point, or classes built before) is worked
+        itself, and over F_q every pair is its own orbit.
         """
         arrays = self._arrays
         look = self._rulings_over_L
@@ -637,17 +658,18 @@ class FanoSurface:
         except KeyError:
             raise ValueError("the ruling class must live over the working field") from None
         n_nodes = self.torsor_set.n_nodes
-        out = _PairOutcomes(arrays, look, len(classes), len(idx))
+        out = _PairOutcomes(arrays, look, cls, idx)
+        node = np.broadcast_to(idx < n_nodes, out.image.shape)
 
         # nodes: the opposite ruling line through the node
-        cols = np.flatnonzero(idx < n_nodes)
-        rows, cols = np.repeat(np.arange(len(classes)), len(cols)), np.tile(cols, len(classes))
+        rows, cols = out.to_work(node)
         pts = arrays.node_coords[idx[cols]]
         out.land(rows, cols, out.line_through(rows, cols, arrays.bar[cls[rows]], pts, *_TAU), _NODE_LINE_IN_P)
+        out.read_off(node)
 
-        alive = np.flatnonzero((out.error < 0).all(axis=1))
-        cols = np.flatnonzero(idx >= n_nodes)
-        rows, cols = np.repeat(alive, len(cols)), np.tile(cols, len(alive))
+        alive = (out.error < 0).all(axis=1)
+        out.keep_alive(alive)
+        rows, cols = out.to_work(~node & alive[:, None])
         c = cls[rows]
         line = arrays.point_line[idx[cols] - n_nodes]
         d, z = arrays.ruling[line], arrays.node_of[line]
@@ -678,6 +700,7 @@ class FanoSurface:
             sections.append(_Sections(r1, k1, t, t, _DEFORMATION_LEAVES_LINE, _OFF_TORSOR, planes))
 
         self._land_sections(out, [s.kept(out.ok(s.rows, s.cols)) for s in sections])
+        out.read_off(~node)
         return out.result()
 
     def _land_sections(self, out: "_PairOutcomes", sections: list["_Sections"]) -> None:
@@ -824,7 +847,8 @@ class _RulingPoints:
         self.position = {c.key: i for i, c in enumerate(self.classes)}
         self.lines = [ln for c in self.classes for ln in c.lines]
         self.size = count_points(M, 4)
-        pts = np.array([ln.points_array() for ln in self.lines], dtype=np.int64).reshape(len(self.lines), M.q + 1, 5)
+        rows = np.array([ln.rows for ln in self.lines], dtype=np.int64).reshape(len(self.lines), 2, 5)
+        pts = line_points(M, rows[:, 0], rows[:, 1])
         owner = np.repeat(np.arange(len(self.classes)), [len(c.lines) for c in self.classes])
         keys = owner[:, None] * self.size + point_positions(M, pts.reshape(-1, 5)).reshape(pts.shape[:2])
         self.keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
@@ -871,13 +895,42 @@ class _PairOutcomes:
 
     ``error[i, j]`` indexes ``errors`` (-1 for none yet); an error is kept as
     an instance or as its (type, message), made an instance by :func:`_error`.
+    Pair (i, j) is class ``cls[i]`` at torsor point ``idx[j]``.  Each pair has
+    a source pair of the batch (``source``, with the power of Frobenius that
+    carries the source to it): the least pair of its Frobenius orbit, by
+    class position and then torsor index, when that pair is in the batch,
+    and otherwise the pair itself.  Only the pairs that are their own source
+    are worked; the others are read off their sources.
     """
 
-    def __init__(self, arrays: "_TorsorArrays", look: "_RulingPoints", n_classes: int, n_points: int):
+    def __init__(self, arrays: "_TorsorArrays", look: "_RulingPoints", cls: np.ndarray, idx: np.ndarray):
         self.arrays, self.look = arrays, look
         self.errors: list = []
-        self.error = np.full((n_classes, n_points), -1, dtype=np.int64)
-        self.image = np.zeros((n_classes, n_points), dtype=np.int64)
+        self.error = np.full((len(cls), len(idx)), -1, dtype=np.int64)
+        self.image = np.zeros((len(cls), len(idx)), dtype=np.int64)
+        self.pairs = np.indices(self.image.shape)
+        self.source, self.power = _orbit_sources(arrays, cls, idx)
+
+    def to_work(self, mask) -> tuple[np.ndarray, np.ndarray]:
+        """The (rows, cols) of the masked pairs that are their own source."""
+        return np.nonzero(mask & (self.source == self.pairs).all(axis=0))
+
+    def keep_alive(self, alive) -> None:
+        """Make each live pair whose source's class failed its own source: that
+        source was worked no further, so the pair is worked itself."""
+        dead = alive[self.pairs[0]] & ~alive[self.source[0]]
+        self.source[:, dead] = self.pairs[:, dead]
+        self.power[dead] = 0
+
+    def read_off(self, mask) -> None:
+        """Each masked pair that is not its own source takes its source's
+        error, and its source's image moved by Frobenius: j_{phi c}(Phi x) =
+        Phi(j_c(x))."""
+        rows, cols = np.nonzero(mask & (self.source != self.pairs).any(axis=0))
+        src = tuple(self.source[:, rows, cols])
+        self.error[rows, cols] = self.error[src]
+        # a failed source's image is unread, and may be a negative land code
+        self.image[rows, cols] = self.arrays.frob_points[self.power[rows, cols], np.maximum(self.image[src], 0)]
 
     def fail(self, rows, cols, mask, exc) -> None:
         """Keep exc as the error of the masked pairs that have none yet."""
@@ -912,6 +965,29 @@ class _PairOutcomes:
         return out
 
 
+def _orbit_sources(arrays: "_TorsorArrays", cls: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The source of each pair of a stacked pass over classes ``cls`` and points ``idx``.
+
+    Returns ``source``, the (2, classes, points) rows and columns of each
+    pair's source, and ``power``, the power of Frobenius that carries the
+    source to the pair (see :class:`_PairOutcomes`).
+    """
+    k, n_points = arrays.frob_points.shape
+    orbit_cls, orbit_pts = arrays.frob_classes[:, cls], arrays.frob_points[:, idx]
+    # phi^least of a pair is its orbit's least pair, and phi^(k - least) carries that back
+    least = (orbit_cls[:, :, None] * n_points + orbit_pts[:, None, :]).argmin(axis=0)
+    row_of = np.full(arrays.frob_classes.shape[1], -1)
+    row_of[cls] = np.arange(len(cls))
+    col_of = np.full(n_points, -1)
+    col_of[idx] = np.arange(len(idx))
+    source = np.stack(
+        [row_of[orbit_cls[least, np.arange(len(cls))[:, None]]], col_of[orbit_pts[least, np.arange(len(idx))]]]
+    )
+    outside = (source < 0).any(axis=0)
+    source[:, outside] = np.indices(least.shape)[:, outside]
+    return source, np.where(outside, 0, (k - least) % k)
+
+
 # the land code of a line that is no torsor point: inside P, or meeting P off the nodes
 IN_P, AWAY = -1, -2
 
@@ -923,7 +999,9 @@ class _TorsorArrays:
     ``surface.curve_points``.  Per line: its rows, whether it lies in P, its
     land code (its torsor index, IN_P or AWAY) and, for a boundary line, its
     node's torsor index and its class.  Per class: the opposite class, the
-    fiber parameter (s, t) and whether the fiber is a cone.
+    fiber parameter (s, t) and whether the fiber is a cone.  And Frobenius
+    over the base field, on the torsor-ready set and on the classes
+    (:meth:`_frobenius`).
     """
 
     def __init__(self, surface: FanoSurface):
@@ -952,6 +1030,48 @@ class _TorsorArrays:
         self.ruling_line = np.array([self.line_index[ln.rows] for ln in look.lines], dtype=np.int64)
         self.bar = np.array([look.position[surface.other_ruling(c).key] for c in look.classes], dtype=np.int64)
         self.st = np.array([(c.s, c.t) for c in look.classes], dtype=np.int64).reshape(-1, 2)
+        self.frob_points, self.frob_classes = self._frobenius(surface, node_at, look)
+
+    def _frobenius(self, surface: FanoSurface, node_at: dict, look: "_RulingPoints") -> tuple[np.ndarray, np.ndarray]:
+        """Frobenius over the base field on the torsor-ready set (Phi) and on the classes (phi).
+
+        Each comes as its k powers, row i the i-th, for k the degree of the
+        working field over the base field F_q.  Frobenius x -> x^q is
+        ``L.frob`` composed once per degree of F_q over F_p.  It fixes 0 and
+        1, so it keeps normalized points and reduced echelon rows canonical:
+        a node or line moves to the one keyed by its moved coordinates or
+        rows, and phi takes a class to the class of its first line's image.
+        """
+        L = surface.L
+        frob = np.arange(L.q)
+        for _ in range(surface.base.K.k):
+            frob = L.frob[frob]
+        try:
+            nodes = [node_at[tuple(pt)] for pt in frob[self.node_coords].tolist()]
+            lines = np.array(
+                [self.line_index[tuple(map(tuple, rows))] for rows in frob[self.line_rows].tolist()], dtype=np.int64
+            )
+        except KeyError:
+            raise InternalInconsistency("Frobenius moves a node or a line off the surface") from None
+        points = np.concatenate([np.array(nodes, dtype=np.int64), self.land[lines[self.point_line]]])
+        sizes = np.array([len(c.lines) for c in look.classes], dtype=np.int64)
+        owner = np.full(len(lines), -1)
+        owner[self.ruling_line] = np.repeat(np.arange(len(sizes)), sizes)
+        classes = owner[lines[self.ruling_line[np.cumsum(sizes) - sizes]]]
+        return _powers(points, surface.k, "torsor-ready set"), _powers(classes, surface.k, "ruling classes")
+
+
+def _powers(perm: np.ndarray, k: int, what: str) -> np.ndarray:
+    """The k powers of a permutation of order dividing k, row i the i-th; raise for anything else."""
+    ident = np.arange(len(perm))
+    if not np.array_equal(np.sort(perm), ident):
+        raise InternalInconsistency(f"Frobenius must permute the {what}")
+    out = [ident]
+    for _ in range(k - 1):
+        out.append(perm[out[-1]])
+    if not np.array_equal(perm[out[-1]], ident):
+        raise InternalInconsistency(f"Frobenius to the degree of the working field must fix the {what}")
+    return np.stack(out)
 
 
 def _singular_conic_lines(K: GF, conics: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -46,7 +46,7 @@ from .errors import InternalInconsistency, NotGeneral
 from .forms import HomogeneousForm, interpolate, interpolation_points, monomial_exponents, quadratic_roots
 from .gf import GF
 from .linalg import det, dot, mat_vec, minors, rref_stack
-from .projective import ProjectiveLine, all_points_array, projective_reps
+from .projective import ProjectiveLine, all_points_array, line_points, projective_reps
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +240,6 @@ class RulingClass:
         return isinstance(other, RulingClass) and self.key == other.key
 
 
-def _line_points(K: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The q + 1 points a + t b (t in F_q) and b of each line span(a, b): (..., q + 1, n)."""
-    t = np.arange(K.q)[:, None]
-    return np.concatenate([K.add(a[..., None, :], K.mul(t, b[..., None, :])), b[..., None, :]], axis=-2)
-
-
 def _meeting_lines(K: GF, M: np.ndarray, points: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """Rows (x, m) of the line of the quadric through each point x meeting the line span(b1, b2).
 
@@ -347,8 +341,8 @@ def _smooth_rulings(K: GF, M: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
 
     # A's ruling: the line through each point of B meeting span(x, mA), which
     # is of B's ruling and skew to B; B's ruling likewise through A
-    ruling_a = _meeting_lines(K, M, _line_points(K, y, b), x, mA)
-    ruling_b = _meeting_lines(K, M, _line_points(K, y, a), x, mB)
+    ruling_a = _meeting_lines(K, M, line_points(K, y, b), x, mA)
+    ruling_b = _meeting_lines(K, M, line_points(K, y, a), x, mB)
     return split, np.stack([ruling_a, ruling_b], axis=1)
 
 

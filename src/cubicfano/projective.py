@@ -91,10 +91,8 @@ class ProjectiveLine:
         The canonical rows (a, b) are in RREF, so every point is already
         normalized.
         """
-        K = self.K
         a, b = np.array(self.rows, dtype=np.uint16)
-        params = np.arange(K.q, dtype=np.uint16)[:, None]
-        return np.vstack([K.add(a, K.mul(params, b)), b])
+        return line_points(self.K, a, b)
 
     def points(self) -> list[ProjectivePoint]:
         """All q+1 rational points, in the order of :meth:`points_array`."""
@@ -205,6 +203,12 @@ def _points_at(q: int, n: int, idx: np.ndarray) -> np.ndarray:
         # zeros before the pivot, a one at it, base-q digits after it
         pts[:, j] = np.where(j > pivot, (local // sizes[j]) % q, j == pivot)
     return pts
+
+
+def line_points(K: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The q + 1 points a + t b (t in F_q) and b of each line span(a, b): (..., q + 1, n)."""
+    t = np.arange(K.q)[:, None]
+    return np.concatenate([K.add(a[..., None, :], K.mul(t, b[..., None, :])), b[..., None, :]], axis=-2)
 
 
 def point_positions(K: GF, pts) -> np.ndarray:

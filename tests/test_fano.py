@@ -620,6 +620,104 @@ def test_the_extension_letter_scan_solves_every_section_at_once(monkeypatch):
     assert calls == {"plane_section_values": 1, "residual_from_values": 1, "derivative": 5}
 
 
+# Frobenius over F_3 on the torsor-ready set over F_9 fixes exactly the
+# points over F_3, #T(F_3) of them
+FIXED_BY_FROBENIUS = {2: 16, 4: 5, 5: 8, 28: 10, 29: 4}
+
+
+@pytest.mark.parametrize("seed", sorted(FIXED_BY_FROBENIUS))
+def test_frobenius_permutes_the_torsor_points_and_classes(seed):
+    nf = seeded_example(3, seed)
+    small, surf = FanoSurface(nf, 1), FanoSurface(nf, 2)
+    ts, L = surf.torsor_set, surf.L
+    arrays = surf._arrays
+    frob_points, frob_classes = arrays.frob_points[1], arrays.frob_classes[1]
+    # the moved coordinates of a node, and the moved rows of a line
+    for x, y in zip(ts.points, frob_points.tolist()):
+        moved = ts.points[y]
+        assert moved.kind == x.kind
+        if x.kind == "node":
+            assert moved.node == tuple(L.frobenius(v) for v in x.node)
+        else:
+            assert moved.rows == tuple(tuple(L.frobenius(v) for v in row) for row in x.rows)
+    assert (frob_points[:ts.n_nodes] < ts.n_nodes).all()
+    fixed = {ts.points[i] for i in np.flatnonzero(frob_points == np.arange(len(ts)))}
+    lifted = {
+        fano.TorsorPoint(x.kind, None if x.rows is None else small.L.lift(x.rows, L), x.node and small.L.lift(x.node, L))
+        for x in small.torsor_set.points
+    }
+    assert fixed == lifted and len(fixed) == FIXED_BY_FROBENIUS[seed]
+    # the class of the moved lines, and the opposite class commutes with it
+    classes = surf.curve_points
+    for c, image in zip(classes, frob_classes.tolist()):
+        moved = {tuple(tuple(L.frobenius(v) for v in row) for row in ln.rows) for ln in c.lines}
+        assert moved == {ln.rows for ln in classes[image].lines}
+        assert surf.other_ruling(classes[image]) == classes[frob_classes[classes.index(surf.other_ruling(c))]]
+
+
+@pytest.mark.parametrize("p, seed", [(5, 2), (7, 0)])
+def test_the_orbit_pass_matches_the_one_class_path(p, seed):
+    # every class at once, read off by Frobenius orbit, against each class
+    # worked in a pass of its own on a fresh surface, errors included
+    nf = seeded_example(p, seed)
+    tables = FanoSurface(nf, 2).j_tables()
+    single = FanoSurface(nf, 2)
+    assert any(isinstance(out, Exception) for out in tables.values())
+    for c in single.curve_points:
+        expected = _outcome(single.j_perm, c)
+        got = tables[c.key]
+        if isinstance(got, Exception):
+            assert (type(got).__name__, str(got)) == expected
+        else:
+            assert np.array_equal(got, expected)
+
+
+def test_tables_after_some_classes_were_built_alone():
+    # classes built first by j_perm leave the later pass a batch that is not
+    # closed under Frobenius; its pairs whose orbit starts outside it are
+    # worked directly
+    nf = seeded_example(3, 2)
+    expected = FanoSurface(nf, 2).j_tables()
+    surf = FanoSurface(nf, 2)
+    for c in surf.curve_points[1::3]:
+        _outcome(surf.j_perm, c)
+    got = surf.j_tables()
+    assert got.keys() == expected.keys()
+    for key, out in expected.items():
+        if isinstance(out, Exception):
+            assert (type(got[key]), str(got[key])) == (type(out), str(out))
+        else:
+            assert np.array_equal(got[key], out)
+
+
+def test_the_extension_tables_work_one_pair_per_frobenius_orbit(monkeypatch):
+    # seed 2 over F_9 has 13 classes and 128 torsor points; Frobenius orbits
+    # of its 1664 (class, point) pairs number 872, and only their least
+    # pairs are worked
+    worked = []
+    to_work = fano._PairOutcomes.to_work
+
+    def counted(self, mask):
+        rows, cols = to_work(self, mask)
+        worked.append(len(rows))
+        return rows, cols
+
+    monkeypatch.setattr(fano._PairOutcomes, "to_work", counted)
+    surf = FanoSurface(seeded_example(3, 2), 2)
+    assert (len(surf.curve_points), len(surf.torsor_set)) == (13, 128)
+    surf.j_tables()
+    assert 0 < sum(worked) <= 872
+    assert _j_table_digest(surf) == PINNED_J_TABLES[(3, 2, 2)]
+
+
+def test_frobenius_maps_that_are_no_permutations_raise():
+    with pytest.raises(InternalInconsistency, match="must permute the torsor-ready set"):
+        fano._powers(np.array([0, 0, 2]), 2, "torsor-ready set")
+    with pytest.raises(InternalInconsistency, match="must fix the ruling classes"):
+        fano._powers(np.array([1, 2, 0]), 2, "ruling classes")
+    assert fano._powers(np.array([1, 0, 2]), 2, "ruling classes").tolist() == [[0, 1, 2], [1, 0, 2]]
+
+
 def test_excluded_letters_raise_resample():
     surf = FanoSurface(seeded_example(5, 44), 1)
     by_key = {(c.s, c.t, c.index): c for c in surf.curve_points}
