@@ -15,7 +15,7 @@ class InternalInconsistency(AssertionError):
 
 class NotSupportedError(ValueError):
     """The computation needs a field outside the tower: an extension degree
-    over F_p past 4, more than 65535 elements, or more than 1 GiB of tables.
+    over F_p past 4, or more than 65535 elements, past the uint16 codes.
     A limit of this implementation, not a property of the input."""
 
 

@@ -5,11 +5,12 @@ c_{k-1}*p^{k-1}`` stands for the residue ``c0 + c1*X + ...`` modulo the field's
 modulus polynomial.  A :class:`GF` object owns the precomputed numpy tables.
 Addition and multiplication are its methods: ``add``, ``sub`` and ``mul`` on
 codes and broadcasting arrays of codes, ``add_``, ``sub_`` and ``mul_`` on two
-codes.  How they are stored, today two dense q x q tables, is private to this
-module.  The length-q vectors ``neg``, ``inv``, ``chi`` (the quadratic
-character), ``sqrt_table`` (canonical square roots) and ``frob`` (Frobenius)
-are public arrays for gathers; the log and digit tables of the batch form
-evaluator come from :meth:`GF.term_tables`.
+codes.  How they are stored is private to this module: O(q) log and digit
+tables for every field, and the dense q x q tables built from them for a field
+of at most 512 elements.  The length-q vectors ``neg``, ``inv``, ``chi`` (the
+quadratic character), ``sqrt_table`` (canonical square roots) and ``frob``
+(Frobenius) are public arrays for gathers; the log and digit tables of the
+batch form evaluator come from :meth:`GF.term_tables`.
 
 Conventions, fixed once so serialized data is portable.  Coefficient words are
 ordered by their value as base-p integers with the constant digit least
@@ -115,12 +116,13 @@ def canonical_modulus(p: int, k: int) -> tuple[int, ...]:
 _MAX_DEGREE = 4
 # element codes and table entries are uint16
 _MAX_ORDER = 65535
-# the dense q x q addition and multiplication tables, 4 q^2 bytes together
-_MAX_TABLE_BYTES = 1 << 30
+# a field keeps dense q x q addition and multiplication tables, 4 q^2 bytes
+# together, while they fit here (q <= 512): a broadcast then reads one gather
+_DENSE_TABLE_BYTES = 1 << 20
 
 
 class GF:
-    """Finite field F_{p^k} (p odd prime, k <= 4, p^k <= 16384) with precomputed tables.
+    """Finite field F_{p^k} (p odd prime, k <= 4, p^k <= 65535) with precomputed tables.
 
     The tower above a field is reached through :meth:`extension`,
     :meth:`reaches` (whether a degree is within the tower), :meth:`lift`
@@ -128,11 +130,19 @@ class GF:
     :meth:`points_field` (the field a form of a given degree is interpolated
     over).
 
+    Sums and products are read off O(q) tables.  A product is
+    ``exp[log a + log b]``: ``log 0`` is 2(q - 1) and ``exp`` is 0 from
+    2(q - 1) to 4(q - 1), so a product with a zero factor reads 0.  A sum
+    spreads the base-p digits of each code into base 2p - 1, where adding two
+    spread codes never carries, and one table of (2p - 1)^k entries reduces
+    each digit sum mod p.  A field of at most 512 elements also keeps both
+    q x q tables, which a broadcast reads in one gather; the scalar methods
+    read the O(q) tables as Python lists.  F_{7^4} keeps under 1 MiB of
+    tables, F_{13^4} 11 MiB.
+
     A larger field raises NotSupportedError before any search or allocation:
-    past 65535 elements the uint16 codes overflow, and past 16384 the two
-    q x q tables would take more than 1 GiB.  The tables are built in row
-    blocks, so that bound holds for the build's peak as well, up to a few
-    tens of MiB.
+    past 65535 elements the uint16 codes overflow, and past degree 4 over
+    F_p the modulus search stops.
 
     Use :func:`field` to obtain the cached instance for given (p, k).
     """
@@ -146,11 +156,6 @@ class GF:
             raise NotSupportedError(f"extension degree {k} outside 1..{_MAX_DEGREE}")
         if p**k > _MAX_ORDER:
             raise NotSupportedError(f"F_{p}^{k} has {p**k} elements; uint16 codes stop at {_MAX_ORDER}")
-        if 4 * p ** (2 * k) > _MAX_TABLE_BYTES:
-            raise NotSupportedError(
-                f"F_{p}^{k} needs {4 * p ** (2 * k) / 2**30:.2f} GiB of addition and multiplication tables;"
-                " the limit is 1 GiB"
-            )
         self.p = p
         self.k = k
         self.q = p**k
@@ -166,23 +171,27 @@ class GF:
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.q
         # coefficient matrix: vecs[code] = (c0, ..., c_{k-1})
-        vecs = np.zeros((q, k), dtype=np.int16)
+        vecs = np.zeros((q, k), dtype=np.int64)
         rem = np.arange(q)
         for i in range(k):
             vecs[:, i] = rem % p
             rem = rem // p
         self._vecs = vecs
         pw = p ** np.arange(k)
+        self.neg = (((-vecs) % p) @ pw).astype(np.uint16)
 
-        # addition is digitwise mod p; both tables are built in row blocks,
-        # so the build peaks near the tables it keeps
-        add = np.empty((q, q), dtype=np.uint16)
-        step = max(1, (1 << 22) // (q * k))
-        for lo in range(0, q, step):
-            blk = (vecs[lo : lo + step, None, :] + vecs[None, :, :]) % p
-            add[lo : lo + step] = blk.astype(np.int64) @ pw
-        self._add = add
-        self.neg = (((-vecs) % p).astype(np.int64) @ pw).astype(np.uint16)
+        # addition: spread[x] holds the base-p digits of x in base 2p - 1, so
+        # two spread codes add digit by digit without a carry, and reduce
+        # takes each digit of such a sum mod p
+        base = 2 * p - 1
+        sums = np.arange(base**k)
+        reduce = np.zeros(base**k, dtype=np.uint16)
+        for i in range(k):
+            reduce += (sums % base % p * p**i).astype(np.uint16)
+            sums //= base
+        self._spread = vecs @ base ** np.arange(k)
+        self._spread_neg = self._spread[self.neg]
+        self._reduce = reduce
 
         # discrete log on the smallest primitive code
         order_factors = sorted(_factor(q - 1))
@@ -194,34 +203,46 @@ class GF:
         if g is None:
             raise InternalInconsistency("the multiplicative group has no generator")
         self.generator = g
-        exp = np.empty(q - 1, dtype=np.uint16)
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            acc = self._code_mul(acc, g)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
+        # x -> g*x on every code at once, from the digits of g*X^i; the powers
+        # of g are the orbit of 1
+        times_g = (((vecs @ vecs[[self._code_mul(g, p**i) for i in range(k)]]) % p) @ pw).tolist()
+        powers = [1]
+        for _ in range(q - 2):
+            powers.append(times_g[powers[-1]])
+        # log 0 = 2(q - 1), and exp reads 0 from there on: a product with a
+        # zero factor is 0
+        exp = np.zeros(4 * (q - 1) + 1, dtype=np.uint16)
+        exp[: 2 * (q - 1)] = powers * 2
+        log = np.empty(q, dtype=np.int64)
+        log[powers] = np.arange(q - 1)
+        log[0] = 2 * (q - 1)
         self._exp, self._log = exp, log
 
-        mul = np.zeros((q, q), dtype=np.uint16)
-        nz = exp  # nonzero codes in generator order
-        for lo in range(0, q - 1, step):
-            sums = log[nz[lo : lo + step], None] + log[None, nz]
-            mul[np.ix_(nz[lo : lo + step], nz)] = exp[sums % (q - 1)]
-        self._mul = mul
+        self._dense_add = self._dense_mul = None
+        if 4 * q * q <= _DENSE_TABLE_BYTES:
+            self._dense_add = self._reduce[self._spread[:, None] + self._spread[None, :]]
+            self._dense_mul = exp[log[:, None] + log[None, :]]
+        # the scalar methods read the O(q) tables as lists, which give back a
+        # Python int faster than an array does; the lists of codes share q ints
+        codes = list(range(q))
+        self._exp_list = list(map(codes.__getitem__, exp))
+        self._reduce_list = list(map(codes.__getitem__, reduce))
+        self._log_list = log.tolist()
+        self._spread_list, self._spread_neg_list = self._spread.tolist(), self._spread_neg.tolist()
 
+        nz = exp[: q - 1]  # nonzero codes in generator order
         inv = np.zeros(q, dtype=np.uint16)
-        inv[nz] = exp[(-(self._log[nz])) % (q - 1)]
+        inv[nz] = exp[(-log[nz]) % (q - 1)]
         self.inv = inv
 
         chi = np.zeros(q, dtype=np.int8)
-        chi[nz] = np.where(self._log[nz] % 2 == 0, 1, -1)
+        chi[nz] = np.where(log[nz] % 2 == 0, 1, -1)
         self.chi = chi
 
         sqrt_table = np.full(q, -1, dtype=np.int32)
         sqrt_table[0] = 0
-        even = nz[self._log[nz] % 2 == 0]
-        roots = exp[(self._log[even] // 2) % (q - 1)]
+        even = nz[log[nz] % 2 == 0]
+        roots = exp[log[even] // 2]
         sqrt_table[even] = np.minimum(roots, self.neg[roots])
         self.sqrt_table = sqrt_table
 
@@ -245,13 +266,19 @@ class GF:
     # scalars); add_, sub_ and mul_ take two codes and return a Python int
 
     def add(self, a, b):
-        return self._add[a, b]
+        if self._dense_add is None:
+            return self._reduce[self._spread[a] + self._spread[b]]
+        return self._dense_add[a, b]
 
     def sub(self, a, b):
-        return self._add[a, self.neg[b]]
+        if self._dense_add is None:
+            return self._reduce[self._spread[a] + self._spread_neg[b]]
+        return self._dense_add[a, self.neg[b]]
 
     def mul(self, a, b):
-        return self._mul[a, b]
+        if self._dense_mul is None:
+            return self._exp[self._log[a] + self._log[b]]
+        return self._dense_mul[a, b]
 
     def encode(self, coeffs) -> int:
         code = 0
@@ -267,13 +294,13 @@ class GF:
         return tuple(out)
 
     def add_(self, a: int, b: int) -> int:
-        return int(self._add[a, b])
+        return self._reduce_list[self._spread_list[a] + self._spread_list[b]]
 
     def sub_(self, a: int, b: int) -> int:
-        return int(self._add[a, self.neg[b]])
+        return self._reduce_list[self._spread_list[a] + self._spread_neg_list[b]]
 
     def mul_(self, a: int, b: int) -> int:
-        return int(self._mul[a, b])
+        return self._exp_list[self._log_list[a] + self._log_list[b]]
 
     def neg_(self, a: int) -> int:
         return int(self.neg[a])
@@ -286,7 +313,7 @@ class GF:
     def pow_vector(self, e: int) -> np.ndarray:
         """Table of x -> x^e over all codes (e >= 0)."""
         out = np.zeros(self.q, dtype=np.uint16)
-        nz = self._exp
+        nz = self._exp[: self.q - 1]
         out[nz] = self._exp[(self._log[nz] * e) % (self.q - 1)]
         if e == 0:
             out[0] = 1
@@ -311,7 +338,7 @@ class GF:
             log[0] = period
             self._term_logs[degree] = log
         if (degree, width) not in self._term_digits:
-            packed = (self._vecs.astype(np.int64) << (width * np.arange(self.k))).sum(axis=1)
+            packed = (self._vecs << (width * np.arange(self.k))).sum(axis=1)
             digits = np.zeros(q - 2 + degree * period + 1, dtype=np.int64)
             digits[:period] = packed[self._exp[np.arange(period) % (q - 1)]]
             self._term_digits[(degree, width)] = digits

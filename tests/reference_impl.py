@@ -1,8 +1,9 @@
 """Slow reference implementations used as oracles by the test suite.
 
 Everything here is deliberately naive: polynomial arithmetic on tuples and
-on exponent dicts, cofactor determinants, Fermat inverses, brute-force
-searches, symbolic division, the group law acted out letter by letter
+on exponent dicts, a field's dense q x q addition and multiplication tables,
+cofactor determinants, Fermat inverses, brute-force searches, symbolic
+division, the group law acted out letter by letter
 through dicts, the node search over Q through sympy's resultant, gcd
 and factoring, the line search over Q by per-term grid loops and the
 four values f(a), f(b), f(a + b), f(a - b), the diagonalization of a
@@ -34,7 +35,7 @@ from cubicfano.errors import (
 )
 from cubicfano.fano import DISJOINT, MEETS_PLANE, TorsorPoint
 from cubicfano.forms import HomogeneousForm, interpolate, interpolation_points
-from cubicfano.gf import field
+from cubicfano.gf import canonical_modulus, field
 from cubicfano.linalg import inverse_matrix, kernel_basis, mat_mul, mat_vec, rank, rref
 from cubicfano.pencil import (
     HyperellipticModel,
@@ -123,6 +124,38 @@ class RefField:
 
     def square_roots(self, a):
         return sorted(x for x in range(self.q) if self.mul(x, x) == a)
+
+
+def dense_tables(p, k):
+    """The dense q x q uint16 addition and multiplication tables of F_{p^k} on its canonical modulus.
+
+    Independent of the field layer's own tables: addition digitwise mod p,
+    multiplication through the discrete log of the smallest primitive code,
+    whose powers are walked by polynomial arithmetic; both filled in row
+    blocks.
+    """
+    R = RefField(p, canonical_modulus(p, k))
+    q = R.q
+
+    def powers(c):
+        out = [1]
+        while (nxt := R.mul(out[-1], c)) != 1:
+            out.append(nxt)
+        return out
+
+    exp = np.array(next(pw for c in range(2, q) if len(pw := powers(c)) == q - 1), dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    vecs = np.array([R.decode(c) for c in range(q)], dtype=np.int64)
+    place = p ** np.arange(k)
+    add = np.empty((q, q), dtype=np.uint16)
+    mul = np.zeros((q, q), dtype=np.uint16)
+    step = max(1, (1 << 18) // (q * k))
+    for lo in range(0, q, step):
+        add[lo : lo + step] = ((vecs[lo : lo + step, None, :] + vecs[None, :, :]) % p) @ place
+        rows = np.arange(max(lo, 1), min(lo + step, q))
+        mul[rows, 1:] = exp[(log[rows, None] + log[None, 1:]) % (q - 1)]
+    return add, mul
 
 
 def ref_irreducible(coeffs, p):

@@ -1,4 +1,4 @@
-"""Field layer: table arithmetic against naive oracles, frozen small cases."""
+"""Field layer: table arithmetic against naive and dense-table oracles, frozen small cases."""
 
 import tracemalloc
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cubicfano import gf
 from cubicfano.errors import InternalInconsistency, InvalidInput, NotSupportedError
 from cubicfano.gf import GF, canonical_modulus, field
-from reference_impl import RefField, ref_irreducible
+from reference_impl import RefField, dense_tables, ref_irreducible
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
 
@@ -79,25 +79,36 @@ def test_fields_beyond_uint16_codes_refused(monkeypatch, p, k):
 
 
 @pytest.mark.parametrize("p,k", [(13, 4), (131, 2)])
-def test_fields_beyond_the_table_budget_refused(monkeypatch, p, k):
-    # the two q x q uint16 tables would pass 1 GiB (q > 16384): refused before
-    # the modulus search and before any table is allocated, not a MemoryError
-    monkeypatch.setattr(gf, "canonical_modulus", lambda p, k: pytest.fail("modulus searched"))
-    monkeypatch.setattr(GF, "_build_tables", lambda self: pytest.fail("tables built"))
-    with pytest.raises(NotSupportedError, match="the limit is 1 GiB"):
-        GF(p, k)
+def test_fields_past_the_old_table_budget_build(p, k):
+    # their q x q tables would have taken 3.0 and 1.1 GiB; sums and products
+    # come from O(q) tables, checked on sampled triples and against the
+    # polynomial arithmetic of the modulus
+    K = field(p, k)
+    R = ref_of(K)
+    a, b, c = np.random.default_rng(p).integers(0, K.q, (3, 4000))
+    add, mul = K.add, K.mul
+    assert np.array_equal(add(a, b), add(b, a)) and np.array_equal(mul(a, b), mul(b, a))
+    assert np.array_equal(add(add(a, b), c), add(a, add(b, c)))
+    assert np.array_equal(mul(mul(a, b), c), mul(a, mul(b, c)))
+    assert np.array_equal(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))
+    assert np.array_equal(add(a, 0), a) and np.array_equal(mul(a, 1), a) and not mul(a, 0).any()
+    assert not add(a, K.neg[a]).any() and np.array_equal(K.sub(add(a, b), b), a)
+    nz = a[a != 0]
+    assert np.all(mul(nz, K.inv[nz]) == 1)
+    for x, y in zip(a[:200].tolist(), b[:200].tolist()):
+        assert K.add_(x, y) == R.add(x, y) and K.mul_(x, y) == R.mul(x, y)
 
 
 def test_table_build_peaks_near_its_tables():
-    # both q x q tables are built in row blocks: F_{7^4} keeps 22 MiB of
-    # tables, and building them may take at most 64 MiB more
+    # F_{7^4} is past the dense size: with its two q x q tables the build
+    # peaked at 59 MiB of traced allocations, on O(q) tables it stays under 2 MiB
     tracemalloc.start()
     try:
-        K = GF(7, 4)
+        GF(7, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= K._add.nbytes + K._mul.nbytes + (64 << 20)
+    assert peak < 2 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -129,24 +140,57 @@ def test_tables_match_reference(p, k):
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 2), (3, 3)])
-def test_vectorized_arithmetic_is_the_scalar_arithmetic_broadcast(p, k):
+def test_vectorized_arithmetic_is_the_scalar_arithmetic_broadcast(monkeypatch, p, k):
     # every pair, as (n, 1) x (1, m) grids of int64 and of uint16 codes, and a
-    # scalar against an array on either side; the codes come back as uint16
-    K = field(p, k)
-    codes = np.arange(K.q)
-    for vec, scalar in ((K.add, K.add_), (K.sub, K.sub_), (K.mul, K.mul_)):
-        table = [[scalar(a, b) for b in codes.tolist()] for a in codes.tolist()]
-        for dtype in (np.int64, np.uint16):
-            grid = vec(codes.astype(dtype)[:, None], codes.astype(dtype)[None, :])
-            assert grid.dtype == np.uint16 and grid.tolist() == table
-        odd = codes[1::2]
-        assert vec(codes[::2, None], odd[None, :]).tolist() == [row[1::2] for row in table[::2]]
-        for a in codes.tolist():
-            row, column = vec(a, codes), vec(codes, a)
-            assert row.dtype == column.dtype == np.uint16
-            assert row.tolist() == table[a] and column.tolist() == [r[a] for r in table]
-            pair = vec(a, K.q - 1)
-            assert type(pair) is np.uint16 and pair == table[a][K.q - 1]
+    # scalar against an array on either side; the codes come back as uint16,
+    # from the dense tables and from the O(q) ones alike
+    built = field(p, k)
+    monkeypatch.setattr(gf, "_DENSE_TABLE_BYTES", 0)
+    for K in (built, GF(p, k)):
+        codes = np.arange(K.q)
+        for vec, scalar in ((K.add, K.add_), (K.sub, K.sub_), (K.mul, K.mul_)):
+            table = [[scalar(a, b) for b in codes.tolist()] for a in codes.tolist()]
+            for dtype in (np.int64, np.uint16):
+                grid = vec(codes.astype(dtype)[:, None], codes.astype(dtype)[None, :])
+                assert grid.dtype == np.uint16 and grid.tolist() == table
+            odd = codes[1::2]
+            assert vec(codes[::2, None], odd[None, :]).tolist() == [row[1::2] for row in table[::2]]
+            for a in codes.tolist():
+                row, column = vec(a, codes), vec(codes, a)
+                assert row.dtype == column.dtype == np.uint16
+                assert row.tolist() == table[a] and column.tolist() == [r[a] for r in table]
+                pair = vec(a, K.q - 1)
+                assert type(pair) is np.uint16 and pair == table[a][K.q - 1]
+                assert type(scalar(a, np.uint16(K.q - 1))) is int
+
+
+# every extension field up to q = 2401, the prime fields below 50, and the
+# primes on either side of the dense size (509, 521) and at q = 2399
+DENSE_ORACLE_FIELDS = [
+    (p, k) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47) for k in range(1, 5) if p**k <= 2401
+] + [(509, 1), (521, 1), (2399, 1)]
+
+
+@pytest.mark.parametrize("p,k", DENSE_ORACLE_FIELDS)
+def test_arithmetic_matches_the_dense_tables(monkeypatch, p, k):
+    # the field as built, and below the dense size also built on its O(q)
+    # tables: every pair through the broadcasting ops, sampled pairs through
+    # the scalar ones
+    add, mul = dense_tables(p, k)
+    neg = np.argmin(add, axis=1)  # add[a, neg[a]] = 0, the only zero of the row
+    builds = [GF(p, k)]
+    if 4 * builds[0].q ** 2 <= gf._DENSE_TABLE_BYTES:
+        monkeypatch.setattr(gf, "_DENSE_TABLE_BYTES", 0)
+        builds.append(GF(p, k))
+    pairs = np.random.default_rng(p**k).integers(0, p**k, (2, 500)).tolist()
+    for K in builds:
+        codes = np.arange(K.q)
+        assert np.array_equal(K.neg, neg)
+        assert np.array_equal(K.add(codes[:, None], codes[None, :]), add)
+        assert np.array_equal(K.sub(codes[:, None], codes[None, :]), add[:, neg])
+        assert np.array_equal(K.mul(codes[:, None], codes[None, :]), mul)
+        for a, b in zip(*pairs):
+            assert (K.add_(a, b), K.sub_(a, b), K.mul_(a, b)) == (add[a, b], add[a, neg[b]], mul[a, b])
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
@@ -166,15 +210,21 @@ def test_sqrt_and_character_match_bruteforce(p, k):
 
 
 # ---------------------------------------------------------------------------
-# field axioms, exhaustive for q <= 49 via vectorized tables
+# field axioms, exhaustive for q <= 49 via the broadcasting ops
 # ---------------------------------------------------------------------------
+
+
+def grids(K):
+    """The addition and multiplication tables of K through its broadcasting ops, as int64."""
+    c = np.arange(K.q)
+    return K.add(c[:, None], c[None, :]).astype(np.int64), K.mul(c[:, None], c[None, :]).astype(np.int64)
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3)])
 def test_field_axioms_exhaustive(p, k):
     K = field(p, k)
     q = K.q
-    add, mul = K._add.astype(np.int64), K._mul.astype(np.int64)
+    add, mul = grids(K)
     assert np.array_equal(add, add.T)
     assert np.array_equal(mul, mul.T)
     assert np.array_equal(add[0], np.arange(q))
@@ -198,7 +248,7 @@ def test_character_is_multiplicative_with_half_squares(p, k):
     K = field(p, k)
     chi = K.chi.astype(np.int64)
     outer = chi[:, None] * chi[None, :]
-    assert np.array_equal(chi[K._mul], outer)
+    assert np.array_equal(chi[grids(K)[1]], outer)
     assert int((chi == 1).sum()) == (K.q - 1) // 2
     assert int((chi == -1).sum()) == (K.q - 1) // 2
 
@@ -207,8 +257,8 @@ def test_character_is_multiplicative_with_half_squares(p, k):
 def test_frobenius_is_field_automorphism(p, k):
     K = field(p, k)
     fr = K.frob.astype(np.int64)
-    assert np.array_equal(fr[K._add], K._add[np.ix_(fr, fr)].astype(np.int64))
-    assert np.array_equal(fr[K._mul], K._mul[np.ix_(fr, fr)].astype(np.int64))
+    for table in grids(K):
+        assert np.array_equal(fr[table], table[np.ix_(fr, fr)])
     for c in range(p):
         assert K.frobenius(c) == c
     # order k: applying k times is the identity, fewer times is not

@@ -157,14 +157,18 @@ def test_only_the_field_layer_climbs_the_tower():
 
 def test_only_the_field_layer_knows_how_a_field_adds_and_multiplies():
     # gf.GF stores its addition and multiplication privately: every other
-    # module calls K.add, K.sub and K.mul, and no module subscripts a name or
-    # an attribute add or mul, as it would a table
+    # module calls K.add, K.sub and K.mul, reads no private attribute of a
+    # field, dense (F_9) or on O(q) tables (F_{7^4}), and subscripts no name
+    # or attribute add or mul, as it would a table
+    field = importlib.import_module("cubicfano.gf").field
+    tables = {name for K in (field(3, 2), field(7, 4)) for name in vars(K) if name.startswith("_")}
+    assert {"_dense_add", "_dense_mul", "_log", "_exp", "_spread", "_reduce"} <= tables
     found, calls = [], 0
     for path in sorted(PACKAGE.rglob("*.py")):
         if path.name == "gf.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in ("_add", "_mul"):
+            if isinstance(node, ast.Attribute) and node.attr in tables:
                 found.append(f"{path.name}:{node.lineno} {node.attr}")
             elif isinstance(node, ast.Subscript):
                 name = getattr(node.value, "attr", None) or getattr(node.value, "id", None)

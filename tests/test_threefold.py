@@ -48,6 +48,7 @@ from cubicfano.torsor import torsor_group, verify_group_axioms
 import reference_impl
 from reference_impl import (
     Z_multiplicities_by_jacobian,
+    binary_roots_by_scan,
     extra_plane_candidates,
     jacobian_has_rank_two,
     singular_points_off_plane,
@@ -294,10 +295,32 @@ def test_Z_scan_fallback_follows_a_change_of_plane_coordinates(monkeypatch, seed
     assert Z.points == (ZPoint(1, center, 4),)
 
 
-def test_q13_node_of_degree_four_is_a_typed_refusal():
-    # seed 0 has a node of degree 4, which needs the 3 GiB tables of F_{13^4}
-    with pytest.raises(NotSupportedError, match="the limit is 1 GiB"):
-        random_general_threefold(field(13), random.Random(0))
+Q13_NODE_DEGREES = {0: [4] * 4, 1: [1, 3, 3, 3], 2: [4] * 4, 3: [4] * 4, 4: [1, 1, 2, 2]}
+
+
+@pytest.mark.parametrize("seed", Q13_NODE_DEGREES)
+def test_q13_certifies_with_its_nodes_of_degree_four(seed):
+    # F_{13^4}, whose q x q tables would take 3 GiB, computes on O(q) tables;
+    # Z over it is the image of the pulled-back quartic's roots, found by
+    # trying every one of the 28561 elements
+    K = field(13)
+    nf = random_general_threefold(K, random.Random(seed))
+    assert certify_generality(nf).is_general
+    Z = nf.Z
+    assert [z.degree for z in Z.points] == Q13_NODE_DEGREES[seed] and Z.reduced
+    L = K.extension(4)
+    quartic, M = threefold._pullback_quartic(K, *threefold._smooth_member(nf))
+    roots = binary_roots_by_scan(L, K.lift(quartic.coeffs, L).tolist(), 4)
+    assert quartic.roots(extension=4) == roots
+    ML = K.lift(M, L)
+    images = {normalize_point(L, mat_vec(L, ML, [L.mul_(u, u), L.mul_(u, v), L.mul_(v, v)])) for (u, v), _ in roots}
+    assert {Z.coords_in(z, L) for z in Z.points_over(4)} == images
+
+
+def test_q17_node_of_degree_four_is_a_typed_refusal():
+    # seed 0 has a node of degree 4, and F_{17^4} has more elements than uint16 codes
+    with pytest.raises(NotSupportedError, match="uint16"):
+        random_general_threefold(field(17), random.Random(0))
 
 
 def test_Z_rejects_vanishing_conic():
@@ -382,8 +405,6 @@ def test_Z_multiplicities_match_the_jacobian_oracle(q):
             with pytest.raises(NotSupportedError):
                 compute_Z(nf)
             continue
-        if rest == 4 and q == 11:
-            continue  # a node of degree 4 needs the 0.9 GB tables of F_{11^4}
         Z = compute_Z(nf)
         assert {Z.coords_in(z, L): z.multiplicity for z in Z.points_over(2)} == want
         assert [(z.degree, z.multiplicity) for z in Z.points if z.degree > 2] == [(rest, 1)] * rest
@@ -738,14 +759,14 @@ def test_certificate_second_plane_found_by_brute_force_too():
 
 
 # (q, k, seeds, scan degrees): where Z is zero-dimensional and the
-# discriminant is reduced, neither oracle finds anything.  q = 11 stops at
-# seed 6: seed 7 has a node of degree 4 and builds F_{11^4}, 13 s on its own.
+# discriminant is reduced, neither oracle finds anything.  At q = 11, seed 7
+# has a node of degree 4 over F_{11^4}, which builds on O(q) tables.
 IMPLICATION_CASES = [
     (3, 1, range(120), (1, 2)),
     (5, 1, range(40), (1,)),
     (7, 1, range(20), (1,)),
     (3, 2, range(20), (1,)),
-    (11, 1, range(7), (1,)),
+    (11, 1, range(12), (1,)),
 ]
 
 
