@@ -35,8 +35,11 @@ call and ``involution`` its one-point call).  The crossing points of
 planes of diagonal pairs come from one batch of gradient evaluations and one
 stacked elimination, and the plane sections of every pair go through one
 residual solve, which reads the cubic at ten points of each plane
-(:func:`projective.residual_from_values`).  Each pair keeps its error in
-place, so a class raises the error of its first failing point.
+(:func:`projective.residual_from_values`) and returns arrays: the rows of
+each residual line, and an outcome code naming its plane's error.  A residual
+line, a ruling line or a Frobenius image is found among the surface's lines
+by one search on sorted byte keys of their rows.  Each pair keeps its error
+in place, so a class raises the error of its first failing point.
 
 Over F_{q^k} the pass works one pair per Frobenius orbit.  The threefold, P
 and everything built from them are defined over F_q, so Frobenius phi over
@@ -76,6 +79,7 @@ from .pencil import (
     stacked_pencil_fibers,
 )
 from .projective import (
+    RESIDUAL_ERRORS,
     LinearSubspace,
     ProjectiveLine,
     ProjectivePoint,
@@ -91,6 +95,7 @@ from .projective import (
     point_positions,
     projective_reps,
     residual_from_values,
+    residual_line,
     span,
 )
 from .threefold import NormalizedThreefold, SingularLocusZ, ZPoint
@@ -478,39 +483,10 @@ class FanoSurface:
             if not solvable[0]:
                 raise _error(_NO_DEFORMATION)
             rows, message = planes[0], _DEFORMATION_LEAVES_LINE
-        blocks = np.zeros((1, 4, 5), dtype=np.int64)
-        blocks[0, : len(rows)] = rows
-        out = self._section_residuals(M, blocks, np.array([t1.rows]), np.array([t2.rows]), [message])[0]
-        if isinstance(out, Exception):
-            raise out
-        return out
-
-    def _section_residuals(self, M: GF, blocks, firsts, seconds, messages) -> list:
-        """The residual line of each plane section over M, or the error in its place.
-
-        Section i is spanned by the rows of ``blocks[i]`` (four, zero rows
-        padding) and holds the lines with rows ``firsts[i]`` and
-        ``seconds[i]``; when its rows span no plane,
-        ``InternalInconsistency(messages[i])`` stands in for its residual.
-        One stacked elimination reduces the rows of every section, one batch
-        evaluates the cubic on the planes, and one stacked
-        :func:`residual_from_values` call solves them all; its errors are
-        returned in place, like the span errors.
-        """
-        if not len(blocks):
-            return []
-        reduced, ranks = rref_stack(M, blocks)
-        flat = np.flatnonzero(ranks == 3)
-        planes = reduced[flat, :3]
-        residuals = iter(
-            residual_from_values(
-                M, planes, firsts[flat], seconds[flat], plane_section_values(self.nf.embedded(M).f, planes)
-            )
-        )
-        return [
-            next(residuals) if rank == 3 else InternalInconsistency(message)
-            for rank, message in zip(ranks.tolist(), messages)
-        ]
+        plane = LinearSubspace(M, rows)
+        if plane.dim != 2:
+            raise _error(message)
+        return residual_line(self.nf.embedded(M).f, plane, t1, t2)
 
     def _cone_tangent_plane(self, z: ZPoint, c: RulingClass) -> LinearSubspace:
         """The fiber tangent plane along the cone generator through z."""
@@ -637,10 +613,12 @@ class FanoSurface:
           never a cone class there.
 
         Ruling lines are read off the point lookup of all classes.  The
-        sections of every pair go through one :meth:`_section_residuals`
-        call, and each residual line lands in the torsor-ready set.  A
-        pair's first error is kept in place of its image; a class that fails
-        at a node is worked no further, since nodes come first.
+        sections of every pair are solved at once (:meth:`_land_sections`):
+        each residual line comes back as rows with an outcome code, is found
+        among the surface's lines by one row-key search, and lands in the
+        torsor-ready set.  A pair's first error is kept in place of its
+        image; a class that fails at a node is worked no further, since
+        nodes come first.
 
         Only one pair per Frobenius orbit is worked.  The threefold and P are
         defined over F_q, so Frobenius phi over F_q commutes with every step
@@ -704,38 +682,35 @@ class FanoSurface:
         return out.result()
 
     def _land_sections(self, out: "_PairOutcomes", sections: list["_Sections"]) -> None:
-        """Solve every section in one :meth:`_section_residuals` call and land each residual line."""
+        """Solve every section at once and land each residual line: one stacked
+        elimination, one batch evaluation of the cubic on the planes, one
+        :func:`residual_from_values` call and one row-key search."""
         arrays = self._arrays
-        blocks = np.zeros((sum(len(s.rows) for s in sections), 4, 5), dtype=np.int64)
-        at = 0
-        for s in sections:
+        cuts = np.cumsum([len(s.rows) for s in sections])
+        blocks = np.zeros((cuts[-1], 4, 5), dtype=np.int64)
+        # each section's rows, four to a section with zero rows padding
+        for s, block in zip(sections, np.split(blocks, cuts[:-1])):
             if s.spanning is None:
-                blocks[at : at + len(s.rows), :2] = arrays.line_rows[s.first]
-                blocks[at : at + len(s.rows), 2:] = arrays.line_rows[s.second]
+                block[:, :2], block[:, 2:] = arrays.line_rows[s.first], arrays.line_rows[s.second]
             else:
-                blocks[at : at + len(s.rows), :3] = s.spanning
-            at += len(s.rows)
-        residuals = iter(
-            self._section_residuals(
-                self.L,
-                blocks,
-                arrays.line_rows[np.concatenate([s.first for s in sections])],
-                arrays.line_rows[np.concatenate([s.second for s in sections])],
-                [s.message for s in sections for _ in s.rows],
-            )
-        )
-        for s in sections:
-            lines = np.zeros(len(s.rows), dtype=np.int64)
-            for j in range(len(s.rows)):
-                res = next(residuals)
-                found = None if isinstance(res, Exception) else arrays.line_index.get(res.line.rows)
-                if found is None:
-                    exc = res if isinstance(res, Exception) else _MISSING_LINE
-                    out.fail(s.rows, s.cols, np.arange(len(s.rows)) == j, exc)
-                else:
-                    lines[j] = found
-            landed = out.ok(s.rows, s.cols)
-            out.land(s.rows[landed], s.cols[landed], lines[landed], s.in_p)
+                block[:, :3] = s.spanning
+        reduced, ranks = rref_stack(self.L, blocks)
+        spans = ranks == 3
+        planes = reduced[spans, :3]
+        first = arrays.line_rows[np.concatenate([s.first for s in sections])[spans]]
+        second = arrays.line_rows[np.concatenate([s.second for s in sections])[spans]]
+        rows, _, outcome = residual_from_values(self.L, planes, first, second, plane_section_values(self.nf.f, planes))
+        # the outcome and the line of each section, -1 where its rows span no plane
+        code, line = np.full((2, len(blocks)), -1)
+        code[spans], line[spans] = outcome, arrays.lines.find(rows)
+        for s, sc, sl in zip(sections, np.split(code, cuts[:-1]), np.split(line, cuts[:-1])):
+            r, k = s.rows, s.cols
+            out.fail(r, k, sc < 0, s.message)
+            for c, spec in enumerate(RESIDUAL_ERRORS[1:], start=1):
+                out.fail(r, k, sc == c, spec)
+            out.fail(r, k, (sc == 0) & (sl < 0), _MISSING_LINE)
+            landed = out.ok(r, k)
+            out.land(r[landed], k[landed], sl[landed], s.in_p)
 
 
 def surface_of(nf: NormalizedThreefold, k: int = 1) -> FanoSurface:
@@ -791,16 +766,16 @@ _BOTH_IN_P = (ResampleRequired, "both ruling lines lie in P: the pair is in the 
 _OFF_TORSOR = (ResampleRequired, "the residual through the node lands on an excluded in-plane line")
 _NO_DEFORMATION = (InternalInconsistency, "the ruling deforms with its fiber away from the branch points")
 
-# the InternalInconsistency messages of sections whose rows span no plane
-_SPAN_OF_DISJOINT_LINE = "a disjoint line and the ruling line meeting it span a plane"
-_SPAN_OF_NODE_LINES = "distinct lines through one node span a plane"
-_DIAGONAL_PLANE = "the limiting plane of a diagonal pair is a plane"
-_DEFORMATION_LEAVES_LINE = "the first-order deformation must leave the line"
+# the errors of sections whose rows span no plane
+_SPAN_OF_DISJOINT_LINE = (InternalInconsistency, "a disjoint line and the ruling line meeting it span a plane")
+_SPAN_OF_NODE_LINES = (InternalInconsistency, "distinct lines through one node span a plane")
+_DIAGONAL_PLANE = (InternalInconsistency, "the limiting plane of a diagonal pair is a plane")
+_DEFORMATION_LEAVES_LINE = (InternalInconsistency, "the first-order deformation must leave the line")
 
 
 def _error(spec) -> Exception:
-    """A kept error as an instance to raise: itself, or made from its (type, message)."""
-    return spec if isinstance(spec, Exception) else spec[0](spec[1])
+    """A kept error, (type, message), as an instance to raise."""
+    return spec[0](spec[1])
 
 
 def _checked_involution(perm: np.ndarray):
@@ -847,21 +822,18 @@ class _RulingPoints:
         self.position = {c.key: i for i, c in enumerate(self.classes)}
         self.lines = [ln for c in self.classes for ln in c.lines]
         self.size = count_points(M, 4)
-        rows = np.array([ln.rows for ln in self.lines], dtype=np.int64).reshape(len(self.lines), 2, 5)
-        pts = line_points(M, rows[:, 0], rows[:, 1])
+        self.rows = np.array([ln.rows for ln in self.lines], dtype=np.int64).reshape(len(self.lines), 2, 5)
+        pts = line_points(M, self.rows[:, 0], self.rows[:, 1])
         owner = np.repeat(np.arange(len(self.classes)), [len(c.lines) for c in self.classes])
         keys = owner[:, None] * self.size + point_positions(M, pts.reshape(-1, 5)).reshape(pts.shape[:2])
         self.keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        self.line = np.where(counts == 1, first // (M.q + 1), SEVERAL)
+        # NONE at the end, where a point on no line reads
+        self.line = np.append(np.where(counts == 1, first // (M.q + 1), SEVERAL), NONE)
 
     def find(self, which: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """For class positions and nonzero points: the index into ``lines`` of the
         one line of the class through the point, or NONE, or SEVERAL."""
-        keys = which * self.size + point_positions(self.M, pts)
-        if not len(self.keys):
-            return np.full(len(keys), NONE)
-        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return np.where(self.keys[at] == keys, self.line[at], NONE)
+        return self.line[_position(self.keys, which * self.size + point_positions(self.M, pts))]
 
 
 class _Sections(NamedTuple):
@@ -869,15 +841,15 @@ class _Sections(NamedTuple):
 
     A section holds two lines (indices into ``surface.lines``) and is
     spanned by their rows, or by the given (n, 3, 5) ``spanning`` rows;
-    ``message`` is the ``InternalInconsistency`` of rows that span no plane
-    and ``in_p`` the error when the residual line lies in P.
+    ``message`` is the error of rows that span no plane and ``in_p`` the
+    error when the residual line lies in P.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     first: np.ndarray
     second: np.ndarray
-    message: str
+    message: tuple
     in_p: tuple
     spanning: np.ndarray | None = None
 
@@ -894,7 +866,7 @@ class _PairOutcomes:
     """The image or the first error of each (class, point) pair of a stacked pass.
 
     ``error[i, j]`` indexes ``errors`` (-1 for none yet); an error is kept as
-    an instance or as its (type, message), made an instance by :func:`_error`.
+    its (type, message), made an instance by :func:`_error`.
     Pair (i, j) is class ``cls[i]`` at torsor point ``idx[j]``.  Each pair has
     a source pair of the batch (``source``, with the power of Frobenius that
     carries the source to it): the least pair of its Frobenius orbit, by
@@ -1001,64 +973,95 @@ class _TorsorArrays:
     node's torsor index and its class.  Per class: the opposite class, the
     fiber parameter (s, t) and whether the fiber is a cone.  And Frobenius
     over the base field, on the torsor-ready set and on the classes
-    (:meth:`_frobenius`).
+    (:meth:`_frobenius`).  Lines and nodes are found by their rows or
+    coordinates in the row-key searches ``lines`` and ``nodes``.
     """
 
     def __init__(self, surface: FanoSurface):
         lines = surface.lines
         ts = surface.torsor_set
         look = surface._rulings_over_L
-        self.line_index = {cl.line.rows: i for i, cl in enumerate(lines)}
         self.line_rows = np.array([cl.line.rows for cl in lines], dtype=np.int64).reshape(len(lines), 2, 5)
+        self.lines = _RowSearch(self.line_rows)
         self.in_plane = np.array([cl.tag == IN_PLANE for cl in lines], dtype=bool)
         self.torsor_index = {x: i for i, x in enumerate(ts.points)}
         self.node_coords = np.array([x.node for x in ts.nodes], dtype=np.int64).reshape(ts.n_nodes, 5)
-        node_at = {x.node: i for i, x in enumerate(ts.nodes)}
-        # the torsor-ready set lists its lines in the order of surface.lines
-        carries = np.array([surface._carries_torsor_point(cl) for cl in lines], dtype=bool)
-        self.land = np.where(carries, ts.n_nodes + np.cumsum(carries) - 1, IN_P)
-        self.node_of = np.full(len(lines), -1, dtype=np.int64)
+        self.nodes = _RowSearch(self.node_coords)
+        # a line that does not meet P once stands at the zero row, which is no node
+        meets_at = np.array([cl.meets_at or (0,) * 5 for cl in lines], dtype=np.int64).reshape(-1, 5)
+        self.node_of = self.nodes.find(meets_at)
+        # the torsor-ready set lists the lines that miss P or meet it at a
+        # node, in the order of surface.lines
+        carries = (self.node_of >= 0) | np.array([cl.tag == DISJOINT for cl in lines], dtype=bool)
+        self.land = np.where(carries, ts.n_nodes + np.cumsum(carries) - 1, np.where(self.in_plane, IN_P, AWAY))
+        boundary = np.flatnonzero(self.node_of >= 0)
         self.ruling = np.full(len(lines), -1, dtype=np.int64)
-        for i, cl in enumerate(lines):
-            if cl.tag == MEETS_PLANE:
-                if carries[i]:
-                    self.node_of[i] = node_at[cl.meets_at]
-                    self.ruling[i] = look.position[surface.ruling_of(cl).key]
-                else:
-                    self.land[i] = AWAY
+        self.ruling[boundary] = [look.position[surface.ruling_of(lines[i]).key] for i in boundary]
         self.point_line = np.flatnonzero(carries)
-        self.ruling_line = np.array([self.line_index[ln.rows] for ln in look.lines], dtype=np.int64)
+        self.ruling_line = self.lines.find(look.rows)
+        if (self.ruling_line < 0).any():
+            raise _error(_MISSING_LINE)
         self.bar = np.array([look.position[surface.other_ruling(c).key] for c in look.classes], dtype=np.int64)
         self.st = np.array([(c.s, c.t) for c in look.classes], dtype=np.int64).reshape(-1, 2)
-        self.frob_points, self.frob_classes = self._frobenius(surface, node_at, look)
+        self.frob_points, self.frob_classes = self._frobenius(surface, look)
 
-    def _frobenius(self, surface: FanoSurface, node_at: dict, look: "_RulingPoints") -> tuple[np.ndarray, np.ndarray]:
+    def _frobenius(self, surface: FanoSurface, look: "_RulingPoints") -> tuple[np.ndarray, np.ndarray]:
         """Frobenius over the base field on the torsor-ready set (Phi) and on the classes (phi).
 
         Each comes as its k powers, row i the i-th, for k the degree of the
         working field over the base field F_q.  Frobenius x -> x^q is
         ``L.frob`` composed once per degree of F_q over F_p.  It fixes 0 and
         1, so it keeps normalized points and reduced echelon rows canonical:
-        a node or line moves to the one keyed by its moved coordinates or
+        a node or line moves to the one found by its moved coordinates or
         rows, and phi takes a class to the class of its first line's image.
         """
         L = surface.L
         frob = np.arange(L.q)
         for _ in range(surface.base.K.k):
             frob = L.frob[frob]
-        try:
-            nodes = [node_at[tuple(pt)] for pt in frob[self.node_coords].tolist()]
-            lines = np.array(
-                [self.line_index[tuple(map(tuple, rows))] for rows in frob[self.line_rows].tolist()], dtype=np.int64
-            )
-        except KeyError:
-            raise InternalInconsistency("Frobenius moves a node or a line off the surface") from None
-        points = np.concatenate([np.array(nodes, dtype=np.int64), self.land[lines[self.point_line]]])
+        nodes, lines = self.nodes.find(frob[self.node_coords]), self.lines.find(frob[self.line_rows])
+        if (nodes < 0).any() or (lines < 0).any():
+            raise InternalInconsistency("Frobenius moves a node or a line off the surface")
+        points = np.concatenate([nodes, self.land[lines[self.point_line]]])
         sizes = np.array([len(c.lines) for c in look.classes], dtype=np.int64)
         owner = np.full(len(lines), -1)
         owner[self.ruling_line] = np.repeat(np.arange(len(sizes)), sizes)
         classes = owner[lines[self.ruling_line[np.cumsum(sizes) - sizes]]]
         return _powers(points, surface.k, "torsor-ready set"), _powers(classes, surface.k, "ruling classes")
+
+
+class _RowSearch:
+    """The rows of a code array, found by value.
+
+    A row's key is its codes as big-endian uint16 bytes in one void scalar,
+    so the keys sort in the order of the codes and have no size bound.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        keys = _row_keys(rows)
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        # -1 at the end, where a missing row's position -1 reads
+        self.index = np.append(order, -1)
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """The index of each row among the kept rows, or -1 where it is not kept."""
+        return self.index[_position(self.keys, _row_keys(rows))]
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One byte key per row of an (n, ...) code array."""
+    rows = np.ascontiguousarray(rows, dtype=">u2")
+    width = math.prod(rows.shape[1:])
+    return rows.reshape(len(rows), width).view(f"V{2 * width}").ravel()
+
+
+def _position(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """The position of each wanted key in the sorted keys, or -1 where it is missing."""
+    if not len(keys):
+        return np.full(len(wanted), -1)
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[at] == wanted, at, -1)
 
 
 def _powers(perm: np.ndarray, k: int, what: str) -> np.ndarray:
@@ -1312,11 +1315,9 @@ class IntersectionReport:
 
     @property
     def all_expected(self) -> bool:
-        return (
-            all(v == 2 for v in self.sigma_tau)
-            and all(v == (5, 3) for v in self.sigma_sigma)
-            and all(v == 1 for v in self.tau_tau)
-        )
+        """Every count has its ``_INTERSECTION_SAMPLES`` samples, each the expected value."""
+        expected = ((self.sigma_tau, 2), (self.sigma_sigma, (5, 3)), (self.tau_tau, 1))
+        return all(len(v) >= _INTERSECTION_SAMPLES and all(x == want for x in v) for v, want in expected)
 
 
 # verify_intersection_numbers: samples of each count, and the resamples allowed in all

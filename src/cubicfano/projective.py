@@ -337,10 +337,11 @@ def residual_line(cubic: HomogeneousForm, plane: LinearSubspace, L: ProjectiveLi
     if plane.dim != 2:
         raise ValueError("residual lines live in plane sections")
     basis = np.array([plane.rows], dtype=np.uint16)
-    out = residual_from_values(plane.K, basis, [L.rows], [M.rows], plane_section_values(cubic, basis))[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
+    rows, mult, code = residual_from_values(plane.K, basis, [L.rows], [M.rows], plane_section_values(cubic, basis))
+    if code[0]:
+        kind, message = RESIDUAL_ERRORS[code[0]]
+        raise kind(message)
+    return Residual(ProjectiveLine(plane.K, tuple(map(tuple, rows[0].tolist())), _trusted=True), int(mult[0]))
 
 
 def _normalized(K: GF, vecs: np.ndarray) -> np.ndarray:
@@ -353,7 +354,19 @@ def _normalized(K: GF, vecs: np.ndarray) -> np.ndarray:
 _CROSS = ((1, 2), (2, 0), (0, 1))
 
 
-def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
+# the error of each outcome code of residual_from_values, as (type, message);
+# code 0 is a residual line
+RESIDUAL_ERRORS = (
+    None,
+    (PlaneContained, "plane lies entirely on the cubic"),
+    (ValueError, "point does not lie in the subspace"),
+    (NotOnCubic, "first line is not on the cubic section"),
+    (NotOnCubic, "second line is not on the cubic section"),
+    (InternalInconsistency, "cubic divided by two linear forms must leave a linear form"),
+)
+
+
+def residual_from_values(K: GF, planes, firsts, seconds, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`residual_line` for n plane sections at once, as array operations.
 
     ``planes`` is an (n, 3, N) array of canonical plane bases, ``firsts`` and
@@ -377,19 +390,18 @@ def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
     * The multiplicity counts the factors proportional to ell_N, and N's
       canonical rows are read off ell_N.
 
-    Row i's outcome is its :class:`Residual`, or the error
-    :func:`residual_line` raises for that plane: ``PlaneContained``, a
-    ``ValueError`` for a line outside its plane, ``NotOnCubic`` for the first
-    or the second line, or ``InternalInconsistency``.  Errors are returned,
-    not raised, so a caller raises the first one in its own order.
+    Returns the (n, 2, N) canonical rows of each residual line N, the
+    multiplicities and an outcome code per row.  Code 0 is a residual line;
+    any other code indexes the error :func:`residual_line` raises for that
+    plane in ``RESIDUAL_ERRORS``: ``PlaneContained``, a ``ValueError`` for a
+    line outside its plane, ``NotOnCubic`` for the first or the second line,
+    or ``InternalInconsistency``.  The rows and multiplicity of a row with a
+    nonzero code mean nothing.
     """
     planes = np.asarray(planes, dtype=np.uint16)
-    n = len(planes)
-    if not n:
-        return []
     values = np.asarray(values)
     lines = np.concatenate([np.asarray(firsts, dtype=np.uint16), np.asarray(seconds, dtype=np.uint16)], axis=1)
-    at = np.arange(n)
+    at = np.arange(len(planes))
     reps = interpolation_points(K, 3, 3)[1]
 
     # plane coordinates of the four line rows, checked to embed back
@@ -419,31 +431,15 @@ def residual_from_values(K: GF, planes, firsts, seconds, values) -> list:
 
     # canonical rows of N: the reduced echelon basis of {ell_N = 0} times the
     # plane's reduced echelon basis stays reduced echelon
-    kernel = dot(K, hyperplane_rows(K, ell_N)[:, :, None, :], planes.transpose(0, 2, 1)[:, None])
+    rows = dot(K, hyperplane_rows(K, ell_N)[:, :, None, :], planes.transpose(0, 2, 1)[:, None])
 
-    out = []
-    for i, (contained, inside, ok, nonzero, mult, rows) in enumerate(
-        zip(
-            (~values.any(axis=1)).tolist(),
-            in_plane.tolist(),
-            holds.tolist(),
-            ell_N.any(axis=1).tolist(),
-            multiplicity.tolist(),
-            kernel.tolist(),
-        )
-    ):
-        if contained:
-            out.append(PlaneContained("plane lies entirely on the cubic"))
-        elif not inside:
-            out.append(ValueError("point does not lie in the subspace"))
-        elif not ok:
-            which = "second" if _divides(K, values[i], ell_L[i]) else "first"
-            out.append(NotOnCubic(which + " line is not on the cubic section"))
-        elif not nonzero:
-            out.append(InternalInconsistency("cubic divided by two linear forms must leave a linear form"))
-        else:
-            out.append(Residual(ProjectiveLine(K, tuple(map(tuple, rows)), _trusted=True), mult))
-    return out
+    # the first error that applies, in the order of RESIDUAL_ERRORS; a section
+    # off the factored one misses the second line when ell_L divides it
+    outcome = np.select([~values.any(axis=1), ~in_plane, ~holds, ~ell_N.any(axis=1)], [1, 2, 3, 5], 0)
+    for i in np.flatnonzero(outcome == 3):
+        if _divides(K, values[i], ell_L[i]):
+            outcome[i] = 4
+    return rows, multiplicity, outcome
 
 
 def _divides(K: GF, values: np.ndarray, ell: np.ndarray) -> bool:

@@ -655,6 +655,46 @@ def test_frobenius_permutes_the_torsor_points_and_classes(seed):
         assert surf.other_ruling(classes[image]) == classes[frob_classes[classes.index(surf.other_ruling(c))]]
 
 
+def test_a_residual_line_missing_from_the_line_search_is_an_internal_inconsistency(monkeypatch):
+    # a disjoint line's image is the residual line of a plane section; when
+    # the row-key search over the surface's lines does not find it, the
+    # class fails there with the missing-line error, not with a wrong image
+    surf = FanoSurface(seeded_example(3, 4), 1)
+    ts, arrays = surf.torsor_set, surf._arrays
+    c = surf.curve_points[0]
+    perm = FanoSurface(seeded_example(3, 4), 1).j_perm(c)
+    source = ts.n_nodes + ts.n_boundary
+    target = arrays.point_line[perm[source] - ts.n_nodes]
+    assert ts.points[source].kind == ts.points[perm[source]].kind == "line"
+    find = arrays.lines.find
+
+    def without_target(rows):
+        found = find(rows)
+        return np.where(found == target, -1, found)
+
+    monkeypatch.setattr(arrays.lines, "find", without_target)
+    with pytest.raises(InternalInconsistency, match="a line claimed to be on Y is missing from the enumeration"):
+        surf.j_perm(c)
+
+
+def test_a_frobenius_image_off_the_surface_is_an_internal_inconsistency():
+    # drop from the surface over F_9 a line of P that lies in no fiber and is
+    # not defined over F_3: Frobenius moves its conjugate onto it, off the
+    # remaining lines
+    surf = FanoSurface(seeded_example(3, 2), 2)
+    L = surf.L
+    moved = next(
+        i
+        for i, cl in enumerate(surf.lines)
+        if cl.tag == IN_PLANE
+        and cl.fiber is None
+        and cl.line.rows != tuple(tuple(L.frobenius(v) for v in row) for row in cl.line.rows)
+    )
+    del surf.lines[moved]
+    with pytest.raises(InternalInconsistency, match="Frobenius moves a node or a line off the surface"):
+        surf.j_tables()
+
+
 @pytest.mark.parametrize("p, seed", [(5, 2), (7, 0)])
 def test_the_orbit_pass_matches_the_one_class_path(p, seed):
     # every class at once, read off by Frobenius orbit, against each class
@@ -796,6 +836,14 @@ def test_intersection_numbers_match_expected_values():
     assert rep.sigma_tau == (2, 2, 2, 2)
     assert rep.sigma_sigma == ((5, 3),) * 4
     assert rep.tau_tau == (1, 1, 1, 1)
+
+
+def test_intersection_numbers_with_a_count_short_of_samples_are_not_all_expected():
+    # at q = 3 seed 0 no sigma.sigma sample survives the resamples: the
+    # report keeps what it found, and an empty count is not a pass
+    rep = verify_intersection_numbers(seeded_example(3, 0), random.Random(7))
+    assert rep.sigma_sigma == ()
+    assert not rep.all_expected
 
 
 def test_intersection_numbers_refuse_a_surface_with_one_disjoint_line():

@@ -25,6 +25,7 @@ from cubicfano.linalg import (
 )
 from cubicfano.errors import NotOnCubic, PlaneContained
 from cubicfano.projective import (
+    RESIDUAL_ERRORS,
     LinearSubspace,
     ProjectiveLine,
     ProjectivePoint,
@@ -520,11 +521,18 @@ def test_residual_line_matches_the_symbolic_oracle(p, k):
     # taken from its own cubic
     planes = np.array([plane.rows for _, plane, _, _ in cases])
     values = np.vstack([plane_section_values(cubic, planes[i : i + 1]) for i, (cubic, *_) in enumerate(cases)])
-    stacked = residual_from_values(
+    rows, multiplicity, outcome = residual_from_values(
         K, planes, [L.rows for *_, L, _ in cases], [M.rows for *_, M in cases], values
     )
-    assert len(stacked) == len(cases)
-    assert [(kind, _outcome(res)) for (kind, _), res in zip(expected, stacked)] == expected
+    assert rows.shape == (len(cases), 2, 5) and multiplicity.shape == outcome.shape == (len(cases),)
+    stacked = [
+        (RESIDUAL_ERRORS[code][0].__name__, RESIDUAL_ERRORS[code][1]) if code else (tuple(map(tuple, r)), m)
+        for r, m, code in zip(rows.tolist(), multiplicity.tolist(), outcome.tolist())
+    ]
+    assert [(kind, got) for (kind, _), got in zip(expected, stacked)] == expected
+    # an empty batch gives empty arrays of the same shapes
+    empty = residual_from_values(K, planes[:0], planes[:0, :2], planes[:0, :2], values[:0])
+    assert [a.shape for a in empty] == [(0, 2, 5), (0,), (0,)]
     assert {1, 2, 3} <= seen
     assert ("PlaneContained", "plane lies entirely on the cubic") in seen
     assert ("NotOnCubic", "first line is not on the cubic section") in seen
