@@ -1312,12 +1312,23 @@ class IntersectionReport:
     sigma_sigma: tuple[tuple[int, int], ...]  # expected all (5, 3)
     tau_tau: tuple[int, ...]  # expected all 1
     resamples: int
+    node_pairs: int  # the pairs of distinct nodes within the tower, one tau.tau sample each
 
     @property
     def all_expected(self) -> bool:
-        """Every count has its ``_INTERSECTION_SAMPLES`` samples, each the expected value."""
-        expected = ((self.sigma_tau, 2), (self.sigma_sigma, (5, 3)), (self.tau_tau, 1))
-        return all(len(v) >= _INTERSECTION_SAMPLES and all(x == want for x in v) for v, want in expected)
+        """Every count has its samples, each the expected value.
+
+        sigma.tau and sigma.sigma need ``_INTERSECTION_SAMPLES`` each; tau.tau,
+        sampled once per node pair, needs min(``_INTERSECTION_SAMPLES``,
+        ``node_pairs``), and at least one.
+        """
+        tau_samples = max(1, min(_INTERSECTION_SAMPLES, self.node_pairs))
+        expected = (
+            (self.sigma_tau, 2, _INTERSECTION_SAMPLES),
+            (self.sigma_sigma, (5, 3), _INTERSECTION_SAMPLES),
+            (self.tau_tau, 1, tau_samples),
+        )
+        return all(len(v) >= n and all(x == want for x in v) for v, want, n in expected)
 
 
 # verify_intersection_numbers: samples of each count, and the resamples allowed in all
@@ -1334,7 +1345,9 @@ def verify_intersection_numbers(nf: NormalizedThreefold, rng) -> IntersectionRep
     sigma.sigma: the transversals of two random skew disjoint lines on the
     cubic-surface section they span -- 5 in all, 3 of them meeting P.
     tau.tau: the fibers whose quadric contains the line joining two distinct
-    nodes -- exactly 1.  Degenerate samples are resampled and counted.
+    nodes -- exactly 1, sampled on the first ``_INTERSECTION_SAMPLES`` node
+    pairs, so fewer when Z has fewer pairs within the tower (the report's
+    ``node_pairs``).  Degenerate samples are resampled and counted.
     """
     surface = surface_of(nf, 1)
     disjoint = [cl.line for cl in surface.lines if cl.tag == DISJOINT]
@@ -1368,13 +1381,10 @@ def verify_intersection_numbers(nf: NormalizedThreefold, rng) -> IntersectionRep
             continue
         sigma_sigma.append(counts)
 
-    tau_tau: list[int] = []
     pairs = _node_pairs(surface.Z)
-    while pairs and len(tau_tau) < _INTERSECTION_SAMPLES:
-        za, zb, d = pairs.pop(0)
-        tau_tau.append(_common_fiber_count(nf, za, zb, d))
+    tau_tau = [_common_fiber_count(nf, za, zb, d) for za, zb, d in pairs[:_INTERSECTION_SAMPLES]]
 
-    return IntersectionReport(tuple(sigma_tau), tuple(sigma_sigma), tuple(tau_tau), resamples)
+    return IntersectionReport(tuple(sigma_tau), tuple(sigma_sigma), tuple(tau_tau), resamples, len(pairs))
 
 
 def _sigma_tau_count(surface: FanoSurface, surface2: FanoSurface, z: ZPoint, line: ProjectiveLine) -> int:

@@ -63,6 +63,15 @@ def _raised(nvars: int, degree: int, i: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _quadric_positions(nvars: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j): the first and the last variable of each monomial x_i x_j of the quadric layout."""
+    rows = _layout(nvars, 2)[1]
+    i, j = rows.argmax(axis=1), nvars - 1 - rows[:, ::-1].argmax(axis=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+@lru_cache(maxsize=None)
 def _monomial_steps(nvars: int, degree: int) -> np.ndarray:
     """(variable, position in the layout of degree - 1) for each monomial of the layout.
 
@@ -219,9 +228,8 @@ class HomogeneousForm:
         """The symmetric matrix M of a quadratic form, f(x) = x^T M x (char != 2)."""
         if self.degree != 2:
             raise ValueError("only a quadratic form has a symmetric matrix")
-        K, rows = self.K, _layout(self.nvars, 2)[1]
-        # the first and the last variable of each monomial x_i x_j
-        i, j = rows.argmax(axis=1), self.nvars - 1 - rows[:, ::-1].argmax(axis=1)
+        K = self.K
+        i, j = _quadric_positions(self.nvars)
         values = np.where(i == j, self.coeffs, K.mul(self.coeffs, K.inverse(2 % K.p)))
         M = np.zeros((self.nvars, self.nvars), dtype=np.int64)
         M[i, j] = M[j, i] = values
@@ -293,13 +301,23 @@ class HomogeneousForm:
         return self.scaled(self.K.inverse(int(self.coeffs[np.flatnonzero(self.coeffs)[-1]])))
 
     def is_squarefree(self) -> bool:
-        """No repeated roots over the algebraic closure (constant forms count)."""
+        """No repeated roots over the algebraic closure (constant forms count).
+
+        Read off the coefficient list: the zero coefficients at its two ends
+        are the multiplicities of (1:0) and (0:1), each at most 1, and the
+        polynomial u between them, with nonzero ends, is squarefree when
+        gcd(u, u') is a constant.  u' = 0 with u of positive degree makes u a
+        p-th power, and the gcd, u itself, is not a constant.
+        """
         self._require_binary()
         if self.is_zero:
             return False
-        if self.degree == 0:
-            return True
-        return self.gcd(self.derivative(0)).gcd(self.derivative(1)).degree == 0
+        tmult, u = self._tmult_and_unit()
+        if tmult > 1 or self.degree - tmult - (len(u) - 1) > 1:
+            return False
+        K = self.K
+        du = [K.mul_(i % K.p, c) for i, c in enumerate(u)][1:]
+        return len(_poly_gcd_monic(K, u, du)) == 1
 
     def roots(self, extension: int = 1):
         """Roots of a binary form in P^1(F_{q^extension}) as ((s, t) big-field codes, multiplicity).

@@ -13,7 +13,8 @@ lines, rationality).
 Z is found on a smooth conic G of the pencil.  The lines through a rational
 point y of G parametrize it, phi(u:v) = -G(w)*y + 2*beta(y, w)*w with
 w = u*c1 + v*c2, so Z is phi of the roots of one binary quartic: a second
-conic H of the pencil pulled back along phi.  A root's degree and
+conic H of the pencil pulled back along phi, read off the congruence
+M^T B_H M of H's symmetric matrix by phi's.  A root's degree and
 multiplicity are its point's.  When every conic of the pencil is singular,
 the conics either share a line, and Z is not zero-dimensional, or are line
 pairs through one common vertex, which is then Z with multiplicity 4.
@@ -28,13 +29,12 @@ import numpy as np
 
 from . import pencil as pencil_mod
 from .errors import InternalInconsistency, NotContained, NotGeneral, NotSupportedError
-from .forms import HomogeneousForm, interpolate, interpolation_points, monomial_exponents, random_form
+from .forms import HomogeneousForm, monomial_exponents, random_form
 from .gf import GF
-from .linalg import det, kernel_basis, mat_mul, mat_vec, unit_complement
+from .linalg import kernel_basis, unit_complement
 from .projective import (
     LinearSubspace,
     binary_quadratic,
-    common_zeros,
     normalize_point,
     projective_reps,
 )
@@ -327,54 +327,80 @@ class SingularLocusZ:
 def _smooth_member(nf: NormalizedThreefold):
     """The first smooth conic G = s*q0 + t*q1 of the pencil and a second member H, or None.
 
-    One stacked determinant of the members' matrices, the fiber matrices'
-    blocks on u = 0, in ``projective_reps`` order.  The determinant of the
-    pencil is a binary cubic in (s:t), so when all q + 1 >= 4 vanish, every
-    member is singular.
+    G is the first (s:t) in ``projective_reps`` order whose matrix
+    s*A0 + t*A1, for A0 and A1 the symmetric matrices of the restricted
+    conics, has a nonzero determinant, expanded by cofactors along the first
+    row in scalar field arithmetic.  The determinant of the pencil is a
+    binary cubic in (s:t), so when all q + 1 >= 4 vanish, every member is
+    singular.
     """
-    params = list(projective_reps(nf.K, 1))
-    fibers = pencil_mod.pencil_fibers(nf, nf.K, params)
-    smooth = np.flatnonzero(det(nf.K, np.stack([fiber.matrix[1:, 1:] for fiber in fibers])))
-    if not len(smooth):
-        return None
-    s, t = params[smooth[0]]
+    K = nf.K
     q0, q1 = nf.restricted_conics
-    return q0.scaled(s).plus(q1.scaled(t)), (q1 if s else q0)
+    A0, A1 = q0.symmetric_matrix().tolist(), q1.symmetric_matrix().tolist()
+    for s, t in projective_reps(K, 1):
+        (a, b, c), (d, e, f), (g, h, i) = (
+            [K.add_(K.mul_(s, x), K.mul_(t, y)) for x, y in zip(r0, r1)] for r0, r1 in zip(A0, A1)
+        )
+        cofactors = (
+            K.sub_(K.mul_(e, i), K.mul_(f, h)), K.sub_(K.mul_(f, g), K.mul_(d, i)), K.sub_(K.mul_(d, h), K.mul_(e, g))
+        )
+        if _dot(K, (a, b, c), cofactors):
+            G = [K.add_(K.mul_(s, x), K.mul_(t, y)) for x, y in zip(q0.coeffs.tolist(), q1.coeffs.tolist())]
+            return HomogeneousForm.from_coeffs(K, 3, 2, G), (q1 if s else q0)
+    return None
 
 
 def _pullback_quartic(K: GF, G: HomogeneousForm, H: HomogeneousForm):
-    """H along a parametrization phi of the smooth conic G: (H o phi, phi's matrix).
+    """H along a parametrization phi of the smooth conic G: (H o phi, phi's matrix M).
 
-    From a rational point y of G, with w = u*c1 + v*c2 for c1, c2 the unit
-    vectors completing y to a basis (:func:`linalg.unit_complement`), the
-    line through y and w meets G again at
-    phi(u:v) = -G(w)*y + 2*beta(y, w)*w, for beta the bilinear form of G.
-    phi = M @ (u^2, u*v, v^2), so H o phi is a binary quartic in (u:v),
-    interpolated from its values at five points (over F_9 when q = 3).
+    y is the first rational point of G in ``projective_reps`` order, and c1,
+    c2 the unit vectors at the indices other than y's last nonzero one, so
+    that y, c1, c2 are a basis.  The line through y and w = u*c1 + v*c2
+    meets G again at phi(u:v) = -G(w)*y + 2*beta(y, w)*w, for beta the
+    bilinear form of G, and phi = M @ (u^2, u*v, v^2).  So H o phi is the
+    quadratic form of the congruence N = M^T B_H M, for B_H the symmetric
+    matrix of H, on (u^2, u*v, v^2): the binary quartic with coefficients
+    (N00, 2*N01, 2*N02 + N11, 2*N12, N22).  All of it is scalar field
+    arithmetic over K; no extension field is built.
     """
-    y = next(common_zeros([G]))
-    c1, c2 = np.eye(3, dtype=np.int64)[unit_complement(y)].tolist()
-    g11, g12, g22 = binary_quadratic(G, c1, c2).coeffs.tolist()  # G(w)
-    # 2*beta(y, c) = G(y + c) - G(c), as G(y) = 0; one batch for c = c1, c2
-    shifted = [[K.add_(a, b) for a, b in zip(y, c)] for c in (c1, c2)]
-    g = G.evaluate_batch(np.array([shifted[0], c1, shifted[1], c2])).tolist()
-    l1, l2 = K.sub_(g[0], g[1]), K.sub_(g[2], g[3])
-    M = np.array(
+    BG, BH = G.symmetric_matrix().tolist(), H.symmetric_matrix().tolist()
+    y = next(x for x in projective_reps(K, 2) if not _bilinear(K, BG, x, x))
+    last = max(j for j in range(3) if y[j])
+    i, j = (k for k in range(3) if k != last)
+    c1, c2 = ([int(k == e) for k in range(3)] for e in (i, j))
+    two = 2 % K.p
+    g11, g12, g22 = BG[i][i], K.mul_(two, BG[i][j]), BG[j][j]  # G(w)
+    l1, l2 = (K.mul_(two, _dot(K, BG[e], y)) for e in (i, j))  # 2*beta(y, c)
+    M = [
         [
-            [
-                K.sub_(K.mul_(l1, a), K.mul_(g11, yi)),
-                K.sub_(K.add_(K.mul_(l1, b), K.mul_(l2, a)), K.mul_(g12, yi)),
-                K.sub_(K.mul_(l2, b), K.mul_(g22, yi)),
-            ]
-            for yi, a, b in zip(y, c1, c2)
-        ],
-        dtype=np.int64,
-    )
-    L, uv = interpolation_points(K, 2, 4)
-    u, v = uv.T
-    squares = np.stack([L.mul(u, u), L.mul(u, v), L.mul(v, v)], axis=1)
-    values = H.embedded(L).evaluate_batch(mat_mul(L, squares, K.lift(M, L).T))
-    return interpolate(K, 2, 4, values), M
+            K.sub_(K.mul_(l1, a), K.mul_(g11, yi)),
+            K.sub_(K.add_(K.mul_(l1, b), K.mul_(l2, a)), K.mul_(g12, yi)),
+            K.sub_(K.mul_(l2, b), K.mul_(g22, yi)),
+        ]
+        for yi, a, b in zip(y, c1, c2)
+    ]
+    cols = list(zip(*M))
+    BHM = list(zip(*([_dot(K, row, m) for m in cols] for row in BH)))  # the columns of B_H M
+    pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    n00, n01, n02, n11, n12, n22 = (_dot(K, cols[a], BHM[b]) for a, b in pairs)  # N = M^T B_H M
+    coeffs = (n00, K.mul_(two, n01), K.add_(K.mul_(two, n02), n11), K.mul_(two, n12), n22)
+    return HomogeneousForm.from_coeffs(K, 2, 4, coeffs), np.array(M, dtype=np.int64)
+
+
+def _dot(K: GF, x, y) -> int:
+    """The dot product of two vectors of K's codes, in scalar field arithmetic."""
+    total = 0
+    for a, b in zip(x, y):
+        total = K.add_(total, K.mul_(a, b))
+    return total
+
+
+def _bilinear(K: GF, A, x, y) -> int:
+    """x^T A y for a square matrix A and vectors x, y of K's codes.
+
+    For a symmetric A, x^T A x is the value of A's quadratic form at x.
+    """
+    return _dot(K, x, [_dot(K, row, y) for row in A])
 
 
 def _Z_at_common_vertex(K: GF, q0: HomogeneousForm, q1: HomogeneousForm) -> SingularLocusZ:
@@ -411,11 +437,16 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
     member H, so its points are phi of the roots of the binary quartic H o phi:
     each of the same degree over F_q as its root and, since phi is a local
     parameter at every point of the smooth G, of the root's multiplicity as
-    intersection multiplicity (Fulton, *Algebraic Curves*, 3.3).  The roots
+    intersection multiplicity (Fulton, *Algebraic Curves*, 3.3).  With
+    phi = M @ (u^2, u*v, v^2), H o phi is read off the congruence
+    N = M^T B_H M (:func:`_pullback_quartic`), in scalar field arithmetic
+    over F_q, so no extension field is built before the root scan.  The roots
     are scanned field by field, F_q first: a root of degree d over F_q, read
     off the Frobenius map, is new in F_{q^d}, and F_{q^d} is scanned only
     while d divides the length left, so F_{q^3} and F_{q^4} are built only
-    for a point of that degree.  Raises NotGeneral when Z is not
+    for a point of that degree.  Each root's point M @ (u^2, u*v, v^2) is
+    checked on both conics, x^T A x = 0 for their symmetric matrices A
+    lifted to F_{q^d}.  Raises NotGeneral when Z is not
     zero-dimensional, and NotSupportedError when a point of Z needs a field
     beyond degree 4 over F_p (over F_{p^3} and F_{p^4}, a length 4 with no
     rational point names degree 2 or 4).  A threefold keeps its own as ``nf.Z``.
@@ -430,6 +461,7 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
     quartic, M = _pullback_quartic(K, *members)
     if quartic.is_zero:
         raise NotGeneral("the restricted conics share a component")
+    A = np.stack([q.symmetric_matrix() for q in (q0, q1)])
     found: list[tuple[int, tuple[int, ...], int]] = []
     left = 4  # the length of Z not yet found, all on points of degree >= d
     for d in range(1, 5):
@@ -442,21 +474,17 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
                 + " or ".join(f"F_{K.p}^{K.k * e}" for e in degrees)
             )
         L = K.extension(d)
-        ML = K.lift(M, L)
-        new = []
+        ML, AL = K.lift(M, L).tolist(), K.lift(A, L).tolist()
         for (u, v), mult in quartic.roots(extension=d):
             if (_degree_of(K, L, v) if u else 1) < d:
                 continue  # found in a smaller field
-            square = [L.mul_(u, u), L.mul_(u, v), L.mul_(v, v)]
-            new.append((d, normalize_point(L, mat_vec(L, ML, square)), mult))
-        if new and any(q.embedded(L).evaluate_batch(np.array([c for _, c, _ in new])).any() for q in (q0, q1)):
-            raise InternalInconsistency("a point of Z misses the conics")
-        found += new
-        left -= sum(mult for _, _, mult in new)
-    points = tuple(
-        ZPoint(d, tuple(int(c) for c in coords), m)
-        for d, coords, m in sorted(found, key=lambda z: (z[0], z[1]))
-    )
+            square = (L.mul_(u, u), L.mul_(u, v), L.mul_(v, v))
+            point = normalize_point(L, [_dot(L, row, square) for row in ML])
+            if any(_bilinear(L, B, point, point) for B in AL):
+                raise InternalInconsistency("a point of Z misses the conics")
+            found.append((d, point, mult))
+            left -= mult
+    points = tuple(ZPoint(d, coords, m) for d, coords, m in sorted(found, key=lambda z: (z[0], z[1])))
     Z = SingularLocusZ(K, points)
     if Z.total_multiplicity != 4:
         raise InternalInconsistency(f"Z has length {Z.total_multiplicity}, expected 4")

@@ -10,7 +10,10 @@ four values f(a), f(b), f(a + b), f(a - b), the diagonalization of a
 quadratic form over Q on Fractions, generality over Q by the F_p pipeline
 modulo 3, 5 and 7, the discriminant sextic over Q as sympy's
 determinant of the symbolic Gram matrix, products of forms by
-interpolation, and the singular points of a fourfold by a scan of P^5.
+interpolation, the singular points of a fourfold by a scan of P^5, the
+smooth conic of Z's pencil by one stacked determinant of the fiber blocks,
+the quartic pulled back to that conic by interpolation, and squarefreeness
+of a binary form by the gcd with both partials.
 Tests compare the fast package code against these.
 """
 
@@ -36,7 +39,7 @@ from cubicfano.errors import (
 from cubicfano.fano import DISJOINT, MEETS_PLANE, TorsorPoint
 from cubicfano.forms import HomogeneousForm, interpolate, interpolation_points
 from cubicfano.gf import canonical_modulus, field
-from cubicfano.linalg import inverse_matrix, kernel_basis, mat_mul, mat_vec, rank, rref
+from cubicfano.linalg import det, inverse_matrix, kernel_basis, mat_mul, mat_vec, rank, rref, unit_complement
 from cubicfano.pencil import (
     HyperellipticModel,
     RulingClass,
@@ -259,6 +262,18 @@ def substitute_by_dicts(f, M):
     return HomogeneousForm(K, m, f.degree, out)
 
 
+def squarefree_by_partials(f):
+    """Whether a binary form has no repeated root over the closure: gcd(f, f_s, f_t) is a constant.
+
+    A constant form counts as squarefree, the zero form does not.
+    """
+    if f.is_zero:
+        return False
+    if f.degree == 0:
+        return True
+    return f.gcd(f.derivative(0)).gcd(f.derivative(1)).degree == 0
+
+
 def divide_by_linear_by_dicts(f, ell):
     """The exact quotient by a linear form, ValueError when there is none.
 
@@ -383,6 +398,55 @@ def Z_multiplicities_by_jacobian(points, transverse):
     if others and not (len(others) == 1 and rest >= 2 or len(others) == 2 and rest == 4):
         raise InternalInconsistency("non-transverse points cannot share the rest of the length")
     return {pt: 1 if t else rest // len(others) for pt, t in zip(points, transverse)}
+
+
+def smooth_member_by_stacked_det(nf):
+    """(G, H) as ``threefold._smooth_member`` returns them, or None.
+
+    One stacked determinant of the blocks on u = 0 of the fiber matrices
+    over every (s:t) of P^1(F_q), in ``projective_reps`` order; G is the
+    member at the first nonzero one.
+    """
+    params = list(projective_reps(nf.K, 1))
+    fibers = pencil_fibers(nf, nf.K, params)
+    smooth = np.flatnonzero(det(nf.K, np.stack([fiber.matrix[1:, 1:] for fiber in fibers])))
+    if not len(smooth):
+        return None
+    s, t = params[smooth[0]]
+    q0, q1 = nf.restricted_conics
+    return q0.scaled(s).plus(q1.scaled(t)), (q1 if s else q0)
+
+
+def pullback_quartic_by_interpolation(K, G, H):
+    """(H o phi, M) as ``threefold._pullback_quartic`` returns them, by interpolation.
+
+    phi = M @ (u^2, u*v, v^2) from the first rational point y of G, and the
+    quartic H o phi is interpolated from H's values at the images of five
+    points of P^1 (over F_9 when q = 3).
+    """
+    y = next(common_zeros([G]))
+    c1, c2 = np.eye(3, dtype=np.int64)[unit_complement(y)].tolist()
+    g11, g12, g22 = binary_quadratic(G, c1, c2).coeffs.tolist()  # G(w)
+    # 2*beta(y, c) = G(y + c) - G(c), as G(y) = 0
+    shifted = [[K.add_(a, b) for a, b in zip(y, c)] for c in (c1, c2)]
+    g = G.evaluate_batch(np.array([shifted[0], c1, shifted[1], c2])).tolist()
+    l1, l2 = K.sub_(g[0], g[1]), K.sub_(g[2], g[3])
+    M = np.array(
+        [
+            [
+                K.sub_(K.mul_(l1, a), K.mul_(g11, yi)),
+                K.sub_(K.add_(K.mul_(l1, b), K.mul_(l2, a)), K.mul_(g12, yi)),
+                K.sub_(K.mul_(l2, b), K.mul_(g22, yi)),
+            ]
+            for yi, a, b in zip(y, c1, c2)
+        ],
+        dtype=np.int64,
+    )
+    L, uv = interpolation_points(K, 2, 4)
+    u, v = uv.T
+    squares = np.stack([L.mul(u, u), L.mul(u, v), L.mul(v, v)], axis=1)
+    values = H.embedded(L).evaluate_batch(mat_mul(L, squares, K.lift(M, L).T))
+    return interpolate(K, 2, 4, values), M
 
 
 def plane_line_fiber_by_minors(L, q0, q1, rows, rulings):

@@ -846,6 +846,18 @@ def test_intersection_numbers_with_a_count_short_of_samples_are_not_all_expected
     assert not rep.all_expected
 
 
+def test_intersection_numbers_with_three_node_pairs_need_three_tau_tau_samples():
+    # at q = 3 seed 1 Z has three pairs of distinct nodes within the tower,
+    # so tau.tau has three samples, all it can have, and every count is right
+    rep = verify_intersection_numbers(seeded_example(3, 1), random.Random(7))
+    assert rep.node_pairs == 3 and rep.tau_tau == (1, 1, 1)
+    assert len(rep.sigma_tau) == len(rep.sigma_sigma) == 4
+    assert rep.all_expected
+    # a count that falls short of its samples still fails
+    assert not dataclasses.replace(rep, tau_tau=(1, 1)).all_expected
+    assert not dataclasses.replace(rep, tau_tau=(), node_pairs=0).all_expected
+
+
 def test_intersection_numbers_refuse_a_surface_with_one_disjoint_line():
     # one disjoint line gives no pair to sample sigma.sigma on
     nf = seeded_example(3, 40)

@@ -29,6 +29,7 @@ from reference_impl import (
     eval_form_batch_by_tables,
     evaluate_form_naive,
     proportionality,
+    squarefree_by_partials,
     substitute_by_dicts,
     times,
     times_by_dicts,
@@ -271,6 +272,34 @@ def test_binary_squarefree_char3_frobenius_trap():
     K = field(3)
     f = binary(K, (1, 0, 0, 1, 0, 0, 0))  # s^6 + s^3 t^3 = s^3 (s+t)^3
     assert not f.is_squarefree()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_squarefree_matches_the_gcd_of_the_partials_on_every_binary_form(p):
+    # every binary form of degree at most 4 over F_3 and F_5, the zero and
+    # the constant forms among them
+    K = field(p)
+    for degree in range(5):
+        for coeffs in product(range(p), repeat=degree + 1):
+            f = HomogeneousForm.from_coeffs(K, 2, degree, coeffs)
+            assert f.is_squarefree() == squarefree_by_partials(f), coeffs
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1)])
+def test_squarefree_matches_the_gcd_of_the_partials_on_random_sextics(p, k):
+    K = field(p, k)
+    rng = random.Random(K.q)
+    seen = set()
+    for _ in range(300):
+        # zero ends and squared factors come often enough to be seen
+        coeffs = [0 if rng.random() < 0.2 else K.random_element(rng) for _ in range(7)]
+        f = HomogeneousForm.from_coeffs(K, 2, 6, coeffs)
+        if rng.random() < 0.3:
+            g = HomogeneousForm.from_coeffs(K, 2, 2, [K.random_element(rng) for _ in range(3)])
+            f = times(times(g, g), HomogeneousForm.from_coeffs(K, 2, 2, coeffs[:3]))
+        seen.add(f.is_squarefree())
+        assert f.is_squarefree() == squarefree_by_partials(f), f.coeffs.tolist()
+    assert seen == {True, False}
 
 
 def test_binary_resultant_detects_common_root():

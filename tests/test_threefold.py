@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import cubicfano
-from cubicfano import pencil, threefold
+from cubicfano import gf, pencil, threefold
 from cubicfano.errors import InternalInconsistency, NotContained, NotGeneral, NotSupportedError
 from cubicfano.fano import FanoSurface
 from cubicfano.forms import HomogeneousForm, random_form
@@ -317,6 +317,60 @@ def test_q13_certifies_with_its_nodes_of_degree_four(seed):
     assert {Z.coords_in(z, L) for z in Z.points_over(4)} == images
 
 
+def _oracle_draws(K, rng):
+    """50 threefolds, as (kind, nf): 40 random, 5 whose conics are
+    proportional and 5 whose conics are binary quadratics in the same two
+    linear forms, so that every member of the pencil is singular."""
+    draws = [("random", random_threefold_through_plane(K, rng)) for _ in range(40)]
+    for _ in range(5):
+        q0 = random_form(K, 3, 2, rng)
+        draws.append(("proportional", make_nf(K, q0.terms, q0.scaled(1 + rng.randrange(K.q - 1)).terms)))
+    for _ in range(5):
+        A = np.zeros((3, 3), dtype=np.int64)
+        while rank(K, A) < 3:
+            A = np.array([[K.random_element(rng) for _ in range(3)] for _ in range(3)])
+        q0, q1 = (HomogeneousForm.from_coeffs(K, 3, 2, [rng.randrange(K.q) for _ in range(3)] + [0] * 3) for _ in "01")
+        draws.append(("cone", make_nf(K, q0.substitute(A).terms, q1.substitute(A).terms)))
+    return draws
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)], ids=lambda v: str(v))
+def test_the_scalar_pencil_helpers_match_the_stacked_det_and_interpolation_oracles(p, k):
+    # the quadrics in x2, x3 alone make every member of the pencil singular
+    # (a cone over the point (0:0:1)); proportional conics make the quartic
+    # zero wherever a member is smooth
+    K = field(p, k)
+    seen = set()
+    for kind, nf in _oracle_draws(K, random.Random(K.q)):
+        members = threefold._smooth_member(nf)
+        assert members == reference_impl.smooth_member_by_stacked_det(nf)
+        if members is None:
+            seen.add((kind, "all singular"))
+            continue
+        quartic, M = threefold._pullback_quartic(K, *members)
+        want, want_M = reference_impl.pullback_quartic_by_interpolation(K, *members)
+        assert quartic == want and M.tolist() == want_M.tolist()
+        if quartic.is_zero:
+            seen.add((kind, "zero quartic"))
+            with pytest.raises(NotGeneral, match="share a component"):
+                compute_Z(nf)
+        else:
+            seen.add((kind, "quartic"))
+    assert {("random", "quartic"), ("proportional", "zero quartic"), ("cone", "all singular")} <= seen
+
+
+def test_the_pulled_back_quartic_reaches_no_extension_field(monkeypatch):
+    # an interpolation over F_3 takes the quartic's values over F_9; the
+    # congruence stays in F_3, and only the root scan climbs the tower
+    K = field(3)
+    members = threefold._smooth_member(random_threefold_through_plane(K, random.Random(0)))
+    reached = []
+    for name in ("extension", "lift", "points_field"):
+        monkeypatch.setattr(gf.GF, name, lambda self, *args, name=name: reached.append(name))
+    quartic, M = threefold._pullback_quartic(K, *members)
+    assert reached == [] and quartic.K is K
+
+
 def test_q17_node_of_degree_four_is_a_typed_refusal():
     # seed 0 has a node of degree 4, and F_{17^4} has more elements than uint16 codes
     with pytest.raises(NotSupportedError, match="uint16"):
@@ -564,7 +618,7 @@ def test_certificate_reads_Z_and_the_discriminant_and_scans_nothing(monkeypatch)
         raise RuntimeError("the certificate scans")
 
     nf = random_general_threefold(field(3), random.Random(2))
-    monkeypatch.setattr(threefold, "common_zeros", refuse)
+    monkeypatch.setattr(threefold, "common_zeros", refuse, raising=False)
     monkeypatch.setattr(threefold, "rulings_of_fiber", refuse, raising=False)
     monkeypatch.setattr(pencil, "rulings_of_fiber", refuse)
     cert = certify_generality(nf)
