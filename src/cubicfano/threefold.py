@@ -94,6 +94,11 @@ class NormalizedThreefold:
         return tuple(HomogeneousForm.from_coeffs(self.K, 3, 2, Q.coeffs[-6:]) for Q in (self.Q0, self.Q1))
 
     @cached_property
+    def conic_matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """(A0, A1): the symmetric matrices of the restricted conics, as nested tuples of codes."""
+        return tuple(tuple(map(tuple, q.symmetric_matrix().tolist())) for q in self.restricted_conics)
+
+    @cached_property
     def Z(self) -> SingularLocusZ:
         """:func:`compute_Z` of this threefold."""
         return compute_Z(self)
@@ -325,46 +330,42 @@ class SingularLocusZ:
 
 
 def _smooth_member(nf: NormalizedThreefold):
-    """The first smooth conic G = s*q0 + t*q1 of the pencil and a second member H, or None.
+    """The symmetric matrices (B_G, B_H) of the first smooth member G of the pencil and a second member H, or None.
 
-    G is the first (s:t) in ``projective_reps`` order whose matrix
-    s*A0 + t*A1, for A0 and A1 the symmetric matrices of the restricted
-    conics, has a nonzero determinant, expanded by cofactors along the first
-    row in scalar field arithmetic.  The determinant of the pencil is a
-    binary cubic in (s:t), so when all q + 1 >= 4 vanish, every member is
-    singular.
+    G = s*q0 + t*q1, and B_G = s*A0 + t*A1, for (A0, A1) = ``nf.conic_matrices``, at the first
+    (s:t) in ``projective_reps`` order whose determinant, expanded by
+    cofactors along the first row in scalar field arithmetic, is nonzero;
+    B_H is A1 when s != 0 and A0 otherwise.  The determinant of the pencil
+    is a binary cubic in (s:t), so when all q + 1 >= 4 vanish, every member
+    is singular.
     """
     K = nf.K
-    q0, q1 = nf.restricted_conics
-    A0, A1 = q0.symmetric_matrix().tolist(), q1.symmetric_matrix().tolist()
+    A0, A1 = nf.conic_matrices
     for s, t in projective_reps(K, 1):
-        (a, b, c), (d, e, f), (g, h, i) = (
-            [K.add_(K.mul_(s, x), K.mul_(t, y)) for x, y in zip(r0, r1)] for r0, r1 in zip(A0, A1)
-        )
+        B = [[K.add_(K.mul_(s, x), K.mul_(t, y)) for x, y in zip(r0, r1)] for r0, r1 in zip(A0, A1)]
+        (a, b, c), (d, e, f), (g, h, i) = B
         cofactors = (
             K.sub_(K.mul_(e, i), K.mul_(f, h)), K.sub_(K.mul_(f, g), K.mul_(d, i)), K.sub_(K.mul_(d, h), K.mul_(e, g))
         )
         if _dot(K, (a, b, c), cofactors):
-            G = [K.add_(K.mul_(s, x), K.mul_(t, y)) for x, y in zip(q0.coeffs.tolist(), q1.coeffs.tolist())]
-            return HomogeneousForm.from_coeffs(K, 3, 2, G), (q1 if s else q0)
+            return B, (A1 if s else A0)
     return None
 
 
-def _pullback_quartic(K: GF, G: HomogeneousForm, H: HomogeneousForm):
+def _pullback_quartic(K: GF, BG, BH):
     """H along a parametrization phi of the smooth conic G: (H o phi, phi's matrix M).
 
-    y is the first rational point of G in ``projective_reps`` order, and c1,
-    c2 the unit vectors at the indices other than y's last nonzero one, so
-    that y, c1, c2 are a basis.  The line through y and w = u*c1 + v*c2
-    meets G again at phi(u:v) = -G(w)*y + 2*beta(y, w)*w, for beta the
-    bilinear form of G, and phi = M @ (u^2, u*v, v^2).  So H o phi is the
-    quadratic form of the congruence N = M^T B_H M, for B_H the symmetric
-    matrix of H, on (u^2, u*v, v^2): the binary quartic with coefficients
-    (N00, 2*N01, 2*N02 + N11, 2*N12, N22).  All of it is scalar field
-    arithmetic over K; no extension field is built.
+    G and H are given by their symmetric matrices B_G and B_H.  y is the
+    first rational point of G in ``projective_reps`` order, and c1, c2 the
+    unit vectors at the indices other than y's last nonzero one, so that
+    y, c1, c2 are a basis.  The line through y and w = u*c1 + v*c2 meets G
+    again at phi(u:v) = -G(w)*y + 2*beta(y, w)*w, for beta the bilinear
+    form of G, and phi = M @ (u^2, u*v, v^2).  So H o phi is the quadratic
+    form of the congruence N = M^T B_H M on (u^2, u*v, v^2): the binary
+    quartic with coefficients (N00, 2*N01, 2*N02 + N11, 2*N12, N22).  All
+    of it is scalar field arithmetic over K; no extension field is built.
     """
-    BG, BH = G.symmetric_matrix().tolist(), H.symmetric_matrix().tolist()
-    y = next(x for x in projective_reps(K, 2) if not _bilinear(K, BG, x, x))
+    y = next(x for x in projective_reps(K, 2) if not _quadratic(K, BG, x))
     last = max(j for j in range(3) if y[j])
     i, j = (k for k in range(3) if k != last)
     c1, c2 = ([int(k == e) for k in range(3)] for e in (i, j))
@@ -395,12 +396,9 @@ def _dot(K: GF, x, y) -> int:
     return total
 
 
-def _bilinear(K: GF, A, x, y) -> int:
-    """x^T A y for a square matrix A and vectors x, y of K's codes.
-
-    For a symmetric A, x^T A x is the value of A's quadratic form at x.
-    """
-    return _dot(K, x, [_dot(K, row, y) for row in A])
+def _quadratic(K: GF, A, x) -> int:
+    """x^T A x: the value at x of the quadratic form with symmetric matrix A, all in K's codes."""
+    return _dot(K, x, [_dot(K, row, x) for row in A])
 
 
 def _Z_at_common_vertex(K: GF, q0: HomogeneousForm, q1: HomogeneousForm) -> SingularLocusZ:
@@ -446,6 +444,7 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
     while d divides the length left, so F_{q^3} and F_{q^4} are built only
     for a point of that degree.  Each root's point M @ (u^2, u*v, v^2) is
     checked on both conics, x^T A x = 0 for their symmetric matrices A
+    (``nf.conic_matrices``, which the pencil's members are summed from)
     lifted to F_{q^d}.  Raises NotGeneral when Z is not
     zero-dimensional, and NotSupportedError when a point of Z needs a field
     beyond degree 4 over F_p (over F_{p^3} and F_{p^4}, a length 4 with no
@@ -461,7 +460,7 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
     quartic, M = _pullback_quartic(K, *members)
     if quartic.is_zero:
         raise NotGeneral("the restricted conics share a component")
-    A = np.stack([q.symmetric_matrix() for q in (q0, q1)])
+    A = np.array(nf.conic_matrices, dtype=np.int64)
     found: list[tuple[int, tuple[int, ...], int]] = []
     left = 4  # the length of Z not yet found, all on points of degree >= d
     for d in range(1, 5):
@@ -480,7 +479,7 @@ def compute_Z(nf: NormalizedThreefold) -> SingularLocusZ:
                 continue  # found in a smaller field
             square = (L.mul_(u, u), L.mul_(u, v), L.mul_(v, v))
             point = normalize_point(L, [_dot(L, row, square) for row in ML])
-            if any(_bilinear(L, B, point, point) for B in AL):
+            if any(_quadratic(L, B, point) for B in AL):
                 raise InternalInconsistency("a point of Z misses the conics")
             found.append((d, point, mult))
             left -= mult

@@ -401,7 +401,7 @@ def Z_multiplicities_by_jacobian(points, transverse):
 
 
 def smooth_member_by_stacked_det(nf):
-    """(G, H) as ``threefold._smooth_member`` returns them, or None.
+    """(G, H), the members whose symmetric matrices ``threefold._smooth_member`` returns, or None.
 
     One stacked determinant of the blocks on u = 0 of the fiber matrices
     over every (s:t) of P^1(F_q), in ``projective_reps`` order; G is the
@@ -418,7 +418,7 @@ def smooth_member_by_stacked_det(nf):
 
 
 def pullback_quartic_by_interpolation(K, G, H):
-    """(H o phi, M) as ``threefold._pullback_quartic`` returns them, by interpolation.
+    """(H o phi, M) as ``threefold._pullback_quartic`` returns them, from the forms G and H, by interpolation.
 
     phi = M @ (u^2, u*v, v^2) from the first rational point y of G, and the
     quartic H o phi is interpolated from H's values at the images of five

@@ -853,8 +853,8 @@ def test_intersection_numbers_with_three_node_pairs_need_three_tau_tau_samples()
     assert rep.node_pairs == 3 and rep.tau_tau == (1, 1, 1)
     assert len(rep.sigma_tau) == len(rep.sigma_sigma) == 4
     assert rep.all_expected
-    # a count that falls short of its samples still fails
-    assert not dataclasses.replace(rep, tau_tau=(1, 1)).all_expected
+    # a tau.tau sample off 1, or no sample at all, still fails
+    assert not dataclasses.replace(rep, tau_tau=(1, 1, 2)).all_expected
     assert not dataclasses.replace(rep, tau_tau=(), node_pairs=0).all_expected
 
 

@@ -343,12 +343,15 @@ def test_the_scalar_pencil_helpers_match_the_stacked_det_and_interpolation_oracl
     seen = set()
     for kind, nf in _oracle_draws(K, random.Random(K.q)):
         members = threefold._smooth_member(nf)
-        assert members == reference_impl.smooth_member_by_stacked_det(nf)
+        want_members = reference_impl.smooth_member_by_stacked_det(nf)
+        assert (members is None) == (want_members is None)
         if members is None:
             seen.add((kind, "all singular"))
             continue
+        # the helpers pass the members as their symmetric matrices
+        assert [np.array(B).tolist() for B in members] == [q.symmetric_matrix().tolist() for q in want_members]
         quartic, M = threefold._pullback_quartic(K, *members)
-        want, want_M = reference_impl.pullback_quartic_by_interpolation(K, *members)
+        want, want_M = reference_impl.pullback_quartic_by_interpolation(K, *want_members)
         assert quartic == want and M.tolist() == want_M.tolist()
         if quartic.is_zero:
             seen.add((kind, "zero quartic"))
@@ -612,13 +615,15 @@ def test_a_sampled_threefold_computes_Z_and_its_discriminant_once(monkeypatch, s
 
 
 def test_certificate_reads_Z_and_the_discriminant_and_scans_nothing(monkeypatch):
-    # generality follows from Z and the discriminant alone: no point scan and
-    # no fiber lines
+    # generality follows from the kept Z and discriminant alone: neither is
+    # computed again, and there is no point scan and no fiber lines
     def refuse(*args, **kwargs):
         raise RuntimeError("the certificate scans")
 
     nf = random_general_threefold(field(3), random.Random(2))
-    monkeypatch.setattr(threefold, "common_zeros", refuse, raising=False)
+    monkeypatch.setattr(threefold, "compute_Z", refuse)
+    monkeypatch.setattr(pencil, "discriminant", refuse)
+    monkeypatch.setattr(threefold, "projective_reps", refuse)
     monkeypatch.setattr(threefold, "rulings_of_fiber", refuse, raising=False)
     monkeypatch.setattr(pencil, "rulings_of_fiber", refuse)
     cert = certify_generality(nf)
