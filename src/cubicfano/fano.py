@@ -72,6 +72,7 @@ from .gf import GF
 from .linalg import det, dot, hyperplane_rows, kernel_basis, mat_mul, mat_vec, rank, rref_stack, unit_complement
 from .pencil import (
     RulingClass,
+    family_at,
     hyperelliptic_involution,
     pencil_fibers,
     rulings_of_fiber,
@@ -84,6 +85,7 @@ from .projective import (
     ProjectiveLine,
     ProjectivePoint,
     Residual,
+    all_points_array,
     binary_quadratic,
     count_points,
     enumerate_lines,
@@ -1285,15 +1287,16 @@ def _count_degenerate_conic_lines(nf: NormalizedThreefold, depth: int) -> int:
     Each degenerate member of the restricted conic pencil contributes its
     component lines: two for a rank-2 conic (rational or conjugate), one for
     a double line.  The member over (s:t) is s*q0 + t*q1, whose matrix is the
-    block of the fiber matrix on u = 0, so one stacked row reduction of
-    those blocks ranks them all.  Fibers over parameter fields beyond the
+    block of the fiber matrix on u = 0: one :func:`pencil.family_at` of that
+    block of ``nf.pencil_coeffs`` reads them all, and one stacked row
+    reduction ranks them.  Fibers over parameter fields beyond the
     scan are not seen; the caller treats the result as a lower bound checked
     <= 6.
     """
     d = max(e for e in range(1, depth + 1) if nf.K.reaches(e))
     Ld = nf.K.extension(d)
-    fibers = pencil_fibers(nf, Ld, projective_reps(Ld, 1))
-    _, ranks = rref_stack(Ld, np.stack([f.matrix[1:, 1:] for f in fibers]))
+    conics = family_at(Ld, nf.K.lift(nf.pencil_coeffs[1:, 1:], Ld), all_points_array(Ld, 1))
+    _, ranks = rref_stack(Ld, conics)
     if (ranks == 0).any():
         raise NotGeneral("a member of the restricted conic pencil vanishes")
     return 2 * int((ranks == 2).sum()) + int((ranks == 1).sum())

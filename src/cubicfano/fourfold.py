@@ -38,7 +38,9 @@ from .pencil import (
     DiscriminantSextic,
     HyperellipticModel,
     ZetaData,
-    symbolic_fiber_entries,
+    family_at,
+    family_matrix,
+    family_upper,
     zeta,
 )
 from .projective import (
@@ -181,13 +183,13 @@ class PlaneDiscriminant:
 
 def plane_discriminant(nx: NormalizedFourfold) -> PlaneDiscriminant:
     """The determinant of the family matrix, interpolated from its values at
-    28 points, and scanned for singular points over F_{q^d} for d up to
-    ``DISC_SCAN_DEPTH`` (fewer where the field tower stops).  A fourfold
-    keeps its own as ``nx.discriminant``."""
+    28 points read off the family's table (:func:`pencil.family_upper`), and
+    scanned for singular points over F_{q^d} for d up to ``DISC_SCAN_DEPTH``
+    (fewer where the field tower stops).  A fourfold keeps its own as
+    ``nx.discriminant``."""
     L, pts = interpolation_points(nx.K, 3, 6)
-    entries = symbolic_fiber_entries((nx.Q0, nx.Q1, nx.Q2))
-    values = np.array([[entry.embedded(L).evaluate_batch(pts) for entry in row] for row in entries])
-    D = interpolate(nx.K, 3, 6, det(L, values.transpose(2, 0, 1)))
+    family = family_matrix(nx.K, family_upper(nx.f.coeffs, 3))
+    D = interpolate(nx.K, 3, 6, det(L, family_at(L, nx.K.lift(family, L), pts)))
     if D.is_zero:
         raise NotGeneral("the plane discriminant vanishes identically")
     depth_used = 0

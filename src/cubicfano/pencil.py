@@ -10,14 +10,15 @@ with f(su, tu, x) = u * R_{s,t}.  This module computes fiber matrices, the
 sextic discriminant, rulings of fibers, and point counts / zeta data of the
 genus-2 double cover that parametrizes the rulings.
 
-The symmetric matrix of R_{s,t} has entries that are binary forms in (s, t)
-(:func:`symbolic_fiber_entries`); a threefold keeps it as
-``nf.pencil_matrix``.  Every fiber matrix, over any field of the tower, is
-its value at (s:t): one stacked evaluation for a whole list of parameters
-(:func:`pencil_fibers`), or for the pencils of several threefolds at once
-(:func:`stacked_pencil_fibers`).  Its block on u = 0 is the matrix of the
-restricted conic s*q0 + t*q1.  The discriminant is its determinant, a sextic: the
-determinants of the fiber matrices at the seven points
+The symmetric matrix of R_{s,t} has entries that are binary forms in (s, t),
+placed by one table (:func:`family_upper`) that also places a fourfold's
+family over the (s:t:u)-plane and the Gram matrices over Q; a threefold
+keeps their coefficients as ``nf.pencil_coeffs``.  Every fiber matrix, over
+any field of the tower, is its value at (s:t) (:func:`family_at`): for a
+list of parameters (:func:`pencil_fibers`), or for the pencils of several
+threefolds at once (:func:`stacked_pencil_fibers`).  Its block on u = 0 is
+the matrix of the restricted conic s*q0 + t*q1.  The discriminant is its
+determinant, a sextic: the determinants at the seven points
 ``forms.interpolation_points`` fixes for binary sextics, interpolated.
 
 The rulings of a smooth fiber are built, not searched for (Harris, *Algebraic
@@ -50,6 +51,73 @@ from .projective import ProjectiveLine, all_points_array, line_points, projectiv
 
 
 # ---------------------------------------------------------------------------
+# the residual quadric family
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _family_slots(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(positions, slots): where each monomial of x0*Q0 + ... + x_{n-1}*Q_{n-1} lands in the family.
+
+    x_w = p_w*v (w < n) turns a cubic monomial that carries a parameter
+    variable into p^(e_0, ..., e_{n-1}) times v times a quadratic monomial
+    v_i v_j, i <= j, in (v, x_n, x_{n+1}, x_{n+2}).  The monomial at
+    positions[m] of the cubic's layout lands at slots[:][m] = (i, j, e), each
+    in its own slot.
+    """
+    exps = np.array(monomial_exponents(n + 3, 3))
+    positions = np.flatnonzero(exps[:, :n].sum(axis=1))
+    pairs = [
+        [0] * (sum(e[:n]) - 1) + [v for v, k in enumerate(e[n:], 1) for _ in range(k)]
+        for e in exps[positions].tolist()
+    ]
+    slots = (*np.array(pairs).T, *exps[positions, :n].T)
+    for table in (positions, *slots):
+        table.flags.writeable = False
+    return positions, slots
+
+
+def family_upper(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """The upper triangle U of the residual quadric family of a cubic x0*Q0 + ... + x_{n-1}*Q_{n-1}.
+
+    ``coeffs`` is the cubic's coefficient vector, codes of F_q or Python
+    integers; U[i, j, e], i <= j, is the coefficient of p^e in the term
+    v_i v_j of the member over p, filled by one indexed assignment in the
+    same dtype.  The symmetric matrix is :func:`family_matrix` over F_q;
+    over Q the Gram matrix 4 R is 2(U + U^T).
+    """
+    positions, slots = _family_slots(n)
+    upper = np.zeros((4, 4) + (4,) * n, dtype=coeffs.dtype)
+    upper[slots] = coeffs[positions]
+    return upper
+
+
+def family_matrix(K: GF, upper: np.ndarray) -> np.ndarray:
+    """The symmetric matrix of the family over K from its upper triangle: (U + U^T) / 2, as read-only codes."""
+    matrix = K.mul(K.add(upper, upper.swapaxes(0, 1)), K.inverse(2 % K.p))
+    matrix.flags.writeable = False
+    return matrix
+
+
+def family_at(L: GF, coeffs: np.ndarray, params) -> np.ndarray:
+    """The family with coefficients ``coeffs`` [..., i, j, e_0, ..., e_{n-1}] (codes of L) at the rows ``params`` (m, n).
+
+    Returns [..., m, i, j]: the monomials p^e at every row, and one stacked
+    dot product with the coefficients, as field arithmetic over L.
+    """
+    params = np.asarray(params, dtype=np.int64)
+    m, n = params.shape
+    powers = np.ones((m, 4, n), dtype=np.int64)  # [m, e, w]: p_w^e
+    for e in range(1, 4):
+        powers[:, e] = L.mul(powers[:, e - 1], params)
+    monomials = powers[:, :, 0]
+    for w in range(1, n):
+        monomials = L.mul(monomials[:, :, None], powers[:, None, :, w]).reshape(m, -1)  # [m, (e_0, ..., e_w)]
+    flat = coeffs.reshape(coeffs.shape[: -n - 2] + (1, *coeffs.shape[-n - 2 : -n], -1))
+    return dot(L, flat, monomials.reshape(m, 1, 1, -1)).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
 # fibers
 # ---------------------------------------------------------------------------
 
@@ -60,7 +128,7 @@ class PencilFiber:
 
     ``matrix`` is its symmetric 4x4 matrix in the fiber coordinates
     (u, x2, x3, x4), R_{s,t}(v) = v^T M v, as :func:`pencil_fibers` reads it
-    off the threefold's symbolic pencil matrix.
+    off the threefold's ``pencil_coeffs``.
     """
 
     K: GF
@@ -98,11 +166,10 @@ def stacked_pencil_fibers(nfs, L: GF, params) -> list[list[PencilFiber]]:
     """The members of the pencils of threefolds over one field K, each over the
     points ``params`` (s:t) != (0:0) of P^1(L), in one stacked evaluation.
 
-    L is any field of the tower over K.  The entries of each threefold's kept
-    symbolic matrix ``nf.pencil_matrix`` are binary forms of degree at most 3
-    in (s, t); their coefficients, kept stacked as ``nf.pencil_coeffs``,
-    stacked again over the threefolds and lifted into L, are evaluated at
-    every (s:t) at once, as field arithmetic on one stack.
+    L is any field of the tower over K.  Each threefold keeps its family's
+    coefficients as ``nf.pencil_coeffs``; stacked over the threefolds and
+    lifted into L, they are evaluated at every (s:t) at once by one
+    :func:`family_at`.
     """
     nfs = list(nfs)
     K = nfs[0].K
@@ -111,13 +178,7 @@ def stacked_pencil_fibers(nfs, L: GF, params) -> list[list[PencilFiber]]:
     params = np.array(list(params), dtype=np.int64).reshape(-1, 2)
     if not params.any(axis=1).all():
         raise ValueError("(0:0) is not a point of the pencil base")
-    # [n, i, j, a, b]: the coefficient of s^a t^b in entry (i, j) of the n-th matrix
-    coeffs = K.lift(np.stack([nf.pencil_coeffs for nf in nfs]), L)
-    powers = np.ones((len(params), 4, 2), dtype=np.int64)  # [m, e]: (s^e, t^e)
-    for e in range(1, 4):
-        powers[:, e] = L.mul(powers[:, e - 1], params)
-    monomials = L.mul(powers[:, :, None, 0], powers[:, None, :, 1])  # [m, a, b]: s^a t^b
-    matrices = dot(L, coeffs.reshape(len(nfs), 1, 4, 4, 16), monomials.reshape(-1, 1, 1, 16)).astype(np.int64)
+    matrices = family_at(L, K.lift(np.stack([nf.pencil_coeffs for nf in nfs]), L), params)
     return [[PencilFiber(L, s, t, M) for (s, t), M in zip(params.tolist(), stack)] for stack in matrices]
 
 
@@ -141,65 +202,10 @@ class DiscriminantSextic:
         return self.form.is_squarefree()
 
 
-@lru_cache(maxsize=None)
-def _entry_positions(n: int):
-    """Where the quadrics' coefficients land in the upper triangle of :func:`symbolic_fiber_entries`.
-
-    The entries (i, j), i <= j, lie end to end, each a form in the n
-    parameters in its ``monomial_exponents`` layout.  Returns ({(i, j):
-    (start, degree, size)}, total size, positions): positions[w, m] is
-    where the m-th monomial of the quadric Q_w lands, one to one for each w.
-    """
-    slots, total = {}, 0
-    for i in range(4):
-        for j in range(i, 4):
-            degree = 3 if j == 0 else (2 if i == 0 else 1)
-            slots[i, j] = (total, degree, len(monomial_exponents(n, degree)))
-            total += slots[i, j][2]
-    quadric = monomial_exponents(n + 3, 2)
-    positions = np.zeros((n, len(quadric)), dtype=np.int64)
-    for w in range(n):
-        for m, e in enumerate(quadric):
-            params = list(e[:n])
-            params[w] += 1
-            i, j = [i for i, v in enumerate((sum(e[:n]),) + e[n:]) for _ in range(v)]
-            start, degree, _ = slots[i, j]
-            positions[w, m] = start + monomial_exponents(n, degree).index(tuple(params))
-    positions.flags.writeable = False
-    return slots, total, positions
-
-
-def symbolic_fiber_entries(quadrics) -> list[list[HomogeneousForm]]:
-    """Symmetric 4x4 matrix entries of the residual quadric family, as forms in its parameters.
-
-    ``quadrics`` are the n quadrics of f = x0*Q0 + ... + x_{n-1}*Q_{n-1}: (Q0, Q1)
-    of a threefold, whose parameters are (s, t), or (Q0, Q1, Q2) of a fourfold,
-    with parameters (s, t, u).  Substituting x_i = p_i*v for i < n in
-    p0*Q0 + ... + p_{n-1}*Q_{n-1} gives the member in the fiber coordinates
-    (v, x_n, x_{n+1}, x_{n+2}); entry (0, 0) is cubic, the rest of row and
-    column 0 quadratic, and the remaining entries linear in the parameters.
-    Each quadric's coefficients are placed by one index assignment and added
-    by one vectorized field addition; the off-diagonal entries are halved.
-    """
-    n, K = len(quadrics), quadrics[0].K
-    slots, total, positions = _entry_positions(n)
-    flat = np.zeros(total, dtype=np.int64)
-    for w, Q in enumerate(quadrics):
-        term = np.zeros(total, dtype=np.int64)
-        term[positions[w]] = Q.coeffs
-        flat = K.add(flat, term)
-    half = K.inverse(2 % K.p)
-    out = [[None] * 4 for _ in range(4)]
-    for (i, j), (start, degree, size) in slots.items():
-        codes = flat[start : start + size]
-        out[i][j] = out[j][i] = HomogeneousForm.from_coeffs(K, n, degree, codes if i == j else K.mul(codes, half))
-    return out
-
-
 def discriminant(nf) -> DiscriminantSextic:
-    """The determinant of the threefold's kept pencil matrix, interpolated from fiber determinants."""
+    """The determinant of the threefold's pencil, interpolated from the determinants of its members."""
     L, params = interpolation_points(nf.K, 2, 6)
-    D = interpolate(nf.K, 2, 6, det(L, np.stack([fiber.matrix for fiber in pencil_fibers(nf, L, params)])))
+    D = interpolate(nf.K, 2, 6, det(L, family_at(L, nf.K.lift(nf.pencil_coeffs, L), params)))
     if D.is_zero:
         raise NotGeneral("discriminant vanishes identically")
     return DiscriminantSextic(D)

@@ -28,7 +28,9 @@ arithmetic is exact.  An integer form is a coefficient vector on the
 array: the input cubic is read once, moved to the standard plane by one
 product with a substitution matrix, and made primitive, and its conics on
 the plane, its parts at each power of x4 and the binary forms of the
-resultant are index slices of that vector.  A form at a grid of points is
+resultant are index slices of that vector, and the pencil's Gram matrices
+are one table in (s, t), built once per cubic by ``pencil.family_upper``,
+which places the same family over F_q.  A form at a grid of points is
 its monomial matrix times its coefficient vector, in int64 where a bound
 proves no overflow and in Python integers otherwise.  A quadratic form is
 an integer Gram matrix, diagonalized fraction-free; ``fractions.Fraction``
@@ -45,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +55,7 @@ from .errors import InternalInconsistency, InvalidInput, NotGeneral
 from .fano import DISJOINT, MEETS_PLANE, _meet_with_plane, surface_of
 from .forms import _layout, _monomial_steps, _raised
 from .integers import _factor, _is_prime
+from .pencil import family_upper
 from .threefold import NormalizedThreefold
 
 
@@ -853,55 +856,37 @@ def _disjoint_lines_from_pairs(coeffs: np.ndarray, pts):
     return list(dict.fromkeys(tuple(tuple(row) for row in pair) for pair in rows))
 
 
-@lru_cache(maxsize=None)
-def _pencil_positions() -> tuple[np.ndarray, ...]:
-    """(positions, e0, e1, i, j) for each monomial of the cubic layout that carries x0 or x1.
-
-    Substituting x0 = s*u, x1 = t*u turns the monomial x0^e0 x1^e1 m into
-    s^e0 t^e1 u times v_i v_j in the variables (u, x2, x3, x4), i <= j.
-    """
-    exps = _layout(5, 3)[1].astype(np.int64)
-    positions = np.flatnonzero(exps[:, 0] + exps[:, 1])
-    pairs = [
-        [0] * (e0 + e1 - 1) + [v for v, k in enumerate(rest, 1) for _ in range(k)]
-        for e0, e1, *rest in exps[positions].tolist()
-    ]
-    i, j = np.array(pairs).T
-    out = (positions, exps[positions, 0].astype(object), exps[positions, 1].astype(object), i, j)
-    for table in out:
-        table.flags.writeable = False
-    return out
+def _pencil_gram(coeffs: np.ndarray) -> np.ndarray:
+    """The Gram matrices 4 R_{s,t} = 2(U + U^T) of the pencil as one table of Python integers:
+    [i, j, a, b] is the coefficient of s^a t^b in entry (i, j), for U the
+    upper triangle ``pencil.family_upper`` places the cubic's terms in."""
+    upper = family_upper(coeffs, 2)
+    return 2 * (upper + upper.swapaxes(0, 1))
 
 
-def _pencil_member_form(coeffs: np.ndarray, s: int, t: int) -> RationalQuadricForm:
-    """The residual quadric R_{s,t} in (u, x2, x3, x4), with Gram matrix 4 R (scale 2).
-
-    Substituting x0 = s*u, x1 = t*u into the normalized cubic gives u times
-    the residual quadric, so dividing each substituted monomial by one power
-    of u reads off R_{s,t} directly: a term c*v_i*v_j adds c to a diagonal
-    entry, or c/2 to each of a pair of off-diagonal entries (4c, 2c in 4 R).
-    """
-    positions, e0, e1, i, j = _pencil_positions()
-    upper = np.zeros((4, 4), dtype=object)
-    np.add.at(upper, (i, j), coeffs[positions] * s**e0 * t**e1)
-    return RationalQuadricForm(tuple(map(tuple, (2 * (upper + upper.T)).tolist())), 2)
+def _pencil_member_form(gram: np.ndarray, s: int, t: int) -> RationalQuadricForm:
+    """The residual quadric R_{s,t} in (u, x2, x3, x4), with Gram matrix 4 R (scale 2):
+    the pencil's table ``gram`` (:func:`_pencil_gram`) at (s, t)."""
+    powers = np.array([[s**e, t**e] for e in range(4)], dtype=object)
+    matrix = gram.dot(powers[:, 1]).dot(powers[:, 0])
+    return RationalQuadricForm(tuple(map(tuple, matrix.tolist())), 2)
 
 
-def _pencil_discriminant(coeffs: np.ndarray) -> np.ndarray:
+def _pencil_discriminant(gram: np.ndarray) -> np.ndarray:
     """The discriminant sextic D(s, t) = det 4 R_{s,t} of the pencil, on the binary layout of degree 6.
 
-    The Gram matrix 4 R_{s,t} of ``_pencil_member_form`` as a matrix of
-    binary forms: the monomial x0^e0 x1^e1 m adds its coefficient at s^e0
-    t^e1, position e1 of the layout of degree e0 + e1, of its entry (i, j).
-    Entry (0, 0) has degree 3, the rest of row and column 0 degree 2, and
-    the other entries degree 1; D is their ``_form_determinant``.  D is not
-    made primitive.
+    The pencil's table ``gram`` (:func:`_pencil_gram`) as a matrix of binary
+    forms: entry (0, 0) has degree 3, the rest of row and column 0 degree 2,
+    and the other entries degree 1, and the coefficient of s^(d - b) t^b of
+    an entry of degree d is at position b of its layout.  D is their
+    ``_form_determinant``, not made primitive.
     """
-    positions, _, e1, i, j = _pencil_positions()
-    upper = np.zeros((4, 4, 4), dtype=object)
-    np.add.at(upper, (i, j, e1.astype(np.intp)), coeffs[positions])
-    gram = 2 * (upper + upper.transpose(1, 0, 2))
-    return _form_determinant([[gram[r, k, : 4 - (r > 0) - (k > 0)] for k in range(4)] for r in range(4)])
+
+    def entry(r: int, k: int) -> np.ndarray:
+        b = np.arange(4 - (r > 0) - (k > 0))
+        return gram[r, k, b[-1] - b, b]
+
+    return _form_determinant([[entry(r, k) for k in range(4)] for r in range(4)])
 
 
 def _sextic_discriminant(D: np.ndarray) -> int:
@@ -925,15 +910,15 @@ def _sextic_discriminant(D: np.ndarray) -> int:
     return disc
 
 
-def _good_prime(coeffs: np.ndarray) -> int:
+def _good_prime(gram: np.ndarray) -> int:
     """The least odd prime p that does not divide disc(D): the generality certificate over Q.
 
-    D is ``_pencil_discriminant`` of the normalized cubic, and the threefold
+    D is ``_pencil_discriminant`` of the pencil's table ``gram``, and the threefold
     is general when D is reduced, that is when disc(D) != 0; otherwise this
     raises NotGeneral.  Modulo p the discriminant of D is disc(D) mod p, so
     p is the least odd prime modulo which D stays reduced.
     """
-    disc = _sextic_discriminant(_pencil_discriminant(coeffs))
+    disc = _sextic_discriminant(_pencil_discriminant(gram))
     if disc == 0:
         raise NotGeneral("the rationality criterion requires a reduced discriminant sextic: disc(D) = 0")
     return next(p for p in itertools.count(3, 2) if disc % p and _is_prime(p))
@@ -963,9 +948,15 @@ def decide_over_rationals(cubic_terms, plane_rows=_STANDARD_PLANE_ROWS, height_b
     re-verified by direct evaluation and every obstruction is recomputed by
     exhaustive residue search before the verdict is emitted.  When all
     searches exhaust their bounds the honest answer is Unknown.
+
+    ``height_bound`` must be an int >= 0 (a bool is not one); anything else
+    raises InvalidInput before any search.
     """
+    if isinstance(height_bound, bool) or not isinstance(height_bound, int) or height_bound < 0:
+        raise InvalidInput(f"the height bound must be an integer >= 0, not {height_bound!r}")
     coeffs, columns = _normalize_rational_cubic(dict(cubic_terms), plane_rows)
-    bounds = {"height_bound": height_bound, "good_prime": _good_prime(coeffs)}
+    gram = _pencil_gram(coeffs)
+    bounds = {"height_bound": height_bound, "good_prime": _good_prime(gram)}
 
     # (a) rational nodes
     for node in _nodes_by_resultant(coeffs):
@@ -1000,7 +991,7 @@ def decide_over_rationals(cubic_terms, plane_rows=_STANDARD_PLANE_ROWS, height_b
     scanned = 0
     for s, t in _pencil_members(height_bound):
         scanned += 1
-        form = _pencil_member_form(coeffs, s, t)
+        form = _pencil_member_form(gram, s, t)
         if 0 in form.diagonalization[0]:
             continue
         verdict = local_solvability(form)

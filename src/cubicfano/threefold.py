@@ -52,12 +52,12 @@ class NormalizedThreefold:
     ``transform`` sends normalized coordinates to the original ambient ones:
     x_original = transform @ x_normalized.
 
-    The node scheme ``Z``, the symbolic ``pencil_matrix`` of the quadric
-    surface fibration (with its coefficients stacked as ``pencil_coeffs``)
-    and its ``discriminant`` are computed on first read
-    and kept, so every reader shares them: every pencil member, over any
-    field of the tower, is read off the one matrix
-    (:func:`pencil.pencil_fibers`).  So are the pencil's fibers over
+    The node scheme ``Z``, the coefficients ``pencil_coeffs`` of the
+    symmetric matrix of the quadric surface fibration and its
+    ``discriminant`` are computed on first read and kept, so every reader
+    shares them: every pencil member, over any field of the tower, is read
+    off the one table (:func:`pencil.pencil_fibers`), and so are the
+    restricted conics' ``conic_matrices``.  So are the pencil's fibers over
     F_{q^k} with their rulings (``pencils[k]``, kept by ``fano._rule_pencils``),
     the line surface over each degree k (``surfaces[k]``, the first
     ``fano.FanoSurface(nf, k)`` built, read through ``fano.surface_of``) and
@@ -95,8 +95,10 @@ class NormalizedThreefold:
 
     @cached_property
     def conic_matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """(A0, A1): the symmetric matrices of the restricted conics, as nested tuples of codes."""
-        return tuple(tuple(map(tuple, q.symmetric_matrix().tolist())) for q in self.restricted_conics)
+        """(A0, A1): the symmetric matrices of the restricted conics, as nested tuples of codes:
+        the coefficients of s and of t in the block s*A0 + t*A1 of ``pencil_coeffs`` on u = 0."""
+        block = self.pencil_coeffs[1:, 1:]
+        return tuple(tuple(map(tuple, block[:, :, a, b].tolist())) for a, b in ((1, 0), (0, 1)))
 
     @cached_property
     def Z(self) -> SingularLocusZ:
@@ -104,26 +106,12 @@ class NormalizedThreefold:
         return compute_Z(self)
 
     @cached_property
-    def pencil_matrix(self) -> list[list[HomogeneousForm]]:
-        """The symmetric 4x4 matrix of R_{s,t} in the fiber coordinates, entries binary forms in (s, t).
-
-        :func:`pencil.symbolic_fiber_entries` of (Q0, Q1).
-        """
-        return pencil_mod.symbolic_fiber_entries((self.Q0, self.Q1))
-
-    @cached_property
     def pencil_coeffs(self) -> np.ndarray:
-        """``pencil_matrix`` as one read-only array: [i, j, a, b] is the coefficient of s^a t^b in entry (i, j).
-
-        :func:`pencil.pencil_fibers` lifts it into its field and evaluates it.
-        """
-        coeffs = np.zeros((4, 4, 4, 4), dtype=np.int64)
-        for i, row in enumerate(self.pencil_matrix):
-            for j, entry in enumerate(row):
-                b = np.arange(entry.degree + 1)
-                coeffs[i, j, entry.degree - b, b] = entry.coeffs
-        coeffs.flags.writeable = False
-        return coeffs
+        """The symmetric 4x4 matrix of R_{s,t} in the fiber coordinates as one read-only array:
+        [i, j, a, b] is the coefficient of s^a t^b in entry (i, j), read off f
+        by :func:`pencil.family_upper`.  :func:`pencil.pencil_fibers` lifts it
+        into its field and evaluates it."""
+        return pencil_mod.family_matrix(self.K, pencil_mod.family_upper(self.f.coeffs, 2))
 
     @cached_property
     def discriminant(self) -> pencil_mod.DiscriminantSextic:

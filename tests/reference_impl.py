@@ -12,8 +12,10 @@ modulo 3, 5 and 7, the discriminant sextic over Q as sympy's
 determinant of the symbolic Gram matrix, products of forms by
 interpolation, the singular points of a fourfold by a scan of P^5, the
 smooth conic of Z's pencil by one stacked determinant of the fiber blocks,
-the quartic pulled back to that conic by interpolation, and squarefreeness
-of a binary form by the gcd with both partials.
+the quartic pulled back to that conic by interpolation, squarefreeness
+of a binary form by the gcd with both partials, and the residual quadric
+family of a threefold or a fourfold, member by member or as a matrix of
+forms, one term of its quadrics at a time.
 Tests compare the fast package code against these.
 """
 
@@ -829,25 +831,26 @@ def _ruling_through(K, matrix, points, line):
     return out
 
 
-def pencil_quadric_terms(nf, s, t) -> dict:
-    """Terms of R_{s,t} in the fiber coordinates (u, x2, x3, x4), one term of Q0, Q1 at a time.
+def pencil_quadric_terms(nf, *params) -> dict:
+    """Terms of the residual quadric over ``params`` in the fiber coordinates, one term of the quadrics at a time.
 
-    x0 -> s*u and x1 -> t*u in s*Q0 + t*Q1.
+    The quadrics are (Q0, Q1) of a threefold over (s, t), or (Q0, Q1, Q2) of a
+    fourfold over (s, t, u): x_w -> p_w*v for w < n in p_0*Q0 + ... +
+    p_{n-1}*Q_{n-1}, in the coordinates (v, x_n, x_{n+1}, x_{n+2}).
     """
-    K = nf.K
+    K, n = nf.K, len(params)
     out: dict = {}
-    for outer, Q in ((s, nf.Q0), (t, nf.Q1)):
+    for w, outer in enumerate(params):
         if outer == 0:
             continue
-        for (e0, e1, e2, e3, e4), c in Q.terms.items():
+        for e, c in getattr(nf, f"Q{w}").terms.items():
             val = K.mul_(outer, c)
-            if e0:
-                val = K.mul_(val, K.pow_vector(e0)[s])
-            if e1:
-                val = K.mul_(val, K.pow_vector(e1)[t])
+            for p, k in zip(params, e[:n]):
+                if k:
+                    val = K.mul_(val, K.pow_vector(k)[p])
             if not val:
                 continue
-            key = (e0 + e1, e2, e3, e4)
+            key = (sum(e[:n]),) + e[n:]
             acc = K.add_(out.get(key, 0), val)
             if acc:
                 out[key] = acc
@@ -856,9 +859,32 @@ def pencil_quadric_terms(nf, s, t) -> dict:
     return out
 
 
-def pencil_quadric(nf, s, t):
-    """R_{s,t} as a quadratic form in (u, x2, x3, x4), from :func:`pencil_quadric_terms`."""
-    return HomogeneousForm(nf.K, 4, 2, pencil_quadric_terms(nf, s, t))
+def pencil_quadric(nf, *params):
+    """The residual quadric over ``params`` as a quadratic form in four variables, from :func:`pencil_quadric_terms`."""
+    return HomogeneousForm(nf.K, 4, 2, pencil_quadric_terms(nf, *params))
+
+
+def fiber_entry_forms(quadrics) -> list[list[HomogeneousForm]]:
+    """The symmetric 4x4 matrix of the residual quadric family of x0*Q0 + ... + x_{n-1}*Q_{n-1},
+    entries forms in the n parameters, one term of the quadrics at a time.
+
+    A term c*x^e of Q_w times p_w, with x_k -> p_k*v for k < n, is c*p^e*p_w
+    times a power of v times the other variables; with one v divided off it
+    is a quadratic monomial v_i v_j, which adds c*p^e*p_w at (i, i), or half
+    of it at (i, j) and at (j, i).  Entry (0, 0) is cubic in the parameters,
+    the rest of row and column 0 quadratic, and the other entries linear.
+    """
+    n, K = len(quadrics), quadrics[0].K
+    half = (K.p + 1) // 2  # the inverse of 2 in the prime field
+    terms = [[{} for _ in range(4)] for _ in range(4)]
+    for w, Q in enumerate(quadrics):
+        for e, c in Q.terms.items():
+            monomial = tuple(k + (v == w) for v, k in enumerate(e[:n]))
+            i, j = [0] * (sum(monomial) - 1) + [v for v, k in enumerate(e[n:], 1) for _ in range(k)]
+            value = c if i == j else K.mul_(c, half)
+            for a, b in {(i, j), (j, i)}:
+                terms[a][b][monomial] = K.add_(terms[a][b].get(monomial, 0), value)
+    return [[HomogeneousForm(K, n, 3 - (i > 0) - (j > 0), terms[i][j]) for j in range(4)] for i in range(4)]
 
 
 def quadric_of_matrix(K, M):

@@ -27,7 +27,7 @@ from cubicfano.fourfold import (
 )
 from cubicfano.gf import field
 from cubicfano.linalg import rref
-from cubicfano.pencil import discriminant, symbolic_fiber_entries
+from cubicfano.pencil import discriminant, family_at, family_matrix, family_upper
 from cubicfano.projective import LinearSubspace, common_zeros, projective_reps, span
 from cubicfano.threefold import (
     certify_generality,
@@ -40,9 +40,11 @@ from cubicfano.threefold import (
 
 from reference_impl import (
     det_form_matrix,
+    fiber_entry_forms,
     fourfold_points_by_double_plane,
     lines_by_galkin_shinder,
     lines_on_fourfold,
+    pencil_quadric,
     singular_point_scan,
     substitute_by_dicts,
 )
@@ -75,6 +77,20 @@ def test_plane_discriminant_restricts_to_every_slice_discriminant(seed):
         assert sextic == sliced
 
 
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (3, 2)])
+def test_the_family_at_every_point_of_the_plane_is_the_residual_quadric(p, k):
+    # the n = 3 family read off the table at every (s:t:u) of P^2, against
+    # the quadric built term by term from (Q0, Q1, Q2)
+    K = field(p, k)
+    points = list(projective_reps(K, 2))
+    for seed in range(2):
+        nx = random_fourfold_through_plane(K, random.Random(seed))
+        matrices = family_at(K, family_matrix(K, family_upper(nx.f.coeffs, 3)), points)
+        assert len(matrices) == len(points)
+        for point, M in zip(points, matrices):
+            assert M.tolist() == pencil_quadric(nx, *point).symmetric_matrix().tolist(), (seed, point)
+
+
 @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
 def test_plane_discriminant_matches_the_cofactor_oracle(p, k):
     # over F_3 and F_5 the sextic is interpolated over F_9 and F_25, and so is
@@ -83,7 +99,7 @@ def test_plane_discriminant_matches_the_cofactor_oracle(p, k):
     rng = random.Random(p * k)
     for seed in range(2):
         nx = random_fourfold_through_plane(K, random.Random(seed))
-        expected = det_form_matrix(K, 3, symbolic_fiber_entries((nx.Q0, nx.Q1, nx.Q2)))
+        expected = det_form_matrix(K, 3, fiber_entry_forms((nx.Q0, nx.Q1, nx.Q2)))
         disc = plane_discriminant(nx)
         assert disc.form == expected
         duals = rng.sample(list(projective_reps(K, 2)), 4)

@@ -289,16 +289,55 @@ def test_a_threefold_computes_its_node_scheme_and_discriminant_in_one_place():
 
 
 def test_a_threefold_builds_its_pencil_matrix_in_one_place():
-    # every fiber and the discriminant are read off the threefold's kept
-    # nf.pencil_matrix; a fourfold's three-quadric family builds its own
+    # the threefold's kept nf.pencil_coeffs, the fourfold's plane
+    # discriminant and the Gram matrices over Q are the three readers of the
+    # one table that places the cubic's monomials in the quadric family;
+    # every fiber and the discriminant are read off nf.pencil_coeffs
     builders, fibers = [], []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text())
-        builders += [f"{path.name}:{scope}" for scope, _ in _call_sites(tree, {"symbolic_fiber_entries"})]
+        builders += [f"{path.name}:{scope}" for scope, _ in _call_sites(tree, {"family_upper"})]
         if path.name != "pencil.py":
             fibers += [f"{path.name}:{scope}" for scope, _ in _call_sites(tree, {"PencilFiber"})]
-    assert sorted(builders) == ["fourfold.py:plane_discriminant", "threefold.py:NormalizedThreefold.pencil_matrix"]
+    assert sorted(builders) == [
+        "fourfold.py:plane_discriminant",
+        "rationality.py:_pencil_gram",
+        "threefold.py:NormalizedThreefold.pencil_coeffs",
+    ]
     assert fibers == []
+
+
+def _divides_off_one_power(node) -> bool:
+    """Whether ``node`` is [0] * (... - 1) + [...]: the variable pair of a
+    monomial with one power of v (variable 0) divided off."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and isinstance(node.right, ast.ListComp)):
+        return False
+    zeros = node.left
+    return (
+        isinstance(zeros, ast.BinOp)
+        and isinstance(zeros.op, ast.Mult)
+        and isinstance(zeros.left, ast.List)
+        and [getattr(e, "value", None) for e in zeros.left.elts] == [0]
+        and isinstance(zeros.right, ast.BinOp)
+        and isinstance(zeros.right.op, ast.Sub)
+        and getattr(zeros.right.right, "value", None) == 1
+    )
+
+
+def test_no_module_but_pencil_defines_a_position_table_for_the_family():
+    # where a cubic monomial lands in the quadric family is decided once, in
+    # pencil._family_slots: by name, and by the step that divides one power
+    # of v off a monomial
+    named, dividing = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if re.search(r"(pencil|family|fiber|entr).*(position|slot)", node.name):
+                named.append(f"{path.name}:{node.name}")
+            if any(_divides_off_one_power(inner) for inner in ast.walk(node)):
+                dividing.append(f"{path.name}:{node.name}")
+    assert named == dividing == ["pencil.py:_family_slots"]
 
 
 def test_binary_forms_are_scanned_and_square_roots_read_in_one_place_each():

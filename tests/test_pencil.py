@@ -7,7 +7,7 @@ import pytest
 
 from cubicfano import fano, pencil, projective
 from cubicfano.errors import InternalInconsistency, NotGeneral
-from cubicfano.forms import HomogeneousForm
+from cubicfano.forms import HomogeneousForm, monomial_exponents
 from cubicfano.gf import field
 from cubicfano.linalg import det, rank, rref
 from cubicfano.pencil import (
@@ -27,7 +27,14 @@ from cubicfano.pencil import (
 from cubicfano.projective import ProjectiveLine, _canonical_rows, enumerate_lines, projective_reps
 from cubicfano.threefold import random_threefold_through_plane
 
-from reference_impl import det_form_matrix, pencil_quadric, quadric_of_matrix, rulings_by_tangent_conics, solve
+from reference_impl import (
+    det_form_matrix,
+    fiber_entry_forms,
+    pencil_quadric,
+    quadric_of_matrix,
+    rulings_by_tangent_conics,
+    solve,
+)
 from test_threefold import make_nf
 
 
@@ -52,7 +59,7 @@ def one_fiber(nf, s, t):
 
 @pytest.mark.parametrize("p,k_base,k", [(3, 1, 1), (5, 1, 1), (7, 1, 1), (3, 2, 1), (11, 1, 1), (3, 1, 2), (5, 1, 2)])
 def test_stacked_fiber_matrices_match_the_term_loop(p, k_base, k):
-    # every member of the pencil, read off the kept symbolic matrix in one
+    # every member of the pencil, read off the kept pencil_coeffs in one
     # stacked evaluation, against the term loop over Q0 and Q1; its block on
     # u = 0 against the restricted conic s*q0 + t*q1
     for seed in range(10):
@@ -160,12 +167,40 @@ def test_discriminant_matches_the_cofactor_oracle(p, k):
     K = field(p, k)
     for seed in range(6):
         nf = random_threefold_through_plane(K, random.Random(seed))
-        expected = det_form_matrix(K, 2, nf.pencil_matrix)
+        expected = det_form_matrix(K, 2, fiber_entry_forms((nf.Q0, nf.Q1)))
         if expected.is_zero:
             with pytest.raises(NotGeneral):
                 discriminant(nf)
         else:
             assert discriminant(nf).form == expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_slot_of_the_family_is_hit_exactly_once(n):
+    # the monomials of x0*Q0 + ... + x_{n-1}*Q_{n-1} that carry a parameter
+    # land one to one on the slots (i, j, e), i <= j, with e of the entry's
+    # degree: 3 at (0, 0), 2 in the rest of row 0, 1 elsewhere
+    positions, slots = pencil._family_slots(n)
+    exps = monomial_exponents(n + 3, 3)
+    assert positions.tolist() == [m for m, e in enumerate(exps) if sum(e[:n])]
+    got = list(zip(*(a.tolist() for a in slots)))
+    expected = [
+        (i, j, *e)
+        for i in range(4)
+        for j in range(i, 4)
+        for e in monomial_exponents(n, 3 - (i > 0) - (j > 0))
+    ]
+    assert sorted(got) == sorted(expected)
+    # and each monomial is p^e times v times v_i v_j
+    for m, (i, j, *e) in zip(positions.tolist(), got):
+        rest = [0, 0, 0]
+        for v in (i, j):
+            rest[v - 1] += v > 0
+        assert i <= j and (*e, *rest) == exps[m], (m, i, j, e)
+    # the upper triangle of a cubic whose coefficients are all distinct holds each once
+    coeffs = np.arange(1, len(exps) + 1, dtype=np.int64)
+    upper = pencil.family_upper(coeffs, n)
+    assert sorted(upper[upper != 0].tolist()) == (coeffs[positions]).tolist()
 
 
 def test_discriminant_rejects_identically_zero():

@@ -417,6 +417,25 @@ def test_exponents_off_the_cubic_layout_are_rejected(exponent):
         decide_over_rationals(NODE_EXAMPLE | {exponent: 1}, height_bound=3)
 
 
+@pytest.mark.parametrize("bound", [-1, 2.5, True, "3", None])
+def test_a_height_bound_that_is_no_int_at_least_zero_is_refused_before_any_search(bound, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a search ran")
+
+    for name in ("_normalize_rational_cubic", "_nodes_by_resultant", "_points_on_cubic", "_pencil_members"):
+        monkeypatch.setattr(rationality, name, refuse)
+    with pytest.raises(InvalidInput, match="the height bound must be an integer >= 0"):
+        decide_over_rationals(UNKNOWN_EXAMPLE, height_bound=bound)
+
+
+def test_a_height_bound_of_zero_searches_nothing_and_ends_unknown():
+    verdict = decide_over_rationals(UNKNOWN_EXAMPLE, height_bound=0)
+    assert verdict.kind == "Unknown"
+    assert verdict.bounds == {
+        "height_bound": 0, "good_prime": 5, "points_found": 0, "points_capped": False, "pencil_members_scanned": 0,
+    }
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -506,13 +525,28 @@ UNKNOWN_MEMBER_WITNESSES = {
 
 
 def test_witnesses_of_the_unknown_examples_pencil_members_are_pinned():
-    coeffs = normalized(UNKNOWN_EXAMPLE)
+    gram = rationality._pencil_gram(normalized(UNKNOWN_EXAMPLE))
     got = {}
     for s, t in rationality._pencil_members(4):
-        out = local_solvability(rationality._pencil_member_form(coeffs, s, t))
+        out = local_solvability(rationality._pencil_member_form(gram, s, t))
         assert out.solvable
         got[(s, t)] = out.witness
     assert got == UNKNOWN_MEMBER_WITNESSES
+
+
+def test_a_pencil_member_is_four_times_the_fraction_matrix_built_term_by_term():
+    # every member of height <= 3 of integer cubics 0-19, read off the table
+    # built once per cubic
+    compared = 0
+    for seed in range(20):
+        coeffs = normalized(random_integer_cubic(seed))
+        gram = rationality._pencil_gram(coeffs)
+        for s, t in rationality._pencil_members(3):
+            form = rationality._pencil_member_form(gram, s, t)
+            expected = [[4 * x for x in row] for row in pencil_member_matrix(terms_of(coeffs), s, t)]
+            assert form.scale == 2 and [list(row) for row in form.gram] == expected, (seed, s, t)
+            compared += 1
+    assert compared == 20 * 16
 
 
 def test_witness_search_pins_and_exhausts_its_height():
@@ -528,8 +562,8 @@ def test_witness_search_pins_and_exhausts_its_height():
 def test_a_form_is_singular_iff_its_diagonalization_has_a_zero():
     forms = []
     for terms in (NODE_EXAMPLE, LINE_EXAMPLE, DEFINITE_PENCIL_EXAMPLE, UNKNOWN_EXAMPLE):
-        coeffs = normalized(terms)
-        forms += [rationality._pencil_member_form(coeffs, s, t) for s, t in rationality._pencil_members(3)]
+        gram = rationality._pencil_gram(normalized(terms))
+        forms += [rationality._pencil_member_form(gram, s, t) for s, t in rationality._pencil_members(3)]
     rng = random.Random(3)
     for _ in range(25):
         M = [[0] * 4 for _ in range(4)]
@@ -726,7 +760,7 @@ def test_good_prime_is_the_reduction_prime_wherever_a_reduction_certifies():
             expected = good_reduction_prime(coeffs)
         except ValueError:
             continue
-        assert rationality._good_prime(coeffs) == expected
+        assert rationality._good_prime(rationality._pencil_gram(coeffs)) == expected
         compared += 1
     assert compared == 104  # of 105: cubic 41 has no reduction certificate from 3, 5 and 7
 
@@ -734,7 +768,7 @@ def test_good_prime_is_the_reduction_prime_wherever_a_reduction_certifies():
 def test_a_cubic_no_scanned_reduction_certifies_gets_a_verdict():
     # 3, 5 and 7 divide disc(D), which is not zero: the cubic is general over Q
     coeffs = normalized(random_integer_cubic(41))
-    disc = rationality._sextic_discriminant(rationality._pencil_discriminant(coeffs))
+    disc = rationality._sextic_discriminant(rationality._pencil_discriminant(rationality._pencil_gram(coeffs)))
     assert disc != 0 and disc % (3 * 5 * 7) == 0
     with pytest.raises(ValueError, match="no generality certificate"):
         good_reduction_prime(coeffs)
@@ -749,7 +783,7 @@ def test_scaling_x4_by_three_keeps_the_verdict_kind(seed):
     # vanish modulo 3; a point of height h maps to one of height at most 3h
     terms = random_integer_cubic(seed)
     moved = {e: c * 3 ** e[4] for e, c in terms.items()}
-    assert not np.count_nonzero(rationality._pencil_discriminant(normalized(moved)) % 3)
+    assert not np.count_nonzero(rationality._pencil_discriminant(rationality._pencil_gram(normalized(moved))) % 3)
     before = decide_over_rationals(terms, height_bound=4)
     after = decide_over_rationals(moved, height_bound=12)
     assert after.kind == before.kind
@@ -781,7 +815,8 @@ def test_conics_sharing_a_line_are_not_general(seed):
 def test_the_discriminant_sextic_is_the_determinant_of_the_symbolic_gram_matrix():
     inputs = generality_inputs()
     for coeffs in inputs[::7] + inputs[100:]:
-        assert rationality._pencil_discriminant(coeffs).tolist() == discriminant_sextic_by_sympy(terms_of(coeffs))
+        gram = rationality._pencil_gram(coeffs)
+        assert rationality._pencil_discriminant(gram).tolist() == discriminant_sextic_by_sympy(terms_of(coeffs))
 
 
 def binary_form(coeffs):
@@ -959,9 +994,10 @@ def oracle_cases():
     # every pencil member of height <= 4 of integer cubics 0-99
     for seed in range(100):
         coeffs = normalized(random_integer_cubic(seed))
+        gram = rationality._pencil_gram(coeffs)
         for s, t in rationality._pencil_members(4):
             M = pencil_member_matrix(terms_of(coeffs), s, t)
-            cases.append((f"cubic {seed} ({s}:{t})", M, rationality._pencil_member_form(coeffs, s, t)))
+            cases.append((f"cubic {seed} ({s}:{t})", M, rationality._pencil_member_form(gram, s, t)))
     return cases
 
 
