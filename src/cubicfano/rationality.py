@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -441,8 +442,8 @@ def _normalize_rational_cubic(terms: dict, plane_rows) -> tuple[np.ndarray, list
     for e, c in terms.items():
         if tuple(e) not in index:
             raise InvalidInput("the cubic needs exponent 5-tuples of total degree 3")
-        given[index[tuple(e)]] = c
-    rows = [[Fraction(v) for v in row] for row in plane_rows]
+        given[index[tuple(e)]] = _exact(c, "a coefficient")
+    rows = [[Fraction(_exact(v, "a plane-row entry")) for v in row] for row in plane_rows]
     if len(rows) != 3 or any(len(r) != 5 for r in rows):
         raise InvalidInput("the plane needs three spanning rows of length 5")
     if _fraction_rref(rows)[1] != 3:
@@ -471,6 +472,17 @@ def _normalize_rational_cubic(terms: dict, plane_rows) -> tuple[np.ndarray, list
     if np.count_nonzero(coeffs[exps[:, 0] + exps[:, 1] == 0]):
         raise InvalidInput("the cubic does not vanish on the plane")
     return coeffs, columns
+
+
+def _exact(v, what: str):
+    """v itself when it is an exact rational number.
+
+    A bool, a float or a string is refused: ``Fraction`` would read "1/3"
+    or the binary value of 0.1 as some other rational.
+    """
+    if isinstance(v, bool) or not isinstance(v, numbers.Rational):
+        raise InvalidInput(f"{what} must be an int or a Fraction, not {v!r}")
+    return v
 
 
 def _substitution_matrix(M: np.ndarray) -> np.ndarray:
@@ -949,6 +961,11 @@ def decide_over_rationals(cubic_terms, plane_rows=_STANDARD_PLANE_ROWS, height_b
     exhaustive residue search before the verdict is emitted.  When all
     searches exhaust their bounds the honest answer is Unknown.
 
+    Every coefficient of ``cubic_terms`` and every entry of ``plane_rows``
+    must be an exact rational: a ``numbers.Rational`` such as an int, a
+    numpy integer or a ``Fraction``, and not a bool.  A float or a string
+    (such as 0.1 or "1/3") raises InvalidInput before any search, since
+    reading it as a rational would decide some other cubic.
     ``height_bound`` must be an int >= 0 (a bool is not one); anything else
     raises InvalidInput before any search.
     """

@@ -16,10 +16,16 @@ copies), the two copies themselves sit at tags 1 and 3, and tags add under
 composition.
 
 Each letter acts through an integer array over the signed universe, read
-once from the involution tables: a word acts by indexing, and the search
-for the words moving one point to another gathers the images of all words
-of one length at once.  The escalation to the quadratic extension maps
-points between the two universes by index arrays built once.
+once from the involution tables, and a word acts by indexing.  A sum is a
+lookup.  One breadth-first pass through the letter arrays grows an orbit
+forest: each point keeps its root, its parent and the letter that reached
+it.  Since the action is abelian, the words moving a point a to a point b
+are the words moving the root r of a's tree to y = P_a^{-1}(b), where P_a
+is the tree word from r to a.  So the words of each class are searched once,
+per key (r, y), and only up to length three: that bound, not the forest,
+decides when a sum escalates.  Points of different trees are moved by no
+word over the working field at all.  The escalation to the quadratic
+extension maps points between the two universes by index arrays built once.
 """
 
 from __future__ import annotations
@@ -128,7 +134,9 @@ class TorsorGroup:
     Point i < n of the universe is the i-th torsor point on the + copy and
     point n + i the same point on the - copy.  Each letter acts through an
     integer array over these 2n indices, built once from the involution
-    tables.
+    tables.  The first sum grows the orbit forest of the letters over these
+    indices, and each class a sum meets is searched once and kept under the
+    key (root, y) of the module docstring.
 
     Refuses a nonreduced node scheme: the boundary bookkeeping of the action
     assumes every node is an honest quadric cone point.
@@ -148,8 +156,20 @@ class TorsorGroup:
         self._excluded: list[RulingClass] | None = None
         self._letter_perms: dict = {}
         self._letter_matrix: np.ndarray | None = None
+        # the orbit forest: root, parent and reaching letter of each point,
+        # the inverse letter arrays, and the tree words' permutations
+        self._root: np.ndarray | None = None
+        self._parent: list[int] = []
+        self._label: list[int] = []
+        self._inverse: np.ndarray | None = None
+        self._tree_perms: dict[int, np.ndarray] = {}
+        # (root, y) -> the class of its first short word with that word's
+        # permutation, or None when there is no such word
+        self._classes: dict[tuple[int, int], tuple[ClassAction, np.ndarray] | None] = {}
         self._up: np.ndarray | None = None
         self._down: np.ndarray | None = None
+        # a class over the quadratic extension -> the class it induces here
+        self._descended: dict[ClassAction, ClassAction] = {}
 
     def __len__(self) -> int:
         return len(self.points)
@@ -228,11 +248,61 @@ class TorsorGroup:
         perm = np.array(b.perm)[np.array(a.perm)]
         return ClassAction((a.tag + b.tag) % 4, tuple(perm.tolist()), a.word + b.word)
 
+    # -- the orbit forest ------------------------------------------------------------
+
+    def _grow_forest(self) -> None:
+        """One breadth-first pass over the signed universe through the letter arrays.
+
+        Each tree starts at the first point no earlier tree reached; every
+        point records its root, its parent and the letter that reached it.
+        The inverse letter arrays walk a tree path back to its root.
+        """
+        M = self._letter_matrix = np.stack([self._perm_of(c) for c in self.letters])
+        k, n = M.shape
+        inverse = np.empty_like(M)
+        inverse[np.arange(k)[:, None], M] = np.arange(n)
+        root = np.full(n, -1, dtype=np.intp)
+        parent = np.full(n, -1, dtype=np.intp)
+        label = np.full(n, -1, dtype=np.intp)
+        for start in range(n):
+            if root[start] >= 0:
+                continue
+            root[start] = start
+            frontier = np.array([start], dtype=np.intp)
+            while frontier.size:
+                # the images point by point, each point's letters in order
+                new, first = np.unique(M[:, frontier].T.ravel(), return_index=True)
+                fresh = root[new] < 0
+                new, first = new[fresh], first[fresh]
+                root[new] = start
+                parent[new] = frontier[first // k]
+                label[new] = first % k
+                frontier = new
+        self._root, self._inverse = root, inverse
+        self._parent, self._label = parent.tolist(), label.tolist()
+
+    def _tree_perm(self, x: int) -> np.ndarray:
+        """The permutation of the tree word from x's root to x, kept once built.
+
+        Each one is a single gather past its parent's.
+        """
+        path = []
+        while x not in self._tree_perms and self._parent[x] >= 0:
+            path.append(x)
+            x = self._parent[x]
+        perm = self._tree_perms.get(x)
+        if perm is None:  # x is a root, reached by the empty word
+            perm = self._tree_perms[x] = np.arange(len(self.points))
+        for x in reversed(path):
+            perm = self._tree_perms[x] = self._letter_matrix[self._label[x]][perm]
+        return perm
+
     # -- sums of torsor points -----------------------------------------------------
 
-    def _matching_words(self, start: SignedTorsorPoint, target: SignedTorsorPoint) -> list[DivisorWord]:
+    def _short_words(self, start: int, target: int) -> list[DivisorWord]:
         """The first eight positive words of length <= 3 and the right parity
-        moving start to target, in ``itertools.product`` order by length.
+        moving point start to point target, in ``itertools.product`` order by
+        length.
 
         Inverse letters are redundant for the search: (c, -1) induces the
         same permutation as (cbar, +1) and the same tag, since the degree
@@ -241,49 +311,90 @@ class TorsorGroup:
         [c_n, ..., c_1]; reversing the axes puts ``np.argwhere``'s matches in
         product order.
         """
-        flip = start.sign != target.sign
+        half = len(self.points) // 2
+        flip = (start < half) != (target < half)
         found = [] if flip or start != target else [DivisorWord(())]
         lengths = (1, 3) if flip else (2,)
         letters = self.letters
-        if self._letter_matrix is None:
-            self._letter_matrix = np.stack([self._perm_of(c) for c in letters])
-        images = self.index[start]
+        images = start
         for n in range(1, lengths[-1] + 1):
             images = self._letter_matrix[:, images]
             if n in lengths:
-                for combo in np.argwhere(images.transpose() == self.index[target])[: 8 - len(found)]:
+                for combo in np.argwhere(images.transpose() == target)[: 8 - len(found)]:
                     found.append(DivisorWord(tuple((letters[i], +1) for i in combo)))
                 if len(found) == 8:
                     break
         return found
+
+    def _class_at(self, key: tuple[int, int]) -> tuple[ClassAction, np.ndarray] | None:
+        """The class of the first short word moving the root key[0] to key[1]
+        with its permutation, or None when no word of length <= 3 does; kept
+        per key.
+
+        Every one of the first eight such words must induce the same
+        permutation: the uniqueness half of simple transitivity.
+        """
+        if key in self._classes:
+            return self._classes[key]
+        words = self._short_words(*key)
+        found = None
+        if words:
+            first = self._word_perm(words[0])
+            for other in words[1:]:
+                _check_free(self._word_perm(other), first)
+            found = (ClassAction(words[0].tag, tuple(first.tolist()), words[0]), first)
+        self._classes[key] = found
+        return found
+
+    def _class_moving(self, a: int, b: int) -> ClassAction | None:
+        """The class of the first short word moving point a to point b, or
+        None when no word over the working field of length <= 3 does.
+
+        Points of different trees are joined by no word at all.  Otherwise
+        the inverse letters along a's tree path carry b to y, and the words
+        moving a to b are those moving the root to y.  The tree words check
+        the kept class on the whole universe: P_b must be the class after P_a.
+        """
+        if self._root is None:
+            self._grow_forest()
+        if self._root[a] != self._root[b]:
+            return None
+        x, y = a, b
+        while self._parent[x] >= 0:
+            y = int(self._inverse[self._label[x], y])
+            x = self._parent[x]
+        found = self._class_at((x, y))
+        if found is None:
+            return None
+        cls, perm = found
+        _check_free(perm[self._tree_perm(a)], self._tree_perm(b))
+        return cls
 
     def sum_points(
         self, s: SignedTorsorPoint, t: SignedTorsorPoint, escalate: bool = True
     ) -> ClassAction:
         """The unique divisor class [D] with -s + [D] = t.
 
-        Searches words in the rational ruling classes up to length three (the
-        transitivity bound); every matching word must induce one and the same
-        permutation, which is the simple-transitivity uniqueness statement.
-        When no rational word works the search escalates once to letters over
-        the quadratic extension (whose classes still permute the rational
-        universe) before giving up.  The component tag of the result is the
-        sum of the component tags of the operands.
+        Looks the class up through the orbit forest: the words in the
+        rational ruling classes up to length three (the transitivity bound)
+        that move -s to t are those that move the root of its tree to
+        y = P_{-s}^{-1}(t), searched once per key (root, y).  The first eight
+        must induce one and the same permutation, and so must the tree word
+        P_t P_{-s}^{-1} of every sum: that is the simple-transitivity
+        uniqueness statement.  When no rational word of length at most three
+        works the sum escalates once to letters over the quadratic extension
+        (whose classes still permute the rational universe) before giving
+        up.  The component tag of the result is the sum of the component
+        tags of the operands.
         """
-        found = self._matching_words(s.negated(), t)
-        if not found:
+        cls = self._class_moving(self.index[s.negated()], self.index[t])
+        if cls is None:
             if escalate:
                 return self._escalated_sum(s, t)
             raise NeedsExtension("no defining word over the working field within degree 3")
-        first = self._word_perm(found[0])
-        for other in found[1:]:
-            if not np.array_equal(self._word_perm(other), first):
-                raise InternalInconsistency(
-                    "two words sending -s to t disagree elsewhere: the action is not simply transitive"
-                )
-        if found[0].tag != (s.component + t.component) % 4:
+        if cls.tag != (s.component + t.component) % 4:
             raise InternalInconsistency("component arithmetic disagrees with the word parity")
-        return ClassAction(found[0].tag, tuple(first.tolist()), found[0])
+        return cls
 
     # -- quadratic-extension escalation --------------------------------------------
 
@@ -310,10 +421,21 @@ class TorsorGroup:
             self._down = np.full(len(big.points), -1, dtype=np.intp)
             self._down[self._up] = np.arange(len(self.points))
         big_cls = big.sum_points(big.points[self._up[self.index[s]]], big.points[self._up[self.index[t]]], False)
-        perm = self._down[np.array(big_cls.perm)[self._up]]
-        if (perm < 0).any():
-            raise InternalInconsistency("an escalated class moved a rational point off the rational locus")
-        return ClassAction(big_cls.tag, tuple(perm.tolist()), big_cls.word)
+        cls = self._descended.get(big_cls)
+        if cls is None:
+            perm = self._down[np.array(big_cls.perm)[self._up]]
+            if (perm < 0).any():
+                raise InternalInconsistency("an escalated class moved a rational point off the rational locus")
+            cls = self._descended[big_cls] = ClassAction(big_cls.tag, tuple(perm.tolist()), big_cls.word)
+        return cls
+
+
+def _check_free(perm: np.ndarray, other: np.ndarray) -> None:
+    """Two permutations that both move -s to t must be one class."""
+    if not np.array_equal(perm, other):
+        raise InternalInconsistency(
+            "two words sending -s to t disagree elsewhere: the action is not simply transitive"
+        )
 
 
 def torsor_group(nf: NormalizedThreefold) -> TorsorGroup:

@@ -4,7 +4,7 @@ Everything here is deliberately naive: polynomial arithmetic on tuples and
 on exponent dicts, a field's dense q x q addition and multiplication tables,
 cofactor determinants, Fermat inverses, brute-force searches, symbolic
 division, the group law acted out letter by letter
-through dicts, the node search over Q through sympy's resultant, gcd
+through dicts or searched word by word for every sum, the node search over Q through sympy's resultant, gcd
 and factoring, the line search over Q by per-term grid loops and the
 four values f(a), f(b), f(a + b), f(a - b), the diagonalization of a
 quadratic form over Q on Fractions, generality over Q by the F_p pipeline
@@ -1007,6 +1007,50 @@ def sum_by_dicts(G, s, t, escalate=True):
         G.index[_map_point(big.points[big_perm[big.index[_map_point(x, up)]]], down)] for x in G.points
     )
     return tag, perm, word
+
+
+def sum_by_search(G, s, t, escalate=True):
+    """(tag, perm, word) of the class D with -s + D = t, by a word search per sum.
+
+    The images of -s under every positive word of length 1 and 3 (or 2, or
+    the empty word) are gathered through the stacked letter arrays, one
+    length at a time, and the first eight matches in ``itertools.product``
+    order must induce one permutation.  Without a match the search runs
+    once over the quadratic extension and pulls the class back through
+    index maps between the two universes.
+    """
+    start, target = G.index[s.negated()], G.index[t]
+    flip = s.negated().sign != t.sign
+    found = [] if flip or start != target else [DivisorWord(())]
+    lengths = (1, 3) if flip else (2,)
+    letters = G.letters
+    matrix = np.stack([G._perm_of(c) for c in letters])
+    images = start
+    for n in range(1, lengths[-1] + 1):
+        images = matrix[:, images]
+        if n in lengths:
+            for combo in np.argwhere(images.transpose() == target)[: 8 - len(found)]:
+                found.append(DivisorWord(tuple((letters[i], +1) for i in combo)))
+            if len(found) == 8:
+                break
+    if found:
+        first = G._word_perm(found[0])
+        if any(not np.array_equal(G._word_perm(w), first) for w in found[1:]):
+            raise InternalInconsistency("two words sending -s to t disagree elsewhere")
+        if found[0].tag != (s.component + t.component) % 4:
+            raise InternalInconsistency("component arithmetic disagrees with the word parity")
+        return found[0].tag, tuple(first.tolist()), found[0]
+    if not escalate:
+        raise NeedsExtension("no defining word over the working field within degree 3")
+    big = G.extension_group()
+    up = np.array([big.index[G.embed_point(big, x)] for x in G.points])
+    down = np.full(len(big.points), -1)
+    down[up] = np.arange(len(G.points))
+    tag, big_perm, word = sum_by_search(big, big.points[up[G.index[s]]], big.points[up[G.index[t]]], False)
+    perm = down[np.array(big_perm)[up]]
+    if (perm < 0).any():
+        raise InternalInconsistency("an escalated class moved a rational point off the rational locus")
+    return tag, tuple(perm.tolist()), word
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,30 @@ def test_exponents_off_the_cubic_layout_are_rejected(exponent):
         decide_over_rationals(NODE_EXAMPLE | {exponent: 1}, height_bound=3)
 
 
+@pytest.mark.parametrize("value", ["1", "1/3", 0.1, 1.0, True, np.True_, None, 1j])
+@pytest.mark.parametrize("where", ["coefficient", "plane-row entry"])
+def test_an_inexact_coefficient_or_plane_entry_is_refused_before_any_search(value, where, monkeypatch):
+    # Fraction("1/3") and Fraction(0.1) would read a string or a float as
+    # some rational, and the verdict would be on another cubic
+    for name in ("_nodes_by_resultant", "_points_on_cubic", "_pencil_members", "_pencil_gram"):
+        monkeypatch.setattr(rationality, name, lambda *args: pytest.fail("a search ran"))
+    terms, rows = dict(NODE_EXAMPLE), [list(row) for row in rationality._STANDARD_PLANE_ROWS]
+    if where == "coefficient":
+        terms[(1, 2, 0, 0, 0)] = value
+    else:
+        rows[0][2] = value
+    with pytest.raises(InvalidInput, match=f"^a {where} must be an int or a Fraction, not "):
+        decide_over_rationals(terms, plane_rows=rows, height_bound=3)
+
+
+def test_numpy_integers_and_fractions_give_the_int_verdict():
+    expect = decide_over_rationals(NODE_EXAMPLE, height_bound=6).to_report()
+    for kind in (np.int64, Fraction):
+        terms = {e: kind(c) for e, c in NODE_EXAMPLE.items()}
+        rows = [[kind(v) for v in row] for row in rationality._STANDARD_PLANE_ROWS]
+        assert decide_over_rationals(terms, plane_rows=rows, height_bound=6).to_report() == expect
+
+
 @pytest.mark.parametrize("bound", [-1, 2.5, True, "3", None])
 def test_a_height_bound_that_is_no_int_at_least_zero_is_refused_before_any_search(bound, monkeypatch):
     def refuse(*args):

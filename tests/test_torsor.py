@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cubicfano.errors import InvalidInput, NeedsExtension, NotGeneral
+from cubicfano.errors import InternalInconsistency, InvalidInput, NeedsExtension, NotGeneral, ResampleRequired
 from cubicfano.fano import FanoSurface
 from cubicfano.gf import field
 from cubicfano.pencil import HyperellipticModel, count_points_C, discriminant, zeta
@@ -21,7 +21,7 @@ from cubicfano.torsor import (
     word_of,
 )
 
-from reference_impl import act_by_dicts, class_by_dicts, sum_by_dicts
+from reference_impl import act_by_dicts, class_by_dicts, sum_by_dicts, sum_by_search
 from test_pencil import general_example
 
 
@@ -213,6 +213,69 @@ def test_sums_match_the_word_by_word_oracle(seed):
         except NeedsExtension:
             escalated += 1
     assert escalated >= (1 if seed == 2 else 0)
+
+
+def _outcome(sum_of):
+    try:
+        return sum_of()
+    except NeedsExtension:
+        return NeedsExtension
+
+
+@pytest.mark.parametrize("p, seeds", [(3, range(40)), (5, range(4))])
+def test_sums_match_the_search_per_sum_oracle(p, seeds):
+    # the forest's lookup against a word search run afresh for every sum,
+    # with and without the escalation to F_{q^2}
+    checked = 0
+    for seed in seeds:
+        nf = seeded_example(p, seed)
+        if not nf.Z.reduced:
+            continue
+        G = torsor_group(nf)
+        try:
+            G.letters
+        except ResampleRequired:
+            continue
+        rng = random.Random(seed)
+        for _ in range(20):
+            s, t = rng.choice(G.points), rng.choice(G.points)
+            for escalate in (False, True):
+                got = _outcome(lambda: G.sum_points(s, t, escalate))
+                if got is not NeedsExtension:
+                    got = (got.tag, got.perm, got.word)
+                assert got == _outcome(lambda: sum_by_search(G, s, t, escalate)), (seed, s, t)
+                checked += 1
+    assert checked >= (800 if p == 3 else 40)
+
+
+_NOT_FREE = "^two words sending -s to t disagree elsewhere: the action is not simply transitive$"
+
+
+def _tampered_group():
+    # one letter swaps the images of two points of the + copy, so its array
+    # is still a permutation of the signed universe
+    G = torsor_group(general_example(3))
+    perm = G._perm_of(G.letters[0])
+    perm[[0, 1]] = perm[[1, 0]]
+    return G
+
+
+def test_a_tampered_letter_fails_the_tree_word_check():
+    # the short words of this sum's class agree, so the class is kept; the
+    # tree words from the root to -s and to t disagree with it elsewhere
+    G = _tampered_group()
+    with pytest.raises(InternalInconsistency, match=_NOT_FREE):
+        G.sum_points(G.points[0], G.points[15])
+    assert [found is not None for found in G._classes.values()] == [True]
+
+
+def test_disagreeing_short_words_fail_when_the_class_is_kept():
+    # two words of length <= 3 move the root to y but act differently
+    # elsewhere: the class is refused before it is kept
+    G = _tampered_group()
+    with pytest.raises(InternalInconsistency, match=_NOT_FREE):
+        G.sum_points(G.points[0], G.points[1])
+    assert G._classes == {}
 
 
 def test_word_action_matches_the_dict_oracle():
